@@ -4,27 +4,25 @@ mirror handled by the image construction.
 
 All quantities are dimensionless: the Gaussian switching width sets the
 time unit, the coupling is unity. The package splits into kinematics
-(orbits), quadrature (adaptive panels, principal values, pole bookkeeping,
-regulator extrapolation), response (single-detector excitation
+(orbits), quadrature (adaptive panels, one principal-value routine, root
+bracketing, regulator extrapolation), response (single-detector excitation
 probability), correlation (the pair coherence), infomeasure (mutual
 information), and sweep (batch tables and oracle cross-checks).
 """
 
 from .correlation import (CorrelationResult, OracleEstimate, PairConfig,
                           correlation_equal, correlation_general,
-                          correlation_general_result, correlation_s_only,
-                          wightman_boundary, wightman_free)
+                          correlation_general_result, wightman_boundary,
+                          wightman_free)
 from .infomeasure import (DensityBlock, MIResult, PairPointResult,
                           PerturbativeRegimeWarning, assemble_density_block,
                           mutual_information, mutual_information_point)
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          detector_from_accel_radius, omega_from_accel_radius,
                          trajectory_point)
-from .quadrature import (ExtrapolationResult, PoleSet, QuadratureResult,
-                         TangentialZeroError, epsilon_extrapolate,
-                         find_root_bracketed, integrate_adaptive,
-                         poles_of_denominator, principal_value_integral,
-                         real_line_pole_integral)
+from .quadrature import (ExtrapolationResult, QuadratureResult,
+                         epsilon_extrapolate, find_root_bracketed,
+                         integrate_adaptive, principal_value_integral)
 from .response import (ResponseBreakdown, image_pole_location,
                        inertial_response, transition_probability,
                        transition_probability_free,
@@ -40,16 +38,15 @@ __all__ = [
     "CircularDetectorSpec", "SpacetimePoint", "DomainError",
     "detector_from_accel_radius", "omega_from_accel_radius",
     "trajectory_point",
-    "QuadratureResult", "PoleSet", "ExtrapolationResult",
-    "TangentialZeroError", "integrate_adaptive", "principal_value_integral",
-    "poles_of_denominator", "real_line_pole_integral", "epsilon_extrapolate",
+    "QuadratureResult", "ExtrapolationResult",
+    "integrate_adaptive", "principal_value_integral", "epsilon_extrapolate",
     "find_root_bracketed",
     "ResponseBreakdown", "inertial_response", "image_pole_location",
     "transition_probability", "transition_probability_free",
     "transition_probability_oracle", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",
     "wightman_free", "wightman_boundary", "correlation_equal",
-    "correlation_s_only", "correlation_general", "correlation_general_result",
+    "correlation_general", "correlation_general_result",
     "DensityBlock", "MIResult", "PairPointResult",
     "PerturbativeRegimeWarning", "assemble_density_block",
     "mutual_information", "mutual_information_point",

@@ -12,18 +12,17 @@ independent routes:
 
 * correlation_equal: for detectors sharing one orbit kinematics the
   double time integral collapses to a single integral over the time
-  difference; its integrand has simple real poles where the detectors
-  are lightlike separated, handled by the principal-value plus
-  half-residue split. The direct part gives c_free, the image part
-  c_boundary, and C = c_free - c_boundary. The image denominator is the
-  direct one with separation L replaced by L + 2 dz.
+  difference; its integrand has one pair of simple real poles, at
+  +-s0 where the detectors are lightlike separated. The denominator is
+  even, so the integral folds onto s >= 0 as one principal value at s0
+  plus the closed-form half residues, and C comes out real. The direct
+  part gives c_free, the image part c_boundary, and
+  C = c_free - c_boundary. The image denominator is the direct one with
+  separation L replaced by L + 2 dz.
 * correlation_general: definition-level double quadrature in coordinate
   times with the regulator epsilon kept finite, repeated on a geometric
   epsilon ladder and extrapolated to zero. Works for unequal kinematics
   and serves as the oracle for the reduced path.
-
-correlation_s_only evaluates an algebraically rearranged form of the
-single-integral reduction and exists purely to cross-check that algebra.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          trajectory_point)
-from .quadrature import (PoleSet, QuadratureResult, epsilon_extrapolate,
-                         integrate_adaptive, poles_of_denominator,
-                         real_line_pole_integral)
+from .quadrature import (QuadratureResult, epsilon_extrapolate,
+                         find_root_bracketed, integrate_adaptive,
+                         principal_value_integral)
 
 __all__ = [
     "PairConfig",
@@ -48,7 +47,6 @@ __all__ = [
     "wightman_boundary",
     "wightman_free",
     "correlation_equal",
-    "correlation_s_only",
     "correlation_general",
     "correlation_general_result",
 ]
@@ -135,29 +133,35 @@ class OracleEstimate:
     monotone: bool
 
 
-def _reduced_line_integral(num, L_eff: float, radius: float, omega: float,
-                           gamma: float, s_env: float,
+def _reduced_line_integral(L_eff: float, radius: float, omega: float,
+                           gamma: float, k: float, s_env: float,
                            tol: float) -> QuadratureResult:
-    """Distributional integral of num(s)/D(s) over the real line with
-    D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
+    """Distributional integral of exp(-s^2/(4 gamma^2) + i k s)/D(s) over
+    the real line with D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
 
     D decreases strictly on s > 0 (since 2 R^2 omega sin(omega s) <=
-    2 v^2 s < 2 s), so it has exactly one positive zero, mirrored at -s0,
-    confined to L_eff <= s0 <= sqrt(L_eff^2 + 4 R^2). The regulator
-    pushed the poles such that the half-residue sign is sign(s0).
+    2 v^2 s < 2 s), so it has exactly one positive zero s0, a simple one,
+    mirrored at -s0 and confined to L_eff <= s0 <= sqrt(L_eff^2 + 4 R^2).
+    D is even, so the integral folds onto s >= 0 as the principal value
+    of 2 exp(-s^2/(4 gamma^2)) cos(k s)/D(s). The regulator pushed the
+    poles such that the half-residue sign is sign(s0); the pair sums to
+    -2 pi exp(-s0^2/(4 gamma^2)) sin(k s0)/|D'(s0)|. The value is real.
     """
     if L_eff <= 0.0:
         raise DomainError("effective separation must be positive")
+    r_sq = radius * radius
+    inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
+
+    def folded_num(s):
+        return 2.0 * np.exp(-s * s * inv_four_gamma_sq) * np.cos(k * s)
 
     def D(s):
-        return L_eff * L_eff + 4.0 * radius * radius * np.sin(0.5 * omega * s) ** 2 - s * s
-
-    band_hi = math.sqrt(L_eff * L_eff + 4.0 * radius * radius)
+        return L_eff * L_eff + 4.0 * r_sq * np.sin(0.5 * omega * s) ** 2 - s * s
 
     if L_eff > s_env + 2.0:
         # poles sit far outside the switching envelope: integrate the
         # regular restriction and bound the ignored residues
-        res = integrate_adaptive(_num_over_d(num, D), -s_env, s_env, tol)
+        res = integrate_adaptive(lambda s: folded_num(s) / D(s), 0.0, s_env, tol)
         ignored = (math.pi * gamma * gamma / (2.0 * L_eff)
                    * math.exp(-L_eff * L_eff / (4.0 * gamma * gamma)))
         return QuadratureResult(
@@ -167,17 +171,24 @@ def _reduced_line_integral(num, L_eff: float, radius: float, omega: float,
             converged=res.converged,
         )
 
-    step = 0.5 * min(math.pi / omega if omega > 0.0 else math.inf, 0.1)
-    poles = poles_of_denominator(D, -band_hi - 1.0, band_hi + 1.0, step)
-    signs = [1 if p > 0 else -1 for p in poles.locations]
-    s_max = max(s_env, band_hi + 2.0)
-    return real_line_pole_integral(num, D, poles, signs, -s_max, s_max, tol)
+    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
+    s0 = find_root_bracketed(D, L_eff, band_hi)
 
+    def q(s):
+        # D(s)/(s - s0), factored with sin^2 a - sin^2 b = sin(a-b) sin(a+b)
+        return (2.0 * r_sq * omega * np.sinc(omega * (s - s0) / (2.0 * math.pi))
+                * np.sin(0.5 * omega * (s + s0)) - (s + s0))
 
-def _num_over_d(num, D):
-    def g(s):
-        return np.asarray(num(s)) / np.asarray(D(s))
-    return g
+    pv = principal_value_integral(lambda s: folded_num(s) / q(s), s0, 0.0,
+                                  max(s_env, band_hi + 2.0), tol)
+    residues = (-2.0 * math.pi * math.exp(-s0 * s0 * inv_four_gamma_sq)
+                * math.sin(k * s0) / abs(float(q(s0))))
+    return QuadratureResult(
+        value=pv.value + residues,
+        abs_error_estimate=pv.abs_error_estimate,
+        evaluations=pv.evaluations + 1,
+        converged=pv.converged,
+    )
 
 
 def _require_equal_kinematics(pair: PairConfig, what: str) -> None:
@@ -187,8 +198,8 @@ def _require_equal_kinematics(pair: PairConfig, what: str) -> None:
 
 
 def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
-    """C for a pair sharing orbit kinematics, via the single-integral
-    reduction with principal-value plus half-residue pole handling.
+    """C for a pair sharing orbit kinematics, via the folded single-integral
+    reduction: one principal value plus the closed-form half residues.
 
     tol is an absolute tolerance on C. The direct and image integrals
     differ only by the effective separation (L versus L + 2 dz)."""
@@ -200,16 +211,12 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
 
     pref = math.exp(-0.25 * dgap * dgap) / (4.0 * math.pi ** 1.5 * gamma)
     k = (gap_a + gap_b) / (2.0 * gamma)
-    inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
-
-    def num(s):
-        return np.exp(-s * s * inv_four_gamma_sq + 1j * k * s)
 
     # switching envelope support: beyond s_env the envelope is below tol/10
     s_env = 2.0 * gamma * math.sqrt(max(-math.log(tol / 10.0), 1.0)) + 2.0
     tol_int = tol / max(pref, 1e-300) / 2.0
 
-    free = _reduced_line_integral(num, pair.sep, radius, omega, gamma,
+    free = _reduced_line_integral(pair.sep, radius, omega, gamma, k,
                                   s_env, tol_int)
     c_free = pref * free.value
     err = pref * free.abs_error_estimate
@@ -219,57 +226,20 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     if pair.dz is None:
         c_boundary = 0.0 + 0.0j
     else:
-        image = _reduced_line_integral(num, pair.sep + 2.0 * pair.dz, radius,
-                                       omega, gamma, s_env, tol_int)
+        image = _reduced_line_integral(pair.sep + 2.0 * pair.dz, radius,
+                                       omega, gamma, k, s_env, tol_int)
         c_boundary = pref * image.value
         err += pref * image.abs_error_estimate
         converged = converged and image.converged
         evals += image.evaluations
 
     return CorrelationResult(
-        c_total=c_free - c_boundary,
+        c_total=complex(c_free - c_boundary),
         c_free=complex(c_free),
         c_boundary=complex(c_boundary),
         abs_error_estimate=float(err),
         converged=converged,
     )
-
-
-def correlation_s_only(pair: PairConfig, tol: float = 1e-8) -> complex:
-    """C via the rearranged single-integral form in which the detector
-    gammas enter through their quadrature sum.
-
-    Algebraically identical to correlation_equal when the kinematics
-    match (the only case where the one-variable reduction is exact); kept
-    as a separate code path to cross-check the reduction algebra."""
-    _require_equal_kinematics(pair, "correlation_s_only")
-    da, db = pair.det_a, pair.det_b
-    ga, gb = da.gamma, db.gamma
-    gap_a, gap_b = da.energy_gap, db.energy_gap
-    dgap = gap_b - gap_a
-    gsq = ga * ga + gb * gb
-
-    pref = (math.sqrt(2.0 * math.pi) / math.sqrt(gsq)
-            * math.exp(-(gap_a * (ga - gb) + ga * dgap) ** 2 / (2.0 * gsq))
-            / _TWO_PI_SQ)
-    kk = (gb * dgap + (ga + gb) * gap_a) / gsq
-
-    def num(s):
-        return np.exp(-s * s / (2.0 * gsq) + 1j * kk * s)
-
-    gamma = ga
-    s_env = math.sqrt(2.0 * gsq * max(-math.log(tol / 10.0), 1.0)) + 2.0
-    tol_int = tol / max(pref, 1e-300) / 2.0
-
-    free = _reduced_line_integral(num, pair.sep, da.radius, da.omega, gamma,
-                                  s_env, tol_int)
-    total = pref * free.value
-    if pair.dz is not None:
-        image = _reduced_line_integral(num, pair.sep + 2.0 * pair.dz,
-                                       da.radius, da.omega, gamma, s_env,
-                                       tol_int)
-        total = total - pref * image.value
-    return complex(total)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -201,6 +201,14 @@ def mutual_information_point(pair: PairConfig,
         p_b, err_b = float(ob.value), ob.error_estimate
     errs.append(err_b)
 
+    # a P below zero by less than its own error estimate is roundoff on a
+    # vanishing response; round it to zero as mutual_information clamps
+    # l_minus, and leave anything more negative for the block check
+    if -err_a <= p_a < 0.0:
+        p_a = 0.0
+    if -err_b <= p_b < 0.0:
+        p_b = 0.0
+
     if pair.equal_kinematics:
         corr = correlation_equal(pair, tol)
     else:

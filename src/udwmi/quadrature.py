@@ -1,4 +1,4 @@
-"""Quadrature, principal values, pole bookkeeping and extrapolation.
+"""Quadrature, principal values, root bracketing and extrapolation.
 
 Every integrator here takes vectorized callables: f(x) receives a numpy
 array and must return an array of the same shape (real or complex values
@@ -9,9 +9,10 @@ reported through the flag, never silently.
 Singular denominators are handled by two independent strategies so the
 physics layers can cross check one against the other:
 
-* the production route splits integrals of g(s)/D(s) with simple real
-  zeros of D into a principal value (symmetric excision around each
-  zero) plus half residues, with the residue sign supplied per pole;
+* the production route has one principal-value routine,
+  principal_value_integral: the caller proves its pole simple, locates
+  it with find_root_bracketed, factors it out of the denominator, and
+  adds the half residues in closed form;
 * the oracle route keeps the regulator epsilon finite, integrates the
   smooth regularized integrand on a geometric epsilon ladder, and
   extrapolates the ladder to epsilon -> 0 (epsilon_extrapolate).
@@ -33,22 +34,14 @@ from .kinematics import DomainError
 
 __all__ = [
     "QuadratureResult",
-    "PoleSet",
     "ExtrapolationResult",
-    "TangentialZeroError",
     "integrate_adaptive",
     "integrate_semiinfinite_gaussian",
     "gaussian_truncation_point",
     "principal_value_integral",
-    "poles_of_denominator",
-    "real_line_pole_integral",
     "epsilon_extrapolate",
     "find_root_bracketed",
 ]
-
-
-class TangentialZeroError(RuntimeError):
-    """A located zero of a denominator is tangential (|D'| below threshold)."""
 
 
 @dataclass(frozen=True)
@@ -63,20 +56,6 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Simple real zeros of a denominator, with the derivative at each."""
-
-    locations: tuple[float, ...]
-    derivatives: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if list(self.locations) != sorted(self.locations):
-            raise ValueError("pole locations must be sorted ascending")
-        if len(self.locations) != len(self.derivatives):
-            raise ValueError("locations and derivatives must have equal length")
 
 
 @dataclass(frozen=True)
@@ -234,214 +213,33 @@ def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
     )
 
 
-def _derivative(D, x: float) -> tuple[float, float]:
-    """Central first and second derivative estimates of D at x."""
-    h = 1e-6 * max(1.0, abs(x))
-    pts = np.array([x - h, x, x + h])
-    d = np.asarray(D(pts), dtype=float)
-    d1 = (d[2] - d[0]) / (2.0 * h)
-    d2 = (d[2] - 2.0 * d[1] + d[0]) / (h * h)
-    return float(d1), float(d2)
-
-
-_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _pv_band_remainder(num, D, pole: float, coeff, delta: float):
-    """Integral over [pole-delta, pole+delta] of num/D minus its odd
-    singular part coeff/(x - pole).
-
-    The subtracted part integrates to zero over the symmetric band, so
-    this is the full band contribution. The remainder has a removable
-    singularity at the pole; Gauss-Legendre nodes never hit the midpoint.
-    """
-    nodes, weights = _GL32_NODES, _GL32_WEIGHTS
-    x = pole + delta * nodes
-    h = np.asarray(num(x)) / np.asarray(D(x)) - coeff / (x - pole)
-    return (weights * h).sum() * delta, 64
-
-
-def _excision_width(pole: float, lo: float, hi: float,
-                    delta_cap: float = math.inf) -> float:
-    span = hi - lo
-    delta = min(0.25 * (pole - lo), 0.25 * (hi - pole), 0.05 * span, delta_cap)
-    return max(delta, 1e-9 * span)
-
-
-def _pv_single(num, D, pole: float, lo: float, hi: float, tol: float,
-               delta_cap: float = math.inf):
-    """PV of num/D over [lo, hi] with one simple zero of D at pole.
-
-    Symmetric excision: integrate outside [pole-delta, pole+delta], add
-    the band remainder, and repeat at delta/2 as a consistency check.
-    Returns (value, error, evaluations, converged).
-    """
-    d1, _ = _derivative(D, pole)
-    if abs(d1) < 1e-8:
-        raise TangentialZeroError(
-            f"denominator zero at {pole} is tangential (|D'| = {abs(d1):.3g})")
-    coeff = complex(np.asarray(num(np.array([pole])))[0]) / d1
-
-    delta0 = _excision_width(pole, lo, hi, delta_cap)
-
-    results = []
-    err_quad = 0.0
-    evals = 0
-    converged = True
-
-    def g(x):
-        return np.asarray(num(x)) / np.asarray(D(x))
-
-    for delta in (delta0, 0.5 * delta0):
-        left = integrate_adaptive(g, lo, pole - delta, tol / 6.0)
-        right = integrate_adaptive(g, pole + delta, hi, tol / 6.0)
-        band, band_evals = _pv_band_remainder(num, D, pole, coeff, delta)
-        results.append(left.value + right.value + band)
-        err_quad = left.abs_error_estimate + right.abs_error_estimate
-        evals += left.evaluations + right.evaluations + band_evals
-        converged = converged and left.converged and right.converged
-
-    consistency = abs(results[0] - results[1])
-    if consistency > 10.0 * tol:
-        converged = False
-    value = results[1]
-    error = err_quad + consistency
-    return value, error, evals, converged
-
-
-def principal_value_integral(f_regular, D, pole: float, lo: float, hi: float,
+def principal_value_integral(g, pole: float, lo: float, hi: float,
                              tol: float) -> QuadratureResult:
-    """Cauchy principal value of f_regular(x)/D(x) over [lo, hi].
+    """Cauchy principal value of g(x)/(x - pole) over [lo, hi] for a
+    smooth g (the contract of QUADPACK's QAWC).
 
-    D must have exactly one simple zero in (lo, hi), at pole. A scan of D
-    verifies the single sign change; failing that is a precondition
-    violation and raises. The two-delta excision consistency check failing
-    by more than 10*tol is reported through converged=False.
+    Subtracts g(pole)/(x - pole), integrates the smooth remainder on
+    [lo, pole] and [pole, hi] (Gauss-Kronrod nodes are interior, so none
+    lands on the pole), and adds back g(pole) ln((hi - pole)/(pole - lo)).
+    Callers with a denominator D(x) pass g = f/q with q = D/(x - pole)
+    in factored form; dividing D by (x - pole) numerically would cancel
+    catastrophically next to the pole.
     """
     if not lo < pole < hi:
         raise DomainError(f"pole {pole} not inside ({lo}, {hi})")
-    xs = np.linspace(lo, hi, 1025)
-    ds = np.asarray(D(xs), dtype=float)
-    # drop exact zeros so a scan node landing on the pole still counts as
-    # one crossing instead of two zero-sign products
-    nz = np.sign(ds)[np.sign(ds) != 0]
-    sign_changes = int(np.count_nonzero(nz[:-1] * nz[1:] < 0))
-    if sign_changes != 1:
-        raise DomainError(
-            f"expected exactly one sign change of D in [{lo}, {hi}], found {sign_changes}")
+    g_pole = np.asarray(g(np.array([pole])))[0]
 
-    value, error, evals, converged = _pv_single(f_regular, D, pole, lo, hi, tol)
-    if not np.iscomplexobj(np.asarray(f_regular(np.array([0.5 * (lo + hi)])))):
-        value = value.real
+    def remainder(x):
+        return (np.asarray(g(x)) - g_pole) / (x - pole)
+
+    left = integrate_adaptive(remainder, lo, pole, tol / 2.0)
+    right = integrate_adaptive(remainder, pole, hi, tol / 2.0)
+    value = left.value + right.value + g_pole * math.log((hi - pole) / (pole - lo))
     return QuadratureResult(
-        value=value,
-        abs_error_estimate=float(error),
-        evaluations=evals + 1025 + 1,
-        converged=converged,
-    )
-
-
-def poles_of_denominator(D, lo: float, hi: float, scan_step: float) -> PoleSet:
-    """Locate simple real zeros of D in [lo, hi] by sign-change scanning.
-
-    Each bracket found by the scan is refined to 1e-12 absolute accuracy.
-    Tangential zeros (|D'| < 1e-8 at a refined root) abort with
-    TangentialZeroError rather than guessing a residue.
-    """
-    if scan_step <= 0.0:
-        raise DomainError("scan_step must be positive")
-    if hi <= lo:
-        raise DomainError(f"empty or inverted interval [{lo}, {hi}]")
-    n = int(math.ceil((hi - lo) / scan_step)) + 1
-    n = min(max(n, 8), 2_000_000)
-    xs = np.linspace(lo, hi, n)
-    ds = np.asarray(D(xs), dtype=float)
-
-    roots: list[float] = []
-    signs = np.sign(ds)
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        roots.append(find_root_bracketed(D, float(xs[i]), float(xs[i + 1])))
-    for i in np.nonzero(ds == 0.0)[0]:
-        roots.append(float(xs[i]))
-
-    roots.sort()
-    deduped: list[float] = []
-    scale = max(abs(lo), abs(hi), 1.0)
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-10 * scale:
-            deduped.append(r)
-
-    derivs = []
-    for r in deduped:
-        d1, _ = _derivative(D, r)
-        if abs(d1) < 1e-8:
-            raise TangentialZeroError(
-                f"zero of denominator at {r} is tangential (|D'| = {abs(d1):.3g})")
-        derivs.append(d1)
-    return PoleSet(locations=tuple(deduped), derivatives=tuple(derivs))
-
-
-def real_line_pole_integral(numerator, D, poles: PoleSet, sign_rule,
-                            lo: float, hi: float, tol: float) -> QuadratureResult:
-    """Integral of numerator(s)/D(s) over [lo, hi] in the distributional
-    sense: principal value across each simple zero of D plus the half
-    residue sign_rule[k] * i*pi * numerator(s_k) / |D'(s_k)| per pole.
-
-    sign_rule holds +1 or -1 per pole and encodes which side of the real
-    axis the regulator pushed each pole to.
-    """
-    locs = [p for p in poles.locations]
-    if any(not lo < p < hi for p in locs):
-        raise DomainError("all poles must lie strictly inside [lo, hi]")
-    if len(sign_rule) != len(locs):
-        raise DomainError("sign_rule must supply one sign per pole")
-    if any(s not in (-1, 1) for s in sign_rule):
-        raise DomainError("sign_rule entries must be +1 or -1")
-
-    def g(x):
-        return np.asarray(numerator(x)) / np.asarray(D(x))
-
-    if not locs:
-        return integrate_adaptive(g, lo, hi, tol)
-
-    spacing = min(
-        (locs[i + 1] - locs[i] for i in range(len(locs) - 1)),
-        default=math.inf,
-    )
-    boundaries = [lo]
-    for i in range(len(locs) - 1):
-        boundaries.append(0.5 * (locs[i] + locs[i + 1]))
-    boundaries.append(hi)
-
-    value = 0.0 + 0.0j
-    error = 0.0
-    evals = 0
-    converged = True
-    piece_tol = tol / (2.0 * len(locs))
-    # the excision width shrinks with the pole spacing so neighbouring
-    # excision bands can never overlap; only pathological clusters that
-    # push delta onto its floor get flagged
-    delta_cap = spacing / 256.0 if math.isfinite(spacing) else math.inf
-    for k, p in enumerate(locs):
-        seg_lo, seg_hi = boundaries[k], boundaries[k + 1]
-        v, e, n, ok = _pv_single(numerator, D, p, seg_lo, seg_hi, piece_tol,
-                                 delta_cap=delta_cap)
-        value += v
-        error += e
-        evals += n
-        converged = converged and ok
-        if spacing < 100.0 * _excision_width(p, seg_lo, seg_hi, delta_cap):
-            converged = False
-
-        num_p = complex(np.asarray(numerator(np.array([p])))[0])
-        value += sign_rule[k] * 1j * math.pi * num_p / abs(poles.derivatives[k])
-        evals += 1
-
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=float(error),
-        evaluations=evals,
-        converged=converged,
+        value=complex(value) if np.iscomplexobj(g_pole) else float(value),
+        abs_error_estimate=left.abs_error_estimate + right.abs_error_estimate,
+        evaluations=left.evaluations + right.evaluations + 1,
+        converged=left.converged and right.converged,
     )
 
 

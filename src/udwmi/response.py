@@ -10,14 +10,14 @@ time difference and rescaling to x = gamma*omega*s/2:
 * term_inertial: the exact subtracted piece, the response of an
   inertial detector with the same switching (closed form in erfc).
 * term_pv: the principal value of the image part across its lightlike
-  pole.
+  pole, with the pole factored out of the denominator in closed form.
 * term_pole: the half-residue contribution of that pole pair, picked up
   with a plus sign on both poles by the regulator.
 
 total = term_bounded + term_pv + term_inertial + term_pole. Free space
 keeps only the first and third. The image pole sits at the unique
 positive root of x^2 - v^2 sin^2 x - (omega dz)^2, which is strictly
-increasing in x, so root bracketing is safe.
+increasing in x, so root bracketing is safe and the pole is simple.
 
 transition_probability_oracle integrates the defining double integral
 (finite regulator epsilon, extrapolated to zero) without any of the
@@ -193,7 +193,13 @@ def transition_probability(spec: CircularDetectorSpec,
         # keep the pole comfortably interior by stretching the domain a
         # little past the Gaussian support when needed
         hi_dom = max(x_max, pole + 2.0)
-        res = principal_value_integral(f_image, h, pole, 0.0, hi_dom, pv_tol)
+
+        def q(x):
+            # h(x)/(x - pole), factored with sin^2 a - sin^2 b = sin(a-b) sin(a+b)
+            return (x + pole) - v_sq * np.sinc((x - pole) / math.pi) * np.sin(x + pole)
+
+        res = principal_value_integral(lambda x: f_image(x) / q(x), pole,
+                                       0.0, hi_dom, pv_tol)
         term_pv = k_image * res.value
         err += k_image * (res.abs_error_estimate + pv_tol / 10.0)
         evals_ok = evals_ok and res.converged

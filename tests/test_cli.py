@@ -94,6 +94,18 @@ class TestMiCommand:
             math.hypot(payload["ReC"], payload["ImC"]), rel=1e-14)
         assert payload["slack"] > 0.0
 
+    def test_roundoff_negative_probability_rounds_to_zero(self, capsys):
+        # P_B vanishes up to roundoff here (about -1e-17 against an error
+        # estimate near 6e-10); within its error bar it is zero, not an
+        # unphysical input
+        rc, out, err = run_cli(capsys, [
+            "mi", "--gap-a", "0.9434462073905755",
+            "--gap-b", "10.37790828129633", "--accel", "0.7788225683062892",
+            "--radius", "10.0", "--sep", "4.536405464772817",
+            "--dz", "0.44481925752216145"])
+        assert rc == 0, err
+        assert json.loads(out)["P_B"] == 0.0
+
     def test_invalid_dz_is_config_error(self, capsys):
         rc, out, err = run_cli(capsys, [
             "mi", "--gap-a", "0.5", "--dz", "0"])

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from udwmi import (
     DomainError,
     PairConfig,
     correlation_equal,
     correlation_general_result,
-    correlation_s_only,
     detector_from_accel_radius,
     trajectory_point,
     wightman_boundary,
     wightman_free,
 )
+from udwmi.correlation import _reduced_line_integral
 
 # Frozen expected values come from an independent mpmath implementation of
 # the reduced single-integral form (50 significant digits; dps-30 and
@@ -125,15 +127,58 @@ class TestEqualKinematics:
 
 
 class TestReductionCrossCheck:
-    def test_s_only_matches_equal(self):
-        # same reduction done in two algebraic arrangements
-        for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
-                    pair(0.1, 10.0, sep=2.0),
-                    pair(5.0, 0.02, sep=1.0, gap_b=1.1)):
-            a = correlation_equal(cfg, tol=1e-11).c_total
-            b = correlation_s_only(cfg, tol=1e-11)
-            assert np.isclose(a.real, b.real, rtol=1e-6, atol=1e-13)
-            assert np.isclose(a.imag, b.imag, rtol=1e-6, atol=1e-13)
+    @pytest.mark.parametrize(
+        "accel,radius,L_eff,gap",
+        [
+            (3.0, 1.0, 0.5, 0.5),
+            (3.0, 1.0, 1.1, 0.5),
+            (5.0, 0.02, 1.0, 0.1),
+            (5.0, 0.02, 1.2, 0.1),
+            (0.1, 10.0, 2.0, 0.1),
+            (30.0, 0.02, 0.5, 1.0),
+            (1.0, 1.0, 4.0, 2.0),
+        ],
+    )
+    def test_line_integral_matches_qawc(self, accel, radius, L_eff, gap):
+        # the folded principal value recomputed with QUADPACK's QAWC. QAWC
+        # gets g/q with the pole factored out of D in closed form: handing
+        # it (s - s0)/D(s) loses the pole region to cancellation.
+        d = detector_from_accel_radius(gap, accel, radius)
+        g, om, R = d.gamma, d.omega, d.radius
+        k = gap / g
+
+        def D(s):
+            return L_eff**2 + 4 * R**2 * np.sin(om * s / 2) ** 2 - s * s
+
+        s0 = brentq(D, L_eff, np.sqrt(L_eff**2 + 4 * R**2), xtol=1e-15)
+
+        def q(s):
+            # D(s)/(s - s0) via sin^2 a - sin^2 b = sin(a - b) sin(a + b)
+            u = om * (s - s0) / 2
+            return 2 * R**2 * om * np.sin(u) / u * np.sin(om * (s + s0) / 2) - (s + s0)
+
+        pv = quad(lambda s: 2 * np.exp(-s * s / (4 * g * g)) * np.cos(k * s) / q(s),
+                  0.0, 30.0, weight="cauchy", wvar=s0,
+                  epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+        d_prime = 2 * R**2 * om * np.sin(om * s0) - 2 * s0
+        residues = -2 * np.pi * np.exp(-s0 * s0 / (4 * g * g)) * np.sin(k * s0) / abs(d_prime)
+        r = _reduced_line_integral(L_eff, R, om, g, k, 30.0, 1e-12)
+        assert r.converged
+        assert abs(r.value - (pv + residues)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg,tol",
+        [
+            (pair(3.0, 1.0, sep=0.5, dz=0.3, gap_a=0.5, gap_b=0.5), 1e-11),
+            (pair(3.0, 10.0, sep=0.5), 1e-12),
+        ],
+        ids=["near-mirror", "large-radius"],
+    )
+    def test_tight_tolerance_converges(self, cfg, tol):
+        loose = correlation_equal(cfg, tol=1e-8)
+        tight = correlation_equal(cfg, tol=tol)
+        assert tight.converged
+        assert abs(tight.c_total - loose.c_total) < 1e-10
 
 
 class TestDefinitionOracle:

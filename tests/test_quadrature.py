@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from udwmi import (
     DomainError,
-    PoleSet,
-    TangentialZeroError,
     epsilon_extrapolate,
     find_root_bracketed,
     integrate_adaptive,
-    poles_of_denominator,
     principal_value_integral,
-    real_line_pole_integral,
 )
+from udwmi.correlation import _reduced_line_integral
 from udwmi.quadrature import gaussian_truncation_point, integrate_semiinfinite_gaussian
 
 # Expected values below were computed independently with mpmath at 50
@@ -84,120 +82,86 @@ class TestSemiInfinite:
 class TestPrincipalValue:
     def test_gaussian_over_simple_pole(self):
         # PV int_0^8 exp(-x^2)/(x-1) dx; the [8, inf) tail is < 1e-28
-        r = principal_value_integral(
-            lambda x: np.exp(-x * x), lambda x: x - 1.0, 1.0, 0.0, 8.0, 1e-12
-        )
+        r = principal_value_integral(lambda x: np.exp(-x * x), 1.0, 0.0, 8.0, 1e-12)
         assert np.isclose(r.value, -1.3023085357384106505, rtol=1e-10)
         assert r.converged
 
     def test_pole_exactly_on_scan_node(self):
-        # regression: a linspace node landing on the pole must still count
-        # as one sign change of the denominator
-        r = principal_value_integral(
-            lambda x: np.exp(-x * x), lambda x: x - 2.0, 2.0, 0.0, 8.0, 1e-10
-        )
+        # the pole sits on a node of the uniform initial panel grid over
+        # [0, 8]; splitting at the pole keeps every quadrature node off it
+        r = principal_value_integral(lambda x: np.exp(-x * x), 2.0, 0.0, 8.0, 1e-10)
         # PV int exp(-x^2)/(x-2): mpmath dps 40
         assert np.isclose(r.value, -0.71388793671315133, rtol=1e-9)
 
     def test_antisymmetric_cancellation(self):
         # constant numerator over an odd denominator about the pole
-        r = principal_value_integral(
-            lambda x: np.ones_like(x), lambda x: x - 1.0, 1.0, 0.0, 2.0, 1e-12
-        )
+        r = principal_value_integral(lambda x: np.ones_like(x), 1.0, 0.0, 2.0, 1e-12)
         assert abs(r.value) < 1e-12
 
     def test_pole_outside_interval_rejected(self):
         with pytest.raises(DomainError):
-            principal_value_integral(
-                lambda x: np.exp(-x * x), lambda x: x - 5.0, 5.0, 0.0, 2.0, 1e-10
-            )
+            principal_value_integral(lambda x: np.exp(-x * x), 5.0, 0.0, 2.0, 1e-10)
 
-    def test_double_zero_rejected(self):
-        with pytest.raises(DomainError):
-            principal_value_integral(
-                lambda x: np.ones_like(x),
-                lambda x: (x - 1.0) ** 2,
-                1.0,
-                0.0,
-                2.0,
-                1e-10,
-            )
-
-
-class TestPoleScan:
-    def test_symmetric_pair(self):
-        ps = poles_of_denominator(lambda s: 4.0 - s * s, -30.0, 30.0, 0.5)
-        np.testing.assert_allclose(ps.locations, [-2.0, 2.0], atol=1e-10)
-        np.testing.assert_allclose(ps.derivatives, [4.0, -4.0], rtol=1e-6)
-
-    def test_no_zeros(self):
-        ps = poles_of_denominator(lambda s: 1.0 + s * s, -10.0, 10.0, 0.5)
-        assert ps.locations == ()
-
-    def test_oscillating_denominator(self):
-        d = lambda s: 1.0 + 4.0 * np.sin(0.75 * s) ** 2 - s * s
-        ps = poles_of_denominator(d, -8.0, 8.0, 0.05)
-        assert len(ps.locations) == 2
-        s0 = max(ps.locations)
-        assert np.isclose(min(ps.locations), -s0, atol=1e-10)
-        assert 1.0 <= s0 <= np.sqrt(5.0)
-        assert abs(d(s0)) < 1e-9
-
-    def test_tangential_zero_aborts(self):
-        with pytest.raises(TangentialZeroError):
-            poles_of_denominator(lambda s: (s - 1.0) ** 2 - 1e-30, 0.0, 2.0, 0.01)
-
-    def test_pole_set_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            PoleSet(locations=(2.0, -2.0), derivatives=(-4.0, 4.0))
+    @pytest.mark.parametrize(
+        "g,pole,lo,hi",
+        [
+            (lambda x: np.exp(-x * x), 0.7, -3.0, 6.0),
+            (lambda x: np.cos(3.0 * x) / (1.0 + x * x), 2.5, 0.0, 10.0),
+            (lambda x: np.exp(0.5 * x) * np.sin(x), 0.1, -2.0, 4.0),
+            (lambda x: np.log1p(x * x) * np.exp(-x), 4.9, 0.0, 5.0),
+        ],
+        ids=["gaussian", "damped-cosine", "growing-sine", "pole-near-edge"],
+    )
+    def test_matches_qawc(self, g, pole, lo, hi):
+        # QUADPACK's QAWC (Clenshaw-Curtis with modified Chebyshev moments)
+        # computes the same principal value by an unrelated method
+        r = principal_value_integral(g, pole, lo, hi, 1e-13)
+        ref = quad(g, lo, hi, weight="cauchy", wvar=pole,
+                   epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert r.converged
+        assert abs(r.value - ref) < 1e-13
 
 
 class TestLinePoleIntegral:
-    # Reference case: numerator exp(-s^2/4 + 0.1 i s), denominator 4 - s^2,
-    # poles at -2 and +2 pushed to opposite half-planes. Distributional
-    # value frozen from two independent mpmath routes (symmetric-pair PV
-    # with the cancellation rewritten analytically, and a finite-epsilon
-    # ladder extrapolated to zero) agreeing to 19 digits.
-    NUM = staticmethod(lambda s: np.exp(-s * s / 4 + 1j * 0.1 * s))
-    DEN = staticmethod(lambda s: 4.0 - s * s)
-    POLES = PoleSet(locations=(-2.0, 2.0), derivatives=(4.0, -4.0))
+    # Reference case: numerator exp(-s^2/4 + 0.1 i s), denominator
+    # D = 4 - s^2 (L_eff = 2 with a vanishing orbit radius, gamma = 1,
+    # k = 0.1), poles at -2 and +2 pushed to opposite half-planes.
+    # Distributional value frozen from two independent mpmath routes
+    # (symmetric-pair PV with the cancellation rewritten analytically, and
+    # a finite-epsilon ladder extrapolated to zero) agreeing to 19 digits.
+    @staticmethod
+    def folded(s):
+        return 2.0 * np.exp(-s * s / 4) * np.cos(0.1 * s)
 
     def test_frozen_value(self):
-        r = real_line_pole_integral(
-            self.NUM, self.DEN, self.POLES, (-1.0, 1.0), -30.0, 30.0, 1e-12
-        )
-        assert np.isclose(r.value.real, 0.8375424721778521, rtol=1e-10)
-        assert abs(r.value.imag) < 1e-10
+        r = _reduced_line_integral(2.0, 0.0, 1.0, 1.0, 0.1, 30.0, 1e-12)
+        assert isinstance(r.value, float)
+        assert np.isclose(r.value, 0.8375424721778521, rtol=1e-10)
         assert r.converged
 
     def test_residue_share(self):
-        # flipping both regulator signs flips the residue contribution:
-        # the half-difference recovers i pi (num(2) - num(-2)) / |D'|
-        plus = real_line_pole_integral(
-            self.NUM, self.DEN, self.POLES, (-1.0, 1.0), -30.0, 30.0, 1e-12
-        )
-        minus = real_line_pole_integral(
-            self.NUM, self.DEN, self.POLES, (1.0, -1.0), -30.0, 30.0, 1e-12
-        )
-        # PV part is the average
-        pv = 0.5 * (plus.value + minus.value)
-        assert np.isclose(pv.real, 0.9523462617601081, rtol=1e-9)
-        resid = 0.5 * (plus.value - minus.value)
-        expected = (
-            1j * np.pi * (self.NUM(2.0) - self.NUM(-2.0)) / 4.0
-        )
-        assert np.isclose(resid.real, expected.real, rtol=1e-9)
-        assert np.isclose(resid.real, -0.11480378958225603, rtol=1e-9)
+        # folded onto s >= 0 the PV part is PV int 2 e^{-s^2/4} cos(0.1 s)
+        # / ((s - 2)(-(s + 2))); the rest is the half-residue pair
+        # i pi (num(2) - num(-2)) / |D'(2)| = -2 pi e^{-1} sin(0.2) / 4
+        pv = principal_value_integral(lambda s: self.folded(s) / -(s + 2.0),
+                                      2.0, 0.0, 30.0, 1e-12)
+        assert np.isclose(pv.value, 0.9523462617601081, rtol=1e-9)
+        full = _reduced_line_integral(2.0, 0.0, 1.0, 1.0, 0.1, 30.0, 1e-12)
+        resid = full.value - pv.value
+        assert np.isclose(resid, -2.0 * np.pi * np.exp(-1.0) * np.sin(0.2) / 4.0,
+                          rtol=1e-9)
+        assert np.isclose(resid, -0.11480378958225603, rtol=1e-9)
 
     def test_no_poles_reduces_to_regular_integral(self):
-        empty = PoleSet(locations=(), derivatives=())
-        r = real_line_pole_integral(
-            self.NUM, lambda s: 100.0 + s * s, empty, (), -30.0, 30.0, 1e-12
-        )
+        # poles at +-40 lie far outside the envelope support [-10, 10]: the
+        # folded real integral must equal the unfolded complex one there
+        r = _reduced_line_integral(40.0, 0.0, 1.0, 1.0, 0.1, 10.0, 1e-12)
         plain = integrate_adaptive(
-            lambda s: self.NUM(s) / (100.0 + s * s), -30.0, 30.0, tol=1e-12
+            lambda s: np.exp(-s * s / 4 + 0.1j * s) / (1600.0 - s * s),
+            -10.0, 10.0, tol=1e-12,
         )
-        assert np.isclose(r.value, plain.value, rtol=1e-10)
+        assert np.isclose(r.value, plain.value.real, rtol=1e-10)
+        assert abs(plain.value.imag) < 1e-15
 
 
 class TestEpsilonExtrapolate:
