@@ -15,7 +15,8 @@ from .correlation import (CorrelationResult, OracleEstimate, PairConfig,
                           correlation_general_result, wightman_boundary,
                           wightman_free)
 from .infomeasure import (DensityBlock, MIResult, PairPointResult,
-                          PerturbativeRegimeWarning, assemble_density_block,
+                          PerturbativeRegimeWarning, PointTerms,
+                          assemble_density_block, detector_probability,
                           mutual_information, mutual_information_point)
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          detector_from_accel_radius, omega_from_accel_radius,
@@ -29,8 +30,8 @@ from .response import (ResponseBreakdown, image_pole_location,
                        transition_probability_oracle,
                        transition_probability_oracle_result)
 from .sweep import (SweepAxis, SweepRow, SweepSpec, count_interior_maxima,
-                    emit_table, load_config, load_grid, run_oracle_suite,
-                    run_sweep)
+                    emit_table, load_config, load_grid, point_record,
+                    run_oracle_suite, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -47,10 +48,11 @@ __all__ = [
     "PairConfig", "CorrelationResult", "OracleEstimate",
     "wightman_free", "wightman_boundary", "correlation_equal",
     "correlation_general", "correlation_general_result",
-    "DensityBlock", "MIResult", "PairPointResult",
+    "DensityBlock", "MIResult", "PairPointResult", "PointTerms",
     "PerturbativeRegimeWarning", "assemble_density_block",
-    "mutual_information", "mutual_information_point",
-    "SweepAxis", "SweepSpec", "SweepRow", "run_sweep", "emit_table",
+    "detector_probability", "mutual_information", "mutual_information_point",
+    "SweepAxis", "SweepSpec", "SweepRow", "point_record", "run_sweep",
+    "emit_table",
     "run_oracle_suite", "load_config", "load_grid", "count_interior_maxima",
     "__version__",
 ]

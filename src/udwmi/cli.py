@@ -17,8 +17,8 @@ from .correlation import PairConfig, correlation_equal, correlation_general_resu
 from .infomeasure import mutual_information_point
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability
-from .sweep import (emit_table, load_config, load_grid, run_oracle_suite,
-                    run_sweep)
+from .sweep import (emit_table, load_config, load_grid, point_record,
+                    run_oracle_suite, run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
 
@@ -150,17 +150,8 @@ def _cmd_correlation(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    pt = mutual_information_point(_pair_of(args), args.tol)
-    c = pt.corr
-    _print_json({
-        "P_A": pt.p_a, "P_B": pt.p_b,
-        "ReC": c.c_total.real, "ImC": c.c_total.imag, "absC": abs(c.c_total),
-        "ReC1": c.c_free.real, "ImC1": c.c_free.imag,
-        "ReC2": c.c_boundary.real, "ImC2": c.c_boundary.imag,
-        "Lplus": pt.l_plus, "Lminus": pt.l_minus,
-        "I": pt.mutual_info, "slack": pt.positivity_slack,
-        "err": pt.abs_error_estimate,
-    })
+    _print_json(point_record(mutual_information_point(_pair_of(args),
+                                                      args.tol)))
     return _OK
 
 

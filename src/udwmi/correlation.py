@@ -197,13 +197,12 @@ def _require_equal_kinematics(pair: PairConfig, what: str) -> None:
                           "kinematics (equal accel and radius)")
 
 
-def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
-    """C for a pair sharing orbit kinematics, via the folded single-integral
-    reduction: one principal value plus the closed-form half residues.
-
-    tol is an absolute tolerance on C. The direct and image integrals
-    differ only by the effective separation (L versus L + 2 dz)."""
-    _require_equal_kinematics(pair, "correlation_equal")
+def _line_integral_args(pair: PairConfig,
+                        tol: float) -> tuple[float, list[tuple]]:
+    """The prefactor of C and the argument tuples of its reduced line
+    integrals: the direct one at L_eff = sep and, with a mirror, the
+    image one at sep + 2 dz. Equal tuples give equal integrals, so a
+    sweep evaluates each distinct tuple once."""
     det = pair.det_a
     gamma, omega, radius = det.gamma, det.omega, det.radius
     gap_a, gap_b = det.energy_gap, pair.det_b.energy_gap
@@ -216,22 +215,29 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     s_env = 2.0 * gamma * math.sqrt(max(-math.log(tol / 10.0), 1.0)) + 2.0
     tol_int = tol / max(pref, 1e-300) / 2.0
 
-    free = _reduced_line_integral(pair.sep, radius, omega, gamma, k,
-                                  s_env, tol_int)
+    args = [(pair.sep, radius, omega, gamma, k, s_env, tol_int)]
+    if pair.dz is not None:
+        args.append((pair.sep + 2.0 * pair.dz, radius, omega, gamma, k,
+                     s_env, tol_int))
+    return pref, args
+
+
+def _correlation_from_lines(pref: float,
+                            lines: list[QuadratureResult]) -> CorrelationResult:
+    """C from the line integrals _line_integral_args asked for: the
+    direct part, then the image part when there is a mirror."""
+    free = lines[0]
     c_free = pref * free.value
     err = pref * free.abs_error_estimate
     converged = free.converged
-    evals = free.evaluations
 
-    if pair.dz is None:
+    if len(lines) == 1:
         c_boundary = 0.0 + 0.0j
     else:
-        image = _reduced_line_integral(pair.sep + 2.0 * pair.dz, radius,
-                                       omega, gamma, k, s_env, tol_int)
+        image = lines[1]
         c_boundary = pref * image.value
         err += pref * image.abs_error_estimate
         converged = converged and image.converged
-        evals += image.evaluations
 
     return CorrelationResult(
         c_total=complex(c_free - c_boundary),
@@ -240,6 +246,18 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
         abs_error_estimate=float(err),
         converged=converged,
     )
+
+
+def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
+    """C for a pair sharing orbit kinematics, via the folded single-integral
+    reduction: one principal value plus the closed-form half residues.
+
+    tol is an absolute tolerance on C. The direct and image integrals
+    differ only by the effective separation (L versus L + 2 dz)."""
+    _require_equal_kinematics(pair, "correlation_equal")
+    pref, args = _line_integral_args(pair, tol)
+    return _correlation_from_lines(
+        pref, [_reduced_line_integral(*a) for a in args])
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -335,7 +353,9 @@ def correlation_general_result(pair: PairConfig,
     samples = []
     quad_err = 0.0
     for eps in sorted(epsilon_schedule, reverse=True):
-        res = _correlation_single_epsilon(pair, eps, tol, n_u)
+        # the grid check above left coarse as the eps_hi pass at this n_u
+        res = (coarse if eps == eps_hi
+               else _correlation_single_epsilon(pair, eps, tol, n_u))
         samples.append((eps, complex(res.value)))
         quad_err = max(quad_err, res.abs_error_estimate)
 

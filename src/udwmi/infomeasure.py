@@ -28,13 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from scipy.special import xlogy
 
 from .correlation import (CorrelationResult, PairConfig, correlation_equal,
                           correlation_general_result)
-from .kinematics import DomainError
+from .kinematics import CircularDetectorSpec, DomainError
 from .response import (transition_probability,
                        transition_probability_oracle_result)
 
@@ -43,7 +43,9 @@ __all__ = [
     "MIResult",
     "PairPointResult",
     "PerturbativeRegimeWarning",
+    "PointTerms",
     "assemble_density_block",
+    "detector_probability",
     "mutual_information",
     "mutual_information_point",
 ]
@@ -152,7 +154,9 @@ def mutual_information(block: DensityBlock) -> MIResult:
 
 @dataclass(frozen=True)
 class PairPointResult:
-    """Everything the sweep needs for one parameter point."""
+    """Everything the sweep needs for one parameter point.
+
+    converged is False when P_A, P_B or C missed its tolerance."""
 
     p_a: float
     p_b: float
@@ -162,6 +166,17 @@ class PairPointResult:
     mutual_info: float
     positivity_slack: float
     abs_error_estimate: float
+    converged: bool
+
+
+class PointTerms(NamedTuple):
+    """The evaluated inputs of one pair point: (P, error estimate,
+    converged) of each detector, as detector_probability returns them,
+    and the pair correlation."""
+
+    response_a: tuple[float, float, bool]
+    response_b: tuple[float, float, bool]
+    corr: CorrelationResult
 
 
 def _log_weight(value: float, delta: float) -> float:
@@ -171,35 +186,61 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
-def mutual_information_point(pair: PairConfig,
+def detector_probability(det: CircularDetectorSpec, dz: float | None,
+                         tol: float) -> tuple[float, float, bool]:
+    """(P, error estimate, converged) of one detector at height dz above
+    the mirror (None: free space).
+
+    A rotating detector uses the reduced closed form; a static one
+    (omega = 0) falls back to the definition-level double quadrature,
+    where converged means a monotone regulator ladder."""
+    if det.omega > 0.0:
+        res = transition_probability(det, dz, tol)
+        return res.total, res.abs_error_estimate, res.converged
+    est = transition_probability_oracle_result(det, dz, tol=tol * 100)
+    return float(est.value), est.error_estimate, est.monotone
+
+
+def _pair_correlation(pair: PairConfig, tol: float) -> CorrelationResult:
+    if pair.equal_kinematics:
+        return correlation_equal(pair, tol)
+    est = correlation_general_result(pair)
+    if pair.dz is None:
+        return CorrelationResult(
+            c_total=est.value, c_free=est.value, c_boundary=0.0 + 0.0j,
+            abs_error_estimate=est.error_estimate,
+            converged=est.monotone)
+    free_pair = PairConfig(det_a=pair.det_a, det_b=pair.det_b,
+                           sep=pair.sep, dz=None)
+    est_free = correlation_general_result(free_pair)
+    return CorrelationResult(
+        c_total=est.value,
+        c_free=est_free.value,
+        c_boundary=est_free.value - est.value,
+        abs_error_estimate=est.error_estimate + est_free.error_estimate,
+        converged=est.monotone and est_free.monotone)
+
+
+def mutual_information_point(pair: PairConfig | PointTerms,
                              tol: float = 1e-8) -> PairPointResult:
     """Response of both detectors, their correlation, and the mutual
     information for one pair configuration.
 
     Detector A sits at height dz, detector B at dz + sep (heights are
-    irrelevant in free space). Rotating detectors use the reduced closed
-    forms; a static detector (omega = 0) falls back to the
-    definition-level double quadrature. Warns with
-    PerturbativeRegimeWarning when P_A + P_B > 0.1."""
-    dz_a = pair.dz
-    dz_b = None if pair.dz is None else pair.dz + pair.sep
-
-    errs = []
-    if pair.det_a.omega > 0.0:
-        ra = transition_probability(pair.det_a, dz_a, tol)
-        p_a, err_a = ra.total, ra.abs_error_estimate
+    irrelevant in free space). Each P comes from detector_probability.
+    Equal kinematics use the reduced correlation, unequal ones the
+    definition-level double quadrature. Given PointTerms instead of a
+    PairConfig, the terms are taken as evaluated and tol is unused: a
+    sweep evaluates each distinct term once and assembles every row
+    here. Warns with PerturbativeRegimeWarning when P_A + P_B > 0.1."""
+    if isinstance(pair, PointTerms):
+        terms = pair
     else:
-        oa = transition_probability_oracle_result(pair.det_a, dz_a, tol=tol * 100)
-        p_a, err_a = float(oa.value), oa.error_estimate
-    errs.append(err_a)
-
-    if pair.det_b.omega > 0.0:
-        rb = transition_probability(pair.det_b, dz_b, tol)
-        p_b, err_b = rb.total, rb.abs_error_estimate
-    else:
-        ob = transition_probability_oracle_result(pair.det_b, dz_b, tol=tol * 100)
-        p_b, err_b = float(ob.value), ob.error_estimate
-    errs.append(err_b)
+        dz_b = None if pair.dz is None else pair.dz + pair.sep
+        terms = PointTerms(detector_probability(pair.det_a, pair.dz, tol),
+                           detector_probability(pair.det_b, dz_b, tol),
+                           _pair_correlation(pair, tol))
+    (p_a, err_a, conv_a), (p_b, err_b, conv_b), corr = terms
 
     # a P below zero by less than its own error estimate is roundoff on a
     # vanishing response; round it to zero as mutual_information clamps
@@ -208,27 +249,6 @@ def mutual_information_point(pair: PairConfig,
         p_a = 0.0
     if -err_b <= p_b < 0.0:
         p_b = 0.0
-
-    if pair.equal_kinematics:
-        corr = correlation_equal(pair, tol)
-    else:
-        est = correlation_general_result(pair)
-        if pair.dz is None:
-            corr = CorrelationResult(
-                c_total=est.value, c_free=est.value, c_boundary=0.0 + 0.0j,
-                abs_error_estimate=est.error_estimate,
-                converged=est.monotone)
-        else:
-            free_pair = PairConfig(det_a=pair.det_a, det_b=pair.det_b,
-                                   sep=pair.sep, dz=None)
-            est_free = correlation_general_result(free_pair)
-            corr = CorrelationResult(
-                c_total=est.value,
-                c_free=est_free.value,
-                c_boundary=est_free.value - est.value,
-                abs_error_estimate=est.error_estimate + est_free.error_estimate,
-                converged=est.monotone and est_free.monotone)
-    errs.append(corr.abs_error_estimate)
 
     if p_a + p_b > PERTURBATIVE_BUDGET:
         warnings.warn(
@@ -251,4 +271,5 @@ def mutual_information_point(pair: PairConfig,
         mutual_info=mi.mutual_info,
         positivity_slack=mi.positivity_slack,
         abs_error_estimate=float(err_info),
+        converged=conv_a and conv_b and corr.converged,
     )

@@ -2,10 +2,14 @@
 
 A sweep is one axis (separation, boundary distance, acceleration, or
 energy gap) swept over a fixed background of the remaining parameters,
-once per gap-detuning ratio. Points are independent and run
-data-parallel; output order is fixed by (curve, axis index) so files are
-byte-identical whatever the worker count. A failing point keeps its row
-with a fail status instead of aborting the run.
+once per gap-detuning ratio. Rows share sub-results: P_A repeats along
+a separation axis, the direct correlation part along a boundary-distance
+axis. So a sweep is lowered to its distinct transition probabilities
+and line integrals, these run data-parallel, once each, and every row
+is assembled from the ones it uses. Output order is fixed by (curve,
+axis index) so files are byte-identical whatever the worker count. A
+failing point keeps its row with a fail status instead of aborting the
+run.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The UDWMI_WORKERS environment
@@ -19,16 +23,20 @@ import io
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import warnings
 
-from .correlation import PairConfig, correlation_equal, correlation_general_result
-from .infomeasure import PerturbativeRegimeWarning, mutual_information_point
+from .correlation import (PairConfig, _correlation_from_lines,
+                          _line_integral_args, _reduced_line_integral,
+                          correlation_equal, correlation_general_result)
+from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
+                          PointTerms, detector_probability,
+                          mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability, transition_probability_oracle_result
 
@@ -38,6 +46,7 @@ __all__ = [
     "SweepAxis",
     "SweepSpec",
     "SweepRow",
+    "point_record",
     "load_config",
     "load_grid",
     "run_sweep",
@@ -48,12 +57,6 @@ __all__ = [
 
 AXIS_NAMES = ("sep", "dz", "accel", "gap")
 _SPACINGS = ("linear", "log")
-
-COLUMNS = ("gap_a", "gap_b", "accel", "radius", "sep", "dz", "free_space",
-           "P_A", "P_B", "ReC", "ImC", "absC", "ReC1", "ImC1", "ReC2", "ImC2",
-           "Lplus", "Lminus", "I", "slack", "err", "status")
-
-_OUTPUT_KEYS = COLUMNS[7:21]
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -213,9 +216,15 @@ class SweepSpec:
         return out
 
 
+def _column(name: str):
+    return field(metadata={"column": name})
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated sweep point; field order mirrors the table columns."""
+    """One evaluated sweep point. The fields are the table's columns in
+    order, each named after its field unless it names its column; this
+    class is the one copy of the table schema."""
 
     gap_a: float
     gap_b: float
@@ -224,35 +233,45 @@ class SweepRow:
     sep: float
     dz: float | None
     free_space: bool
-    p_a: float
-    p_b: float
-    re_c: float
-    im_c: float
-    abs_c: float
-    re_c1: float
-    im_c1: float
-    re_c2: float
-    im_c2: float
-    l_plus: float
-    l_minus: float
-    mutual_info: float
+    p_a: float = _column("P_A")
+    p_b: float = _column("P_B")
+    re_c: float = _column("ReC")
+    im_c: float = _column("ImC")
+    abs_c: float = _column("absC")
+    re_c1: float = _column("ReC1")
+    im_c1: float = _column("ImC1")
+    re_c2: float = _column("ReC2")
+    im_c2: float = _column("ImC2")
+    l_plus: float = _column("Lplus")
+    l_minus: float = _column("Lminus")
+    mutual_info: float = _column("I")
     slack: float
     err: float
     status: str
 
     def to_record(self) -> dict:
-        return {
-            "gap_a": self.gap_a, "gap_b": self.gap_b, "accel": self.accel,
-            "radius": self.radius, "sep": self.sep, "dz": self.dz,
-            "free_space": self.free_space,
-            "P_A": self.p_a, "P_B": self.p_b,
-            "ReC": self.re_c, "ImC": self.im_c, "absC": self.abs_c,
-            "ReC1": self.re_c1, "ImC1": self.im_c1,
-            "ReC2": self.re_c2, "ImC2": self.im_c2,
-            "Lplus": self.l_plus, "Lminus": self.l_minus,
-            "I": self.mutual_info, "slack": self.slack, "err": self.err,
-            "status": self.status,
-        }
+        return {col: getattr(self, name) for name, col in _FIELD_COLUMNS}
+
+
+_FIELD_COLUMNS = tuple((f.name, f.metadata.get("column", f.name))
+                       for f in fields(SweepRow))
+COLUMNS = tuple(col for _, col in _FIELD_COLUMNS)
+_OUTPUT_COLUMNS = COLUMNS[7:21]
+
+
+def _row_from_record(rec: dict) -> SweepRow:
+    return SweepRow(**{name: rec[col] for name, col in _FIELD_COLUMNS})
+
+
+def point_record(pt: PairPointResult) -> dict:
+    """The output columns (P_A through err) of one evaluated pair point:
+    its cells in a sweep table and the record `udwmi mi` prints."""
+    c = pt.corr
+    return dict(zip(_OUTPUT_COLUMNS, (
+        pt.p_a, pt.p_b, c.c_total.real, c.c_total.imag, abs(c.c_total),
+        c.c_free.real, c.c_free.imag, c.c_boundary.real, c.c_boundary.imag,
+        pt.l_plus, pt.l_minus, pt.mutual_info, pt.positivity_slack,
+        pt.abs_error_estimate)))
 
 
 def _one_line(text: str, limit: int = 200) -> str:
@@ -260,63 +279,94 @@ def _one_line(text: str, limit: int = 200) -> str:
     return flat[:limit]
 
 
-def _evaluate_point(task: tuple[dict, float]) -> dict:
-    """Worker: one sweep point to a flat output record. Never raises;
-    exceptions become a fail status so the sweep keeps going."""
-    params, tol = task
-    outputs = {k: math.nan for k in _OUTPUT_KEYS}
+def _fail_status(exc: Exception) -> str:
+    return f"fail:{type(exc).__name__}:{_one_line(exc)}"
+
+
+def _warning_tags(wlog) -> frozenset[str]:
+    return frozenset(
+        "perturbative" if issubclass(w.category, PerturbativeRegimeWarning)
+        else "quadrature" for w in wlog)
+
+
+def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
+    """Lower a sweep into its rows and the distinct calls they need.
+
+    A task is one (function, arguments) call, listed once, in the order
+    rows first use it: detector_probability on a response key (detector,
+    height, tol) or _reduced_line_integral on a line-integral key (its
+    full argument tuple). Equal keys give equal results, so every row is
+    made from exactly the calls a single-point evaluation would make.
+
+    A row plan is (params, status, task indices, C prefactor). The
+    indices follow the order a single point evaluates its terms: P_A,
+    P_B, the direct and then the image line integral. status is the fail
+    status of building the detectors or the pair, with no tasks, or None.
+    """
+    tasks: list[tuple] = []
+    index: dict[tuple, int] = {}
+
+    def use(task: tuple) -> int:
+        if task not in index:
+            index[task] = len(tasks)
+            tasks.append(task)
+        return index[task]
+
+    plans = []
+    for params in spec.point_params():
+        try:
+            pair = _pair_from_params(params)
+        except Exception as exc:  # per-point isolation is the contract
+            plans.append((params, _fail_status(exc), (), 0.0))
+            continue
+        dz_b = None if pair.dz is None else pair.dz + pair.sep
+        pref, lines = _line_integral_args(pair, spec.tol)
+        keys = (use((detector_probability, (pair.det_a, pair.dz, spec.tol))),
+                use((detector_probability, (pair.det_b, dz_b, spec.tol))),
+                *(use((_reduced_line_integral, args)) for args in lines))
+        plans.append((params, None, keys, pref))
+    return plans, tasks
+
+
+def _evaluate_task(task: tuple) -> tuple:
+    """Worker: one distinct sub-result as (value, fail status or None,
+    warning tags). Never raises; the rows using a failed task fail."""
+    fn, args = task
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
-            det_a = detector_from_accel_radius(params["gap_a"],
-                                               params["accel"],
-                                               params["radius"])
-            det_b = detector_from_accel_radius(params["gap_b"],
-                                               params["accel"],
-                                               params["radius"])
-            pair = PairConfig(det_a=det_a, det_b=det_b,
-                              sep=params["sep"], dz=params["dz"])
-            pt = mutual_information_point(pair, tol)
+            value = fn(*args)
     except Exception as exc:  # per-point isolation is the contract
-        status = f"fail:{type(exc).__name__}:{_one_line(exc)}"
-        return {**params, **outputs, "status": status}
+        return None, _fail_status(exc), frozenset()
+    return value, None, _warning_tags(wlog)
 
-    c = pt.corr
-    outputs.update({
-        "P_A": pt.p_a, "P_B": pt.p_b,
-        "ReC": c.c_total.real, "ImC": c.c_total.imag,
-        "absC": abs(c.c_total),
-        "ReC1": c.c_free.real, "ImC1": c.c_free.imag,
-        "ReC2": c.c_boundary.real, "ImC2": c.c_boundary.imag,
-        "Lplus": pt.l_plus, "Lminus": pt.l_minus,
-        "I": pt.mutual_info, "slack": pt.positivity_slack,
-        "err": pt.abs_error_estimate,
-    })
+
+def _assemble(status: str | None, keys: tuple[int, ...], pref: float,
+              results: list) -> tuple[str, PairPointResult | None]:
+    """Status and point of one planned row from its evaluated tasks.
+
+    The first failure in evaluation order decides a fail status. Warnings
+    of every task the row uses, and of its assembly, become warn tags."""
+    if status is not None:
+        return status, None
     tags = set()
-    for w in wlog:
-        if issubclass(w.category, PerturbativeRegimeWarning):
-            tags.add("perturbative")
-        else:
-            tags.add("quadrature")
-    if not c.converged:
+    for i in keys:
+        _, fail, task_tags = results[i]
+        if fail is not None:
+            return fail, None
+        tags |= task_tags
+    resp_a, resp_b, *lines = (results[i][0] for i in keys)
+    terms = PointTerms(resp_a, resp_b, _correlation_from_lines(pref, lines))
+    try:
+        with warnings.catch_warnings(record=True) as wlog:
+            warnings.simplefilter("always")
+            pt = mutual_information_point(terms)
+    except Exception as exc:  # per-point isolation is the contract
+        return _fail_status(exc), None
+    tags |= _warning_tags(wlog)
+    if not pt.converged:
         tags.add("tolerance")
-    status = "ok" if not tags else "warn:" + ";".join(sorted(tags))
-    return {**params, **outputs, "status": status}
-
-
-def _row_from_record(rec: dict) -> SweepRow:
-    return SweepRow(
-        gap_a=rec["gap_a"], gap_b=rec["gap_b"], accel=rec["accel"],
-        radius=rec["radius"], sep=rec["sep"], dz=rec["dz"],
-        free_space=rec["free_space"],
-        p_a=rec["P_A"], p_b=rec["P_B"],
-        re_c=rec["ReC"], im_c=rec["ImC"], abs_c=rec["absC"],
-        re_c1=rec["ReC1"], im_c1=rec["ImC1"],
-        re_c2=rec["ReC2"], im_c2=rec["ImC2"],
-        l_plus=rec["Lplus"], l_minus=rec["Lminus"],
-        mutual_info=rec["I"], slack=rec["slack"], err=rec["err"],
-        status=rec["status"],
-    )
+    return ("ok" if not tags else "warn:" + ";".join(sorted(tags))), pt
 
 
 def _resolve_workers(requested: int | None) -> int:
@@ -339,52 +389,62 @@ def _resolve_workers(requested: int | None) -> int:
 
 
 def _map_tasks(fn, tasks, workers: int | None):
+    """Iterator over fn of each task, in order. Serially each result is
+    made when it is taken, so run_sweep assembles every row right after
+    the tasks it first needs and a serial run's calls group by row."""
     n = _resolve_workers(workers)
     if n == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return (fn(t) for t in tasks)
     chunk = max(1, len(tasks) // (4 * n))
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return iter(list(pool.map(fn, tasks, chunksize=chunk)))
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Evaluate every sweep point; deterministic row order (curve-major,
-    axis-minor) independent of worker count."""
-    params = spec.point_params()
-    tasks = [(p, spec.tol) for p in params]
-    records = _map_tasks(_evaluate_point, tasks, workers)
+    axis-minor) independent of worker count.
+
+    Each distinct transition probability and line integral of the sweep
+    is evaluated once, and every row is assembled from the ones it uses."""
+    plans, tasks = _plan(spec)
+    stream = _map_tasks(_evaluate_task, tasks, workers)
+    results: list = []
+    rows = []
+    for params, status, keys, pref in plans:
+        # tasks come in first-use order, so a row needs no task past its
+        # own largest index
+        while len(results) <= max(keys, default=-1):
+            results.append(next(stream))
+        status, pt = _assemble(status, keys, pref, results)
+        outputs = (dict.fromkeys(_OUTPUT_COLUMNS, math.nan) if pt is None
+                   else point_record(pt))
+        rows.append(_row_from_record({**params, **outputs, "status": status}))
 
     if spec.oracle_check:
-        n_axis = spec.axis.points
-        for idx in range(0, len(records), n_axis):
-            rec = records[idx]
-            if rec["status"].startswith("fail"):
+        for idx in range(0, len(rows), spec.axis.points):
+            if rows[idx].status.startswith("fail"):
                 continue
-            check = _oracle_check_record(rec, spec.tol)
+            check = _oracle_check(rows[idx])
             if check is not None:
-                records[idx] = {**rec, "status": check}
+                rows[idx] = replace(rows[idx], status=check)
 
-    return [_row_from_record(r) for r in records]
+    return rows
 
 
-def _oracle_check_record(rec: dict, tol: float) -> str | None:
-    """Cross-check one evaluated record against the definition oracles;
+def _oracle_check(row: SweepRow) -> str | None:
+    """Cross-check one evaluated row against the definition oracles;
     returns a replacement fail status on mismatch, None when clean."""
-    det_a = detector_from_accel_radius(rec["gap_a"], rec["accel"], rec["radius"])
-    pair = PairConfig(
-        det_a=det_a,
-        det_b=detector_from_accel_radius(rec["gap_b"], rec["accel"], rec["radius"]),
-        sep=rec["sep"], dz=rec["dz"])
+    pair = _pair_from_params(row.to_record())
     est = correlation_general_result(pair)
-    c_fast = complex(rec["ReC"], rec["ImC"])
+    c_fast = complex(row.re_c, row.im_c)
     dev = abs(c_fast - est.value)
-    budget = max(1e-3 * abs(est.value), rec["err"] + est.error_estimate)
+    budget = max(1e-3 * abs(est.value), row.err + est.error_estimate)
     if dev > budget:
         return (f"fail:oracle-mismatch:correlation dev {dev:.3g} "
                 f"exceeds {budget:.3g}")
-    oa = transition_probability_oracle_result(det_a, rec["dz"])
-    dev_p = abs(rec["P_A"] - oa.value)
-    budget_p = max(1e-3 * abs(oa.value), rec["err"] + oa.error_estimate)
+    oa = transition_probability_oracle_result(pair.det_a, row.dz)
+    dev_p = abs(row.p_a - oa.value)
+    budget_p = max(1e-3 * abs(oa.value), row.err + oa.error_estimate)
     if dev_p > budget_p:
         return (f"fail:oracle-mismatch:response dev {dev_p:.3g} "
                 f"exceeds {budget_p:.3g}")
@@ -591,10 +651,10 @@ def run_oracle_suite(grid: dict, *, workers: int | None = None,
             oracle, oerr = co_fn(p)
             corr_records.append(_deviation_record(p, value, err, oracle, oerr))
     else:
-        resp_records = _map_tasks(_suite_response_point,
-                                  list(grid["response_points"]), workers)
-        corr_records = _map_tasks(_suite_correlation_point,
-                                  list(grid["correlation_points"]), workers)
+        resp_records = list(_map_tasks(_suite_response_point,
+                                       grid["response_points"], workers))
+        corr_records = list(_map_tasks(_suite_correlation_point,
+                                       grid["correlation_points"], workers))
 
     def section(records):
         max_rel = max((r["rel_dev"] for r in records), default=0.0)

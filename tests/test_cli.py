@@ -166,11 +166,10 @@ class TestSweepCommand:
                                       monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def always_fail(pair, tol):
+        def always_fail(det, dz, tol):
             raise RuntimeError("forced point failure")
 
-        monkeypatch.setattr(sweep_mod, "mutual_information_point",
-                            always_fail)
+        monkeypatch.setattr(sweep_mod, "detector_probability", always_fail)
         out_path = tmp_path / "out.csv"
         rc, out, err = run_cli(capsys, [
             "sweep", "--config", str(config_path), "--out", str(out_path),

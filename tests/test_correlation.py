@@ -191,6 +191,25 @@ class TestDefinitionOracle:
         assert est.monotone
         assert abs(est.value - fast.c_total) < 1e-3 * abs(fast.c_total)
 
+    def test_each_regulator_pass_runs_once(self, monkeypatch):
+        # the grid check's coarse pass is the ladder's largest-epsilon
+        # sample, so it is not run again
+        from udwmi import correlation
+
+        passes = []
+        single = correlation._correlation_single_epsilon
+
+        def counted(cfg, eps, tol, n_u):
+            passes.append((eps, n_u))
+            return single(cfg, eps, tol, n_u)
+
+        monkeypatch.setattr(correlation, "_correlation_single_epsilon", counted)
+        est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
+        assert len(passes) == len(set(passes))
+        # coarse, one grid refinement, then the two smaller epsilons
+        assert len(passes) == 4
+        assert [eps for eps, _ in est.samples] == [1e-3, 5e-4, 2.5e-4]
+
     def test_unequal_gamma_pair(self):
         # different radii force the general route; the pair state must
         # still produce a finite correlation with a sane magnitude

@@ -1,17 +1,24 @@
-"""Sweep configs, deterministic tables, oracle suite, peak counting."""
+"""Sweep configs, the sweep planner, deterministic tables, oracle suite,
+peak counting."""
+import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from udwmi.correlation import CorrelationResult
-from udwmi.infomeasure import PairPointResult
-from udwmi.kinematics import DomainError
+from udwmi import correlation, infomeasure
+from udwmi.correlation import PairConfig, _reduced_line_integral
+from udwmi.infomeasure import (PerturbativeRegimeWarning,
+                               mutual_information_point)
+from udwmi.kinematics import DomainError, detector_from_accel_radius
 from udwmi.sweep import (AXIS_NAMES, COLUMNS, SweepAxis, SweepSpec,
                          count_interior_maxima, emit_table, load_config,
-                         load_grid, run_oracle_suite, run_sweep)
+                         load_grid, point_record, run_oracle_suite, run_sweep)
 
 CHEAP = dict(gap_a=0.5, accel=0.1, radius=1.0, dz=0.5)
 
@@ -209,45 +216,49 @@ class TestRunSweep:
     def test_failing_point_is_isolated(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def fake_point(pair, tol):
-            if pair.sep == 1.0:
+        def failing_line(L_eff, *args):
+            if L_eff == 1.0:
                 raise DomainError("forced failure for this point")
-            corr = CorrelationResult(
-                c_total=0.004 + 0.0j, c_free=0.005 + 0.0j,
-                c_boundary=0.001 + 0.0j, abs_error_estimate=1e-10,
-                converged=True)
-            return PairPointResult(
-                p_a=0.01, p_b=0.02, corr=corr, l_plus=0.021, l_minus=0.009,
-                mutual_info=1e-4, positivity_slack=1.84e-4,
-                abs_error_estimate=1e-9)
+            return _reduced_line_integral(L_eff, *args)
 
-        monkeypatch.setattr(sweep_mod, "mutual_information_point", fake_point)
         axis = SweepAxis(name="sep", start=0.5, stop=1.5, points=3)
+        clean = run_sweep(cheap_spec(axis=axis), workers=1)
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integral", failing_line)
         rows = run_sweep(cheap_spec(axis=axis), workers=1)
+        # only the sep = 1 row has a line integral at L_eff = 1
         assert [r.status.split(":")[0] for r in rows] == ["ok", "fail", "ok"]
         failed = rows[1]
         assert "DomainError" in failed.status
         assert "forced failure" in failed.status
         assert math.isnan(failed.mutual_info)
         assert math.isnan(failed.p_a)
-        assert rows[0].mutual_info == 1e-4
+        assert (rows[0], rows[2]) == (clean[0], clean[2])
 
     def test_unconverged_points_are_tagged(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def fake_point(pair, tol):
-            corr = CorrelationResult(
-                c_total=0.004 + 0.0j, c_free=0.005 + 0.0j,
-                c_boundary=0.001 + 0.0j, abs_error_estimate=1e-2,
-                converged=False)
-            return PairPointResult(
-                p_a=0.01, p_b=0.02, corr=corr, l_plus=0.021, l_minus=0.009,
-                mutual_info=1e-4, positivity_slack=1.84e-4,
-                abs_error_estimate=1e-2)
+        def unconverged_line(*args):
+            return dataclasses.replace(_reduced_line_integral(*args),
+                                       converged=False)
 
-        monkeypatch.setattr(sweep_mod, "mutual_information_point", fake_point)
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integral",
+                            unconverged_line)
         rows = run_sweep(cheap_spec(), workers=1)
         assert all(r.status == "warn:tolerance" for r in rows)
+
+    def test_unconverged_probability_is_tagged(self):
+        # a real point: at tol 1e-12 the bounded response term stops at
+        # its roundoff floor (P unconverged) while C converges
+        det = detector_from_accel_radius(0.5, 5.0, 10.0)
+        with pytest.warns(PerturbativeRegimeWarning):
+            pt = mutual_information_point(PairConfig(det, det, sep=1.0),
+                                          1e-12)
+        assert not pt.converged and pt.corr.converged
+        axis = SweepAxis(name="sep", start=1.0, stop=2.0, points=2)
+        rows = run_sweep(SweepSpec(axis=axis, gap_a=0.5, accel=5.0,
+                                   radius=10.0, free_space=True, tol=1e-12),
+                         workers=1)
+        assert [r.status for r in rows] == ["warn:perturbative;tolerance"] * 2
 
     def test_oracle_check_keeps_clean_rows(self):
         axis = SweepAxis(name="sep", start=0.5, stop=1.0, points=2)
@@ -263,6 +274,131 @@ class TestRunSweep:
         monkeypatch.setenv("UDWMI_WORKERS", "1")
         rows = run_sweep(cheap_spec(), workers=4)
         assert len(rows) == 4
+
+
+def reference_record(params, tol):
+    """One row evaluated on its own: mutual_information_point computes
+    every term of the point, and the point's warnings and exception
+    give its status."""
+    try:
+        with warnings.catch_warnings(record=True) as wlog:
+            warnings.simplefilter("always")
+            pair = PairConfig(
+                det_a=detector_from_accel_radius(params["gap_a"],
+                                                 params["accel"],
+                                                 params["radius"]),
+                det_b=detector_from_accel_radius(params["gap_b"],
+                                                 params["accel"],
+                                                 params["radius"]),
+                sep=params["sep"], dz=params["dz"])
+            pt = mutual_information_point(pair, tol)
+    except Exception as exc:
+        detail = " ".join(str(exc).split())[:200]
+        return {**params, **dict.fromkeys(COLUMNS[7:21], math.nan),
+                "status": f"fail:{type(exc).__name__}:{detail}"}
+    tags = {"perturbative" if issubclass(w.category, PerturbativeRegimeWarning)
+            else "quadrature" for w in wlog}
+    if not pt.converged:
+        tags.add("tolerance")
+    status = "ok" if not tags else "warn:" + ";".join(sorted(tags))
+    return {**params, **point_record(pt), "status": status}
+
+
+def bits(record):
+    """A record with every float as its exact hex form, NaN included."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in record.items()}
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("overrides", [
+        # sep = 0 makes coincident detectors, a DomainError row; the image
+        # line integral at sep 0.5 is the direct one at sep 1.5
+        dict(axis=SweepAxis(name="sep", start=0.0, stop=1.5, points=4),
+             gap_ratios=(0.0, 0.5)),
+        dict(axis=SweepAxis(name="dz", start=0.2, stop=2.0, points=3),
+             dz=None, gap_ratios=(0.0, 2.0)),
+        # accel = 0 is a static detector: P from the definition oracle
+        dict(axis=SweepAxis(name="accel", start=0.0, stop=1.0, points=3)),
+        dict(axis=SweepAxis(name="gap", start=0.1, stop=2.0, points=3,
+                            spacing="log"), gap_ratios=(0.0, 2.0)),
+        dict(free_space=True, dz=None, gap_ratios=(0.0, 1.0)),
+        # P_A + P_B > 1: every row fails in assembly with a DomainError
+        dict(free_space=True, dz=None, gap_a=1.0, accel=30.0),
+    ], ids=["sep", "dz", "accel", "gap", "free-space", "assembly-fail"])
+    def test_rows_equal_single_point_evaluation(self, overrides):
+        spec = cheap_spec(**overrides)
+        rows = run_sweep(spec, workers=1)
+        expected = [reference_record(p, spec.tol) for p in spec.point_params()]
+        assert [bits(r.to_record()) for r in rows] == \
+            [bits(e) for e in expected]
+
+    def test_shared_terms_are_evaluated_once(self, monkeypatch):
+        from udwmi import sweep as sweep_mod
+
+        probabilities = []
+        direct_lines = []
+        tp = infomeasure.transition_probability
+        line = _reduced_line_integral
+
+        def counted_tp(*args):
+            probabilities.append(args)
+            return tp(*args)
+
+        def counted_line(L_eff, *args):
+            if L_eff == 1.0:
+                direct_lines.append(args)
+            return line(L_eff, *args)
+
+        monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
+        monkeypatch.setattr(correlation, "_reduced_line_integral", counted_line)
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integral", counted_line,
+                            raising=False)
+        n = 5
+        run_sweep(cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
+                                            points=n)), workers=1)
+        # P_A is one value along the curve, P_B one per height
+        assert len(probabilities) == n + 1
+        # the direct part does not depend on dz: one per curve (per k)
+        direct_lines.clear()
+        dz_axis = SweepAxis(name="dz", start=0.2, stop=2.0, points=4)
+        run_sweep(cheap_spec(axis=dz_axis, dz=None, sep=1.0,
+                             gap_ratios=(0.0, 0.5)), workers=1)
+        assert len(direct_lines) == 2
+
+    # rotating detectors only: a static one takes the definition-level
+    # oracle, about half a second a point
+    @settings(max_examples=25, deadline=None)
+    @given(axis=st.sampled_from(AXIS_NAMES),
+           start=st.floats(0.0, 4.0), width=st.floats(0.05, 6.0),
+           points=st.integers(2, 4), log=st.booleans(),
+           gap_a=st.floats(-0.5, 2.0), accel=st.floats(0.01, 20.0),
+           radius=st.sampled_from((0.02, 1.0, 10.0)),
+           sep=st.floats(0.0, 6.0), dz=st.floats(0.05, 8.0),
+           free_space=st.booleans(),
+           ratios=st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=2))
+    def test_random_configs_never_raise(self, axis, start, width, points,
+                                        log, gap_a, accel, radius, sep, dz,
+                                        free_space, ratios):
+        if axis == "accel":
+            start = max(start, 0.01)
+        try:
+            spec = SweepSpec(
+                axis=SweepAxis(name=axis, start=start, stop=start + width,
+                               points=points,
+                               spacing="log" if log else "linear"),
+                gap_a=gap_a, gap_ratios=tuple(ratios), accel=accel,
+                radius=radius, sep=sep, dz=None if free_space else dz,
+                free_space=free_space, tol=1e-6)
+        except DomainError:
+            assume(False)
+        rows = run_sweep(spec, workers=1)
+        params = spec.point_params()
+        assert len(rows) == len(params)
+        for row, p in zip(rows, params):
+            assert {k: row.to_record()[k] for k in p} == p
+            kind = row.status.split(":")[0]
+            assert row.status == "ok" or kind in ("warn", "fail")
 
 
 @pytest.fixture(scope="module")
