@@ -24,9 +24,8 @@ from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
 from .quadrature import (ExtrapolationResult, QuadratureResult,
                          epsilon_extrapolate, find_root_bracketed,
                          integrate_adaptive, principal_value_integral)
-from .response import (ResponseBreakdown, image_pole_location,
-                       inertial_response, transition_probability,
-                       transition_probability_free,
+from .response import (ResponseBreakdown, inertial_response,
+                       transition_probability, transition_probability_free,
                        transition_probability_oracle,
                        transition_probability_oracle_result)
 from .sweep import (SweepAxis, SweepRow, SweepSpec, count_interior_maxima,
@@ -42,7 +41,7 @@ __all__ = [
     "QuadratureResult", "ExtrapolationResult",
     "integrate_adaptive", "principal_value_integral", "epsilon_extrapolate",
     "find_root_bracketed",
-    "ResponseBreakdown", "inertial_response", "image_pole_location",
+    "ResponseBreakdown", "inertial_response",
     "transition_probability", "transition_probability_free",
     "transition_probability_oracle", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",

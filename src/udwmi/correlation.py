@@ -18,7 +18,8 @@ independent routes:
   plus the closed-form half residues, and C comes out real. The direct
   part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
-  separation L replaced by L + 2 dz.
+  separation L replaced by L + 2 dz. At L = 0 the image line integral
+  is also the image part of one detector's response (module response).
 * correlation_general: definition-level double quadrature in coordinate
   times with the regulator epsilon kept finite, repeated on a geometric
   epsilon ladder and extrapolated to zero. Works for unequal kinematics
@@ -133,9 +134,23 @@ class OracleEstimate:
     monotone: bool
 
 
+@dataclass(frozen=True)
+class LineIntegral(QuadratureResult):
+    """A reduced line integral and how it was made.
+
+    pole is the positive zero s0 of D, residues the half-residue pair
+    included in value, and far_pole records the branch: the poles lay
+    beyond the switching envelope, so value is the regular integral and
+    the residues were bounded in the error estimate instead of added."""
+
+    pole: float
+    residues: float = 0.0
+    far_pole: bool = False
+
+
 def _reduced_line_integral(L_eff: float, radius: float, omega: float,
                            gamma: float, k: float, s_env: float,
-                           tol: float) -> QuadratureResult:
+                           tol: float) -> LineIntegral:
     """Distributional integral of exp(-s^2/(4 gamma^2) + i k s)/D(s) over
     the real line with D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
 
@@ -158,21 +173,25 @@ def _reduced_line_integral(L_eff: float, radius: float, omega: float,
     def D(s):
         return L_eff * L_eff + 4.0 * r_sq * np.sin(0.5 * omega * s) ** 2 - s * s
 
+    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
+    # a few ulps wider: when 4 R^2 is near an ulp of L_eff^2, D(band_hi)
+    # can round to the positive D(L_eff) and lose the sign change
+    s0 = find_root_bracketed(D, L_eff, band_hi + 8.0 * math.ulp(band_hi))
+
     if L_eff > s_env + 2.0:
         # poles sit far outside the switching envelope: integrate the
         # regular restriction and bound the ignored residues
         res = integrate_adaptive(lambda s: folded_num(s) / D(s), 0.0, s_env, tol)
         ignored = (math.pi * gamma * gamma / (2.0 * L_eff)
                    * math.exp(-L_eff * L_eff / (4.0 * gamma * gamma)))
-        return QuadratureResult(
+        return LineIntegral(
             value=res.value,
             abs_error_estimate=res.abs_error_estimate + ignored + tol / 5.0,
             evaluations=res.evaluations,
             converged=res.converged,
+            pole=s0,
+            far_pole=True,
         )
-
-    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
-    s0 = find_root_bracketed(D, L_eff, band_hi)
 
     def q(s):
         # D(s)/(s - s0), factored with sin^2 a - sin^2 b = sin(a-b) sin(a+b)
@@ -183,11 +202,13 @@ def _reduced_line_integral(L_eff: float, radius: float, omega: float,
                                   max(s_env, band_hi + 2.0), tol)
     residues = (-2.0 * math.pi * math.exp(-s0 * s0 * inv_four_gamma_sq)
                 * math.sin(k * s0) / abs(float(q(s0))))
-    return QuadratureResult(
+    return LineIntegral(
         value=pv.value + residues,
         abs_error_estimate=pv.abs_error_estimate,
         evaluations=pv.evaluations + 1,
         converged=pv.converged,
+        pole=s0,
+        residues=residues,
     )
 
 
@@ -197,15 +218,13 @@ def _require_equal_kinematics(pair: PairConfig, what: str) -> None:
                           "kinematics (equal accel and radius)")
 
 
-def _line_integral_args(pair: PairConfig,
-                        tol: float) -> tuple[float, list[tuple]]:
-    """The prefactor of C and the argument tuples of its reduced line
-    integrals: the direct one at L_eff = sep and, with a mirror, the
-    image one at sep + 2 dz. Equal tuples give equal integrals, so a
-    sweep evaluates each distinct tuple once."""
-    det = pair.det_a
-    gamma, omega, radius = det.gamma, det.omega, det.radius
-    gap_a, gap_b = det.energy_gap, pair.det_b.energy_gap
+def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                 tol: float) -> tuple[float, tuple]:
+    """The prefactor of the C between det_a and det_b, both on det_a's
+    orbit, and the arguments after L_eff that its reduced line integrals
+    share: (radius, omega, gamma, k, s_env, tol_int) for a budget tol."""
+    gamma = det_a.gamma
+    gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     dgap = gap_b - gap_a
 
     pref = math.exp(-0.25 * dgap * dgap) / (4.0 * math.pi ** 1.5 * gamma)
@@ -214,11 +233,19 @@ def _line_integral_args(pair: PairConfig,
     # switching envelope support: beyond s_env the envelope is below tol/10
     s_env = 2.0 * gamma * math.sqrt(max(-math.log(tol / 10.0), 1.0)) + 2.0
     tol_int = tol / max(pref, 1e-300) / 2.0
+    return pref, (det_a.radius, det_a.omega, gamma, k, s_env, tol_int)
 
-    args = [(pair.sep, radius, omega, gamma, k, s_env, tol_int)]
+
+def _line_integral_args(pair: PairConfig,
+                        tol: float) -> tuple[float, list[tuple]]:
+    """The prefactor of C and the argument tuples of its reduced line
+    integrals: the direct one at L_eff = sep and, with a mirror, the
+    image one at sep + 2 dz. Equal tuples give equal integrals, so a
+    sweep evaluates each distinct tuple once."""
+    pref, shared = _line_params(pair.det_a, pair.det_b, tol)
+    args = [(pair.sep, *shared)]
     if pair.dz is not None:
-        args.append((pair.sep + 2.0 * pair.dz, radius, omega, gamma, k,
-                     s_env, tol_int))
+        args.append((pair.sep + 2.0 * pair.dz, *shared))
     return pref, args
 
 

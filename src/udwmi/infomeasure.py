@@ -204,7 +204,7 @@ def detector_probability(det: CircularDetectorSpec, dz: float | None,
 def _pair_correlation(pair: PairConfig, tol: float) -> CorrelationResult:
     if pair.equal_kinematics:
         return correlation_equal(pair, tol)
-    est = correlation_general_result(pair)
+    est = correlation_general_result(pair, tol=tol)
     if pair.dz is None:
         return CorrelationResult(
             c_total=est.value, c_free=est.value, c_boundary=0.0 + 0.0j,
@@ -212,7 +212,7 @@ def _pair_correlation(pair: PairConfig, tol: float) -> CorrelationResult:
             converged=est.monotone)
     free_pair = PairConfig(det_a=pair.det_a, det_b=pair.det_b,
                            sep=pair.sep, dz=None)
-    est_free = correlation_general_result(free_pair)
+    est_free = correlation_general_result(free_pair, tol=tol)
     return CorrelationResult(
         c_total=est.value,
         c_free=est_free.value,

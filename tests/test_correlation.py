@@ -137,6 +137,10 @@ class TestReductionCrossCheck:
             (0.1, 10.0, 2.0, 0.1),
             (30.0, 0.02, 0.5, 1.0),
             (1.0, 1.0, 4.0, 2.0),
+            # a detector's own image term: L_eff = 2 dz, k = gap/gamma
+            (5.0, 0.02, 2 * 0.3, 0.1),
+            (1.0, 1.0, 2 * 5.0, 0.1),
+            (30.0, 0.02, 2 * 0.3, 0.1),
         ],
     )
     def test_line_integral_matches_qawc(self, accel, radius, L_eff, gap):

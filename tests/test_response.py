@@ -4,7 +4,6 @@ import pytest
 from udwmi import (
     DomainError,
     detector_from_accel_radius,
-    image_pole_location,
     inertial_response,
     transition_probability,
     transition_probability_free,
@@ -40,8 +39,10 @@ class TestInertialLimit:
 
 
 class TestImagePole:
+    # the pole of the image line integral, reported in the scaled time
+    # variable x = gamma*omega*tau/2
     def test_frozen_location(self):
-        s = image_pole_location(det(5.0, 0.02), 0.1)
+        s = transition_probability(det(5.0, 0.02), 0.1).pole_location
         assert np.isclose(s, 1.5373792254989728, rtol=1e-12)
 
     def test_defining_identity(self):
@@ -49,16 +50,28 @@ class TestImagePole:
         for accel, radius, dz in [(5.0, 0.02, 0.1), (1.0, 1.0, 5.0),
                                   (0.1, 10.0, 1.0), (30.0, 0.02, 0.3)]:
             d = det(accel, radius)
-            s = image_pole_location(d, dz)
+            s = transition_probability(d, dz).pole_location
             lhs = s * s - d.speed**2 * np.sin(s) ** 2
             assert np.isclose(lhs, (d.omega * dz) ** 2, rtol=1e-11)
 
     def test_bracket(self):
-        # the root sits between omega dz and gamma omega dz
+        # the root sits between omega dz and gamma omega dz; dz = 40 takes
+        # the far-pole branch, which locates the pole all the same
         d = det(5.0, 0.02)
         for dz in (0.05, 0.5, 3.0, 40.0):
-            s = image_pole_location(d, dz)
+            r = transition_probability(d, dz)
+            assert bool(r.notes) == (dz == 40.0)
+            s = r.pole_location
             assert d.omega * dz - 1e-12 <= s <= d.gamma * d.omega * dz + 1e-12
+
+    def test_radius_below_rounding(self):
+        # 4 R^2 is about an ulp of (2 dz)^2, so the bracket end
+        # sqrt((2 dz)^2 + 4 R^2) can round onto 2 dz; the pole is still
+        # found, at omega dz to rounding
+        d = det(1.0, 1e-6)
+        for dz in (44.0, 47.0, 66.0):
+            s = transition_probability(d, dz).pole_location
+            assert np.isclose(s, d.omega * dz, rtol=1e-14)
 
 
 class TestBoundaryResponse:

@@ -545,31 +545,38 @@ class TestOracleSuite:
         assert len(crec["value"]) == 2
         assert len(crec["c_boundary"]) == 2
 
-    def test_corrupted_response_is_caught(self):
-        from udwmi.sweep import _response_value
+    def test_corrupted_response_is_caught(self, monkeypatch):
+        from udwmi import sweep as sweep_mod
+
+        value_fn = sweep_mod._response_value
 
         def corrupted(params):
-            value, err = _response_value(params)
+            value, err = value_fn(params)
             return value * 1.01, err
 
-        rep = run_oracle_suite("oracle_grid_smoke", response_fn=corrupted,
-                               correlation_fn=lambda p: (0.0 + 0.0j, 0.0))
-        # correlation hook zeroed out so only the response check runs
+        monkeypatch.setattr(sweep_mod, "_response_value", corrupted)
+        # correlation zeroed out so only the response check runs
+        monkeypatch.setattr(sweep_mod, "_correlation_value",
+                            lambda p: (0.0 + 0.0j, 0.0, 0.0 + 0.0j))
+        rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
         assert rep["response"]["max_rel_dev"] > 5e-3
         assert not rep["response"]["points"][0]["within_combined_err"]
 
-    def test_corrupted_correlation_is_caught(self):
-        from udwmi.sweep import _correlation_value
+    def test_corrupted_correlation_is_caught(self, monkeypatch):
+        from udwmi import sweep as sweep_mod
+
+        value_fn = sweep_mod._correlation_value
 
         def corrupted(params):
-            value, err, _ = _correlation_value(params)
-            return value * (1.0 + 5e-3), err
+            value, err, c_boundary = value_fn(params)
+            return value * (1.0 + 5e-3), err, c_boundary
 
-        rep = run_oracle_suite("oracle_grid_smoke",
-                               response_fn=lambda p: (0.0, 0.0),
-                               response_oracle_fn=lambda p: (0.0, 0.0),
-                               correlation_fn=corrupted)
+        monkeypatch.setattr(sweep_mod, "_response_value", lambda p: (0.0, 0.0))
+        monkeypatch.setattr(sweep_mod, "_response_oracle_value",
+                            lambda p: (0.0, 0.0))
+        monkeypatch.setattr(sweep_mod, "_correlation_value", corrupted)
+        rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
         assert rep["correlation"]["max_rel_dev"] > 2e-3
 
