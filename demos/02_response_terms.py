@@ -7,10 +7,10 @@ the image terms reshape P strongly; far away they decay and P tends to
 the free-space value from the first and third terms alone.
 """
 from udwmi.kinematics import detector_from_accel_radius
-from udwmi.response import transition_probability, transition_probability_free
+from udwmi.response import transition_probability
 
 spec = detector_from_accel_radius(0.1, 5.0, 0.02)
-free = transition_probability_free(spec)
+free = transition_probability(spec, None)
 print(f"detector: gap=0.1, a=5, R=0.02 (omega={spec.omega:.3f}, "
       f"v={spec.speed:.3f})")
 print(f"free-space P = {free.total:.8f}")

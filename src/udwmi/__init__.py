@@ -11,13 +11,12 @@ information), and sweep (batch tables and oracle cross-checks).
 """
 
 from .correlation import (CorrelationResult, OracleEstimate, PairConfig,
-                          correlation_equal, correlation_general,
-                          correlation_general_result, wightman_boundary,
-                          wightman_free)
+                          correlation_equal, correlation_general_result,
+                          wightman_boundary, wightman_free)
 from .infomeasure import (DensityBlock, MIResult, PairPointResult,
                           PerturbativeRegimeWarning, PointTerms,
-                          assemble_density_block, detector_probability,
-                          mutual_information, mutual_information_point)
+                          assemble_density_block, mutual_information,
+                          mutual_information_point)
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          detector_from_accel_radius, omega_from_accel_radius,
                          trajectory_point)
@@ -25,8 +24,7 @@ from .quadrature import (ExtrapolationResult, QuadratureResult,
                          epsilon_extrapolate, find_root_bracketed,
                          integrate_adaptive, principal_value_integral)
 from .response import (ResponseBreakdown, inertial_response,
-                       transition_probability, transition_probability_free,
-                       transition_probability_oracle,
+                       transition_probability,
                        transition_probability_oracle_result)
 from .sweep import (SweepAxis, SweepRow, SweepSpec, count_interior_maxima,
                     emit_table, load_config, load_grid, point_record,
@@ -42,14 +40,13 @@ __all__ = [
     "integrate_adaptive", "principal_value_integral", "epsilon_extrapolate",
     "find_root_bracketed",
     "ResponseBreakdown", "inertial_response",
-    "transition_probability", "transition_probability_free",
-    "transition_probability_oracle", "transition_probability_oracle_result",
+    "transition_probability", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",
     "wightman_free", "wightman_boundary", "correlation_equal",
-    "correlation_general", "correlation_general_result",
+    "correlation_general_result",
     "DensityBlock", "MIResult", "PairPointResult", "PointTerms",
     "PerturbativeRegimeWarning", "assemble_density_block",
-    "detector_probability", "mutual_information", "mutual_information_point",
+    "mutual_information", "mutual_information_point",
     "SweepAxis", "SweepSpec", "SweepRow", "point_record", "run_sweep",
     "emit_table",
     "run_oracle_suite", "load_config", "load_grid", "count_interior_maxima",

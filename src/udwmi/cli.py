@@ -1,10 +1,13 @@
 """Command line front-end.
 
 Subcommands: response / correlation / mi evaluate one parameter point
-and print a JSON record; sweep runs a config (path or packaged preset
-name) and writes a CSV/JSON table; verify runs the oracle cross-check
-suite on a grid. Exit codes: 0 all ok, 1 config error, 2 failed point,
-3 oracle-suite failure.
+on the reduced formulas, static detectors (accel 0) included, and print
+a JSON record; both detectors of a pair share --accel and --radius.
+sweep runs a config (path or packaged preset name) and writes a CSV/JSON
+table; verify runs the oracle cross-check suite on a grid. Exit codes:
+0 all ok, 1 config error, 2 failed point (for response / correlation /
+mi also a printed value that missed its tolerance), 3 oracle-suite
+failure.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .correlation import PairConfig, correlation_equal, correlation_general_result
+from .correlation import PairConfig, correlation_equal
 from .infomeasure import mutual_information_point
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability
@@ -124,35 +127,22 @@ def _cmd_response(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    pair = _pair_of(args)
-    if pair.equal_kinematics:
-        res = correlation_equal(pair, args.tol)
-        payload = {
-            "method": "reduced",
-            "c_total": [res.c_total.real, res.c_total.imag],
-            "c_free": [res.c_free.real, res.c_free.imag],
-            "c_boundary": [res.c_boundary.real, res.c_boundary.imag],
-            "err": res.abs_error_estimate,
-            "converged": res.converged,
-        }
-        ok = res.converged
-    else:
-        est = correlation_general_result(pair)
-        payload = {
-            "method": "definition",
-            "c_total": [est.value.real, est.value.imag],
-            "err": est.error_estimate,
-            "converged": est.monotone,
-        }
-        ok = est.monotone
-    _print_json(payload)
-    return _OK if ok else _POINT_FAILURE
+    res = correlation_equal(_pair_of(args), args.tol)
+    _print_json({
+        "method": "reduced",
+        "c_total": [res.c_total.real, res.c_total.imag],
+        "c_free": [res.c_free.real, res.c_free.imag],
+        "c_boundary": [res.c_boundary.real, res.c_boundary.imag],
+        "err": res.abs_error_estimate,
+        "converged": res.converged,
+    })
+    return _OK if res.converged else _POINT_FAILURE
 
 
 def _cmd_mi(args) -> int:
-    _print_json(point_record(mutual_information_point(_pair_of(args),
-                                                      args.tol)))
-    return _OK
+    pt = mutual_information_point(_pair_of(args), args.tol)
+    _print_json(point_record(pt))
+    return _OK if pt.converged else _POINT_FAILURE
 
 
 def _cmd_sweep(args) -> int:

@@ -20,10 +20,10 @@ independent routes:
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
-* correlation_general: definition-level double quadrature in coordinate
-  times with the regulator epsilon kept finite, repeated on a geometric
-  epsilon ladder and extrapolated to zero. Works for unequal kinematics
-  and serves as the oracle for the reduced path.
+* correlation_general_result: definition-level double quadrature in
+  coordinate times with the regulator epsilon kept finite, repeated on a
+  geometric epsilon ladder and extrapolated to zero. Works for unequal
+  kinematics and serves as the oracle for the reduced path.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "wightman_boundary",
     "wightman_free",
     "correlation_equal",
-    "correlation_general",
     "correlation_general_result",
 ]
 
@@ -397,10 +396,3 @@ def correlation_general_result(pair: PairConfig,
         samples=tuple(samples),
         monotone=extrap.monotone,
     )
-
-
-def correlation_general(pair: PairConfig, epsilon_schedule=DEFAULT_EPSILONS,
-                        tol: float = 1e-7) -> complex:
-    """Definition-level C (any kinematics): finite-epsilon double
-    quadrature extrapolated to epsilon -> 0."""
-    return correlation_general_result(pair, epsilon_schedule, tol).value

@@ -21,6 +21,12 @@ order the mutual information reduces to
 
 which is nonnegative whenever the block is positive semidefinite
 (P_A P_B >= |C|^2).
+
+mutual_information_point evaluates a point on the reduced formulas
+only: each P from response.transition_probability, rotating or static,
+and C from correlation.correlation_equal, so both detectors must share
+one orbit kinematics. The definition-level oracles are cross-checks
+(sweep's oracle suite), never a fallback.
 """
 
 from __future__ import annotations
@@ -32,11 +38,9 @@ from typing import ClassVar, NamedTuple
 
 from scipy.special import xlogy
 
-from .correlation import (CorrelationResult, PairConfig, correlation_equal,
-                          correlation_general_result)
-from .kinematics import CircularDetectorSpec, DomainError
-from .response import (transition_probability,
-                       transition_probability_oracle_result)
+from .correlation import CorrelationResult, PairConfig, correlation_equal
+from .kinematics import DomainError
+from .response import ResponseBreakdown, transition_probability
 
 __all__ = [
     "DensityBlock",
@@ -45,7 +49,6 @@ __all__ = [
     "PerturbativeRegimeWarning",
     "PointTerms",
     "assemble_density_block",
-    "detector_probability",
     "mutual_information",
     "mutual_information_point",
 ]
@@ -170,12 +173,11 @@ class PairPointResult:
 
 
 class PointTerms(NamedTuple):
-    """The evaluated inputs of one pair point: (P, error estimate,
-    converged) of each detector, as detector_probability returns them,
-    and the pair correlation."""
+    """The evaluated inputs of one pair point: the transition probability
+    of each detector and the pair correlation."""
 
-    response_a: tuple[float, float, bool]
-    response_b: tuple[float, float, bool]
+    response_a: ResponseBreakdown
+    response_b: ResponseBreakdown
     corr: CorrelationResult
 
 
@@ -186,61 +188,29 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
-def detector_probability(det: CircularDetectorSpec, dz: float | None,
-                         tol: float) -> tuple[float, float, bool]:
-    """(P, error estimate, converged) of one detector at height dz above
-    the mirror (None: free space).
-
-    A rotating detector uses the reduced closed form; a static one
-    (omega = 0) falls back to the definition-level double quadrature,
-    where converged means a monotone regulator ladder."""
-    if det.omega > 0.0:
-        res = transition_probability(det, dz, tol)
-        return res.total, res.abs_error_estimate, res.converged
-    est = transition_probability_oracle_result(det, dz, tol=tol * 100)
-    return float(est.value), est.error_estimate, est.monotone
-
-
-def _pair_correlation(pair: PairConfig, tol: float) -> CorrelationResult:
-    if pair.equal_kinematics:
-        return correlation_equal(pair, tol)
-    est = correlation_general_result(pair, tol=tol)
-    if pair.dz is None:
-        return CorrelationResult(
-            c_total=est.value, c_free=est.value, c_boundary=0.0 + 0.0j,
-            abs_error_estimate=est.error_estimate,
-            converged=est.monotone)
-    free_pair = PairConfig(det_a=pair.det_a, det_b=pair.det_b,
-                           sep=pair.sep, dz=None)
-    est_free = correlation_general_result(free_pair, tol=tol)
-    return CorrelationResult(
-        c_total=est.value,
-        c_free=est_free.value,
-        c_boundary=est_free.value - est.value,
-        abs_error_estimate=est.error_estimate + est_free.error_estimate,
-        converged=est.monotone and est_free.monotone)
-
-
 def mutual_information_point(pair: PairConfig | PointTerms,
                              tol: float = 1e-8) -> PairPointResult:
     """Response of both detectors, their correlation, and the mutual
     information for one pair configuration.
 
     Detector A sits at height dz, detector B at dz + sep (heights are
-    irrelevant in free space). Each P comes from detector_probability.
-    Equal kinematics use the reduced correlation, unequal ones the
-    definition-level double quadrature. Given PointTerms instead of a
-    PairConfig, the terms are taken as evaluated and tol is unused: a
-    sweep evaluates each distinct term once and assembles every row
-    here. Warns with PerturbativeRegimeWarning when P_A + P_B > 0.1."""
+    irrelevant in free space). Both detectors must share one orbit
+    kinematics (DomainError otherwise): each P comes from
+    transition_probability and C from correlation_equal. Given
+    PointTerms instead of a PairConfig, the terms are taken as evaluated
+    and tol is unused: a sweep evaluates each distinct term once and
+    assembles every row here. Warns with PerturbativeRegimeWarning when
+    P_A + P_B > 0.1."""
     if isinstance(pair, PointTerms):
         terms = pair
     else:
         dz_b = None if pair.dz is None else pair.dz + pair.sep
-        terms = PointTerms(detector_probability(pair.det_a, pair.dz, tol),
-                           detector_probability(pair.det_b, dz_b, tol),
-                           _pair_correlation(pair, tol))
-    (p_a, err_a, conv_a), (p_b, err_b, conv_b), corr = terms
+        terms = PointTerms(transition_probability(pair.det_a, pair.dz, tol),
+                           transition_probability(pair.det_b, dz_b, tol),
+                           correlation_equal(pair, tol))
+    resp_a, resp_b, corr = terms
+    p_a, err_a = resp_a.total, resp_a.abs_error_estimate
+    p_b, err_b = resp_b.total, resp_b.abs_error_estimate
 
     # a P below zero by less than its own error estimate is roundoff on a
     # vanishing response; round it to zero as mutual_information clamps
@@ -271,5 +241,5 @@ def mutual_information_point(pair: PairConfig | PointTerms,
         mutual_info=mi.mutual_info,
         positivity_slack=mi.positivity_slack,
         abs_error_estimate=float(err_info),
-        converged=conv_a and conv_b and corr.converged,
+        converged=resp_a.converged and resp_b.converged and corr.converged,
     )

@@ -23,9 +23,14 @@ sum is term_pole and whose principal value is term_pv. Its pole s0, in
 coordinate time, is reported as pole_location = omega s0 / 2, the unique
 positive root of x^2 - v^2 sin^2 x - (omega dz)^2.
 
-transition_probability_oracle integrates the defining double integral
-(finite regulator epsilon, extrapolated to zero) without any of the
-above reductions; it is deliberately independent of the closed form.
+A static detector (omega = v = 0) takes the same route: term_bounded
+vanishes with v, so its direct part is the inertial one, and its image
+line integral has D = (2 dz)^2 - s^2, whose pole is on the light cone
+at s0 = 2 dz.
+
+transition_probability_oracle_result integrates the defining double
+integral (finite regulator epsilon, extrapolated to zero) without any of
+the above reductions; it is deliberately independent of the closed form.
 """
 
 from __future__ import annotations
@@ -49,8 +54,6 @@ __all__ = [
     "ResponseBreakdown",
     "inertial_response",
     "transition_probability",
-    "transition_probability_free",
-    "transition_probability_oracle",
     "transition_probability_oracle_result",
 ]
 
@@ -60,8 +63,10 @@ class ResponseBreakdown:
     """Transition probability and its four constituents.
 
     pole_location is the image-pole position in the scaled time
-    variable (None in free space). notes flags non-fatal substitutions,
-    e.g. the pole lying beyond the switching support."""
+    variable, omega s0 / 2: None in free space, and 0.0 for a static
+    detector, whose pole sits at coordinate time s0 = 2 dz. notes flags
+    non-fatal substitutions, e.g. the pole lying beyond the switching
+    support."""
 
     term_bounded: float
     term_pv: float
@@ -100,21 +105,17 @@ def _bounded_kernel(x, v_sq: float):
 def transition_probability(spec: CircularDetectorSpec,
                            dz: float | None = None,
                            tol: float = 1e-8) -> ResponseBreakdown:
-    """Four-term transition probability; dz = None drops the mirror.
+    """Four-term transition probability of a rotating or static detector;
+    dz = None drops the mirror.
 
     tol is an absolute tolerance budget on the total, split evenly over
     the quadrature terms."""
-    if spec.omega == 0.0:
-        raise DomainError("transition_probability needs a rotating detector "
-                          "(omega > 0); a static one has no scaled form")
     if dz is not None and (not math.isfinite(dz) or dz <= 0.0):
         raise DomainError(f"dz must be positive and finite, got {dz}")
 
     om, gamma, v = spec.omega, spec.gamma, spec.speed
     v_sq = v * v
     gap = spec.energy_gap
-    alpha = 1.0 / (gamma * om) ** 2
-    beta = 2.0 * gap / (gamma * om)
     notes: list[str] = []
 
     term_tol = tol / 4.0
@@ -124,8 +125,12 @@ def transition_probability(spec: CircularDetectorSpec,
     # direct rotating part, singularity subtracted
     k_bounded = v_sq * gamma * om / (4.0 * math.pi ** 1.5)
     if v < 1e-12:
+        # includes the static detector, where alpha and beta are undefined
         term_bounded = 0.0
     else:
+        alpha = 1.0 / (gamma * om) ** 2
+        beta = 2.0 * gap / (gamma * om)
+
         def f_bounded(x):
             return np.exp(-alpha * x * x) * np.cos(beta * x) * _bounded_kernel(x, v_sq)
 
@@ -168,12 +173,6 @@ def transition_probability(spec: CircularDetectorSpec,
         total=float(total), abs_error_estimate=float(err),
         pole_location=0.5 * om * line.pole, converged=evals_ok,
         notes=tuple(notes))
-
-
-def transition_probability_free(spec: CircularDetectorSpec,
-                                tol: float = 1e-8) -> ResponseBreakdown:
-    """Free-space (no mirror) transition probability."""
-    return transition_probability(spec, None, tol)
 
 
 def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
@@ -229,12 +228,3 @@ def transition_probability_oracle_result(spec: CircularDetectorSpec,
         samples=tuple(samples),
         monotone=extrap.monotone,
     )
-
-
-def transition_probability_oracle(spec: CircularDetectorSpec,
-                                  dz: float | None = None,
-                                  epsilon_schedule=DEFAULT_EPSILONS,
-                                  tol: float = 1e-6) -> float:
-    """Definition-level transition probability (no closed-form pieces)."""
-    return float(transition_probability_oracle_result(
-        spec, dz, epsilon_schedule, tol).value)

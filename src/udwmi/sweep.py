@@ -35,8 +35,7 @@ from .correlation import (PairConfig, _correlation_from_lines,
                           _line_integral_args, _reduced_line_integral,
                           correlation_equal, correlation_general_result)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
-                          PointTerms, detector_probability,
-                          mutual_information_point)
+                          PointTerms, mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability, transition_probability_oracle_result
 
@@ -293,7 +292,7 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     """Lower a sweep into its rows and the distinct calls they need.
 
     A task is one (function, arguments) call, listed once, in the order
-    rows first use it: detector_probability on a response key (detector,
+    rows first use it: transition_probability on a response key (detector,
     height, tol) or _reduced_line_integral on a line-integral key (its
     full argument tuple). Equal keys give equal results, so every row is
     made from exactly the calls a single-point evaluation would make.
@@ -321,8 +320,8 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
             continue
         dz_b = None if pair.dz is None else pair.dz + pair.sep
         pref, lines = _line_integral_args(pair, spec.tol)
-        keys = (use((detector_probability, (pair.det_a, pair.dz, spec.tol))),
-                use((detector_probability, (pair.det_b, dz_b, spec.tol))),
+        keys = (use((transition_probability, (pair.det_a, pair.dz, spec.tol))),
+                use((transition_probability, (pair.det_b, dz_b, spec.tol))),
                 *(use((_reduced_line_integral, args)) for args in lines))
         plans.append((params, None, keys, pref))
     return plans, tasks

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+import udwmi
+from udwmi import correlation, response
 from udwmi.cli import main
-from udwmi.sweep import COLUMNS
+from udwmi.infomeasure import PerturbativeRegimeWarning
+from udwmi.sweep import COLUMNS, SweepAxis, SweepSpec, run_sweep
 
 CHEAP_POINT = ["--gap-a", "0.5", "--accel", "0.1", "--radius", "1.0",
                "--sep", "1.0", "--dz", "0.5"]
@@ -112,6 +115,16 @@ class TestMiCommand:
         assert rc == 1
         assert "config error" in err
 
+    def test_missed_tolerance_exits_2(self, capsys):
+        # at tol 1e-12 the bounded response term stops at its roundoff
+        # floor: the record is printed, but the point did not converge
+        with pytest.warns(PerturbativeRegimeWarning):
+            rc, out, err = run_cli(capsys, [
+                "mi", "--gap-a", "0.5", "--accel", "5", "--radius", "10",
+                "--sep", "1", "--free-space", "--tol", "1e-12"])
+        assert rc == 2
+        assert math.isfinite(json.loads(out)["I"])
+
 
 class TestSweepCommand:
     @pytest.fixture()
@@ -169,7 +182,7 @@ class TestSweepCommand:
         def always_fail(det, dz, tol):
             raise RuntimeError("forced point failure")
 
-        monkeypatch.setattr(sweep_mod, "detector_probability", always_fail)
+        monkeypatch.setattr(sweep_mod, "transition_probability", always_fail)
         out_path = tmp_path / "out.csv"
         rc, out, err = run_cli(capsys, [
             "sweep", "--config", str(config_path), "--out", str(out_path),
@@ -229,6 +242,49 @@ class TestVerifyCommand:
         rc, out, err = run_cli(capsys, ["verify", "--grid", "nope"])
         assert rc == 1
         assert "config error" in err
+
+
+class TestNoProductionOracle:
+    # the definition-level oracles judge the reduced formulas; no
+    # evaluation path may fall back on them, static detectors included.
+    # pytest.fail raises past the sweep's per-point isolation and the
+    # CLI's error handlers.
+    @pytest.fixture(autouse=True)
+    def forbid_oracles(self, monkeypatch):
+        oracles = (response.transition_probability_oracle_result,
+                   correlation.correlation_general_result)
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("a production path called an oracle")
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "udwmi" or name.startswith("udwmi.")]
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if any(value is o for o in oracles):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert udwmi.correlation_general_result is forbidden
+
+    def test_sweep_with_static_and_rotating_points(self):
+        spec = SweepSpec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
+                                        points=3),
+                         gap_a=0.5, gap_ratios=(0.0, 0.5), radius=1.0,
+                         sep=1.0, dz=0.5)
+        rows = run_sweep(spec, workers=1)
+        assert [r.accel for r in rows[:3]] == [0.0, 0.5, 1.0]
+        assert all(r.status == "ok" for r in rows)
+
+    # the last --accel on a command line wins
+    @pytest.mark.parametrize("argv", [
+        ["mi", *CHEAP_POINT, "--accel", "0"],
+        ["mi", "--gap-a", "0.5", "--accel", "0", "--free-space"],
+        ["response", "--gap", "0.5", "--accel", "0", "--dz", "0.5"],
+        ["correlation", *CHEAP_POINT, "--accel", "0"],
+    ], ids=["mi", "mi-free-space", "response", "correlation"])
+    def test_static_point_commands(self, capsys, argv):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 0, err
+        assert json.loads(out)
 
 
 class TestParserBasics:

@@ -189,11 +189,17 @@ class TestDefinitionOracle:
     # the oracle evaluates the defining double integral at three regulator
     # values and extrapolates; independent of the reduction
     def test_boundary_point(self):
-        cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
-        fast = correlation_equal(cfg, tol=1e-10)
-        est = correlation_general_result(cfg, tol=1e-6)
-        assert est.monotone
-        assert abs(est.value - fast.c_total) < 1e-3 * abs(fast.c_total)
+        # then static pairs (omega = 0, poles on the light cone), equal
+        # and detuned, with and without the mirror
+        for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
+                    pair(0.0, 1.0, sep=2.0, dz=0.5),
+                    pair(0.0, 1.0, sep=1.0, dz=0.3, gap_a=0.5, gap_b=1.0),
+                    pair(0.0, 1.0, sep=1.0, gap_a=0.5, gap_b=1.0)):
+            fast = correlation_equal(cfg, tol=1e-10)
+            est = correlation_general_result(cfg, tol=1e-6)
+            assert est.monotone
+            assert abs(est.value - fast.c_total) < 1e-3 * abs(fast.c_total)
+            assert abs(est.value - fast.c_total) <= est.error_estimate
 
     def test_each_regulator_pass_runs_once(self, monkeypatch):
         # the grid check's coarse pass is the ladder's largest-epsilon

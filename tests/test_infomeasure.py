@@ -256,33 +256,15 @@ class TestEndToEndPoint:
         assert res.mutual_info < 1e-6
         assert res.mutual_info > 0.0
 
-    def test_unequal_kinematics_use_the_callers_tol(self, monkeypatch):
-        # the definition-level correlation route runs at the tolerance
-        # the point was asked for, with and without the mirror
-        import inspect
-
-        from udwmi import infomeasure
-        from udwmi.correlation import OracleEstimate
-
-        real = infomeasure.correlation_general_result
-        seen = []
-
-        def recorded(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append(bound.arguments["tol"])
-            return OracleEstimate(value=0.0 + 0.0j, error_estimate=0.0,
-                                  samples=(), monotone=True)
-
-        monkeypatch.setattr(infomeasure, "correlation_general_result",
-                            recorded)
+    def test_unequal_kinematics_rejected(self):
+        # only a pair on one orbit kinematics has a reduced correlation;
+        # the definition-level one is a cross-check, not a fallback
         da = detector_from_accel_radius(1.0, 1.0, 1.0)
         db = detector_from_accel_radius(1.0, 1.0, 2.0)
-        for dz, calls in ((None, 1), (1.0, 2)):
-            seen.clear()
-            mutual_information_point(
-                PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz), tol=3e-9)
-            assert seen == [3e-9] * calls
+        for dz in (None, 1.0):
+            with pytest.raises(DomainError, match="same orbit"):
+                mutual_information_point(
+                    PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz), tol=3e-9)
 
     def test_no_warning_in_perturbative_regime(self):
         det = detector_from_accel_radius(0.1, 0.1, 0.02)

@@ -6,7 +6,6 @@ from udwmi import (
     detector_from_accel_radius,
     inertial_response,
     transition_probability,
-    transition_probability_free,
     transition_probability_oracle_result,
 )
 
@@ -34,7 +33,7 @@ class TestInertialLimit:
     def test_matches_zero_speed_orbit(self):
         # an orbit with vanishing speed responds like an inertial detector
         slow = det(1e-10, 1e-6)
-        r = transition_probability_free(slow, tol=1e-12)
+        r = transition_probability(slow, None, 1e-12)
         assert np.isclose(r.total, inertial_response(GAP), rtol=1e-9)
 
 
@@ -107,7 +106,7 @@ class TestBoundaryResponse:
         # correction at dz = 50 is three orders below the deficit itself
         d = det(0.1, 0.02)
         p_far = transition_probability(d, 50.0, tol=1e-12).total
-        p_free = transition_probability_free(d, tol=1e-12).total
+        p_free = transition_probability(d, None, 1e-12).total
         deficit = p_free - p_far
         predicted = np.exp(-GAP * GAP) / (8 * np.pi * 50.0**2)
         assert np.isclose(deficit, predicted, rtol=1e-3)
@@ -118,7 +117,7 @@ class TestBoundaryResponse:
         d = det(1.0, 1.0)
         p_near = transition_probability(d, 0.01, tol=1e-9).total
         p_mid = transition_probability(d, 1.0, tol=1e-9).total
-        p_free = transition_probability_free(d, tol=1e-9).total
+        p_free = transition_probability(d, None, 1e-9).total
         assert p_near < 0.1 * p_free
         assert p_near < p_mid
 
@@ -138,17 +137,17 @@ class TestFreeResponse:
         ],
     )
     def test_frozen_values(self, accel, radius, expected):
-        r = transition_probability_free(det(accel, radius), tol=1e-10)
+        r = transition_probability(det(accel, radius), None, 1e-10)
         assert np.isclose(r.total, expected, rtol=1e-8)
 
     def test_no_boundary_terms(self):
-        r = transition_probability_free(det(5.0, 0.02), tol=1e-10)
+        r = transition_probability(det(5.0, 0.02), None, 1e-10)
         assert r.term_pv == 0.0
         assert r.term_pole == 0.0
 
     def test_grows_with_acceleration(self):
         totals = [
-            transition_probability_free(det(a, 0.02), tol=1e-9).total
+            transition_probability(det(a, 0.02), None, 1e-9).total
             for a in (0.1, 1.0, 5.0, 20.0)
         ]
         assert all(b > a for a, b in zip(totals, totals[1:]))
@@ -168,6 +167,19 @@ class TestDefinitionOracle:
         est = transition_probability_oracle_result(det(0.1, 10.0), None)
         assert np.isclose(est.value, 0.066398194165612875, rtol=1e-5)
 
+    @pytest.mark.parametrize("gap,radius,dz", [
+        (0.1, 1.0, None), (0.5, 0.02, 0.1), (1.0, 10.0, 0.5), (0.1, 1.0, 5.0),
+    ])
+    def test_static_detector(self, gap, radius, dz):
+        # omega = 0: no bounded term, and the image pole on the light cone
+        # at s0 = 2 dz, so pole_location = omega s0 / 2 is 0
+        r = transition_probability(det(0.0, radius, gap), dz, tol=1e-10)
+        assert r.converged
+        assert r.term_bounded == 0.0
+        assert r.pole_location == (None if dz is None else 0.0)
+        est = transition_probability_oracle_result(det(0.0, radius, gap), dz)
+        assert abs(r.total - est.value) <= est.error_estimate
+
 
 class TestValidation:
     def test_nonpositive_dz_rejected(self):
@@ -175,9 +187,3 @@ class TestValidation:
             transition_probability(det(1.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             transition_probability(det(1.0, 1.0), -2.0)
-
-    def test_static_detector_rejected(self):
-        # the closed form divides by omega; static detectors go through
-        # the definition-level oracle instead
-        with pytest.raises(DomainError):
-            transition_probability(det(0.0, 1.0), 1.0)
