@@ -21,9 +21,9 @@ independent routes:
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
 * correlation_general_result: definition-level double quadrature in
-  coordinate times with the regulator epsilon kept finite, repeated on a
-  geometric epsilon ladder and extrapolated to zero. Works for unequal
-  kinematics and serves as the oracle for the reduced path.
+  coordinate times with the regulator epsilon kept finite, repeated on
+  the fixed ladder DEFAULT_EPSILONS and extrapolated to zero. Works for
+  unequal kinematics and serves as the oracle for the reduced path.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "correlation_general_result",
 ]
 
+# the regulator ladder of both oracles, largest first
 DEFAULT_EPSILONS = (1e-3, 5e-4, 2.5e-4)
 
 _TWO_PI_SQ = 4.0 * math.pi * math.pi
@@ -131,6 +132,35 @@ class OracleEstimate:
     error_estimate: float
     samples: tuple[tuple[float, complex], ...]
     monotone: bool
+
+
+def _epsilon_ladder(single_pass, tol: float,
+                    extra_error: float = 0.0) -> OracleEstimate:
+    """An oracle's regulated passes extrapolated to epsilon -> 0.
+
+    single_pass(eps) returns the QuadratureResult of one finite-epsilon
+    pass; it runs once per epsilon of DEFAULT_EPSILONS, largest first.
+    The error is 3 times the extrapolation residual plus the worst pass
+    error plus extra_error. A ladder that is not monotone and whose
+    residual exceeds 100 max(tol, worst pass error) raises RuntimeError."""
+    samples = []
+    quad_err = 0.0
+    for eps in DEFAULT_EPSILONS:
+        res = single_pass(eps)
+        samples.append((eps, complex(res.value)))
+        quad_err = max(quad_err, res.abs_error_estimate)
+
+    extrap = epsilon_extrapolate(samples)
+    if not extrap.monotone and extrap.residual > 100.0 * max(tol, quad_err):
+        raise RuntimeError("epsilon ladder did not converge "
+                           f"(residual {extrap.residual:.3g})")
+    error = 3.0 * extrap.residual + quad_err + extra_error
+    return OracleEstimate(
+        value=extrap.value,
+        error_estimate=float(error),
+        samples=tuple(samples),
+        monotone=extrap.monotone,
+    )
 
 
 @dataclass(frozen=True)
@@ -232,7 +262,10 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     # switching envelope support: beyond s_env the envelope is below tol/10
     s_env = 2.0 * gamma * math.sqrt(max(-math.log(tol / 10.0), 1.0)) + 2.0
     tol_int = tol / max(pref, 1e-300) / 2.0
-    return pref, (det_a.radius, det_a.omega, gamma, k, s_env, tol_int)
+    # a static orbit's D = L_eff^2 - s^2 has no R in it, so neither may
+    # the pole bracket or the principal-value range
+    radius = det_a.radius if det_a.omega != 0.0 else 0.0
+    return pref, (radius, det_a.omega, gamma, k, s_env, tol_int)
 
 
 def _line_integral_args(pair: PairConfig,
@@ -286,21 +319,19 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
         pref, [_reduced_line_integral(*a) for a in args])
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def composite_gauss_legendre(lo: float, hi: float, n_points: int,
-                             order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre grid with about n_points nodes in total."""
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GL_CACHE[order]
-    panels = max(int(math.ceil(n_points / order)), 1)
+def composite_gauss_legendre(lo: float, hi: float,
+                             n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre grid on [lo, hi] with about
+    n_points nodes in total: n_points/16 equal panels, rounded up."""
+    panels = max(int(math.ceil(n_points / _GL_NODES.size)), 1)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-    w = (halfs[:, None] * weights[None, :]).ravel()
+    x = (mids[:, None] + halfs[:, None] * _GL_NODES[None, :]).ravel()
+    w = (halfs[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return x, w
 
 
@@ -343,17 +374,13 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
 
 
 def correlation_general_result(pair: PairConfig,
-                               epsilon_schedule=DEFAULT_EPSILONS,
                                tol: float = 1e-7) -> OracleEstimate:
     """Definition-level C with full error bookkeeping.
 
-    Evaluates the double integral at each epsilon of the schedule,
-    extrapolates the ladder to zero, and reports an error estimate
-    combining the extrapolation residual, the worst quadrature error and
-    an inner-grid refinement check."""
-    if len(epsilon_schedule) < 3:
-        raise DomainError("epsilon schedule needs at least three entries")
-
+    Evaluates the double integral at each epsilon of DEFAULT_EPSILONS
+    and extrapolates to zero through _epsilon_ladder. The inner time
+    grid is first doubled at the largest epsilon until two passes agree;
+    their last difference is added to the ladder's error estimate."""
     da, db = pair.det_a, pair.det_b
     ga, gb = da.gamma, db.gamma
     sigma_u = ga * gb / math.sqrt(ga * ga + gb * gb)
@@ -362,7 +389,7 @@ def correlation_general_result(pair: PairConfig,
     n_u = max(96, int(2.0 * u_cut * (0.7 * f_u + 6.0 / sigma_u)) + 16)
     n_u = min(n_u, 8000)
 
-    eps_hi = max(epsilon_schedule)
+    eps_hi = DEFAULT_EPSILONS[0]
     grid_err = math.inf
     coarse = _correlation_single_epsilon(pair, eps_hi, tol, n_u)
     for _ in range(3):
@@ -376,23 +403,8 @@ def correlation_general_result(pair: PairConfig,
         warnings.warn("inner time grid did not stabilize; the integrand "
                       "poles may be under-resolved", RuntimeWarning)
 
-    samples = []
-    quad_err = 0.0
-    for eps in sorted(epsilon_schedule, reverse=True):
-        # the grid check above left coarse as the eps_hi pass at this n_u
-        res = (coarse if eps == eps_hi
-               else _correlation_single_epsilon(pair, eps, tol, n_u))
-        samples.append((eps, complex(res.value)))
-        quad_err = max(quad_err, res.abs_error_estimate)
-
-    extrap = epsilon_extrapolate(samples)
-    if not extrap.monotone and extrap.residual > 100.0 * max(tol, quad_err):
-        raise RuntimeError("epsilon ladder did not converge "
-                           f"(residual {extrap.residual:.3g})")
-    error = 3.0 * extrap.residual + quad_err + grid_err
-    return OracleEstimate(
-        value=extrap.value,
-        error_estimate=float(error),
-        samples=tuple(samples),
-        monotone=extrap.monotone,
-    )
+    # the grid check above left coarse as the eps_hi pass at this n_u
+    return _epsilon_ladder(
+        lambda eps: (coarse if eps == eps_hi
+                     else _correlation_single_epsilon(pair, eps, tol, n_u)),
+        tol, grid_err)

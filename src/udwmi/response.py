@@ -29,24 +29,25 @@ line integral has D = (2 dz)^2 - s^2, whose pole is on the light cone
 at s0 = 2 dz.
 
 transition_probability_oracle_result integrates the defining double
-integral (finite regulator epsilon, extrapolated to zero) without any of
-the above reductions; it is deliberately independent of the closed form.
+integral (finite regulator epsilon on the fixed ladder DEFAULT_EPSILONS,
+extrapolated to zero) without any of the above reductions; it is
+deliberately independent of the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
 
-from .correlation import (DEFAULT_EPSILONS, OracleEstimate, _line_params,
+from .correlation import (OracleEstimate, _epsilon_ladder, _line_params,
                           _reduced_line_integral, composite_gauss_legendre,
                           wightman_boundary, wightman_free)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
-from .quadrature import (epsilon_extrapolate, gaussian_truncation_point,
-                         integrate_adaptive, integrate_semiinfinite_gaussian)
+from .quadrature import (gaussian_truncation_point, integrate_adaptive,
+                         integrate_semiinfinite_gaussian)
 # not called here; bench/tests/test_bench.py asserts this binding exists
 from .quadrature import principal_value_integral  # noqa: F401
 
@@ -204,27 +205,13 @@ def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
 
 def transition_probability_oracle_result(spec: CircularDetectorSpec,
                                          dz: float | None = None,
-                                         epsilon_schedule=DEFAULT_EPSILONS,
                                          tol: float = 1e-6) -> OracleEstimate:
     """Definition-level response with error bookkeeping: finite-epsilon
-    double quadrature on an epsilon ladder, extrapolated to zero."""
-    if len(epsilon_schedule) < 3:
-        raise DomainError("epsilon schedule needs at least three entries")
-    samples = []
-    quad_err = 0.0
-    for eps in sorted(epsilon_schedule, reverse=True):
-        res = _response_single_epsilon(spec, dz, eps, tol / 4.0)
-        samples.append((eps, complex(res.value)))
-        quad_err = max(quad_err, res.abs_error_estimate)
-    extrap = epsilon_extrapolate(samples)
-    if not extrap.monotone and extrap.residual > 100.0 * max(tol, quad_err):
-        raise RuntimeError("epsilon ladder did not converge "
-                           f"(residual {extrap.residual:.3g})")
-    value = complex(extrap.value)
-    error = 3.0 * extrap.residual + quad_err + abs(value.imag)
-    return OracleEstimate(
-        value=value.real,
-        error_estimate=float(error),
-        samples=tuple(samples),
-        monotone=extrap.monotone,
-    )
+    double quadrature, each pass to tol/4, at every epsilon of
+    DEFAULT_EPSILONS, extrapolated to zero (correlation._epsilon_ladder).
+    P is real, so the value is the real part of the limit and its
+    imaginary part is added to the error estimate."""
+    est = _epsilon_ladder(
+        lambda eps: _response_single_epsilon(spec, dz, eps, tol / 4.0), tol)
+    return replace(est, value=est.value.real,
+                   error_estimate=est.error_estimate + abs(est.value.imag))

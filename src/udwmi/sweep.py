@@ -25,7 +25,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -106,9 +106,11 @@ class SweepSpec:
     """Full sweep description: axis, fixed parameters, gap-ratio curves.
 
     gap_ratios lists (gap_b - gap_a)/gap_a detunings, one output curve
-    each. free_space=True (or dz=None) drops the mirror. oracle_check
-    re-verifies the first point of every curve against the
-    definition-level oracles and marks a mismatch as a failed row."""
+    each. free_space=True (or dz=None) drops the mirror. A sweep only
+    evaluates the reduced paths; run_oracle_suite (`udwmi verify`) is
+    where they are cross-checked against the definition-level oracles.
+    A config file holds these fields as keys, axis as an object, plus
+    an optional "description"."""
 
     axis: SweepAxis
     name: str = "sweep"
@@ -120,7 +122,6 @@ class SweepSpec:
     dz: float | None = None
     free_space: bool = False
     tol: float = 1e-8
-    oracle_check: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gap_a", _require_finite("gap_a", self.gap_a))
@@ -155,9 +156,7 @@ class SweepSpec:
     def from_mapping(cls, cfg: dict) -> "SweepSpec":
         if not isinstance(cfg, dict):
             raise DomainError("sweep config must be a JSON object")
-        known = {"name", "axis", "gap_a", "gap_ratios", "accel", "radius",
-                 "sep", "dz", "free_space", "tol", "oracle_check",
-                 "description"}
+        known = {f.name for f in fields(cls)} | {"description"}
         unknown = set(cfg) - known
         if unknown:
             raise DomainError(f"unknown sweep config keys: {sorted(unknown)}")
@@ -419,35 +418,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
                    else point_record(pt))
         rows.append(_row_from_record({**params, **outputs, "status": status}))
 
-    if spec.oracle_check:
-        for idx in range(0, len(rows), spec.axis.points):
-            if rows[idx].status.startswith("fail"):
-                continue
-            check = _oracle_check(rows[idx])
-            if check is not None:
-                rows[idx] = replace(rows[idx], status=check)
-
     return rows
-
-
-def _oracle_check(row: SweepRow) -> str | None:
-    """Cross-check one evaluated row against the definition oracles;
-    returns a replacement fail status on mismatch, None when clean."""
-    pair = _pair_from_params(row.to_record())
-    est = correlation_general_result(pair)
-    c_fast = complex(row.re_c, row.im_c)
-    dev = abs(c_fast - est.value)
-    budget = max(1e-3 * abs(est.value), row.err + est.error_estimate)
-    if dev > budget:
-        return (f"fail:oracle-mismatch:correlation dev {dev:.3g} "
-                f"exceeds {budget:.3g}")
-    oa = transition_probability_oracle_result(pair.det_a, row.dz)
-    dev_p = abs(row.p_a - oa.value)
-    budget_p = max(1e-3 * abs(oa.value), row.err + oa.error_estimate)
-    if dev_p > budget_p:
-        return (f"fail:oracle-mismatch:response dev {dev_p:.3g} "
-                f"exceeds {budget_p:.3g}")
-    return None
 
 
 def _fmt(x) -> str:
@@ -492,7 +463,7 @@ def emit_table(rows: list[SweepRow], fmt: str, destination) -> None:
             writer.writerow([_csv_cell(k, rec[k]) for k in COLUMNS])
         text = buf.getvalue()
     else:
-        payload = [{k: _json_value(k, row.to_record()[k]) for k in COLUMNS}
+        payload = [{k: _json_value(k, v) for k, v in row.to_record().items()}
                    for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
 

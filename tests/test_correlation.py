@@ -13,7 +13,9 @@ from udwmi import (
     wightman_boundary,
     wightman_free,
 )
-from udwmi.correlation import _reduced_line_integral
+from udwmi.correlation import (DEFAULT_EPSILONS, _epsilon_ladder,
+                               _reduced_line_integral)
+from udwmi.quadrature import QuadratureResult, epsilon_extrapolate
 
 # Frozen expected values come from an independent mpmath implementation of
 # the reduced single-integral form (50 significant digits; dps-30 and
@@ -102,6 +104,13 @@ class TestEqualKinematics:
         # exactly at the light cone
         r = correlation_equal(pair(0.0, 1.0, sep=2.0), tol=1e-10)
         assert np.isclose(r.c_free.real, 0.037602960559004461, rtol=1e-8)
+
+    def test_static_radius_is_inert(self):
+        # at omega = 0 the denominator L^2 - s^2 has no R in it, so the
+        # orbit radius must not change a single bit of C
+        near, far = (correlation_equal(pair(0.0, r, sep=2.0, dz=0.5))
+                     for r in (0.02, 100.0))
+        assert near == far
 
     def test_label_swap_invariance(self):
         da = detector_from_accel_radius(0.1, 5.0, 0.02)
@@ -230,6 +239,44 @@ class TestDefinitionOracle:
         est = correlation_general_result(cfg, tol=1e-5)
         assert np.isfinite(est.value.real) and np.isfinite(est.value.imag)
         assert 0.0 < abs(est.value) < 1.0
+
+
+class TestEpsilonLadder:
+    # the ladder both oracles share, driven by stub regulator passes
+    @staticmethod
+    def stub(values, errors):
+        calls = []
+
+        def single_pass(eps):
+            calls.append(eps)
+            i = DEFAULT_EPSILONS.index(eps)
+            return QuadratureResult(values[i], errors[i], 1, True)
+
+        return single_pass, calls
+
+    def test_monotone_ladder_returns_the_limit(self):
+        values = [1.0 + 2.0 * e + 300.0 * e * e for e in DEFAULT_EPSILONS]
+        single_pass, calls = self.stub(values, [1e-9, 4e-9, 2e-9])
+        est = _epsilon_ladder(single_pass, tol=1e-6, extra_error=5e-10)
+        assert calls == list(DEFAULT_EPSILONS)
+        assert calls == sorted(calls, reverse=True)
+        ext = epsilon_extrapolate(zip(DEFAULT_EPSILONS, values))
+        assert est.monotone and ext.monotone
+        assert est.value == ext.value
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+        assert est.error_estimate == 3.0 * ext.residual + 4e-9 + 5e-10
+        assert est.samples == tuple(zip(DEFAULT_EPSILONS,
+                                        map(complex, values)))
+
+    def test_non_monotone_ladder_far_above_tol_raises(self):
+        single_pass, _ = self.stub([1.0, 1.001, 0.5], [1e-9] * 3)
+        assert not epsilon_extrapolate(
+            zip(DEFAULT_EPSILONS, [1.0, 1.001, 0.5])).monotone
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _epsilon_ladder(single_pass, tol=1e-6)
+        # within 100 max(tol, pass error) the same ladder is reported
+        est = _epsilon_ladder(single_pass, tol=1e2)
+        assert not est.monotone
 
 
 class TestPairValidation:

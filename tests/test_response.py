@@ -126,6 +126,13 @@ class TestBoundaryResponse:
                                   (12.0, 0.02, 1.0)]:
             assert transition_probability(det(accel, radius), dz, tol=1e-9).total > 0.0
 
+    def test_static_radius_is_inert(self):
+        # at omega = 0 the image denominator (2 dz)^2 - s^2 has no R in
+        # it, so the orbit radius must not change a single bit of P
+        near, far = (transition_probability(det(0.0, r), 0.5)
+                     for r in (0.02, 100.0))
+        assert near == far
+
 
 class TestFreeResponse:
     @pytest.mark.parametrize(
