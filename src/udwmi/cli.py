@@ -7,13 +7,16 @@ sweep runs a config (path or packaged preset name) and writes a CSV/JSON
 table; verify runs the oracle cross-check suite on a grid. Exit codes:
 0 all ok, 1 config error, 2 failed point (for response / correlation /
 mi also a printed value that missed its tolerance), 3 oracle-suite
-failure.
+failure. response / correlation / mi build their detectors and pair
+first: a DomainError there is a config error, one raised while
+evaluating the point a failed point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .correlation import PairConfig, correlation_equal
@@ -24,6 +27,10 @@ from .sweep import (emit_table, load_config, load_grid, point_record,
                     run_oracle_suite, run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
+
+
+class _PointFailed(Exception):
+    """A valid point whose evaluation raised a DomainError."""
 
 
 def _add_boundary_group(parser: argparse.ArgumentParser) -> None:
@@ -93,7 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dz_of(args) -> float | None:
-    return None if args.free_space else args.dz
+    if args.free_space:
+        return None
+    if not math.isfinite(args.dz) or args.dz <= 0.0:
+        raise DomainError(f"dz must be positive and finite, got {args.dz}")
+    return args.dz
 
 
 def _pair_of(args) -> PairConfig:
@@ -108,10 +119,22 @@ def _print_json(payload: dict, stream=None) -> None:
     (stream or sys.stdout).write("\n")
 
 
+def _tol_of(args) -> float:
+    if not math.isfinite(args.tol) or args.tol <= 0.0:
+        raise DomainError(f"tol must be positive and finite, got {args.tol}")
+    return args.tol
+
+
+def _evaluate(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        raise _PointFailed(exc) from exc
+
+
 def _cmd_response(args) -> int:
-    res = transition_probability(
-        detector_from_accel_radius(args.gap, args.accel, args.radius),
-        _dz_of(args), args.tol)
+    spec = detector_from_accel_radius(args.gap, args.accel, args.radius)
+    res = _evaluate(transition_probability, spec, _dz_of(args), _tol_of(args))
     _print_json({
         "total": res.total,
         "term_bounded": res.term_bounded,
@@ -127,7 +150,7 @@ def _cmd_response(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    res = correlation_equal(_pair_of(args), args.tol)
+    res = _evaluate(correlation_equal, _pair_of(args), _tol_of(args))
     _print_json({
         "method": "reduced",
         "c_total": [res.c_total.real, res.c_total.imag],
@@ -140,7 +163,7 @@ def _cmd_correlation(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    pt = mutual_information_point(_pair_of(args), args.tol)
+    pt = _evaluate(mutual_information_point, _pair_of(args), _tol_of(args))
     _print_json(point_record(pt))
     return _OK if pt.converged else _POINT_FAILURE
 
@@ -186,6 +209,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except _PointFailed as exc:
+        print(f"point failed: {exc}", file=sys.stderr)
+        return _POINT_FAILURE
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR

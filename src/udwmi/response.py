@@ -15,7 +15,9 @@ time difference and rescaling to x = gamma*omega*s/2:
   with a plus sign on both poles by the regulator.
 
 total = term_bounded + term_pv + term_inertial + term_pole. Free space
-keeps only the first and third. The image part is the image channel of
+keeps only the first and third: the detector's free-space response,
+which does not depend on dz, so transition_probability accepts it as
+free= and then adds only the image part. The image part is the image channel of
 the pair correlation for the pair (detector, detector) at zero
 separation: minus its prefactor times the folded line integral of
 correlation._reduced_line_integral at L_eff = 2 dz, whose half-residue
@@ -63,11 +65,14 @@ __all__ = [
 class ResponseBreakdown:
     """Transition probability and its four constituents.
 
-    pole_location is the image-pole position in the scaled time
-    variable, omega s0 / 2: None in free space, and 0.0 for a static
-    detector, whose pole sits at coordinate time s0 = 2 dz. notes flags
-    non-fatal substitutions, e.g. the pole lying beyond the switching
-    support."""
+    Without a mirror it is the free-space response: term_pv and
+    term_pole are 0.0, and abs_error_estimate and converged are those
+    of term_bounded. A mirror breakdown adds the image terms' error and
+    convergence to these. pole_location is the image-pole position in
+    the scaled time variable, omega s0 / 2: None in free space, and 0.0
+    for a static detector, whose pole sits at coordinate time s0 = 2 dz.
+    notes flags non-fatal substitutions, e.g. the pole lying beyond the
+    switching support."""
 
     term_bounded: float
     term_pv: float
@@ -105,25 +110,60 @@ def _bounded_kernel(x, v_sq: float):
 
 def transition_probability(spec: CircularDetectorSpec,
                            dz: float | None = None,
-                           tol: float = 1e-8) -> ResponseBreakdown:
+                           tol: float = 1e-8,
+                           free: ResponseBreakdown | None = None
+                           ) -> ResponseBreakdown:
     """Four-term transition probability of a rotating or static detector;
     dz = None drops the mirror.
 
     tol is an absolute tolerance budget on the total, split evenly over
-    the quadrature terms."""
+    the quadrature terms. free, when given, must be this detector's
+    free-space breakdown at the same tol, transition_probability(spec,
+    None, tol): its term_bounded, term_inertial, error and convergence
+    are taken as they are, so a mirror call only adds the image line
+    integral, and the result is bit-identical to a call without it.
+    dz = None returns free itself."""
     if dz is not None and (not math.isfinite(dz) or dz <= 0.0):
         raise DomainError(f"dz must be positive and finite, got {dz}")
+    if free is None:
+        free = _free_response(spec, tol)
+    if dz is None:
+        return free
 
+    # the image Wightman term of one detector is that of the pair
+    # (spec, spec) at zero separation: C's image line integral at
+    # L_eff = 2 dz, with the opposite sign
+    pref, shared = _line_params(spec, spec, tol / 4.0)
+    line = _reduced_line_integral(2.0 * dz, *shared)
+    term_pole = 0.0 - pref * line.residues  # +0.0 on the far branch
+    term_pv = -pref * (line.value - line.residues)
+    err = free.abs_error_estimate + pref * line.abs_error_estimate
+    notes = ()
+    if line.far_pole:
+        notes = ("image pole beyond switching support; "
+                 "principal value evaluated as a regular integral",)
+
+    total = free.term_bounded + term_pv + free.term_inertial + term_pole
+    return ResponseBreakdown(
+        term_bounded=float(free.term_bounded), term_pv=float(term_pv),
+        term_inertial=float(free.term_inertial), term_pole=float(term_pole),
+        total=float(total), abs_error_estimate=float(err),
+        pole_location=0.5 * spec.omega * line.pole,
+        converged=free.converged and line.converged, notes=notes)
+
+
+def _free_response(spec: CircularDetectorSpec,
+                   tol: float) -> ResponseBreakdown:
+    """The free-space breakdown for a budget tol: the singularity-
+    subtracted rotating term, to a quarter of tol, plus the inertial
+    term."""
     om, gamma, v = spec.omega, spec.gamma, spec.speed
     v_sq = v * v
     gap = spec.energy_gap
-    notes: list[str] = []
-
     term_tol = tol / 4.0
-    err = 0.0
-    evals_ok = True
 
-    # direct rotating part, singularity subtracted
+    err = 0.0
+    converged = True
     k_bounded = v_sq * gamma * om / (4.0 * math.pi ** 1.5)
     if v < 1e-12:
         # includes the static detector, where alpha and beta are undefined
@@ -141,39 +181,14 @@ def transition_probability(spec: CircularDetectorSpec,
             f_bounded, alpha, term_tol / max(k_bounded, 1e-300),
             initial_panels=n0)
         term_bounded = k_bounded * res.value
-        err += k_bounded * res.abs_error_estimate
-        evals_ok = evals_ok and res.converged
+        err = k_bounded * res.abs_error_estimate
+        converged = res.converged
 
     term_inertial = inertial_response(gap)
-
-    if dz is None:
-        total = term_bounded + term_inertial
-        return ResponseBreakdown(
-            term_bounded=term_bounded, term_pv=0.0,
-            term_inertial=term_inertial, term_pole=0.0, total=total,
-            abs_error_estimate=err, pole_location=None,
-            converged=evals_ok, notes=tuple(notes))
-
-    # the image Wightman term of one detector is that of the pair
-    # (spec, spec) at zero separation: C's image line integral at
-    # L_eff = 2 dz, with the opposite sign
-    pref, shared = _line_params(spec, spec, term_tol)
-    line = _reduced_line_integral(2.0 * dz, *shared)
-    term_pole = 0.0 - pref * line.residues  # +0.0 on the far branch
-    term_pv = -pref * (line.value - line.residues)
-    err += pref * line.abs_error_estimate
-    evals_ok = evals_ok and line.converged
-    if line.far_pole:
-        notes.append("image pole beyond switching support; "
-                     "principal value evaluated as a regular integral")
-
-    total = term_bounded + term_pv + term_inertial + term_pole
     return ResponseBreakdown(
-        term_bounded=float(term_bounded), term_pv=float(term_pv),
-        term_inertial=float(term_inertial), term_pole=float(term_pole),
-        total=float(total), abs_error_estimate=float(err),
-        pole_location=0.5 * om * line.pole, converged=evals_ok,
-        notes=tuple(notes))
+        term_bounded=term_bounded, term_pv=0.0, term_inertial=term_inertial,
+        term_pole=0.0, total=term_bounded + term_inertial,
+        abs_error_estimate=err, pole_location=None, converged=converged)
 
 
 def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,

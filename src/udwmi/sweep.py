@@ -4,12 +4,14 @@ A sweep is one axis (separation, boundary distance, acceleration, or
 energy gap) swept over a fixed background of the remaining parameters,
 once per gap-detuning ratio. Rows share sub-results: P_A repeats along
 a separation axis, the direct correlation part along a boundary-distance
-axis. So a sweep is lowered to its distinct transition probabilities
-and line integrals, these run data-parallel, once each, and every row
-is assembled from the ones it uses. Output order is fixed by (curve,
-axis index) so files are byte-identical whatever the worker count. A
-failing point keeps its row with a fail status instead of aborting the
-run.
+axis, and a detector's free-space response at every height it sits at.
+So a sweep is lowered to its distinct free-space responses, mirror
+transition probabilities (each adding its image terms to its detector's
+free-space response) and line integrals; these run data-parallel, once
+each, and every row is assembled from the ones it uses. Output order is
+fixed by (curve, axis index) so files are byte-identical whatever the
+worker count. A failing point keeps its row with a fail status instead
+of aborting the run.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The UDWMI_WORKERS environment
@@ -290,11 +292,16 @@ def _warning_tags(wlog) -> frozenset[str]:
 def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     """Lower a sweep into its rows and the distinct calls they need.
 
-    A task is one (function, arguments) call, listed once, in the order
-    rows first use it: transition_probability on a response key (detector,
-    height, tol) or _reduced_line_integral on a line-integral key (its
-    full argument tuple). Equal keys give equal results, so every row is
-    made from exactly the calls a single-point evaluation would make.
+    A task is one (function, arguments, free task index or None) call,
+    listed once, in the order rows first use it. A free task is
+    transition_probability on (detector, None, tol): a detector's
+    free-space response, or its whole P without a mirror. A mirror task
+    is transition_probability on (detector, height, tol) and names the
+    detector's free task, which it gets as free= and which always comes
+    before it; the rest are _reduced_line_integral on a line-integral
+    key (its full argument tuple). Equal keys give equal results, and
+    free= leaves P bit-identical, so every row is made from exactly the
+    values a single-point evaluation would compute.
 
     A row plan is (params, status, task indices, C prefactor). The
     indices follow the order a single point evaluates its terms: P_A,
@@ -310,6 +317,12 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
             tasks.append(task)
         return index[task]
 
+    def response(det, dz) -> int:
+        free = use((transition_probability, (det, None, spec.tol), None))
+        if dz is None:
+            return free
+        return use((transition_probability, (det, dz, spec.tol), free))
+
     plans = []
     for params in spec.point_params():
         try:
@@ -319,24 +332,35 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
             continue
         dz_b = None if pair.dz is None else pair.dz + pair.sep
         pref, lines = _line_integral_args(pair, spec.tol)
-        keys = (use((transition_probability, (pair.det_a, pair.dz, spec.tol))),
-                use((transition_probability, (pair.det_b, dz_b, spec.tol))),
-                *(use((_reduced_line_integral, args)) for args in lines))
+        keys = (response(pair.det_a, pair.dz), response(pair.det_b, dz_b),
+                *(use((_reduced_line_integral, args, None)) for args in lines))
         plans.append((params, None, keys, pref))
     return plans, tasks
 
 
-def _evaluate_task(task: tuple) -> tuple:
+def _evaluate_task(item: tuple) -> tuple:
     """Worker: one distinct sub-result as (value, fail status or None,
-    warning tags). Never raises; the rows using a failed task fail."""
-    fn, args = task
+    warning tags) of a (function, arguments, free result or None) item.
+    Never raises; the rows using a failed task fail.
+
+    A mirror task whose free task failed takes that result, fail status
+    and tags, without running: the failure a single point would meet
+    first. Otherwise the free result is passed as free= and its warning
+    tags join the task's own."""
+    fn, args, free = item
+    kwargs, free_tags = {}, frozenset()
+    if free is not None:
+        value, fail, free_tags = free
+        if fail is not None:
+            return free
+        kwargs["free"] = value
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
-            value = fn(*args)
+            value = fn(*args, **kwargs)
     except Exception as exc:  # per-point isolation is the contract
         return None, _fail_status(exc), frozenset()
-    return value, None, _warning_tags(wlog)
+    return value, None, free_tags | _warning_tags(wlog)
 
 
 def _assemble(status: str | None, keys: tuple[int, ...], pref: float,
@@ -387,15 +411,47 @@ def _resolve_workers(requested: int | None) -> int:
 
 
 def _map_tasks(fn, tasks, workers: int | None):
-    """Iterator over fn of each task, in order. Serially each result is
-    made when it is taken, so run_sweep assembles every row right after
-    the tasks it first needs and a serial run's calls group by row."""
+    """Iterator over fn of each task, in order, computed lazily when
+    serial and all at once on a process pool otherwise."""
     n = _resolve_workers(workers)
     if n == 1 or len(tasks) <= 1:
         return (fn(t) for t in tasks)
-    chunk = max(1, len(tasks) // (4 * n))
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return iter(list(pool.map(fn, tasks, chunksize=chunk)))
+        return iter(_pool_map(pool, fn, tasks, n))
+
+
+def _pool_map(pool, fn, tasks, workers: int) -> list:
+    return list(pool.map(fn, tasks,
+                         chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _evaluate_plan(tasks: list[tuple], workers: int):
+    """Iterator over the evaluated tasks of a plan, in order.
+
+    Serially each result is made when it is taken, so run_sweep assembles
+    every row right after the tasks it first needs and a serial run's
+    calls group by row; a free task comes before the mirror tasks that
+    need it. With workers, the independent tasks (free P and line
+    integrals) are mapped first, then the mirror tasks with their free
+    result bound in, on one pool."""
+    if workers == 1 or len(tasks) <= 1:
+        results = []
+        for fn, args, dep in tasks:
+            results.append(_evaluate_task(
+                (fn, args, None if dep is None else results[dep])))
+            yield results[-1]
+        return
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for dependent in (False, True):
+            order = [i for i, task in enumerate(tasks)
+                     if (task[2] is not None) == dependent]
+            items = [(fn, args, None if dep is None else results[dep])
+                     for fn, args, dep in (tasks[i] for i in order)]
+            for i, res in zip(order, _pool_map(pool, _evaluate_task, items,
+                                               workers)):
+                results[i] = res
+    yield from results
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
@@ -403,9 +459,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     axis-minor) independent of worker count.
 
     Each distinct transition probability and line integral of the sweep
-    is evaluated once, and every row is assembled from the ones it uses."""
+    is evaluated once, each detector's free-space response too, and every
+    row is assembled from the ones it uses."""
     plans, tasks = _plan(spec)
-    stream = _map_tasks(_evaluate_task, tasks, workers)
+    stream = _evaluate_plan(tasks, _resolve_workers(workers))
     results: list = []
     rows = []
     for params, status, keys, pref in plans:

@@ -115,6 +115,23 @@ class TestMiCommand:
         assert rc == 1
         assert "config error" in err
 
+    def test_failed_point_is_not_config_error(self, capsys):
+        # a valid pair whose P_A + P_B exceeds 1: evaluating the point
+        # fails, the configuration is fine
+        with pytest.warns(PerturbativeRegimeWarning):
+            rc, out, err = run_cli(capsys, [
+                "mi", "--accel", "30", "--radius", "1", "--sep", "1",
+                "--dz", "1"])
+        assert rc == 2
+        assert "config error" not in err
+        assert "point failed" in err and "exceeds 1" in err
+        assert out == ""
+
+    def test_invalid_tol_is_config_error(self, capsys):
+        rc, out, err = run_cli(capsys, ["mi", *CHEAP_POINT, "--tol", "-1"])
+        assert rc == 1
+        assert "config error" in err
+
     def test_missed_tolerance_exits_2(self, capsys):
         # at tol 1e-12 the bounded response term stops at its roundoff
         # floor: the record is printed, but the point did not converge
@@ -179,7 +196,7 @@ class TestSweepCommand:
                                       monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def always_fail(det, dz, tol):
+        def always_fail(det, dz, tol, free=None):
             raise RuntimeError("forced point failure")
 
         monkeypatch.setattr(sweep_mod, "transition_probability", always_fail)

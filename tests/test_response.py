@@ -160,6 +160,37 @@ class TestFreeResponse:
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
 
+def exact(r):
+    """Every field of a breakdown, floats as their exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in vars(r).items()}
+
+
+class TestFreeReuse:
+    # a mirror P given its detector's free-space breakdown only adds the
+    # image terms; the result must not differ in a single bit
+    @pytest.mark.parametrize("accel,radius,gap,dz,tol", [
+        (1.0, 1.0, GAP, 1.0, 1e-8),      # rotating
+        (0.0, 1.0, 0.5, 0.5, 1e-8),      # static
+        (0.1, 10.0, GAP, 50.0, 1e-10),   # far pole, flagged in the notes
+        (5.0, 10.0, 0.5, 1.0, 1e-12),    # bounded term unconverged
+    ], ids=["rotating", "static", "far-pole", "unconverged"])
+    def test_free_reuse_is_bit_identical(self, accel, radius, gap, dz, tol):
+        d = det(accel, radius, gap)
+        free = transition_probability(d, None, tol)
+        plain = transition_probability(d, dz, tol)
+        reused = transition_probability(d, dz, tol, free=free)
+        assert exact(reused) == exact(plain)
+        if tol == 1e-12:
+            assert not free.converged and not reused.converged
+        if dz == 50.0:
+            assert reused.notes and not free.notes
+
+    def test_free_space_returns_free(self):
+        free = transition_probability(det(1.0, 1.0), None)
+        assert transition_probability(det(1.0, 1.0), None, free=free) is free
+
+
 class TestDefinitionOracle:
     # the oracle integrates the defining double quadrature at three
     # regulator values and extrapolates; it shares no code with the

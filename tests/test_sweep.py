@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udwmi import correlation
+from udwmi import correlation, response
 from udwmi.correlation import PairConfig, _reduced_line_integral
 from udwmi.infomeasure import (PerturbativeRegimeWarning,
                                mutual_information_point)
@@ -333,13 +333,19 @@ class TestPlanner:
         from udwmi import sweep as sweep_mod
 
         probabilities = []
+        bounded = []
         direct_lines = []
         tp = sweep_mod.transition_probability
+        quad = response.integrate_semiinfinite_gaussian
         line = _reduced_line_integral
 
-        def counted_tp(*args):
-            probabilities.append(args)
-            return tp(*args)
+        def counted_tp(spec, dz=None, tol=1e-8, free=None):
+            probabilities.append((spec, dz, tol))
+            return tp(spec, dz, tol, free=free)
+
+        def counted_quad(*args, **kwargs):
+            bounded.append(args)
+            return quad(*args, **kwargs)
 
         def counted_line(L_eff, *args):
             if L_eff == 1.0:
@@ -347,6 +353,8 @@ class TestPlanner:
             return line(L_eff, *args)
 
         monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
+        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+                            counted_quad)
         monkeypatch.setattr(correlation, "_reduced_line_integral", counted_line)
         monkeypatch.setattr(sweep_mod, "_reduced_line_integral", counted_line,
                             raising=False)
@@ -354,13 +362,51 @@ class TestPlanner:
         run_sweep(cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
                                             points=n)), workers=1)
         # P_A is one value along the curve, P_B one per height
-        assert len(probabilities) == n + 1
+        assert sum(dz is not None for _, dz, _ in probabilities) == n + 1
+        # both detectors are one detector: its free-space response, the
+        # bounded quadrature, runs once, not once per mirror P
+        assert len(bounded) == 1
         # the direct part does not depend on dz: one per curve (per k)
         direct_lines.clear()
         dz_axis = SweepAxis(name="dz", start=0.2, stop=2.0, points=4)
         run_sweep(cheap_spec(axis=dz_axis, dz=None, sep=1.0,
                              gap_ratios=(0.0, 0.5)), workers=1)
         assert len(direct_lines) == 2
+
+    def test_failed_free_response_fails_its_rows(self, monkeypatch):
+        # the bounded quadrature of the accel = 0.5 detector raises: the
+        # rows using that detector carry the status a single point gives,
+        # the others are untouched
+        spec = cheap_spec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
+                                         points=3))
+        clean = run_sweep(spec, workers=1)
+        broken = detector_from_accel_radius(spec.gap_a, 0.5, spec.radius)
+        alpha = 1.0 / (broken.gamma * broken.omega) ** 2
+        quad = response.integrate_semiinfinite_gaussian
+
+        def failing_quad(f, a, *args, **kwargs):
+            if a == alpha:
+                raise RuntimeError("forced bounded-term failure")
+            return quad(f, a, *args, **kwargs)
+
+        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+                            failing_quad)
+        rows = run_sweep(spec, workers=1)
+        expected = [reference_record(p, spec.tol) for p in spec.point_params()]
+        assert [bits(r.to_record()) for r in rows] == \
+            [bits(e) for e in expected]
+        assert rows[1].status == \
+            "fail:RuntimeError:forced bounded-term failure"
+        assert (rows[0], rows[2]) == (clean[0], clean[2])
+
+    def test_mirror_task_of_failed_free_task_does_not_run(self):
+        from udwmi.sweep import _evaluate_task
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran")
+
+        failed = (None, "fail:RuntimeError:free", frozenset())
+        assert _evaluate_task((never, (), failed)) is failed
 
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
