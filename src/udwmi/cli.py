@@ -23,8 +23,8 @@ from .correlation import PairConfig, correlation_equal
 from .infomeasure import mutual_information_point
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability
-from .sweep import (emit_table, load_config, load_grid, point_record,
-                    run_oracle_suite, run_sweep)
+from .sweep import (emit_table, load_config, point_record, run_oracle_suite,
+                    run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
 
@@ -181,7 +181,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_oracle_suite(load_grid(args.grid), workers=args.workers)
+    report = run_oracle_suite(args.grid, workers=args.workers)
     if args.out:
         with open(args.out, "w") as f:
             _print_json(report, f)

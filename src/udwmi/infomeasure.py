@@ -204,10 +204,15 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     if isinstance(pair, PointTerms):
         terms = pair
     else:
+        # equal detectors share one free-space response, which free=
+        # leaves bit-identical
         dz_b = None if pair.dz is None else pair.dz + pair.sep
-        terms = PointTerms(transition_probability(pair.det_a, pair.dz, tol),
-                           transition_probability(pair.det_b, dz_b, tol),
-                           correlation_equal(pair, tol))
+        free = (transition_probability(pair.det_a, None, tol)
+                if pair.det_b == pair.det_a else None)
+        terms = PointTerms(
+            transition_probability(pair.det_a, pair.dz, tol, free),
+            transition_probability(pair.det_b, dz_b, tol, free),
+            correlation_equal(pair, tol))
     resp_a, resp_b, corr = terms
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate
     p_b, err_b = resp_b.total, resp_b.abs_error_estimate

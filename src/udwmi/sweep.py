@@ -11,7 +11,8 @@ free-space response) and line integrals; these run data-parallel, once
 each, and every row is assembled from the ones it uses. Output order is
 fixed by (curve, axis index) so files are byte-identical whatever the
 worker count. A failing point keeps its row with a fail status instead
-of aborting the run.
+of aborting the run. The oracle suite runs its points through the same
+task runner, one process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The UDWMI_WORKERS environment
@@ -153,6 +154,8 @@ class SweepSpec:
                               "or dz is the swept axis")
         if self.free_space and self.axis.name == "dz":
             raise DomainError("sweeping dz makes no sense in free space")
+        if self.free_space and self.dz is not None:
+            raise DomainError("dz makes no sense in free space")
 
     @classmethod
     def from_mapping(cls, cfg: dict) -> "SweepSpec":
@@ -193,13 +196,13 @@ class SweepSpec:
             for v in values:
                 gap_a = self.gap_a
                 sep = self.sep
-                dz = None if self.free_space else self.dz
+                dz = self.dz
                 accel = self.accel
                 v = float(v)
                 if self.axis.name == "sep":
                     sep = v
                 elif self.axis.name == "dz":
-                    dz = None if self.free_space else v
+                    dz = v
                 elif self.axis.name == "accel":
                     accel = v
                 else:
@@ -271,7 +274,7 @@ def point_record(pt: PairPointResult) -> dict:
         pt.p_a, pt.p_b, c.c_total.real, c.c_total.imag, abs(c.c_total),
         c.c_free.real, c.c_free.imag, c.c_boundary.real, c.c_boundary.imag,
         pt.l_plus, pt.l_minus, pt.mutual_info, pt.positivity_slack,
-        pt.abs_error_estimate)))
+        pt.abs_error_estimate), strict=True))
 
 
 def _one_line(text: str, limit: int = 200) -> str:
@@ -410,34 +413,21 @@ def _resolve_workers(requested: int | None) -> int:
     return max(1, n)
 
 
-def _map_tasks(fn, tasks, workers: int | None):
-    """Iterator over fn of each task, in order, computed lazily when
-    serial and all at once on a process pool otherwise."""
-    n = _resolve_workers(workers)
-    if n == 1 or len(tasks) <= 1:
-        return (fn(t) for t in tasks)
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return iter(_pool_map(pool, fn, tasks, n))
+def _evaluate_plan(evaluate, tasks: list[tuple], workers: int):
+    """Iterator over evaluate of each (function, arguments, dependency)
+    task, in order; the one task runner of sweeps and the oracle suite.
 
-
-def _pool_map(pool, fn, tasks, workers: int) -> list:
-    return list(pool.map(fn, tasks,
-                         chunksize=max(1, len(tasks) // (4 * workers))))
-
-
-def _evaluate_plan(tasks: list[tuple], workers: int):
-    """Iterator over the evaluated tasks of a plan, in order.
-
-    Serially each result is made when it is taken, so run_sweep assembles
-    every row right after the tasks it first needs and a serial run's
-    calls group by row; a free task comes before the mirror tasks that
-    need it. With workers, the independent tasks (free P and line
-    integrals) are mapped first, then the mirror tasks with their free
-    result bound in, on one pool."""
+    evaluate gets (function, arguments, result of the dependency task or
+    None). Serially each result is made when it is taken, so run_sweep
+    assembles every row right after the tasks it first needs and a
+    serial run's calls group by row; a dependency comes before the tasks
+    that need it. With workers, the tasks without a dependency are
+    mapped first, then the rest with their dependency's result bound in,
+    on one pool."""
     if workers == 1 or len(tasks) <= 1:
         results = []
         for fn, args, dep in tasks:
-            results.append(_evaluate_task(
+            results.append(evaluate(
                 (fn, args, None if dep is None else results[dep])))
             yield results[-1]
         return
@@ -448,8 +438,9 @@ def _evaluate_plan(tasks: list[tuple], workers: int):
                      if (task[2] is not None) == dependent]
             items = [(fn, args, None if dep is None else results[dep])
                      for fn, args, dep in (tasks[i] for i in order)]
-            for i, res in zip(order, _pool_map(pool, _evaluate_task, items,
-                                               workers)):
+            chunksize = max(1, len(items) // (4 * workers))
+            for i, res in zip(order, pool.map(evaluate, items,
+                                              chunksize=chunksize)):
                 results[i] = res
     yield from results
 
@@ -462,7 +453,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     is evaluated once, each detector's free-space response too, and every
     row is assembled from the ones it uses."""
     plans, tasks = _plan(spec)
-    stream = _evaluate_plan(tasks, _resolve_workers(workers))
+    stream = _evaluate_plan(_evaluate_task, tasks, _resolve_workers(workers))
     results: list = []
     rows = []
     for params, status, keys, pref in plans:
@@ -585,42 +576,28 @@ def _pair_from_params(p: dict) -> PairConfig:
     return PairConfig(det_a=det_a, det_b=det_b, sep=p["sep"], dz=p.get("dz"))
 
 
-def _response_value(params: dict) -> tuple[float, float]:
+def _suite_response_point(params: dict) -> dict:
     spec = detector_from_accel_radius(params["gap"], params["accel"],
                                       params["radius"])
     res = transition_probability(spec, params.get("dz"))
-    return res.total, res.abs_error_estimate
-
-
-def _response_oracle_value(params: dict) -> tuple[float, float]:
-    spec = detector_from_accel_radius(params["gap"], params["accel"],
-                                      params["radius"])
     est = transition_probability_oracle_result(spec, params.get("dz"))
-    return float(est.value), est.error_estimate
-
-
-def _correlation_value(params: dict) -> tuple[complex, float, complex]:
-    res = correlation_equal(_pair_from_params(params))
-    return res.c_total, res.abs_error_estimate, res.c_boundary
-
-
-def _correlation_oracle_value(params: dict) -> tuple[complex, float]:
-    est = correlation_general_result(_pair_from_params(params))
-    return est.value, est.error_estimate
-
-
-def _suite_response_point(params: dict) -> dict:
-    value, err = _response_value(params)
-    oracle, oerr = _response_oracle_value(params)
-    return _deviation_record(params, value, err, oracle, oerr)
+    return _deviation_record(params, res.total, res.abs_error_estimate,
+                             float(est.value), est.error_estimate)
 
 
 def _suite_correlation_point(params: dict) -> dict:
-    value, err, c_boundary = _correlation_value(params)
-    oracle, oerr = _correlation_oracle_value(params)
-    rec = _deviation_record(params, value, err, oracle, oerr)
-    rec["c_boundary"] = [c_boundary.real, c_boundary.imag]
+    pair = _pair_from_params(params)
+    res = correlation_equal(pair)
+    est = correlation_general_result(pair)
+    rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
+                            est.value, est.error_estimate)
+    rec["c_boundary"] = [res.c_boundary.real, res.c_boundary.imag]
     return rec
+
+
+def _call(item: tuple):
+    fn, args, _ = item
+    return fn(*args)
 
 
 def _deviation_record(params, value, err, oracle, oerr) -> dict:
@@ -644,18 +621,28 @@ def _deviation_record(params, value, err, oracle, oerr) -> dict:
     }
 
 
-def run_oracle_suite(grid: dict, *, workers: int | None = None) -> dict:
+def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
     """Cross-check the fast paths against the definition-level oracles
-    on a grid of points; pass/fail against the grid's rel_tol (default
-    1e-3 relative deviation)."""
+    on a grid (a JSON path, preset name, or mapping) of points;
+    pass/fail against the grid's rel_tol (default 1e-3 relative
+    deviation).
+
+    The response and then the correlation points are one task list on
+    _evaluate_plan. Unlike a sweep row, a point does not fail alone: its
+    exception (a DomainError for a bad point, a RuntimeError for an
+    oracle that did not converge) ends the suite, and its warnings are
+    passed on."""
     grid = load_grid(grid)
     rel_tol = float(grid["rel_tol"])
     if rel_tol <= 0.0:
         raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
-    resp_records = list(_map_tasks(_suite_response_point,
-                                   grid["response_points"], workers))
-    corr_records = list(_map_tasks(_suite_correlation_point,
-                                   grid["correlation_points"], workers))
+    resp_points = grid["response_points"]
+    tasks = ([(_suite_response_point, (p,), None) for p in resp_points]
+             + [(_suite_correlation_point, (p,), None)
+                for p in grid["correlation_points"]])
+    records = list(_evaluate_plan(_call, tasks, _resolve_workers(workers)))
+    resp_records = records[:len(resp_points)]
+    corr_records = records[len(resp_points):]
 
     def section(records):
         max_rel = max((r["rel_dev"] for r in records), default=0.0)

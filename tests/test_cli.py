@@ -260,6 +260,16 @@ class TestVerifyCommand:
         assert rc == 1
         assert "config error" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_grid_point_is_config_error(self, capsys, tmp_path, workers):
+        bad = {"gap": 0.1, "accel": 1.0, "radius": -1.0, "dz": 1.0}
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps({"response_points": [bad, bad]}))
+        rc, out, err = run_cli(capsys, [
+            "verify", "--grid", str(p), "--workers", workers])
+        assert rc == 1
+        assert "radius must be positive" in err
+
 
 class TestNoProductionOracle:
     # the definition-level oracles judge the reduced formulas; no

@@ -7,6 +7,7 @@ formula is the leading-order truncation of that quantity, so the two
 agree up to a correction of order (P_A + P_B)^2 that is independent of
 the correlation entry.
 """
+import dataclasses
 import math
 import warnings
 
@@ -15,11 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udwmi.correlation import PairConfig
+from udwmi import response
+from udwmi.correlation import PairConfig, correlation_equal
 from udwmi.infomeasure import (DensityBlock, PerturbativeRegimeWarning,
-                               assemble_density_block, mutual_information,
-                               mutual_information_point)
+                               PointTerms, assemble_density_block,
+                               mutual_information, mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
+from udwmi.response import transition_probability
+
+
+def float_bits(value):
+    """A nested tuple with every float and complex as exact hex forms."""
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    return value.hex() if isinstance(value, float) else value
 
 
 def eigen_oracle_info(p_a, p_b, c):
@@ -255,6 +267,34 @@ class TestEndToEndPoint:
         assert abs(res.corr.c_total) == pytest.approx(tail, rel=5e-3)
         assert res.mutual_info < 1e-6
         assert res.mutual_info > 0.0
+
+    @pytest.mark.parametrize("dz", [None, 1.0])
+    @pytest.mark.parametrize("gap_b, bounded_calls", [(1.0, 1), (1.5, 2)])
+    def test_equal_detectors_share_the_free_response(self, monkeypatch, dz,
+                                                     gap_b, bounded_calls):
+        # equal detectors run the bounded quadrature of their free-space
+        # response once, and the point is bit-identical to evaluating
+        # each detector's P on its own
+        det_a = detector_from_accel_radius(1.0, 0.1, 0.02)
+        det_b = detector_from_accel_radius(gap_b, 0.1, 0.02)
+        pair = PairConfig(det_a=det_a, det_b=det_b, sep=2.0, dz=dz)
+        dz_b = None if dz is None else dz + 2.0
+        expected = mutual_information_point(PointTerms(
+            transition_probability(det_a, dz),
+            transition_probability(det_b, dz_b), correlation_equal(pair)))
+        calls = []
+        bounded = response.integrate_semiinfinite_gaussian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bounded(*args, **kwargs)
+
+        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+                            counted)
+        pt = mutual_information_point(pair)
+        assert len(calls) == bounded_calls
+        assert float_bits(dataclasses.astuple(pt)) == \
+            float_bits(dataclasses.astuple(expected))
 
     def test_unequal_kinematics_rejected(self):
         # only a pair on one orbit kinematics has a reduced correlation;

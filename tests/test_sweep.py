@@ -16,9 +16,10 @@ from udwmi.correlation import PairConfig, _reduced_line_integral
 from udwmi.infomeasure import (PerturbativeRegimeWarning,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
-from udwmi.sweep import (AXIS_NAMES, COLUMNS, SweepAxis, SweepSpec,
-                         count_interior_maxima, emit_table, load_config,
-                         load_grid, point_record, run_oracle_suite, run_sweep)
+from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
+                         SweepSpec, count_interior_maxima, emit_table,
+                         load_config, load_grid, point_record,
+                         run_oracle_suite, run_sweep)
 
 CHEAP = dict(gap_a=0.5, accel=0.1, radius=1.0, dz=0.5)
 
@@ -81,6 +82,16 @@ class TestSpec:
         axis = SweepAxis(name="dz", start=0.5, stop=2.0, points=3)
         with pytest.raises(DomainError):
             SweepSpec(axis=axis, free_space=True)
+
+    def test_free_space_with_dz_rejected(self):
+        axis = SweepAxis(name="sep", start=0.5, stop=2.0, points=3)
+        with pytest.raises(DomainError, match="free space"):
+            SweepSpec(axis=axis, free_space=True, dz=0.1)
+        with pytest.raises(DomainError, match="free space"):
+            SweepSpec.from_mapping({
+                "axis": {"name": "sep", "start": 0.5, "stop": 2.0,
+                         "points": 3},
+                "free_space": True, "dz": 0.1})
 
     def test_parameter_validation(self):
         axis = SweepAxis(name="sep", start=0.5, stop=2.0, points=3)
@@ -290,7 +301,7 @@ def reference_record(params, tol):
             pt = mutual_information_point(pair, tol)
     except Exception as exc:
         detail = " ".join(str(exc).split())[:200]
-        return {**params, **dict.fromkeys(COLUMNS[7:21], math.nan),
+        return {**params, **dict.fromkeys(_OUTPUT_COLUMNS, math.nan),
                 "status": f"fail:{type(exc).__name__}:{detail}"}
     tags = {"perturbative" if issubclass(w.category, PerturbativeRegimeWarning)
             else "quadrature" for w in wlog}
@@ -304,6 +315,27 @@ def bits(record):
     """A record with every float as its exact hex form, NaN included."""
     return {k: v.hex() if isinstance(v, float) else v
             for k, v in record.items()}
+
+
+def float_bits(value):
+    """A nested report with every float as its exact hex form."""
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [float_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestPointRecord:
+    def test_output_columns_are_named_in_order(self):
+        assert _OUTPUT_COLUMNS == ("P_A", "P_B", "ReC", "ImC", "absC",
+                                   "ReC1", "ImC1", "ReC2", "ImC2", "Lplus",
+                                   "Lminus", "I", "slack", "err")
+        det = detector_from_accel_radius(CHEAP["gap_a"], CHEAP["accel"],
+                                         CHEAP["radius"])
+        pt = mutual_information_point(
+            PairConfig(det_a=det, det_b=det, sep=1.0, dz=CHEAP["dz"]))
+        assert tuple(point_record(pt)) == _OUTPUT_COLUMNS
 
 
 class TestPlanner:
@@ -586,16 +618,20 @@ class TestOracleSuite:
     def test_corrupted_response_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        value_fn = sweep_mod._response_value
+        value_fn = sweep_mod.transition_probability
 
-        def corrupted(params):
-            value, err = value_fn(params)
-            return value * 1.01, err
+        def corrupted(*args):
+            res = value_fn(*args)
+            return dataclasses.replace(res, total=res.total * 1.01)
 
-        monkeypatch.setattr(sweep_mod, "_response_value", corrupted)
+        monkeypatch.setattr(sweep_mod, "transition_probability", corrupted)
         # correlation zeroed out so only the response check runs
-        monkeypatch.setattr(sweep_mod, "_correlation_value",
-                            lambda p: (0.0 + 0.0j, 0.0, 0.0 + 0.0j))
+        monkeypatch.setattr(sweep_mod, "correlation_equal",
+                            lambda pair: correlation.CorrelationResult(
+                                0j, 0j, 0j, 0.0, True))
+        monkeypatch.setattr(sweep_mod, "correlation_general_result",
+                            lambda pair: correlation.OracleEstimate(
+                                0j, 0.0, (), True))
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
         assert rep["response"]["max_rel_dev"] > 5e-3
@@ -604,19 +640,38 @@ class TestOracleSuite:
     def test_corrupted_correlation_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        value_fn = sweep_mod._correlation_value
+        value_fn = sweep_mod.correlation_equal
 
-        def corrupted(params):
-            value, err, c_boundary = value_fn(params)
-            return value * (1.0 + 5e-3), err, c_boundary
+        def corrupted(pair):
+            res = value_fn(pair)
+            return dataclasses.replace(res, c_total=res.c_total * (1.0 + 5e-3))
 
-        monkeypatch.setattr(sweep_mod, "_response_value", lambda p: (0.0, 0.0))
-        monkeypatch.setattr(sweep_mod, "_response_oracle_value",
-                            lambda p: (0.0, 0.0))
-        monkeypatch.setattr(sweep_mod, "_correlation_value", corrupted)
+        # response zeroed out so only the correlation check runs
+        monkeypatch.setattr(sweep_mod, "transition_probability",
+                            lambda spec, dz: response.ResponseBreakdown(
+                                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True))
+        monkeypatch.setattr(sweep_mod, "transition_probability_oracle_result",
+                            lambda spec, dz: correlation.OracleEstimate(
+                                0.0, 0.0, (), True))
+        monkeypatch.setattr(sweep_mod, "correlation_equal", corrupted)
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
         assert rep["correlation"]["max_rel_dev"] > 2e-3
+
+    def test_pool_report_is_bit_identical(self, smoke_report):
+        pooled = run_oracle_suite("oracle_grid_smoke", workers=2)
+        assert float_bits(pooled) == float_bits(smoke_report)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_point_raises(self, workers):
+        # two points, so that workers=2 maps them on the pool
+        grid = {"response_points": [{"gap": 0.1, "accel": 1.0,
+                                     "radius": -1.0, "dz": 1.0}],
+                "correlation_points": [{"gap_a": 0.1, "gap_b": 0.1,
+                                        "accel": 1.0, "radius": -1.0,
+                                        "sep": 1.0, "dz": 1.0}]}
+        with pytest.raises(DomainError, match="radius must be positive"):
+            run_oracle_suite(grid, workers=workers)
 
     def test_bad_rel_tol_rejected(self):
         grid = load_grid("oracle_grid_smoke")
