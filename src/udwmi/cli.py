@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process count (UDWMI_WORKERS caps it)")
+                         help="process count (default: the CPUs this "
+                         "process may use, at most 8)")
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-check "
                                              "suite on a grid")

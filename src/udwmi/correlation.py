@@ -241,12 +241,6 @@ def _reduced_line_integral(L_eff: float, radius: float, omega: float,
     )
 
 
-def _require_equal_kinematics(pair: PairConfig, what: str) -> None:
-    if not pair.equal_kinematics:
-        raise DomainError(f"{what} requires both detectors on the same orbit "
-                          "kinematics (equal accel and radius)")
-
-
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                  tol: float) -> tuple[float, tuple]:
     """The prefactor of the C between det_a and det_b, both on det_a's
@@ -313,7 +307,9 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
 
     tol is an absolute tolerance on C. The direct and image integrals
     differ only by the effective separation (L versus L + 2 dz)."""
-    _require_equal_kinematics(pair, "correlation_equal")
+    if not pair.equal_kinematics:
+        raise DomainError("correlation_equal requires both detectors on the "
+                          "same orbit kinematics (equal accel and radius)")
     pref, args = _line_integral_args(pair, tol)
     return _correlation_from_lines(
         pref, [_reduced_line_integral(*a) for a in args])
@@ -363,7 +359,8 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
         w = wight(pa, pb, eps)
         gauss = np.exp(-t * t / (2.0 * gb * gb) - tp * tp / (2.0 * ga * ga))
         phase = np.exp(1j * (gap_b * t / gb - gap_a * tp / ga))
-        return jac * ((gauss * phase * w) @ u_weights)
+        # einsum, not BLAS: no native thread pool under the process pool
+        return jac * np.einsum("ij,j->i", gauss * phase * w, u_weights)
 
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from scipy.special import xlogy
 
@@ -62,27 +62,18 @@ class PerturbativeRegimeWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class DensityBlock:
-    """Leading-order single-excitation block of the joint state.
-
-    x_omitted records that the double-excitation coherence is not part
-    of this representation (it does not enter the mutual information at
-    leading order)."""
+    """Leading-order single-excitation block of the joint state. Build
+    it with assemble_density_block; mutual_information applies the
+    positivity bound."""
 
     p_a: float
     p_b: float
     c: complex
-    x_omitted: ClassVar[bool] = True
 
     @property
     def positivity_slack(self) -> float:
         """P_A P_B - |C|^2; negative means the block is not a state."""
         return self.p_a * self.p_b - abs(self.c) ** 2
-
-    @property
-    def positivity_ok(self) -> bool:
-        return (self.p_a >= 0.0 and self.p_b >= 0.0
-                and self.p_a + self.p_b <= 1.0
-                and self.positivity_slack >= -1e-9)
 
 
 def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:

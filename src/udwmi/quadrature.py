@@ -186,8 +186,7 @@ def gaussian_truncation_point(alpha: float, tol: float) -> float:
 
 
 def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
-                                    initial_panels: int = 8,
-                                    max_panels: int = 20000) -> QuadratureResult:
+                                    initial_panels: int = 8) -> QuadratureResult:
     """Integral of f over [0, inf) for f bounded by a Gaussian envelope.
 
     f must decay at least like exp(-alpha x^2) times a slowly varying
@@ -196,8 +195,7 @@ def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
     """
     x_max = gaussian_truncation_point(alpha, tol)
     res = integrate_adaptive(f, 0.0, x_max, tol,
-                             initial_panels=initial_panels,
-                             max_panels=max_panels)
+                             initial_panels=initial_panels)
     # Tail bound: sample the envelope-compensated magnitude near the cutoff.
     xs = np.array([0.90, 0.95, 1.0]) * x_max
     fs = np.abs(np.asarray(f(xs)))
@@ -235,11 +233,12 @@ def principal_value_integral(g, pole: float, lo: float, hi: float,
     left = integrate_adaptive(remainder, lo, pole, tol / 2.0)
     right = integrate_adaptive(remainder, pole, hi, tol / 2.0)
     value = left.value + right.value + g_pole * math.log((hi - pole) / (pole - lo))
+    err = left.abs_error_estimate + right.abs_error_estimate
     return QuadratureResult(
         value=complex(value) if np.iscomplexobj(g_pole) else float(value),
-        abs_error_estimate=left.abs_error_estimate + right.abs_error_estimate,
+        abs_error_estimate=err,
         evaluations=left.evaluations + right.evaluations + 1,
-        converged=left.converged and right.converged,
+        converged=err <= tol,
     )
 
 
@@ -278,10 +277,7 @@ def find_root_bracketed(g, lo: float, hi: float) -> float:
     """Root of scalar g in [lo, hi]; g(lo) and g(hi) must straddle zero."""
     glo = float(g(lo))
     ghi = float(g(hi))
-    if glo == 0.0:
-        return float(lo)
-    if ghi == 0.0:
-        return float(hi)
+    # brentq itself returns an endpoint that is an exact root
     if glo * ghi > 0.0:
         raise DomainError(
             f"no sign change on [{lo}, {hi}]: g(lo) = {glo:.6g}, g(hi) = {ghi:.6g}")

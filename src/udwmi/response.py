@@ -209,7 +209,8 @@ def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
         p2 = trajectory_point(spec, z, taup)
         w = wight(p1, p2, eps)
         f = np.exp(-0.5 * (tau * tau + taup * taup) - 1j * gap * s) * w
-        return f @ u_weights
+        # einsum, not BLAS, as in correlation._correlation_single_epsilon
+        return np.einsum("ij,j->i", f, u_weights)
 
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)

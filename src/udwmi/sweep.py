@@ -15,8 +15,9 @@ of aborting the run. The oracle suite runs its points through the same
 task runner, one process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
-sweep plus the oracle cross-check grids. The UDWMI_WORKERS environment
-variable caps process count.
+sweep plus the oracle cross-check grids. The process pool is udwmi's
+only parallelism: its worker count defaults to the CPUs this process may
+use, at most 8, and no environment variable changes it.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ class SweepSpec:
             raise DomainError(f"sep must be >= 0, got {self.sep}")
         if self.tol <= 0.0:
             raise DomainError(f"tol must be > 0, got {self.tol}")
+        if not isinstance(self.gap_ratios, (list, tuple)):
+            raise DomainError(f"gap_ratios must be a list, "
+                              f"got {self.gap_ratios!r}")
         ratios = tuple(_require_finite("gap_ratio", r) for r in self.gap_ratios)
         if not ratios:
             raise DomainError("gap_ratios must be nonempty")
@@ -168,8 +172,7 @@ class SweepSpec:
         axis_cfg = cfg.get("axis")
         if not isinstance(axis_cfg, dict):
             raise DomainError("sweep config needs an 'axis' object")
-        axis_known = {"name", "start", "stop", "points", "spacing"}
-        axis_unknown = set(axis_cfg) - axis_known
+        axis_unknown = set(axis_cfg) - {f.name for f in fields(SweepAxis)}
         if axis_unknown:
             raise DomainError(f"unknown axis keys: {sorted(axis_unknown)}")
         try:
@@ -183,8 +186,6 @@ class SweepSpec:
         except KeyError as exc:
             raise DomainError(f"axis config missing key {exc}") from None
         kwargs = {k: cfg[k] for k in known - {"axis", "description"} if k in cfg}
-        if "gap_ratios" in kwargs:
-            kwargs["gap_ratios"] = tuple(kwargs["gap_ratios"])
         return cls(axis=axis, **kwargs)
 
     def point_params(self) -> list[dict]:
@@ -395,22 +396,17 @@ def _assemble(status: str | None, keys: tuple[int, ...], pref: float,
 
 
 def _resolve_workers(requested: int | None) -> int:
-    if requested is not None and requested < 1:
-        raise DomainError(f"workers must be >= 1, got {requested}")
-    cap_text = os.environ.get("UDWMI_WORKERS")
-    cap = None
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise DomainError(f"UDWMI_WORKERS must be an integer, "
-                              f"got {cap_text!r}") from None
-        if cap < 1:
-            raise DomainError(f"UDWMI_WORKERS must be >= 1, got {cap}")
-    n = requested if requested is not None else min(os.cpu_count() or 1, 8)
-    if cap is not None:
-        n = min(n, cap)
-    return max(1, n)
+    """requested, or the CPUs this process may use (so a cpuset or
+    taskset limit holds), at most 8."""
+    if requested is not None:
+        if requested < 1:
+            raise DomainError(f"workers must be >= 1, got {requested}")
+        return requested
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 8)
 
 
 def _evaluate_plan(evaluate, tasks: list[tuple], workers: int):
@@ -557,14 +553,28 @@ def load_config(source) -> SweepSpec:
 
 
 def load_grid(source) -> dict:
-    """Oracle-suite grid from a JSON path, preset name, or mapping."""
+    """Oracle-suite grid from a JSON path, preset name, or mapping,
+    checked: a positive finite rel_tol (default 1e-3) and point lists of
+    objects with the keys their section needs."""
     grid = _load_json_source(source, "oracle grid")
     if not isinstance(grid, dict):
         raise DomainError("oracle grid must be a JSON object")
     grid = dict(grid)
-    grid.setdefault("rel_tol", 1e-3)
-    grid.setdefault("response_points", [])
-    grid.setdefault("correlation_points", [])
+    grid["rel_tol"] = _require_finite("rel_tol", grid.get("rel_tol", 1e-3))
+    if grid["rel_tol"] <= 0.0:
+        raise DomainError(f"rel_tol must be > 0, got {grid['rel_tol']}")
+    # the keys each point needs; dz is optional (absent or None: no mirror)
+    for section, keys in (
+            ("response_points", ("gap", "accel", "radius")),
+            ("correlation_points", ("gap_a", "gap_b", "accel", "radius", "sep"))):
+        points = grid.setdefault(section, [])
+        if not (isinstance(points, list)
+                and all(isinstance(p, dict) for p in points)):
+            raise DomainError(f"{section} must be a list of objects")
+        for p in points:
+            missing = [k for k in keys if k not in p]
+            if missing:
+                raise DomainError(f"{section} point {p} lacks keys {missing}")
     if not (grid["response_points"] or grid["correlation_points"]):
         raise DomainError("oracle grid has no points")
     return grid
@@ -633,9 +643,7 @@ def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
     oracle that did not converge) ends the suite, and its warnings are
     passed on."""
     grid = load_grid(grid)
-    rel_tol = float(grid["rel_tol"])
-    if rel_tol <= 0.0:
-        raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
+    rel_tol = grid["rel_tol"]
     resp_points = grid["response_points"]
     tasks = ([(_suite_response_point, (p,), None) for p in resp_points]
              + [(_suite_correlation_point, (p,), None)

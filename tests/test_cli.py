@@ -183,6 +183,17 @@ class TestSweepCommand:
         assert "config error" in err
         assert "fig2a" in err
 
+    @pytest.mark.parametrize("ratios", [5, None])
+    def test_bad_config_is_config_error(self, capsys, tmp_path, ratios):
+        cfg = {"axis": {"name": "sep", "start": 0.5, "stop": 1.5,
+                        "points": 3}, "dz": 0.5, "gap_ratios": ratios}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        rc, out, err = run_cli(capsys, [
+            "sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "config error: gap_ratios must be a list" in err
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path,
                                            config_path):
         rc, out, err = run_cli(capsys, [
@@ -269,6 +280,16 @@ class TestVerifyCommand:
             "verify", "--grid", str(p), "--workers", workers])
         assert rc == 1
         assert "radius must be positive" in err
+        # malformed grids are rejected before any point runs
+        good = {"gap": 0.1, "accel": 1.0, "radius": 1.0}
+        for grid in ({"response_points": [5]},
+                     {"response_points": [{"gap": 0.1, "radius": 1.0}]},
+                     {"rel_tol": "x", "response_points": [good]},
+                     {"response_points": [good], "correlation_points": 3}):
+            p.write_text(json.dumps(grid))
+            rc, out, err = run_cli(capsys, [
+                "verify", "--grid", str(p), "--workers", workers])
+            assert (rc, "config error" in err) == (1, True), grid
 
 
 class TestNoProductionOracle:

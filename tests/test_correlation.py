@@ -148,6 +148,9 @@ class TestReductionCrossCheck:
             (1.0, 1.0, 4.0, 2.0),
             # a detector's own image term: L_eff = 2 dz, k = gap/gamma
             (5.0, 0.02, 2 * 0.3, 0.1),
+            # each side's estimate against tol/2 once missed while the
+            # sum met tol
+            (5.0, 0.02, 2 * 0.1, 0.1),
             (1.0, 1.0, 2 * 5.0, 0.1),
             (30.0, 0.02, 2 * 0.3, 0.1),
         ],

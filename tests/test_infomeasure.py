@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from udwmi import response
 from udwmi.correlation import PairConfig, correlation_equal
-from udwmi.infomeasure import (DensityBlock, PerturbativeRegimeWarning,
-                               PointTerms, assemble_density_block,
-                               mutual_information, mutual_information_point)
+from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
+                               assemble_density_block, mutual_information,
+                               mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
 from udwmi.response import transition_probability
 
@@ -68,12 +68,10 @@ class TestAssembly:
     def test_boundary_case_slack_zero(self):
         block = assemble_density_block(0.01, 0.01, 0.01 + 0.0j)
         assert block.positivity_slack == 0.0
-        assert block.positivity_ok
 
     def test_violating_block_flagged_not_rejected(self):
         block = assemble_density_block(0.01, 0.01, 0.02)
         assert block.positivity_slack < 0.0
-        assert not block.positivity_ok
 
     def test_negative_probability_rejected(self):
         with pytest.raises(DomainError):
@@ -92,9 +90,6 @@ class TestAssembly:
             assemble_density_block(0.01, math.inf, 0.0)
         with pytest.raises(DomainError):
             assemble_density_block(0.01, 0.01, complex(0.0, math.nan))
-
-    def test_x_entry_documented_as_omitted(self):
-        assert DensityBlock.x_omitted is True
 
 
 class TestClosedFormAnchors:

@@ -201,6 +201,7 @@ class TestRootBracketing:
 
     def test_endpoint_root(self):
         assert find_root_bracketed(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert find_root_bracketed(lambda x: x - 5.0, 2.0, 5.0) == 5.0
 
     def test_no_straddle_rejected(self):
         with pytest.raises(DomainError):

@@ -1,16 +1,20 @@
 """Sweep configs, the sweep planner, deterministic tables, oracle suite,
 peak counting."""
+import ast
 import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import udwmi
 from udwmi import correlation, response
 from udwmi.correlation import PairConfig, _reduced_line_integral
 from udwmi.infomeasure import (PerturbativeRegimeWarning,
@@ -272,15 +276,25 @@ class TestRunSweep:
                          workers=1)
         assert [r.status for r in rows] == ["warn:perturbative;tolerance"] * 2
 
-    def test_worker_validation(self, monkeypatch):
+    def test_worker_validation(self):
         with pytest.raises(DomainError):
             run_sweep(cheap_spec(), workers=0)
-        monkeypatch.setenv("UDWMI_WORKERS", "not-a-number")
-        with pytest.raises(DomainError):
-            run_sweep(cheap_spec(), workers=1)
-        monkeypatch.setenv("UDWMI_WORKERS", "1")
-        rows = run_sweep(cheap_spec(), workers=4)
-        assert len(rows) == 4
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        # a process allowed one CPU runs serially and starts no pool
+        from udwmi import sweep as sweep_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert len(run_sweep(cheap_spec())) == 4
+        # without an affinity mask the CPU count decides
+        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+        assert len(run_sweep(cheap_spec())) == 4
 
 
 def reference_record(params, tol):
@@ -405,10 +419,13 @@ class TestPlanner:
                              gap_ratios=(0.0, 0.5)), workers=1)
         assert len(direct_lines) == 2
 
-    def test_failed_free_response_fails_its_rows(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_free_response_fails_its_rows(self, monkeypatch, workers):
         # the bounded quadrature of the accel = 0.5 detector raises: the
         # rows using that detector carry the status a single point gives,
-        # the others are untouched
+        # the others are untouched, on the pool too
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they fork")
         spec = cheap_spec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
                                          points=3))
         clean = run_sweep(spec, workers=1)
@@ -423,7 +440,7 @@ class TestPlanner:
 
         monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
                             failing_quad)
-        rows = run_sweep(spec, workers=1)
+        rows = run_sweep(spec, workers=workers)
         expected = [reference_record(p, spec.tol) for p in spec.point_params()]
         assert [bits(r.to_record()) for r in rows] == \
             [bits(e) for e in expected]
@@ -711,3 +728,22 @@ class TestInteriorMaxima:
             count_interior_maxima([1.0, math.nan, 2.0])
         with pytest.raises(DomainError):
             count_interior_maxima(np.ones((3, 3)))
+
+
+def test_src_calls_no_blas():
+    # the process pool is udwmi's only parallelism: a matmul or dot
+    # product would start a native BLAS thread pool under it, and so
+    # could einsum with optimize set
+    blas = {"dot", "matmul", "tensordot", "inner", "vdot"}
+    found = []
+    for path in sorted(Path(udwmi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in blas or (name == "einsum" and any(
+                        kw.arg == "optimize" for kw in node.keywords)):
+                    found.append((path.name, node.lineno, name))
+    assert found == []
