@@ -36,9 +36,9 @@ import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          trajectory_point)
-from .quadrature import (QuadratureResult, epsilon_extrapolate,
+from .quadrature import (QuadratureResult, _checked, epsilon_extrapolate,
                          find_root_bracketed, integrate_adaptive,
-                         principal_value_integral)
+                         integrate_adaptive_batch, principal_value_batch)
 
 __all__ = [
     "PairConfig",
@@ -177,11 +177,27 @@ class LineIntegral(QuadratureResult):
     far_pole: bool = False
 
 
-def _reduced_line_integral(L_eff: float, radius: float, omega: float,
-                           gamma: float, k: float, s_env: float,
-                           tol: float) -> LineIntegral:
-    """Distributional integral of exp(-s^2/(4 gamma^2) + i k s)/D(s) over
-    the real line with D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
+def _line_pole(L_eff: float, radius: float, omega: float) -> float:
+    """The positive zero s0 of D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2)
+    - s^2, found on its proven bracket [L_eff, sqrt(L_eff^2 + 4 R^2)]."""
+    if L_eff <= 0.0:
+        raise DomainError("effective separation must be positive")
+    r_sq = radius * radius
+
+    def D(s):
+        return L_eff * L_eff + 4.0 * r_sq * np.sin(0.5 * omega * s) ** 2 - s * s
+
+    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
+    # a few ulps wider: when 4 R^2 is near an ulp of L_eff^2, D(band_hi)
+    # can round to the positive D(L_eff) and lose the sign change
+    return find_root_bracketed(D, L_eff, band_hi + 8.0 * math.ulp(band_hi))
+
+
+def _reduced_line_integrals(keys) -> list:
+    """Reduced line integrals of a batch of argument tuples (L_eff, R,
+    omega, gamma, k, s_env, tol): each the distributional integral of
+    exp(-s^2/(4 gamma^2) + i k s)/D(s) over the real line with
+    D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
 
     D decreases strictly on s > 0 (since 2 R^2 omega sin(omega s) <=
     2 v^2 s < 2 s), so it has exactly one positive zero s0, a simple one,
@@ -190,55 +206,102 @@ def _reduced_line_integral(L_eff: float, radius: float, omega: float,
     of 2 exp(-s^2/(4 gamma^2)) cos(k s)/D(s). The regulator pushed the
     poles such that the half-residue sign is sign(s0); the pair sums to
     -2 pi exp(-s0^2/(4 gamma^2)) sin(k s0)/|D'(s0)|. The value is real.
-    """
-    if L_eff <= 0.0:
-        raise DomainError("effective separation must be positive")
-    r_sq = radius * radius
-    inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
 
-    def folded_num(s):
+    The principal values of the batch refine together in one lockstep
+    batch, and the far-pole integrals in another, with their parameters
+    gathered per member, so every result equals that of a batch of one.
+    Returns one entry per key: its LineIntegral, or the exception it
+    fails with (a pole bracket without a sign change, L_eff <= 0)."""
+    out: list = [None] * len(keys)
+    near, far = [], []
+    for i, (L_eff, radius, omega, _, _, s_env, _) in enumerate(keys):
+        try:
+            s0 = _line_pole(L_eff, radius, omega)
+        except Exception as exc:  # a member fails alone
+            out[i] = exc
+            continue
+        (far if L_eff > s_env + 2.0 else near).append((i, s0))
+
+    def columns(members):
+        rows = np.array([keys[i] for i, _ in members], dtype=float)
+        L_eff, radius, omega, gamma, k, s_env, tol = rows.T
+        s0 = np.array([s for _, s in members])
+        return L_eff, radius * radius, omega, gamma, k, s_env, tol, s0
+
+    def folded_num(s, k, inv_four_gamma_sq):
         return 2.0 * np.exp(-s * s * inv_four_gamma_sq) * np.cos(k * s)
 
-    def D(s):
-        return L_eff * L_eff + 4.0 * r_sq * np.sin(0.5 * omega * s) ** 2 - s * s
-
-    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
-    # a few ulps wider: when 4 R^2 is near an ulp of L_eff^2, D(band_hi)
-    # can round to the positive D(L_eff) and lose the sign change
-    s0 = find_root_bracketed(D, L_eff, band_hi + 8.0 * math.ulp(band_hi))
-
-    if L_eff > s_env + 2.0:
+    if far:
         # poles sit far outside the switching envelope: integrate the
         # regular restriction and bound the ignored residues
-        res = integrate_adaptive(lambda s: folded_num(s) / D(s), 0.0, s_env, tol)
-        ignored = (math.pi * gamma * gamma / (2.0 * L_eff)
-                   * math.exp(-L_eff * L_eff / (4.0 * gamma * gamma)))
-        return LineIntegral(
-            value=res.value,
-            abs_error_estimate=res.abs_error_estimate + ignored + tol / 5.0,
-            evaluations=res.evaluations,
-            converged=res.converged,
-            pole=s0,
-            far_pole=True,
-        )
+        L_eff, r_sq, omega, gamma, k, s_env, tol, s0 = columns(far)
+        inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
+        L_sq, four_r_sq, half_omega = L_eff * L_eff, 4.0 * r_sq, 0.5 * omega
 
-    def q(s):
-        # D(s)/(s - s0), factored with sin^2 a - sin^2 b = sin(a-b) sin(a+b)
-        return (2.0 * r_sq * omega * np.sinc(omega * (s - s0) / (2.0 * math.pi))
-                * np.sin(0.5 * omega * (s + s0)) - (s + s0))
+        def regular(s, j):
+            D = L_sq[j] + four_r_sq[j] * np.sin(half_omega[j] * s) ** 2 - s * s
+            return folded_num(s, k[j], inv_four_gamma_sq[j]) / D
 
-    pv = principal_value_integral(lambda s: folded_num(s) / q(s), s0, 0.0,
-                                  max(s_env, band_hi + 2.0), tol)
-    residues = (-2.0 * math.pi * math.exp(-s0 * s0 * inv_four_gamma_sq)
-                * math.sin(k * s0) / abs(float(q(s0))))
-    return LineIntegral(
-        value=pv.value + residues,
-        abs_error_estimate=pv.abs_error_estimate,
-        evaluations=pv.evaluations + 1,
-        converged=pv.converged,
-        pole=s0,
-        residues=residues,
-    )
+        results = integrate_adaptive_batch(regular, 0.0, s_env, tol)
+        for (i, pole), res, L, gam, t in zip(far, results, L_eff.tolist(),
+                                             gamma.tolist(), tol.tolist()):
+            if isinstance(res, Exception):
+                out[i] = res
+                continue
+            ignored = (math.pi * gam * gam / (2.0 * L)
+                       * math.exp(-L * L / (4.0 * gam * gam)))
+            out[i] = LineIntegral(
+                value=res.value,
+                abs_error_estimate=res.abs_error_estimate + ignored + t / 5.0,
+                evaluations=res.evaluations,
+                converged=res.converged,
+                pole=pole,
+                far_pole=True,
+            )
+
+    if near:
+        L_eff, r_sq, omega, gamma, k, s_env, tol, s0 = columns(near)
+        inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
+        amp, half_omega = 2.0 * r_sq * omega, 0.5 * omega
+
+        def q(s, j):
+            # D(s)/(s - s0), factored with
+            # sin^2 a - sin^2 b = sin(a - b) sin(a + b)
+            pole = s0[j]
+            s_plus = s + pole
+            return (amp[j] * np.sinc(omega[j] * (s - pole) / (2.0 * math.pi))
+                    * np.sin(half_omega[j] * s_plus) - s_plus)
+
+        def g(s, j):
+            return folded_num(s, k[j], inv_four_gamma_sq[j]) / q(s, j)
+
+        band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
+        pvs = principal_value_batch(g, s0, 0.0,
+                                    np.maximum(s_env, band_hi + 2.0), tol)
+        q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
+        for (i, pole), pv, q0, c, kk in zip(near, pvs, q_pole,
+                                            inv_four_gamma_sq.tolist(),
+                                            k.tolist()):
+            if isinstance(pv, Exception):
+                out[i] = pv
+                continue
+            residues = (-2.0 * math.pi * math.exp(-pole * pole * c)
+                        * math.sin(kk * pole) / q0)
+            out[i] = LineIntegral(
+                value=pv.value + residues,
+                abs_error_estimate=pv.abs_error_estimate,
+                evaluations=pv.evaluations + 1,
+                converged=pv.converged,
+                pole=pole,
+                residues=residues,
+            )
+    return out
+
+
+def _reduced_line_integral(*key) -> LineIntegral:
+    """The reduced line integral of one argument tuple: the batch of one
+    of _reduced_line_integrals."""
+    return _checked(_reduced_line_integrals([key])[0])
 
 
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
@@ -301,18 +364,22 @@ def _correlation_from_lines(pref: float,
     )
 
 
+def _require_equal_kinematics(pair: PairConfig) -> None:
+    if not pair.equal_kinematics:
+        raise DomainError("correlation_equal requires both detectors on the "
+                          "same orbit kinematics (equal accel and radius)")
+
+
 def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     """C for a pair sharing orbit kinematics, via the folded single-integral
     reduction: one principal value plus the closed-form half residues.
 
     tol is an absolute tolerance on C. The direct and image integrals
     differ only by the effective separation (L versus L + 2 dz)."""
-    if not pair.equal_kinematics:
-        raise DomainError("correlation_equal requires both detectors on the "
-                          "same orbit kinematics (equal accel and radius)")
+    _require_equal_kinematics(pair)
     pref, args = _line_integral_args(pair, tol)
     return _correlation_from_lines(
-        pref, [_reduced_line_integral(*a) for a in args])
+        pref, [_checked(line) for line in _reduced_line_integrals(args)])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

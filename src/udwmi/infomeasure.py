@@ -24,9 +24,9 @@ which is nonnegative whenever the block is positive semidefinite
 
 mutual_information_point evaluates a point on the reduced formulas
 only: each P from response.transition_probability, rotating or static,
-and C from correlation.correlation_equal, so both detectors must share
-one orbit kinematics. The definition-level oracles are cross-checks
-(sweep's oracle suite), never a fallback.
+and C by the reduction of correlation.correlation_equal, so both
+detectors must share one orbit kinematics. The definition-level
+oracles are cross-checks (sweep's oracle suite), never a fallback.
 """
 
 from __future__ import annotations
@@ -38,9 +38,13 @@ from typing import NamedTuple
 
 from scipy.special import xlogy
 
-from .correlation import CorrelationResult, PairConfig, correlation_equal
+from .correlation import (CorrelationResult, PairConfig,
+                          _correlation_from_lines, _line_integral_args,
+                          _reduced_line_integrals, _require_equal_kinematics)
 from .kinematics import DomainError
-from .response import ResponseBreakdown, transition_probability
+from .quadrature import _checked
+from .response import (ResponseBreakdown, _image_line_args,
+                       transition_probability)
 
 __all__ = [
     "DensityBlock",
@@ -179,6 +183,35 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
+def _point_terms(pair: PairConfig, tol: float) -> PointTerms:
+    """Both transition probabilities and C of one pair, their line
+    integrals evaluated as one batch. Equal detectors share one
+    free-space response, and free= and line= leave each P bit-identical
+    to a call without them."""
+    dz_b = None if pair.dz is None else pair.dz + pair.sep
+    heights = [(pair.det_a, pair.dz), (pair.det_b, dz_b)]
+    free_a = transition_probability(pair.det_a, None, tol)
+    keys = [_image_line_args(det, dz, tol)[1] for det, dz in heights
+            if dz is not None]
+    pref, c_keys = (_line_integral_args(pair, tol) if pair.equal_kinematics
+                    else (0.0, []))
+    lines = iter(_reduced_line_integrals(keys + c_keys))
+
+    def response(det, dz, free):
+        if dz is None:
+            return free
+        return transition_probability(det, dz, tol, free,
+                                      _checked(next(lines)))
+
+    resp_a = response(pair.det_a, pair.dz, free_a)
+    free_b = (free_a if pair.det_b == pair.det_a
+              else transition_probability(pair.det_b, None, tol))
+    resp_b = response(pair.det_b, dz_b, free_b)
+    _require_equal_kinematics(pair)
+    return PointTerms(resp_a, resp_b, _correlation_from_lines(
+        pref, [_checked(line) for line in lines]))
+
+
 def mutual_information_point(pair: PairConfig | PointTerms,
                              tol: float = 1e-8) -> PairPointResult:
     """Response of both detectors, their correlation, and the mutual
@@ -187,23 +220,14 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     Detector A sits at height dz, detector B at dz + sep (heights are
     irrelevant in free space). Both detectors must share one orbit
     kinematics (DomainError otherwise): each P comes from
-    transition_probability and C from correlation_equal. Given
-    PointTerms instead of a PairConfig, the terms are taken as evaluated
-    and tol is unused: a sweep evaluates each distinct term once and
-    assembles every row here. Warns with PerturbativeRegimeWarning when
-    P_A + P_B > 0.1."""
-    if isinstance(pair, PointTerms):
-        terms = pair
-    else:
-        # equal detectors share one free-space response, which free=
-        # leaves bit-identical
-        dz_b = None if pair.dz is None else pair.dz + pair.sep
-        free = (transition_probability(pair.det_a, None, tol)
-                if pair.det_b == pair.det_a else None)
-        terms = PointTerms(
-            transition_probability(pair.det_a, pair.dz, tol, free),
-            transition_probability(pair.det_b, dz_b, tol, free),
-            correlation_equal(pair, tol))
+    transition_probability and C is correlation_equal's. The image
+    lines of both P and the lines of C are one batch of
+    correlation._reduced_line_integrals; a failure is raised in the
+    order P_A, P_B, C. Given PointTerms instead of a PairConfig, the
+    terms are taken as evaluated and tol is unused: a sweep evaluates
+    each distinct term once and assembles every row here. Warns with
+    PerturbativeRegimeWarning when P_A + P_B > 0.1."""
+    terms = pair if isinstance(pair, PointTerms) else _point_terms(pair, tol)
     resp_a, resp_b, corr = terms
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate
     p_b, err_b = resp_b.total, resp_b.abs_error_estimate

@@ -10,16 +10,22 @@ Singular denominators are handled by two independent strategies so the
 physics layers can cross check one against the other:
 
 * the production route has one principal-value routine,
-  principal_value_integral: the caller proves its pole simple, locates
-  it with find_root_bracketed, factors it out of the denominator, and
-  adds the half residues in closed form;
+  principal_value_batch (principal_value_integral is its batch of one):
+  the caller proves its pole simple, locates it with
+  find_root_bracketed, factors it out of the denominator, and adds the
+  half residues in closed form;
 * the oracle route keeps the regulator epsilon finite, integrates the
   smooth regularized integrand on a geometric epsilon ladder, and
   extrapolates the ladder to epsilon -> 0 (epsilon_extrapolate).
 
 Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
-every panel whose error exceeds an equidistributed share of the budget,
-so batches of new panels are evaluated in single vectorized calls.
+every panel whose error exceeds an equidistributed share of the budget.
+integrate_adaptive_batch refines many integrals in lockstep: each keeps
+a mesh of its own (unlike the one shared mesh of scipy's quad_vec), its
+own budget and its own refinement decisions, and each round evaluates
+the new panels of every unfinished integral in one vectorized call of
+the integrand. So a member's result is bit-identical to integrating it
+alone, which is what integrate_adaptive does: the batch of one.
 """
 
 from __future__ import annotations
@@ -36,9 +42,11 @@ __all__ = [
     "QuadratureResult",
     "ExtrapolationResult",
     "integrate_adaptive",
+    "integrate_adaptive_batch",
     "integrate_semiinfinite_gaussian",
     "gaussian_truncation_point",
     "principal_value_integral",
+    "principal_value_batch",
     "epsilon_extrapolate",
     "find_root_bracketed",
 ]
@@ -96,12 +104,14 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])  # Gauss nodes interle
 _EPS = np.finfo(float).eps
 
 
-def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the GK15 pair on a batch of panels [lo_i, hi_i]."""
+def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+    """Evaluate the GK15 pair on a batch of panels [lo_i, hi_i], panel i
+    belonging to integral owner[i]: f gets the nodes as one row per
+    panel and owner as a column."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
+    y = np.asarray(f(x, owner[:, None]))
     vals_k = (y * _WEIGHTS_K).sum(axis=1) * half
     vals_g = (y * _WEIGHTS_G).sum(axis=1) * half
     err = np.abs(vals_k - vals_g)
@@ -110,67 +120,192 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
     return vals_k, err, mag
 
 
-def integrate_adaptive(f, lo: float, hi: float, tol: float, *,
-                       max_panels: int = 20000,
-                       initial_panels: int = 8) -> QuadratureResult:
-    """Globally adaptive GK15 quadrature of a vectorized integrand.
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of values, lengths[i] entries each.
 
-    f must map a numpy array of abscissae to an equally shaped array of
-    values. tol is an absolute tolerance on the integral. The reported
-    error estimate includes a roundoff floor, so converged=True implies
-    the estimate met tol honestly.
+    Runs of one length are summed as the rows of one array by
+    ndarray.sum, whose pairwise summation adds each row exactly as
+    summing that run alone would (np.add.reduceat adds sequentially)."""
+    if (lengths == lengths[0]).all():
+        return values.reshape(lengths.size, -1).sum(axis=1)
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(lengths.size, dtype=values.dtype)
+    for length in np.unique(lengths):
+        runs = np.flatnonzero(lengths == length)
+        out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
+    return out
+
+
+def _batch_args(*args) -> list[np.ndarray]:
+    """Per-integral arguments as equally long 1-D float arrays."""
+    arrays = [np.array(a, dtype=float, ndmin=1) for a in args]
+    n = max(a.size for a in arrays)
+    return [a if a.size == n else np.full(n, a[0]) for a in arrays]
+
+
+def _checked(result):
+    """A batch member's result, or raise the exception it failed with."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
+                             initial_panels: int = 8) -> list:
+    """Globally adaptive GK15 quadrature of a batch of integrals in
+    lockstep.
+
+    Integral i runs over [lo[i], hi[i]] to the absolute tolerance tol[i]
+    (scalars broadcast). f(x, owner) gets an array of abscissae and an
+    array, broadcasting against it, of the index of the integral each
+    belongs to, and returns the integrand values at x. Every integral
+    keeps its own panels, budget and refinement decisions, and sums its
+    panels in the order it would alone, so its result does not depend
+    on the other members of the batch; each round evaluates the new
+    panels of all unfinished integrals in one call of f. Returns one
+    entry per integral: its QuadratureResult, or the DomainError its
+    arguments raise. The reported error estimate includes a roundoff
+    floor, so converged=True implies the estimate met tol honestly.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("integration limits must be finite")
-    if hi <= lo:
-        raise DomainError(f"empty or inverted interval [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    lo, hi, tol = _batch_args(lo, hi, tol)
+    results: list = [None] * lo.size
+    # the unfinished integrals, ascending; each panel's slot is the
+    # position of its integral in this list, and panels stay grouped by
+    # slot, ascending
+    members = np.arange(lo.size)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)) | (tol <= 0.0)
+    if bad.any():
+        for i in np.flatnonzero(bad):
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                results[i] = DomainError("integration limits must be finite")
+            elif hi[i] <= lo[i]:
+                results[i] = DomainError(f"empty or inverted interval "
+                                         f"[{float(lo[i])}, {float(hi[i])}]")
+            else:
+                results[i] = DomainError("tol must be positive")
+        members = members[~bad]
+        if members.size == 0:
+            return results
+        lo, hi, tol = lo[members], hi[members], tol[members]
+    n0 = max(int(initial_panels), 1)
+    # the initial edges are np.linspace's, integral by integral
+    delta = (hi - lo)[:, None]
+    step = delta / n0
+    k = np.arange(n0 + 1, dtype=float)
+    edges = k * step
+    if not step.all():  # a subnormal width: linspace's zero-step form
+        edges = np.where(step == 0.0, k / n0 * delta, edges)
+    edges += lo[:, None]
+    edges[:, -1] = hi
+    a = edges[:, :-1].ravel()
+    b = edges[:, 1:].ravel()
+    slot = np.repeat(np.arange(members.size), n0)
+    vals, errs, mags = _gk15_panels(f, a, b, members[slot])
+    counts = np.full(members.size, n0)
+    evaluations = 15 * counts
+    width_floor = 64.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)),
+                                           1.0)
 
-    edges = np.linspace(lo, hi, max(int(initial_panels), 1) + 1)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    vals, errs, mags = _gk15_panels(f, a, b)
-    evaluations = 15 * a.size
-
-    width_floor = 64.0 * _EPS * max(abs(lo), abs(hi), 1.0)
-    for _ in range(200):
-        total_err = errs.sum()
-        if total_err <= tol or a.size >= max_panels:
+    # at most 200 refinement rounds, then the results as they stand
+    for round_ in range(201):
+        total_err = _run_sums(errs, counts)
+        finished = ((total_err <= tol) | (counts >= max_panels)
+                    | (round_ == 200))
+        if finished.all():
+            _finish(results, members, total_err, a, vals, mags, slot, counts,
+                    evaluations, tol)
             break
-        threshold = tol / max(a.size, 8)
-        mask = (errs > threshold) & ((b - a) > width_floor)
-        if not mask.any():
-            worst = int(np.argmax(errs))
-            if b[worst] - a[worst] <= width_floor:
+        threshold = tol / np.maximum(counts, 8)
+        # per-panel values of per-integral arrays; one integral's broadcast
+        at = slot if members.size > 1 else slice(None)
+        mask = ((errs > threshold[at]) & ((b - a) > width_floor[at])
+                & ~finished[at])
+        added = np.bincount(slot[mask], minlength=members.size)
+        # an unfinished integral with no panel above its share splits
+        # its worst panel, unless that one is already at the width floor
+        idle = ~finished & (added == 0)
+        if idle.any():
+            starts = np.cumsum(counts) - counts
+            for j in np.flatnonzero(idle):
+                worst = starts[j] + int(np.argmax(
+                    errs[starts[j]:starts[j] + counts[j]]))
+                if b[worst] - a[worst] <= width_floor[j]:
+                    finished[j] = True
+                else:
+                    mask[worst] = True
+                    added[j] = 1
+
+        if finished.any():
+            done = finished[slot]
+            _finish(results, members[finished], total_err[finished],
+                    a[done], vals[done], mags[done], slot[done],
+                    counts[finished], evaluations[finished], tol[finished])
+            live = ~finished
+            if not live.any():
                 break
-            mask[worst] = True
-        am, bm = a[mask], b[mask]
+            keep = ~done
+            a, b, vals, errs, mags, slot, mask = (
+                x[keep] for x in (a, b, vals, errs, mags, slot, mask))
+            slot = (np.cumsum(live) - 1)[slot]
+            members, counts, evaluations, tol, width_floor, added = (
+                x[live] for x in (members, counts, evaluations, tol,
+                                  width_floor, added))
+
+        # split the marked panels: kept panels, then left halves, then
+        # right halves, the order each integral has alone
+        am, bm, sm = a[mask], b[mask], slot[mask]
         mid = 0.5 * (am + bm)
         new_a = np.concatenate([am, mid])
         new_b = np.concatenate([mid, bm])
-        new_vals, new_errs, new_mags = _gk15_panels(f, new_a, new_b)
-        evaluations += 15 * new_a.size
-        a = np.concatenate([a[~mask], new_a])
-        b = np.concatenate([b[~mask], new_b])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        mags = np.concatenate([mags[~mask], new_mags])
+        new_slot = np.concatenate([sm, sm])
+        new_vals, new_errs, new_mags = _gk15_panels(f, new_a, new_b,
+                                                    members[new_slot])
+        counts += added
+        evaluations += 30 * added
+        keep = ~mask
+        a, b, vals, errs, mags, slot = (
+            np.concatenate([old[keep], new])
+            for old, new in ((a, new_a), (b, new_b), (vals, new_vals),
+                             (errs, new_errs), (mags, new_mags),
+                             (slot, new_slot)))
+        if members.size > 1:
+            order = np.argsort(slot, kind="stable")
+            a, b, vals, errs, mags, slot = (
+                x[order] for x in (a, b, vals, errs, mags, slot))
+    return results
 
-    order = np.argsort(a, kind="stable")
-    value = vals[order].sum()
-    roundoff = 50.0 * _EPS * mags.sum()
-    total_err = float(errs.sum() + roundoff)
-    if np.iscomplexobj(vals):
-        value = complex(value)
-    else:
-        value = float(value)
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=total_err,
-        evaluations=evaluations,
-        converged=total_err <= tol,
-    )
+
+def _finish(results, members, total_err, a, vals, mags, slot, counts,
+            evaluations, tol) -> None:
+    """Store the QuadratureResult of each finished member from its
+    panels, grouped by slot in member order: the value sums the panels
+    in the order of their left edges."""
+    values = _run_sums(vals[np.lexsort((a, slot))], counts)
+    errors = total_err + 50.0 * _EPS * _run_sums(mags, counts)
+    scalar = complex if np.iscomplexobj(values) else float
+    for i, value, err, evals, t in zip(members.tolist(), values,
+                                       errors.tolist(), evaluations.tolist(),
+                                       tol.tolist()):
+        results[i] = QuadratureResult(
+            value=scalar(value),
+            abs_error_estimate=err,
+            evaluations=evals,
+            converged=err <= t,
+        )
+
+
+def integrate_adaptive(f, lo: float, hi: float, tol: float, *,
+                       max_panels: int = 20000,
+                       initial_panels: int = 8) -> QuadratureResult:
+    """Globally adaptive GK15 quadrature of a vectorized integrand: the
+    batch of one of integrate_adaptive_batch.
+
+    f must map a numpy array of abscissae to an equally shaped array of
+    values. tol is an absolute tolerance on the integral."""
+    (res,) = integrate_adaptive_batch(
+        lambda x, _: np.reshape(f(x.ravel()), x.shape), lo, hi, tol,
+        max_panels=max_panels, initial_panels=initial_panels)
+    return _checked(res)
 
 
 def gaussian_truncation_point(alpha: float, tol: float) -> float:
@@ -211,35 +346,71 @@ def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
     )
 
 
+def principal_value_batch(g, pole, lo, hi, tol) -> list:
+    """Cauchy principal values of g(x)/(x - pole[i]) over [lo[i], hi[i]]
+    for a batch of smooth g (the contract of QUADPACK's QAWC).
+
+    g(x, owner) is called as the integrand of integrate_adaptive_batch,
+    owner indexing the principal values; scalars broadcast. Subtracts
+    g(pole)/(x - pole), integrates the smooth remainder on [lo, pole]
+    and [pole, hi] (Gauss-Kronrod nodes are interior, so none lands on
+    the pole), and adds back g(pole) ln((hi - pole)/(pole - lo)). The
+    two sides of n principal values are the 2n members of one lockstep
+    batch, each to tol/2. Callers with a denominator D(x) pass g = f/q
+    with q = D/(x - pole) in factored form; dividing D by (x - pole)
+    numerically would cancel catastrophically next to the pole. Returns
+    one entry per principal value: its QuadratureResult, or the
+    DomainError it raises.
+    """
+    pole, lo, hi, tol = _batch_args(pole, lo, hi, tol)
+    results: list = [None] * pole.size
+    inside = (lo < pole) & (pole < hi)
+    for i in np.flatnonzero(~inside):
+        results[i] = DomainError(f"pole {float(pole[i])} not inside "
+                                 f"({float(lo[i])}, {float(hi[i])})")
+    idx = np.flatnonzero(inside)
+    if idx.size == 0:
+        return results
+    p = pole[idx]
+    g_pole = np.asarray(g(p, idx))
+    # member m is the left side of principal value idx[m] for m < k and
+    # the right side of idx[m - k] after that
+    k = idx.size
+    slot = np.arange(2 * k) % k
+
+    def remainder(x, member):
+        j = slot[member]
+        return (np.asarray(g(x, idx[j])) - g_pole[j]) / (x - p[j])
+
+    half = tol[idx] / 2.0
+    sides = integrate_adaptive_batch(remainder, np.concatenate([lo[idx], p]),
+                                     np.concatenate([p, hi[idx]]),
+                                     np.concatenate([half, half]))
+    scalar = complex if np.iscomplexobj(g_pole) else float
+    for j, i in enumerate(idx.tolist()):
+        left, right = sides[j], sides[k + j]
+        if isinstance(left, Exception) or isinstance(right, Exception):
+            results[i] = left if isinstance(left, Exception) else right
+            continue
+        pj, lo_i, hi_i = float(p[j]), float(lo[i]), float(hi[i])
+        value = (left.value + right.value
+                 + g_pole[j] * math.log((hi_i - pj) / (pj - lo_i)))
+        err = left.abs_error_estimate + right.abs_error_estimate
+        results[i] = QuadratureResult(
+            value=scalar(value),
+            abs_error_estimate=err,
+            evaluations=left.evaluations + right.evaluations + 1,
+            converged=err <= float(tol[i]),
+        )
+    return results
+
+
 def principal_value_integral(g, pole: float, lo: float, hi: float,
                              tol: float) -> QuadratureResult:
     """Cauchy principal value of g(x)/(x - pole) over [lo, hi] for a
-    smooth g (the contract of QUADPACK's QAWC).
-
-    Subtracts g(pole)/(x - pole), integrates the smooth remainder on
-    [lo, pole] and [pole, hi] (Gauss-Kronrod nodes are interior, so none
-    lands on the pole), and adds back g(pole) ln((hi - pole)/(pole - lo)).
-    Callers with a denominator D(x) pass g = f/q with q = D/(x - pole)
-    in factored form; dividing D by (x - pole) numerically would cancel
-    catastrophically next to the pole.
-    """
-    if not lo < pole < hi:
-        raise DomainError(f"pole {pole} not inside ({lo}, {hi})")
-    g_pole = np.asarray(g(np.array([pole])))[0]
-
-    def remainder(x):
-        return (np.asarray(g(x)) - g_pole) / (x - pole)
-
-    left = integrate_adaptive(remainder, lo, pole, tol / 2.0)
-    right = integrate_adaptive(remainder, pole, hi, tol / 2.0)
-    value = left.value + right.value + g_pole * math.log((hi - pole) / (pole - lo))
-    err = left.abs_error_estimate + right.abs_error_estimate
-    return QuadratureResult(
-        value=complex(value) if np.iscomplexobj(g_pole) else float(value),
-        abs_error_estimate=err,
-        evaluations=left.evaluations + right.evaluations + 1,
-        converged=err <= tol,
-    )
+    smooth vectorized g: the batch of one of principal_value_batch."""
+    (res,) = principal_value_batch(lambda x, _: g(x), pole, lo, hi, tol)
+    return _checked(res)
 
 
 def epsilon_extrapolate(values) -> ExtrapolationResult:

@@ -17,13 +17,14 @@ time difference and rescaling to x = gamma*omega*s/2:
 total = term_bounded + term_pv + term_inertial + term_pole. Free space
 keeps only the first and third: the detector's free-space response,
 which does not depend on dz, so transition_probability accepts it as
-free= and then adds only the image part. The image part is the image channel of
-the pair correlation for the pair (detector, detector) at zero
-separation: minus its prefactor times the folded line integral of
-correlation._reduced_line_integral at L_eff = 2 dz, whose half-residue
-sum is term_pole and whose principal value is term_pv. Its pole s0, in
-coordinate time, is reported as pole_location = omega s0 / 2, the unique
-positive root of x^2 - v^2 sin^2 x - (omega dz)^2.
+free= and then adds only the image part. The image part is the image
+channel of the pair correlation for the pair (detector, detector) at
+zero separation: minus its prefactor times the folded line integral of
+correlation._reduced_line_integrals at L_eff = 2 dz, whose half-residue
+sum is term_pole and whose principal value is term_pv; a caller that
+evaluates many such lines in one batch passes each as line=. Its pole
+s0, in coordinate time, is reported as pole_location = omega s0 / 2, the
+unique positive root of x^2 - v^2 sin^2 x - (omega dz)^2.
 
 A static detector (omega = v = 0) takes the same route: term_bounded
 vanishes with v, so its direct part is the inertial one, and its image
@@ -44,9 +45,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erfc
 
-from .correlation import (OracleEstimate, _epsilon_ladder, _line_params,
-                          _reduced_line_integral, composite_gauss_legendre,
-                          wightman_boundary, wightman_free)
+from .correlation import (LineIntegral, OracleEstimate, _epsilon_ladder,
+                          _line_params, _reduced_line_integral,
+                          composite_gauss_legendre, wightman_boundary,
+                          wightman_free)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
 from .quadrature import (gaussian_truncation_point, integrate_adaptive,
                          integrate_semiinfinite_gaussian)
@@ -108,10 +110,23 @@ def _bounded_kernel(x, v_sq: float):
     return out
 
 
+def _image_line_args(spec: CircularDetectorSpec, dz: float,
+                     tol: float) -> tuple[float, tuple]:
+    """The prefactor and the line-integral key of the image part of
+    spec's transition probability at height dz for a budget tol.
+
+    The image Wightman term of one detector is that of the pair (spec,
+    spec) at zero separation: C's image line integral at L_eff = 2 dz,
+    with the opposite sign, here to a quarter of tol."""
+    pref, shared = _line_params(spec, spec, tol / 4.0)
+    return pref, (2.0 * dz, *shared)
+
+
 def transition_probability(spec: CircularDetectorSpec,
                            dz: float | None = None,
                            tol: float = 1e-8,
-                           free: ResponseBreakdown | None = None
+                           free: ResponseBreakdown | None = None,
+                           line: LineIntegral | None = None
                            ) -> ResponseBreakdown:
     """Four-term transition probability of a rotating or static detector;
     dz = None drops the mirror.
@@ -122,7 +137,10 @@ def transition_probability(spec: CircularDetectorSpec,
     None, tol): its term_bounded, term_inertial, error and convergence
     are taken as they are, so a mirror call only adds the image line
     integral, and the result is bit-identical to a call without it.
-    dz = None returns free itself."""
+    dz = None returns free itself. line, when given, must be the image
+    line integral of the key _image_line_args(spec, dz, tol) names, as
+    a batch of line integrals made it; it is taken as it is, again
+    bit-identically."""
     if dz is not None and (not math.isfinite(dz) or dz <= 0.0):
         raise DomainError(f"dz must be positive and finite, got {dz}")
     if free is None:
@@ -130,11 +148,9 @@ def transition_probability(spec: CircularDetectorSpec,
     if dz is None:
         return free
 
-    # the image Wightman term of one detector is that of the pair
-    # (spec, spec) at zero separation: C's image line integral at
-    # L_eff = 2 dz, with the opposite sign
-    pref, shared = _line_params(spec, spec, tol / 4.0)
-    line = _reduced_line_integral(2.0 * dz, *shared)
+    pref, key = _image_line_args(spec, dz, tol)
+    if line is None:
+        line = _reduced_line_integral(*key)
     term_pole = 0.0 - pref * line.residues  # +0.0 on the far branch
     term_pv = -pref * (line.value - line.residues)
     err = free.abs_error_estimate + pref * line.abs_error_estimate

@@ -5,14 +5,17 @@ energy gap) swept over a fixed background of the remaining parameters,
 once per gap-detuning ratio. Rows share sub-results: P_A repeats along
 a separation axis, the direct correlation part along a boundary-distance
 axis, and a detector's free-space response at every height it sits at.
-So a sweep is lowered to its distinct free-space responses, mirror
-transition probabilities (each adding its image terms to its detector's
-free-space response) and line integrals; these run data-parallel, once
-each, and every row is assembled from the ones it uses. Output order is
-fixed by (curve, axis index) so files are byte-identical whatever the
-worker count. A failing point keeps its row with a fail status instead
-of aborting the run. The oracle suite runs its points through the same
-task runner, one process pool per call.
+So a sweep is lowered to its distinct free-space responses, line
+integrals (those of C, and the image line of each mirror P) and mirror
+transition probabilities (each adding its image line to its detector's
+free-space response); these run once each, and every row is assembled
+from the ones it uses. The line integrals refine together in lockstep,
+as one vectorized batch serially or one per chunk of a process pool,
+each on a mesh of its own, so no value depends on its batch. Output
+order is fixed by (curve, axis index) so files are byte-identical
+whatever the worker count. A failing point keeps its row with a fail
+status instead of aborting the run. The oracle suite runs its points
+through the same task runner, one process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
@@ -36,12 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import (PairConfig, _correlation_from_lines,
-                          _line_integral_args, _reduced_line_integral,
+                          _line_integral_args, _reduced_line_integrals,
                           correlation_equal, correlation_general_result)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
-from .response import transition_probability, transition_probability_oracle_result
+from .response import (_image_line_args, transition_probability,
+                       transition_probability_oracle_result)
 
 __all__ = [
     "AXIS_NAMES",
@@ -296,16 +300,17 @@ def _warning_tags(wlog) -> frozenset[str]:
 def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     """Lower a sweep into its rows and the distinct calls they need.
 
-    A task is one (function, arguments, free task index or None) call,
-    listed once, in the order rows first use it. A free task is
-    transition_probability on (detector, None, tol): a detector's
-    free-space response, or its whole P without a mirror. A mirror task
-    is transition_probability on (detector, height, tol) and names the
-    detector's free task, which it gets as free= and which always comes
-    before it; the rest are _reduced_line_integral on a line-integral
-    key (its full argument tuple). Equal keys give equal results, and
-    free= leaves P bit-identical, so every row is made from exactly the
-    values a single-point evaluation would compute.
+    A task is one (function, arguments, dependencies) call, listed once,
+    in the order rows first use it; dependencies pairs keywords with the
+    indices of earlier tasks. A free task is transition_probability on
+    (detector, None, tol): a detector's free-space response, or its
+    whole P without a mirror. A line task is _reduced_line_integrals on
+    one line-integral key (its full argument tuple): a line of C, or the
+    image line of a mirror P. A mirror task is transition_probability on
+    (detector, height, tol) and depends on its detector's free task as
+    free= and its image line task as line=. Equal keys give equal
+    results, and free= and line= leave P bit-identical, so every row is
+    made from exactly the values a single-point evaluation would compute.
 
     A row plan is (params, status, task indices, C prefactor). The
     indices follow the order a single point evaluates its terms: P_A,
@@ -321,11 +326,16 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
             tasks.append(task)
         return index[task]
 
+    def line(key: tuple) -> int:
+        return use((_reduced_line_integrals, key, ()))
+
     def response(det, dz) -> int:
-        free = use((transition_probability, (det, None, spec.tol), None))
+        free = use((transition_probability, (det, None, spec.tol), ()))
         if dz is None:
             return free
-        return use((transition_probability, (det, dz, spec.tol), free))
+        image = line(_image_line_args(det, dz, spec.tol)[1])
+        return use((transition_probability, (det, dz, spec.tol),
+                    (("free", free), ("line", image))))
 
     plans = []
     for params in spec.point_params():
@@ -337,34 +347,74 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
         dz_b = None if pair.dz is None else pair.dz + pair.sep
         pref, lines = _line_integral_args(pair, spec.tol)
         keys = (response(pair.det_a, pair.dz), response(pair.det_b, dz_b),
-                *(use((_reduced_line_integral, args, None)) for args in lines))
+                *(line(args) for args in lines))
         plans.append((params, None, keys, pref))
     return plans, tasks
 
 
 def _evaluate_task(item: tuple) -> tuple:
-    """Worker: one distinct sub-result as (value, fail status or None,
-    warning tags) of a (function, arguments, free result or None) item.
+    """One distinct sub-result as (value, fail status or None, warning
+    tags) of a (function, arguments, {keyword: dependency result}) item.
     Never raises; the rows using a failed task fail.
 
-    A mirror task whose free task failed takes that result, fail status
-    and tags, without running: the failure a single point would meet
-    first. Otherwise the free result is passed as free= and its warning
-    tags join the task's own."""
-    fn, args, free = item
-    kwargs, free_tags = {}, frozenset()
-    if free is not None:
-        value, fail, free_tags = free
+    A task with a failed dependency takes that result, fail status and
+    tags, without running: the failure a single point would meet first.
+    Otherwise each dependency's value is passed under its keyword and
+    its warning tags join the task's own."""
+    fn, args, deps = item
+    kwargs, dep_tags = {}, frozenset()
+    for name, dep in deps.items():
+        value, fail, tags = dep
         if fail is not None:
-            return free
-        kwargs["free"] = value
+            return dep
+        kwargs[name] = value
+        dep_tags |= tags
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
             value = fn(*args, **kwargs)
     except Exception as exc:  # per-point isolation is the contract
         return None, _fail_status(exc), frozenset()
-    return value, None, free_tags | _warning_tags(wlog)
+    return value, None, dep_tags | _warning_tags(wlog)
+
+
+def _evaluate_lines(keys: list[tuple]) -> list[tuple]:
+    """(value, fail status or None, warning tags) of each line-integral
+    key, from one lockstep batch. A batch that warns, or raises as a
+    whole, is run again one key at a time, so that a key's tags and
+    status do not depend on the batch it shared."""
+    values, failure = None, None
+    try:
+        with warnings.catch_warnings(record=True) as wlog:
+            warnings.simplefilter("always")
+            values = _reduced_line_integrals(keys)
+    except Exception as exc:  # per-point isolation is the contract
+        failure = exc
+    if len(keys) > 1 and (failure is not None or wlog):
+        return [res for key in keys for res in _evaluate_lines([key])]
+    if failure is not None:
+        return [(None, _fail_status(failure), frozenset())]
+    tags = _warning_tags(wlog)
+    return [(None, _fail_status(v), frozenset()) if isinstance(v, Exception)
+            else (v, None, tags) for v in values]
+
+
+# Line keys per lockstep batch. Memory grows with the batch (its first
+# round evaluates 240 abscissae per key), so a long sweep runs several
+# batches; every bundled preset fits in one.
+_LINE_BATCH = 1024
+
+
+def _evaluate_tasks(items: list[tuple]) -> list[tuple]:
+    """Worker: _evaluate_task of each item, except that the line tasks
+    among them run first, in batches of _evaluate_lines of at most
+    _LINE_BATCH keys."""
+    is_line = [fn is _reduced_line_integrals for fn, _, _ in items]
+    keys = [args for (_, args, _), line in zip(items, is_line) if line]
+    lines = iter([res for c in range(0, len(keys), _LINE_BATCH)
+                  for res in _evaluate_lines(keys[c:c + _LINE_BATCH])])
+    return [next(lines) if line else _evaluate_task(item)
+            for item, line in zip(items, is_line)]
 
 
 def _assemble(status: str | None, keys: tuple[int, ...], pref: float,
@@ -410,33 +460,43 @@ def _resolve_workers(requested: int | None) -> int:
 
 
 def _evaluate_plan(evaluate, tasks: list[tuple], workers: int):
-    """Iterator over evaluate of each (function, arguments, dependency)
-    task, in order; the one task runner of sweeps and the oracle suite.
+    """Iterator over the results of (function, arguments, dependencies)
+    tasks, in order; the one task runner of sweeps and the oracle suite.
+    dependencies pairs keywords with the indices of earlier tasks.
 
-    evaluate gets (function, arguments, result of the dependency task or
-    None). Serially each result is made when it is taken, so run_sweep
-    assembles every row right after the tasks it first needs and a
-    serial run's calls group by row; a dependency comes before the tasks
-    that need it. With workers, the tasks without a dependency are
-    mapped first, then the rest with their dependency's result bound in,
-    on one pool."""
+    evaluate maps a list of (function, arguments, {keyword: dependency
+    result}) items to the list of their results, so that it can batch
+    alike items. The tasks without dependencies come first: serially as
+    one list, on a pool of workers as one list per chunk. The rest
+    follow with their dependencies' results bound: serially each is made
+    when it is taken, so run_sweep assembles every row right after its
+    last task, and on the pool as one list per chunk again. Chunks are
+    about a quarter of a stage's share per worker."""
+    stages = ([i for i, task in enumerate(tasks) if not task[2]],
+              [i for i, task in enumerate(tasks) if task[2]])
+    results: list = [None] * len(tasks)
+
+    def items(order):
+        return [(fn, args, {name: results[d] for name, d in deps})
+                for fn, args, deps in (tasks[i] for i in order)]
+
     if workers == 1 or len(tasks) <= 1:
-        results = []
-        for fn, args, dep in tasks:
-            results.append(evaluate(
-                (fn, args, None if dep is None else results[dep])))
-            yield results[-1]
+        for i, res in zip(stages[0], evaluate(items(stages[0]))):
+            results[i] = res
+        dependent = set(stages[1])
+        for i in range(len(tasks)):
+            if i in dependent:
+                (results[i],) = evaluate(items([i]))
+            yield results[i]
         return
-    results = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for dependent in (False, True):
-            order = [i for i, task in enumerate(tasks)
-                     if (task[2] is not None) == dependent]
-            items = [(fn, args, None if dep is None else results[dep])
-                     for fn, args, dep in (tasks[i] for i in order)]
-            chunksize = max(1, len(items) // (4 * workers))
-            for i, res in zip(order, pool.map(evaluate, items,
-                                              chunksize=chunksize)):
+        for order in stages:
+            size = max(1, len(order) // (4 * workers))
+            chunks = [items(order[c:c + size])
+                      for c in range(0, len(order), size)]
+            done = (res for chunk in pool.map(evaluate, chunks)
+                    for res in chunk)
+            for i, res in zip(order, done):
                 results[i] = res
     yield from results
 
@@ -449,7 +509,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     is evaluated once, each detector's free-space response too, and every
     row is assembled from the ones it uses."""
     plans, tasks = _plan(spec)
-    stream = _evaluate_plan(_evaluate_task, tasks, _resolve_workers(workers))
+    stream = _evaluate_plan(_evaluate_tasks, tasks, _resolve_workers(workers))
     results: list = []
     rows = []
     for params, status, keys, pref in plans:
@@ -555,7 +615,8 @@ def load_config(source) -> SweepSpec:
 def load_grid(source) -> dict:
     """Oracle-suite grid from a JSON path, preset name, or mapping,
     checked: a positive finite rel_tol (default 1e-3) and point lists of
-    objects with the keys their section needs."""
+    objects with the keys their section needs, each a finite number (dz
+    too, unless absent or None)."""
     grid = _load_json_source(source, "oracle grid")
     if not isinstance(grid, dict):
         raise DomainError("oracle grid must be a JSON object")
@@ -571,10 +632,15 @@ def load_grid(source) -> dict:
         if not (isinstance(points, list)
                 and all(isinstance(p, dict) for p in points)):
             raise DomainError(f"{section} must be a list of objects")
+        checked = []
         for p in points:
             missing = [k for k in keys if k not in p]
             if missing:
                 raise DomainError(f"{section} point {p} lacks keys {missing}")
+            numbers = [k for k in (*keys, "dz") if p.get(k) is not None]
+            checked.append({**p, **{k: _require_finite(k, p[k])
+                                    for k in numbers}})
+        grid[section] = checked
     if not (grid["response_points"] or grid["correlation_points"]):
         raise DomainError("oracle grid has no points")
     return grid
@@ -605,9 +671,8 @@ def _suite_correlation_point(params: dict) -> dict:
     return rec
 
 
-def _call(item: tuple):
-    fn, args, _ = item
-    return fn(*args)
+def _call_all(items: list[tuple]) -> list:
+    return [fn(*args) for fn, args, _ in items]
 
 
 def _deviation_record(params, value, err, oracle, oerr) -> dict:
@@ -645,10 +710,10 @@ def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
     grid = load_grid(grid)
     rel_tol = grid["rel_tol"]
     resp_points = grid["response_points"]
-    tasks = ([(_suite_response_point, (p,), None) for p in resp_points]
-             + [(_suite_correlation_point, (p,), None)
+    tasks = ([(_suite_response_point, (p,), ()) for p in resp_points]
+             + [(_suite_correlation_point, (p,), ())
                 for p in grid["correlation_points"]])
-    records = list(_evaluate_plan(_call, tasks, _resolve_workers(workers)))
+    records = list(_evaluate_plan(_call_all, tasks, _resolve_workers(workers)))
     resp_records = records[:len(resp_points)]
     corr_records = records[len(resp_points):]
 

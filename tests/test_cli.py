@@ -285,7 +285,9 @@ class TestVerifyCommand:
         for grid in ({"response_points": [5]},
                      {"response_points": [{"gap": 0.1, "radius": 1.0}]},
                      {"rel_tol": "x", "response_points": [good]},
-                     {"response_points": [good], "correlation_points": 3}):
+                     {"response_points": [good], "correlation_points": 3},
+                     {"response_points": [{**good, "accel": "x"}]},
+                     {"response_points": [{**good, "dz": "x"}]}):
             p.write_text(json.dumps(grid))
             rc, out, err = run_cli(capsys, [
                 "verify", "--grid", str(p), "--workers", workers])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -14,7 +16,8 @@ from udwmi import (
     wightman_free,
 )
 from udwmi.correlation import (DEFAULT_EPSILONS, _epsilon_ladder,
-                               _reduced_line_integral)
+                               _line_params, _reduced_line_integral,
+                               _reduced_line_integrals)
 from udwmi.quadrature import QuadratureResult, epsilon_extrapolate
 
 # Frozen expected values come from an independent mpmath implementation of
@@ -195,6 +198,56 @@ class TestReductionCrossCheck:
         tight = correlation_equal(cfg, tol=tol)
         assert tight.converged
         assert abs(tight.c_total - loose.c_total) < 1e-10
+
+
+def line_key(accel, radius, gap, L_eff, tol):
+    det = detector_from_accel_radius(gap, accel, radius)
+    return (L_eff, *_line_params(det, det, tol)[1])
+
+
+def line_bits(res):
+    """Every field of a batch member's result, floats as exact hex; an
+    exception as its type and message."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations,
+            res.converged, res.pole.hex(), float(res.residues).hex(),
+            res.far_pole)
+
+
+# always in the batch: a static orbit (omega = 0), a far-pole member
+# (L_eff beyond the switching envelope), a member that fails before its
+# quadrature and one that its quadrature batch rejects (tol 0)
+SPECIAL_KEYS = [line_key(0.0, 0.02, 0.1, 1.5, 1e-8),
+                line_key(1.0, 1.0, 0.5, 40.0, 1e-10),
+                line_key(5.0, 0.02, 0.1, 0.0, 1e-8),
+                line_key(5.0, 0.02, 0.1, 1.0, 1e-8)[:-1] + (0.0,)]
+
+
+class TestLineIntegralBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 3.7, 30.0]),
+                              st.sampled_from([0.02, 1.0, 10.0]),
+                              st.sampled_from([0.01, 0.1, 1.0]),
+                              st.floats(0.05, 30.0),
+                              st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12])),
+                    max_size=5),
+           st.randoms(use_true_random=False))
+    def test_members_equal_batches_of_one(self, drawn, rnd):
+        keys = [line_key(*d) for d in drawn] + SPECIAL_KEYS
+        rnd.shuffle(keys)
+        batch = _reduced_line_integrals(keys)
+        assert [line_bits(r) for r in batch] == \
+            [line_bits(_reduced_line_integrals([k])[0]) for k in keys]
+        # the raising members fail alone, each with its own message
+        failed = {k: str(r) for k, r in zip(keys, batch)
+                  if isinstance(r, Exception)}
+        assert failed == {SPECIAL_KEYS[2]: "effective separation must be "
+                                           "positive",
+                          SPECIAL_KEYS[3]: "tol must be positive"}
+        assert batch[keys.index(SPECIAL_KEYS[1])].far_pole
+        with pytest.raises(DomainError, match="effective separation"):
+            _reduced_line_integral(*SPECIAL_KEYS[2])
 
 
 class TestDefinitionOracle:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udwmi import response
+from udwmi import infomeasure, response
 from udwmi.correlation import PairConfig, correlation_equal
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                assemble_density_block, mutual_information,
@@ -279,15 +279,25 @@ class TestEndToEndPoint:
             transition_probability(det_b, dz_b), correlation_equal(pair)))
         calls = []
         bounded = response.integrate_semiinfinite_gaussian
+        batches = []
+        lines = infomeasure._reduced_line_integrals
 
         def counted(*args, **kwargs):
             calls.append(args)
             return bounded(*args, **kwargs)
 
+        def counted_lines(keys):
+            batches.append(len(keys))
+            return lines(keys)
+
         monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
                             counted)
+        monkeypatch.setattr(infomeasure, "_reduced_line_integrals",
+                            counted_lines)
         pt = mutual_information_point(pair)
         assert len(calls) == bounded_calls
+        # the image lines of both P and the lines of C are one batch
+        assert batches == [1 if dz is None else 4]
         assert float_bits(dataclasses.astuple(pt)) == \
             float_bits(dataclasses.astuple(expected))
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import udwmi
 from udwmi import correlation, response
-from udwmi.correlation import PairConfig, _reduced_line_integral
+from udwmi.correlation import (PairConfig, _line_integral_args,
+                               _reduced_line_integrals)
 from udwmi.infomeasure import (PerturbativeRegimeWarning,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
@@ -232,33 +233,47 @@ class TestRunSweep:
     def test_failing_point_is_isolated(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def failing_line(L_eff, *args):
-            if L_eff == 1.0:
-                raise DomainError("forced failure for this point")
-            return _reduced_line_integral(L_eff, *args)
-
         axis = SweepAxis(name="sep", start=0.5, stop=1.5, points=3)
-        clean = run_sweep(cheap_spec(axis=axis), workers=1)
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integral", failing_line)
-        rows = run_sweep(cheap_spec(axis=axis), workers=1)
-        # only the sep = 1 row has a line integral at L_eff = 1
-        assert [r.status.split(":")[0] for r in rows] == ["ok", "fail", "ok"]
-        failed = rows[1]
-        assert "DomainError" in failed.status
-        assert "forced failure" in failed.status
-        assert math.isnan(failed.mutual_info)
-        assert math.isnan(failed.p_a)
-        assert (rows[0], rows[2]) == (clean[0], clean[2])
+        spec = cheap_spec(axis=axis)
+        # C's direct line at L_eff = 1: only the sep = 1 row uses it
+        pair = sweep_mod._pair_from_params(spec.point_params()[1])
+        direct = _line_integral_args(pair, spec.tol)[1][0]
+        assert direct[0] == 1.0
+        forced = DomainError("forced failure for this point")
+
+        def failing_member(keys):
+            return [forced if key == direct else line
+                    for key, line in zip(keys, _reduced_line_integrals(keys))]
+
+        def failing_batch(keys):
+            if direct in keys:
+                raise forced
+            return _reduced_line_integrals(keys)
+
+        clean = run_sweep(spec, workers=1)
+        # the member fails in its batch, or the batch raises as a whole
+        # and is run again key by key: either way one row fails
+        for patch in (failing_member, failing_batch):
+            monkeypatch.setattr(sweep_mod, "_reduced_line_integrals", patch)
+            rows = run_sweep(spec, workers=1)
+            assert [r.status.split(":")[0] for r in rows] == \
+                ["ok", "fail", "ok"]
+            failed = rows[1]
+            assert "DomainError" in failed.status
+            assert "forced failure" in failed.status
+            assert math.isnan(failed.mutual_info)
+            assert math.isnan(failed.p_a)
+            assert (rows[0], rows[2]) == (clean[0], clean[2])
 
     def test_unconverged_points_are_tagged(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def unconverged_line(*args):
-            return dataclasses.replace(_reduced_line_integral(*args),
-                                       converged=False)
+        def unconverged_lines(keys):
+            return [dataclasses.replace(line, converged=False)
+                    for line in _reduced_line_integrals(keys)]
 
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integral",
-                            unconverged_line)
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
+                            unconverged_lines)
         rows = run_sweep(cheap_spec(), workers=1)
         assert all(r.status == "warn:tolerance" for r in rows)
 
@@ -383,27 +398,24 @@ class TestPlanner:
         direct_lines = []
         tp = sweep_mod.transition_probability
         quad = response.integrate_semiinfinite_gaussian
-        line = _reduced_line_integral
 
-        def counted_tp(spec, dz=None, tol=1e-8, free=None):
+        def counted_tp(spec, dz=None, tol=1e-8, free=None, line=None):
             probabilities.append((spec, dz, tol))
-            return tp(spec, dz, tol, free=free)
+            return tp(spec, dz, tol, free=free, line=line)
 
         def counted_quad(*args, **kwargs):
             bounded.append(args)
             return quad(*args, **kwargs)
 
-        def counted_line(L_eff, *args):
-            if L_eff == 1.0:
-                direct_lines.append(args)
-            return line(L_eff, *args)
+        def counted_lines(keys):
+            direct_lines.extend(key for key in keys if key[0] == 1.0)
+            return _reduced_line_integrals(keys)
 
         monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
         monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
                             counted_quad)
-        monkeypatch.setattr(correlation, "_reduced_line_integral", counted_line)
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integral", counted_line,
-                            raising=False)
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
+                            counted_lines)
         n = 5
         run_sweep(cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
                                             points=n)), workers=1)
@@ -418,6 +430,33 @@ class TestPlanner:
         run_sweep(cheap_spec(axis=dz_axis, dz=None, sep=1.0,
                              gap_ratios=(0.0, 0.5)), workers=1)
         assert len(direct_lines) == 2
+
+    def test_line_integrals_run_as_one_batch(self, monkeypatch):
+        # a serial criterion-7 style curve hands all its line integrals
+        # to one lockstep batch: P_A's image line, then P_B's image line
+        # and C's direct and image lines of every row
+        from udwmi import sweep as sweep_mod
+
+        batches = []
+
+        def counted_lines(keys):
+            batches.append(len(keys))
+            return _reduced_line_integrals(keys)
+
+        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
+                            counted_lines)
+        spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,
+                                        points=240),
+                         gap_a=0.1, accel=3.7, radius=0.02, dz=5.0)
+        rows = run_sweep(spec, workers=1)
+        assert len(rows) == 240
+        assert batches == [1 + 3 * 240]
+        # a longer list of keys runs as several bounded batches, with the
+        # same rows
+        batches.clear()
+        monkeypatch.setattr(sweep_mod, "_LINE_BATCH", 300)
+        assert run_sweep(spec, workers=1) == rows
+        assert batches == [300, 300, 121]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_free_response_fails_its_rows(self, monkeypatch, workers):
@@ -455,7 +494,11 @@ class TestPlanner:
             raise AssertionError("ran")
 
         failed = (None, "fail:RuntimeError:free", frozenset())
-        assert _evaluate_task((never, (), failed)) is failed
+        assert _evaluate_task((never, (), {"free": failed})) is failed
+        # nor that of a failed image line, after a good free task
+        good = (object(), None, frozenset())
+        assert _evaluate_task((never, (), {"free": good, "line": failed})) \
+            is failed
 
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
