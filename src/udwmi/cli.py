@@ -15,6 +15,7 @@ evaluating the point a failed point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,7 +58,10 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
                         help="absolute tolerance (default 1e-8)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main call in the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="udwmi",
         description="Mutual information harvesting by rotating detectors "

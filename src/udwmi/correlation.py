@@ -24,6 +24,11 @@ independent routes:
   coordinate times with the regulator epsilon kept finite, repeated on
   the fixed ladder DEFAULT_EPSILONS and extrapolated to zero. Works for
   unequal kinematics and serves as the oracle for the reduced path.
+  Its outer integrand evaluates the inner time grid of its s nodes in
+  row blocks of at most _ORACLE_BLOCK elements (_row_blocks, shared
+  with the response oracle), so a pass's memory does not grow with its
+  panel count, and each row is reduced alone, so the value does not
+  depend on the block size.
 """
 
 from __future__ import annotations
@@ -398,6 +403,28 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
+# Inner-grid elements per oracle row block. An oracle integrand is a
+# (rows x inner nodes) complex array; in blocks, a pass's temporaries stay
+# under a megabyte whatever its panel count. On oracle_grid, blocks of
+# 2^12 run 1.2x as fast as one array per call; at 2^13 and above, glibc
+# returns each block's freed temporaries to the kernel and the next block
+# faults them in again, and 2^10 pays too much per-block overhead
+# (x86-64 Linux, glibc malloc, NumPy 2.4).
+_ORACLE_BLOCK = 1 << 12
+
+
+def _row_blocks(rows, s: np.ndarray, n_inner: int) -> np.ndarray:
+    """rows(s) for a 1-D s whose every entry spans n_inner inner-grid
+    elements, evaluated in blocks of at most _ORACLE_BLOCK elements
+    (at least one entry). rows must compute each entry from that entry
+    alone, so the result equals one call on all of s."""
+    step = max(_ORACLE_BLOCK // n_inner, 1)
+    if s.size <= step:
+        return rows(s)
+    return np.concatenate([rows(s[i:i + step])
+                           for i in range(0, s.size, step)])
+
+
 def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
                                 n_u: int) -> QuadratureResult:
     """One finite-epsilon evaluation of the defining double integral.
@@ -417,7 +444,7 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
     u_nodes, u_weights = composite_gauss_legendre(-u_cut, u_cut, n_u)
     jac = 1.0 / (ga * gb)
 
-    def outer(s_flat):
+    def rows(s_flat):
         s = s_flat[:, None]
         t = u_nodes[None, :]
         tp = t - s
@@ -428,6 +455,9 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
         phase = np.exp(1j * (gap_b * t / gb - gap_a * tp / ga))
         # einsum, not BLAS: no native thread pool under the process pool
         return jac * np.einsum("ij,j->i", gauss * phase * w, u_weights)
+
+    def outer(s_flat):
+        return _row_blocks(rows, s_flat, u_nodes.size)
 
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations

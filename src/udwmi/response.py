@@ -34,7 +34,9 @@ at s0 = 2 dz.
 transition_probability_oracle_result integrates the defining double
 integral (finite regulator epsilon on the fixed ladder DEFAULT_EPSILONS,
 extrapolated to zero) without any of the above reductions; it is
-deliberately independent of the closed form.
+deliberately independent of the closed form. Like the correlation
+oracle, it evaluates its inner grid in the bounded row blocks of
+correlation._row_blocks.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .correlation import (LineIntegral, OracleEstimate, _epsilon_ladder,
-                          _line_params, _reduced_line_integral,
+                          _line_params, _reduced_line_integral, _row_blocks,
                           composite_gauss_legendre, wightman_boundary,
                           wightman_free)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
@@ -217,7 +219,7 @@ def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
 
     u_nodes, u_weights = composite_gauss_legendre(-6.5, 6.5, 96)
 
-    def outer(s_flat):
+    def rows(s_flat):
         s = s_flat[:, None]
         tau = u_nodes[None, :] + 0.5 * s
         taup = u_nodes[None, :] - 0.5 * s
@@ -227,6 +229,9 @@ def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
         f = np.exp(-0.5 * (tau * tau + taup * taup) - 1j * gap * s) * w
         # einsum, not BLAS, as in correlation._correlation_single_epsilon
         return np.einsum("ij,j->i", f, u_weights)
+
+    def outer(s_flat):
+        return _row_blocks(rows, s_flat, u_nodes.size)
 
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)

@@ -348,6 +348,21 @@ class TestParserBasics:
             main([])
         assert exc.value.code == 2
 
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys):
+        # main reuses one parser per process: a --free-space call with an
+        # explicit --gap-b must not leak into a following --dz call that
+        # leaves --gap-b at its default
+        calls = [["mi", *CHEAP_POINT[:-2], "--gap-b", "0.7", "--free-space"],
+                 ["mi", *CHEAP_POINT[:-2], "--dz", "1"]]
+        in_process = [run_cli(capsys, argv) for argv in calls]
+        fresh = [subprocess.run([sys.executable, "-m", "udwmi.cli", *argv],
+                                capture_output=True, text=True)
+                 for argv in calls]
+        for (rc, out, _), proc in zip(in_process, fresh):
+            assert rc == proc.returncode == 0
+            assert json.loads(out) == json.loads(proc.stdout)
+        assert json.loads(in_process[0][1]) != json.loads(in_process[1][1])
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "udwmi.cli", "--help"],
                               capture_output=True, text=True)

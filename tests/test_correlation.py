@@ -297,6 +297,49 @@ class TestDefinitionOracle:
         assert 0.0 < abs(est.value) < 1.0
 
 
+class TestOracleRowBlocks:
+    # both oracle integrands evaluate their s rows in blocks of at most
+    # correlation._ORACLE_BLOCK inner-grid elements; every row is reduced
+    # alone, so the block size cannot change a pass
+    @staticmethod
+    def bits(res):
+        return (complex(res.value).real.hex(), complex(res.value).imag.hex(),
+                res.abs_error_estimate.hex(), res.evaluations)
+
+    def test_one_row_blocks_equal_default_blocks(self, monkeypatch):
+        from udwmi import correlation, response
+
+        def passes():
+            return [correlation._correlation_single_epsilon(cfg, 1e-3, 1e-7, 96)
+                    for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
+                                pair(1.0, 1.0, sep=1.0))] + [
+                response._response_single_epsilon(spec, dz, 1e-3, 2.5e-7)
+                for spec, dz in ((detector_from_accel_radius(0.1, 5.0, 0.02),
+                                  0.1),
+                                 (detector_from_accel_radius(0.1, 0.1, 10.0),
+                                  None))]
+
+        default = [self.bits(res) for res in passes()]
+        monkeypatch.setattr(correlation, "_ORACLE_BLOCK", 1)
+        assert [self.bits(res) for res in passes()] == default
+
+    def test_pass_memory_is_bounded(self):
+        # one pass refines thousands of panels; as one (panels x 15) x 96
+        # complex array its temporaries peaked at 85 MiB
+        import tracemalloc
+
+        from udwmi import correlation
+
+        cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
+        tracemalloc.start()
+        try:
+            correlation._correlation_single_epsilon(cfg, 1e-3, 1e-7, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
 class TestEpsilonLadder:
     # the ladder both oracles share, driven by stub regulator passes
     @staticmethod
