@@ -4,8 +4,8 @@ mirror handled by the image construction.
 
 All quantities are dimensionless: the Gaussian switching width sets the
 time unit, the coupling is unity. The package splits into kinematics
-(orbits), quadrature (adaptive panels, one principal-value routine, root
-bracketing, regulator extrapolation), response (single-detector excitation
+(orbits), quadrature (adaptive panels, one principal-value routine,
+regulator extrapolation), response (single-detector excitation
 probability), correlation (the pair coherence), infomeasure (mutual
 information), and sweep (batch tables and oracle cross-checks).
 """
@@ -21,8 +21,8 @@ from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          detector_from_accel_radius, omega_from_accel_radius,
                          trajectory_point)
 from .quadrature import (ExtrapolationResult, QuadratureResult,
-                         epsilon_extrapolate, find_root_bracketed,
-                         integrate_adaptive, principal_value_integral)
+                         epsilon_extrapolate, integrate_adaptive,
+                         principal_value_integral)
 from .response import (ResponseBreakdown, inertial_response,
                        transition_probability,
                        transition_probability_oracle_result)
@@ -38,7 +38,6 @@ __all__ = [
     "trajectory_point",
     "QuadratureResult", "ExtrapolationResult",
     "integrate_adaptive", "principal_value_integral", "epsilon_extrapolate",
-    "find_root_bracketed",
     "ResponseBreakdown", "inertial_response",
     "transition_probability", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",

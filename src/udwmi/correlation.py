@@ -15,8 +15,9 @@ independent routes:
   difference; its integrand has one pair of simple real poles, at
   +-s0 where the detectors are lightlike separated. The denominator is
   even, so the integral folds onto s >= 0 as one principal value at s0
-  plus the closed-form half residues, and C comes out real. The direct
-  part gives c_free, the image part c_boundary, and
+  plus the closed-form half residues, and C comes out real. s0 is found
+  by a monotone Newton iteration in plain floats (_line_pole). The
+  direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
@@ -42,8 +43,8 @@ import numpy as np
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          trajectory_point)
 from .quadrature import (QuadratureResult, _checked, epsilon_extrapolate,
-                         find_root_bracketed, integrate_adaptive,
-                         integrate_adaptive_batch, principal_value_batch)
+                         integrate_adaptive, integrate_adaptive_batch,
+                         principal_value_batch)
 
 __all__ = [
     "PairConfig",
@@ -182,20 +183,30 @@ class LineIntegral(QuadratureResult):
     far_pole: bool = False
 
 
-def _line_pole(L_eff: float, radius: float, omega: float) -> float:
+def _line_pole(L_eff: float, radius: float, omega: float,
+               gamma: float) -> float:
     """The positive zero s0 of D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2)
-    - s^2, found on its proven bracket [L_eff, sqrt(L_eff^2 + 4 R^2)]."""
+    - s^2 on an orbit of Lorentz factor gamma, by Newton's method from
+    min(sqrt(L_eff^2 + 4 R^2), gamma L_eff), where D <= 0 (sin^2 x <=
+    x^2 gives the second). D is decreasing and concave on s > 0 (D'' =
+    2 (v^2 cos(omega s) - 1) < 0), so the iterates fall monotonically
+    onto s0; the first that does not fall is s0 to rounding. A static
+    orbit starts, and stays, at s0 = L_eff exactly."""
+    if not math.isfinite(L_eff):
+        raise DomainError(f"effective separation must be finite, got {L_eff}")
     if L_eff <= 0.0:
         raise DomainError("effective separation must be positive")
-    r_sq = radius * radius
-
-    def D(s):
-        return L_eff * L_eff + 4.0 * r_sq * np.sin(0.5 * omega * s) ** 2 - s * s
-
-    band_hi = math.sqrt(L_eff * L_eff + 4.0 * r_sq)
-    # a few ulps wider: when 4 R^2 is near an ulp of L_eff^2, D(band_hi)
-    # can round to the positive D(L_eff) and lose the sign change
-    return find_root_bracketed(D, L_eff, band_hi + 8.0 * math.ulp(band_hi))
+    l_sq, four_r_sq = L_eff * L_eff, 4.0 * radius * radius
+    half_omega = 0.5 * omega
+    s = min(math.sqrt(l_sq + four_r_sq), gamma * L_eff)
+    while True:
+        sin_h, cos_h = math.sin(half_omega * s), math.cos(half_omega * s)
+        d = l_sq + four_r_sq * sin_h * sin_h - s * s
+        slope = four_r_sq * omega * sin_h * cos_h - 2.0 * s
+        step = s - d / slope
+        if not step < s:
+            return s
+        s = step
 
 
 def _reduced_line_integrals(keys) -> list:
@@ -216,12 +227,12 @@ def _reduced_line_integrals(keys) -> list:
     batch, and the far-pole integrals in another, with their parameters
     gathered per member, so every result equals that of a batch of one.
     Returns one entry per key: its LineIntegral, or the exception it
-    fails with (a pole bracket without a sign change, L_eff <= 0)."""
+    fails with (an L_eff that is not positive and finite, tol <= 0)."""
     out: list = [None] * len(keys)
     near, far = [], []
-    for i, (L_eff, radius, omega, _, _, s_env, _) in enumerate(keys):
+    for i, (L_eff, radius, omega, gamma, _, s_env, _) in enumerate(keys):
         try:
-            s0 = _line_pole(L_eff, radius, omega)
+            s0 = _line_pole(L_eff, radius, omega, gamma)
         except Exception as exc:  # a member fails alone
             out[i] = exc
             continue
@@ -325,18 +336,19 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     s_env = 2.0 * gamma * math.sqrt(max(-math.log(tol / 10.0), 1.0)) + 2.0
     tol_int = tol / max(pref, 1e-300) / 2.0
     # a static orbit's D = L_eff^2 - s^2 has no R in it, so neither may
-    # the pole bracket or the principal-value range
+    # the pole search or the principal-value range
     radius = det_a.radius if det_a.omega != 0.0 else 0.0
     return pref, (radius, det_a.omega, gamma, k, s_env, tol_int)
 
 
-def _line_integral_args(pair: PairConfig,
-                        tol: float) -> tuple[float, list[tuple]]:
+def _line_integral_args(pair: PairConfig, tol: float,
+                        line_params=_line_params) -> tuple[float, list[tuple]]:
     """The prefactor of C and the argument tuples of its reduced line
     integrals: the direct one at L_eff = sep and, with a mirror, the
     image one at sep + 2 dz. Equal tuples give equal integrals, so a
-    sweep evaluates each distinct tuple once."""
-    pref, shared = _line_params(pair.det_a, pair.det_b, tol)
+    sweep evaluates each distinct tuple once. line_params is
+    _line_params or a memo of it."""
+    pref, shared = line_params(pair.det_a, pair.det_b, tol)
     args = [(pair.sep, *shared)]
     if pair.dz is not None:
         args.append((pair.sep + 2.0 * pair.dz, *shared))
@@ -441,23 +453,24 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
     gap_a, gap_b = da.energy_gap, db.energy_gap
 
     u_cut = 7.5 * gb + 1.0
-    u_nodes, u_weights = composite_gauss_legendre(-u_cut, u_cut, n_u)
+    t, u_weights = composite_gauss_legendre(-u_cut, u_cut, n_u)
     jac = 1.0 / (ga * gb)
+    # B's factors depend on the inner grid alone, so every row shares them
+    pb = trajectory_point(db, zb, t / gb)
+    gauss_b = -t * t / (2.0 * gb * gb)
+    phase_b = gap_b * t / gb
 
     def rows(s_flat):
-        s = s_flat[:, None]
-        t = u_nodes[None, :]
-        tp = t - s
-        pb = trajectory_point(db, zb, t / gb)
+        tp = t - s_flat[:, None]
         pa = trajectory_point(da, za, tp / ga)
         w = wight(pa, pb, eps)
-        gauss = np.exp(-t * t / (2.0 * gb * gb) - tp * tp / (2.0 * ga * ga))
-        phase = np.exp(1j * (gap_b * t / gb - gap_a * tp / ga))
+        gauss = np.exp(gauss_b - tp * tp / (2.0 * ga * ga))
+        phase = np.exp(1j * (phase_b - gap_a * tp / ga))
         # einsum, not BLAS: no native thread pool under the process pool
         return jac * np.einsum("ij,j->i", gauss * phase * w, u_weights)
 
     def outer(s_flat):
-        return _row_blocks(rows, s_flat, u_nodes.size)
+        return _row_blocks(rows, s_flat, t.size)
 
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations

@@ -36,11 +36,10 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.special import xlogy
-
 from .correlation import (CorrelationResult, PairConfig,
                           _correlation_from_lines, _line_integral_args,
-                          _reduced_line_integrals, _require_equal_kinematics)
+                          _line_params, _reduced_line_integrals,
+                          _require_equal_kinematics)
 from .kinematics import DomainError
 from .quadrature import _checked
 from .response import (ResponseBreakdown, _image_line_args,
@@ -104,6 +103,11 @@ class MIResult:
     positivity_slack: float
 
 
+def _xlogx(x: float) -> float:
+    """x ln x, continued to 0 at x = 0."""
+    return 0.0 if x == 0.0 else x * math.log(x)
+
+
 def mutual_information(block: DensityBlock) -> MIResult:
     """Leading-order mutual information of the detector pair.
 
@@ -131,16 +135,16 @@ def mutual_information(block: DensityBlock) -> MIResult:
 
     if cmag == 0.0:
         # the entropy terms cancel identically, so return the exact zero
-        # rather than xlogy summation-order noise
+        # rather than x ln x summation-order noise
         info = 0.0
     else:
         # fixed subtraction order keeps the result exactly symmetric
         # under swapping the two detectors
         p_hi, p_lo = (p_a, p_b) if p_a >= p_b else (p_b, p_a)
-        info = float(xlogy(l_plus, l_plus) + xlogy(l_minus, l_minus)
-                     - xlogy(p_hi, p_hi) - xlogy(p_lo, p_lo))
+        info = (_xlogx(l_plus) + _xlogx(l_minus)
+                - _xlogx(p_hi) - _xlogx(p_lo))
         if info < 0.0:
-            if info < -1e-14 * max(1.0, abs(xlogy(scale, scale))):
+            if info < -1e-14 * max(1.0, abs(_xlogx(scale))):
                 raise DomainError(f"mutual information came out negative "
                                   f"beyond roundoff: {info}")
             info = 0.0
@@ -183,19 +187,22 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
-def _point_line_keys(pair: PairConfig, tol: float):
+def _point_line_keys(pair: PairConfig, tol: float,
+                     line_params=_line_params):
     """The line integrals one pair point needs, in the order it
     evaluates its terms: (detector, height, image line key) of A and
     then of B, the key None without a mirror, then C's prefactor and
     the keys of its direct and image lines (none unless both detectors
     share orbit kinematics). The one copy of how a point lowers to line
-    integrals, for a single point and a sweep alike."""
+    integrals, for a single point and a sweep alike; a sweep passes a
+    memo of correlation._line_params as line_params."""
     dz_b = None if pair.dz is None else pair.dz + pair.sep
     heights = tuple(
-        (det, dz, None if dz is None else _image_line_args(det, dz, tol)[1])
+        (det, dz,
+         None if dz is None else _image_line_args(det, dz, tol, line_params)[1])
         for det, dz in ((pair.det_a, pair.dz), (pair.det_b, dz_b)))
-    pref, c_keys = (_line_integral_args(pair, tol) if pair.equal_kinematics
-                    else (0.0, []))
+    pref, c_keys = (_line_integral_args(pair, tol, line_params)
+                    if pair.equal_kinematics else (0.0, []))
     return heights, pref, c_keys
 
 

@@ -56,11 +56,9 @@ class CircularDetectorSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v)
-            for v in (self.energy_gap, self.accel, self.radius, self.omega,
-                      self.speed, self.gamma)
-        ):
+        values = (self.energy_gap, self.accel, self.radius, self.omega,
+                  self.speed, self.gamma)
+        if not all(math.isfinite(v) for v in values):
             raise DomainError("detector parameters must be finite")
         if self.radius <= 0.0:
             raise DomainError(f"radius must be positive, got {self.radius}")
@@ -70,6 +68,11 @@ class CircularDetectorSpec:
             raise DomainError(f"orbital speed must satisfy 0 <= v < 1, got {self.speed}")
         if self.gamma < 1.0:
             raise DomainError(f"gamma must be >= 1, got {self.gamma}")
+        # hashed once: a sweep's planner looks detectors up per row and term
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,9 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
                      tau: float | np.ndarray) -> SpacetimePoint:
     """Event on the orbit at proper time tau, at constant height z_offset.
 
-    Accepts scalar or array tau. The orbit starts at (R, 0, z_offset) at
-    tau = 0 and rotates counterclockwise in the x-y plane.
+    Accepts scalar or array tau; z is the scalar z_offset either way.
+    The orbit starts at (R, 0, z_offset) at tau = 0 and rotates
+    counterclockwise in the x-y plane.
     """
     tau = np.asarray(tau, dtype=float) if isinstance(tau, np.ndarray) else tau
     phase = spec.omega * spec.gamma * tau
@@ -127,5 +131,5 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
         t=spec.gamma * tau,
         x=spec.radius * np.cos(phase),
         y=spec.radius * np.sin(phase),
-        z=z_offset * np.ones_like(phase) if isinstance(phase, np.ndarray) else z_offset,
+        z=z_offset,
     )

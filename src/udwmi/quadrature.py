@@ -1,4 +1,4 @@
-"""Quadrature, principal values, root bracketing and extrapolation.
+"""Quadrature, principal values and extrapolation.
 
 Every integrator here takes vectorized callables: f(x) receives a numpy
 array and must return an array of the same shape (real or complex values
@@ -11,9 +11,10 @@ physics layers can cross check one against the other:
 
 * the production route has one principal-value routine,
   principal_value_batch (principal_value_integral is its batch of one):
-  the caller proves its pole simple, locates it with
-  find_root_bracketed, factors it out of the denominator, and adds the
-  half residues in closed form;
+  the caller proves its pole simple, locates it itself (the line
+  integrals of module correlation by a monotone Newton iteration),
+  factors it out of the denominator, and adds the half residues in
+  closed form;
 * the oracle route keeps the regulator epsilon finite, integrates the
   smooth regularized integrand on a geometric epsilon ladder, and
   extrapolates the ladder to epsilon -> 0 (epsilon_extrapolate).
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kinematics import DomainError
 
@@ -48,7 +48,6 @@ __all__ = [
     "principal_value_integral",
     "principal_value_batch",
     "epsilon_extrapolate",
-    "find_root_bracketed",
 ]
 
 
@@ -444,14 +443,3 @@ def epsilon_extrapolate(values) -> ExtrapolationResult:
     residual = steps[-1] if steps else 0.0
     return ExtrapolationResult(value=complex(diag[-1]), residual=float(residual),
                                monotone=monotone)
-
-
-def find_root_bracketed(g, lo: float, hi: float) -> float:
-    """Root of scalar g in [lo, hi]; g(lo) and g(hi) must straddle zero."""
-    glo = float(g(lo))
-    ghi = float(g(hi))
-    # brentq itself returns an endpoint that is an exact root
-    if glo * ghi > 0.0:
-        raise DomainError(
-            f"no sign change on [{lo}, {hi}]: g(lo) = {glo:.6g}, g(hi) = {ghi:.6g}")
-    return float(brentq(g, lo, hi, xtol=1e-13, rtol=4.0 * _EPS))

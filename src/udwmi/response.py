@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .correlation import (LineIntegral, OracleEstimate, _epsilon_ladder,
                           _line_params, _reduced_line_integral, _row_blocks,
@@ -92,7 +91,7 @@ class ResponseBreakdown:
 def inertial_response(energy_gap: float) -> float:
     """Gaussian-switched transition probability of an inertial detector."""
     g = energy_gap
-    return (math.exp(-g * g) - math.sqrt(math.pi) * g * erfc(g)) / (4.0 * math.pi)
+    return (math.exp(-g * g) - math.sqrt(math.pi) * g * math.erfc(g)) / (4.0 * math.pi)
 
 
 def _bounded_kernel(x, v_sq: float):
@@ -112,15 +111,16 @@ def _bounded_kernel(x, v_sq: float):
     return out
 
 
-def _image_line_args(spec: CircularDetectorSpec, dz: float,
-                     tol: float) -> tuple[float, tuple]:
+def _image_line_args(spec: CircularDetectorSpec, dz: float, tol: float,
+                     line_params=_line_params) -> tuple[float, tuple]:
     """The prefactor and the line-integral key of the image part of
     spec's transition probability at height dz for a budget tol.
 
     The image Wightman term of one detector is that of the pair (spec,
     spec) at zero separation: C's image line integral at L_eff = 2 dz,
-    with the opposite sign, here to a quarter of tol."""
-    pref, shared = _line_params(spec, spec, tol / 4.0)
+    with the opposite sign, here to a quarter of tol. line_params is
+    correlation._line_params or a memo of it."""
+    pref, shared = line_params(spec, spec, tol / 4.0)
     return pref, (2.0 * dz, *shared)
 
 

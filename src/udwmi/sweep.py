@@ -26,6 +26,7 @@ use, at most 8, and no environment variable changes it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -39,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import (PairConfig, _correlation_from_lines,
-                          _reduced_line_integrals, correlation_equal,
-                          correlation_general_result)
+                          _line_params, _reduced_line_integrals,
+                          correlation_equal, correlation_general_result)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _point_line_keys,
                           mutual_information_point)
@@ -321,6 +322,10 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     """
     tasks: list[tuple] = []
     index: dict[tuple, int] = {}
+    # one detector per (gap, accel, radius) and one derivation of line
+    # parameters per detector pair and tol, not one per row
+    detector = functools.cache(detector_from_accel_radius)
+    line_params = functools.cache(_line_params)
 
     def use(task: tuple) -> int:
         if task not in index:
@@ -341,11 +346,11 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
     plans = []
     for params in spec.point_params():
         try:
-            pair = _pair_from_params(params)
+            pair = _pair_from_params(params, detector)
         except Exception as exc:  # per-point isolation is the contract
             plans.append((params, _fail_status(exc), (), 0.0))
             continue
-        heights, pref, lines = _point_line_keys(pair, spec.tol)
+        heights, pref, lines = _point_line_keys(pair, spec.tol, line_params)
         keys = (*(response(*h) for h in heights),
                 *(line(key) for key in lines))
         plans.append((params, None, keys, pref))
@@ -641,9 +646,10 @@ def load_grid(source) -> dict:
     return grid
 
 
-def _pair_from_params(p: dict) -> PairConfig:
-    det_a = detector_from_accel_radius(p["gap_a"], p["accel"], p["radius"])
-    det_b = detector_from_accel_radius(p["gap_b"], p["accel"], p["radius"])
+def _pair_from_params(p: dict,
+                      detector=detector_from_accel_radius) -> PairConfig:
+    det_a = detector(p["gap_a"], p["accel"], p["radius"])
+    det_b = detector(p["gap_b"], p["accel"], p["radius"])
     return PairConfig(det_a=det_a, det_b=det_b, sep=p["sep"], dz=p.get("dz"))
 
 

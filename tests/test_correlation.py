@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,8 @@ from udwmi import (
     wightman_free,
 )
 from udwmi.correlation import (DEFAULT_EPSILONS, _epsilon_ladder,
-                               _line_params, _reduced_line_integral,
+                               _line_params, _line_pole,
+                               _reduced_line_integral,
                                _reduced_line_integrals)
 from udwmi.quadrature import QuadratureResult, epsilon_extrapolate
 
@@ -249,6 +253,58 @@ class TestLineIntegralBatch:
         with pytest.raises(DomainError, match="effective separation"):
             _reduced_line_integral(*SPECIAL_KEYS[2])
 
+
+
+def mp_pole(L_eff, radius, omega):
+    """The positive zero of D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) -
+    s^2 by bisection in 40-digit arithmetic, the float arguments taken
+    as exact, on [L_eff, sqrt(L_eff^2 + 4 R^2)], where D changes sign."""
+    with mpmath.workdps(40):
+        L, R, om = (mpmath.mpf(x) for x in (L_eff, radius, omega))
+        lo, hi = L, mpmath.sqrt(L * L + 4 * R * R)
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if L * L + 4 * R * R * mpmath.sin(om * mid / 2) ** 2 > mid * mid:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+class TestLinePole:
+    # the lightlike pole s0 of the line integrals' denominator D
+    def test_matches_40_digit_root(self):
+        # slow and fast orbits, v -> 1 (a = 100, R = 30, gamma = 54.8)
+        # and a radius far below rounding of L_eff (R = 1e-9)
+        for accel, radius in [(0.1, 10.0), (1.0, 1.0), (5.0, 0.02),
+                              (30.0, 0.02), (100.0, 30.0), (5.0, 1e-9)]:
+            det = detector_from_accel_radius(0.1, accel, radius)
+            _, (R, om, gamma, *_) = _line_params(det, det, 1e-8)
+            for L_eff in (0.02, 0.05, 0.2, 1.0, 3.0, 10.0, 25.0, 60.0):
+                ref = mp_pole(L_eff, R, om)
+                s0 = _line_pole(L_eff, R, om, gamma)
+                assert abs(s0 - ref) <= 1e-12 * ref, (accel, radius, L_eff)
+
+    def test_static_orbit_is_exact(self):
+        det = detector_from_accel_radius(0.1, 0.0, 1.0)
+        _, (R, om, gamma, *_) = _line_params(det, det, 1e-8)
+        for L_eff in (0.02, 0.3, 1.0 / 3.0, 7.0, 60.0):
+            assert _line_pole(L_eff, R, om, gamma) == L_eff
+
+    def test_far_pole_key(self):
+        # L_eff beyond the switching envelope: the far-pole branch
+        # reports the same pole
+        key = line_key(1.0, 1.0, 0.5, 40.0, 1e-10)
+        res = _reduced_line_integral(*key)
+        assert res.far_pole
+        assert abs(res.pole - mp_pole(*key[:3])) <= 1e-12 * res.pole
+
+    @pytest.mark.parametrize("L_eff", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_separation_raises(self, L_eff):
+        det = detector_from_accel_radius(0.1, 5.0, 0.02)
+        _, (R, om, gamma, *_) = _line_params(det, det, 1e-8)
+        with pytest.raises(DomainError, match="effective separation"):
+            _line_pole(L_eff, R, om, gamma)
 
 class TestDefinitionOracle:
     # the oracle evaluates the defining double integral at three regulator

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from udwmi import (
     DomainError,
     epsilon_extrapolate,
-    find_root_bracketed,
     integrate_adaptive,
     principal_value_integral,
 )
@@ -209,16 +208,3 @@ class TestEpsilonExtrapolate:
         with pytest.raises(DomainError):
             epsilon_extrapolate([(1e-3, 1.0), (5e-4, 1.1)])
 
-
-class TestRootBracketing:
-    def test_cosine_root(self):
-        assert np.isclose(find_root_bracketed(np.cos, 0.0, 3.0), np.pi / 2,
-                          rtol=1e-12)
-
-    def test_endpoint_root(self):
-        assert find_root_bracketed(lambda x: x - 2.0, 2.0, 5.0) == 2.0
-        assert find_root_bracketed(lambda x: x - 5.0, 2.0, 5.0) == 5.0
-
-    def test_no_straddle_rejected(self):
-        with pytest.raises(DomainError):
-            find_root_bracketed(lambda x: 1.0 + x * x, 0.0, 1.0)
