@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          trajectory_point)
 from .quadrature import (QuadratureResult, _checked, epsilon_extrapolate,
-                         integrate_adaptive, integrate_adaptive_batch,
-                         principal_value_batch)
+                         integrate_adaptive_batch, principal_value_batch)
 
 __all__ = [
     "PairConfig",
@@ -132,27 +131,31 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class OracleEstimate:
-    """Epsilon-extrapolated oracle value with its error bookkeeping."""
+    """Epsilon-extrapolated oracle value with its error bookkeeping;
+    evaluations counts the outer integrand evaluations of every
+    regulated pass the oracle ran."""
 
     value: complex
     error_estimate: float
     samples: tuple[tuple[float, complex], ...]
     monotone: bool
+    evaluations: int
 
 
-def _epsilon_ladder(single_pass, tol: float,
+def _epsilon_ladder(passes, tol: float,
                     extra_error: float = 0.0) -> OracleEstimate:
     """An oracle's regulated passes extrapolated to epsilon -> 0.
 
-    single_pass(eps) returns the QuadratureResult of one finite-epsilon
-    pass; it runs once per epsilon of DEFAULT_EPSILONS, largest first.
-    The error is 3 times the extrapolation residual plus the worst pass
-    error plus extra_error. A ladder that is not monotone and whose
-    residual exceeds 100 max(tol, worst pass error) raises RuntimeError."""
+    passes are the QuadratureResults of the finite-epsilon passes at
+    DEFAULT_EPSILONS, in its order (largest first), as one lockstep
+    batch of the rungs gives them. The error is 3 times the
+    extrapolation residual plus the worst pass error plus extra_error;
+    the evaluations are summed over the passes. A ladder that is not
+    monotone and whose residual exceeds 100 max(tol, worst pass error)
+    raises RuntimeError."""
     samples = []
     quad_err = 0.0
-    for eps in DEFAULT_EPSILONS:
-        res = single_pass(eps)
+    for eps, res in zip(DEFAULT_EPSILONS, passes, strict=True):
         samples.append((eps, complex(res.value)))
         quad_err = max(quad_err, res.abs_error_estimate)
 
@@ -166,6 +169,7 @@ def _epsilon_ladder(single_pass, tol: float,
         error_estimate=float(error),
         samples=tuple(samples),
         monotone=extrap.monotone,
+        evaluations=sum(res.evaluations for res in passes),
     )
 
 
@@ -425,26 +429,64 @@ def composite_gauss_legendre(lo: float, hi: float,
 _ORACLE_BLOCK = 1 << 12
 
 
-def _row_blocks(rows, s: np.ndarray, n_inner: int) -> np.ndarray:
-    """rows(s) for a 1-D s whose every entry spans n_inner inner-grid
-    elements, evaluated in blocks of at most _ORACLE_BLOCK elements
-    (at least one entry). rows must compute each entry from that entry
-    alone, so the result equals one call on all of s."""
+def _ladder_integrand(block_factors, rung_rows, n_rungs: int, n_inner: int):
+    """The integrand f(x, owner) of a lockstep batch whose members are
+    the n_rungs rungs of an epsilon ladder.
+
+    The rungs share most of their panels in each round, so f evaluates
+    each distinct panel once: block_factors(s) returns the
+    epsilon-independent factors of a 1-D block s of the distinct
+    panels' abscissae, each spanning n_inner inner-grid elements, in
+    blocks of at most _ORACLE_BLOCK elements (at least one abscissa);
+    rung_rows(factors, r) returns rung r's integrand at every abscissa
+    of the block. Both must compute each abscissa from that abscissa
+    alone, so a rung's values do not depend on the block size or on the
+    other rungs."""
     step = max(_ORACLE_BLOCK // n_inner, 1)
-    if s.size <= step:
-        return rows(s)
-    return np.concatenate([rows(s[i:i + step])
-                           for i in range(0, s.size, step)])
+
+    def f(x, owner):
+        n_nodes = x.shape[1]
+        # equal panels sort next to each other; a panel is new unless it
+        # equals the one before it node for node
+        order = np.argsort(x[:, 0], kind="stable")
+        panels = x[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (panels[1:] != panels[:-1]).any(axis=1)
+        s = panels[new].ravel()
+        # where[r, p]: the row of x at which rung r asks for distinct
+        # panel p, or -1 (a rung's panels are disjoint)
+        where = np.full((n_rungs, s.size // n_nodes), -1)
+        where[owner.reshape(-1)[order], np.cumsum(new) - 1] = order
+        rungs = np.unique(owner).tolist()
+        out = np.empty(x.shape, dtype=complex)
+        flat = out.reshape(-1)
+        for i in range(0, s.size, step):
+            factors = block_factors(s[i:i + step])
+            panel, node = np.divmod(np.arange(i, min(i + step, s.size)),
+                                    n_nodes)
+            for r in rungs:
+                pos = where[r, panel]
+                hit = pos >= 0
+                if hit.all():
+                    flat[pos * n_nodes + node] = rung_rows(factors, r)
+                elif hit.any():
+                    flat[pos[hit] * n_nodes + node[hit]] = (
+                        rung_rows(factors, r)[hit])
+        return out
+
+    return f
 
 
-def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
-                                n_u: int) -> QuadratureResult:
-    """One finite-epsilon evaluation of the defining double integral.
+def _correlation_passes(pair: PairConfig, epsilons, tol: float,
+                        n_u: int) -> list[QuadratureResult]:
+    """Finite-epsilon evaluations of the defining double integral, one
+    per epsilon, as the members of one lockstep batch.
 
     Outer adaptive integral over the coordinate-time difference s; inner
     fixed composite Gauss-Legendre grid over the mean coordinate time u.
     The detectors are evaluated on their own worldlines through the
-    trajectory map, so no reduction algebra enters here."""
+    trajectory map, so no reduction algebra enters here. Each pass
+    keeps its own mesh, so it equals the batch of one at its epsilon."""
     da, db = pair.det_a, pair.det_b
     ga, gb = da.gamma, db.gamma
     za = pair.dz if pair.dz is not None else 0.0
@@ -460,24 +502,27 @@ def _correlation_single_epsilon(pair: PairConfig, eps: float, tol: float,
     gauss_b = -t * t / (2.0 * gb * gb)
     phase_b = gap_b * t / gb
 
-    def rows(s_flat):
-        tp = t - s_flat[:, None]
+    def block_factors(s):
+        tp = t - s[:, None]
         pa = trajectory_point(da, za, tp / ga)
-        w = wight(pa, pb, eps)
         gauss = np.exp(gauss_b - tp * tp / (2.0 * ga * ga))
         phase = np.exp(1j * (phase_b - gap_a * tp / ga))
-        # einsum, not BLAS: no native thread pool under the process pool
-        return jac * np.einsum("ij,j->i", gauss * phase * w, u_weights)
+        return pa, gauss * phase
 
-    def outer(s_flat):
-        return _row_blocks(rows, s_flat, t.size)
+    def rung_rows(factors, r):
+        pa, envelope = factors
+        w = wight(pa, pb, epsilons[r])
+        # einsum, not BLAS: no native thread pool under the process pool
+        return jac * np.einsum("ij,j->i", envelope * w, u_weights)
 
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations
     f_s = da.omega + abs(gap_a) / ga + 0.5
     n0 = min(int(2.0 * s_max * f_s) + 32, 4096)
-    return integrate_adaptive(outer, -s_max, s_max, tol,
-                              initial_panels=n0, max_panels=60000)
+    return [_checked(res) for res in integrate_adaptive_batch(
+        _ladder_integrand(block_factors, rung_rows, len(epsilons), t.size),
+        -s_max, s_max, [tol] * len(epsilons),
+        initial_panels=n0, max_panels=60000)]
 
 
 def correlation_general_result(pair: PairConfig,
@@ -487,7 +532,9 @@ def correlation_general_result(pair: PairConfig,
     Evaluates the double integral at each epsilon of DEFAULT_EPSILONS
     and extrapolates to zero through _epsilon_ladder. The inner time
     grid is first doubled at the largest epsilon until two passes agree;
-    their last difference is added to the ladder's error estimate."""
+    their last difference is added to the ladder's error estimate. The
+    grid check's last coarse pass is the ladder's first rung, and the
+    other rungs run as one batch."""
     da, db = pair.det_a, pair.det_b
     ga, gb = da.gamma, db.gamma
     sigma_u = ga * gb / math.sqrt(ga * ga + gb * gb)
@@ -498,20 +545,23 @@ def correlation_general_result(pair: PairConfig,
 
     eps_hi = DEFAULT_EPSILONS[0]
     grid_err = math.inf
-    coarse = _correlation_single_epsilon(pair, eps_hi, tol, n_u)
+    (coarse,) = _correlation_passes(pair, (eps_hi,), tol, n_u)
+    grid_evaluations = 0  # of the grid passes the ladder does not reuse
     for _ in range(3):
-        fine = _correlation_single_epsilon(pair, eps_hi, tol, 2 * n_u)
+        (fine,) = _correlation_passes(pair, (eps_hi,), tol, 2 * n_u)
         grid_err = abs(fine.value - coarse.value)
         if grid_err <= max(10.0 * tol, 1e-9):
+            grid_evaluations += fine.evaluations
             break
         n_u *= 2
+        grid_evaluations += coarse.evaluations
         coarse = fine
     else:
         warnings.warn("inner time grid did not stabilize; the integrand "
                       "poles may be under-resolved", RuntimeWarning)
 
     # the grid check above left coarse as the eps_hi pass at this n_u
-    return _epsilon_ladder(
-        lambda eps: (coarse if eps == eps_hi
-                     else _correlation_single_epsilon(pair, eps, tol, n_u)),
+    est = _epsilon_ladder(
+        [coarse, *_correlation_passes(pair, DEFAULT_EPSILONS[1:], tol, n_u)],
         tol, grid_err)
+    return replace(est, evaluations=est.evaluations + grid_evaluations)

@@ -46,12 +46,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import (LineIntegral, OracleEstimate, _epsilon_ladder,
-                          _line_params, _reduced_line_integral, _row_blocks,
-                          composite_gauss_legendre, wightman_boundary,
-                          wightman_free)
+from .correlation import (DEFAULT_EPSILONS, LineIntegral, OracleEstimate,
+                          _epsilon_ladder, _ladder_integrand, _line_params,
+                          _reduced_line_integral, composite_gauss_legendre,
+                          wightman_boundary, wightman_free)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
-from .quadrature import (gaussian_truncation_point, integrate_adaptive,
+from .quadrature import (QuadratureResult, _checked,
+                         gaussian_truncation_point, integrate_adaptive_batch,
                          integrate_semiinfinite_gaussian)
 # not called here; bench/tests/test_bench.py asserts this binding exists
 from .quadrature import principal_value_integral  # noqa: F401
@@ -209,35 +210,41 @@ def _free_response(spec: CircularDetectorSpec,
         abs_error_estimate=err, pole_location=None, converged=converged)
 
 
-def _response_single_epsilon(spec: CircularDetectorSpec, dz: float | None,
-                             eps: float, tol: float):
-    """One finite-epsilon pass over the defining double integral in
-    proper-time mean and difference coordinates."""
+def _response_passes(spec: CircularDetectorSpec, dz: float | None,
+                     epsilons, tol: float) -> list[QuadratureResult]:
+    """Finite-epsilon passes over the defining double integral in
+    proper-time mean and difference coordinates, one per epsilon, as
+    the members of one lockstep batch; each keeps its own mesh, so it
+    equals the batch of one at its epsilon."""
     gap, gamma = spec.energy_gap, spec.gamma
     z = dz if dz is not None else 0.0
     wight = wightman_free if dz is None else wightman_boundary
 
     u_nodes, u_weights = composite_gauss_legendre(-6.5, 6.5, 96)
 
-    def rows(s_flat):
+    def block_factors(s_flat):
         s = s_flat[:, None]
         tau = u_nodes[None, :] + 0.5 * s
         taup = u_nodes[None, :] - 0.5 * s
         p1 = trajectory_point(spec, z, tau)
         p2 = trajectory_point(spec, z, taup)
-        w = wight(p1, p2, eps)
-        f = np.exp(-0.5 * (tau * tau + taup * taup) - 1j * gap * s) * w
-        # einsum, not BLAS, as in correlation._correlation_single_epsilon
-        return np.einsum("ij,j->i", f, u_weights)
+        envelope = np.exp(-0.5 * (tau * tau + taup * taup) - 1j * gap * s)
+        return p1, p2, envelope
 
-    def outer(s_flat):
-        return _row_blocks(rows, s_flat, u_nodes.size)
+    def rung_rows(factors, r):
+        p1, p2, envelope = factors
+        w = wight(p1, p2, epsilons[r])
+        # einsum, not BLAS, as in correlation._correlation_passes
+        return np.einsum("ij,j->i", envelope * w, u_weights)
 
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)
     n0 = min(int(s_max * (abs(gap) + spec.omega * gamma + 1.0)) + 32, 4096)
-    return integrate_adaptive(outer, -s_max, s_max, tol,
-                              initial_panels=n0, max_panels=60000)
+    return [_checked(res) for res in integrate_adaptive_batch(
+        _ladder_integrand(block_factors, rung_rows, len(epsilons),
+                          u_nodes.size),
+        -s_max, s_max, [tol] * len(epsilons),
+        initial_panels=n0, max_panels=60000)]
 
 
 def transition_probability_oracle_result(spec: CircularDetectorSpec,
@@ -245,10 +252,11 @@ def transition_probability_oracle_result(spec: CircularDetectorSpec,
                                          tol: float = 1e-6) -> OracleEstimate:
     """Definition-level response with error bookkeeping: finite-epsilon
     double quadrature, each pass to tol/4, at every epsilon of
-    DEFAULT_EPSILONS, extrapolated to zero (correlation._epsilon_ladder).
-    P is real, so the value is the real part of the limit and its
-    imaginary part is added to the error estimate."""
+    DEFAULT_EPSILONS as one lockstep batch, extrapolated to zero
+    (correlation._epsilon_ladder). P is real, so the value is the real
+    part of the limit and its imaginary part is added to the error
+    estimate."""
     est = _epsilon_ladder(
-        lambda eps: _response_single_epsilon(spec, dz, eps, tol / 4.0), tol)
+        _response_passes(spec, dz, DEFAULT_EPSILONS, tol / 4.0), tol)
     return replace(est, value=est.value.real,
                    error_estimate=est.error_estimate + abs(est.value.imag))

@@ -328,13 +328,13 @@ class TestDefinitionOracle:
         from udwmi import correlation
 
         passes = []
-        single = correlation._correlation_single_epsilon
+        batch = correlation._correlation_passes
 
-        def counted(cfg, eps, tol, n_u):
-            passes.append((eps, n_u))
-            return single(cfg, eps, tol, n_u)
+        def counted(cfg, epsilons, tol, n_u):
+            passes.extend((eps, n_u) for eps in epsilons)
+            return batch(cfg, epsilons, tol, n_u)
 
-        monkeypatch.setattr(correlation, "_correlation_single_epsilon", counted)
+        monkeypatch.setattr(correlation, "_correlation_passes", counted)
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
         assert len(passes) == len(set(passes))
         # coarse, one grid refinement, then the two smaller epsilons
@@ -353,35 +353,37 @@ class TestDefinitionOracle:
         assert 0.0 < abs(est.value) < 1.0
 
 
-class TestOracleRowBlocks:
-    # both oracle integrands evaluate their s rows in blocks of at most
-    # correlation._ORACLE_BLOCK inner-grid elements; every row is reduced
-    # alone, so the block size cannot change a pass
-    @staticmethod
-    def bits(res):
-        return (complex(res.value).real.hex(), complex(res.value).imag.hex(),
-                res.abs_error_estimate.hex(), res.evaluations)
+def bits(res):
+    return (complex(res.value).real.hex(), complex(res.value).imag.hex(),
+            res.abs_error_estimate.hex(), res.evaluations)
 
+
+class TestOracleRowBlocks:
+    # both oracle integrands evaluate their distinct abscissae in blocks
+    # of at most correlation._ORACLE_BLOCK inner-grid elements; every row
+    # is reduced alone, so the block size cannot change a pass
     def test_one_row_blocks_equal_default_blocks(self, monkeypatch):
         from udwmi import correlation, response
 
         def passes():
-            return [correlation._correlation_single_epsilon(cfg, 1e-3, 1e-7, 96)
-                    for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
-                                pair(1.0, 1.0, sep=1.0))] + [
-                response._response_single_epsilon(spec, dz, 1e-3, 2.5e-7)
-                for spec, dz in ((detector_from_accel_radius(0.1, 5.0, 0.02),
-                                  0.1),
-                                 (detector_from_accel_radius(0.1, 0.1, 10.0),
-                                  None))]
+            return [res for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
+                                    pair(1.0, 1.0, sep=1.0))
+                    for res in correlation._correlation_passes(
+                        cfg, DEFAULT_EPSILONS, 1e-7, 96)] + [
+                res for spec, dz in (
+                    (detector_from_accel_radius(0.1, 5.0, 0.02), 0.1),
+                    (detector_from_accel_radius(0.1, 0.1, 10.0), None))
+                for res in response._response_passes(
+                    spec, dz, DEFAULT_EPSILONS, 2.5e-7)]
 
-        default = [self.bits(res) for res in passes()]
+        default = [bits(res) for res in passes()]
         monkeypatch.setattr(correlation, "_ORACLE_BLOCK", 1)
-        assert [self.bits(res) for res in passes()] == default
+        assert [bits(res) for res in passes()] == default
 
     def test_pass_memory_is_bounded(self):
         # one pass refines thousands of panels; as one (panels x 15) x 96
-        # complex array its temporaries peaked at 85 MiB
+        # complex array its temporaries peaked at 85 MiB. A batch of
+        # three rungs stays under the bound of one pass.
         import tracemalloc
 
         from udwmi import correlation
@@ -389,32 +391,61 @@ class TestOracleRowBlocks:
         cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
         tracemalloc.start()
         try:
-            correlation._correlation_single_epsilon(cfg, 1e-3, 1e-7, 96)
+            correlation._correlation_passes(cfg, DEFAULT_EPSILONS, 1e-7, 96)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
 
+class TestRungBatch:
+    # the rungs of an oracle's epsilon ladder run as one lockstep batch
+    # and share each distinct abscissa's epsilon-independent factors;
+    # every rung keeps its own mesh, so it equals its batch of one
+    @pytest.mark.parametrize("cfg", [
+        pair(5.0, 0.02, sep=1.0, dz=0.1),      # mirror
+        pair(1.0, 1.0, sep=1.0),               # free space
+        pair(0.0, 1.0, sep=2.0, dz=0.5),       # static
+    ])
+    def test_correlation_rungs_equal_batches_of_one(self, cfg):
+        from udwmi import correlation
+
+        batch = correlation._correlation_passes(cfg, DEFAULT_EPSILONS,
+                                                1e-7, 96)
+        assert len(batch) == len(DEFAULT_EPSILONS)
+        for eps, res in zip(DEFAULT_EPSILONS, batch):
+            (alone,) = correlation._correlation_passes(cfg, (eps,), 1e-7, 96)
+            assert bits(res) == bits(alone)
+
+    @pytest.mark.parametrize("accel, radius, dz", [
+        (5.0, 0.02, 0.1),      # mirror
+        (0.1, 10.0, None),     # free space
+        (0.0, 1.0, 0.5),       # static
+    ])
+    def test_response_rungs_equal_batches_of_one(self, accel, radius, dz):
+        from udwmi import response
+
+        spec = detector_from_accel_radius(0.1, accel, radius)
+        batch = response._response_passes(spec, dz, DEFAULT_EPSILONS, 2.5e-7)
+        assert len(batch) == len(DEFAULT_EPSILONS)
+        for eps, res in zip(DEFAULT_EPSILONS, batch):
+            (alone,) = response._response_passes(spec, dz, (eps,), 2.5e-7)
+            assert bits(res) == bits(alone)
+
+
 class TestEpsilonLadder:
     # the ladder both oracles share, driven by stub regulator passes
     @staticmethod
     def stub(values, errors):
-        calls = []
-
-        def single_pass(eps):
-            calls.append(eps)
-            i = DEFAULT_EPSILONS.index(eps)
-            return QuadratureResult(values[i], errors[i], 1, True)
-
-        return single_pass, calls
+        return [QuadratureResult(v, e, 1, True)
+                for v, e in zip(values, errors)]
 
     def test_monotone_ladder_returns_the_limit(self):
         values = [1.0 + 2.0 * e + 300.0 * e * e for e in DEFAULT_EPSILONS]
-        single_pass, calls = self.stub(values, [1e-9, 4e-9, 2e-9])
-        est = _epsilon_ladder(single_pass, tol=1e-6, extra_error=5e-10)
-        assert calls == list(DEFAULT_EPSILONS)
-        assert calls == sorted(calls, reverse=True)
+        passes = self.stub(values, [1e-9, 4e-9, 2e-9])
+        est = _epsilon_ladder(passes, tol=1e-6, extra_error=5e-10)
+        assert list(DEFAULT_EPSILONS) == sorted(DEFAULT_EPSILONS,
+                                                reverse=True)
         ext = epsilon_extrapolate(zip(DEFAULT_EPSILONS, values))
         assert est.monotone and ext.monotone
         assert est.value == ext.value
@@ -422,16 +453,21 @@ class TestEpsilonLadder:
         assert est.error_estimate == 3.0 * ext.residual + 4e-9 + 5e-10
         assert est.samples == tuple(zip(DEFAULT_EPSILONS,
                                         map(complex, values)))
+        assert est.evaluations == len(DEFAULT_EPSILONS)
 
     def test_non_monotone_ladder_far_above_tol_raises(self):
-        single_pass, _ = self.stub([1.0, 1.001, 0.5], [1e-9] * 3)
+        passes = self.stub([1.0, 1.001, 0.5], [1e-9] * 3)
         assert not epsilon_extrapolate(
             zip(DEFAULT_EPSILONS, [1.0, 1.001, 0.5])).monotone
         with pytest.raises(RuntimeError, match="did not converge"):
-            _epsilon_ladder(single_pass, tol=1e-6)
+            _epsilon_ladder(passes, tol=1e-6)
         # within 100 max(tol, pass error) the same ladder is reported
-        est = _epsilon_ladder(single_pass, tol=1e2)
+        est = _epsilon_ladder(passes, tol=1e2)
         assert not est.monotone
+
+    def test_one_pass_per_epsilon(self):
+        with pytest.raises(ValueError):
+            _epsilon_ladder(self.stub([1.0, 1.0], [1e-9] * 2), tol=1e-6)
 
 
 class TestPairValidation:

@@ -705,7 +705,7 @@ class TestOracleSuite:
                                 0j, 0j, 0j, 0.0, True))
         monkeypatch.setattr(sweep_mod, "correlation_general_result",
                             lambda pair: correlation.OracleEstimate(
-                                0j, 0.0, (), True))
+                                0j, 0.0, (), True, 0))
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
         assert rep["response"]["max_rel_dev"] > 5e-3
@@ -726,7 +726,7 @@ class TestOracleSuite:
                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True))
         monkeypatch.setattr(sweep_mod, "transition_probability_oracle_result",
                             lambda spec, dz: correlation.OracleEstimate(
-                                0.0, 0.0, (), True))
+                                0.0, 0.0, (), True, 0))
         monkeypatch.setattr(sweep_mod, "correlation_equal", corrupted)
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
