@@ -659,7 +659,8 @@ def _suite_response_point(params: dict) -> dict:
     res = transition_probability(spec, params.get("dz"))
     est = transition_probability_oracle_result(spec, params.get("dz"))
     return _deviation_record(params, res.total, res.abs_error_estimate,
-                             float(est.value), est.error_estimate)
+                             float(est.value), est.error_estimate,
+                             est.evaluations)
 
 
 def _suite_correlation_point(params: dict) -> dict:
@@ -667,7 +668,7 @@ def _suite_correlation_point(params: dict) -> dict:
     res = correlation_equal(pair)
     est = correlation_general_result(pair)
     rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
-                            est.value, est.error_estimate)
+                            est.value, est.error_estimate, est.evaluations)
     rec["c_boundary"] = [res.c_boundary.real, res.c_boundary.imag]
     return rec
 
@@ -676,7 +677,8 @@ def _call_all(items: list[tuple]) -> list:
     return [fn(*args) for fn, args, _ in items]
 
 
-def _deviation_record(params, value, err, oracle, oerr) -> dict:
+def _deviation_record(params, value, err, oracle, oerr,
+                      oracle_evaluations) -> dict:
     abs_dev = abs(value - oracle)
     rel_dev = abs_dev / max(abs(oracle), 1e-300)
     if isinstance(value, complex):
@@ -693,6 +695,7 @@ def _deviation_record(params, value, err, oracle, oerr) -> dict:
         "rel_dev": rel_dev,
         "err": err,
         "oracle_err": oerr,
+        "oracle_evaluations": oracle_evaluations,
         "within_combined_err": bool(abs_dev <= err + oerr),
     }
 

@@ -341,6 +341,23 @@ class TestDefinitionOracle:
         assert len(passes) == 4
         assert [eps for eps, _ in est.samples] == [1e-3, 5e-4, 2.5e-4]
 
+    def test_evaluations_count_every_pass(self, monkeypatch):
+        # grid-check passes the ladder does not reuse count too
+        from udwmi import correlation
+
+        counts = []
+        batch = correlation._correlation_passes
+
+        def counted(cfg, epsilons, tol, n_u):
+            results = batch(cfg, epsilons, tol, n_u)
+            counts.extend(res.evaluations for res in results)
+            return results
+
+        monkeypatch.setattr(correlation, "_correlation_passes", counted)
+        est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
+        assert len(counts) == 4
+        assert est.evaluations == sum(counts)
+
     def test_unequal_gamma_pair(self):
         # different radii force the general route; the pair state must
         # still produce a finite correlation with a sane magnitude

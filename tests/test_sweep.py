@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import udwmi
 from udwmi import correlation, response
-from udwmi.correlation import (PairConfig, _line_integral_args,
-                               _reduced_line_integrals)
+from udwmi.correlation import (DEFAULT_EPSILONS, PairConfig,
+                               _line_integral_args, _reduced_line_integrals)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, _point_line_keys,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
@@ -688,6 +688,19 @@ class TestOracleSuite:
         crec = smoke_report["correlation"]["points"][0]
         assert len(crec["value"]) == 2
         assert len(crec["c_boundary"]) == 2
+
+    def test_records_count_oracle_evaluations(self, smoke_report):
+        # every regulated pass of a point's oracle, summed
+        rec = smoke_report["response"]["points"][0]
+        p = rec["params"]
+        spec = detector_from_accel_radius(p["gap"], p["accel"], p["radius"])
+        passes = response._response_passes(spec, p["dz"], DEFAULT_EPSILONS,
+                                           1e-6 / 4.0)
+        assert rec["oracle_evaluations"] == sum(r.evaluations
+                                                for r in passes)
+        for crec in smoke_report["correlation"]["points"]:
+            assert isinstance(crec["oracle_evaluations"], int)
+            assert crec["oracle_evaluations"] > 0
 
     def test_corrupted_response_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
