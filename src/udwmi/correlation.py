@@ -25,11 +25,18 @@ independent routes:
   coordinate times with the regulator epsilon kept finite, repeated on
   the fixed ladder DEFAULT_EPSILONS and extrapolated to zero. Works for
   unequal kinematics and serves as the oracle for the reduced path.
-  Its outer integrand evaluates the inner time grid of its s nodes in
-  row blocks of at most _ORACLE_BLOCK elements (_row_blocks, shared
-  with the response oracle), so a pass's memory does not grow with its
-  panel count, and each row is reduced alone, so the value does not
-  depend on the block size.
+  The rungs of the ladder are the members of one lockstep batch
+  (_correlation_passes), each with its own mesh. In each round the
+  batch integrand (_ladder_integrand, shared with the response oracle)
+  evaluates every distinct panel once: its worldline events through
+  trajectory_point, their time difference, squared interval and
+  switching envelope, in blocks of at most _ORACLE_BLOCK inner-grid
+  elements; then each rung that asked for the panel adds its regulated
+  Wightman function in real arithmetic (_wightman_parts, checked
+  against wightman_free and wightman_boundary). The phase factors that
+  depend on s alone or on the inner time alone are applied as row and
+  column vectors. Each row is reduced alone, so a rung's value depends
+  neither on the block size nor on the other rungs.
 """
 
 from __future__ import annotations
@@ -80,6 +87,39 @@ def wightman_boundary(p1: SpacetimePoint, p2: SpacetimePoint,
     direct = 1.0 / (q - (p1.z - p2.z) ** 2)
     image = 1.0 / (q - (p1.z + p2.z) ** 2)
     return -(direct - image) / _TWO_PI_SQ
+
+
+def _wightman_parts(cone, dt, eps: float, mirror: float | None = None):
+    """The real and imaginary parts of -4 pi^2 times the regulated
+    Wightman function, in real arithmetic: wightman_free of two events
+    dt apart in time and cone = dt^2 - |dx|^2, or with mirror =
+    (z1 + z2)^2 - (z1 - z2)^2 = 4 z1 z2, the image event's extra squared
+    distance, wightman_boundary. With q = (dt - i eps)^2 - |dx|^2 =
+    a - i b, a = cone - eps^2 and b = 2 eps dt, 1/q = (a + i b)/(a^2 +
+    b^2). Fields may be arrays."""
+    a = cone - eps * eps
+    b = (2.0 * eps) * dt
+    b_sq = b * b
+    inv = 1.0 / (a * a + b_sq)
+    if mirror is None:
+        return a * inv, b * inv
+    a_image = a - mirror
+    inv_image = 1.0 / (a_image * a_image + b_sq)
+    return a * inv - a_image * inv_image, b * (inv - inv_image)
+
+
+def _envelope_rows(envelope, re, im):
+    """The row sums of envelope * (re + i im) for a real or complex
+    envelope and the real parts re and im, each row reduced alone."""
+    # einsum, not BLAS: no native thread pool under the process pool
+    def rows(x, y):
+        return np.einsum("ij,ij->i", x, y)
+
+    if np.isrealobj(envelope):
+        return rows(envelope, re) + 1j * rows(envelope, im)
+    e_re, e_im = envelope.real, envelope.imag
+    return ((rows(e_re, re) - rows(e_im, im))
+            + 1j * (rows(e_re, im) + rows(e_im, re)))
 
 
 @dataclass(frozen=True)
@@ -419,13 +459,16 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per oracle row block. An oracle integrand is a
-# (rows x inner nodes) complex array; in blocks, a pass's temporaries stay
-# under a megabyte whatever its panel count. On oracle_grid, blocks of
-# 2^12 run 1.2x as fast as one array per call; at 2^13 and above, glibc
-# returns each block's freed temporaries to the kernel and the next block
-# faults them in again, and 2^10 pays too much per-block overhead
-# (x86-64 Linux, glibc malloc, NumPy 2.4).
+# Inner-grid elements per oracle block. The batch integrand evaluates
+# the distinct abscissae of a round in blocks, each a few real (rows x
+# inner nodes) arrays of worldline factors plus, per rung, the real and
+# imaginary parts of the regulated Wightman function, so that the
+# temporaries of a block stay under a megabyte whatever the round. Two
+# serial oracle_grid suite passes in a fresh process (x86-64 Linux,
+# glibc malloc, NumPy 2.4): 2^11 pays about 20% more for its per-block
+# numpy calls; 2^13 ran up to 10% faster but made 30 times the minor
+# faults, since glibc returns each block's freed temporaries to the
+# kernel, and gained nothing clear end to end.
 _ORACLE_BLOCK = 1 << 12
 
 
@@ -491,29 +534,36 @@ def _correlation_passes(pair: PairConfig, epsilons, tol: float,
     ga, gb = da.gamma, db.gamma
     za = pair.dz if pair.dz is not None else 0.0
     zb = za + pair.sep
-    wight = wightman_free if pair.dz is None else wightman_boundary
     gap_a, gap_b = da.energy_gap, db.energy_gap
 
     u_cut = 7.5 * gb + 1.0
     t, u_weights = composite_gauss_legendre(-u_cut, u_cut, n_u)
-    jac = 1.0 / (ga * gb)
-    # B's factors depend on the inner grid alone, so every row shares them
+    # B's factors depend on the inner grid alone, so every row shares
+    # them; the phase exp(i (gap_b t/gb - gap_a (t - s)/ga)) separates
+    # into a column factor, folded into the weights, and a row factor
     pb = trajectory_point(db, zb, t / gb)
     gauss_b = -t * t / (2.0 * gb * gb)
-    phase_b = gap_b * t / gb
+    kappa = gap_b / gb - gap_a / ga
+    weights = (u_weights if kappa == 0.0
+               else u_weights * np.exp(1j * kappa * t))
+    row_scale = -1.0 / (_TWO_PI_SQ * ga * gb)
+    dz_sq = (za - zb) ** 2
+    mirror = None if pair.dz is None else 4.0 * za * zb
 
     def block_factors(s):
         tp = t - s[:, None]
         pa = trajectory_point(da, za, tp / ga)
-        gauss = np.exp(gauss_b - tp * tp / (2.0 * ga * ga))
-        phase = np.exp(1j * (phase_b - gap_a * tp / ga))
-        return pa, gauss * phase
+        dt = pa.t - pb.t
+        dx, dy = pa.x - pb.x, pa.y - pb.y
+        cone = dt * dt - (dx * dx + dy * dy) - dz_sq
+        envelope = np.exp(gauss_b - tp * tp / (2.0 * ga * ga)) * weights
+        row = row_scale * np.exp(1j * gap_a * s / ga)
+        return dt, cone, envelope, row
 
     def rung_rows(factors, r):
-        pa, envelope = factors
-        w = wight(pa, pb, epsilons[r])
-        # einsum, not BLAS: no native thread pool under the process pool
-        return jac * np.einsum("ij,j->i", envelope * w, u_weights)
+        dt, cone, envelope, row = factors
+        re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
+        return row * _envelope_rows(envelope, re, im)
 
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations

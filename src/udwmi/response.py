@@ -35,8 +35,11 @@ transition_probability_oracle_result integrates the defining double
 integral (finite regulator epsilon on the fixed ladder DEFAULT_EPSILONS,
 extrapolated to zero) without any of the above reductions; it is
 deliberately independent of the closed form. Like the correlation
-oracle, it evaluates its inner grid in the bounded row blocks of
-correlation._row_blocks.
+oracle, it runs the ladder's rungs as one lockstep batch through
+correlation._ladder_integrand: both events of each distinct abscissa go
+through trajectory_point once, in bounded blocks, and each rung adds
+its regulated Wightman function in real arithmetic; the phase
+exp(-i gap s) is applied per row.
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import (DEFAULT_EPSILONS, LineIntegral, OracleEstimate,
-                          _epsilon_ladder, _ladder_integrand, _line_params,
-                          _reduced_line_integral, composite_gauss_legendre,
-                          wightman_boundary, wightman_free)
+from .correlation import (_TWO_PI_SQ, DEFAULT_EPSILONS, LineIntegral,
+                          OracleEstimate, _envelope_rows, _epsilon_ladder,
+                          _ladder_integrand, _line_params,
+                          _reduced_line_integral, _wightman_parts,
+                          composite_gauss_legendre)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
 from .quadrature import (QuadratureResult, _checked,
                          gaussian_truncation_point, integrate_adaptive_batch,
@@ -218,7 +222,10 @@ def _response_passes(spec: CircularDetectorSpec, dz: float | None,
     equals the batch of one at its epsilon."""
     gap, gamma = spec.energy_gap, spec.gamma
     z = dz if dz is not None else 0.0
-    wight = wightman_free if dz is None else wightman_boundary
+    mirror = None if dz is None else 4.0 * z * z
+    # the regulated Wightman function is -1/(4 pi^2 q); _wightman_parts
+    # gives 1/q
+    row_scale = -1.0 / _TWO_PI_SQ
 
     u_nodes, u_weights = composite_gauss_legendre(-6.5, 6.5, 96)
 
@@ -228,14 +235,18 @@ def _response_passes(spec: CircularDetectorSpec, dz: float | None,
         taup = u_nodes[None, :] - 0.5 * s
         p1 = trajectory_point(spec, z, tau)
         p2 = trajectory_point(spec, z, taup)
-        envelope = np.exp(-0.5 * (tau * tau + taup * taup) - 1j * gap * s)
-        return p1, p2, envelope
+        dt = p1.t - p2.t
+        dx, dy = p1.x - p2.x, p1.y - p2.y
+        cone = dt * dt - (dx * dx + dy * dy)
+        envelope = np.exp(-0.5 * (tau * tau + taup * taup)) * u_weights
+        # the phase exp(-i gap s) is a row factor
+        row = row_scale * np.exp(-1j * gap * s_flat)
+        return dt, cone, envelope, row
 
     def rung_rows(factors, r):
-        p1, p2, envelope = factors
-        w = wight(p1, p2, epsilons[r])
-        # einsum, not BLAS, as in correlation._correlation_passes
-        return np.einsum("ij,j->i", envelope * w, u_weights)
+        dt, cone, envelope, row = factors
+        re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
+        return row * _envelope_rows(envelope, re, im)
 
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)

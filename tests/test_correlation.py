@@ -62,6 +62,64 @@ class TestWightman:
         assert abs(wightman_boundary(p1, p2, 1e-3)) < 1e-15
 
 
+class TestWightmanParts:
+    # the oracles evaluate the regulated Wightman function in real
+    # arithmetic (_wightman_parts); wightman_free and wightman_boundary
+    # stay its complex reference. Deviations are judged against the
+    # direct term's magnitude, so that a near-cancelling mirror pair is
+    # not judged relative to its small difference.
+    @staticmethod
+    def events():
+        from udwmi import SpacetimePoint
+
+        rng = np.random.default_rng(7)
+        n = 400
+        # on the light cone both sides round dt^2 - |dx|^2 to about
+        # 1e-16 dt^2, against |q| ~ 2 eps |dt|: a relative 3e-13 |dt|
+        # at eps = 2.5e-4, so |dt| stays below 1.5 here
+        dt = rng.uniform(-1.5, 1.5, n)
+        # squared spatial distances: generic, and within 1e-6 (relative)
+        # of the light cone on both sides
+        ratio = np.concatenate([rng.uniform(0.0, 4.0, n // 2),
+                                1.0 + rng.uniform(-1e-6, 1e-6, n // 4),
+                                1.0 + rng.choice([-1e-7, 1e-7, 0.0], n // 4)])
+        dist = np.sqrt(ratio) * np.abs(dt)
+        theta = rng.uniform(0.0, math.pi, n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        z2 = rng.uniform(0.05, 3.0, n)
+        dz = dist * np.cos(theta)
+        z1 = np.abs(z2 + dz)      # both events above the mirror
+        dz = z1 - z2
+        # rescale x, y so that the distance is the drawn one
+        rho = np.sqrt(np.maximum(dist * dist - dz * dz, 0.0))
+        p1 = SpacetimePoint(t=dt + 0.5, x=rho * np.cos(phi) + 0.25,
+                            y=rho * np.sin(phi) - 0.5, z=z1)
+        p2 = SpacetimePoint(t=np.full(n, 0.5), x=np.full(n, 0.25),
+                            y=np.full(n, -0.5), z=z2)
+        return p1, p2
+
+    @pytest.mark.parametrize("eps", DEFAULT_EPSILONS)
+    @pytest.mark.parametrize("with_mirror", [False, True])
+    def test_matches_complex_reference(self, eps, with_mirror):
+        from udwmi.correlation import _wightman_parts
+
+        p1, p2 = self.events()
+        dt = p1.t - p2.t
+        dx, dy, dz = p1.x - p2.x, p1.y - p2.y, p1.z - p2.z
+        cone = dt * dt - (dx * dx + dy * dy) - dz * dz
+        direct = np.abs(wightman_free(p1, p2, eps))
+        if with_mirror:
+            ref = wightman_boundary(p1, p2, eps)
+            re, im = _wightman_parts(cone, dt, eps, 4.0 * p1.z * p2.z)
+        else:
+            ref = wightman_free(p1, p2, eps)
+            re, im = _wightman_parts(cone, dt, eps)
+        value = -(re + 1j * im) / (4.0 * math.pi ** 2)
+        assert np.all(np.abs(value - ref) <= 1e-12 * direct)
+        # the light-cone events are there: |q| is of order eps there
+        assert np.max(direct) > 1e-2 / eps
+
+
 class TestEqualKinematics:
     def test_frozen_free_and_image_parts(self):
         r = correlation_equal(pair(5.0, 0.02, sep=1.0, dz=0.1), tol=1e-10)
