@@ -108,20 +108,6 @@ def _wightman_parts(cone, dt, eps: float, mirror: float | None = None):
     return a * inv - a_image * inv_image, b * (inv - inv_image)
 
 
-def _envelope_rows(envelope, re, im):
-    """The row sums of envelope * (re + i im) for a real or complex
-    envelope and the real parts re and im, each row reduced alone."""
-    # einsum, not BLAS: no native thread pool under the process pool
-    def rows(x, y):
-        return np.einsum("ij,ij->i", x, y)
-
-    if np.isrealobj(envelope):
-        return rows(envelope, re) + 1j * rows(envelope, im)
-    e_re, e_im = envelope.real, envelope.imag
-    return ((rows(e_re, re) - rows(e_im, im))
-            + 1j * (rows(e_re, im) + rows(e_im, re)))
-
-
 @dataclass(frozen=True)
 class PairConfig:
     """Two detectors, their vertical separation, and the boundary distance.
@@ -459,32 +445,33 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per oracle block. The batch integrand evaluates
-# the distinct abscissae of a round in blocks, each a few real (rows x
-# inner nodes) arrays of worldline factors plus, per rung, the real and
-# imaginary parts of the regulated Wightman function, so that the
-# temporaries of a block stay under a megabyte whatever the round. Two
-# serial oracle_grid suite passes in a fresh process (x86-64 Linux,
-# glibc malloc, NumPy 2.4): 2^11 pays about 20% more for its per-block
-# numpy calls; 2^13 ran up to 10% faster but made 30 times the minor
-# faults, since glibc returns each block's freed temporaries to the
-# kernel, and gained nothing clear end to end.
+# Inner-grid elements per oracle block: a block's temporaries are a few
+# real arrays of this size, under a megabyte whatever the panel count.
+# Two serial oracle_grid suite passes in a fresh process (x86-64 Linux,
+# glibc malloc, NumPy 2.4): 2^11 pays about 20% more in per-block numpy
+# calls; 2^13 ran up to 10% faster but made 30 times the minor faults
+# (glibc returns freed block temporaries to the kernel) and gained
+# nothing clear end to end.
 _ORACLE_BLOCK = 1 << 12
 
 
-def _ladder_integrand(block_factors, rung_rows, n_rungs: int, n_inner: int):
+def _ladder_integrand(block_factors, epsilons, mirror: float | None,
+                      n_inner: int):
     """The integrand f(x, owner) of a lockstep batch whose members are
-    the n_rungs rungs of an epsilon ladder.
+    the rungs of an epsilon ladder, one per entry of epsilons.
 
     The rungs share most of their panels in each round, so f evaluates
-    each distinct panel once: block_factors(s) returns the
-    epsilon-independent factors of a 1-D block s of the distinct
-    panels' abscissae, each spanning n_inner inner-grid elements, in
-    blocks of at most _ORACLE_BLOCK elements (at least one abscissa);
-    rung_rows(factors, r) returns rung r's integrand at every abscissa
-    of the block. Both must compute each abscissa from that abscissa
-    alone, so a rung's values do not depend on the block size or on the
-    other rungs."""
+    the epsilon-independent factors of each distinct panel once, in
+    blocks of at most _ORACLE_BLOCK inner-grid elements (at least one
+    abscissa): block_factors(s) returns, for a 1-D block s of distinct
+    abscissae, the time difference dt and cone = dt^2 - |dx|^2 of the
+    two events on the (len(s), n_inner) grid, the switching envelope
+    times the inner weights on that grid (complex when the inner grid
+    carries a phase), and a row factor. A rung's integrand is the row
+    factor times the row sums of the envelope times its regulated
+    Wightman function (_wightman_parts with mirror). Every abscissa is
+    computed from its own row alone, so a rung's values depend neither
+    on the block size nor on the other rungs."""
     step = max(_ORACLE_BLOCK // n_inner, 1)
 
     def f(x, owner):
@@ -498,23 +485,29 @@ def _ladder_integrand(block_factors, rung_rows, n_rungs: int, n_inner: int):
         s = panels[new].ravel()
         # where[r, p]: the row of x at which rung r asks for distinct
         # panel p, or -1 (a rung's panels are disjoint)
-        where = np.full((n_rungs, s.size // n_nodes), -1)
+        where = np.full((len(epsilons), s.size // n_nodes), -1)
         where[owner.reshape(-1)[order], np.cumsum(new) - 1] = order
         rungs = np.unique(owner).tolist()
         out = np.empty(x.shape, dtype=complex)
         flat = out.reshape(-1)
         for i in range(0, s.size, step):
-            factors = block_factors(s[i:i + step])
+            dt, cone, envelope, row = block_factors(s[i:i + step])
             panel, node = np.divmod(np.arange(i, min(i + step, s.size)),
                                     n_nodes)
             for r in rungs:
                 pos = where[r, panel]
                 hit = pos >= 0
+                if not hit.any():
+                    continue
+                re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
+                # einsum, not BLAS: no native thread pool under the
+                # process pool
+                vals = row * (np.einsum("ij,ij->i", envelope, re)
+                              + 1j * np.einsum("ij,ij->i", envelope, im))
                 if hit.all():
-                    flat[pos * n_nodes + node] = rung_rows(factors, r)
-                elif hit.any():
-                    flat[pos[hit] * n_nodes + node[hit]] = (
-                        rung_rows(factors, r)[hit])
+                    flat[pos * n_nodes + node] = vals
+                else:
+                    flat[pos[hit] * n_nodes + node[hit]] = vals[hit]
         return out
 
     return f
@@ -560,17 +553,12 @@ def _correlation_passes(pair: PairConfig, epsilons, tol: float,
         row = row_scale * np.exp(1j * gap_a * s / ga)
         return dt, cone, envelope, row
 
-    def rung_rows(factors, r):
-        dt, cone, envelope, row = factors
-        re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
-        return row * _envelope_rows(envelope, re, im)
-
     s_max = 7.0 * (ga + gb) + 2.0
     # enough starting panels to see the orbit and phase oscillations
     f_s = da.omega + abs(gap_a) / ga + 0.5
     n0 = min(int(2.0 * s_max * f_s) + 32, 4096)
     return [_checked(res) for res in integrate_adaptive_batch(
-        _ladder_integrand(block_factors, rung_rows, len(epsilons), t.size),
+        _ladder_integrand(block_factors, epsilons, mirror, t.size),
         -s_max, s_max, [tol] * len(epsilons),
         initial_panels=n0, max_panels=60000)]
 

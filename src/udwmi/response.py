@@ -50,9 +50,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import (_TWO_PI_SQ, DEFAULT_EPSILONS, LineIntegral,
-                          OracleEstimate, _envelope_rows, _epsilon_ladder,
-                          _ladder_integrand, _line_params,
-                          _reduced_line_integral, _wightman_parts,
+                          OracleEstimate, _epsilon_ladder, _ladder_integrand,
+                          _line_params, _reduced_line_integral,
                           composite_gauss_legendre)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
 from .quadrature import (QuadratureResult, _checked,
@@ -243,17 +242,11 @@ def _response_passes(spec: CircularDetectorSpec, dz: float | None,
         row = row_scale * np.exp(-1j * gap * s_flat)
         return dt, cone, envelope, row
 
-    def rung_rows(factors, r):
-        dt, cone, envelope, row = factors
-        re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
-        return row * _envelope_rows(envelope, re, im)
-
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)
     n0 = min(int(s_max * (abs(gap) + spec.omega * gamma + 1.0)) + 32, 4096)
     return [_checked(res) for res in integrate_adaptive_batch(
-        _ladder_integrand(block_factors, rung_rows, len(epsilons),
-                          u_nodes.size),
+        _ladder_integrand(block_factors, epsilons, mirror, u_nodes.size),
         -s_max, s_max, [tol] * len(epsilons),
         initial_panels=n0, max_panels=60000)]
 
