@@ -42,8 +42,8 @@ from .correlation import (CorrelationResult, PairConfig,
                           _require_equal_kinematics)
 from .kinematics import DomainError
 from .quadrature import _checked
-from .response import (ResponseBreakdown, _image_line_args,
-                       transition_probability)
+from .response import (ResponseBreakdown, _free_responses,
+                       _image_line_args, transition_probability)
 
 __all__ = [
     "DensityBlock",
@@ -207,11 +207,13 @@ def _point_line_keys(pair: PairConfig, tol: float,
 
 
 def _point_terms(pair: PairConfig, tol: float) -> PointTerms:
-    """Both transition probabilities and C of one pair, their line
-    integrals evaluated as one batch. Equal detectors share one
-    free-space response, and free= and line= leave each P bit-identical
-    to a call without them."""
-    free_a = transition_probability(pair.det_a, None, tol)
+    """Both transition probabilities and C of one pair, their free-space
+    responses evaluated as one batch and their line integrals as
+    another. Equal detectors share one free-space response, and free=
+    and line= leave each P bit-identical to a call without them."""
+    frees = _free_responses([(det, tol) for det in
+                             dict.fromkeys((pair.det_a, pair.det_b))])
+    free_a = _checked(frees[0])
     (a, b), pref, c_keys = _point_line_keys(pair, tol)
     images = [key for _, _, key in (a, b) if key is not None]
     lines = iter(_reduced_line_integrals(images + c_keys))
@@ -223,9 +225,7 @@ def _point_terms(pair: PairConfig, tol: float) -> PointTerms:
                                       _checked(next(lines)))
 
     resp_a = response(*a, free_a)
-    free_b = (free_a if pair.det_b == pair.det_a
-              else transition_probability(pair.det_b, None, tol))
-    resp_b = response(*b, free_b)
+    resp_b = response(*b, _checked(frees[-1]))
     _require_equal_kinematics(pair)
     return PointTerms(resp_a, resp_b, _correlation_from_lines(
         pref, [_checked(line) for line in lines]))

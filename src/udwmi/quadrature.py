@@ -22,11 +22,14 @@ physics layers can cross check one against the other:
 Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
 every panel whose error exceeds an equidistributed share of the budget.
 integrate_adaptive_batch refines many integrals in lockstep: each keeps
-a mesh of its own (unlike the one shared mesh of scipy's quad_vec), its
-own budget and its own refinement decisions, and each round evaluates
-the new panels of every unfinished integral in one vectorized call of
-the integrand. So a member's result is bit-identical to integrating it
-alone, which is what integrate_adaptive does: the batch of one.
+a mesh of its own (unlike the one shared mesh of scipy's quad_vec),
+started on its own number of equal panels, its own budget and its own
+refinement decisions, and each round evaluates the new panels of every
+unfinished integral in one vectorized call of the integrand. So a
+member's result is bit-identical to integrating it alone, which is what
+integrate_adaptive does: the batch of one. integrate_semiinfinite_batch
+adds the Gaussian truncation and its tail bound to such a batch
+(integrate_semiinfinite_gaussian is its batch of one).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "ExtrapolationResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
+    "integrate_semiinfinite_batch",
     "integrate_semiinfinite_gaussian",
     "gaussian_truncation_point",
     "principal_value_integral",
@@ -150,12 +154,13 @@ def _checked(result):
 
 
 def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
-                             initial_panels: int = 8) -> list:
+                             initial_panels=8) -> list:
     """Globally adaptive GK15 quadrature of a batch of integrals in
     lockstep.
 
-    Integral i runs over [lo[i], hi[i]] to the absolute tolerance tol[i]
-    (scalars broadcast; other unequal lengths raise ValueError).
+    Integral i runs over [lo[i], hi[i]] to the absolute tolerance tol[i],
+    starting on initial_panels[i] equal panels (scalars broadcast; other
+    unequal lengths raise ValueError).
     f(x, owner) gets an array of abscissae and an array, broadcasting
     against it, of the index of the integral each belongs to, and
     returns the integrand values at x. Every integral
@@ -167,7 +172,7 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     arguments raise. The reported error estimate includes a roundoff
     floor, so converged=True implies the estimate met tol honestly.
     """
-    lo, hi, tol = _batch_args(lo, hi, tol)
+    lo, hi, tol, n0 = _batch_args(lo, hi, tol, initial_panels)
     results: list = [None] * lo.size
     # the unfinished integrals, ascending; each panel's slot is the
     # position of its integral in this list, and panels stay grouped by
@@ -186,22 +191,21 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
         members = members[~bad]
         if members.size == 0:
             return results
-        lo, hi, tol = lo[members], hi[members], tol[members]
-    n0 = max(int(initial_panels), 1)
-    # the initial edges are np.linspace's, integral by integral
-    delta = (hi - lo)[:, None]
-    step = delta / n0
-    k = np.arange(n0 + 1, dtype=float)
-    edges = k * step
+        lo, hi, tol, n0 = lo[members], hi[members], tol[members], n0[members]
+    counts = np.maximum(n0.astype(int), 1)
+    # the initial edges are np.linspace's, integral by integral: edge k
+    # of n is k * step + lo, and edge n is hi
+    slot = np.repeat(np.arange(members.size), counts)
+    k = (np.arange(slot.size) - (np.cumsum(counts) - counts)[slot]).astype(float)
+    n, delta, start = counts[slot], (hi - lo)[slot], lo[slot]
+    step = delta / n
+    left, right = k * step, (k + 1.0) * step
     if not step.all():  # a subnormal width: linspace's zero-step form
-        edges = np.where(step == 0.0, k / n0 * delta, edges)
-    edges += lo[:, None]
-    edges[:, -1] = hi
-    a = edges[:, :-1].ravel()
-    b = edges[:, 1:].ravel()
-    slot = np.repeat(np.arange(members.size), n0)
+        left = np.where(step == 0.0, k / n * delta, left)
+        right = np.where(step == 0.0, (k + 1.0) / n * delta, right)
+    a = left + start
+    b = np.where(k + 1.0 == n, hi[slot], right + start)
     vals, errs, mags = _gk15_panels(f, a, b, members[slot])
-    counts = np.full(members.size, n0)
     evaluations = 15 * counts
     width_floor = 64.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)),
                                            1.0)
@@ -320,30 +324,61 @@ def gaussian_truncation_point(alpha: float, tol: float) -> float:
     return math.sqrt(max(-math.log(tol_trunc), 1.0) / alpha) + 6.0 / math.sqrt(alpha)
 
 
+def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
+    """Integrals of a batch of f over [0, inf), integral i bounded by a
+    Gaussian envelope exp(-alpha[i] x^2) times a slowly varying factor.
+
+    f(x, owner) is called as the integrand of integrate_adaptive_batch,
+    and alpha, tol and initial_panels broadcast as its arguments do.
+    Integral i is truncated at gaussian_truncation_point(alpha[i],
+    tol[i]), and the truncation remainder, bounded from three samples
+    near the cutoff, is folded into its error estimate. Returns one
+    entry per integral: its QuadratureResult, or the DomainError its
+    limits or tol raise; an alpha that is not positive raises for the
+    whole batch."""
+    alpha, tol, n0 = _batch_args(alpha, tol, initial_panels)
+    x_max = [gaussian_truncation_point(a, t)
+             for a, t in zip(alpha.tolist(), tol.tolist())]
+    if alpha.size > 1:
+        results = integrate_adaptive_batch(f, 0.0, x_max, tol,
+                                           initial_panels=n0)
+    else:
+        # a lone integral is integrate_adaptive's, the batch of one
+        try:
+            results = [integrate_adaptive(
+                lambda x: f(x, np.zeros(1, dtype=int)), 0.0, x_max[0],
+                float(tol[0]), initial_panels=int(n0[0]))]
+        except DomainError as exc:
+            results = [exc]
+    owner = np.array([[i] for i, res in enumerate(results)
+                      if not isinstance(res, Exception)], dtype=int)
+    if owner.size == 0:
+        return results
+    # tail bound: the envelope-compensated magnitude near each cutoff
+    xs = np.array(x_max)[owner] * np.array([0.90, 0.95, 1.0])
+    fs = np.abs(np.asarray(f(xs, owner)))
+    scales = np.max(fs * np.exp(alpha[owner] * xs * xs), axis=1)
+    for i, scale in zip(owner[:, 0].tolist(), scales.tolist()):
+        a, res = float(alpha[i]), results[i]
+        tail = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * x_max[i])
+        total_err = res.abs_error_estimate + scale * tail
+        results[i] = QuadratureResult(
+            value=res.value,
+            abs_error_estimate=total_err,
+            evaluations=res.evaluations + 3,
+            converged=total_err <= float(tol[i]),
+        )
+    return results
+
+
 def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
                                     initial_panels: int = 8) -> QuadratureResult:
-    """Integral of f over [0, inf) for f bounded by a Gaussian envelope.
-
-    f must decay at least like exp(-alpha x^2) times a slowly varying
-    factor. The integral is truncated at gaussian_truncation_point and the
-    truncation remainder is folded into the error estimate.
-    """
-    x_max = gaussian_truncation_point(alpha, tol)
-    res = integrate_adaptive(f, 0.0, x_max, tol,
-                             initial_panels=initial_panels)
-    # Tail bound: sample the envelope-compensated magnitude near the cutoff.
-    xs = np.array([0.90, 0.95, 1.0]) * x_max
-    fs = np.abs(np.asarray(f(xs)))
-    scale = float(np.max(fs * np.exp(alpha * xs * xs)))
-    tail = 0.5 * math.sqrt(math.pi / alpha) * math.erfc(math.sqrt(alpha) * x_max)
-    trunc_err = scale * tail
-    total_err = res.abs_error_estimate + trunc_err
-    return QuadratureResult(
-        value=res.value,
-        abs_error_estimate=total_err,
-        evaluations=res.evaluations + 3,
-        converged=total_err <= tol,
-    )
+    """Integral of f over [0, inf) for f bounded by a Gaussian envelope
+    exp(-alpha x^2): the batch of one of integrate_semiinfinite_batch."""
+    (res,) = integrate_semiinfinite_batch(
+        lambda x, _: np.reshape(f(x.ravel()), x.shape), alpha, tol,
+        initial_panels=initial_panels)
+    return _checked(res)
 
 
 def principal_value_batch(g, pole, lo, hi, tol) -> list:

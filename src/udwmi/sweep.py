@@ -9,13 +9,14 @@ So a sweep is lowered to its distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
 transition probabilities (each adding its image line to its detector's
 free-space response); these run once each, and every row is assembled
-from the ones it uses. The line integrals refine together in lockstep,
-as one vectorized batch serially or one per chunk of a process pool,
-each on a mesh of its own, so no value depends on its batch. Output
-order is fixed by (curve, axis index) so files are byte-identical
-whatever the worker count. A failing point keeps its row with a fail
-status instead of aborting the run. The oracle suite runs its points
-through the same task runner, one process pool per call.
+from the ones it uses. The free-space responses refine together in
+lockstep, and so do the line integrals, as vectorized batches serially
+or per chunk of a process pool, each member on a mesh of its own, so no
+value depends on its batch. Output order is fixed by (curve, axis
+index) so files are byte-identical whatever the worker count. A failing
+point keeps its row with a fail status instead of aborting the run. The
+oracle suite runs its points through the same task runner, one process
+pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
@@ -46,7 +47,7 @@ from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _point_line_keys,
                           mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
-from .response import (transition_probability,
+from .response import (_free_responses, transition_probability,
                        transition_probability_oracle_result)
 
 __all__ = [
@@ -304,10 +305,10 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
 
     A task is one (function, arguments, dependencies) call, listed once,
     in the order rows first use it; dependencies pairs keywords with the
-    indices of earlier tasks. A free task is transition_probability on
-    (detector, None, tol): a detector's free-space response, or its
-    whole P without a mirror. A line task is _reduced_line_integrals on
-    one line-integral key (its full argument tuple): a line of C, or the
+    indices of earlier tasks. A free task is _free_responses on one
+    (detector, tol) key: a detector's free-space response, or its whole
+    P without a mirror. A line task is _reduced_line_integrals on one
+    line-integral key (its full argument tuple): a line of C, or the
     image line of a mirror P. A mirror task is transition_probability on
     (detector, height, tol) and depends on its detector's free task as
     free= and its image line task as line=. Equal keys give equal
@@ -337,7 +338,7 @@ def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
         return use((_reduced_line_integrals, key, ()))
 
     def response(det, dz, image) -> int:
-        free = use((transition_probability, (det, None, spec.tol), ()))
+        free = use((_free_responses, (det, spec.tol), ()))
         if image is None:
             return free
         return use((transition_probability, (det, dz, spec.tol),
@@ -383,14 +384,15 @@ def _evaluate_task(item: tuple) -> tuple:
     return value, None, dep_tags | _warning_tags(wlog)
 
 
-def _evaluate_lines(keys: list[tuple]) -> list[tuple]:
-    """(value, fail status or None, warning tags) of each line-integral
-    key, from one lockstep batch run as an _evaluate_task. A batch that
-    warns, or raises as a whole, is run again one key at a time, so that
-    a key's tags and status do not depend on the batch it shared."""
-    values, fail, tags = _evaluate_task((_reduced_line_integrals, (keys,), {}))
+def _evaluate_batch(batch, keys: list[tuple]) -> list[tuple]:
+    """(value, fail status or None, warning tags) of each key of a batch
+    function (_free_responses or _reduced_line_integrals), from one
+    lockstep batch run as an _evaluate_task. A batch that warns, or
+    raises as a whole, is run again one key at a time, so that a key's
+    tags and status do not depend on the batch it shared."""
+    values, fail, tags = _evaluate_task((batch, (keys,), {}))
     if len(keys) > 1 and (fail is not None or tags):
-        return [res for key in keys for res in _evaluate_lines([key])]
+        return [res for key in keys for res in _evaluate_batch(batch, [key])]
     if fail is not None:
         return [(None, fail, tags)]
     return [(None, _fail_status(v), frozenset()) if isinstance(v, Exception)
@@ -401,20 +403,27 @@ def _evaluate_lines(keys: list[tuple]) -> list[tuple]:
 # round evaluates 240 abscissae per key), so a long sweep runs several
 # batches; every bundled preset fits in one. A serial 4000-point onset
 # curve (12001 keys) peaks at 108 MB RSS so and at 191 MB as one batch,
-# about 9 kB more per key (x86-64 Linux, NumPy 2.4).
+# about 9 kB more per key (x86-64 Linux, NumPy 2.4). _free_responses
+# bounds its batches itself, by their initial panels.
 _LINE_BATCH = 1024
 
 
 def _evaluate_tasks(items: list[tuple]) -> list[tuple]:
-    """Worker: _evaluate_task of each item, except that the line tasks
-    among them run first, in batches of _evaluate_lines of at most
-    _LINE_BATCH keys."""
-    is_line = [fn is _reduced_line_integrals for fn, _, _ in items]
-    keys = [args for (_, args, _), line in zip(items, is_line) if line]
-    lines = iter([res for c in range(0, len(keys), _LINE_BATCH)
-                  for res in _evaluate_lines(keys[c:c + _LINE_BATCH])])
-    return [next(lines) if line else _evaluate_task(item)
-            for item, line in zip(items, is_line)]
+    """Worker: _evaluate_task of each item, except that the free tasks
+    and then the line tasks among them run first, as the keys of
+    _evaluate_batch: the free tasks in one call, the line tasks in
+    batches of at most _LINE_BATCH keys."""
+    out: list = [None] * len(items)
+    for batch, size in ((_free_responses, max(len(items), 1)),
+                        (_reduced_line_integrals, _LINE_BATCH)):
+        at = [i for i, (fn, _, _) in enumerate(items) if fn is batch]
+        for c in range(0, len(at), size):
+            chunk = at[c:c + size]
+            for i, res in zip(chunk, _evaluate_batch(
+                    batch, [items[i][1] for i in chunk])):
+                out[i] = res
+    return [_evaluate_task(item) if res is None else res
+            for item, res in zip(items, out)]
 
 
 def _assemble(status: str | None, keys: tuple[int, ...], pref: float,

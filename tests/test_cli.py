@@ -98,12 +98,12 @@ class TestMiCommand:
         assert payload["slack"] > 0.0
 
     def test_roundoff_negative_probability_rounds_to_zero(self, capsys):
-        # P_B vanishes up to roundoff here (about -1e-17 against an error
-        # estimate near 6e-10); within its error bar it is zero, not an
+        # P_B vanishes up to roundoff here (about -9e-17 against an error
+        # estimate near 3e-10); within its error bar it is zero, not an
         # unphysical input
         rc, out, err = run_cli(capsys, [
             "mi", "--gap-a", "0.9434462073905755",
-            "--gap-b", "10.37790828129633", "--accel", "0.7788225683062892",
+            "--gap-b", "12.0", "--accel", "0.7788225683062892",
             "--radius", "10.0", "--sep", "4.536405464772817",
             "--dz", "0.44481925752216145"])
         assert rc == 0, err
@@ -133,12 +133,12 @@ class TestMiCommand:
         assert "config error" in err
 
     def test_missed_tolerance_exits_2(self, capsys):
-        # at tol 1e-12 the bounded response term stops at its roundoff
+        # at tol 1e-14 the bounded response term stops at its roundoff
         # floor: the record is printed, but the point did not converge
         with pytest.warns(PerturbativeRegimeWarning):
             rc, out, err = run_cli(capsys, [
                 "mi", "--gap-a", "0.5", "--accel", "5", "--radius", "10",
-                "--sep", "1", "--free-space", "--tol", "1e-12"])
+                "--sep", "1", "--free-space", "--tol", "1e-14"])
         assert rc == 2
         assert math.isfinite(json.loads(out)["I"])
 
@@ -207,10 +207,11 @@ class TestSweepCommand:
                                       monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def always_fail(det, dz, tol, free=None):
+        def always_fail(keys):
             raise RuntimeError("forced point failure")
 
-        monkeypatch.setattr(sweep_mod, "transition_probability", always_fail)
+        # every row's P_A needs its detector's free-space response
+        monkeypatch.setattr(sweep_mod, "_free_responses", always_fail)
         out_path = tmp_path / "out.csv"
         rc, out, err = run_cli(capsys, [
             "sweep", "--config", str(config_path), "--out", str(out_path),

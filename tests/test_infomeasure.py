@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udwmi import infomeasure, response
-from udwmi.correlation import PairConfig, correlation_equal
+from udwmi.correlation import (CorrelationResult, PairConfig,
+                               correlation_equal)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                assemble_density_block, mutual_information,
                                mutual_information_point)
@@ -216,6 +217,32 @@ class TestPositivityHandling:
             mutual_information(block)
 
 
+class TestNegativeProbabilityRounding:
+    # a P below zero by no more than its own error estimate is roundoff
+    # on a vanishing response and rounds to zero; one further below is
+    # left to the density-block check
+    @staticmethod
+    def terms(p_b, err_b):
+        resp = transition_probability(
+            detector_from_accel_radius(0.5, 0.1, 1.0), None)
+        vanishing = dataclasses.replace(
+            resp, term_bounded=0.0, term_inertial=p_b, total=p_b,
+            abs_error_estimate=err_b)
+        corr = CorrelationResult(c_total=0j, c_free=0j, c_boundary=0j,
+                                 abs_error_estimate=0.0, converged=True)
+        return PointTerms(resp, vanishing, corr)
+
+    @pytest.mark.parametrize("p_b", [-1e-17, -1e-10])
+    def test_within_error_rounds_to_zero(self, p_b):
+        pt = mutual_information_point(self.terms(p_b, 1e-10))
+        assert pt.p_b == 0.0 and math.copysign(1.0, pt.p_b) == 1.0
+        assert pt.mutual_info == 0.0
+
+    def test_beyond_error_is_rejected(self):
+        with pytest.raises(DomainError, match="negative transition"):
+            mutual_information_point(self.terms(-2e-10, 1e-10))
+
+
 class TestEndToEndPoint:
     def test_circular_pair_frozen_point(self):
         det = detector_from_accel_radius(0.1, 5.0, 0.02)
@@ -268,8 +295,8 @@ class TestEndToEndPoint:
     def test_equal_detectors_share_the_free_response(self, monkeypatch, dz,
                                                      gap_b, bounded_calls):
         # equal detectors run the bounded quadrature of their free-space
-        # response once, and the point is bit-identical to evaluating
-        # each detector's P on its own
+        # response once, unequal ones as one batch of two, and the point
+        # is bit-identical to evaluating each detector's P on its own
         det_a = detector_from_accel_radius(1.0, 0.1, 0.02)
         det_b = detector_from_accel_radius(gap_b, 0.1, 0.02)
         pair = PairConfig(det_a=det_a, det_b=det_b, sep=2.0, dz=dz)
@@ -278,24 +305,25 @@ class TestEndToEndPoint:
             transition_probability(det_a, dz),
             transition_probability(det_b, dz_b), correlation_equal(pair)))
         calls = []
-        bounded = response.integrate_semiinfinite_gaussian
+        bounded = response.integrate_semiinfinite_batch
         batches = []
         lines = infomeasure._reduced_line_integrals
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return bounded(*args, **kwargs)
+        def counted(f, alpha, *args, **kwargs):
+            calls.append(np.size(alpha))
+            return bounded(f, alpha, *args, **kwargs)
 
         def counted_lines(keys):
             batches.append(len(keys))
             return lines(keys)
 
-        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
                             counted)
         monkeypatch.setattr(infomeasure, "_reduced_line_integrals",
                             counted_lines)
         pt = mutual_information_point(pair)
-        assert len(calls) == bounded_calls
+        # one batch, one member per distinct detector
+        assert calls == [bounded_calls]
         # the image lines of both P and the lines of C are one batch
         assert batches == [1 if dz is None else 4]
         assert float_bits(dataclasses.astuple(pt)) == \

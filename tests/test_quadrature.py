@@ -70,6 +70,37 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             principal_value_batch(f, 0.5, 0.0, his, [1e-10, 1e-6])
 
+    def test_initial_panels_per_member_equal_batches_of_one(self):
+        # members on their own initial panel counts (one at a subnormal
+        # width, where linspace takes its zero-step form, one with an
+        # empty interval) each equal their batch of one
+        freq = np.array([0.5, 3.0, 20.0, 1.0, 7.0, 2.0])
+        lo = [0.0, -1.0, 0.0, 0.0, 2.0, 0.5]
+        hi = [5.0, 4.0, 9.0, 5e-324, 2.0, 30.0]
+        tol = [1e-10, 1e-12, 1e-8, 1e-10, 1e-10, 1e-11]
+        panels = [1, 8, 37, 4, 3, 0]
+
+        def f(x, owner):
+            return np.cos(freq[owner] * x) * np.exp(-0.1 * x * x)
+
+        def bits(res):
+            if isinstance(res, Exception):
+                return type(res).__name__, str(res)
+            return (res.value.hex(), res.abs_error_estimate.hex(),
+                    res.evaluations, res.converged)
+
+        batch = integrate_adaptive_batch(f, lo, hi, tol,
+                                         initial_panels=panels)
+        alone = [integrate_adaptive_batch(
+            lambda x, owner, i=i: f(x, owner + i), lo[i], hi[i], tol[i],
+            initial_panels=panels[i])[0] for i in range(len(lo))]
+        assert [bits(r) for r in batch] == [bits(r) for r in alone]
+        assert isinstance(batch[4], DomainError)
+        # each member started on its own panels: 15 evaluations each
+        assert batch[0].evaluations % 15 == 0
+        assert batch[2].evaluations >= 15 * 37
+        assert batch[3].evaluations == 15 * 4
+
     def test_complex_integrand(self):
         r = integrate_adaptive(
             lambda x: np.exp(-x * x + 1j * x), -10.0, 10.0, tol=1e-12

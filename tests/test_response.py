@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from udwmi import response
+
 from udwmi import (
     DomainError,
     detector_from_accel_radius,
@@ -173,7 +175,7 @@ class TestFreeReuse:
         (1.0, 1.0, GAP, 1.0, 1e-8),      # rotating
         (0.0, 1.0, 0.5, 0.5, 1e-8),      # static
         (0.1, 10.0, GAP, 50.0, 1e-10),   # far pole, flagged in the notes
-        (5.0, 10.0, 0.5, 1.0, 1e-12),    # bounded term unconverged
+        (5.0, 10.0, 0.5, 1.0, 1e-14),    # bounded term unconverged
     ], ids=["rotating", "static", "far-pole", "unconverged"])
     def test_free_reuse_is_bit_identical(self, accel, radius, gap, dz, tol):
         d = det(accel, radius, gap)
@@ -181,7 +183,7 @@ class TestFreeReuse:
         plain = transition_probability(d, dz, tol)
         reused = transition_probability(d, dz, tol, free=free)
         assert exact(reused) == exact(plain)
-        if tol == 1e-12:
+        if tol == 1e-14:
             assert not free.converged and not reused.converged
         if dz == 50.0:
             assert reused.notes and not free.notes
@@ -189,6 +191,122 @@ class TestFreeReuse:
     def test_free_space_returns_free(self):
         free = transition_probability(det(1.0, 1.0), None)
         assert transition_probability(det(1.0, 1.0), None, free=free) is free
+
+
+def quadrature_bits(res):
+    """A batch member's QuadratureResult or exception, exactly."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations,
+            res.converged)
+
+
+def record_bounded(monkeypatch):
+    """Patch response's bounded quadrature to record each call as its
+    members' (alpha, initial panels, result bits)."""
+    calls = []
+    quad = response.integrate_semiinfinite_batch
+
+    def recorded(f, alpha, tol, *, initial_panels):
+        results = quad(f, alpha, tol, initial_panels=initial_panels)
+        calls.append([(a, n, quadrature_bits(res)) for a, n, res in zip(
+            np.atleast_1d(alpha).tolist(),
+            np.atleast_1d(initial_panels).tolist(), results)])
+        return results
+
+    monkeypatch.setattr(response, "integrate_semiinfinite_batch", recorded)
+    return calls
+
+
+def breakdown_bits(res):
+    return (type(res).__name__, str(res)) if isinstance(res, Exception) \
+        else exact(res)
+
+
+class TestFreeBatch:
+    # the bounded terms of many detectors are the members of lockstep
+    # batches, each on a mesh of its own, so every member equals its
+    # batch of one
+    KEYS = [
+        (det(0.1, 0.02), 1e-8),             # 15 initial panels
+        (det(0.0, 1.0, 0.5), 1e-8),         # static: no bounded term
+        (det(30.0, 1.0, 1.0), 1e-12),       # 31
+        (det(5.0, 10.0, 0.5), 0.0),         # raises: tol must be positive
+        (det(100.0, 0.1, 3.0), 1e-8),       # 126
+        (det(2.0, 100.0, 10.0), 1e-10),     # 42
+        (det(0.5, 5.0, 0.2), 1e-8),         # 9
+        (det(1000.0, 1e-3, 0.01), 1e-8),    # 3516
+    ]
+
+    @pytest.mark.parametrize("bound", [None, 10 ** 6])
+    def test_members_equal_batches_of_one(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(response, "_FREE_BATCH_PANELS", bound)
+        calls = record_bounded(monkeypatch)
+        batch = response._free_responses(self.KEYS)
+        members = [m for call in calls for m in call]
+        # every rotating detector is a member, on initial panels of its own
+        assert len(members) == 7
+        assert len({n for _, n, _ in members}) == 7
+        if bound is None:
+            # runs of at most _FREE_BATCH_PANELS initial panels; the
+            # 3516-panel detector runs alone
+            assert [len(call) for call in calls] == [6, 1]
+        else:
+            assert len(calls) == 1
+        calls.clear()
+        alone = [response._free_responses([key])[0] for key in self.KEYS]
+        assert [m for call in calls for m in call] == members
+        assert [breakdown_bits(r) for r in batch] == \
+            [breakdown_bits(r) for r in alone]
+        assert isinstance(batch[3], DomainError)
+        assert "tol must be positive" in str(batch[3])
+        assert batch[1].term_bounded == 0.0 and batch[1].converged
+        with pytest.raises(DomainError, match="tol must be positive"):
+            transition_probability(self.KEYS[3][0], None, self.KEYS[3][1])
+
+    def test_batch_memory_is_bounded(self):
+        # 144 rotating detectors, 8 to 566 initial panels each: as one
+        # batch their first round peaked at about 12 MiB traced, in runs
+        # of at most _FREE_BATCH_PANELS initial panels at about 2 MiB
+        import tracemalloc
+
+        keys = [(det(a, r, gap), 1e-8) for a in np.geomspace(1.0, 300.0, 8)
+                for r in np.geomspace(0.01, 10.0, 6) for gap in (0.1, 1.0, 4.0)]
+        tracemalloc.start()
+        try:
+            response._free_responses(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
+class TestFreeCalibration:
+    def test_error_estimates_cover_tolerance_change(self):
+        # 40 detectors over a 0.1-1000, R 1e-3-100 and gap 0.01-10: P
+        # at tol 1e-8 and at 1e-12 differ by no more than their summed
+        # error estimates
+        i = np.arange(40)
+        accels = np.geomspace(0.1, 1000.0, 40)
+        radii = np.geomspace(1e-3, 100.0, 40)[(7 * i) % 40]
+        gaps = np.geomspace(0.01, 10.0, 40)[(13 * i) % 40]
+        dets = [det(a, r, g) for a, r, g in zip(accels, radii, gaps)]
+        coarse = response._free_responses([(d, 1e-8) for d in dets])
+        fine = response._free_responses([(d, 1e-12) for d in dets])
+        for d, lo, hi in zip(dets, coarse, fine):
+            assert abs(lo.total - hi.total) <= \
+                lo.abs_error_estimate + hi.abs_error_estimate, d
+
+    @pytest.mark.parametrize("accel,radius,gap", [(30.0, 1.0, 1.0),
+                                                  (5.0, 10.0, 0.5)])
+    def test_tight_tolerance_converges(self, accel, radius, gap):
+        # on 3.5 initial panels per period the bounded term's summed
+        # per-panel roundoff (2.55e-13 at a=30, R=1, gap 1) exceeded its
+        # share of tol 1e-12; on one panel per period it converges
+        res = transition_probability(det(accel, radius, gap), None, 1e-12)
+        assert res.converged
+        assert res.abs_error_estimate < 2.5e-13
 
 
 class TestDefinitionOracle:

@@ -292,16 +292,16 @@ class TestRunSweep:
             assert all(r.status == "warn:tolerance" for r in rows)
 
     def test_unconverged_probability_is_tagged(self):
-        # a real point: at tol 1e-12 the bounded response term stops at
+        # a real point: at tol 1e-14 the bounded response term stops at
         # its roundoff floor (P unconverged) while C converges
         det = detector_from_accel_radius(0.5, 5.0, 10.0)
         with pytest.warns(PerturbativeRegimeWarning):
             pt = mutual_information_point(PairConfig(det, det, sep=1.0),
-                                          1e-12)
+                                          1e-14)
         assert not pt.converged and pt.corr.converged
         axis = SweepAxis(name="sep", start=1.0, stop=2.0, points=2)
         rows = run_sweep(SweepSpec(axis=axis, gap_a=0.5, accel=5.0,
-                                   radius=10.0, free_space=True, tol=1e-12),
+                                   radius=10.0, free_space=True, tol=1e-14),
                          workers=1)
         assert [r.status for r in rows] == ["warn:perturbative;tolerance"] * 2
 
@@ -411,22 +411,23 @@ class TestPlanner:
         bounded = []
         direct_lines = []
         tp = sweep_mod.transition_probability
-        quad = response.integrate_semiinfinite_gaussian
+        quad = response.integrate_semiinfinite_batch
 
         def counted_tp(spec, dz=None, tol=1e-8, free=None, line=None):
             probabilities.append((spec, dz, tol))
             return tp(spec, dz, tol, free=free, line=line)
 
-        def counted_quad(*args, **kwargs):
-            bounded.append(args)
-            return quad(*args, **kwargs)
+        def counted_quad(f, alpha, *args, **kwargs):
+            # one bounded quadrature per member of the batch
+            bounded.extend(np.atleast_1d(alpha).tolist())
+            return quad(f, alpha, *args, **kwargs)
 
         def counted_lines(keys):
             direct_lines.extend(key for key in keys if key[0] == 1.0)
             return _reduced_line_integrals(keys)
 
         monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
-        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
                             counted_quad)
         monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
                             counted_lines)
@@ -474,9 +475,10 @@ class TestPlanner:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_free_response_fails_its_rows(self, monkeypatch, workers):
-        # the bounded quadrature of the accel = 0.5 detector raises: the
-        # rows using that detector carry the status a single point gives,
-        # the others are untouched, on the pool too
+        # the bounded quadrature of the accel = 0.5 detector fails as its
+        # member of the batch: the rows using that detector carry the
+        # status a single point gives, the others are untouched, on the
+        # pool too
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they fork")
         spec = cheap_spec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
@@ -484,14 +486,15 @@ class TestPlanner:
         clean = run_sweep(spec, workers=1)
         broken = detector_from_accel_radius(spec.gap_a, 0.5, spec.radius)
         alpha = 1.0 / (broken.gamma * broken.omega) ** 2
-        quad = response.integrate_semiinfinite_gaussian
+        quad = response.integrate_semiinfinite_batch
 
-        def failing_quad(f, a, *args, **kwargs):
-            if a == alpha:
-                raise RuntimeError("forced bounded-term failure")
-            return quad(f, a, *args, **kwargs)
+        def failing_quad(f, alphas, *args, **kwargs):
+            return [RuntimeError("forced bounded-term failure") if a == alpha
+                    else res for a, res in zip(np.atleast_1d(alphas),
+                                               quad(f, alphas, *args,
+                                                    **kwargs))]
 
-        monkeypatch.setattr(response, "integrate_semiinfinite_gaussian",
+        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
                             failing_quad)
         rows = run_sweep(spec, workers=workers)
         expected = [reference_record(p, spec.tol) for p in spec.point_params()]
