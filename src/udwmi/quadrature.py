@@ -28,8 +28,7 @@ refinement decisions, and each round evaluates the new panels of every
 unfinished integral in one vectorized call of the integrand. So a
 member's result is bit-identical to integrating it alone, which is what
 integrate_adaptive does: the batch of one. integrate_semiinfinite_batch
-adds the Gaussian truncation and its tail bound to such a batch
-(integrate_semiinfinite_gaussian is its batch of one).
+adds the Gaussian truncation and its tail bound to such a batch.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_adaptive_batch",
     "integrate_semiinfinite_batch",
-    "integrate_semiinfinite_gaussian",
     "gaussian_truncation_point",
     "principal_value_integral",
     "principal_value_batch",
@@ -343,7 +341,8 @@ def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
         results = integrate_adaptive_batch(f, 0.0, x_max, tol,
                                            initial_panels=n0)
     else:
-        # a lone integral is integrate_adaptive's, the batch of one
+        # a lone integral runs through integrate_adaptive, the batch of
+        # one, whose calls the benchmark's tracer counts (bench/tracing.py)
         try:
             results = [integrate_adaptive(
                 lambda x: f(x, np.zeros(1, dtype=int)), 0.0, x_max[0],
@@ -369,16 +368,6 @@ def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
             converged=total_err <= float(tol[i]),
         )
     return results
-
-
-def integrate_semiinfinite_gaussian(f, alpha: float, tol: float, *,
-                                    initial_panels: int = 8) -> QuadratureResult:
-    """Integral of f over [0, inf) for f bounded by a Gaussian envelope
-    exp(-alpha x^2): the batch of one of integrate_semiinfinite_batch."""
-    (res,) = integrate_semiinfinite_batch(
-        lambda x, _: np.reshape(f(x.ravel()), x.shape), alpha, tol,
-        initial_panels=initial_panels)
-    return _checked(res)
 
 
 def principal_value_batch(g, pole, lo, hi, tol) -> list:

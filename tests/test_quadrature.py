@@ -10,7 +10,7 @@ from udwmi import (
 )
 from udwmi.correlation import _reduced_line_integral
 from udwmi.quadrature import (gaussian_truncation_point, integrate_adaptive_batch,
-                              integrate_semiinfinite_gaussian, principal_value_batch)
+                              integrate_semiinfinite_batch, principal_value_batch)
 
 # Expected values below were computed independently with mpmath at 50
 # significant digits and frozen here.
@@ -112,8 +112,8 @@ class TestAdaptive:
 
 class TestSemiInfinite:
     def test_matches_finite_truncation(self):
-        r = integrate_semiinfinite_gaussian(
-            lambda x: np.exp(-0.25 * x * x), alpha=0.25, tol=1e-12
+        (r,) = integrate_semiinfinite_batch(
+            lambda x, _: np.exp(-0.25 * x * x), alpha=0.25, tol=1e-12
         )
         # sqrt(pi/4/0.25)/2 = sqrt(pi)
         assert np.isclose(r.value, np.sqrt(np.pi) / 2 * 2.0, rtol=1e-11)
