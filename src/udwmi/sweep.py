@@ -8,15 +8,16 @@ axis, and a detector's free-space response at every height it sits at.
 So a sweep is lowered to its distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
 transition probabilities (each adding its image line to its detector's
-free-space response); these run once each, and every row is assembled
-from the ones it uses. The free-space responses refine together in
-lockstep, and so do the line integrals, as vectorized batches serially
-or per chunk of a process pool, each member on a mesh of its own, so no
-value depends on its batch. Output order is fixed by (curve, axis
-index) so files are byte-identical whatever the worker count. A failing
-point keeps its row with a fail status instead of aborting the run. The
-oracle suite runs its points through the same task runner, one process
-pool per call.
+free-space response), and runs in two batch stages and one row pass.
+First the free-space responses and then the line integrals refine in
+lockstep, as vectorized batches, serially or in chunks on a process
+pool, each member on a mesh of its own, so no value depends on its
+batch. Then the rows are assembled in order in the calling process,
+each mirror P made the first time a row needs it. Output order is fixed
+by (curve, axis index) so files are byte-identical whatever the worker
+count. A failing point keeps its row with a fail status instead of
+aborting the run. The oracle suite maps its points on the same
+serial-or-pool helper, one process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
@@ -31,6 +32,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -70,10 +72,10 @@ _SPACINGS = ("linear", "log")
 
 
 def _require_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    # a real number: not a bool, nor a string that float() would parse
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
@@ -155,6 +157,9 @@ class SweepSpec:
         if not ratios:
             raise DomainError("gap_ratios must be nonempty")
         object.__setattr__(self, "gap_ratios", ratios)
+        if not isinstance(self.free_space, bool):
+            raise DomainError(f"free_space must be true or false, "
+                              f"got {self.free_space!r}")
         if self.dz is not None:
             dz = _require_finite("dz", self.dz)
             if dz <= 0.0:
@@ -300,97 +305,78 @@ def _warning_tags(wlog) -> frozenset[str]:
         else "quadrature" for w in wlog)
 
 
-def _plan(spec: SweepSpec) -> tuple[list[tuple], list[tuple]]:
-    """Lower a sweep into its rows and the distinct calls they need.
+def _plan(spec: SweepSpec) -> tuple[list[tuple], list, list, list[tuple]]:
+    """Lower a sweep into its rows and the distinct terms they need.
 
-    A task is one (function, arguments, dependencies) call, listed once,
-    in the order rows first use it; dependencies pairs keywords with the
-    indices of earlier tasks. A free task is _free_responses on one
-    (detector, tol) key: a detector's free-space response, or its whole
-    P without a mirror. A line task is _reduced_line_integrals on one
-    line-integral key (its full argument tuple): a line of C, or the
-    image line of a mirror P. A mirror task is transition_probability on
-    (detector, height, tol) and depends on its detector's free task as
-    free= and its image line task as line=. Equal keys give equal
-    results, and free= and line= leave P bit-identical, so every row is
-    made from exactly the values a single-point evaluation would compute.
+    Returns the row plans, then the sweep's distinct free-space keys,
+    line keys and responses, each listed once in the order rows first
+    use it. A free-space key is a (detector, tol) key of
+    _free_responses: a detector's free-space response, or its whole P
+    without a mirror. A line key is a key of _reduced_line_integrals
+    (its full argument tuple): a line of C, or the image line of a
+    mirror P. A response is (detector, height, free-space index, image
+    line index). Without a mirror the height and line index are None
+    and the free-space response is the whole P; a mirror response is
+    transition_probability on (detector, height, tol) with its
+    free-space response as free= and its image line as line=. Equal
+    keys give equal results, and free= and line= leave P bit-identical,
+    so every row is made from exactly the values a single-point
+    evaluation would compute.
 
-    A row plan is (params, status, task indices, C prefactor). The
-    indices follow the order a single point evaluates its terms, as
-    infomeasure._point_line_keys lists them: P_A, P_B, the direct and
-    then the image line integral. status is the fail status of building
-    the detectors or the pair, with no tasks, or None.
+    A row plan is (params, status, response indices, line indices, C
+    prefactor). The indices follow the order a single point evaluates
+    its terms, as infomeasure._point_line_keys lists them: P_A, P_B,
+    the direct and then the image line integral. status is the fail
+    status of building the detectors or the pair, with no terms, or
+    None.
     """
-    tasks: list[tuple] = []
-    index: dict[tuple, int] = {}
+    frees: dict = {}
+    lines: dict = {}
+    responses: dict = {}
     # one detector per (gap, accel, radius) and one derivation of line
     # parameters per detector pair and tol, not one per row
     detector = functools.cache(detector_from_accel_radius)
     line_params = functools.cache(_line_params)
 
-    def use(task: tuple) -> int:
-        if task not in index:
-            index[task] = len(tasks)
-            tasks.append(task)
-        return index[task]
-
-    def line(key: tuple) -> int:
-        return use((_reduced_line_integrals, key, ()))
-
-    def response(det, dz, image) -> int:
-        free = use((_free_responses, (det, spec.tol), ()))
-        if image is None:
-            return free
-        return use((transition_probability, (det, dz, spec.tol),
-                    (("free", free), ("line", line(image)))))
+    def use(table: dict, key) -> int:
+        return table.setdefault(key, len(table))
 
     plans = []
     for params in spec.point_params():
         try:
             pair = _pair_from_params(params, detector)
         except Exception as exc:  # per-point isolation is the contract
-            plans.append((params, _fail_status(exc), (), 0.0))
+            plans.append((params, _fail_status(exc), (), (), 0.0))
             continue
-        heights, pref, lines = _point_line_keys(pair, spec.tol, line_params)
-        keys = (*(response(*h) for h in heights),
-                *(line(key) for key in lines))
-        plans.append((params, None, keys, pref))
-    return plans, tasks
+        heights, pref, c_keys = _point_line_keys(pair, spec.tol, line_params)
+        resp = tuple(use(responses, (det, dz, use(frees, (det, spec.tol)),
+                                     None if image is None
+                                     else use(lines, image)))
+                     for det, dz, image in heights)
+        plans.append((params, None, resp,
+                      tuple(use(lines, key) for key in c_keys), pref))
+    return plans, list(frees), list(lines), list(responses)
 
 
-def _evaluate_task(item: tuple) -> tuple:
-    """One distinct sub-result as (value, fail status or None, warning
-    tags) of a (function, arguments, {keyword: dependency result}) item.
-    Never raises; the rows using a failed task fail.
-
-    A task with a failed dependency takes that result, fail status and
-    tags, without running: the failure a single point would meet first.
-    Otherwise each dependency's value is passed under its keyword and
-    its warning tags join the task's own."""
-    fn, args, deps = item
-    kwargs, dep_tags = {}, frozenset()
-    for name, dep in deps.items():
-        value, fail, tags = dep
-        if fail is not None:
-            return dep
-        kwargs[name] = value
-        dep_tags |= tags
+def _guarded(fn, *args, **kwargs) -> tuple:
+    """(value, fail status or None, warning tags) of one call. Never
+    raises: per-point isolation is the contract."""
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
             value = fn(*args, **kwargs)
-    except Exception as exc:  # per-point isolation is the contract
+    except Exception as exc:
         return None, _fail_status(exc), frozenset()
-    return value, None, dep_tags | _warning_tags(wlog)
+    return value, None, _warning_tags(wlog)
 
 
 def _evaluate_batch(batch, keys: list[tuple]) -> list[tuple]:
     """(value, fail status or None, warning tags) of each key of a batch
     function (_free_responses or _reduced_line_integrals), from one
-    lockstep batch run as an _evaluate_task. A batch that warns, or
-    raises as a whole, is run again one key at a time, so that a key's
-    tags and status do not depend on the batch it shared."""
-    values, fail, tags = _evaluate_task((batch, (keys,), {}))
+    lockstep batch. A batch that warns, or raises as a whole, is run
+    again one key at a time, so that a key's tags and status do not
+    depend on the batch it shared."""
+    values, fail, tags = _guarded(batch, keys)
     if len(keys) > 1 and (fail is not None or tags):
         return [res for key in keys for res in _evaluate_batch(batch, [key])]
     if fail is not None:
@@ -402,55 +388,54 @@ def _evaluate_batch(batch, keys: list[tuple]) -> list[tuple]:
 # Line keys per lockstep batch. Memory grows with the batch (its first
 # round evaluates 240 abscissae per key), so a long sweep runs several
 # batches; every bundled preset fits in one. A serial 4000-point onset
-# curve (12001 keys) peaks at 108 MB RSS so and at 191 MB as one batch,
-# about 9 kB more per key (x86-64 Linux, NumPy 2.4). _free_responses
-# bounds its batches itself, by their initial panels.
+# curve (12001 keys) peaks at 108 MB RSS in batches of this size and at
+# 191 MB as one batch, about 9 kB more per key (x86-64 Linux, NumPy
+# 2.4). _free_responses bounds its batches itself, by their initial
+# panels.
 _LINE_BATCH = 1024
 
 
-def _evaluate_tasks(items: list[tuple]) -> list[tuple]:
-    """Worker: _evaluate_task of each item, except that the free tasks
-    and then the line tasks among them run first, as the keys of
-    _evaluate_batch: the free tasks in one call, the line tasks in
-    batches of at most _LINE_BATCH keys."""
-    out: list = [None] * len(items)
-    for batch, size in ((_free_responses, max(len(items), 1)),
-                        (_reduced_line_integrals, _LINE_BATCH)):
-        at = [i for i, (fn, _, _) in enumerate(items) if fn is batch]
-        for c in range(0, len(at), size):
-            chunk = at[c:c + size]
-            for i, res in zip(chunk, _evaluate_batch(
-                    batch, [items[i][1] for i in chunk])):
-                out[i] = res
-    return [_evaluate_task(item) if res is None else res
-            for item, res in zip(items, out)]
+def _batch_jobs(batch, keys: list, size: int, workers: int) -> list[tuple]:
+    """(batch, keys) arguments of _evaluate_batch, at most size keys
+    each, and on a pool of workers about a quarter of a worker's share."""
+    if workers > 1:
+        size = min(size, len(keys) // (4 * workers))
+    size = max(size, 1)
+    return [(batch, keys[c:c + size]) for c in range(0, len(keys), size)]
 
 
-def _assemble(status: str | None, keys: tuple[int, ...], pref: float,
-              results: list) -> tuple[str, PairPointResult | None]:
-    """Status and point of one planned row from its evaluated tasks.
+def _mirror_response(det, dz: float, tol: float, free: tuple,
+                     line: tuple) -> tuple:
+    """(value, fail status or None, warning tags) of one mirror P, made
+    from its evaluated free-space response and image line with the tags
+    of both. A failed one of these is taken as it is, free first,
+    without a call: the failure a single point meets first."""
+    for dep in (free, line):
+        if dep[1] is not None:
+            return dep
+    value, fail, tags = _guarded(transition_probability, det, dz, tol,
+                                 free=free[0], line=line[0])
+    return value, fail, tags | free[2] | line[2]
 
-    The first failure in evaluation order decides a fail status. Warnings
-    of every task the row uses, and of its assembly, become warn tags."""
-    if status is not None:
-        return status, None
-    tags = set()
-    for i in keys:
-        _, fail, task_tags = results[i]
+
+def _assemble(terms: list[tuple],
+              pref: float) -> tuple[str, PairPointResult | None]:
+    """Status and point of one planned row from its evaluated terms in
+    evaluation order, each (value, fail status or None, warning tags).
+
+    The first failure decides a fail status. Warnings of every term, and
+    of the assembly, become warn tags."""
+    for _, fail, _ in terms:
         if fail is not None:
             return fail, None
-        tags |= task_tags
-    resp_a, resp_b, *lines = (results[i][0] for i in keys)
-    terms = PointTerms(resp_a, resp_b, _correlation_from_lines(pref, lines))
-    try:
-        with warnings.catch_warnings(record=True) as wlog:
-            warnings.simplefilter("always")
-            pt = mutual_information_point(terms)
-    except Exception as exc:  # per-point isolation is the contract
-        return _fail_status(exc), None
-    tags |= _warning_tags(wlog)
+    resp_a, resp_b, *lines = (value for value, _, _ in terms)
+    pt, fail, tags = _guarded(mutual_information_point, PointTerms(
+        resp_a, resp_b, _correlation_from_lines(pref, lines)))
+    if fail is not None:
+        return fail, None
+    tags = tags.union(*(term_tags for _, _, term_tags in terms))
     if not pt.converged:
-        tags.add("tolerance")
+        tags |= {"tolerance"}
     return ("ok" if not tags else "warn:" + ";".join(sorted(tags))), pt
 
 
@@ -468,69 +453,51 @@ def _resolve_workers(requested: int | None) -> int:
     return min(cpus, 8)
 
 
-def _evaluate_plan(evaluate, tasks: list[tuple], workers: int):
-    """Iterator over the results of (function, arguments, dependencies)
-    tasks, in order; the one task runner of sweeps and the oracle suite.
-    dependencies pairs keywords with the indices of earlier tasks.
-
-    evaluate maps a list of (function, arguments, {keyword: dependency
-    result}) items to the list of their results, so that it can batch
-    alike items. The tasks without dependencies come first: serially as
-    one list, on a pool of workers as one list per chunk. The rest
-    follow with their dependencies' results bound: serially each is made
-    when it is taken, so run_sweep assembles every row right after its
-    last task, and on the pool as one list per chunk again. Chunks are
-    about a quarter of a stage's share per worker."""
-    stages = ([i for i, task in enumerate(tasks) if not task[2]],
-              [i for i, task in enumerate(tasks) if task[2]])
-    results: list = [None] * len(tasks)
-
-    def items(order):
-        return [(fn, args, {name: results[d] for name, d in deps})
-                for fn, args, deps in (tasks[i] for i in order)]
-
-    if workers == 1 or len(tasks) <= 1:
-        for i, res in zip(stages[0], evaluate(items(stages[0]))):
-            results[i] = res
-        dependent = set(stages[1])
-        for i in range(len(tasks)):
-            if i in dependent:
-                (results[i],) = evaluate(items([i]))
-            yield results[i]
-        return
+def _map(fn, calls: list[tuple], workers: int) -> list:
+    """fn(*args) of each args tuple, in order: serially, or on one
+    process pool of workers. The one place sweeps and the oracle suite
+    meet the pool."""
+    if workers == 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for order in stages:
-            size = max(1, len(order) // (4 * workers))
-            chunks = [items(order[c:c + size])
-                      for c in range(0, len(order), size)]
-            done = (res for chunk in pool.map(evaluate, chunks)
-                    for res in chunk)
-            for i, res in zip(order, done):
-                results[i] = res
-    yield from results
+        return list(pool.map(fn, *zip(*calls)))
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Evaluate every sweep point; deterministic row order (curve-major,
     axis-minor) independent of worker count.
 
-    Each distinct transition probability and line integral of the sweep
-    is evaluated once, each detector's free-space response too, and every
-    row is assembled from the ones it uses."""
-    plans, tasks = _plan(spec)
-    stream = _evaluate_plan(_evaluate_tasks, tasks, _resolve_workers(workers))
-    results: list = []
+    Each distinct free-space response, line integral and mirror
+    transition probability of the sweep is evaluated once. The
+    free-space responses and then the line integrals run first, as
+    lockstep batches (the line integrals at most _LINE_BATCH keys each),
+    on a pool of workers in chunks. The rows are then assembled in order
+    in this process, each mirror P made the first time a row needs it."""
+    plans, free_keys, line_keys, responses = _plan(spec)
+    workers = _resolve_workers(workers)
+    jobs = (_batch_jobs(_free_responses, free_keys, len(free_keys), workers)
+            + _batch_jobs(_reduced_line_integrals, line_keys, _LINE_BATCH,
+                          workers))
+    done = [res for job in _map(_evaluate_batch, jobs, workers)
+            for res in job]
+    frees, lines = done[:len(free_keys)], done[len(free_keys):]
+
+    @functools.cache
+    def response(i: int) -> tuple:
+        det, dz, free, line = responses[i]
+        if line is None:
+            return frees[free]
+        return _mirror_response(det, dz, spec.tol, frees[free], lines[line])
+
     rows = []
-    for params, status, keys, pref in plans:
-        # tasks come in first-use order, so a row needs no task past its
-        # own largest index
-        while len(results) <= max(keys, default=-1):
-            results.append(next(stream))
-        status, pt = _assemble(status, keys, pref, results)
+    for params, status, resp, c_lines, pref in plans:
+        pt = None
+        if status is None:
+            status, pt = _assemble([*map(response, resp),
+                                    *(lines[i] for i in c_lines)], pref)
         outputs = (dict.fromkeys(_OUTPUT_COLUMNS, math.nan) if pt is None
                    else point_record(pt))
         rows.append(_row_from_record({**params, **outputs, "status": status}))
-
     return rows
 
 
@@ -662,17 +629,17 @@ def _pair_from_params(p: dict,
     return PairConfig(det_a=det_a, det_b=det_b, sep=p["sep"], dz=p.get("dz"))
 
 
-def _suite_response_point(params: dict) -> dict:
-    spec = detector_from_accel_radius(params["gap"], params["accel"],
-                                      params["radius"])
-    res = transition_probability(spec, params.get("dz"))
-    est = transition_probability_oracle_result(spec, params.get("dz"))
-    return _deviation_record(params, res.total, res.abs_error_estimate,
-                             float(est.value), est.error_estimate,
-                             est.evaluations)
-
-
-def _suite_correlation_point(params: dict) -> dict:
+def _suite_point(section: str, params: dict) -> dict:
+    """The deviation record of one point of a grid section, "response"
+    or "correlation"."""
+    if section == "response":
+        spec = detector_from_accel_radius(params["gap"], params["accel"],
+                                          params["radius"])
+        res = transition_probability(spec, params.get("dz"))
+        est = transition_probability_oracle_result(spec, params.get("dz"))
+        return _deviation_record(params, res.total, res.abs_error_estimate,
+                                 float(est.value), est.error_estimate,
+                                 est.evaluations)
     pair = _pair_from_params(params)
     res = correlation_equal(pair)
     est = correlation_general_result(pair)
@@ -680,10 +647,6 @@ def _suite_correlation_point(params: dict) -> dict:
                             est.value, est.error_estimate, est.evaluations)
     rec["c_boundary"] = [res.c_boundary.real, res.c_boundary.imag]
     return rec
-
-
-def _call_all(items: list[tuple]) -> list:
-    return [fn(*args) for fn, args, _ in items]
 
 
 def _deviation_record(params, value, err, oracle, oerr,
@@ -715,18 +678,17 @@ def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
     pass/fail against the grid's rel_tol (default 1e-3 relative
     deviation).
 
-    The response and then the correlation points are one task list on
-    _evaluate_plan. Unlike a sweep row, a point does not fail alone: its
-    exception (a DomainError for a bad point, a RuntimeError for an
-    oracle that did not converge) ends the suite, and its warnings are
-    passed on."""
+    The response and then the correlation points are mapped as one list
+    of calls, serially or on one process pool, like a sweep's batches.
+    Unlike a sweep row, a point does not fail alone: its exception (a
+    DomainError for a bad point, a RuntimeError for an oracle that did
+    not converge) ends the suite, and its warnings are passed on."""
     grid = load_grid(grid)
     rel_tol = grid["rel_tol"]
     resp_points = grid["response_points"]
-    tasks = ([(_suite_response_point, (p,), ()) for p in resp_points]
-             + [(_suite_correlation_point, (p,), ())
-                for p in grid["correlation_points"]])
-    records = list(_evaluate_plan(_call_all, tasks, _resolve_workers(workers)))
+    calls = ([("response", p) for p in resp_points]
+             + [("correlation", p) for p in grid["correlation_points"]])
+    records = _map(_suite_point, calls, _resolve_workers(workers))
     resp_records = records[:len(resp_points)]
     corr_records = records[len(resp_points):]
 

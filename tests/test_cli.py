@@ -288,7 +288,12 @@ class TestVerifyCommand:
                      {"rel_tol": "x", "response_points": [good]},
                      {"response_points": [good], "correlation_points": 3},
                      {"response_points": [{**good, "accel": "x"}]},
-                     {"response_points": [{**good, "dz": "x"}]}):
+                     {"response_points": [{**good, "dz": "x"}]},
+                     # strings float() parses, and booleans, are not
+                     # numbers either
+                     {"rel_tol": "1e-3", "response_points": [good]},
+                     {"response_points": [{**good, "accel": "2"}]},
+                     {"response_points": [{**good, "gap": True}]}):
             p.write_text(json.dumps(grid))
             rc, out, err = run_cli(capsys, [
                 "verify", "--grid", str(p), "--workers", workers])

@@ -148,6 +148,31 @@ class TestSpec:
         with pytest.raises(DomainError):
             SweepSpec.from_mapping(["not", "a", "dict"])
 
+    @pytest.mark.parametrize("bad", [
+        # a truthy string would drop the mirror a config without dz needs
+        {"free_space": "false"}, {"free_space": 0}, {"dz": 0.5, "accel": "2"},
+        {"dz": 0.5, "accel": True}, {"dz": True}, {"dz": 0.5, "tol": "1e-8"},
+        {"dz": 0.5, "gap_ratios": [False]},
+        {"dz": 0.5, "axis": {"name": "sep", "start": "0.5", "stop": 2.0,
+                             "points": 4}},
+    ], ids=["free_space-str", "free_space-int", "accel-str", "accel-bool",
+            "dz-bool", "tol-str", "gap_ratio-bool", "axis-start-str"])
+    def test_from_mapping_rejects_non_numbers(self, bad):
+        cfg = {"axis": {"name": "sep", "start": 0.5, "stop": 2.0,
+                        "points": 4}, **bad}
+        with pytest.raises(DomainError,
+                           match="must be a number|must be true or false"):
+            SweepSpec.from_mapping(cfg)
+
+    def test_numpy_numbers_are_numbers(self):
+        spec = SweepSpec.from_mapping({
+            "axis": {"name": "sep", "start": np.float32(0.5),
+                     "stop": np.float64(2.0), "points": 4},
+            "dz": np.float64(0.5), "accel": np.int64(2)})
+        assert (spec.axis.start, spec.dz, spec.accel) == (0.5, 0.5, 2.0)
+        assert all(type(v) is float
+                   for v in (spec.axis.start, spec.dz, spec.accel))
+
 
 class TestPointParams:
     def test_curve_major_axis_minor_order(self):
@@ -404,7 +429,8 @@ class TestPlanner:
         assert [bits(r.to_record()) for r in rows] == \
             [bits(e) for e in expected]
 
-    def test_shared_terms_are_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_terms_are_evaluated_once(self, monkeypatch, workers):
         from udwmi import sweep as sweep_mod
 
         probabilities = []
@@ -427,15 +453,21 @@ class TestPlanner:
             return _reduced_line_integrals(keys)
 
         monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
+        n = 5
+        sep_spec = cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
+                                             points=n))
+        run_sweep(sep_spec, workers=workers)
+        # P_A is one value along the curve, P_B one per height, each made
+        # in this process at any worker count
+        assert sum(dz is not None for _, dz, _ in probabilities) == n + 1
+        if workers > 1:
+            return
+        # the batches are counted serially, where these patches reach them
         monkeypatch.setattr(response, "integrate_semiinfinite_batch",
                             counted_quad)
         monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
                             counted_lines)
-        n = 5
-        run_sweep(cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
-                                            points=n)), workers=1)
-        # P_A is one value along the curve, P_B one per height
-        assert sum(dz is not None for _, dz, _ in probabilities) == n + 1
+        run_sweep(sep_spec, workers=1)
         # both detectors are one detector: its free-space response, the
         # bounded quadrature, runs once, not once per mirror P
         assert len(bounded) == 1
@@ -504,18 +536,64 @@ class TestPlanner:
             "fail:RuntimeError:forced bounded-term failure"
         assert (rows[0], rows[2]) == (clean[0], clean[2])
 
-    def test_mirror_task_of_failed_free_task_does_not_run(self):
-        from udwmi.sweep import _evaluate_task
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mirror_response_of_failed_term_is_not_made(self, monkeypatch,
+                                                       workers):
+        # the accel = 0.5 detector's bounded term fails, and so does P_A's
+        # image line (L_eff = 2 dz) of both moving detectors: a mirror P
+        # with a failed free-space response or image line is never made,
+        # and its row carries that failure, the free-space one first
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they fork")
+        from udwmi import sweep as sweep_mod
 
-        def never(*args, **kwargs):
-            raise AssertionError("ran")
+        spec = cheap_spec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
+                                         points=3), sep=1.5)
+        clean = run_sweep(spec, workers=1)
+        dets = [detector_from_accel_radius(spec.gap_a, a, spec.radius)
+                for a in (0.0, 0.5, 1.0)]
+        alpha = 1.0 / (dets[1].gamma * dets[1].omega) ** 2
+        quad = response.integrate_semiinfinite_batch
+        line_pole = correlation._line_pole
 
-        failed = (None, "fail:RuntimeError:free", frozenset())
-        assert _evaluate_task((never, (), {"free": failed})) is failed
-        # nor that of a failed image line, after a good free task
-        good = (object(), None, frozenset())
-        assert _evaluate_task((never, (), {"free": good, "line": failed})) \
-            is failed
+        def failing_quad(f, alphas, *args, **kwargs):
+            return [RuntimeError("forced bounded-term failure") if a == alpha
+                    else res for a, res in zip(np.atleast_1d(alphas),
+                                               quad(f, alphas, *args,
+                                                    **kwargs))]
+
+        def failing_line_pole(L_eff, radius, omega, gamma):
+            if L_eff == 2.0 * spec.dz and gamma > 1.0:
+                raise DomainError("forced image-line failure")
+            return line_pole(L_eff, radius, omega, gamma)
+
+        made = []
+        tp = sweep_mod.transition_probability
+
+        def counted_tp(det, dz=None, tol=1e-8, free=None, line=None):
+            made.append((det, dz))
+            return tp(det, dz, tol, free=free, line=line)
+
+        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
+                            failing_quad)
+        monkeypatch.setattr(correlation, "_line_pole", failing_line_pole)
+        monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
+        rows = run_sweep(spec, workers=workers)
+        # P_A and P_B at accel = 0.5 (failed free-space response), P_A at
+        # accel = 1.0 (failed image line)
+        heights = (spec.dz, spec.dz + 1.5)
+        assert not {(dets[1], heights[0]), (dets[1], heights[1]),
+                    (dets[2], heights[0])} & set(made)
+        assert sorted(made, key=made.index) == [
+            (dets[0], heights[0]), (dets[0], heights[1]),
+            (dets[2], heights[1])]
+        assert [r.status for r in rows] == [
+            clean[0].status, "fail:RuntimeError:forced bounded-term failure",
+            "fail:DomainError:forced image-line failure"]
+        assert rows[0] == clean[0]
+        expected = [reference_record(p, spec.tol) for p in spec.point_params()]
+        assert [bits(r.to_record()) for r in rows] == \
+            [bits(e) for e in expected]
 
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
@@ -666,6 +744,18 @@ class TestConfigLoading:
         assert grid["correlation_points"] == []
         with pytest.raises(DomainError, match="no points"):
             load_grid({})
+
+    @pytest.mark.parametrize("bad", [
+        {"rel_tol": "1e-3"}, {"rel_tol": True},
+        {"point": {"accel": "2"}}, {"point": {"gap": True}},
+        {"point": {"dz": False}},
+    ], ids=["rel_tol-str", "rel_tol-bool", "accel-str", "gap-bool",
+            "dz-bool"])
+    def test_grid_rejects_non_numbers(self, bad):
+        point = {"gap": 0.1, "accel": 1.0, "radius": 1.0,
+                 **bad.pop("point", {})}
+        with pytest.raises(DomainError, match="must be a number"):
+            load_grid({"response_points": [point], **bad})
 
     def test_smoke_grid_preset(self):
         grid = load_grid("oracle_grid_smoke")
