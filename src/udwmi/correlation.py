@@ -239,7 +239,24 @@ def _line_pole(L_eff: float, radius: float, omega: float,
         s = step
 
 
+# Line keys per lockstep batch. Memory grows with the batch (its first
+# round evaluates 240 abscissae per key), so a longer list runs as
+# several batches; every bundled preset fits in one. A serial 4000-point
+# onset curve (12001 keys) peaks at 108 MB RSS in batches of this size
+# and at 191 MB as one batch, about 9 kB more per key (x86-64 Linux,
+# NumPy 2.4).
+_LINE_BATCH = 1024
+
+
 def _reduced_line_integrals(keys) -> list:
+    """Reduced line integrals of a list of argument tuples (L_eff, R,
+    omega, gamma, k, s_env, tol), as _line_batch computes them, in
+    lockstep batches of at most _LINE_BATCH keys."""
+    return [line for c in range(0, len(keys), _LINE_BATCH)
+            for line in _line_batch(keys[c:c + _LINE_BATCH])]
+
+
+def _line_batch(keys) -> list:
     """Reduced line integrals of a batch of argument tuples (L_eff, R,
     omega, gamma, k, s_env, tol): each the distributional integral of
     exp(-s^2/(4 gamma^2) + i k s)/D(s) over the real line with
@@ -355,6 +372,8 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
     share: (radius, omega, gamma, k, s_env, tol_int) for a budget tol."""
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     dgap = gap_b - gap_a

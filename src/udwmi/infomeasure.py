@@ -27,10 +27,19 @@ only: each P from response.transition_probability, rotating or static,
 and C by the reduction of correlation.correlation_equal, so both
 detectors must share one orbit kinematics. The definition-level
 oracles are cross-checks (sweep's oracle suite), never a fallback.
+
+This module is the one evaluator of pair points, for one point and a
+sweep alike: _plan_points lowers pairs to their distinct free-space
+responses, line integrals and mirror responses; the caller evaluates
+the first two as batches (response._free_responses and
+correlation._reduced_line_integrals); and _point_terms yields each
+pair's terms, making each mirror P the first time a pair needs it. A
+single point is the batch of one of this evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -187,48 +196,92 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
-def _point_line_keys(pair: PairConfig, tol: float,
-                     line_params=_line_params):
-    """The line integrals one pair point needs, in the order it
-    evaluates its terms: (detector, height, image line key) of A and
-    then of B, the key None without a mirror, then C's prefactor and
-    the keys of its direct and image lines (none unless both detectors
-    share orbit kinematics). The one copy of how a point lowers to line
-    integrals, for a single point and a sweep alike; a sweep passes a
-    memo of correlation._line_params as line_params."""
-    dz_b = None if pair.dz is None else pair.dz + pair.sep
-    heights = tuple(
-        (det, dz,
-         None if dz is None else _image_line_args(det, dz, tol, line_params)[1])
-        for det, dz in ((pair.det_a, pair.dz), (pair.det_b, dz_b)))
-    pref, c_keys = (_line_integral_args(pair, tol, line_params)
-                    if pair.equal_kinematics else (0.0, []))
-    return heights, pref, c_keys
+def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
+    """Lower pair points to the distinct terms they need.
+
+    Returns one plan per pair, then the distinct free-space keys, line
+    keys and responses, each listed once in the order the plans first
+    use it. A free-space key is a (detector, tol) key of
+    response._free_responses: a detector's free-space response, or its
+    whole P without a mirror. A line key is a key of
+    correlation._reduced_line_integrals (its full argument tuple): a
+    line of C, or the image line of a mirror P. A response is
+    (detector, height, free-space index, image line index), the height
+    and line index None without a mirror. Equal keys give equal results,
+    so a plan's terms are exactly those its pair evaluated alone has.
+
+    A plan is (response indices of P_A and P_B, C), where C is (its
+    prefactor, the indices of its direct and then its image line), or
+    the DomainError of a pair on unequal kinematics."""
+    frees: dict = {}
+    lines: dict = {}
+    responses: dict = {}
+    # one derivation of line parameters per detector pair, not per point
+    line_params = functools.cache(_line_params)
+
+    def use(table: dict, key) -> int:
+        return table.setdefault(key, len(table))
+
+    def response(det, dz) -> int:
+        image = (None if dz is None
+                 else use(lines, _image_line_args(det, dz, tol, line_params)[1]))
+        return use(responses, (det, dz, use(frees, (det, tol)), image))
+
+    plans = []
+    for pair in pairs:
+        dz_b = None if pair.dz is None else pair.dz + pair.sep
+        resp = (response(pair.det_a, pair.dz), response(pair.det_b, dz_b))
+        try:
+            _require_equal_kinematics(pair)
+        except DomainError as exc:
+            plans.append((resp, exc))
+            continue
+        pref, c_keys = _line_integral_args(pair, tol, line_params)
+        plans.append((resp, (pref, tuple(use(lines, key) for key in c_keys))))
+    return plans, list(frees), list(lines), list(responses)
 
 
-def _point_terms(pair: PairConfig, tol: float) -> PointTerms:
-    """Both transition probabilities and C of one pair, their free-space
-    responses evaluated as one batch and their line integrals as
-    another. Equal detectors share one free-space response, and free=
-    and line= leave each P bit-identical to a call without them."""
-    frees = _free_responses([(det, tol) for det in
-                             dict.fromkeys((pair.det_a, pair.det_b))])
-    free_a = _checked(frees[0])
-    (a, b), pref, c_keys = _point_line_keys(pair, tol)
-    images = [key for _, _, key in (a, b) if key is not None]
-    lines = iter(_reduced_line_integrals(images + c_keys))
+def _point_terms(plans, responses, frees, lines, tol: float):
+    """Yield the terms (P_A, P_B, C) of each plan of _plan_points, each
+    a value or the exception it failed with, from the evaluated
+    free-space responses and line integrals, themselves values or
+    exceptions.
 
-    def response(det, dz, key, free):
-        if key is None:
+    A mirror P is made the first time a plan needs it, with its
+    free-space response as free= and its image line as line=, which
+    leave it bit-identical to a call without them; a failed one of
+    these is taken as the P's failure, free first, and the P is not
+    made. C takes the failure of its first failed line. So the first
+    failed term is the failure a pair evaluated alone meets first."""
+
+    @functools.cache
+    def response(i: int):
+        det, dz, free, line = responses[i]
+        free = frees[free]
+        if line is None or isinstance(free, Exception):
             return free
-        return transition_probability(det, dz, tol, free,
-                                      _checked(next(lines)))
+        line = lines[line]
+        if isinstance(line, Exception):
+            return line
+        try:
+            return transition_probability(det, dz, tol, free, line)
+        except Exception as exc:  # a term fails alone
+            return exc
 
-    resp_a = response(*a, free_a)
-    resp_b = response(*b, _checked(frees[-1]))
-    _require_equal_kinematics(pair)
-    return PointTerms(resp_a, resp_b, _correlation_from_lines(
-        pref, [_checked(line) for line in lines]))
+    for resp, corr in plans:
+        if not isinstance(corr, Exception):
+            pref, parts = corr
+            parts = [lines[i] for i in parts]
+            corr = next((part for part in parts if isinstance(part, Exception)),
+                        None) or _correlation_from_lines(pref, parts)
+        yield (*map(response, resp), corr)
+
+
+def _beyond_budget(p_a: float, p_b: float) -> bool:
+    """Whether P_A + P_B leaves the perturbative regime: the one test
+    behind PerturbativeRegimeWarning and a sweep row's perturbative
+    tag."""
+    return p_a + p_b > PERTURBATIVE_BUDGET
 
 
 def mutual_information_point(pair: PairConfig | PointTerms,
@@ -239,15 +292,22 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     Detector A sits at height dz, detector B at dz + sep (heights are
     irrelevant in free space). Both detectors must share one orbit
     kinematics (DomainError otherwise): each P comes from
-    transition_probability and C is correlation_equal's. The image
-    lines of both P and the lines of C are one batch of
-    correlation._reduced_line_integrals; a failure is raised in the
-    order P_A, P_B, C. Given PointTerms instead of a PairConfig, the
-    terms are taken as evaluated and tol is unused: a sweep evaluates
-    each distinct term once and assembles every row here. Warns with
+    transition_probability and C is correlation_equal's. The pair is
+    the batch of one of a sweep's evaluation: _plan_points lowers it,
+    its free-space responses run as one batch of
+    response._free_responses and its lines (the image lines of both P
+    and the lines of C) as one of correlation._reduced_line_integrals,
+    and _point_terms makes its terms; a failure is raised in the order
+    P_A, P_B, C. Given PointTerms instead of a PairConfig, the terms are
+    taken as evaluated and tol is unused: a sweep evaluates each
+    distinct term once and assembles every row here. Warns with
     PerturbativeRegimeWarning when P_A + P_B > 0.1."""
-    terms = pair if isinstance(pair, PointTerms) else _point_terms(pair, tol)
-    resp_a, resp_b, corr = terms
+    if not isinstance(pair, PointTerms):
+        plans, free_keys, line_keys, responses = _plan_points([pair], tol)
+        (terms,) = _point_terms(plans, responses, _free_responses(free_keys),
+                                _reduced_line_integrals(line_keys), tol)
+        pair = PointTerms(*map(_checked, terms))
+    resp_a, resp_b, corr = pair
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate
     p_b, err_b = resp_b.total, resp_b.abs_error_estimate
 
@@ -259,7 +319,7 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     if -err_b <= p_b < 0.0:
         p_b = 0.0
 
-    if p_a + p_b > PERTURBATIVE_BUDGET:
+    if _beyond_budget(p_a, p_b):
         warnings.warn(
             f"P_A + P_B = {p_a + p_b:.3g} exceeds {PERTURBATIVE_BUDGET}; "
             "the leading-order state is no longer trustworthy",

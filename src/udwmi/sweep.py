@@ -5,24 +5,27 @@ energy gap) swept over a fixed background of the remaining parameters,
 once per gap-detuning ratio. Rows share sub-results: P_A repeats along
 a separation axis, the direct correlation part along a boundary-distance
 axis, and a detector's free-space response at every height it sits at.
-So a sweep is lowered to its distinct free-space responses, line
+So a sweep's pairs are lowered by infomeasure._plan_points, the one
+evaluator of pair points, to their distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
-transition probabilities (each adding its image line to its detector's
-free-space response), and runs in two batch stages and one row pass.
+transition probabilities, and run in two batch stages and one row pass.
 First the free-space responses and then the line integrals refine in
 lockstep, as vectorized batches, serially or in chunks on a process
 pool, each member on a mesh of its own, so no value depends on its
-batch. Then the rows are assembled in order in the calling process,
-each mirror P made the first time a row needs it. Output order is fixed
+batch. Then infomeasure._point_terms makes each row's terms in order
+in the calling process, each mirror P the first time a row needs it,
+and mutual_information_point assembles the row. Output order is fixed
 by (curve, axis index) so files are byte-identical whatever the worker
 count. A failing point keeps its row with a fail status instead of
-aborting the run. The oracle suite maps its points on the same
-serial-or-pool helper, one process pool per call.
+aborting the run; otherwise its status is tagged from its values. The
+oracle suite maps its points on the same serial-or-pool helper, one
+process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
-only parallelism: its worker count defaults to the CPUs this process may
-use, at most 8, and no environment variable changes it.
+only parallelism: a sweep runs serially unless given workers, the
+oracle suite defaults to the CPUs this process may use, at most 8, and
+no environment variable changes either.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import (PairConfig, _correlation_from_lines,
-                          _line_params, _reduced_line_integrals,
+from .correlation import (PairConfig, _reduced_line_integrals,
                           correlation_equal, correlation_general_result)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
-                          PointTerms, _point_line_keys,
-                          mutual_information_point)
+                          PointTerms, _beyond_budget, _plan_points,
+                          _point_terms, mutual_information_point)
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import (_free_responses, transition_probability,
                        transition_probability_oracle_result)
@@ -299,144 +301,47 @@ def _fail_status(exc: Exception) -> str:
     return f"fail:{type(exc).__name__}:{_one_line(exc)}"
 
 
-def _warning_tags(wlog) -> frozenset[str]:
-    return frozenset(
-        "perturbative" if issubclass(w.category, PerturbativeRegimeWarning)
-        else "quadrature" for w in wlog)
-
-
-def _plan(spec: SweepSpec) -> tuple[list[tuple], list, list, list[tuple]]:
-    """Lower a sweep into its rows and the distinct terms they need.
-
-    Returns the row plans, then the sweep's distinct free-space keys,
-    line keys and responses, each listed once in the order rows first
-    use it. A free-space key is a (detector, tol) key of
-    _free_responses: a detector's free-space response, or its whole P
-    without a mirror. A line key is a key of _reduced_line_integrals
-    (its full argument tuple): a line of C, or the image line of a
-    mirror P. A response is (detector, height, free-space index, image
-    line index). Without a mirror the height and line index are None
-    and the free-space response is the whole P; a mirror response is
-    transition_probability on (detector, height, tol) with its
-    free-space response as free= and its image line as line=. Equal
-    keys give equal results, and free= and line= leave P bit-identical,
-    so every row is made from exactly the values a single-point
-    evaluation would compute.
-
-    A row plan is (params, status, response indices, line indices, C
-    prefactor). The indices follow the order a single point evaluates
-    its terms, as infomeasure._point_line_keys lists them: P_A, P_B,
-    the direct and then the image line integral. status is the fail
-    status of building the detectors or the pair, with no terms, or
-    None.
-    """
-    frees: dict = {}
-    lines: dict = {}
-    responses: dict = {}
-    # one detector per (gap, accel, radius) and one derivation of line
-    # parameters per detector pair and tol, not one per row
-    detector = functools.cache(detector_from_accel_radius)
-    line_params = functools.cache(_line_params)
-
-    def use(table: dict, key) -> int:
-        return table.setdefault(key, len(table))
-
-    plans = []
-    for params in spec.point_params():
-        try:
-            pair = _pair_from_params(params, detector)
-        except Exception as exc:  # per-point isolation is the contract
-            plans.append((params, _fail_status(exc), (), (), 0.0))
-            continue
-        heights, pref, c_keys = _point_line_keys(pair, spec.tol, line_params)
-        resp = tuple(use(responses, (det, dz, use(frees, (det, spec.tol)),
-                                     None if image is None
-                                     else use(lines, image)))
-                     for det, dz, image in heights)
-        plans.append((params, None, resp,
-                      tuple(use(lines, key) for key in c_keys), pref))
-    return plans, list(frees), list(lines), list(responses)
-
-
-def _guarded(fn, *args, **kwargs) -> tuple:
-    """(value, fail status or None, warning tags) of one call. Never
-    raises: per-point isolation is the contract."""
+def _evaluate_batch(batch, keys: list[tuple]) -> list:
+    """The value, or the exception it failed with, of each key of a
+    batch function (_free_responses or _reduced_line_integrals), from
+    one lockstep batch. A batch that raises as a whole is run again one
+    key at a time, so that a key's failure does not depend on the batch
+    it shared."""
     try:
-        with warnings.catch_warnings(record=True) as wlog:
-            warnings.simplefilter("always")
-            value = fn(*args, **kwargs)
-    except Exception as exc:
-        return None, _fail_status(exc), frozenset()
-    return value, None, _warning_tags(wlog)
+        return batch(keys)
+    except Exception as exc:  # per-point isolation is the contract
+        if len(keys) == 1:
+            return [exc]
+    return [res for key in keys for res in _evaluate_batch(batch, [key])]
 
 
-def _evaluate_batch(batch, keys: list[tuple]) -> list[tuple]:
-    """(value, fail status or None, warning tags) of each key of a batch
-    function (_free_responses or _reduced_line_integrals), from one
-    lockstep batch. A batch that warns, or raises as a whole, is run
-    again one key at a time, so that a key's tags and status do not
-    depend on the batch it shared."""
-    values, fail, tags = _guarded(batch, keys)
-    if len(keys) > 1 and (fail is not None or tags):
-        return [res for key in keys for res in _evaluate_batch(batch, [key])]
-    if fail is not None:
-        return [(None, fail, tags)]
-    return [(None, _fail_status(v), frozenset()) if isinstance(v, Exception)
-            else (v, None, tags) for v in values]
-
-
-# Line keys per lockstep batch. Memory grows with the batch (its first
-# round evaluates 240 abscissae per key), so a long sweep runs several
-# batches; every bundled preset fits in one. A serial 4000-point onset
-# curve (12001 keys) peaks at 108 MB RSS in batches of this size and at
-# 191 MB as one batch, about 9 kB more per key (x86-64 Linux, NumPy
-# 2.4). _free_responses bounds its batches itself, by their initial
-# panels.
-_LINE_BATCH = 1024
-
-
-def _batch_jobs(batch, keys: list, size: int, workers: int) -> list[tuple]:
-    """(batch, keys) arguments of _evaluate_batch, at most size keys
-    each, and on a pool of workers about a quarter of a worker's share."""
-    if workers > 1:
-        size = min(size, len(keys) // (4 * workers))
-    size = max(size, 1)
+def _batch_jobs(batch, keys: list, workers: int) -> list[tuple]:
+    """(batch, keys) arguments of _evaluate_batch: all keys as one job,
+    or on a pool of workers jobs of about a quarter of a worker's
+    share. The batch function bounds the batches it runs itself."""
+    size = max(len(keys) if workers == 1 else len(keys) // (4 * workers), 1)
     return [(batch, keys[c:c + size]) for c in range(0, len(keys), size)]
 
 
-def _mirror_response(det, dz: float, tol: float, free: tuple,
-                     line: tuple) -> tuple:
-    """(value, fail status or None, warning tags) of one mirror P, made
-    from its evaluated free-space response and image line with the tags
-    of both. A failed one of these is taken as it is, free first,
-    without a call: the failure a single point meets first."""
-    for dep in (free, line):
-        if dep[1] is not None:
-            return dep
-    value, fail, tags = _guarded(transition_probability, det, dz, tol,
-                                 free=free[0], line=line[0])
-    return value, fail, tags | free[2] | line[2]
+def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
+    """Status and point of one row from its terms (P_A, P_B, C) in
+    evaluation order, each a value or the exception it failed with.
 
-
-def _assemble(terms: list[tuple],
-              pref: float) -> tuple[str, PairPointResult | None]:
-    """Status and point of one planned row from its evaluated terms in
-    evaluation order, each (value, fail status or None, warning tags).
-
-    The first failure decides a fail status. Warnings of every term, and
-    of the assembly, become warn tags."""
-    for _, fail, _ in terms:
-        if fail is not None:
-            return fail, None
-    resp_a, resp_b, *lines = (value for value, _, _ in terms)
-    pt, fail, tags = _guarded(mutual_information_point, PointTerms(
-        resp_a, resp_b, _correlation_from_lines(pref, lines)))
+    The first failure, of a term or of the assembly, decides a fail
+    status. Otherwise the point's values give the warn tags: perturbative
+    when P_A + P_B is beyond the perturbative budget, tolerance when a
+    term missed its tolerance."""
+    fail = next((term for term in terms if isinstance(term, Exception)), None)
+    if fail is None:
+        try:
+            pt = mutual_information_point(PointTerms(*terms))
+        except Exception as exc:  # per-point isolation is the contract
+            fail = exc
     if fail is not None:
-        return fail, None
-    tags = tags.union(*(term_tags for _, _, term_tags in terms))
-    if not pt.converged:
-        tags |= {"tolerance"}
-    return ("ok" if not tags else "warn:" + ";".join(sorted(tags))), pt
+        return _fail_status(fail), None
+    tags = [tag for tag, on in (("perturbative", _beyond_budget(pt.p_a, pt.p_b)),
+                                ("tolerance", not pt.converged)) if on]
+    return ("warn:" + ";".join(tags) if tags else "ok"), pt
 
 
 def _resolve_workers(requested: int | None) -> int:
@@ -463,41 +368,47 @@ def _map(fn, calls: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*calls)))
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every sweep point; deterministic row order (curve-major,
     axis-minor) independent of worker count.
 
-    Each distinct free-space response, line integral and mirror
-    transition probability of the sweep is evaluated once. The
-    free-space responses and then the line integrals run first, as
-    lockstep batches (the line integrals at most _LINE_BATCH keys each),
-    on a pool of workers in chunks. The rows are then assembled in order
-    in this process, each mirror P made the first time a row needs it."""
-    plans, free_keys, line_keys, responses = _plan(spec)
+    The pairs are lowered by infomeasure._plan_points, so each distinct
+    free-space response, line integral and mirror transition probability
+    of the sweep is evaluated once. The free-space responses and then
+    the line integrals run first, as lockstep batches, serially or on a
+    pool of workers in chunks. infomeasure._point_terms then makes the
+    rows' terms in order in this process, each mirror P the first time
+    a row needs it, and each row is assembled by
+    mutual_information_point with its PerturbativeRegimeWarning
+    silenced: its status carries the perturbative tag instead."""
     workers = _resolve_workers(workers)
-    jobs = (_batch_jobs(_free_responses, free_keys, len(free_keys), workers)
-            + _batch_jobs(_reduced_line_integrals, line_keys, _LINE_BATCH,
-                          workers))
+    detector = functools.cache(detector_from_accel_radius)
+    params = spec.point_params()
+    pairs = []
+    for p in params:
+        try:
+            pairs.append(_pair_from_params(p, detector))
+        except Exception as exc:  # per-point isolation is the contract
+            pairs.append(exc)
+    plans, free_keys, line_keys, responses = _plan_points(
+        [pair for pair in pairs if not isinstance(pair, Exception)], spec.tol)
+    jobs = (_batch_jobs(_free_responses, free_keys, workers)
+            + _batch_jobs(_reduced_line_integrals, line_keys, workers))
     done = [res for job in _map(_evaluate_batch, jobs, workers)
             for res in job]
-    frees, lines = done[:len(free_keys)], done[len(free_keys):]
-
-    @functools.cache
-    def response(i: int) -> tuple:
-        det, dz, free, line = responses[i]
-        if line is None:
-            return frees[free]
-        return _mirror_response(det, dz, spec.tol, frees[free], lines[line])
+    points = _point_terms(plans, responses, done[:len(free_keys)],
+                          done[len(free_keys):], spec.tol)
 
     rows = []
-    for params, status, resp, c_lines, pref in plans:
-        pt = None
-        if status is None:
-            status, pt = _assemble([*map(response, resp),
-                                    *(lines[i] for i in c_lines)], pref)
-        outputs = (dict.fromkeys(_OUTPUT_COLUMNS, math.nan) if pt is None
-                   else point_record(pt))
-        rows.append(_row_from_record({**params, **outputs, "status": status}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        for p, pair in zip(params, pairs):
+            status, pt = ((_fail_status(pair), None)
+                          if isinstance(pair, Exception)
+                          else _row_status(next(points)))
+            outputs = (dict.fromkeys(_OUTPUT_COLUMNS, math.nan) if pt is None
+                       else point_record(pt))
+            rows.append(_row_from_record({**p, **outputs, "status": status}))
     return rows
 
 

@@ -339,6 +339,17 @@ class TestEndToEndPoint:
                 mutual_information_point(
                     PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz), tol=3e-9)
 
+    @pytest.mark.parametrize("accel", [1.0, 0.0])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_nonpositive_tol_rejected(self, accel, tol):
+        # planning a point derives its line parameters from tol, so a
+        # rotating and a static pair reject it alike
+        det = detector_from_accel_radius(0.1, accel, 1.0)
+        for dz in (None, 1.0):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                mutual_information_point(
+                    PairConfig(det_a=det, det_b=det, sep=1.0, dz=dz), tol)
+
     def test_no_warning_in_perturbative_regime(self):
         det = detector_from_accel_radius(0.1, 0.1, 0.02)
         pair = PairConfig(det_a=det, det_b=det, sep=2.0, dz=1.0)

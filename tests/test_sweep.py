@@ -15,18 +15,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import udwmi
-from udwmi import correlation, response
+from udwmi import correlation, infomeasure, response
 from udwmi.correlation import (DEFAULT_EPSILONS, PairConfig,
-                               _line_integral_args, _reduced_line_integrals)
-from udwmi.infomeasure import (PerturbativeRegimeWarning, _point_line_keys,
+                               _line_integral_args, _reduced_line_integrals,
+                               correlation_equal)
+from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
+from udwmi.response import _image_line_args, transition_probability
 from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
                          SweepSpec, count_interior_maxima, emit_table,
                          load_config, load_grid, point_record,
                          run_oracle_suite, run_sweep)
 
 CHEAP = dict(gap_a=0.5, accel=0.1, radius=1.0, dz=0.5)
+# every status a row can have but a fail:<exception>:<detail> one
+STATUSES = ("ok", "warn:perturbative", "warn:tolerance",
+            "warn:perturbative;tolerance")
 
 
 def cheap_spec(**overrides):
@@ -296,10 +301,12 @@ class TestRunSweep:
         spec = cheap_spec()
         c_keys, image_keys = set(), set()
         for params in spec.point_params():
-            heights, _, lines = _point_line_keys(
-                sweep_mod._pair_from_params(params), spec.tol)
-            c_keys.update(lines)
-            image_keys.update(key for _, _, key in heights)
+            pair = sweep_mod._pair_from_params(params)
+            c_keys.update(_line_integral_args(pair, spec.tol)[1])
+            image_keys.update(
+                _image_line_args(det, dz, spec.tol)[1]
+                for det, dz in ((pair.det_a, pair.dz),
+                                (pair.det_b, pair.dz + pair.sep)))
         assert c_keys and image_keys and not c_keys & image_keys
         assert all(r.status == "ok" for r in run_sweep(spec, workers=1))
         # only C's lines, then only the mirror P's image lines, miss
@@ -334,8 +341,9 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             run_sweep(cheap_spec(), workers=0)
 
-    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
-        # a process allowed one CPU runs serially and starts no pool
+    def test_default_is_serial_on_any_cpu_count(self, monkeypatch):
+        # a sweep runs serially unless asked for workers: a process
+        # allowed two CPUs starts no pool
         from udwmi import sweep as sweep_mod
 
         def no_pool(*args, **kwargs):
@@ -343,18 +351,17 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        assert len(run_sweep(cheap_spec())) == 4
-        # without an affinity mask the CPU count decides
-        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+                            lambda pid: {0, 1}, raising=False)
         assert len(run_sweep(cheap_spec())) == 4
 
 
 def reference_record(params, tol):
-    """One row evaluated on its own: mutual_information_point computes
-    every term of the point, and the point's warnings and exception
-    give its status."""
+    """One row evaluated on its own, term by term: transition_probability
+    gives P_A and P_B, correlation_equal gives C, and
+    mutual_information_point assembles them. The first exception gives a
+    fail status; otherwise the point's PerturbativeRegimeWarning and its
+    convergence give the tags. Shares no planner or batch code with the
+    sweep it judges."""
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
@@ -366,13 +373,19 @@ def reference_record(params, tol):
                                                  params["accel"],
                                                  params["radius"]),
                 sep=params["sep"], dz=params["dz"])
-            pt = mutual_information_point(pair, tol)
+            dz_b = None if pair.dz is None else pair.dz + pair.sep
+            pt = mutual_information_point(PointTerms(
+                transition_probability(pair.det_a, pair.dz, tol),
+                transition_probability(pair.det_b, dz_b, tol),
+                correlation_equal(pair, tol)))
     except Exception as exc:
         detail = " ".join(str(exc).split())[:200]
         return {**params, **dict.fromkeys(_OUTPUT_COLUMNS, math.nan),
                 "status": f"fail:{type(exc).__name__}:{detail}"}
-    tags = {"perturbative" if issubclass(w.category, PerturbativeRegimeWarning)
-            else "quadrature" for w in wlog}
+    # the perturbative warning is the only one a point gives
+    assert all(issubclass(w.category, PerturbativeRegimeWarning)
+               for w in wlog), [str(w.message) for w in wlog]
+    tags = {"perturbative"} if wlog else set()
     if not pt.converged:
         tags.add("tolerance")
     status = "ok" if not tags else "warn:" + ";".join(sorted(tags))
@@ -419,9 +432,14 @@ class TestPlanner:
         dict(axis=SweepAxis(name="gap", start=0.1, stop=2.0, points=3,
                             spacing="log"), gap_ratios=(0.0, 2.0)),
         dict(free_space=True, dz=None, gap_ratios=(0.0, 1.0)),
+        # P_A + P_B crosses the perturbative budget between accel 1 and
+        # 2, with each P below it
+        dict(axis=SweepAxis(name="accel", start=0.0, stop=3.0, points=4),
+             free_space=True, dz=None),
         # P_A + P_B > 1: every row fails in assembly with a DomainError
         dict(free_space=True, dz=None, gap_a=1.0, accel=30.0),
-    ], ids=["sep", "dz", "accel", "gap", "free-space", "assembly-fail"])
+    ], ids=["sep", "dz", "accel", "gap", "free-space", "budget",
+            "assembly-fail"])
     def test_rows_equal_single_point_evaluation(self, overrides):
         spec = cheap_spec(**overrides)
         rows = run_sweep(spec, workers=1)
@@ -436,7 +454,7 @@ class TestPlanner:
         probabilities = []
         bounded = []
         direct_lines = []
-        tp = sweep_mod.transition_probability
+        tp = infomeasure.transition_probability
         quad = response.integrate_semiinfinite_batch
 
         def counted_tp(spec, dz=None, tol=1e-8, free=None, line=None):
@@ -452,7 +470,7 @@ class TestPlanner:
             direct_lines.extend(key for key in keys if key[0] == 1.0)
             return _reduced_line_integrals(keys)
 
-        monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
+        monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
         n = 5
         sep_spec = cheap_spec(axis=SweepAxis(name="sep", start=0.5, stop=2.5,
                                              points=n))
@@ -482,16 +500,14 @@ class TestPlanner:
         # a serial criterion-7 style curve hands all its line integrals
         # to one lockstep batch: P_A's image line, then P_B's image line
         # and C's direct and image lines of every row
-        from udwmi import sweep as sweep_mod
-
         batches = []
+        line_batch = correlation._line_batch
 
         def counted_lines(keys):
             batches.append(len(keys))
-            return _reduced_line_integrals(keys)
+            return line_batch(keys)
 
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
-                            counted_lines)
+        monkeypatch.setattr(correlation, "_line_batch", counted_lines)
         spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,
                                         points=240),
                          gap_a=0.1, accel=3.7, radius=0.02, dz=5.0)
@@ -501,7 +517,7 @@ class TestPlanner:
         # a longer list of keys runs as several bounded batches, with the
         # same rows
         batches.clear()
-        monkeypatch.setattr(sweep_mod, "_LINE_BATCH", 300)
+        monkeypatch.setattr(correlation, "_LINE_BATCH", 300)
         assert run_sweep(spec, workers=1) == rows
         assert batches == [300, 300, 121]
 
@@ -545,8 +561,6 @@ class TestPlanner:
         # and its row carries that failure, the free-space one first
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they fork")
-        from udwmi import sweep as sweep_mod
-
         spec = cheap_spec(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
                                          points=3), sep=1.5)
         clean = run_sweep(spec, workers=1)
@@ -568,7 +582,7 @@ class TestPlanner:
             return line_pole(L_eff, radius, omega, gamma)
 
         made = []
-        tp = sweep_mod.transition_probability
+        tp = infomeasure.transition_probability
 
         def counted_tp(det, dz=None, tol=1e-8, free=None, line=None):
             made.append((det, dz))
@@ -577,7 +591,7 @@ class TestPlanner:
         monkeypatch.setattr(response, "integrate_semiinfinite_batch",
                             failing_quad)
         monkeypatch.setattr(correlation, "_line_pole", failing_line_pole)
-        monkeypatch.setattr(sweep_mod, "transition_probability", counted_tp)
+        monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
         rows = run_sweep(spec, workers=workers)
         # P_A and P_B at accel = 0.5 (failed free-space response), P_A at
         # accel = 1.0 (failed image line)
@@ -617,13 +631,24 @@ class TestPlanner:
                 free_space=free_space, tol=1e-6)
         except DomainError:
             assume(False)
-        rows = run_sweep(spec, workers=1)
+        with warnings.catch_warnings(record=True) as wlog:
+            warnings.simplefilter("always")
+            rows = run_sweep(spec, workers=1)
+        # a sweep passes no perturbative warning on, its rows carry the
+        # tag; any other warning (numpy's overflow of C ~ 1/sep^2 at a
+        # subnormal separation) comes with a failing row
+        assert not any(issubclass(w.category, PerturbativeRegimeWarning)
+                       for w in wlog)
+        assert not wlog or any(r.status.startswith("fail:") for r in rows)
         params = spec.point_params()
         assert len(rows) == len(params)
         for row, p in zip(rows, params):
             assert {k: row.to_record()[k] for k in p} == p
-            kind = row.status.split(":")[0]
-            assert row.status == "ok" or kind in ("warn", "fail")
+            assert row.status in STATUSES or row.status.startswith("fail:")
+            # the perturbative tag is read off the row's own values
+            if row.status in STATUSES:
+                assert ("perturbative" in row.status) == \
+                    (row.p_a + row.p_b > 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -852,6 +877,26 @@ class TestOracleSuite:
                                         "sep": 1.0, "dz": 1.0}]}
         with pytest.raises(DomainError, match="radius must be positive"):
             run_oracle_suite(grid, workers=workers)
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        # a process allowed one CPU runs serially and starts no pool
+        from udwmi import sweep as sweep_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        # two points, so that more than one worker would start a pool
+        grid = {"response_points": [
+            {"gap": 0.5, "accel": 0.1, "radius": 1.0, "dz": 0.5},
+            {"gap": 0.5, "accel": 0.1, "radius": 1.0}]}
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert run_oracle_suite(grid)["ok"]
+        # without an affinity mask the CPU count decides
+        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+        assert run_oracle_suite(grid)["ok"]
 
     def test_bad_rel_tol_rejected(self):
         grid = load_grid("oracle_grid_smoke")
