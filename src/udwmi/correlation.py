@@ -42,6 +42,7 @@ independent routes:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -226,6 +227,10 @@ def _line_pole(L_eff: float, radius: float, omega: float,
         raise DomainError(f"effective separation must be finite, got {L_eff}")
     if L_eff <= 0.0:
         raise DomainError("effective separation must be positive")
+    if L_eff * L_eff < sys.float_info.min:
+        # D and the integrand scale as L_eff^2 and 1/L_eff^2
+        raise DomainError(f"effective separation {L_eff} is too small: its "
+                          f"square is below the normal float range")
     l_sq, four_r_sq = L_eff * L_eff, 4.0 * radius * radius
     half_omega = 0.5 * omega
     s = min(math.sqrt(l_sq + four_r_sq), gamma * L_eff)
@@ -274,7 +279,8 @@ def _line_batch(keys) -> list:
     batch, and the far-pole integrals in another, with their parameters
     gathered per member, so every result equals that of a batch of one.
     Returns one entry per key: its LineIntegral, or the exception it
-    fails with (an L_eff that is not positive and finite, tol <= 0)."""
+    fails with (an L_eff that is not positive and finite or whose square
+    is subnormal, a tol that is not positive)."""
     out: list = [None] * len(keys)
     near, far = [], []
     for i, (L_eff, radius, omega, gamma, _, s_env, _) in enumerate(keys):
@@ -372,8 +378,8 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
     share: (radius, omega, gamma, k, s_env, tol_int) for a budget tol."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     dgap = gap_b - gap_a

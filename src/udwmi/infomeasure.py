@@ -90,7 +90,7 @@ class DensityBlock:
 
 def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
     """Validated constructor: probabilities must be finite, nonnegative,
-    and sum to at most one."""
+    and sum to at most one, and c and its squared magnitude finite."""
     if not (math.isfinite(p_a) and math.isfinite(p_b)):
         raise DomainError("transition probabilities must be finite")
     if p_a < 0.0 or p_b < 0.0:
@@ -101,6 +101,9 @@ def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise DomainError("correlation must be finite")
+    if not math.isfinite(abs(c) * abs(c)):
+        raise DomainError(f"correlation {c} has a squared magnitude beyond "
+                          f"the float range")
     return DensityBlock(p_a=float(p_a), p_b=float(p_b), c=c)
 
 

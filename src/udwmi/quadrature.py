@@ -25,7 +25,9 @@ integrate_adaptive_batch refines many integrals in lockstep: each keeps
 a mesh of its own (unlike the one shared mesh of scipy's quad_vec),
 started on its own number of equal panels, its own budget and its own
 refinement decisions, and each round evaluates the new panels of every
-unfinished integral in one vectorized call of the integrand. So a
+unfinished integral in one vectorized call of the integrand. A finished
+integral keeps its panels, and after the last round each integral's
+panels are summed once, as one run in the order it has alone. So a
 member's result is bit-identical to integrating it alone, which is what
 integrate_adaptive does: the batch of one. integrate_semiinfinite_batch
 adds the Gaussian truncation and its tail bound to such a batch.
@@ -121,22 +123,6 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     return vals_k, err, mag
 
 
-def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of the consecutive runs of values, lengths[i] entries each.
-
-    Runs of one length are summed as the rows of one array by
-    ndarray.sum, whose pairwise summation adds each row exactly as
-    summing that run alone would (np.add.reduceat adds sequentially)."""
-    if (lengths == lengths[0]).all():
-        return values.reshape(lengths.size, -1).sum(axis=1)
-    starts = np.cumsum(lengths) - lengths
-    out = np.empty(lengths.size, dtype=values.dtype)
-    for length in np.unique(lengths):
-        runs = np.flatnonzero(lengths == length)
-        out[runs] = values[starts[runs, None] + np.arange(length)].sum(axis=1)
-    return out
-
-
 def _batch_args(*args) -> tuple[np.ndarray, ...]:
     """Per-integral arguments as equally long 1-D float arrays: scalars
     broadcast, and lengths that do not broadcast raise ValueError."""
@@ -162,21 +148,23 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     f(x, owner) gets an array of abscissae and an array, broadcasting
     against it, of the index of the integral each belongs to, and
     returns the integrand values at x. Every integral
-    keeps its own panels, budget and refinement decisions, and sums its
-    panels in the order it would alone, so its result does not depend
-    on the other members of the batch; each round evaluates the new
-    panels of all unfinished integrals in one call of f. Returns one
+    keeps its own panels, budget and refinement decisions, and after the
+    last round sums its panels once, in the order it would alone, so its
+    result does not depend on the other members of the batch; each
+    round evaluates the new panels of all unfinished integrals in one
+    call of f. Returns one
     entry per integral: its QuadratureResult, or the DomainError its
     arguments raise. The reported error estimate includes a roundoff
     floor, so converged=True implies the estimate met tol honestly.
     """
     lo, hi, tol, n0 = _batch_args(lo, hi, tol, initial_panels)
     results: list = [None] * lo.size
-    # the unfinished integrals, ascending; each panel's slot is the
-    # position of its integral in this list, and panels stay grouped by
-    # slot, ascending
+    # the integrals with valid arguments, ascending; each panel's slot
+    # is the position of its integral in this list, and panels stay
+    # grouped by slot, ascending, each slot's run in the order its
+    # integral has alone
     members = np.arange(lo.size)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)) | (tol <= 0.0)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo) & (tol > 0.0))
     if bad.any():
         for i in np.flatnonzero(bad):
             if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
@@ -210,13 +198,10 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
 
     # at most 200 refinement rounds, then the results as they stand
     for round_ in range(201):
-        total_err = _run_sums(errs, counts)
+        starts = np.cumsum(counts) - counts
+        total_err = np.add.reduceat(errs, starts)
         finished = ((total_err <= tol) | (counts >= max_panels)
                     | (round_ == 200))
-        if finished.all():
-            _finish(results, members, total_err, a, vals, mags, slot, counts,
-                    evaluations, tol)
-            break
         threshold = tol / np.maximum(counts, 8)
         # per-panel values of per-integral arrays; one integral's broadcast
         at = slot if members.size > 1 else slice(None)
@@ -225,36 +210,22 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
         added = np.bincount(slot[mask], minlength=members.size)
         # an unfinished integral with no panel above its share splits
         # its worst panel, unless that one is already at the width floor
-        idle = ~finished & (added == 0)
-        if idle.any():
-            starts = np.cumsum(counts) - counts
-            for j in np.flatnonzero(idle):
-                worst = starts[j] + int(np.argmax(
-                    errs[starts[j]:starts[j] + counts[j]]))
-                if b[worst] - a[worst] <= width_floor[j]:
-                    finished[j] = True
-                else:
-                    mask[worst] = True
-                    added[j] = 1
-
-        if finished.any():
-            done = finished[slot]
-            _finish(results, members[finished], total_err[finished],
-                    a[done], vals[done], mags[done], slot[done],
-                    counts[finished], evaluations[finished], tol[finished])
-            live = ~finished
-            if not live.any():
-                break
-            keep = ~done
-            a, b, vals, errs, mags, slot, mask = (
-                x[keep] for x in (a, b, vals, errs, mags, slot, mask))
-            slot = (np.cumsum(live) - 1)[slot]
-            members, counts, evaluations, tol, width_floor, added = (
-                x[live] for x in (members, counts, evaluations, tol,
-                                  width_floor, added))
+        # (a finished integral keeps its panels, so each round decides
+        # this again alike)
+        for j in np.flatnonzero(~finished & (added == 0)):
+            worst = starts[j] + int(np.argmax(
+                errs[starts[j]:starts[j] + counts[j]]))
+            if b[worst] - a[worst] <= width_floor[j]:
+                finished[j] = True
+            else:
+                mask[worst] = True
+                added[j] = 1
+        if finished.all():
+            break
 
         # split the marked panels: kept panels, then left halves, then
-        # right halves, the order each integral has alone
+        # right halves, the order each integral has alone; a finished
+        # integral keeps its panels unchanged
         am, bm, sm = a[mask], b[mask], slot[mask]
         mid = 0.5 * (am + bm)
         new_a = np.concatenate([am, mid])
@@ -274,16 +245,12 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
             order = np.argsort(slot, kind="stable")
             a, b, vals, errs, mags, slot = (
                 x[order] for x in (a, b, vals, errs, mags, slot))
-    return results
 
-
-def _finish(results, members, total_err, a, vals, mags, slot, counts,
-            evaluations, tol) -> None:
-    """Store the QuadratureResult of each finished member from its
-    panels, grouped by slot in member order: the value sums the panels
-    in the order of their left edges."""
-    values = _run_sums(vals[np.lexsort((a, slot))], counts)
-    errors = total_err + 50.0 * _EPS * _run_sums(mags, counts)
+    # np.add.reduceat sums each slot's run as one reduction of the same
+    # numbers in the same order as the batch of one; the value sums the
+    # panels in the order of their left edges
+    values = np.add.reduceat(vals[np.lexsort((a, slot))], starts)
+    errors = total_err + 50.0 * _EPS * np.add.reduceat(mags, starts)
     scalar = complex if np.iscomplexobj(values) else float
     for i, value, err, evals, t in zip(members.tolist(), values,
                                        errors.tolist(), evaluations.tolist(),
@@ -294,6 +261,7 @@ def _finish(results, members, total_err, a, vals, mags, slot, counts,
             evaluations=evals,
             converged=err <= t,
         )
+    return results
 
 
 def integrate_adaptive(f, lo: float, hi: float, tol: float, *,

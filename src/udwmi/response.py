@@ -198,7 +198,8 @@ _FREE_BATCH_PANELS = 1024
 
 def _free_responses(keys) -> list:
     """The free-space breakdown of each (detector, tol) key, or the
-    exception it raises: the singularity-subtracted rotating term, to a
+    exception it raises (a tol that is not positive and finite, static
+    detector or not): the singularity-subtracted rotating term, to a
     quarter of tol, plus the inertial term.
 
     The rotating term integrates exp(-alpha x^2) cos(beta x) times
@@ -213,6 +214,9 @@ def _free_responses(keys) -> list:
     moving = []
     for i, (spec, tol) in enumerate(keys):
         om, gamma, v = spec.omega, spec.gamma, spec.speed
+        if not 0.0 < tol < math.inf:
+            results[i] = DomainError("tol must be positive and finite")
+            continue
         if v < 1e-12:
             # includes the static detector, where alpha and beta are undefined
             results[i] = _breakdown(spec, 0.0, 0.0, True)

@@ -340,15 +340,19 @@ class TestEndToEndPoint:
                     PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz), tol=3e-9)
 
     @pytest.mark.parametrize("accel", [1.0, 0.0])
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_nonpositive_tol_rejected(self, accel, tol):
-        # planning a point derives its line parameters from tol, so a
-        # rotating and a static pair reject it alike
+        # the line parameters and the free-space responses both check
+        # tol, so a rotating and a static detector reject it alike, at
+        # every entry point
         det = detector_from_accel_radius(0.1, accel, 1.0)
         for dz in (None, 1.0):
-            with pytest.raises(DomainError, match="tol must be positive"):
-                mutual_information_point(
-                    PairConfig(det_a=det, det_b=det, sep=1.0, dz=dz), tol)
+            pair = PairConfig(det_a=det, det_b=det, sep=1.0, dz=dz)
+            for call in (lambda: mutual_information_point(pair, tol),
+                         lambda: transition_probability(det, dz, tol),
+                         lambda: correlation_equal(pair, tol)):
+                with pytest.raises(DomainError, match="tol must be positive"):
+                    call()
 
     def test_no_warning_in_perturbative_regime(self):
         det = detector_from_accel_radius(0.1, 0.1, 0.02)

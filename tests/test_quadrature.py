@@ -73,12 +73,13 @@ class TestAdaptive:
     def test_initial_panels_per_member_equal_batches_of_one(self):
         # members on their own initial panel counts (one at a subnormal
         # width, where linspace takes its zero-step form, one with an
-        # empty interval) each equal their batch of one
-        freq = np.array([0.5, 3.0, 20.0, 1.0, 7.0, 2.0])
-        lo = [0.0, -1.0, 0.0, 0.0, 2.0, 0.5]
-        hi = [5.0, 4.0, 9.0, 5e-324, 2.0, 30.0]
-        tol = [1e-10, 1e-12, 1e-8, 1e-10, 1e-10, 1e-11]
-        panels = [1, 8, 37, 4, 3, 0]
+        # empty interval, one that stops at the width floor while the
+        # others refine) each equal their batch of one
+        freq = np.array([0.5, 3.0, 20.0, 1.0, 7.0, 2.0, 1.0])
+        lo = [0.0, -1.0, 0.0, 0.0, 2.0, 0.5, 1.0]
+        hi = [5.0, 4.0, 9.0, 5e-324, 2.0, 30.0, 1.0 + 1e-13]
+        tol = [1e-10, 1e-12, 1e-8, 1e-10, 1e-10, 1e-11, 1e-40]
+        panels = [1, 8, 37, 4, 3, 0, 8]
 
         def f(x, owner):
             return np.cos(freq[owner] * x) * np.exp(-0.1 * x * x)
@@ -100,6 +101,7 @@ class TestAdaptive:
         assert batch[0].evaluations % 15 == 0
         assert batch[2].evaluations >= 15 * 37
         assert batch[3].evaluations == 15 * 4
+        assert batch[6].evaluations == 15 * 8 and not batch[6].converged
 
     def test_complex_integrand(self):
         r = integrate_adaptive(

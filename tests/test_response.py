@@ -231,7 +231,7 @@ class TestFreeBatch:
         (det(0.1, 0.02), 1e-8),             # 15 initial panels
         (det(0.0, 1.0, 0.5), 1e-8),         # static: no bounded term
         (det(30.0, 1.0, 1.0), 1e-12),       # 31
-        (det(5.0, 10.0, 0.5), 0.0),         # raises: tol must be positive
+        (det(5.0, 10.0, 0.5), 0.0),         # raises before the batch
         (det(100.0, 0.1, 3.0), 1e-8),       # 126
         (det(2.0, 100.0, 10.0), 1e-10),     # 42
         (det(0.5, 5.0, 0.2), 1e-8),         # 9
@@ -245,13 +245,14 @@ class TestFreeBatch:
         calls = record_bounded(monkeypatch)
         batch = response._free_responses(self.KEYS)
         members = [m for call in calls for m in call]
-        # every rotating detector is a member, on initial panels of its own
-        assert len(members) == 7
-        assert len({n for _, n, _ in members}) == 7
+        # every rotating detector with a valid tol is a member, on
+        # initial panels of its own
+        assert len(members) == 6
+        assert len({n for _, n, _ in members}) == 6
         if bound is None:
             # runs of at most _FREE_BATCH_PANELS initial panels; the
             # 3516-panel detector runs alone
-            assert [len(call) for call in calls] == [6, 1]
+            assert [len(call) for call in calls] == [5, 1]
         else:
             assert len(calls) == 1
         calls.clear()

@@ -609,6 +609,21 @@ class TestPlanner:
         assert [bits(r.to_record()) for r in rows] == \
             [bits(e) for e in expected]
 
+    @pytest.mark.parametrize("sep", [1e-320, 1e-300, 1e-200, 1e-155,
+                                     1.6e-154, 1e-153])
+    @pytest.mark.parametrize("accel", [0.1, 0.0])
+    def test_tiny_separations_fail_cleanly(self, sep, accel):
+        # C ~ 1/sep^2 leaves the float range: each row fails with one
+        # DomainError, with no numpy warning and no OverflowError
+        spec = cheap_spec(axis=SweepAxis(name="sep", start=sep,
+                                         stop=2.0 * sep, points=2),
+                          accel=accel)
+        with warnings.catch_warnings(record=True) as wlog:
+            warnings.simplefilter("always")
+            rows = run_sweep(spec, workers=1)
+        assert not wlog
+        assert all(r.status.startswith("fail:DomainError:") for r in rows)
+
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
            start=st.floats(0.0, 4.0), width=st.floats(0.05, 6.0),
@@ -634,12 +649,10 @@ class TestPlanner:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
             rows = run_sweep(spec, workers=1)
-        # a sweep passes no perturbative warning on, its rows carry the
-        # tag; any other warning (numpy's overflow of C ~ 1/sep^2 at a
-        # subnormal separation) comes with a failing row
-        assert not any(issubclass(w.category, PerturbativeRegimeWarning)
-                       for w in wlog)
-        assert not wlog or any(r.status.startswith("fail:") for r in rows)
+        # a sweep passes no warning on: its rows carry the perturbative
+        # tag, and a separation too small for float arithmetic fails its
+        # row with a DomainError
+        assert not wlog
         params = spec.point_params()
         assert len(rows) == len(params)
         for row, p in zip(rows, params):
