@@ -16,7 +16,10 @@ independent routes:
   +-s0 where the detectors are lightlike separated. The denominator is
   even, so the integral folds onto s >= 0 as one principal value at s0
   plus the closed-form half residues, and C comes out real. s0 is found
-  by a monotone Newton iteration in plain floats (_line_pole). The
+  by a monotone Newton iteration in plain floats (_line_pole). The line
+  integrals of a batch are the members of one principal_value_batch
+  call (_line_batch); a pole beyond the switching envelope lies outside
+  its member's range, which leaves the regular integral. The
   direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
@@ -26,17 +29,17 @@ independent routes:
   the fixed ladder DEFAULT_EPSILONS and extrapolated to zero. Works for
   unequal kinematics and serves as the oracle for the reduced path.
   The rungs of the ladder are the members of one lockstep batch
-  (_correlation_passes), each with its own mesh. In each round the
-  batch integrand (_ladder_integrand, shared with the response oracle)
-  evaluates every distinct panel once: its worldline events through
-  trajectory_point, their time difference, squared interval and
-  switching envelope, in blocks of at most _ORACLE_BLOCK inner-grid
-  elements; then each rung that asked for the panel adds its regulated
-  Wightman function in real arithmetic (_wightman_parts, checked
-  against wightman_free and wightman_boundary). The phase factors that
-  depend on s alone or on the inner time alone are applied as row and
-  column vectors. Each row is reduced alone, so a rung's value depends
-  neither on the block size nor on the other rungs.
+  (_ladder_passes, shared with the response oracle), each with its own
+  mesh. In each round the batch integrand evaluates every distinct
+  panel once: its worldline events through trajectory_point, their
+  time difference, squared interval and switching envelope, in blocks
+  of at most _ORACLE_BLOCK inner-grid elements; then each rung that
+  asked for the panel adds its regulated Wightman function in real
+  arithmetic (_wightman_parts, checked against wightman_free and
+  wightman_boundary). The phase factors that depend on s alone or on
+  the inner time alone are applied as row and column vectors. Each row
+  is reduced alone, so a rung's value depends neither on the block
+  size nor on the other rungs.
 """
 
 from __future__ import annotations
@@ -275,95 +278,67 @@ def _line_batch(keys) -> list:
     poles such that the half-residue sign is sign(s0); the pair sums to
     -2 pi exp(-s0^2/(4 gamma^2)) sin(k s0)/|D'(s0)|. The value is real.
 
-    The principal values of the batch refine together in one lockstep
-    batch, and the far-pole integrals in another, with their parameters
-    gathered per member, so every result equals that of a batch of one.
-    Returns one entry per key: its LineIntegral, or the exception it
-    fails with (an L_eff that is not positive and finite or whose square
-    is subnormal, a tol that is not positive)."""
+    Every key whose pole was found is a member of one
+    principal_value_batch call, g = 2 exp(-s^2/(4 gamma^2)) cos(k s)/q(s)
+    with q = D/(s - s0) factored, so each equals its batch of one. Its
+    range is [0, max(s_env, sqrt(L_eff^2 + 4 R^2) + 2)], and the half
+    residues are added; a pole far beyond the switching envelope
+    (L_eff > s_env + 2) lies outside the range [0, s_env] of its regular
+    integral, and the residues are bounded in the error instead. Returns
+    one entry per key: its LineIntegral, or the exception it fails with
+    (an L_eff that is not positive and finite or whose square is
+    subnormal, a tol that is not positive)."""
     out: list = [None] * len(keys)
-    near, far = [], []
-    for i, (L_eff, radius, omega, gamma, _, s_env, _) in enumerate(keys):
+    found, poles = [], []
+    for i, (L_eff, radius, omega, gamma, *_) in enumerate(keys):
         try:
-            s0 = _line_pole(L_eff, radius, omega, gamma)
+            poles.append(_line_pole(L_eff, radius, omega, gamma))
+            found.append(i)
         except Exception as exc:  # a member fails alone
             out[i] = exc
+    L_eff, radius, omega, gamma, k, s_env, tol = np.array(
+        keys, dtype=float)[found].T
+    s0 = np.array(poles)
+    r_sq = radius * radius
+    inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
+    amp, half_omega = 2.0 * r_sq * omega, 0.5 * omega
+
+    def q(s, j):
+        # D(s)/(s - s0), factored with
+        # sin^2 a - sin^2 b = sin(a - b) sin(a + b)
+        pole = s0[j]
+        s_plus = s + pole
+        return (amp[j] * np.sinc(omega[j] * (s - pole) / (2.0 * math.pi))
+                * np.sin(half_omega[j] * s_plus) - s_plus)
+
+    def g(s, j):
+        return (2.0 * np.exp(-s * s * inv_four_gamma_sq[j])
+                * np.cos(k[j] * s) / q(s, j))
+
+    far = L_eff > s_env + 2.0
+    band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
+    hi = np.where(far, s_env, np.maximum(s_env, band_hi + 2.0))
+    pvs = principal_value_batch(g, s0, 0.0, hi, tol)
+    q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
+    for i, pv, pole, is_far, q0, c, kk, L, gam, t in zip(
+            found, pvs, poles, far.tolist(), q_pole,
+            inv_four_gamma_sq.tolist(), k.tolist(), L_eff.tolist(),
+            gamma.tolist(), tol.tolist()):
+        if isinstance(pv, Exception):
+            out[i] = pv
             continue
-        (far if L_eff > s_env + 2.0 else near).append((i, s0))
-
-    def columns(members):
-        rows = np.array([keys[i] for i, _ in members], dtype=float)
-        L_eff, radius, omega, gamma, k, s_env, tol = rows.T
-        s0 = np.array([s for _, s in members])
-        return L_eff, radius * radius, omega, gamma, k, s_env, tol, s0
-
-    def folded_num(s, k, inv_four_gamma_sq):
-        return 2.0 * np.exp(-s * s * inv_four_gamma_sq) * np.cos(k * s)
-
-    if far:
-        # poles sit far outside the switching envelope: integrate the
-        # regular restriction and bound the ignored residues
-        L_eff, r_sq, omega, gamma, k, s_env, tol, s0 = columns(far)
-        inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
-        L_sq, four_r_sq, half_omega = L_eff * L_eff, 4.0 * r_sq, 0.5 * omega
-
-        def regular(s, j):
-            D = L_sq[j] + four_r_sq[j] * np.sin(half_omega[j] * s) ** 2 - s * s
-            return folded_num(s, k[j], inv_four_gamma_sq[j]) / D
-
-        results = integrate_adaptive_batch(regular, 0.0, s_env, tol)
-        for (i, pole), res, L, gam, t in zip(far, results, L_eff.tolist(),
-                                             gamma.tolist(), tol.tolist()):
-            if isinstance(res, Exception):
-                out[i] = res
-                continue
-            ignored = (math.pi * gam * gam / (2.0 * L)
-                       * math.exp(-L * L / (4.0 * gam * gam)))
-            out[i] = LineIntegral(
-                value=res.value,
-                abs_error_estimate=res.abs_error_estimate + ignored + t / 5.0,
-                evaluations=res.evaluations,
-                converged=res.converged,
-                pole=pole,
-                far_pole=True,
-            )
-
-    if near:
-        L_eff, r_sq, omega, gamma, k, s_env, tol, s0 = columns(near)
-        inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
-        amp, half_omega = 2.0 * r_sq * omega, 0.5 * omega
-
-        def q(s, j):
-            # D(s)/(s - s0), factored with
-            # sin^2 a - sin^2 b = sin(a - b) sin(a + b)
-            pole = s0[j]
-            s_plus = s + pole
-            return (amp[j] * np.sinc(omega[j] * (s - pole) / (2.0 * math.pi))
-                    * np.sin(half_omega[j] * s_plus) - s_plus)
-
-        def g(s, j):
-            return folded_num(s, k[j], inv_four_gamma_sq[j]) / q(s, j)
-
-        band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
-        pvs = principal_value_batch(g, s0, 0.0,
-                                    np.maximum(s_env, band_hi + 2.0), tol)
-        q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
-        for (i, pole), pv, q0, c, kk in zip(near, pvs, q_pole,
-                                            inv_four_gamma_sq.tolist(),
-                                            k.tolist()):
-            if isinstance(pv, Exception):
-                out[i] = pv
-                continue
+        if is_far:  # the residues are bounded in the error instead
+            residues, evaluations = 0.0, pv.evaluations
+            err = (pv.abs_error_estimate + math.pi * gam * gam / (2.0 * L)
+                   * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0)
+        else:
             residues = (-2.0 * math.pi * math.exp(-pole * pole * c)
                         * math.sin(kk * pole) / q0)
-            out[i] = LineIntegral(
-                value=pv.value + residues,
-                abs_error_estimate=pv.abs_error_estimate,
-                evaluations=pv.evaluations + 1,
-                converged=pv.converged,
-                pole=pole,
-                residues=residues,
-            )
+            evaluations, err = pv.evaluations + 1, pv.abs_error_estimate
+        out[i] = LineIntegral(value=pv.value + residues,
+                              abs_error_estimate=err, evaluations=evaluations,
+                              converged=pv.converged, pole=pole,
+                              residues=residues, far_pole=is_far)
     return out
 
 
@@ -480,23 +455,25 @@ def composite_gauss_legendre(lo: float, hi: float,
 _ORACLE_BLOCK = 1 << 12
 
 
-def _ladder_integrand(block_factors, epsilons, mirror: float | None,
-                      n_inner: int):
-    """The integrand f(x, owner) of a lockstep batch whose members are
-    the rungs of an epsilon ladder, one per entry of epsilons.
+def _ladder_passes(block_factors, epsilons, mirror: float | None,
+                   n_inner: int, s_max: float, n0: int,
+                   tol: float) -> list[QuadratureResult]:
+    """An oracle's passes, one per entry of epsilons: the rungs of its
+    epsilon ladder as the members of one lockstep batch over [-s_max,
+    s_max], each to tol from n0 initial panels (at most 60000).
 
-    The rungs share most of their panels in each round, so f evaluates
-    the epsilon-independent factors of each distinct panel once, in
-    blocks of at most _ORACLE_BLOCK inner-grid elements (at least one
-    abscissa): block_factors(s) returns, for a 1-D block s of distinct
-    abscissae, the time difference dt and cone = dt^2 - |dx|^2 of the
-    two events on the (len(s), n_inner) grid, the switching envelope
-    times the inner weights on that grid (complex when the inner grid
-    carries a phase), and a row factor. A rung's integrand is the row
-    factor times the row sums of the envelope times its regulated
-    Wightman function (_wightman_parts with mirror). Every abscissa is
-    computed from its own row alone, so a rung's values depend neither
-    on the block size nor on the other rungs."""
+    The rungs share most of their panels in each round, so the batch
+    integrand f evaluates the epsilon-independent factors of each
+    distinct panel once, in blocks of at most _ORACLE_BLOCK inner-grid
+    elements (at least one abscissa): block_factors(s) returns, for a
+    1-D block s of distinct abscissae, the time difference dt and cone =
+    dt^2 - |dx|^2 of the two events on the (len(s), n_inner) grid, the
+    switching envelope times the inner weights on that grid (complex
+    when the inner grid carries a phase), and a row factor. A rung's
+    integrand is the row factor times the row sums of the envelope times
+    its regulated Wightman function (_wightman_parts with mirror). Every
+    abscissa is computed from its own row alone, so a rung's values
+    depend neither on the block size nor on the other rungs."""
     step = max(_ORACLE_BLOCK // n_inner, 1)
 
     def f(x, owner):
@@ -535,7 +512,9 @@ def _ladder_integrand(block_factors, epsilons, mirror: float | None,
                     flat[pos[hit] * n_nodes + node[hit]] = vals[hit]
         return out
 
-    return f
+    return [_checked(res) for res in integrate_adaptive_batch(
+        f, -s_max, s_max, [tol] * len(epsilons), initial_panels=n0,
+        max_panels=60000)]
 
 
 def _correlation_passes(pair: PairConfig, epsilons, tol: float,
@@ -582,10 +561,8 @@ def _correlation_passes(pair: PairConfig, epsilons, tol: float,
     # enough starting panels to see the orbit and phase oscillations
     f_s = da.omega + abs(gap_a) / ga + 0.5
     n0 = min(int(2.0 * s_max * f_s) + 32, 4096)
-    return [_checked(res) for res in integrate_adaptive_batch(
-        _ladder_integrand(block_factors, epsilons, mirror, t.size),
-        -s_max, s_max, [tol] * len(epsilons),
-        initial_panels=n0, max_panels=60000)]
+    return _ladder_passes(block_factors, epsilons, mirror, t.size, s_max, n0,
+                          tol)
 
 
 def correlation_general_result(pair: PairConfig,

@@ -90,22 +90,29 @@ def omega_from_accel_radius(accel: float, radius: float) -> float:
 
     Returns omega = sqrt(accel / (radius * (1 + accel * radius))); zero
     acceleration gives omega = 0 (a static detector at distance radius
-    from the rotation axis).
+    from the rotation axis); an a R or omega that overflows raises
+    DomainError.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
     if accel < 0.0:
         raise DomainError(f"accel must be nonnegative, got {accel}")
-    return math.sqrt(accel / (radius * (1.0 + accel * radius)))
+    omega = math.sqrt(accel / (radius * (1.0 + accel * radius)))
+    if not (math.isfinite(accel * radius) and math.isfinite(omega)):
+        raise DomainError(f"a = {accel}, R = {radius}: a R or omega overflows")
+    return omega
 
 
 def detector_from_accel_radius(energy_gap: float, accel: float,
                                radius: float) -> CircularDetectorSpec:
-    """Build a consistent CircularDetectorSpec from (Omega, a, R)."""
+    """Build a consistent CircularDetectorSpec from (Omega, a, R); an
+    orbit whose speed rounds to 1 or above raises DomainError."""
     omega = omega_from_accel_radius(accel, radius)
     speed = omega * radius
     # v^2 = a R / (1 + a R) in exact arithmetic; compute from omega*R to keep
     # speed, omega and radius consistent to the last float digit.
+    if not speed < 1.0:  # below 1, 1 - speed^2 >= 2^-52 keeps gamma finite
+        raise DomainError(f"a = {accel}, R = {radius}: speed rounds to 1")
     gamma = 1.0 / math.sqrt(1.0 - speed * speed)
     return CircularDetectorSpec(
         energy_gap=float(energy_gap),

@@ -14,7 +14,8 @@ physics layers can cross check one against the other:
   the caller proves its pole simple, locates it itself (the line
   integrals of module correlation by a monotone Newton iteration),
   factors it out of the denominator, and adds the half residues in
-  closed form;
+  closed form; as in QUADPACK's QAWC, a pole outside the interval
+  leaves a regular integral, a member of the same batch;
 * the oracle route keeps the regulator epsilon finite, integrates the
   smooth regularized integrand on a geometric epsilon ladder, and
   extrapolates the ladder to epsilon -> 0 (epsilon_extrapolate).
@@ -324,11 +325,18 @@ def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
     # tail bound: the envelope-compensated magnitude near each cutoff
     xs = np.array(x_max)[owner] * np.array([0.90, 0.95, 1.0])
     fs = np.abs(np.asarray(f(xs, owner)))
-    scales = np.max(fs * np.exp(alpha[owner] * xs * xs), axis=1)
-    for i, scale in zip(owner[:, 0].tolist(), scales.tolist()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = np.max(fs * np.exp(alpha[owner] * xs * xs), axis=1)
+    # where that overflows (a tiny tol), fold erfc's exp(-alpha x_max^2)
+    # into the samples instead: erfc(z) <= exp(-z^2)/(z sqrt(pi))
+    folded = np.max(fs * np.exp(alpha[owner] * (xs * xs - xs[:, 2:] ** 2)),
+                    axis=1) / (2.0 * alpha[owner[:, 0]] * xs[:, 2])
+    for i, scale, fold in zip(owner[:, 0].tolist(), scales.tolist(),
+                              folded.tolist()):
         a, res = float(alpha[i]), results[i]
         tail = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * x_max[i])
-        total_err = res.abs_error_estimate + scale * tail
+        bound = scale * tail if math.isfinite(scale) else fold
+        total_err = res.abs_error_estimate + bound
         results[i] = QuadratureResult(
             value=res.value,
             abs_error_estimate=total_err,
@@ -340,54 +348,60 @@ def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
 
 def principal_value_batch(g, pole, lo, hi, tol) -> list:
     """Cauchy principal values of g(x)/(x - pole[i]) over [lo[i], hi[i]]
-    for a batch of smooth g (the contract of QUADPACK's QAWC).
+    for a batch of smooth g (the contract of QUADPACK's QAWC: the pole
+    may lie anywhere but on an end of the interval).
 
     g(x, owner) is called as the integrand of integrate_adaptive_batch,
     owner indexing the principal values; arguments broadcast as in
-    integrate_adaptive_batch. Subtracts
-    g(pole)/(x - pole), integrates the smooth remainder on [lo, pole]
-    and [pole, hi] (Gauss-Kronrod nodes are interior, so none lands on
-    the pole), and adds back g(pole) ln((hi - pole)/(pole - lo)). The
-    two sides of n principal values are the 2n members of one lockstep
-    batch, each to tol/2. Callers with a denominator D(x) pass g = f/q
-    with q = D/(x - pole) in factored form; dividing D by (x - pole)
+    integrate_adaptive_batch. A pole inside (lo, hi) is subtracted as
+    g(pole)/(x - pole): the smooth remainder is integrated on [lo, pole]
+    and [pole, hi], each to tol/2 (Gauss-Kronrod nodes are interior, so
+    none lands on the pole), and g(pole) ln((hi - pole)/(pole - lo)) is
+    added back. A pole outside [lo, hi] leaves an ordinary integral of
+    g(x)/(x - pole), one member to the whole tol. All members run as one
+    lockstep batch. Callers with a denominator D(x) pass g = f/q with
+    q = D/(x - pole) in factored form; dividing D by (x - pole)
     numerically would cancel catastrophically next to the pole. Returns
     one entry per principal value: its QuadratureResult, or the
-    DomainError it raises.
+    DomainError it raises (a pole on lo or hi or not finite, or the
+    limits and tol integrate_adaptive_batch rejects).
     """
     pole, lo, hi, tol = _batch_args(pole, lo, hi, tol)
     results: list = [None] * pole.size
-    inside = (lo < pole) & (pole < hi)
-    for i in np.flatnonzero(~inside):
-        results[i] = DomainError(f"pole {float(pole[i])} not inside "
-                                 f"({float(lo[i])}, {float(hi[i])})")
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        return results
-    p = pole[idx]
-    g_pole = np.asarray(g(p, idx))
-    # member m is the left side of principal value idx[m] for m < k and
-    # the right side of idx[m - k] after that
-    k = idx.size
-    slot = np.arange(2 * k) % k
+    bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
+    for i in np.flatnonzero(bad):
+        results[i] = DomainError(f"pole {float(pole[i])} is not finite or on "
+                                 f"an end of [{float(lo[i])}, {float(hi[i])}]")
+    within = (lo < pole) & (pole < hi)
+    inside, outside = np.flatnonzero(within), np.flatnonzero(~within & ~bad)
+    g_pole = np.asarray(g(pole[inside], inside))
+    # members: the left sides of the inside poles, their right sides,
+    # then the outside poles; owner is the principal value of each and
+    # sub the value its integrand subtracts (0 for an outside pole)
+    k = inside.size
+    owner = np.concatenate([inside, inside, outside])
+    sub = np.concatenate([g_pole, g_pole, np.zeros(outside.size)])
 
     def remainder(x, member):
-        j = slot[member]
-        return (np.asarray(g(x, idx[j])) - g_pole[j]) / (x - p[j])
+        i = owner[member]
+        return (np.asarray(g(x, i)) - sub[member]) / (x - pole[i])
 
-    half = tol[idx] / 2.0
-    sides = integrate_adaptive_batch(remainder, np.concatenate([lo[idx], p]),
-                                     np.concatenate([p, hi[idx]]),
-                                     np.concatenate([half, half]))
+    half = tol[inside] / 2.0
+    members = integrate_adaptive_batch(
+        remainder, np.concatenate([lo[inside], pole[inside], lo[outside]]),
+        np.concatenate([pole[inside], hi[inside], hi[outside]]),
+        np.concatenate([half, half, tol[outside]]))
+    for m, i in enumerate(outside.tolist()):
+        results[i] = members[2 * k + m]
     scalar = complex if np.iscomplexobj(g_pole) else float
-    for j, i in enumerate(idx.tolist()):
-        left, right = sides[j], sides[k + j]
+    for j, i in enumerate(inside.tolist()):
+        left, right = members[j], members[k + j]
         if isinstance(left, Exception) or isinstance(right, Exception):
             results[i] = left if isinstance(left, Exception) else right
             continue
-        pj, lo_i, hi_i = float(p[j]), float(lo[i]), float(hi[i])
+        p, lo_i, hi_i = float(pole[i]), float(lo[i]), float(hi[i])
         value = (left.value + right.value
-                 + g_pole[j] * math.log((hi_i - pj) / (pj - lo_i)))
+                 + g_pole[j] * math.log((hi_i - p) / (p - lo_i)))
         err = left.abs_error_estimate + right.abs_error_estimate
         results[i] = QuadratureResult(
             value=scalar(value),

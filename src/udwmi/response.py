@@ -39,7 +39,7 @@ integral (finite regulator epsilon on the fixed ladder DEFAULT_EPSILONS,
 extrapolated to zero) without any of the above reductions; it is
 deliberately independent of the closed form. Like the correlation
 oracle, it runs the ladder's rungs as one lockstep batch through
-correlation._ladder_integrand: both events of each distinct abscissa go
+correlation._ladder_passes: both events of each distinct abscissa go
 through trajectory_point once, in bounded blocks, and each rung adds
 its regulated Wightman function in real arithmetic; the phase
 exp(-i gap s) is applied per row.
@@ -53,12 +53,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import (_TWO_PI_SQ, DEFAULT_EPSILONS, LineIntegral,
-                          OracleEstimate, _epsilon_ladder, _ladder_integrand,
+                          OracleEstimate, _epsilon_ladder, _ladder_passes,
                           _line_params, _reduced_line_integral,
                           composite_gauss_legendre)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
 from .quadrature import (QuadratureResult, _checked,
-                         gaussian_truncation_point, integrate_adaptive_batch,
+                         gaussian_truncation_point,
                          integrate_semiinfinite_batch)
 # not called here; bench/tests/test_bench.py asserts this binding exists
 from .quadrature import principal_value_integral  # noqa: F401
@@ -296,10 +296,8 @@ def _response_passes(spec: CircularDetectorSpec, dz: float | None,
     reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
     s_max = max(13.0, reach + 3.0)
     n0 = min(int(s_max * (abs(gap) + spec.omega * gamma + 1.0)) + 32, 4096)
-    return [_checked(res) for res in integrate_adaptive_batch(
-        _ladder_integrand(block_factors, epsilons, mirror, u_nodes.size),
-        -s_max, s_max, [tol] * len(epsilons),
-        initial_panels=n0, max_panels=60000)]
+    return _ladder_passes(block_factors, epsilons, mirror, u_nodes.size,
+                          s_max, n0, tol)
 
 
 def transition_probability_oracle_result(spec: CircularDetectorSpec,

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -59,6 +60,27 @@ class TestResponseCommand:
             "response", "--gap", "0.5", "--radius", "-1.0", "--dz", "0.5"])
         assert rc == 1
         assert "config error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["response", "--free-space", "--tol", "1e-190"],
+        ["response", "--free-space", "--tol", "1e-250"],
+        ["mi", "--tol", "1e-300", "--dz", "1", "--accel", "0.1"]])
+    def test_tiny_tol_prints_valid_json(self, capsys, argv):
+        # the Gaussian-tail bound stays finite: no NaN token in the output
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run_cli(capsys, argv)
+        assert math.isfinite(json.loads(out, parse_constant=refuse)["err"])
+
+    def test_orbit_at_light_speed_is_config_error(self, capsys):
+        # at a R = 1e16 the orbital speed rounds to 1
+        rc, out, err = run_cli(capsys, [
+            "response", "--accel", "1e16", "--radius", "1", "--dz", "1"])
+        assert (rc, out) == (1, "")
+        assert "config error" in err and "a = 1e+16, R = 1.0" in err
 
 
 class TestCorrelationCommand:

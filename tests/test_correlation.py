@@ -311,6 +311,27 @@ class TestLineIntegralBatch:
         with pytest.raises(DomainError, match="effective separation"):
             _reduced_line_integral(*SPECIAL_KEYS[2])
 
+    def test_near_and_far_keys_share_one_principal_value_batch(
+            self, monkeypatch):
+        # the far-pole members are principal values whose pole lies
+        # outside their range, in the same call as the near ones
+        from udwmi import correlation
+
+        calls = []
+        batch = correlation.principal_value_batch
+
+        def counted(g, pole, lo, hi, tol):
+            calls.append(len(pole))
+            return batch(g, pole, lo, hi, tol)
+
+        monkeypatch.setattr(correlation, "principal_value_batch", counted)
+        keys = [line_key(3.7, 0.02, 0.1, L, 1e-8) for L in (0.5, 2.0, 60.0)]
+        keys += SPECIAL_KEYS
+        lines = _reduced_line_integrals(keys)
+        # every key whose pole was found is a member of the one call
+        assert calls == [len(keys) - 1]
+        assert [getattr(r, "far_pole", None) for r in lines] == \
+            [False, False, True, False, True, None, None]
 
 
 def mp_pole(L_eff, radius, omega):

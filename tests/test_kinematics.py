@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -121,3 +124,18 @@ class TestValidation:
             detector_from_accel_radius(np.nan, 1.0, 1.0)
         with pytest.raises(DomainError):
             detector_from_accel_radius(0.1, np.inf, 1.0)
+
+    @pytest.mark.parametrize("accel,radius", [(1e16, 1.0), (1e10, 1e300),
+                                              (1.0, 1e-320)],
+                             ids=["speed-rounds-to-1", "aR-overflows",
+                                  "omega-overflows"])
+    def test_impossible_orbit_rejected(self, accel, radius):
+        # v rounds to 1 (a ZeroDivisionError in gamma), a R overflows (a
+        # silently static orbit), omega overflows (a bare math error)
+        with pytest.raises(DomainError,
+                           match=re.escape(f"a = {accel}, R = {radius}")):
+            detector_from_accel_radius(0.1, accel, radius)
+
+    def test_fastest_representable_orbit_accepted(self):
+        det = detector_from_accel_radius(0.1, 9e15, 1.0)
+        assert det.speed < 1.0 and math.isfinite(det.gamma)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -126,6 +129,22 @@ class TestSemiInfinite:
         assert np.exp(-0.004 * x * x) < 1e-10
         assert x < 400.0
 
+    @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
+    def test_tail_bound_finite_at_tiny_tol(self, tol):
+        # exp(alpha x^2) overflows at such a cutoff: the tail bound folds
+        # erfc's decay into the samples instead, finite and warning-free
+        def f(x, owner):
+            return np.exp(-alpha[owner] * x * x) * (1.0 + x * x)
+
+        alpha = np.array([0.25, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = integrate_semiinfinite_batch(f, alpha, tol)
+        for r, a in zip(batch, alpha):
+            assert math.isfinite(r.abs_error_estimate)
+            exact = math.sqrt(math.pi / a) / 2.0 * (1.0 + 0.5 / a)
+            assert abs(r.value - exact) <= 1e-15 * exact
+
 
 class TestPrincipalValue:
     def test_gaussian_over_simple_pole(self):
@@ -146,9 +165,67 @@ class TestPrincipalValue:
         r = principal_value_integral(lambda x: np.ones_like(x), 1.0, 0.0, 2.0, 1e-12)
         assert abs(r.value) < 1e-12
 
-    def test_pole_outside_interval_rejected(self):
-        with pytest.raises(DomainError):
-            principal_value_integral(lambda x: np.exp(-x * x), 5.0, 0.0, 2.0, 1e-10)
+    @pytest.mark.parametrize("pole", [-0.5, -3.0, 2.25, 7.0])
+    def test_pole_outside_interval_matches_qawc(self, pole):
+        # a pole outside [lo, hi] leaves an ordinary integral: one member
+        # to the whole tol, no subtraction, no log term
+        def g(x):
+            return np.exp(-x * x) * np.cos(2.0 * x)
+
+        r = principal_value_integral(g, pole, 0.0, 2.0, 1e-13)
+        ref = quad(g, 0.0, 2.0, weight="cauchy", wvar=pole,
+                   epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert r.converged
+        assert abs(r.value - ref) < 1e-13
+        plain = integrate_adaptive(lambda x: g(x) / (x - pole), 0.0, 2.0,
+                                   1e-13)
+        assert r == plain
+
+    @pytest.mark.parametrize("pole", [0.0, 2.0, np.nan, np.inf],
+                             ids=["on-lo", "on-hi", "nan", "inf"])
+    def test_invalid_pole_fails_alone(self, pole):
+        def g(x, _):
+            return np.exp(-x * x)
+
+        bad, good = principal_value_batch(g, [pole, 1.0], 0.0, 2.0, 1e-10)
+        assert isinstance(bad, DomainError)
+        assert "pole" in str(bad)
+        assert good.converged
+        with pytest.raises(DomainError, match="pole"):
+            principal_value_integral(lambda x: g(x, None), pole, 0.0, 2.0,
+                                     1e-10)
+
+    def test_mixed_batch_equals_batches_of_one(self):
+        # a complex integrand with poles inside, outside on both sides,
+        # on an end, NaN, and outside an inverted interval: each member
+        # as if alone
+        freq = np.array([0.5, 3.0, 1.0, 2.0, 0.7, 1.5, 4.0, 1.0])
+        pole = [1.0, -0.5, 2.0, 9.0, np.nan, 0.3, 3.5, 5.0]
+        lo = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0]
+        hi = [4.0, 3.0, 2.0, 6.0, 3.0, 1.0, 8.0, 1.0]
+        tol = [1e-12, 1e-10, 1e-10, 1e-8, 1e-10, 1e-13, 1e-9, 1e-10]
+
+        def g(x, owner):
+            return np.exp(-0.2 * x * x + 1j * freq[owner] * x)
+
+        def bits(res):
+            if isinstance(res, Exception):
+                return type(res).__name__, str(res)
+            return (res.value.real.hex(), res.value.imag.hex(),
+                    res.abs_error_estimate.hex(), res.evaluations,
+                    res.converged)
+
+        batch = principal_value_batch(g, pole, lo, hi, tol)
+        alone = [principal_value_batch(
+            lambda x, owner, i=i: g(x, owner + i), pole[i], lo[i], hi[i],
+            tol[i])[0] for i in range(len(pole))]
+        assert [bits(r) for r in batch] == [bits(r) for r in alone]
+        failed = [i for i, r in enumerate(batch) if isinstance(r, Exception)]
+        assert failed == [2, 4, 7]
+        # an inside pole evaluates g once at the pole on top of its two
+        # sides; an outside pole is one member of whole GK15 panels
+        assert batch[0].evaluations % 15 == 1
+        assert batch[1].evaluations % 15 == 0
 
     @pytest.mark.parametrize(
         "g,pole,lo,hi",

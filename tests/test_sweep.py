@@ -624,6 +624,15 @@ class TestPlanner:
         assert not wlog
         assert all(r.status.startswith("fail:DomainError:") for r in rows)
 
+    def test_light_speed_orbit_fails_its_row_alone(self):
+        # at a R = 1e16 the orbital speed rounds to 1: that row fails
+        # with a DomainError, the a = 1 row beside it is computed
+        spec = cheap_spec(axis=SweepAxis(name="accel", start=1.0,
+                                         stop=1e16, points=2))
+        ok, fast = run_sweep(spec, workers=1)
+        assert not ok.status.startswith("fail")
+        assert fast.status.startswith("fail:DomainError:a = 1e+16, R = 1.0")
+
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
            start=st.floats(0.0, 4.0), width=st.floats(0.05, 6.0),
