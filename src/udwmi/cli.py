@@ -24,8 +24,8 @@ from .correlation import PairConfig, correlation_equal
 from .infomeasure import mutual_information_point
 from .kinematics import DomainError, detector_from_accel_radius
 from .response import transition_probability
-from .sweep import (emit_table, load_config, point_record, run_oracle_suite,
-                    run_sweep)
+from .sweep import (_require_tol, emit_table, load_config, point_record,
+                    run_oracle_suite, run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
 
@@ -124,9 +124,7 @@ def _print_json(payload: dict, stream=None) -> None:
 
 
 def _tol_of(args) -> float:
-    if not math.isfinite(args.tol) or args.tol <= 0.0:
-        raise DomainError(f"tol must be positive and finite, got {args.tol}")
-    return args.tol
+    return _require_tol(args.tol)
 
 
 def _evaluate(fn, *args):

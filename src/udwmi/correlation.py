@@ -30,16 +30,19 @@ independent routes:
   unequal kinematics and serves as the oracle for the reduced path.
   The rungs of the ladder are the members of one lockstep batch
   (_ladder_passes, shared with the response oracle), each with its own
-  mesh. In each round the batch integrand evaluates every distinct
-  panel once: its worldline events through trajectory_point, their
-  time difference, squared interval and switching envelope, in blocks
-  of at most _ORACLE_BLOCK inner-grid elements; then each rung that
-  asked for the panel adds its regulated Wightman function in real
-  arithmetic (_wightman_parts, checked against wightman_free and
-  wightman_boundary). The phase factors that depend on s alone or on
-  the inner time alone are applied as row and column vectors. Each row
-  is reduced alone, so a rung's value depends neither on the block
-  size nor on the other rungs.
+  mesh; then the inner time grid is checked by one pass of the first
+  rung on the doubled grid. In each round the batch integrand evaluates
+  every distinct panel once: its worldline events through
+  trajectory_point, their time difference, squared interval and
+  switching envelope, in blocks of at most _ORACLE_BLOCK inner-grid
+  elements; then each rung that asked for the panel adds its regulated
+  Wightman function in real arithmetic (_wightman_parts, checked
+  against wightman_free and wightman_boundary). A block's temporaries
+  are buffers that the batch allocates once and reuses. The phase
+  factors that depend on s alone or on the inner time alone are
+  applied as row and column vectors. Each row is reduced alone, so a
+  rung's value depends neither on the block size nor on the other
+  rungs.
 """
 
 from __future__ import annotations
@@ -93,23 +96,45 @@ def wightman_boundary(p1: SpacetimePoint, p2: SpacetimePoint,
     return -(direct - image) / _TWO_PI_SQ
 
 
-def _wightman_parts(cone, dt, eps: float, mirror: float | None = None):
+def _wightman_parts(cone, dt, eps: float, mirror: float | None = None,
+                    scratch=None):
     """The real and imaginary parts of -4 pi^2 times the regulated
     Wightman function, in real arithmetic: wightman_free of two events
     dt apart in time and cone = dt^2 - |dx|^2, or with mirror =
     (z1 + z2)^2 - (z1 - z2)^2 = 4 z1 z2, the image event's extra squared
     distance, wightman_boundary. With q = (dt - i eps)^2 - |dx|^2 =
     a - i b, a = cone - eps^2 and b = 2 eps dt, 1/q = (a + i b)/(a^2 +
-    b^2). Fields may be arrays."""
-    a = cone - eps * eps
-    b = (2.0 * eps) * dt
-    b_sq = b * b
-    inv = 1.0 / (a * a + b_sq)
+    b^2). Fields may be arrays. The parts are computed in scratch(name),
+    a float array of cone's shape per name (_ladder_passes's reused
+    buffers; by default new arrays), and returned as two of them."""
+    if scratch is None:
+        def scratch(_name):
+            return np.empty(np.shape(cone))
+    a = np.subtract(cone, eps * eps, out=scratch("a"))
+    b = np.multiply(2.0 * eps, dt, out=scratch("b"))
+    b_sq = np.multiply(b, b, out=scratch("b_sq"))
+    inv = np.multiply(a, a, out=scratch("inv"))
+    np.divide(1.0, np.add(inv, b_sq, out=inv), out=inv)
     if mirror is None:
-        return a * inv, b * inv
-    a_image = a - mirror
-    inv_image = 1.0 / (a_image * a_image + b_sq)
-    return a * inv - a_image * inv_image, b * (inv - inv_image)
+        return np.multiply(a, inv, out=a), np.multiply(b, inv, out=b)
+    a_image = np.subtract(a, mirror, out=scratch("a_image"))
+    inv_image = np.multiply(a_image, a_image, out=scratch("inv_image"))
+    np.divide(1.0, np.add(inv_image, b_sq, out=inv_image), out=inv_image)
+    re = np.subtract(np.multiply(a, inv, out=a),
+                     np.multiply(a_image, inv_image, out=a_image), out=a)
+    return re, np.multiply(b, np.subtract(inv, inv_image, out=inv), out=b)
+
+
+def _interval(p1: SpacetimePoint, p2: SpacetimePoint, scratch):
+    """The time difference dt = t1 - t2 of two events and dt^2 - (dx^2 +
+    dy^2), computed in the buffers scratch("dt"), scratch("cone"),
+    scratch("dx") and scratch("dy")."""
+    dt = np.subtract(p1.t, p2.t, out=scratch("dt"))
+    dx = np.subtract(p1.x, p2.x, out=scratch("dx"))
+    dy = np.subtract(p1.y, p2.y, out=scratch("dy"))
+    np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx)
+    cone = np.multiply(dt, dt, out=scratch("cone"))
+    return dt, np.subtract(cone, dx, out=cone)
 
 
 @dataclass(frozen=True)
@@ -445,14 +470,16 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per oracle block: a block's temporaries are a few
-# real arrays of this size, under a megabyte whatever the panel count.
-# Two serial oracle_grid suite passes in a fresh process (x86-64 Linux,
-# glibc malloc, NumPy 2.4): 2^11 pays about 20% more in per-block numpy
-# calls; 2^13 ran up to 10% faster but made 30 times the minor faults
-# (glibc returns freed block temporaries to the kernel) and gained
-# nothing clear end to end.
-_ORACLE_BLOCK = 1 << 12
+# Inner-grid elements per oracle block. A batch keeps a block's
+# temporaries in about a dozen buffers of this size (under 1 MB), made
+# once; of its arrays of this size, only trajectory_point's are made per
+# block. One serial oracle_grid suite pass per fresh process, sizes
+# interleaved (x86-64 Linux, glibc malloc, NumPy 2.4): 2^13 took a
+# median 3.19 s CPU over 20 runs against 3.80 s at 2^12 (faster than
+# the 2^12 run before it in 17 of 20) and 3.39 s at 2^14 over 12, whose
+# 128 KiB arrays glibc maps and unmaps per block (about 200k minor
+# faults per pass, against 6k at 2^12 and 16k-83k at 2^13).
+_ORACLE_BLOCK = 1 << 13
 
 
 def _ladder_passes(block_factors, epsilons, mirror: float | None,
@@ -465,16 +492,31 @@ def _ladder_passes(block_factors, epsilons, mirror: float | None,
     The rungs share most of their panels in each round, so the batch
     integrand f evaluates the epsilon-independent factors of each
     distinct panel once, in blocks of at most _ORACLE_BLOCK inner-grid
-    elements (at least one abscissa): block_factors(s) returns, for a
-    1-D block s of distinct abscissae, the time difference dt and cone =
-    dt^2 - |dx|^2 of the two events on the (len(s), n_inner) grid, the
-    switching envelope times the inner weights on that grid (complex
-    when the inner grid carries a phase), and a row factor. A rung's
-    integrand is the row factor times the row sums of the envelope times
-    its regulated Wightman function (_wightman_parts with mirror). Every
-    abscissa is computed from its own row alone, so a rung's values
-    depend neither on the block size nor on the other rungs."""
+    elements (at least one abscissa): block_factors(s, scratch) returns,
+    for a 1-D block s of distinct abscissae, the time difference dt and
+    cone = dt^2 - |dx|^2 of the two events on the (len(s), n_inner)
+    grid, the switching envelope times the inner weights on that grid
+    (complex when the inner grid carries a phase), and a row factor. A
+    rung's integrand is the row factor times the row sums of the
+    envelope times its regulated Wightman function (_wightman_parts with
+    mirror). Every abscissa is computed from its own row alone, so a
+    rung's values depend neither on the block size nor on the other
+    rungs.
+
+    The block temporaries are allocated once per batch and reused by
+    every block of every round: scratch(name, dtype=float) is the
+    block's (len(s), n_inner) view of the batch's buffer of that name.
+    block_factors leaves its results in buffers that _wightman_parts
+    does not use."""
     step = max(_ORACLE_BLOCK // n_inner, 1)
+    buffers: dict[str, np.ndarray] = {}
+
+    def views(rows):
+        def scratch(name, dtype=float):
+            if name not in buffers:
+                buffers[name] = np.empty((step, n_inner), dtype)
+            return buffers[name][:rows]
+        return scratch
 
     def f(x, owner):
         n_nodes = x.shape[1]
@@ -493,15 +535,17 @@ def _ladder_passes(block_factors, epsilons, mirror: float | None,
         out = np.empty(x.shape, dtype=complex)
         flat = out.reshape(-1)
         for i in range(0, s.size, step):
-            dt, cone, envelope, row = block_factors(s[i:i + step])
-            panel, node = np.divmod(np.arange(i, min(i + step, s.size)),
-                                    n_nodes)
+            block = s[i:i + step]
+            scratch = views(block.size)
+            dt, cone, envelope, row = block_factors(block, scratch)
+            panel, node = np.divmod(np.arange(i, i + block.size), n_nodes)
             for r in rungs:
                 pos = where[r, panel]
                 hit = pos >= 0
                 if not hit.any():
                     continue
-                re, im = _wightman_parts(cone, dt, epsilons[r], mirror)
+                re, im = _wightman_parts(cone, dt, epsilons[r], mirror,
+                                         scratch)
                 # einsum, not BLAS: no native thread pool under the
                 # process pool
                 vals = row * (np.einsum("ij,ij->i", envelope, re)
@@ -547,13 +591,16 @@ def _correlation_passes(pair: PairConfig, epsilons, tol: float,
     dz_sq = (za - zb) ** 2
     mirror = None if pair.dz is None else 4.0 * za * zb
 
-    def block_factors(s):
-        tp = t - s[:, None]
-        pa = trajectory_point(da, za, tp / ga)
-        dt = pa.t - pb.t
-        dx, dy = pa.x - pb.x, pa.y - pb.y
-        cone = dt * dt - (dx * dx + dy * dy) - dz_sq
-        envelope = np.exp(gauss_b - tp * tp / (2.0 * ga * ga)) * weights
+    def block_factors(s, scratch):
+        tp = np.subtract(t, s[:, None], out=scratch("tp"))
+        pa = trajectory_point(da, za, np.divide(tp, ga, out=scratch("tau")))
+        dt, cone = _interval(pa, pb, scratch)
+        np.subtract(cone, dz_sq, out=cone)
+        # exp(gauss_b - tp^2 / (2 ga^2)) times the weights
+        np.divide(np.multiply(tp, tp, out=tp), 2.0 * ga * ga, out=tp)
+        np.exp(np.subtract(gauss_b, tp, out=tp), out=tp)
+        envelope = np.multiply(tp, weights,
+                               out=scratch("envelope", weights.dtype))
         row = row_scale * np.exp(1j * gap_a * s / ga)
         return dt, cone, envelope, row
 
@@ -570,11 +617,13 @@ def correlation_general_result(pair: PairConfig,
     """Definition-level C with full error bookkeeping.
 
     Evaluates the double integral at each epsilon of DEFAULT_EPSILONS
-    and extrapolates to zero through _epsilon_ladder. The inner time
-    grid is first doubled at the largest epsilon until two passes agree;
-    their last difference is added to the ladder's error estimate. The
-    grid check's last coarse pass is the ladder's first rung, and the
-    other rungs run as one batch."""
+    and extrapolates to zero through _epsilon_ladder. The rungs run as
+    one batch on the first inner time grid; then the first rung (the
+    largest epsilon) is checked against a pass on the doubled grid. When
+    they differ, the grid doubles: that pass becomes the first rung and
+    the other rungs run again on the new grid, for at most three
+    checks. The last difference is added to the ladder's error
+    estimate, and every pass that ran counts in its evaluations."""
     da, db = pair.det_a, pair.det_b
     ga, gb = da.gamma, db.gamma
     sigma_u = ga * gb / math.sqrt(ga * ga + gb * gb)
@@ -583,25 +632,21 @@ def correlation_general_result(pair: PairConfig,
     n_u = max(96, int(2.0 * u_cut * (0.7 * f_u + 6.0 / sigma_u)) + 16)
     n_u = min(n_u, 8000)
 
-    eps_hi = DEFAULT_EPSILONS[0]
-    grid_err = math.inf
-    (coarse,) = _correlation_passes(pair, (eps_hi,), tol, n_u)
-    grid_evaluations = 0  # of the grid passes the ladder does not reuse
+    rungs = _correlation_passes(pair, DEFAULT_EPSILONS, tol, n_u)
+    evaluations = 0  # of the passes the ladder does not use
     for _ in range(3):
-        (fine,) = _correlation_passes(pair, (eps_hi,), tol, 2 * n_u)
-        grid_err = abs(fine.value - coarse.value)
+        (fine,) = _correlation_passes(pair, DEFAULT_EPSILONS[:1], tol, 2 * n_u)
+        grid_err = abs(fine.value - rungs[0].value)
         if grid_err <= max(10.0 * tol, 1e-9):
-            grid_evaluations += fine.evaluations
+            evaluations += fine.evaluations
             break
         n_u *= 2
-        grid_evaluations += coarse.evaluations
-        coarse = fine
+        evaluations += sum(res.evaluations for res in rungs)
+        rungs = [fine, *_correlation_passes(pair, DEFAULT_EPSILONS[1:], tol,
+                                            n_u)]
     else:
         warnings.warn("inner time grid did not stabilize; the integrand "
                       "poles may be under-resolved", RuntimeWarning)
 
-    # the grid check above left coarse as the eps_hi pass at this n_u
-    est = _epsilon_ladder(
-        [coarse, *_correlation_passes(pair, DEFAULT_EPSILONS[1:], tol, n_u)],
-        tol, grid_err)
-    return replace(est, evaluations=est.evaluations + grid_evaluations)
+    est = _epsilon_ladder(rungs, tol, grid_err)
+    return replace(est, evaluations=est.evaluations + evaluations)

@@ -40,9 +40,10 @@ extrapolated to zero) without any of the above reductions; it is
 deliberately independent of the closed form. Like the correlation
 oracle, it runs the ladder's rungs as one lockstep batch through
 correlation._ladder_passes: both events of each distinct abscissa go
-through trajectory_point once, in bounded blocks, and each rung adds
-its regulated Wightman function in real arithmetic; the phase
-exp(-i gap s) is applied per row.
+through trajectory_point once, in bounded blocks whose temporaries are
+reused buffers, and each rung adds its regulated Wightman function in
+real arithmetic; the phase exp(-i gap s) is applied per row. It has no
+grid check: its inner grid is fixed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import (_TWO_PI_SQ, DEFAULT_EPSILONS, LineIntegral,
-                          OracleEstimate, _epsilon_ladder, _ladder_passes,
-                          _line_params, _reduced_line_integral,
+                          OracleEstimate, _epsilon_ladder, _interval,
+                          _ladder_passes, _line_params, _reduced_line_integral,
                           composite_gauss_legendre)
 from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
 from .quadrature import (QuadratureResult, _checked,
@@ -279,16 +280,17 @@ def _response_passes(spec: CircularDetectorSpec, dz: float | None,
 
     u_nodes, u_weights = composite_gauss_legendre(-6.5, 6.5, 96)
 
-    def block_factors(s_flat):
-        s = s_flat[:, None]
-        tau = u_nodes[None, :] + 0.5 * s
-        taup = u_nodes[None, :] - 0.5 * s
-        p1 = trajectory_point(spec, z, tau)
-        p2 = trajectory_point(spec, z, taup)
-        dt = p1.t - p2.t
-        dx, dy = p1.x - p2.x, p1.y - p2.y
-        cone = dt * dt - (dx * dx + dy * dy)
-        envelope = np.exp(-0.5 * (tau * tau + taup * taup)) * u_weights
+    def block_factors(s_flat, scratch):
+        half_s = 0.5 * s_flat[:, None]
+        tau = np.add(u_nodes, half_s, out=scratch("tau"))
+        taup = np.subtract(u_nodes, half_s, out=scratch("taup"))
+        dt, cone = _interval(trajectory_point(spec, z, tau),
+                             trajectory_point(spec, z, taup), scratch)
+        # exp(-(tau^2 + taup^2)/2) times the weights
+        np.add(np.multiply(tau, tau, out=tau),
+               np.multiply(taup, taup, out=taup), out=tau)
+        np.exp(np.multiply(-0.5, tau, out=tau), out=tau)
+        envelope = np.multiply(tau, u_weights, out=tau)
         # the phase exp(-i gap s) is a row factor
         row = row_scale * np.exp(-1j * gap * s_flat)
         return dt, cone, envelope, row

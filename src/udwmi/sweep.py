@@ -37,6 +37,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -81,6 +82,16 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def _require_tol(value: float) -> float:
+    # the evaluators split tol into smaller budgets: a subnormal one
+    # would round to zero on the way
+    tol = _require_finite("tol", value)
+    if not tol >= sys.float_info.min:
+        raise DomainError(f"tol must be at least the smallest normal float "
+                          f"{sys.float_info.min:.17g}, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -143,15 +154,13 @@ class SweepSpec:
         object.__setattr__(self, "accel", _require_finite("accel", self.accel))
         object.__setattr__(self, "radius", _require_finite("radius", self.radius))
         object.__setattr__(self, "sep", _require_finite("sep", self.sep))
-        object.__setattr__(self, "tol", _require_finite("tol", self.tol))
+        object.__setattr__(self, "tol", _require_tol(self.tol))
         if self.accel < 0.0:
             raise DomainError(f"accel must be >= 0, got {self.accel}")
         if self.radius <= 0.0:
             raise DomainError(f"radius must be > 0, got {self.radius}")
         if self.sep < 0.0:
             raise DomainError(f"sep must be >= 0, got {self.sep}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
         if not isinstance(self.gap_ratios, (list, tuple)):
             raise DomainError(f"gap_ratios must be a list, "
                               f"got {self.gap_ratios!r}")

@@ -154,6 +154,17 @@ class TestMiCommand:
         assert rc == 1
         assert "config error" in err
 
+    @pytest.mark.parametrize("command", [
+        ["mi", "--dz", "1", "--accel", "0.1"],
+        ["response", "--dz", "1"],
+        ["correlation", "--dz", "1"]])
+    def test_subnormal_tol_is_config_error(self, capsys, command):
+        # the budget splits would round a subnormal tol to zero
+        rc, out, err = run_cli(capsys, [*command, "--tol", "1e-323"])
+        assert rc == 1
+        assert "config error" in err and "smallest normal float" in err
+        assert out == ""
+
     def test_missed_tolerance_exits_2(self, capsys):
         # at tol 1e-14 the bounded response term stops at its roundoff
         # floor: the record is printed, but the point did not converge

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -402,8 +403,9 @@ class TestDefinitionOracle:
             assert abs(est.value - fast.c_total) <= est.error_estimate
 
     def test_each_regulator_pass_runs_once(self, monkeypatch):
-        # the grid check's coarse pass is the ladder's largest-epsilon
-        # sample, so it is not run again
+        # the ladder's rungs run as one batch, and the grid check
+        # compares its largest-epsilon rung with one finer pass, so no
+        # rung is run again
         from udwmi import correlation
 
         passes = []
@@ -416,12 +418,13 @@ class TestDefinitionOracle:
         monkeypatch.setattr(correlation, "_correlation_passes", counted)
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
         assert len(passes) == len(set(passes))
-        # coarse, one grid refinement, then the two smaller epsilons
+        # the three rungs, then one grid refinement
         assert len(passes) == 4
         assert [eps for eps, _ in est.samples] == [1e-3, 5e-4, 2.5e-4]
 
     def test_evaluations_count_every_pass(self, monkeypatch):
-        # grid-check passes the ladder does not reuse count too
+        # the grid check's finer pass, which the ladder does not use,
+        # counts too
         from udwmi import correlation
 
         counts = []
@@ -436,6 +439,37 @@ class TestDefinitionOracle:
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
         assert len(counts) == 4
         assert est.evaluations == sum(counts)
+
+    def test_failed_grid_check_doubles_the_rungs_grid(self, monkeypatch):
+        # the first rung batch is knocked off its value, so the first
+        # grid check fails: the finer pass becomes the first rung, the
+        # other rungs run on the doubled grid, and the next check passes
+        from udwmi import correlation
+
+        runs = []
+        batch = correlation._correlation_passes
+
+        def counted(cfg, epsilons, tol, n_u):
+            results = batch(cfg, epsilons, tol, n_u)
+            if not runs:
+                results = [replace(res, value=res.value + 1.0)
+                           for res in results]
+            runs.extend((eps, n_u, res) for eps, res in zip(epsilons,
+                                                             results))
+            return results
+
+        monkeypatch.setattr(correlation, "_correlation_passes", counted)
+        est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
+        passes = [(eps, n_u) for eps, n_u, _ in runs]
+        n_u = passes[0][1]
+        assert passes == [*((eps, n_u) for eps in DEFAULT_EPSILONS),
+                          *((eps, 2 * n_u) for eps in DEFAULT_EPSILONS),
+                          (DEFAULT_EPSILONS[0], 4 * n_u)]
+        assert len(passes) == len(set(passes))
+        rungs = {eps: res for eps, n, res in runs if n == 2 * n_u}
+        assert est.samples == tuple((eps, complex(rungs[eps].value))
+                                    for eps in DEFAULT_EPSILONS)
+        assert est.evaluations == sum(res.evaluations for *_, res in runs)
 
     def test_unequal_gamma_pair(self):
         # different radii force the general route; the pair state must
@@ -475,6 +509,30 @@ class TestOracleRowBlocks:
         default = [bits(res) for res in passes()]
         monkeypatch.setattr(correlation, "_ORACLE_BLOCK", 1)
         assert [bits(res) for res in passes()] == default
+
+    def test_reused_buffers_keep_nothing_between_passes(self, monkeypatch):
+        # every batch computes its block temporaries in buffers it
+        # allocates once and reuses; passes of other inner grids, with
+        # and without the mirror and at other block sizes, run before
+        # and between them, and each rung still equals its batch of one
+        from udwmi import correlation, response
+
+        spec = detector_from_accel_radius(0.1, 0.1, 1.0)
+        runs = [
+            lambda eps: correlation._correlation_passes(
+                pair(0.1, 1.0, sep=1.0, dz=0.5), eps, 1e-4, 32),
+            lambda eps: response._response_passes(spec, 0.1, eps, 1e-4),
+            lambda eps: correlation._correlation_passes(
+                pair(1.0, 1.0, sep=1.0, gap_b=0.3), eps, 1e-4, 48),
+            lambda eps: response._response_passes(spec, None, eps, 1e-4),
+        ]
+        alone = [[bits(run((eps,))[0]) for eps in DEFAULT_EPSILONS]
+                 for run in runs]
+        for block in (1, correlation._ORACLE_BLOCK):
+            monkeypatch.setattr(correlation, "_ORACLE_BLOCK", block)
+            for run, expected in zip(runs, alone):
+                assert [bits(res) for res in run(DEFAULT_EPSILONS)] == \
+                    expected
 
     def test_pass_memory_is_bounded(self):
         # one pass refines thousands of panels; as one (panels x 15) x 96

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import multiprocessing
+import sys
 import warnings
 from pathlib import Path
 
@@ -115,6 +116,8 @@ class TestSpec:
             SweepSpec(axis=axis, dz=0.5, sep=-0.1)
         with pytest.raises(DomainError):
             SweepSpec(axis=axis, dz=0.5, tol=0.0)
+        with pytest.raises(DomainError, match="smallest normal float"):
+            SweepSpec(axis=axis, dz=0.5, tol=1e-323)
         with pytest.raises(DomainError):
             SweepSpec(axis=axis, dz=0.5, gap_ratios=())
 
@@ -633,6 +636,17 @@ class TestPlanner:
         assert not ok.status.startswith("fail")
         assert fast.status.startswith("fail:DomainError:a = 1e+16, R = 1.0")
 
+    def test_smallest_tol_does_not_raise(self):
+        # the smallest tol a spec takes cannot be met, but the rows say
+        # so instead of the sweep raising; its image lines' budgets are
+        # subnormal
+        spec = cheap_spec(axis=SweepAxis(name="dz", start=0.5, stop=1.0,
+                                         points=2),
+                          dz=None, tol=sys.float_info.min)
+        rows = run_sweep(spec, workers=1)
+        assert len(rows) == 2
+        assert all("tolerance" in row.status for row in rows)
+
     @settings(max_examples=25, deadline=None)
     @given(axis=st.sampled_from(AXIS_NAMES),
            start=st.floats(0.0, 4.0), width=st.floats(0.05, 6.0),
@@ -829,7 +843,8 @@ class TestOracleSuite:
         assert len(crec["value"]) == 2
         assert len(crec["c_boundary"]) == 2
 
-    def test_records_count_oracle_evaluations(self, smoke_report):
+    def test_records_count_oracle_evaluations(self, smoke_report,
+                                              monkeypatch):
         # every regulated pass of a point's oracle, summed
         rec = smoke_report["response"]["points"][0]
         p = rec["params"]
@@ -838,9 +853,30 @@ class TestOracleSuite:
                                            1e-6 / 4.0)
         assert rec["oracle_evaluations"] == sum(r.evaluations
                                                 for r in passes)
+        # a correlation point whose grid check passes at once runs its
+        # rungs as one batch and one finer pass, and counts both
+        batch = correlation._correlation_passes
         for crec in smoke_report["correlation"]["points"]:
-            assert isinstance(crec["oracle_evaluations"], int)
-            assert crec["oracle_evaluations"] > 0
+            p = crec["params"]
+            calls = []
+
+            def counted(cfg, epsilons, tol, n_u):
+                results = batch(cfg, epsilons, tol, n_u)
+                calls.append((tuple(epsilons), n_u,
+                              sum(r.evaluations for r in results)))
+                return results
+
+            monkeypatch.setattr(correlation, "_correlation_passes", counted)
+            correlation.correlation_general_result(PairConfig(
+                det_a=detector_from_accel_radius(p["gap_a"], p["accel"],
+                                                 p["radius"]),
+                det_b=detector_from_accel_radius(p["gap_b"], p["accel"],
+                                                 p["radius"]),
+                sep=p["sep"], dz=p["dz"]))
+            (rungs, n_u, _), (fine, n_fine, _) = calls
+            assert rungs == DEFAULT_EPSILONS
+            assert (fine, n_fine) == (DEFAULT_EPSILONS[:1], 2 * n_u)
+            assert crec["oracle_evaluations"] == sum(n for *_, n in calls)
 
     def test_corrupted_response_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
