@@ -1,10 +1,11 @@
 """Dual-route validation in miniature.
 
-Every reduced formula in the package has a definition-level oracle: the
-transition probability against a regulated double quadrature over the
-switching window, the correlation against an epsilon-extrapolated 2D
-integral. This runs the small bundled grid and prints the deviations
-the acceptance suite checks at scale.
+Every reduced formula in the package is judged by one definition-level
+oracle: the defining double integral over both switching windows, taken
+on a proper-time contour shifted off the real axis, where the Wightman
+function is smooth. The transition probability is the correlation of a
+detector with itself. This runs the small bundled grid and prints the
+deviations the acceptance suite checks at scale.
 """
 from udwmi.sweep import run_oracle_suite
 
@@ -24,4 +25,5 @@ for section in ("response", "correlation"):
     print()
 
 print("the sweep CLI exposes the full 27+12 point grid as "
-      "`udwmi verify --grid oracle_grid`")
+      "`udwmi verify --grid oracle_grid`, and the corners of the presets "
+      "as `udwmi verify --grid oracle_corners`")

@@ -4,10 +4,14 @@ mirror handled by the image construction.
 
 All quantities are dimensionless: the Gaussian switching width sets the
 time unit, the coupling is unity. The package splits into kinematics
-(orbits), quadrature (adaptive panels, one principal-value routine,
-regulator extrapolation), response (single-detector excitation
+(orbits, at real or complex proper time), quadrature (adaptive panels
+and one principal-value routine), response (single-detector excitation
 probability), correlation (the pair coherence), infomeasure (mutual
-information), and sweep (batch tables and oracle cross-checks).
+information), and sweep (batch tables and oracle cross-checks). One
+definition-level oracle, in correlation, judges both P and C: the
+response is the correlation of a detector with itself, and the
+defining double integral is taken on a proper-time contour shifted off
+the real axis, with no regulator to extrapolate.
 """
 
 from .correlation import (CorrelationResult, OracleEstimate, PairConfig,
@@ -20,8 +24,7 @@ from .infomeasure import (DensityBlock, MIResult, PairPointResult,
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          detector_from_accel_radius, omega_from_accel_radius,
                          trajectory_point)
-from .quadrature import (ExtrapolationResult, QuadratureResult,
-                         epsilon_extrapolate, integrate_adaptive,
+from .quadrature import (QuadratureResult, integrate_adaptive,
                          principal_value_integral)
 from .response import (ResponseBreakdown, inertial_response,
                        transition_probability,
@@ -36,8 +39,7 @@ __all__ = [
     "CircularDetectorSpec", "SpacetimePoint", "DomainError",
     "detector_from_accel_radius", "omega_from_accel_radius",
     "trajectory_point",
-    "QuadratureResult", "ExtrapolationResult",
-    "integrate_adaptive", "principal_value_integral", "epsilon_extrapolate",
+    "QuadratureResult", "integrate_adaptive", "principal_value_integral",
     "ResponseBreakdown", "inertial_response",
     "transition_probability", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",

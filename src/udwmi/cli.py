@@ -22,10 +22,11 @@ import sys
 
 from .correlation import PairConfig, correlation_equal
 from .infomeasure import mutual_information_point
-from .kinematics import DomainError, detector_from_accel_radius
+from .kinematics import (DomainError, _require_tol,
+                         detector_from_accel_radius)
 from .response import transition_probability
-from .sweep import (_require_tol, emit_table, load_config, point_record,
-                    run_oracle_suite, run_sweep)
+from .sweep import (emit_table, load_config, point_record, run_oracle_suite,
+                    run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
 

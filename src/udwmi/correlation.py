@@ -24,54 +24,45 @@ independent routes:
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
-* correlation_general_result: definition-level double quadrature in
-  coordinate times with the regulator epsilon kept finite, repeated on
-  the fixed ladder DEFAULT_EPSILONS and extrapolated to zero. Works for
-  unequal kinematics and serves as the oracle for the reduced path.
-  The rungs of the ladder are the members of one lockstep batch
-  (_ladder_passes, shared with the response oracle), each with its own
-  mesh; then the inner time grid is checked by one pass of the first
-  rung on the doubled grid. In each round the batch integrand evaluates
-  every distinct panel once: its worldline events through
-  trajectory_point, their time difference, squared interval and
-  switching envelope, in blocks of at most _ORACLE_BLOCK inner-grid
-  elements; then each rung that asked for the panel adds its regulated
-  Wightman function in real arithmetic (_wightman_parts, checked
-  against wightman_free and wightman_boundary). A block's temporaries
-  are buffers that the batch allocates once and reuses. The phase
-  factors that depend on s alone or on the inner time alone are
-  applied as row and column vectors. Each row is reduced alone, so a
-  rung's value depends neither on the block size nor on the other
-  rungs.
+* correlation_general_result: definition-level double quadrature,
+  for unequal kinematics too; the oracle for the reduced path. The
+  Wightman function is the boundary value of a function analytic while
+  the imaginary part of the separation lies in the past cone (Streater
+  and Wightman; for the circular orbit's complex zeros, Bell and
+  Leinaas, Nucl. Phys. B 212, 131 (1983)). So instead of a regulator
+  epsilon, the proper-time difference is moved off the real axis by a
+  finite eta, tau_A - tau_B = s - i eta, and wightman_free or
+  wightman_boundary is taken at epsilon = 0, with no limit (_oracle).
+  The response oracle of module response is the same routine: the
+  response is the correlation of a detector with itself. eta comes
+  from the orbits (_contours); the passes at two values run as the
+  members of one lockstep batch, and their spread is the error. Rows
+  are evaluated in plain blocks of at most _BLOCK inner-grid elements,
+  both events through trajectory_point at complex proper time.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
-                         trajectory_point)
-from .quadrature import (QuadratureResult, _checked, epsilon_extrapolate,
-                         integrate_adaptive_batch, principal_value_batch)
+                         _require_tol, trajectory_point)
+from .quadrature import (QuadratureResult, _checked, integrate_adaptive_batch,
+                         principal_value_batch)
 
 __all__ = [
     "PairConfig",
     "CorrelationResult",
     "OracleEstimate",
-    "DEFAULT_EPSILONS",
     "wightman_boundary",
     "wightman_free",
     "correlation_equal",
     "correlation_general_result",
 ]
-
-# the regulator ladder of both oracles, largest first
-DEFAULT_EPSILONS = (1e-3, 5e-4, 2.5e-4)
 
 _TWO_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -79,7 +70,9 @@ _TWO_PI_SQ = 4.0 * math.pi * math.pi
 def wightman_free(p1: SpacetimePoint, p2: SpacetimePoint,
                   epsilon: float) -> complex | np.ndarray:
     """Free massless scalar Wightman function W(p1, p2), regulated by
-    epsilon > 0 in the time difference. Fields may be arrays."""
+    epsilon >= 0 in the time difference. Fields may be arrays, and
+    complex: epsilon = 0 gives the unregulated function, which the
+    oracles evaluate at complex events, off the real singularities."""
     dt = p1.t - p2.t
     q = (dt - 1j * epsilon) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
     return -1.0 / (_TWO_PI_SQ * (q - (p1.z - p2.z) ** 2))
@@ -88,53 +81,13 @@ def wightman_free(p1: SpacetimePoint, p2: SpacetimePoint,
 def wightman_boundary(p1: SpacetimePoint, p2: SpacetimePoint,
                       epsilon: float) -> complex | np.ndarray:
     """Wightman function with a Dirichlet plane at z = 0: the free part
-    minus the image of the second point, regulated by epsilon > 0."""
+    minus the image of the second point, regulated by epsilon >= 0 as
+    wightman_free is."""
     dt = p1.t - p2.t
     q = (dt - 1j * epsilon) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
     direct = 1.0 / (q - (p1.z - p2.z) ** 2)
     image = 1.0 / (q - (p1.z + p2.z) ** 2)
     return -(direct - image) / _TWO_PI_SQ
-
-
-def _wightman_parts(cone, dt, eps: float, mirror: float | None = None,
-                    scratch=None):
-    """The real and imaginary parts of -4 pi^2 times the regulated
-    Wightman function, in real arithmetic: wightman_free of two events
-    dt apart in time and cone = dt^2 - |dx|^2, or with mirror =
-    (z1 + z2)^2 - (z1 - z2)^2 = 4 z1 z2, the image event's extra squared
-    distance, wightman_boundary. With q = (dt - i eps)^2 - |dx|^2 =
-    a - i b, a = cone - eps^2 and b = 2 eps dt, 1/q = (a + i b)/(a^2 +
-    b^2). Fields may be arrays. The parts are computed in scratch(name),
-    a float array of cone's shape per name (_ladder_passes's reused
-    buffers; by default new arrays), and returned as two of them."""
-    if scratch is None:
-        def scratch(_name):
-            return np.empty(np.shape(cone))
-    a = np.subtract(cone, eps * eps, out=scratch("a"))
-    b = np.multiply(2.0 * eps, dt, out=scratch("b"))
-    b_sq = np.multiply(b, b, out=scratch("b_sq"))
-    inv = np.multiply(a, a, out=scratch("inv"))
-    np.divide(1.0, np.add(inv, b_sq, out=inv), out=inv)
-    if mirror is None:
-        return np.multiply(a, inv, out=a), np.multiply(b, inv, out=b)
-    a_image = np.subtract(a, mirror, out=scratch("a_image"))
-    inv_image = np.multiply(a_image, a_image, out=scratch("inv_image"))
-    np.divide(1.0, np.add(inv_image, b_sq, out=inv_image), out=inv_image)
-    re = np.subtract(np.multiply(a, inv, out=a),
-                     np.multiply(a_image, inv_image, out=a_image), out=a)
-    return re, np.multiply(b, np.subtract(inv, inv_image, out=inv), out=b)
-
-
-def _interval(p1: SpacetimePoint, p2: SpacetimePoint, scratch):
-    """The time difference dt = t1 - t2 of two events and dt^2 - (dx^2 +
-    dy^2), computed in the buffers scratch("dt"), scratch("cone"),
-    scratch("dx") and scratch("dy")."""
-    dt = np.subtract(p1.t, p2.t, out=scratch("dt"))
-    dx = np.subtract(p1.x, p2.x, out=scratch("dx"))
-    dy = np.subtract(p1.y, p2.y, out=scratch("dy"))
-    np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx)
-    cone = np.multiply(dt, dt, out=scratch("cone"))
-    return dt, np.subtract(cone, dx, out=cone)
 
 
 @dataclass(frozen=True)
@@ -186,46 +139,15 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class OracleEstimate:
-    """Epsilon-extrapolated oracle value with its error bookkeeping;
-    evaluations counts the outer integrand evaluations of every
-    regulated pass the oracle ran."""
+    """A definition-level oracle's value with its error bookkeeping:
+    samples are the (eta, value) pairs of its passes on the two shifted
+    contours, and evaluations counts the outer integrand evaluations of
+    both."""
 
     value: complex
     error_estimate: float
     samples: tuple[tuple[float, complex], ...]
-    monotone: bool
     evaluations: int
-
-
-def _epsilon_ladder(passes, tol: float,
-                    extra_error: float = 0.0) -> OracleEstimate:
-    """An oracle's regulated passes extrapolated to epsilon -> 0.
-
-    passes are the QuadratureResults of the finite-epsilon passes at
-    DEFAULT_EPSILONS, in its order (largest first), as one lockstep
-    batch of the rungs gives them. The error is 3 times the
-    extrapolation residual plus the worst pass error plus extra_error;
-    the evaluations are summed over the passes. A ladder that is not
-    monotone and whose residual exceeds 100 max(tol, worst pass error)
-    raises RuntimeError."""
-    samples = []
-    quad_err = 0.0
-    for eps, res in zip(DEFAULT_EPSILONS, passes, strict=True):
-        samples.append((eps, complex(res.value)))
-        quad_err = max(quad_err, res.abs_error_estimate)
-
-    extrap = epsilon_extrapolate(samples)
-    if not extrap.monotone and extrap.residual > 100.0 * max(tol, quad_err):
-        raise RuntimeError("epsilon ladder did not converge "
-                           f"(residual {extrap.residual:.3g})")
-    error = 3.0 * extrap.residual + quad_err + extra_error
-    return OracleEstimate(
-        value=extrap.value,
-        error_estimate=float(error),
-        samples=tuple(samples),
-        monotone=extrap.monotone,
-        evaluations=sum(res.evaluations for res in passes),
-    )
 
 
 @dataclass(frozen=True)
@@ -374,12 +296,12 @@ def _reduced_line_integral(*key) -> LineIntegral:
 
 
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                 tol: float) -> tuple[float, tuple]:
+                 tol: float, share: float = 1.0) -> tuple[float, tuple]:
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
-    share: (radius, omega, gamma, k, s_env, tol_int) for a budget tol."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    share: (radius, omega, gamma, k, s_env, tol_int) for a budget share
+    times tol, tol checked before it is shared (kinematics._require_tol)."""
+    tol = _require_tol(tol) * share
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     dgap = gap_b - gap_a
@@ -470,183 +392,138 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per oracle block. A batch keeps a block's
-# temporaries in about a dozen buffers of this size (under 1 MB), made
-# once; of its arrays of this size, only trajectory_point's are made per
-# block. One serial oracle_grid suite pass per fresh process, sizes
-# interleaved (x86-64 Linux, glibc malloc, NumPy 2.4): 2^13 took a
-# median 3.19 s CPU over 20 runs against 3.80 s at 2^12 (faster than
-# the 2^12 run before it in 17 of 20) and 3.39 s at 2^14 over 12, whose
-# 128 KiB arrays glibc maps and unmaps per block (about 200k minor
-# faults per pass, against 6k at 2^12 and 16k-83k at 2^13).
-_ORACLE_BLOCK = 1 << 13
+# Inner-grid elements per row block of the oracle integrand. A block's
+# temporaries are about a dozen complex arrays of 32 KiB, below glibc's
+# default 128 KiB mmap threshold, so the heap reuses them whatever the
+# process freed before: one serial oracle_grid suite made 29-73 minor
+# page faults in a fresh process, after the smoke grid and after a
+# freed 1 MiB array alike (resource.getrusage; x86-64 Linux, glibc,
+# NumPy 2.4).
+_BLOCK = 1 << 11
+
+# The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
+# difference s over twice that, where the envelope exp(-u^2 - s^2/4)
+# is below 5e-19.
+_U_CUT = 6.5
 
 
-def _ladder_passes(block_factors, epsilons, mirror: float | None,
-                   n_inner: int, s_max: float, n0: int,
+def _contours(det_a: CircularDetectorSpec,
+              det_b: CircularDetectorSpec) -> tuple[float, float]:
+    """The two contour shifts eta_1 = eta_2 / 2 and eta_2 = min(0.1,
+    bound / 2) of the oracle between det_a and det_b.
+
+    At tau_A - tau_B = s - i eta each moving detector's orbit phase
+    gets the imaginary part y = omega gamma eta / 2, so the imaginary
+    part of the separation stays in the past cone while sinh(y)/y < 1/v
+    for both. arccosh(1/v) is below that root, so the bound is the
+    least 2 arccosh(1/v)/(omega gamma) over the moving detectors (none
+    for a static pair)."""
+    bound = min((2.0 * math.acosh(1.0 / det.speed) / (det.omega * det.gamma)
+                 for det in (det_a, det_b) if det.speed > 0.0),
+                default=math.inf)
+    eta_2 = min(0.1, 0.5 * bound)
+    return 0.5 * eta_2, eta_2
+
+
+def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                   z_a: float, z_b: float, mirror: bool, contours,
                    tol: float) -> list[QuadratureResult]:
-    """An oracle's passes, one per entry of epsilons: the rungs of its
-    epsilon ladder as the members of one lockstep batch over [-s_max,
-    s_max], each to tol from n0 initial panels (at most 60000).
+    """The defining double integral between det_a at height z_a and
+    det_b at z_b, with the image term when mirror, once per (eta, n_u)
+    of contours, as the members of one lockstep batch, each to tol.
 
-    The rungs share most of their panels in each round, so the batch
-    integrand f evaluates the epsilon-independent factors of each
-    distinct panel once, in blocks of at most _ORACLE_BLOCK inner-grid
-    elements (at least one abscissa): block_factors(s, scratch) returns,
-    for a 1-D block s of distinct abscissae, the time difference dt and
-    cone = dt^2 - |dx|^2 of the two events on the (len(s), n_inner)
-    grid, the switching envelope times the inner weights on that grid
-    (complex when the inner grid carries a phase), and a row factor. A
-    rung's integrand is the row factor times the row sums of the
-    envelope times its regulated Wightman function (_wightman_parts with
-    mirror). Every abscissa is computed from its own row alone, so a
-    rung's values depend neither on the block size nor on the other
-    rungs.
+    In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
+    the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
+    gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the Wightman
+    function at epsilon = 0 of the events at tau_A and tau_B. The inner
+    u integral is a composite Gauss-Legendre grid of about n_u nodes,
+    the outer s integral adaptive GK15. The factors that depend on u
+    alone or on s alone are column weights and a row factor. Rows are
+    evaluated in blocks of at most _BLOCK grid elements (at least one
+    row), each from its own abscissa alone, so a pass depends neither
+    on the blocks nor on the other members."""
+    wightman = wightman_boundary if mirror else wightman_free
+    gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
+    members = []
+    for eta, n_u in contours:
+        u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
+        members.append((eta, u, w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)))
 
-    The block temporaries are allocated once per batch and reused by
-    every block of every round: scratch(name, dtype=float) is the
-    block's (len(s), n_inner) view of the batch's buffer of that name.
-    block_factors leaves its results in buffers that _wightman_parts
-    does not use."""
-    step = max(_ORACLE_BLOCK // n_inner, 1)
-    buffers: dict[str, np.ndarray] = {}
-
-    def views(rows):
-        def scratch(name, dtype=float):
-            if name not in buffers:
-                buffers[name] = np.empty((step, n_inner), dtype)
-            return buffers[name][:rows]
-        return scratch
+    def rows(s, eta, u, weights):
+        ds = s - 1j * eta
+        half = 0.5 * ds[:, None]
+        w = wightman(trajectory_point(det_a, z_a, u + half),
+                     trajectory_point(det_b, z_b, u - half), 0.0)
+        # einsum, not BLAS: no native thread pool under the process pool
+        return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
+                * np.einsum("ij,j->i", w, weights))
 
     def f(x, owner):
-        n_nodes = x.shape[1]
-        # equal panels sort next to each other; a panel is new unless it
-        # equals the one before it node for node
-        order = np.argsort(x[:, 0], kind="stable")
-        panels = x[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (panels[1:] != panels[:-1]).any(axis=1)
-        s = panels[new].ravel()
-        # where[r, p]: the row of x at which rung r asks for distinct
-        # panel p, or -1 (a rung's panels are disjoint)
-        where = np.full((len(epsilons), s.size // n_nodes), -1)
-        where[owner.reshape(-1)[order], np.cumsum(new) - 1] = order
-        rungs = np.unique(owner).tolist()
         out = np.empty(x.shape, dtype=complex)
-        flat = out.reshape(-1)
-        for i in range(0, s.size, step):
-            block = s[i:i + step]
-            scratch = views(block.size)
-            dt, cone, envelope, row = block_factors(block, scratch)
-            panel, node = np.divmod(np.arange(i, i + block.size), n_nodes)
-            for r in rungs:
-                pos = where[r, panel]
-                hit = pos >= 0
-                if not hit.any():
-                    continue
-                re, im = _wightman_parts(cone, dt, epsilons[r], mirror,
-                                         scratch)
-                # einsum, not BLAS: no native thread pool under the
-                # process pool
-                vals = row * (np.einsum("ij,ij->i", envelope, re)
-                              + 1j * np.einsum("ij,ij->i", envelope, im))
-                if hit.all():
-                    flat[pos * n_nodes + node] = vals
-                else:
-                    flat[pos[hit] * n_nodes + node[hit]] = vals[hit]
+        owner = np.broadcast_to(owner, x.shape)
+        for m, (eta, u, weights) in enumerate(members):
+            mine = owner == m
+            s = x[mine]
+            vals = np.empty(s.size, dtype=complex)
+            step = max(_BLOCK // u.size, 1)
+            for i in range(0, s.size, step):
+                vals[i:i + step] = rows(s[i:i + step], eta, u, weights)
+            out[mine] = vals
         return out
 
+    # enough starting panels to see the phase and orbit oscillations
+    s_max = 2.0 * _U_CUT
+    f_s = (abs(gap_a + gap_b) + det_a.omega * det_a.gamma
+           + det_b.omega * det_b.gamma) / 2.0 + 1.0
+    n0 = min(int(0.25 * s_max * f_s) + 8, 4096)
     return [_checked(res) for res in integrate_adaptive_batch(
-        f, -s_max, s_max, [tol] * len(epsilons), initial_panels=n0,
+        f, -s_max, s_max, [tol] * len(members), initial_panels=n0,
         max_panels=60000)]
 
 
-def _correlation_passes(pair: PairConfig, epsilons, tol: float,
-                        n_u: int) -> list[QuadratureResult]:
-    """Finite-epsilon evaluations of the defining double integral, one
-    per epsilon, as the members of one lockstep batch.
+def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+            z_a: float, z_b: float, mirror: bool,
+            tol: float) -> OracleEstimate:
+    """The definition-level correlation of det_a at height z_a with det_b
+    at z_b, with the image term when mirror: the passes of
+    _oracle_passes at eta_1 on n_u inner nodes and at eta_2 on 2 n_u,
+    each to tol, and the value of the second.
 
-    Outer adaptive integral over the coordinate-time difference s; inner
-    fixed composite Gauss-Legendre grid over the mean coordinate time u.
-    The detectors are evaluated on their own worldlines through the
-    trajectory map, so no reduction algebra enters here. Each pass
-    keeps its own mesh, so it equals the batch of one at its epsilon."""
-    da, db = pair.det_a, pair.det_b
-    ga, gb = da.gamma, db.gamma
-    za = pair.dz if pair.dz is not None else 0.0
-    zb = za + pair.sep
-    gap_a, gap_b = da.energy_gap, db.energy_gap
-
-    u_cut = 7.5 * gb + 1.0
-    t, u_weights = composite_gauss_legendre(-u_cut, u_cut, n_u)
-    # B's factors depend on the inner grid alone, so every row shares
-    # them; the phase exp(i (gap_b t/gb - gap_a (t - s)/ga)) separates
-    # into a column factor, folded into the weights, and a row factor
-    pb = trajectory_point(db, zb, t / gb)
-    gauss_b = -t * t / (2.0 * gb * gb)
-    kappa = gap_b / gb - gap_a / ga
-    weights = (u_weights if kappa == 0.0
-               else u_weights * np.exp(1j * kappa * t))
-    row_scale = -1.0 / (_TWO_PI_SQ * ga * gb)
-    dz_sq = (za - zb) ** 2
-    mirror = None if pair.dz is None else 4.0 * za * zb
-
-    def block_factors(s, scratch):
-        tp = np.subtract(t, s[:, None], out=scratch("tp"))
-        pa = trajectory_point(da, za, np.divide(tp, ga, out=scratch("tau")))
-        dt, cone = _interval(pa, pb, scratch)
-        np.subtract(cone, dz_sq, out=cone)
-        # exp(gauss_b - tp^2 / (2 ga^2)) times the weights
-        np.divide(np.multiply(tp, tp, out=tp), 2.0 * ga * ga, out=tp)
-        np.exp(np.subtract(gauss_b, tp, out=tp), out=tp)
-        envelope = np.multiply(tp, weights,
-                               out=scratch("envelope", weights.dtype))
-        row = row_scale * np.exp(1j * gap_a * s / ga)
-        return dt, cone, envelope, row
-
-    s_max = 7.0 * (ga + gb) + 2.0
-    # enough starting panels to see the orbit and phase oscillations
-    f_s = da.omega + abs(gap_a) / ga + 0.5
-    n0 = min(int(2.0 * s_max * f_s) + 32, 4096)
-    return _ladder_passes(block_factors, epsilons, mirror, t.size, s_max, n0,
-                          tol)
+    The value cannot depend on eta unless a zero of the interval lies
+    between the contours, so the error is the spread of the two passes,
+    which also covers the inner grid, plus the worst pass error; a
+    spread above 100 max(tol, worst pass error) raises RuntimeError.
+    n_u = 96 + 16 ceil(13 f_u / 16) resolves the inner oscillation
+    f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A - gap_B|: the
+    relative orbit phase enters the Wightman function with its
+    harmonics, the phase of the gaps alone. On equal orbits the
+    Wightman function does not depend on u."""
+    etas = _contours(det_a, det_b)
+    f_u = (4.0 * abs(det_a.omega * det_a.gamma - det_b.omega * det_b.gamma)
+           + abs(det_a.energy_gap - det_b.energy_gap))
+    n_u = 96 + 16 * math.ceil(2.0 * _U_CUT * f_u / 16.0)
+    passes = _oracle_passes(det_a, det_b, z_a, z_b, mirror,
+                            [(etas[0], n_u), (etas[1], 2 * n_u)], tol)
+    spread = abs(passes[1].value - passes[0].value)
+    quad_err = max(res.abs_error_estimate for res in passes)
+    if spread > 100.0 * max(tol, quad_err):
+        raise RuntimeError(f"the passes at eta = {etas[0]:.3g} and "
+                           f"{etas[1]:.3g} differ by {spread:.3g}: a zero "
+                           f"of the interval lies between the contours")
+    return OracleEstimate(
+        value=complex(passes[1].value),
+        error_estimate=float(spread + quad_err),
+        samples=tuple((eta, complex(res.value))
+                      for eta, res in zip(etas, passes)),
+        evaluations=sum(res.evaluations for res in passes),
+    )
 
 
 def correlation_general_result(pair: PairConfig,
                                tol: float = 1e-7) -> OracleEstimate:
-    """Definition-level C with full error bookkeeping.
-
-    Evaluates the double integral at each epsilon of DEFAULT_EPSILONS
-    and extrapolates to zero through _epsilon_ladder. The rungs run as
-    one batch on the first inner time grid; then the first rung (the
-    largest epsilon) is checked against a pass on the doubled grid. When
-    they differ, the grid doubles: that pass becomes the first rung and
-    the other rungs run again on the new grid, for at most three
-    checks. The last difference is added to the ladder's error
-    estimate, and every pass that ran counts in its evaluations."""
-    da, db = pair.det_a, pair.det_b
-    ga, gb = da.gamma, db.gamma
-    sigma_u = ga * gb / math.sqrt(ga * ga + gb * gb)
-    u_cut = 7.5 * gb + 1.0
-    f_u = abs(da.omega - db.omega) + abs(db.energy_gap / gb - da.energy_gap / ga)
-    n_u = max(96, int(2.0 * u_cut * (0.7 * f_u + 6.0 / sigma_u)) + 16)
-    n_u = min(n_u, 8000)
-
-    rungs = _correlation_passes(pair, DEFAULT_EPSILONS, tol, n_u)
-    evaluations = 0  # of the passes the ladder does not use
-    for _ in range(3):
-        (fine,) = _correlation_passes(pair, DEFAULT_EPSILONS[:1], tol, 2 * n_u)
-        grid_err = abs(fine.value - rungs[0].value)
-        if grid_err <= max(10.0 * tol, 1e-9):
-            evaluations += fine.evaluations
-            break
-        n_u *= 2
-        evaluations += sum(res.evaluations for res in rungs)
-        rungs = [fine, *_correlation_passes(pair, DEFAULT_EPSILONS[1:], tol,
-                                            n_u)]
-    else:
-        warnings.warn("inner time grid did not stabilize; the integrand "
-                      "poles may be under-resolved", RuntimeWarning)
-
-    est = _epsilon_ladder(rungs, tol, grid_err)
-    return replace(est, evaluations=est.evaluations + evaluations)
+    """Definition-level C with full error bookkeeping, for unequal
+    kinematics too: _oracle of the pair as given, detector A at height
+    dz (0 in free space) and B at dz + sep."""
+    z_a = pair.dz if pair.dz is not None else 0.0
+    return _oracle(pair.det_a, pair.det_b, z_a, z_a + pair.sep,
+                   pair.dz is not None, _require_tol(tol))

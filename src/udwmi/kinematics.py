@@ -20,6 +20,7 @@ the rotation phase is omega * gamma * tau.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,19 @@ __all__ = [
 
 class DomainError(ValueError):
     """An input lies outside the physically admissible domain."""
+
+
+def _require_tol(tol: float) -> float:
+    """tol as a float, or DomainError unless it is finite and at least
+    the smallest normal float: every evaluator checks its tol here, and
+    splits it into smaller budgets, where a subnormal one would round
+    to zero."""
+    tol = float(tol)
+    if not sys.float_info.min <= tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, at least the "
+                          f"smallest normal float {sys.float_info.min:.17g}; "
+                          f"got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -128,15 +142,27 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
                      tau: float | np.ndarray) -> SpacetimePoint:
     """Event on the orbit at proper time tau, at constant height z_offset.
 
-    Accepts scalar or array tau; z is the scalar z_offset either way.
-    The orbit starts at (R, 0, z_offset) at tau = 0 and rotates
-    counterclockwise in the x-y plane.
+    Accepts scalar or array tau, real or complex; z is the scalar
+    z_offset either way. The orbit starts at (R, 0, z_offset) at tau = 0
+    and rotates counterclockwise in the x-y plane. A complex tau gives
+    the event's analytic continuation: the cos and sin of its phase
+    come from the real cos and sin of the phase's real part and the
+    cosh and sinh of its imaginary part, which NumPy evaluates faster
+    than its complex cos and sin.
     """
-    tau = np.asarray(tau, dtype=float) if isinstance(tau, np.ndarray) else tau
+    if isinstance(tau, np.ndarray):
+        tau = np.asarray(tau, dtype=np.result_type(tau, np.float64))
     phase = spec.omega * spec.gamma * tau
+    if np.iscomplexobj(phase):
+        cos_re, sin_re = np.cos(phase.real), np.sin(phase.real)
+        cosh_im, sinh_im = np.cosh(phase.imag), np.sinh(phase.imag)
+        cos = cos_re * cosh_im - 1j * (sin_re * sinh_im)
+        sin = sin_re * cosh_im + 1j * (cos_re * sinh_im)
+    else:
+        cos, sin = np.cos(phase), np.sin(phase)
     return SpacetimePoint(
         t=spec.gamma * tau,
-        x=spec.radius * np.cos(phase),
-        y=spec.radius * np.sin(phase),
+        x=spec.radius * cos,
+        y=spec.radius * sin,
         z=z_offset,
     )

@@ -1,4 +1,4 @@
-"""Quadrature, principal values and extrapolation.
+"""Adaptive quadrature and principal values.
 
 Every integrator here takes vectorized callables: f(x) receives a numpy
 array and must return an array of the same shape (real or complex values
@@ -16,9 +16,10 @@ physics layers can cross check one against the other:
   factors it out of the denominator, and adds the half residues in
   closed form; as in QUADPACK's QAWC, a pole outside the interval
   leaves a regular integral, a member of the same batch;
-* the oracle route keeps the regulator epsilon finite, integrates the
-  smooth regularized integrand on a geometric epsilon ladder, and
-  extrapolates the ladder to epsilon -> 0 (epsilon_extrapolate).
+* the oracle route needs no routine of its own: it moves the time
+  integral onto a contour shifted off the real axis, where the
+  integrand is smooth, and integrates it with integrate_adaptive_batch
+  (correlation._oracle).
 
 Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
 every panel whose error exceeds an equidistributed share of the budget.
@@ -45,14 +46,12 @@ from .kinematics import DomainError
 
 __all__ = [
     "QuadratureResult",
-    "ExtrapolationResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
     "integrate_semiinfinite_batch",
     "gaussian_truncation_point",
     "principal_value_integral",
     "principal_value_batch",
-    "epsilon_extrapolate",
 ]
 
 
@@ -68,20 +67,6 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class ExtrapolationResult:
-    """Limit of a sampled epsilon ladder at epsilon -> 0.
-
-    residual is the change produced by the final extrapolation order and
-    serves as the error estimate; monotone records whether successive
-    extrapolation orders kept shrinking that change.
-    """
-
-    value: complex
-    residual: float
-    monotone: bool
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (the QUADPACK dqk15 pair).
@@ -419,33 +404,3 @@ def principal_value_integral(g, pole: float, lo: float, hi: float,
     (res,) = principal_value_batch(lambda x, _: g(x), pole, lo, hi, tol)
     return _checked(res)
 
-
-def epsilon_extrapolate(values) -> ExtrapolationResult:
-    """Polynomial extrapolation of (epsilon, value) samples to epsilon = 0.
-
-    values is a sequence of (epsilon, value) pairs, epsilon > 0, at least
-    three of them, ordered or not. Neville's tableau gives the limit; the
-    residual is the change contributed by the final order. monotone=False
-    flags ladders whose successive extrapolation orders stopped improving.
-    """
-    pairs = sorted(((float(e), complex(v)) for e, v in values),
-                   key=lambda p: -p[0])
-    if len(pairs) < 3:
-        raise DomainError("need at least three epsilon samples")
-    if any(e <= 0.0 for e, _ in pairs):
-        raise DomainError("epsilon samples must be positive")
-    eps = np.array([e for e, _ in pairs])
-    t = np.array([v for _, v in pairs], dtype=complex)
-
-    diag = [t[0]]
-    work = t.copy()
-    n = len(pairs)
-    for j in range(1, n):
-        work = (eps[j:] * work[:-1] - eps[: n - j] * work[1:]) / (eps[j:] - eps[: n - j])
-        diag.append(work[0])
-
-    steps = [abs(diag[j] - diag[j - 1]) for j in range(1, len(diag))]
-    monotone = all(steps[j] <= steps[j - 1] + 1e-30 for j in range(1, len(steps)))
-    residual = steps[-1] if steps else 0.0
-    return ExtrapolationResult(value=complex(diag[-1]), residual=float(residual),
-                               monotone=monotone)

@@ -35,15 +35,10 @@ line integral has D = (2 dz)^2 - s^2, whose pole is on the light cone
 at s0 = 2 dz.
 
 transition_probability_oracle_result integrates the defining double
-integral (finite regulator epsilon on the fixed ladder DEFAULT_EPSILONS,
-extrapolated to zero) without any of the above reductions; it is
-deliberately independent of the closed form. Like the correlation
-oracle, it runs the ladder's rungs as one lockstep batch through
-correlation._ladder_passes: both events of each distinct abscissa go
-through trajectory_point once, in bounded blocks whose temporaries are
-reused buffers, and each rung adds its regulated Wightman function in
-real arithmetic; the phase exp(-i gap s) is applied per row. It has no
-grid check: its inner grid is fixed.
+integral without any of the above reductions; it is deliberately
+independent of the closed form. It is the correlation oracle
+correlation._oracle of the detector with itself, at one height, on the
+proper-time contour tau - tau' = s - i eta.
 """
 
 from __future__ import annotations
@@ -53,13 +48,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import (_TWO_PI_SQ, DEFAULT_EPSILONS, LineIntegral,
-                          OracleEstimate, _epsilon_ladder, _interval,
-                          _ladder_passes, _line_params, _reduced_line_integral,
-                          composite_gauss_legendre)
-from .kinematics import CircularDetectorSpec, DomainError, trajectory_point
-from .quadrature import (QuadratureResult, _checked,
-                         gaussian_truncation_point,
+from .correlation import (LineIntegral, OracleEstimate, _line_params,
+                          _oracle, _reduced_line_integral)
+from .kinematics import CircularDetectorSpec, DomainError, _require_tol
+from .quadrature import (_checked, gaussian_truncation_point,
                          integrate_semiinfinite_batch)
 # not called here; bench/tests/test_bench.py asserts this binding exists
 from .quadrature import principal_value_integral  # noqa: F401
@@ -129,7 +121,7 @@ def _image_line_args(spec: CircularDetectorSpec, dz: float, tol: float,
     spec) at zero separation: C's image line integral at L_eff = 2 dz,
     with the opposite sign, here to a quarter of tol. line_params is
     correlation._line_params or a memo of it."""
-    pref, shared = line_params(spec, spec, tol / 4.0)
+    pref, shared = line_params(spec, spec, tol, 0.25)
     return pref, (2.0 * dz, *shared)
 
 
@@ -199,9 +191,9 @@ _FREE_BATCH_PANELS = 1024
 
 def _free_responses(keys) -> list:
     """The free-space breakdown of each (detector, tol) key, or the
-    exception it raises (a tol that is not positive and finite, static
-    detector or not): the singularity-subtracted rotating term, to a
-    quarter of tol, plus the inertial term.
+    exception it raises (a tol that kinematics._require_tol rejects,
+    static detector or not): the singularity-subtracted rotating term,
+    to a quarter of tol, plus the inertial term.
 
     The rotating term integrates exp(-alpha x^2) cos(beta x) times
     _bounded_kernel over [0, inf), in x = gamma omega s / 2, with
@@ -215,8 +207,10 @@ def _free_responses(keys) -> list:
     moving = []
     for i, (spec, tol) in enumerate(keys):
         om, gamma, v = spec.omega, spec.gamma, spec.speed
-        if not 0.0 < tol < math.inf:
-            results[i] = DomainError("tol must be positive and finite")
+        try:
+            _require_tol(tol)
+        except DomainError as exc:
+            results[i] = exc
             continue
         if v < 1e-12:
             # includes the static detector, where alpha and beta are undefined
@@ -265,53 +259,14 @@ def _breakdown(spec, term_bounded, err, converged) -> ResponseBreakdown:
         abs_error_estimate=err, pole_location=None, converged=converged)
 
 
-def _response_passes(spec: CircularDetectorSpec, dz: float | None,
-                     epsilons, tol: float) -> list[QuadratureResult]:
-    """Finite-epsilon passes over the defining double integral in
-    proper-time mean and difference coordinates, one per epsilon, as
-    the members of one lockstep batch; each keeps its own mesh, so it
-    equals the batch of one at its epsilon."""
-    gap, gamma = spec.energy_gap, spec.gamma
-    z = dz if dz is not None else 0.0
-    mirror = None if dz is None else 4.0 * z * z
-    # the regulated Wightman function is -1/(4 pi^2 q); _wightman_parts
-    # gives 1/q
-    row_scale = -1.0 / _TWO_PI_SQ
-
-    u_nodes, u_weights = composite_gauss_legendre(-6.5, 6.5, 96)
-
-    def block_factors(s_flat, scratch):
-        half_s = 0.5 * s_flat[:, None]
-        tau = np.add(u_nodes, half_s, out=scratch("tau"))
-        taup = np.subtract(u_nodes, half_s, out=scratch("taup"))
-        dt, cone = _interval(trajectory_point(spec, z, tau),
-                             trajectory_point(spec, z, taup), scratch)
-        # exp(-(tau^2 + taup^2)/2) times the weights
-        np.add(np.multiply(tau, tau, out=tau),
-               np.multiply(taup, taup, out=taup), out=tau)
-        np.exp(np.multiply(-0.5, tau, out=tau), out=tau)
-        envelope = np.multiply(tau, u_weights, out=tau)
-        # the phase exp(-i gap s) is a row factor
-        row = row_scale * np.exp(-1j * gap * s_flat)
-        return dt, cone, envelope, row
-
-    reach = 2.0 * math.sqrt(spec.radius ** 2 + z * z) / gamma
-    s_max = max(13.0, reach + 3.0)
-    n0 = min(int(s_max * (abs(gap) + spec.omega * gamma + 1.0)) + 32, 4096)
-    return _ladder_passes(block_factors, epsilons, mirror, u_nodes.size,
-                          s_max, n0, tol)
-
-
 def transition_probability_oracle_result(spec: CircularDetectorSpec,
                                          dz: float | None = None,
                                          tol: float = 1e-6) -> OracleEstimate:
-    """Definition-level response with error bookkeeping: finite-epsilon
-    double quadrature, each pass to tol/4, at every epsilon of
-    DEFAULT_EPSILONS as one lockstep batch, extrapolated to zero
-    (correlation._epsilon_ladder). P is real, so the value is the real
-    part of the limit and its imaginary part is added to the error
-    estimate."""
-    est = _epsilon_ladder(
-        _response_passes(spec, dz, DEFAULT_EPSILONS, tol / 4.0), tol)
+    """Definition-level response with error bookkeeping: the correlation
+    oracle correlation._oracle of spec with itself at height dz (0 in
+    free space), each pass to tol/4. P is real, so the value is the
+    real part and its imaginary part is added to the error estimate."""
+    z = dz if dz is not None else 0.0
+    est = _oracle(spec, spec, z, z, dz is not None, _require_tol(tol) / 4.0)
     return replace(est, value=est.value.real,
                    error_estimate=est.error_estimate + abs(est.value.imag))

@@ -37,7 +37,6 @@ import json
 import math
 import numbers
 import os
-import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -51,7 +50,8 @@ from .correlation import (PairConfig, _reduced_line_integrals,
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
                           _point_terms, mutual_information_point)
-from .kinematics import DomainError, detector_from_accel_radius
+from .kinematics import (DomainError, _require_tol,
+                         detector_from_accel_radius)
 from .response import (_free_responses, transition_probability,
                        transition_probability_oracle_result)
 
@@ -82,16 +82,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
-
-
-def _require_tol(value: float) -> float:
-    # the evaluators split tol into smaller budgets: a subnormal one
-    # would round to zero on the way
-    tol = _require_finite("tol", value)
-    if not tol >= sys.float_info.min:
-        raise DomainError(f"tol must be at least the smallest normal float "
-                          f"{sys.float_info.min:.17g}, got {tol}")
-    return tol
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,8 @@ class SweepSpec:
         object.__setattr__(self, "accel", _require_finite("accel", self.accel))
         object.__setattr__(self, "radius", _require_finite("radius", self.radius))
         object.__setattr__(self, "sep", _require_finite("sep", self.sep))
-        object.__setattr__(self, "tol", _require_tol(self.tol))
+        object.__setattr__(self, "tol",
+                           _require_tol(_require_finite("tol", self.tol)))
         if self.accel < 0.0:
             raise DomainError(f"accel must be >= 0, got {self.accel}")
         if self.radius <= 0.0:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,11 +18,9 @@ from udwmi import (
     wightman_boundary,
     wightman_free,
 )
-from udwmi.correlation import (DEFAULT_EPSILONS, _epsilon_ladder,
-                               _line_params, _line_pole,
-                               _reduced_line_integral,
+from udwmi.correlation import (_contours, _line_params, _line_pole,
+                               _oracle_passes, _reduced_line_integral,
                                _reduced_line_integrals)
-from udwmi.quadrature import QuadratureResult, epsilon_extrapolate
 
 # Frozen expected values come from an independent mpmath implementation of
 # the reduced single-integral form (50 significant digits; dps-30 and
@@ -61,64 +58,6 @@ class TestWightman:
         p1 = trajectory_point(d, 0.3, 0.7)
         p2 = trajectory_point(d, 0.0, -0.2)
         assert abs(wightman_boundary(p1, p2, 1e-3)) < 1e-15
-
-
-class TestWightmanParts:
-    # the oracles evaluate the regulated Wightman function in real
-    # arithmetic (_wightman_parts); wightman_free and wightman_boundary
-    # stay its complex reference. Deviations are judged against the
-    # direct term's magnitude, so that a near-cancelling mirror pair is
-    # not judged relative to its small difference.
-    @staticmethod
-    def events():
-        from udwmi import SpacetimePoint
-
-        rng = np.random.default_rng(7)
-        n = 400
-        # on the light cone both sides round dt^2 - |dx|^2 to about
-        # 1e-16 dt^2, against |q| ~ 2 eps |dt|: a relative 3e-13 |dt|
-        # at eps = 2.5e-4, so |dt| stays below 1.5 here
-        dt = rng.uniform(-1.5, 1.5, n)
-        # squared spatial distances: generic, and within 1e-6 (relative)
-        # of the light cone on both sides
-        ratio = np.concatenate([rng.uniform(0.0, 4.0, n // 2),
-                                1.0 + rng.uniform(-1e-6, 1e-6, n // 4),
-                                1.0 + rng.choice([-1e-7, 1e-7, 0.0], n // 4)])
-        dist = np.sqrt(ratio) * np.abs(dt)
-        theta = rng.uniform(0.0, math.pi, n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, n)
-        z2 = rng.uniform(0.05, 3.0, n)
-        dz = dist * np.cos(theta)
-        z1 = np.abs(z2 + dz)      # both events above the mirror
-        dz = z1 - z2
-        # rescale x, y so that the distance is the drawn one
-        rho = np.sqrt(np.maximum(dist * dist - dz * dz, 0.0))
-        p1 = SpacetimePoint(t=dt + 0.5, x=rho * np.cos(phi) + 0.25,
-                            y=rho * np.sin(phi) - 0.5, z=z1)
-        p2 = SpacetimePoint(t=np.full(n, 0.5), x=np.full(n, 0.25),
-                            y=np.full(n, -0.5), z=z2)
-        return p1, p2
-
-    @pytest.mark.parametrize("eps", DEFAULT_EPSILONS)
-    @pytest.mark.parametrize("with_mirror", [False, True])
-    def test_matches_complex_reference(self, eps, with_mirror):
-        from udwmi.correlation import _wightman_parts
-
-        p1, p2 = self.events()
-        dt = p1.t - p2.t
-        dx, dy, dz = p1.x - p2.x, p1.y - p2.y, p1.z - p2.z
-        cone = dt * dt - (dx * dx + dy * dy) - dz * dz
-        direct = np.abs(wightman_free(p1, p2, eps))
-        if with_mirror:
-            ref = wightman_boundary(p1, p2, eps)
-            re, im = _wightman_parts(cone, dt, eps, 4.0 * p1.z * p2.z)
-        else:
-            ref = wightman_free(p1, p2, eps)
-            re, im = _wightman_parts(cone, dt, eps)
-        value = -(re + 1j * im) / (4.0 * math.pi ** 2)
-        assert np.all(np.abs(value - ref) <= 1e-12 * direct)
-        # the light-cone events are there: |q| is of order eps there
-        assert np.max(direct) > 1e-2 / eps
 
 
 class TestEqualKinematics:
@@ -386,9 +325,30 @@ class TestLinePole:
         with pytest.raises(DomainError, match="effective separation"):
             _line_pole(L_eff, R, om, gamma)
 
+# The epsilon-ladder oracle this one replaced, at tol 1e-7: (gap, a, R)
+# of A and B, sep, dz, then its C and error estimate. Unequal kinematics
+# have no reduced path, so these are the cross-check of the new oracle
+# there. The last pair puts B on a fast small orbit, whose phase enters
+# the inner integrand with its harmonics.
+LADDER_ORACLE = [
+    ((0.1, 1.0, 1.0), (0.3, 2.0, 0.5), 0.5, None,
+     0.04472662351424919 - 6.568819562365505e-16j, 6.854129638550962e-08),
+    ((0.1, 1.0, 1.0), (0.3, 2.0, 0.5), 0.5, 0.3,
+     0.007069459174744095 - 9.726016288643298e-16j, 3.139285639477213e-08),
+    ((0.5, 3.0, 2.0), (0.2, 1.0, 1.0), 1.0, 0.5,
+     0.0030021232814414823 - 4.1749011655174584e-16j, 3.797351704270174e-08),
+    ((0.5, 3.0, 2.0), (0.2, 1.0, 1.0), 1.0, None,
+     0.015137480320448116 - 2.7524279152335426e-16j, 3.6230729962834665e-08),
+    ((0.2, 0.0, 1.0), (0.4, 1.0, 1.0), 1.0, 0.5,
+     0.0077887320664919565 - 5.354513129181744e-16j, 1.667819545540425e-08),
+    ((0.014, 0.11, 1.63), (0.031, 13.6, 0.043), 0.43, 0.83,
+     0.013988801040601483 - 5.325601071248797e-16j, 1.9663088030666004e-08),
+]
+
+
 class TestDefinitionOracle:
-    # the oracle evaluates the defining double integral at three regulator
-    # values and extrapolates; independent of the reduction
+    # the oracle evaluates the defining double integral on two shifted
+    # proper-time contours; independent of the reduction
     def test_boundary_point(self):
         # then static pairs (omega = 0, poles on the light cone), equal
         # and detuned, with and without the mirror
@@ -398,78 +358,46 @@ class TestDefinitionOracle:
                     pair(0.0, 1.0, sep=1.0, gap_a=0.5, gap_b=1.0)):
             fast = correlation_equal(cfg, tol=1e-10)
             est = correlation_general_result(cfg, tol=1e-6)
-            assert est.monotone
             assert abs(est.value - fast.c_total) < 1e-3 * abs(fast.c_total)
             assert abs(est.value - fast.c_total) <= est.error_estimate
 
     def test_each_regulator_pass_runs_once(self, monkeypatch):
-        # the ladder's rungs run as one batch, and the grid check
-        # compares its largest-epsilon rung with one finer pass, so no
-        # rung is run again
+        # both contours run as one batch: eta_1 on the inner grid, eta_2
+        # on the doubled one, and the value is the second
         from udwmi import correlation
 
-        passes = []
-        batch = correlation._correlation_passes
+        calls = []
+        batch = correlation._oracle_passes
 
-        def counted(cfg, epsilons, tol, n_u):
-            passes.extend((eps, n_u) for eps in epsilons)
-            return batch(cfg, epsilons, tol, n_u)
+        def counted(*args):
+            calls.append(args[5])
+            return batch(*args)
 
-        monkeypatch.setattr(correlation, "_correlation_passes", counted)
-        est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
-        assert len(passes) == len(set(passes))
-        # the three rungs, then one grid refinement
-        assert len(passes) == 4
-        assert [eps for eps, _ in est.samples] == [1e-3, 5e-4, 2.5e-4]
+        monkeypatch.setattr(correlation, "_oracle_passes", counted)
+        cfg = pair(1.0, 1.0, sep=1.0)
+        est = correlation_general_result(cfg, tol=1e-6)
+        (contours,) = calls
+        (eta_1, n_u), (eta_2, n_fine) = contours
+        assert (eta_1, eta_2) == _contours(cfg.det_a, cfg.det_b)
+        assert eta_2 == 2.0 * eta_1 and n_fine == 2 * n_u
+        assert [eta for eta, _ in est.samples] == [eta_1, eta_2]
+        assert est.value == est.samples[1][1]
 
     def test_evaluations_count_every_pass(self, monkeypatch):
-        # the grid check's finer pass, which the ladder does not use,
-        # counts too
         from udwmi import correlation
 
         counts = []
-        batch = correlation._correlation_passes
+        batch = correlation._oracle_passes
 
-        def counted(cfg, epsilons, tol, n_u):
-            results = batch(cfg, epsilons, tol, n_u)
+        def counted(*args):
+            results = batch(*args)
             counts.extend(res.evaluations for res in results)
             return results
 
-        monkeypatch.setattr(correlation, "_correlation_passes", counted)
+        monkeypatch.setattr(correlation, "_oracle_passes", counted)
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
-        assert len(counts) == 4
+        assert len(counts) == 2
         assert est.evaluations == sum(counts)
-
-    def test_failed_grid_check_doubles_the_rungs_grid(self, monkeypatch):
-        # the first rung batch is knocked off its value, so the first
-        # grid check fails: the finer pass becomes the first rung, the
-        # other rungs run on the doubled grid, and the next check passes
-        from udwmi import correlation
-
-        runs = []
-        batch = correlation._correlation_passes
-
-        def counted(cfg, epsilons, tol, n_u):
-            results = batch(cfg, epsilons, tol, n_u)
-            if not runs:
-                results = [replace(res, value=res.value + 1.0)
-                           for res in results]
-            runs.extend((eps, n_u, res) for eps, res in zip(epsilons,
-                                                             results))
-            return results
-
-        monkeypatch.setattr(correlation, "_correlation_passes", counted)
-        est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
-        passes = [(eps, n_u) for eps, n_u, _ in runs]
-        n_u = passes[0][1]
-        assert passes == [*((eps, n_u) for eps in DEFAULT_EPSILONS),
-                          *((eps, 2 * n_u) for eps in DEFAULT_EPSILONS),
-                          (DEFAULT_EPSILONS[0], 4 * n_u)]
-        assert len(passes) == len(set(passes))
-        rungs = {eps: res for eps, n, res in runs if n == 2 * n_u}
-        assert est.samples == tuple((eps, complex(rungs[eps].value))
-                                    for eps in DEFAULT_EPSILONS)
-        assert est.evaluations == sum(res.evaluations for *_, res in runs)
 
     def test_unequal_gamma_pair(self):
         # different radii force the general route; the pair state must
@@ -482,70 +410,86 @@ class TestDefinitionOracle:
         assert np.isfinite(est.value.real) and np.isfinite(est.value.imag)
         assert 0.0 < abs(est.value) < 1.0
 
+    @pytest.mark.parametrize("a, b, sep, dz, ladder, ladder_err",
+                             LADDER_ORACLE)
+    def test_unequal_kinematics_match_the_ladder_oracle(self, a, b, sep, dz,
+                                                         ladder, ladder_err):
+        cfg = PairConfig(det_a=detector_from_accel_radius(*a),
+                         det_b=detector_from_accel_radius(*b), sep=sep, dz=dz)
+        assert not cfg.equal_kinematics
+        est = correlation_general_result(cfg, tol=1e-7)
+        assert abs(est.value - ladder) <= ladder_err + est.error_estimate
+        # the inner grid resolves the orbits, so the spread stays at tol
+        assert est.error_estimate <= 2e-7
+
+    def test_contour_beyond_the_tube_raises(self, monkeypatch):
+        # at gamma = 20 (a = 40, R = 10) the tube bound is 0.05; a second
+        # contour at eta = 0.2 crosses the complex zeros of the interval,
+        # and its pass differs from the first by about P itself (1.42)
+        from udwmi import correlation, response
+
+        spec = detector_from_accel_radius(0.1, 40.0, 10.0)
+        eta_1, eta_2 = _contours(spec, spec)
+        assert eta_2 == pytest.approx(0.025, rel=1e-3)
+        assert response.transition_probability_oracle_result(spec, 0.1)
+        monkeypatch.setattr(correlation, "_contours",
+                            lambda *_: (eta_1, 0.2))
+        with pytest.raises(RuntimeError, match="differ by 1.4"):
+            response.transition_probability_oracle_result(spec, 0.1)
+
 
 def bits(res):
     return (complex(res.value).real.hex(), complex(res.value).imag.hex(),
             res.abs_error_estimate.hex(), res.evaluations)
 
 
+def oracle_args(det_a, det_b, z_a, z_b, mirror):
+    """The arguments of _oracle_passes before its contours, and the
+    contours _oracle gives equal-kinematics detectors."""
+    eta_1, eta_2 = _contours(det_a, det_b)
+    return (det_a, det_b, z_a, z_b, mirror), [(eta_1, 96), (eta_2, 192)]
+
+
+def pair_args(cfg):
+    z_a = cfg.dz if cfg.dz is not None else 0.0
+    return oracle_args(cfg.det_a, cfg.det_b, z_a, z_a + cfg.sep,
+                       cfg.dz is not None)
+
+
+def response_args(spec, dz):
+    # the response is the correlation of a detector with itself
+    z = dz if dz is not None else 0.0
+    return oracle_args(spec, spec, z, z, dz is not None)
+
+
 class TestOracleRowBlocks:
-    # both oracle integrands evaluate their distinct abscissae in blocks
-    # of at most correlation._ORACLE_BLOCK inner-grid elements; every row
-    # is reduced alone, so the block size cannot change a pass
+    # the oracle integrand evaluates its abscissae in row blocks of at
+    # most correlation._BLOCK inner-grid elements; every row is reduced
+    # alone, so the block size cannot change a pass
     def test_one_row_blocks_equal_default_blocks(self, monkeypatch):
-        from udwmi import correlation, response
-
-        def passes():
-            return [res for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1),
-                                    pair(1.0, 1.0, sep=1.0))
-                    for res in correlation._correlation_passes(
-                        cfg, DEFAULT_EPSILONS, 1e-7, 96)] + [
-                res for spec, dz in (
-                    (detector_from_accel_radius(0.1, 5.0, 0.02), 0.1),
-                    (detector_from_accel_radius(0.1, 0.1, 10.0), None))
-                for res in response._response_passes(
-                    spec, dz, DEFAULT_EPSILONS, 2.5e-7)]
-
-        default = [bits(res) for res in passes()]
-        monkeypatch.setattr(correlation, "_ORACLE_BLOCK", 1)
-        assert [bits(res) for res in passes()] == default
-
-    def test_reused_buffers_keep_nothing_between_passes(self, monkeypatch):
-        # every batch computes its block temporaries in buffers it
-        # allocates once and reuses; passes of other inner grids, with
-        # and without the mirror and at other block sizes, run before
-        # and between them, and each rung still equals its batch of one
-        from udwmi import correlation, response
-
-        spec = detector_from_accel_radius(0.1, 0.1, 1.0)
-        runs = [
-            lambda eps: correlation._correlation_passes(
-                pair(0.1, 1.0, sep=1.0, dz=0.5), eps, 1e-4, 32),
-            lambda eps: response._response_passes(spec, 0.1, eps, 1e-4),
-            lambda eps: correlation._correlation_passes(
-                pair(1.0, 1.0, sep=1.0, gap_b=0.3), eps, 1e-4, 48),
-            lambda eps: response._response_passes(spec, None, eps, 1e-4),
-        ]
-        alone = [[bits(run((eps,))[0]) for eps in DEFAULT_EPSILONS]
-                 for run in runs]
-        for block in (1, correlation._ORACLE_BLOCK):
-            monkeypatch.setattr(correlation, "_ORACLE_BLOCK", block)
-            for run, expected in zip(runs, alone):
-                assert [bits(res) for res in run(DEFAULT_EPSILONS)] == \
-                    expected
-
-    def test_pass_memory_is_bounded(self):
-        # one pass refines thousands of panels; as one (panels x 15) x 96
-        # complex array its temporaries peaked at 85 MiB. A batch of
-        # three rungs stays under the bound of one pass.
-        import tracemalloc
-
         from udwmi import correlation
 
+        def passes():
+            spec = detector_from_accel_radius(0.3, 0.1, 1.0)
+            return [bits(res) for args, contours in (
+                        pair_args(pair(1.0, 1.0, sep=1.0)),
+                        response_args(spec, 0.5))
+                    for res in _oracle_passes(*args, contours, 1e-5)]
+
+        default = passes()
+        monkeypatch.setattr(correlation, "_BLOCK", 1)
+        assert passes() == default
+
+    def test_pass_memory_is_bounded(self):
+        # the row blocks bound a round's temporaries whatever its panel
+        # count: the two passes peak at about 0.5 MiB here
+        import tracemalloc
+
         cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
+        args, contours = pair_args(cfg)
         tracemalloc.start()
         try:
-            correlation._correlation_passes(cfg, DEFAULT_EPSILONS, 1e-7, 96)
+            _oracle_passes(*args, contours, 1e-7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,22 +497,20 @@ class TestOracleRowBlocks:
 
 
 class TestRungBatch:
-    # the rungs of an oracle's epsilon ladder run as one lockstep batch
-    # and share each distinct abscissa's epsilon-independent factors;
-    # every rung keeps its own mesh, so it equals its batch of one
+    # the oracle's two contours, the rungs of its eta ladder, run as one
+    # lockstep batch; each keeps its own mesh, so it equals its batch of
+    # one
     @pytest.mark.parametrize("cfg", [
         pair(5.0, 0.02, sep=1.0, dz=0.1),      # mirror
         pair(1.0, 1.0, sep=1.0),               # free space
         pair(0.0, 1.0, sep=2.0, dz=0.5),       # static
     ])
     def test_correlation_rungs_equal_batches_of_one(self, cfg):
-        from udwmi import correlation
-
-        batch = correlation._correlation_passes(cfg, DEFAULT_EPSILONS,
-                                                1e-7, 96)
-        assert len(batch) == len(DEFAULT_EPSILONS)
-        for eps, res in zip(DEFAULT_EPSILONS, batch):
-            (alone,) = correlation._correlation_passes(cfg, (eps,), 1e-7, 96)
+        args, contours = pair_args(cfg)
+        batch = _oracle_passes(*args, contours, 1e-7)
+        assert len(batch) == 2
+        for contour, res in zip(contours, batch):
+            (alone,) = _oracle_passes(*args, [contour], 1e-7)
             assert bits(res) == bits(alone)
 
     @pytest.mark.parametrize("accel, radius, dz", [
@@ -577,51 +519,12 @@ class TestRungBatch:
         (0.0, 1.0, 0.5),       # static
     ])
     def test_response_rungs_equal_batches_of_one(self, accel, radius, dz):
-        from udwmi import response
-
-        spec = detector_from_accel_radius(0.1, accel, radius)
-        batch = response._response_passes(spec, dz, DEFAULT_EPSILONS, 2.5e-7)
-        assert len(batch) == len(DEFAULT_EPSILONS)
-        for eps, res in zip(DEFAULT_EPSILONS, batch):
-            (alone,) = response._response_passes(spec, dz, (eps,), 2.5e-7)
+        args, contours = response_args(
+            detector_from_accel_radius(0.1, accel, radius), dz)
+        batch = _oracle_passes(*args, contours, 2.5e-7)
+        for contour, res in zip(contours, batch, strict=True):
+            (alone,) = _oracle_passes(*args, [contour], 2.5e-7)
             assert bits(res) == bits(alone)
-
-
-class TestEpsilonLadder:
-    # the ladder both oracles share, driven by stub regulator passes
-    @staticmethod
-    def stub(values, errors):
-        return [QuadratureResult(v, e, 1, True)
-                for v, e in zip(values, errors)]
-
-    def test_monotone_ladder_returns_the_limit(self):
-        values = [1.0 + 2.0 * e + 300.0 * e * e for e in DEFAULT_EPSILONS]
-        passes = self.stub(values, [1e-9, 4e-9, 2e-9])
-        est = _epsilon_ladder(passes, tol=1e-6, extra_error=5e-10)
-        assert list(DEFAULT_EPSILONS) == sorted(DEFAULT_EPSILONS,
-                                                reverse=True)
-        ext = epsilon_extrapolate(zip(DEFAULT_EPSILONS, values))
-        assert est.monotone and ext.monotone
-        assert est.value == ext.value
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.error_estimate == 3.0 * ext.residual + 4e-9 + 5e-10
-        assert est.samples == tuple(zip(DEFAULT_EPSILONS,
-                                        map(complex, values)))
-        assert est.evaluations == len(DEFAULT_EPSILONS)
-
-    def test_non_monotone_ladder_far_above_tol_raises(self):
-        passes = self.stub([1.0, 1.001, 0.5], [1e-9] * 3)
-        assert not epsilon_extrapolate(
-            zip(DEFAULT_EPSILONS, [1.0, 1.001, 0.5])).monotone
-        with pytest.raises(RuntimeError, match="did not converge"):
-            _epsilon_ladder(passes, tol=1e-6)
-        # within 100 max(tol, pass error) the same ladder is reported
-        est = _epsilon_ladder(passes, tol=1e2)
-        assert not est.monotone
-
-    def test_one_pass_per_epsilon(self):
-        with pytest.raises(ValueError):
-            _epsilon_ladder(self.stub([1.0, 1.0], [1e-9] * 2), tol=1e-6)
 
 
 class TestPairValidation:

@@ -9,6 +9,7 @@ the correlation entry.
 """
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -352,6 +353,43 @@ class TestEndToEndPoint:
                          lambda: transition_probability(det, dz, tol),
                          lambda: correlation_equal(pair, tol)):
                 with pytest.raises(DomainError, match="tol must be positive"):
+                    call()
+
+    @pytest.mark.parametrize("entry", [
+        "mutual_information_point", "transition_probability",
+        "correlation_equal", "transition_probability_oracle_result",
+        "correlation_general_result", "SweepSpec"])
+    @pytest.mark.parametrize("tol", [1e-323, sys.float_info.min / 2.0])
+    def test_subnormal_tol_rejected(self, entry, tol):
+        # a budget split would round a subnormal tol to zero: every entry
+        # point rejects it with the one message of kinematics._require_tol,
+        # rotating and static detectors, with and without the mirror
+        import udwmi
+
+        for accel in (1.0, 0.0):
+            det = detector_from_accel_radius(0.1, accel, 1.0)
+            for dz in (None, 1.0):
+                pair = PairConfig(det_a=det, det_b=det, sep=1.0, dz=dz)
+                call = {
+                    "mutual_information_point":
+                        lambda: udwmi.mutual_information_point(pair, tol),
+                    "transition_probability":
+                        lambda: udwmi.transition_probability(det, dz, tol),
+                    "correlation_equal":
+                        lambda: udwmi.correlation_equal(pair, tol),
+                    "transition_probability_oracle_result":
+                        lambda: udwmi.transition_probability_oracle_result(
+                            det, dz, tol),
+                    "correlation_general_result":
+                        lambda: udwmi.correlation_general_result(pair, tol),
+                    "SweepSpec": lambda: udwmi.SweepSpec(
+                        axis=udwmi.SweepAxis(name="sep", start=1.0,
+                                             stop=2.0, points=2),
+                        dz=dz, tol=tol),
+                }[entry]
+                with pytest.raises(DomainError, match="tol must be positive "
+                                   "and finite, at least the smallest "
+                                   "normal float"):
                     call()
 
     def test_no_warning_in_perturbative_regime(self):

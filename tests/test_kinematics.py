@@ -88,6 +88,42 @@ class TestTrajectory:
         np.testing.assert_allclose(p.x**2 + p.y**2, det.radius**2, rtol=1e-12)
         np.testing.assert_allclose(p.t, det.gamma * tau, rtol=1e-15)
 
+    def test_real_tau_keeps_numpy_cos_and_sin(self):
+        # real tau, array or scalar, takes the real phase's np.cos and
+        # np.sin bit for bit
+        det = detector_from_accel_radius(0.1, 5.0, 0.02)
+        tau = np.linspace(-7.0, 7.0, 57)
+        phase = det.omega * det.gamma * tau
+        p = trajectory_point(det, 0.1, tau)
+        assert p.t.dtype == p.x.dtype == p.y.dtype == np.float64
+        assert np.array_equal(p.t, det.gamma * tau)
+        assert np.array_equal(p.x, det.radius * np.cos(phase))
+        assert np.array_equal(p.y, det.radius * np.sin(phase))
+        for k in (0, 13, 56):
+            q = trajectory_point(det, 0.1, float(tau[k]))
+            assert (q.t, q.x, q.y) == (p.t[k], p.x[k], p.y[k])
+        # integer arrays are taken as real
+        assert np.array_equal(trajectory_point(det, 0.1, np.arange(3)).x,
+                              trajectory_point(det, 0.1, np.arange(3.0)).x)
+
+    def test_complex_tau_continues_the_orbit(self):
+        # a complex array keeps its imaginary part, event by event as
+        # complex scalars do, and gives the analytic continuation
+        det = detector_from_accel_radius(0.1, 5.0, 0.02)
+        tau = np.linspace(-3.0, 3.0, 25) - 0.01j * np.arange(25)
+        p = trajectory_point(det, 0.1, tau)
+        assert p.x.dtype == np.complex128
+        for k, tau_k in enumerate(tau.tolist()):
+            q = trajectory_point(det, 0.1, tau_k)
+            assert (q.t, q.x, q.y) == (p.t[k], p.x[k], p.y[k])
+        phase = det.omega * det.gamma * tau
+        np.testing.assert_allclose(p.x, det.radius * np.cos(phase),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(p.y, det.radius * np.sin(phase),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(p.x ** 2 + p.y ** 2, det.radius ** 2,
+                                   rtol=1e-13)
+
     def test_static_detector_does_not_move(self):
         det = detector_from_accel_radius(0.1, 0.0, 1.0)
         p = trajectory_point(det, 0.7, 3.0)

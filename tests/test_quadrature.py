@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from udwmi import (
     DomainError,
-    epsilon_extrapolate,
     integrate_adaptive,
     principal_value_integral,
 )
@@ -287,34 +286,4 @@ class TestLinePoleIntegral:
         )
         assert np.isclose(r.value, plain.value.real, rtol=1e-10)
         assert abs(plain.value.imag) < 1e-15
-
-
-class TestEpsilonExtrapolate:
-    def test_linear_ladder(self):
-        samples = [(e, 3.5 + 2.0 * e) for e in (1e-3, 5e-4, 2.5e-4)]
-        ex = epsilon_extrapolate(samples)
-        assert np.isclose(ex.value.real, 3.5, atol=1e-12)
-        assert ex.monotone
-        assert ex.residual < 1e-10
-
-    def test_quadratic_ladder(self):
-        samples = [(e, 1.0 - 4.0 * e + 7.0 * e * e) for e in (1e-2, 5e-3, 2.5e-3)]
-        ex = epsilon_extrapolate(samples)
-        assert np.isclose(ex.value.real, 1.0, atol=1e-10)
-
-    def test_complex_values(self):
-        samples = [(e, (2.0 + 1j) + (0.5 - 0.25j) * e) for e in (1e-3, 5e-4, 2.5e-4)]
-        ex = epsilon_extrapolate(samples)
-        assert np.isclose(ex.value, 2.0 + 1j, atol=1e-11)
-
-    def test_residual_reflects_model_violation(self):
-        # a sqrt(epsilon) term is outside the polynomial model; the
-        # residual must not pretend otherwise
-        samples = [(e, 1.0 + np.sqrt(e)) for e in (1e-3, 5e-4, 2.5e-4)]
-        ex = epsilon_extrapolate(samples)
-        assert ex.residual > abs(ex.value - 1.0) * 0.05
-
-    def test_needs_three_samples(self):
-        with pytest.raises(DomainError):
-            epsilon_extrapolate([(1e-3, 1.0), (5e-4, 1.1)])
 

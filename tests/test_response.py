@@ -311,14 +311,18 @@ class TestFreeCalibration:
 
 
 class TestDefinitionOracle:
-    # the oracle integrates the defining double quadrature at three
-    # regulator values and extrapolates; it shares no code with the
+    # the oracle integrates the defining double quadrature on two
+    # shifted proper-time contours; it shares no code with the
     # closed-form path
     def test_boundary_point(self):
         est = transition_probability_oracle_result(det(5.0, 0.02), 0.1)
-        assert est.monotone
-        assert np.isclose(est.value, 0.049664916390010528, rtol=1e-4)
-        assert abs(est.value - 0.049664916390010528) <= 5 * est.error_estimate
+        (eta_1, p_1), (eta_2, p_2) = est.samples
+        assert 0.0 < eta_1 < eta_2 <= 0.1
+        # the value is the second contour's, and the two agree
+        assert est.value == p_2.real
+        assert abs(p_2 - p_1) <= est.error_estimate
+        assert np.isclose(est.value, 0.049664916390010528, rtol=1e-6)
+        assert abs(est.value - 0.049664916390010528) <= est.error_estimate
 
     def test_free_point(self):
         est = transition_probability_oracle_result(det(0.1, 10.0), None)

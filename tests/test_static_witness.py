@@ -35,11 +35,13 @@ import pytest
 from scipy.special import wofz
 
 from udwmi.correlation import (PairConfig, _line_params,
-                               _reduced_line_integral, correlation_equal)
+                               _reduced_line_integral, correlation_equal,
+                               correlation_general_result)
 from udwmi.infomeasure import (PerturbativeRegimeWarning,
                                mutual_information_point)
 from udwmi.kinematics import detector_from_accel_radius
-from udwmi.response import transition_probability
+from udwmi.response import (transition_probability,
+                            transition_probability_oracle_result)
 
 
 def static_line_integral(L, gamma, k):
@@ -69,17 +71,22 @@ def test_reduced_line_integral_matches_closed_form(gap, tol):
 
 
 def static_response(gap, dz):
+    """P of a static detector, without the mirror for dz = None."""
     inertial = (math.exp(-gap * gap)
                 - math.sqrt(math.pi) * gap * math.erfc(gap)) / (4.0 * math.pi)
+    if dz is None:
+        return inertial
     return inertial - static_line_integral(2.0 * dz, 1.0, gap) / (
         4.0 * math.pi ** 1.5)
 
 
 def static_correlation(gap_a, gap_b, sep, dz):
+    """C of a static pair, without the mirror for dz = None."""
     k = 0.5 * (gap_a + gap_b)
     pref = math.exp(-0.25 * (gap_b - gap_a) ** 2) / (4.0 * math.pi ** 1.5)
-    return pref * (static_line_integral(sep, 1.0, k)
-                   - static_line_integral(sep + 2.0 * dz, 1.0, k))
+    image = 0.0 if dz is None else static_line_integral(sep + 2.0 * dz,
+                                                        1.0, k)
+    return pref * (static_line_integral(sep, 1.0, k) - image)
 
 
 def eigen_mutual_information(p_a, p_b, c):
@@ -125,3 +132,26 @@ def test_static_pair_matches_closed_form(gap, ratio, dz):
         assert corr.c_total.imag == 0.0
         far += bool(resp_b.notes)
     assert far >= 1
+
+
+# the definition-level oracle takes a static detector too: its error
+# estimate must cover its distance from the closed form, for P and for
+# C, equal and detuned, with and without the mirror
+@pytest.mark.parametrize("gap, dz", [(0.1, 0.1), (1.0, 0.5), (3.0, 2.0),
+                                     (0.5, None)])
+def test_response_oracle_error_covers_closed_form(gap, dz):
+    det = detector_from_accel_radius(gap, 0.0, 1.0)
+    est = transition_probability_oracle_result(det, dz)
+    assert abs(est.value - static_response(gap, dz)) <= est.error_estimate
+
+
+@pytest.mark.parametrize("gap_a, gap_b, sep, dz", [
+    (0.1, 0.1, 0.1, 0.1), (1.0, 1.5, 1.0, 0.5), (0.1, 0.3, 3.0, None),
+    (3.0, 3.0, 1.0, None)])
+def test_correlation_oracle_error_covers_closed_form(gap_a, gap_b, sep, dz):
+    pair = PairConfig(det_a=detector_from_accel_radius(gap_a, 0.0, 1.0),
+                      det_b=detector_from_accel_radius(gap_b, 0.0, 1.0),
+                      sep=sep, dz=dz)
+    est = correlation_general_result(pair)
+    exact = static_correlation(gap_a, gap_b, sep, dz)
+    assert abs(est.value - exact) <= est.error_estimate

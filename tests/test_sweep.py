@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import udwmi
 from udwmi import correlation, infomeasure, response
-from udwmi.correlation import (DEFAULT_EPSILONS, PairConfig,
-                               _line_integral_args, _reduced_line_integrals,
+from udwmi.correlation import (PairConfig, _line_integral_args, _reduced_line_integrals,
                                correlation_equal)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                mutual_information_point)
@@ -835,6 +834,23 @@ class TestOracleSuite:
         assert rep["response"]["all_within_combined_err"]
         assert rep["correlation"]["all_within_combined_err"]
 
+    def test_corners_grid_passes(self):
+        # the corners of the presets: gamma = 20, the fast small orbit,
+        # gap 4 and detuned pairs, each with and without the mirror
+        grid = load_grid("oracle_corners")
+        points = grid["response_points"] + grid["correlation_points"]
+        gammas = {detector_from_accel_radius(0.1, p["accel"],
+                                             p["radius"]).gamma
+                  for p in points}
+        assert max(gammas) > 20.0
+        assert {p["gap_b"] for p in grid["correlation_points"]} >= {
+            0.3, 1.1, 1.6, 4.0}
+        assert {p["dz"] is None for p in points} == {True, False}
+        rep = run_oracle_suite(grid, workers=1)
+        assert rep["ok"]
+        assert rep["response"]["all_within_combined_err"]
+        assert rep["correlation"]["all_within_combined_err"]
+
     def test_deviation_records_are_complete(self, smoke_report):
         rec = smoke_report["response"]["points"][0]
         assert rec["params"]["accel"] == 5.0
@@ -845,38 +861,34 @@ class TestOracleSuite:
 
     def test_records_count_oracle_evaluations(self, smoke_report,
                                               monkeypatch):
-        # every regulated pass of a point's oracle, summed
-        rec = smoke_report["response"]["points"][0]
-        p = rec["params"]
-        spec = detector_from_accel_radius(p["gap"], p["accel"], p["radius"])
-        passes = response._response_passes(spec, p["dz"], DEFAULT_EPSILONS,
-                                           1e-6 / 4.0)
-        assert rec["oracle_evaluations"] == sum(r.evaluations
-                                                for r in passes)
-        # a correlation point whose grid check passes at once runs its
-        # rungs as one batch and one finer pass, and counts both
-        batch = correlation._correlation_passes
+        # both contour passes of a point's oracle, summed
+        batch = correlation._oracle_passes
+        calls = []
+
+        def counted(*args):
+            results = batch(*args)
+            calls.append(sum(r.evaluations for r in results))
+            return results
+
+        monkeypatch.setattr(correlation, "_oracle_passes", counted)
+        for rec in smoke_report["response"]["points"]:
+            p = rec["params"]
+            calls.clear()
+            response.transition_probability_oracle_result(
+                detector_from_accel_radius(p["gap"], p["accel"], p["radius"]),
+                p["dz"])
+            assert rec["oracle_evaluations"] == sum(calls) > 0
         for crec in smoke_report["correlation"]["points"]:
             p = crec["params"]
-            calls = []
-
-            def counted(cfg, epsilons, tol, n_u):
-                results = batch(cfg, epsilons, tol, n_u)
-                calls.append((tuple(epsilons), n_u,
-                              sum(r.evaluations for r in results)))
-                return results
-
-            monkeypatch.setattr(correlation, "_correlation_passes", counted)
+            calls.clear()
             correlation.correlation_general_result(PairConfig(
                 det_a=detector_from_accel_radius(p["gap_a"], p["accel"],
                                                  p["radius"]),
                 det_b=detector_from_accel_radius(p["gap_b"], p["accel"],
                                                  p["radius"]),
                 sep=p["sep"], dz=p["dz"]))
-            (rungs, n_u, _), (fine, n_fine, _) = calls
-            assert rungs == DEFAULT_EPSILONS
-            assert (fine, n_fine) == (DEFAULT_EPSILONS[:1], 2 * n_u)
-            assert crec["oracle_evaluations"] == sum(n for *_, n in calls)
+            assert len(calls) == 1
+            assert crec["oracle_evaluations"] == calls[0]
 
     def test_corrupted_response_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
@@ -894,7 +906,7 @@ class TestOracleSuite:
                                 0j, 0j, 0j, 0.0, True))
         monkeypatch.setattr(sweep_mod, "correlation_general_result",
                             lambda pair: correlation.OracleEstimate(
-                                0j, 0.0, (), True, 0))
+                                0j, 0.0, (), 0))
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
         assert rep["response"]["max_rel_dev"] > 5e-3
@@ -915,7 +927,7 @@ class TestOracleSuite:
                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True))
         monkeypatch.setattr(sweep_mod, "transition_probability_oracle_result",
                             lambda spec, dz: correlation.OracleEstimate(
-                                0.0, 0.0, (), True, 0))
+                                0.0, 0.0, (), 0))
         monkeypatch.setattr(sweep_mod, "correlation_equal", corrupted)
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
