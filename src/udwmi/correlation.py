@@ -17,10 +17,10 @@ independent routes:
   even, so the integral folds onto s >= 0 as one principal value at s0
   plus the closed-form half residues, and C comes out real. s0 is found
   by a monotone Newton iteration in plain floats (_line_pole). The line
-  integrals of a batch are the members of one principal_value_batch
-  call (_line_batch); a pole beyond the switching envelope lies outside
-  its member's range, which leaves the regular integral. The
-  direct part gives c_free, the image part c_boundary, and
+  integrals of a list are the members of one principal_value_batch
+  call (_reduced_line_integrals); a pole beyond the switching envelope
+  lies outside its member's range, which leaves the regular integral.
+  The direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
@@ -35,10 +35,11 @@ independent routes:
   wightman_boundary is taken at epsilon = 0, with no limit (_oracle).
   The response oracle of module response is the same routine: the
   response is the correlation of a detector with itself. eta comes
-  from the orbits (_contours); the passes at two values run as the
-  members of one lockstep batch, and their spread is the error. Rows
-  are evaluated in plain blocks of at most _BLOCK inner-grid elements,
-  both events through trajectory_point at complex proper time.
+  from the orbits (_contours); the passes at two values are the
+  members of one integrate_adaptive_batch call, and their spread is
+  the error. Rows are evaluated in plain blocks of at most _BLOCK
+  inner-grid elements, both events through trajectory_point at complex
+  proper time.
 """
 
 from __future__ import annotations
@@ -194,25 +195,8 @@ def _line_pole(L_eff: float, radius: float, omega: float,
         s = step
 
 
-# Line keys per lockstep batch. Memory grows with the batch (its first
-# round evaluates 240 abscissae per key), so a longer list runs as
-# several batches; every bundled preset fits in one. A serial 4000-point
-# onset curve (12001 keys) peaks at 108 MB RSS in batches of this size
-# and at 191 MB as one batch, about 9 kB more per key (x86-64 Linux,
-# NumPy 2.4).
-_LINE_BATCH = 1024
-
-
 def _reduced_line_integrals(keys) -> list:
     """Reduced line integrals of a list of argument tuples (L_eff, R,
-    omega, gamma, k, s_env, tol), as _line_batch computes them, in
-    lockstep batches of at most _LINE_BATCH keys."""
-    return [line for c in range(0, len(keys), _LINE_BATCH)
-            for line in _line_batch(keys[c:c + _LINE_BATCH])]
-
-
-def _line_batch(keys) -> list:
-    """Reduced line integrals of a batch of argument tuples (L_eff, R,
     omega, gamma, k, s_env, tol): each the distributional integral of
     exp(-s^2/(4 gamma^2) + i k s)/D(s) over the real line with
     D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
@@ -227,7 +211,8 @@ def _line_batch(keys) -> list:
 
     Every key whose pole was found is a member of one
     principal_value_batch call, g = 2 exp(-s^2/(4 gamma^2)) cos(k s)/q(s)
-    with q = D/(s - s0) factored, so each equals its batch of one. Its
+    with q = D/(s - s0) factored, so each equals its batch of one, and
+    the quadrature bounds the lockstep runs a long list takes. Its
     range is [0, max(s_env, sqrt(L_eff^2 + 4 R^2) + 2)], and the half
     residues are added; a pole far beyond the switching envelope
     (L_eff > s_env + 2) lies outside the range [0, s_env] of its regular
@@ -244,7 +229,7 @@ def _line_batch(keys) -> list:
         except Exception as exc:  # a member fails alone
             out[i] = exc
     L_eff, radius, omega, gamma, k, s_env, tol = np.array(
-        keys, dtype=float)[found].T
+        keys, dtype=float).reshape(-1, 7)[found].T
     s0 = np.array(poles)
     r_sq = radius * radius
     inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
@@ -430,7 +415,8 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                    tol: float) -> list[QuadratureResult]:
     """The defining double integral between det_a at height z_a and
     det_b at z_b, with the image term when mirror, once per (eta, n_u)
-    of contours, as the members of one lockstep batch, each to tol.
+    of contours, as the members of one integrate_adaptive_batch call,
+    each to tol.
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
@@ -475,7 +461,7 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     s_max = 2.0 * _U_CUT
     f_s = (abs(gap_a + gap_b) + det_a.omega * det_a.gamma
            + det_b.omega * det_b.gamma) / 2.0 + 1.0
-    n0 = min(int(0.25 * s_max * f_s) + 8, 4096)
+    n0 = int(0.25 * s_max * f_s) + 8
     return [_checked(res) for res in integrate_adaptive_batch(
         f, -s_max, s_max, [tol] * len(members), initial_panels=n0,
         max_panels=60000)]

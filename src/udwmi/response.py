@@ -19,7 +19,7 @@ keeps only the first and third: the detector's free-space response,
 which does not depend on dz, so transition_probability accepts it as
 free= and then adds only the image part. _free_responses evaluates the
 free-space responses of many detectors, their bounded terms as the
-members of lockstep batches, each on a mesh of its own; a single
+members of one batch, each on a mesh of its own; a single
 detector's is its batch of one. The image part is the image
 channel of the pair correlation for the pair (detector, detector) at
 zero separation: minus its prefactor times the folded line integral of
@@ -179,16 +179,6 @@ def _free_response(spec: CircularDetectorSpec,
     return _checked(res)
 
 
-# Initial panels per lockstep batch of bounded terms. A batch's first
-# round evaluates 15 abscissae per panel, and one detector starts on 8
-# to 4096 panels, so the members are taken in runs of at most this many
-# initial panels (a detector with more runs alone). The serial bench
-# presets pass (543 detectors, x86-64 Linux, NumPy 2.4) peaks at
-# 42.6 MiB RSS with this bound, at 42.9 MiB with every detector alone,
-# and at 45.0 and 45.1 MiB with runs of 4096 panels and as one batch.
-_FREE_BATCH_PANELS = 1024
-
-
 def _free_responses(keys) -> list:
     """The free-space breakdown of each (detector, tol) key, or the
     exception it raises (a tol that kinematics._require_tol rejects,
@@ -200,9 +190,9 @@ def _free_responses(keys) -> list:
     integrate_semiinfinite_batch; a static detector (v = 0) has none.
     Each rotating detector starts on about one GK15 panel per period of
     its fastest oscillation, cos(beta x) against sin^2 x, and the
-    detectors run as members of lockstep batches of at most
-    _FREE_BATCH_PANELS initial panels, each on a mesh of its own, so
-    every breakdown equals its batch of one."""
+    detectors are the members of one integrate_semiinfinite_batch call,
+    each on a mesh of its own, so every breakdown equals its batch of
+    one; the quadrature bounds the lockstep runs they take."""
     results: list = [None] * len(keys)
     moving = []
     for i, (spec, tol) in enumerate(keys):
@@ -221,31 +211,23 @@ def _free_responses(keys) -> list:
         beta = 2.0 * spec.energy_gap / (gamma * om)
         tol_x = tol / 4.0 / max(k_bounded, 1e-300)
         x_max = gaussian_truncation_point(alpha, tol_x)
-        n0 = min(int(x_max * (abs(beta) + 2.0) / (2.0 * math.pi)) + 8, 4096)
+        n0 = int(x_max * (abs(beta) + 2.0) / (2.0 * math.pi)) + 8
         moving.append((i, k_bounded, alpha, beta, v * v, tol_x, n0))
+    if not moving:
+        return results
+    idx, k_bounded, alpha, beta, v_sq, tol_x, n0 = (
+        np.array(col) for col in zip(*moving))
 
-    runs: list[list] = []
-    panels = _FREE_BATCH_PANELS
-    for member in moving:
-        if panels + member[-1] > _FREE_BATCH_PANELS:
-            runs.append([])
-            panels = 0
-        runs[-1].append(member)
-        panels += member[-1]
-    for run in runs:
-        idx, k_bounded, alpha, beta, v_sq, tol_x, n0 = (
-            np.array(col) for col in zip(*run))
+    def f_bounded(x, owner):
+        return (np.exp(-alpha[owner] * x * x) * np.cos(beta[owner] * x)
+                * _bounded_kernel(x, v_sq[owner]))
 
-        def f_bounded(x, owner, alpha=alpha, beta=beta, v_sq=v_sq):
-            return (np.exp(-alpha[owner] * x * x) * np.cos(beta[owner] * x)
-                    * _bounded_kernel(x, v_sq[owner]))
-
-        batch = integrate_semiinfinite_batch(f_bounded, alpha, tol_x,
-                                             initial_panels=n0)
-        for i, k, res in zip(idx.tolist(), k_bounded.tolist(), batch):
-            results[i] = res if isinstance(res, Exception) else _breakdown(
-                keys[i][0], k * res.value, k * res.abs_error_estimate,
-                res.converged)
+    batch = integrate_semiinfinite_batch(f_bounded, alpha, tol_x,
+                                         initial_panels=n0)
+    for i, k, res in zip(idx.tolist(), k_bounded.tolist(), batch):
+        results[i] = res if isinstance(res, Exception) else _breakdown(
+            keys[i][0], k * res.value, k * res.abs_error_estimate,
+            res.converged)
     return results
 
 

@@ -10,9 +10,9 @@ evaluator of pair points, to their distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
 transition probabilities, and run in two batch stages and one row pass.
 First the free-space responses and then the line integrals refine in
-lockstep, as vectorized batches, serially or in chunks on a process
-pool, each member on a mesh of its own, so no value depends on its
-batch. Then infomeasure._point_terms makes each row's terms in order
+lockstep, in the quadrature's bounded runs, serially or as jobs on a
+process pool, each member on a mesh of its own, so no value depends on
+its batch. Then infomeasure._point_terms makes each row's terms in order
 in the calling process, each mirror P the first time a row needs it,
 and mutual_information_point assembles the row. Output order is fixed
 by (curve, axis index) so files are byte-identical whatever the worker
@@ -318,7 +318,8 @@ def _evaluate_batch(batch, keys: list[tuple]) -> list:
 def _batch_jobs(batch, keys: list, workers: int) -> list[tuple]:
     """(batch, keys) arguments of _evaluate_batch: all keys as one job,
     or on a pool of workers jobs of about a quarter of a worker's
-    share. The batch function bounds the batches it runs itself."""
+    share. quadrature.integrate_adaptive_batch bounds the lockstep runs
+    a job takes."""
     size = max(len(keys) if workers == 1 else len(keys) // (4 * workers), 1)
     return [(batch, keys[c:c + size]) for c in range(0, len(keys), size)]
 
@@ -345,12 +346,15 @@ def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
 
 
 def _resolve_workers(requested: int | None) -> int:
-    """requested, or the CPUs this process may use (so a cpuset or
-    taskset limit holds), at most 8."""
+    """requested, an integral number >= 1 and not a bool, or the CPUs
+    this process may use (so a cpuset or taskset limit holds), at most
+    8."""
     if requested is not None:
-        if requested < 1:
-            raise DomainError(f"workers must be >= 1, got {requested}")
-        return requested
+        if isinstance(requested, bool) or not isinstance(
+                requested, numbers.Integral) or requested < 1:
+            raise DomainError(f"workers must be an integer >= 1, "
+                              f"got {requested!r}")
+        return int(requested)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -375,10 +379,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     The pairs are lowered by infomeasure._plan_points, so each distinct
     free-space response, line integral and mirror transition probability
     of the sweep is evaluated once. The free-space responses and then
-    the line integrals run first, as lockstep batches, serially or on a
-    pool of workers in chunks. infomeasure._point_terms then makes the
-    rows' terms in order in this process, each mirror P the first time
-    a row needs it, and each row is assembled by
+    the line integrals run first, as lockstep batches, serially as one
+    job each or on a pool of workers as several (_batch_jobs).
+    infomeasure._point_terms then makes the rows' terms in order in
+    this process, each mirror P the first time a row needs it, and each
+    row is assembled by
     mutual_information_point with its PerturbativeRegimeWarning
     silenced: its status carries the perturbative tag instead."""
     workers = _resolve_workers(workers)

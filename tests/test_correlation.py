@@ -273,6 +273,28 @@ class TestLineIntegralBatch:
         assert [getattr(r, "far_pole", None) for r in lines] == \
             [False, False, True, False, True, None, None]
 
+    def test_batch_memory_is_bounded(self):
+        # the 1201 line keys of a 400-point criterion-7 style sep curve
+        # (a = 3.7, R = 0.02, dz = 5): as one lockstep batch their first
+        # round peaked at about 12 MiB traced, in the quadrature's runs
+        # of at most _RUN_PANELS initial panels at about 2 MiB
+        import tracemalloc
+
+        from udwmi.infomeasure import _plan_points
+
+        det = detector_from_accel_radius(0.1, 3.7, 0.02)
+        pairs = [PairConfig(det, det, sep, 5.0)
+                 for sep in np.linspace(0.1, 8.0, 400)]
+        keys = _plan_points(pairs, 1e-8)[2]
+        assert len(keys) == 1201
+        tracemalloc.start()
+        try:
+            _reduced_line_integrals(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 def mp_pole(L_eff, radius, omega):
     """The positive zero of D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) -

@@ -18,6 +18,15 @@ from udwmi.quadrature import (gaussian_truncation_point, integrate_adaptive_batc
 # significant digits and frozen here.
 
 
+def result_bits(res):
+    """Every field of a batch member's result, floats as exact hex; an
+    exception as its type and message."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations,
+            res.converged)
+
+
 class TestAdaptive:
     def test_half_gaussian(self):
         r = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, 30.0, tol=1e-12)
@@ -86,24 +95,63 @@ class TestAdaptive:
         def f(x, owner):
             return np.cos(freq[owner] * x) * np.exp(-0.1 * x * x)
 
-        def bits(res):
-            if isinstance(res, Exception):
-                return type(res).__name__, str(res)
-            return (res.value.hex(), res.abs_error_estimate.hex(),
-                    res.evaluations, res.converged)
-
         batch = integrate_adaptive_batch(f, lo, hi, tol,
                                          initial_panels=panels)
         alone = [integrate_adaptive_batch(
             lambda x, owner, i=i: f(x, owner + i), lo[i], hi[i], tol[i],
             initial_panels=panels[i])[0] for i in range(len(lo))]
-        assert [bits(r) for r in batch] == [bits(r) for r in alone]
+        assert [result_bits(r) for r in batch] == \
+            [result_bits(r) for r in alone]
         assert isinstance(batch[4], DomainError)
         # each member started on its own panels: 15 evaluations each
         assert batch[0].evaluations % 15 == 0
         assert batch[2].evaluations >= 15 * 37
         assert batch[3].evaluations == 15 * 4
         assert batch[6].evaluations == 15 * 8 and not batch[6].converged
+
+    def test_long_batch_runs_in_bounded_runs(self, monkeypatch):
+        # members are taken in order in runs of at most _RUN_PANELS
+        # initial panels (a member with more runs alone), f sees the
+        # caller's owner indices, and each member equals its batch of
+        # one; initial panels are capped at _MAX_INITIAL_PANELS
+        from udwmi import quadrature
+
+        assert (quadrature._RUN_PANELS, quadrature._MAX_INITIAL_PANELS) == \
+            (1024, 4096)
+        panels = [300, 400, 8, 300, 2000, 100, 8, 5000]
+        freq = np.array([0.5, 3.0, 1.0, 20.0, 1.0, 7.0, 2.0, 4.0])
+        lo = [0.0, -1.0, 1.0, 0.0, 0.0, 2.0, 0.5, 0.0]
+        hi = [5.0, 4.0, 1.0, 9.0, 5.0, 3.0, 30.0, 6.0]   # member 2 is empty
+        runs, seen = [], []
+        lockstep = quadrature._lockstep
+
+        def recorded_run(f, lo, hi, tol, counts, members, max_panels):
+            runs.append(members.tolist())
+            return lockstep(f, lo, hi, tol, counts, members, max_panels)
+
+        def f(x, owner):
+            seen.append(set(np.unique(owner).tolist()))
+            return np.cos(freq[owner] * x) * np.exp(-0.1 * x * x)
+
+        monkeypatch.setattr(quadrature, "_lockstep", recorded_run)
+        batch = integrate_adaptive_batch(f, lo, hi, 1e-10,
+                                         initial_panels=panels)
+        assert runs == [[0, 1, 3], [4], [5, 6], [7]]
+        assert all(any(owners <= set(run) for run in runs)
+                   for owners in seen)
+        assert set().union(*seen) == {0, 1, 3, 4, 5, 6, 7}
+        assert isinstance(batch[2], DomainError)
+        assert batch[7].evaluations >= 15 * 4096
+
+        alone = [integrate_adaptive_batch(
+            lambda x, owner, i=i: f(x, owner + i), lo[i], hi[i], 1e-10,
+            initial_panels=panels[i])[0] for i in range(len(lo))]
+        assert [result_bits(r) for r in batch] == \
+            [result_bits(r) for r in alone]
+        capped = integrate_adaptive_batch(
+            lambda x, owner: f(x, owner + 7), lo[7], hi[7], 1e-10,
+            initial_panels=4096)[0]
+        assert result_bits(capped) == result_bits(batch[7])
 
     def test_complex_integrand(self):
         r = integrate_adaptive(

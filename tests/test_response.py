@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from udwmi import response
+from udwmi import quadrature, response
 
 from udwmi import (
     DomainError,
@@ -241,20 +241,28 @@ class TestFreeBatch:
     @pytest.mark.parametrize("bound", [None, 10 ** 6])
     def test_members_equal_batches_of_one(self, monkeypatch, bound):
         if bound is not None:
-            monkeypatch.setattr(response, "_FREE_BATCH_PANELS", bound)
+            monkeypatch.setattr(quadrature, "_RUN_PANELS", bound)
+        runs = []
+        lockstep = quadrature._lockstep
+
+        def recorded_run(f, lo, hi, tol, counts, members, max_panels):
+            runs.append(len(members))
+            return lockstep(f, lo, hi, tol, counts, members, max_panels)
+
+        monkeypatch.setattr(quadrature, "_lockstep", recorded_run)
         calls = record_bounded(monkeypatch)
         batch = response._free_responses(self.KEYS)
         members = [m for call in calls for m in call]
-        # every rotating detector with a valid tol is a member, on
-        # initial panels of its own
-        assert len(members) == 6
+        # every rotating detector with a valid tol is a member of one
+        # batch, on initial panels of its own
+        assert len(calls) == 1 and len(members) == 6
         assert len({n for _, n, _ in members}) == 6
         if bound is None:
-            # runs of at most _FREE_BATCH_PANELS initial panels; the
-            # 3516-panel detector runs alone
-            assert [len(call) for call in calls] == [5, 1]
+            # the quadrature takes runs of at most _RUN_PANELS initial
+            # panels; the 3516-panel detector runs alone
+            assert runs == [5, 1]
         else:
-            assert len(calls) == 1
+            assert runs == [6]
         calls.clear()
         alone = [response._free_responses([key])[0] for key in self.KEYS]
         assert [m for call in calls for m in call] == members
@@ -268,8 +276,9 @@ class TestFreeBatch:
 
     def test_batch_memory_is_bounded(self):
         # 144 rotating detectors, 8 to 566 initial panels each: as one
-        # batch their first round peaked at about 12 MiB traced, in runs
-        # of at most _FREE_BATCH_PANELS initial panels at about 2 MiB
+        # batch their first round peaked at about 12 MiB traced, in the
+        # quadrature's runs of at most _RUN_PANELS initial panels at
+        # about 2 MiB
         import tracemalloc
 
         keys = [(det(a, r, gap), 1e-8) for a in np.geomspace(1.0, 300.0, 8)

@@ -342,6 +342,14 @@ class TestRunSweep:
     def test_worker_validation(self):
         with pytest.raises(DomainError):
             run_sweep(cheap_spec(), workers=0)
+        assert len(run_sweep(cheap_spec(), workers=np.int64(1))) == 4
+
+    @pytest.mark.parametrize("workers", [2.0, 1.5, True, "2"])
+    def test_non_integral_workers_rejected(self, workers):
+        # a float, a bool or a string is not a worker count, even where
+        # its value is a whole number
+        with pytest.raises(DomainError, match="workers must be an integer"):
+            run_sweep(cheap_spec(), workers=workers)
 
     def test_default_is_serial_on_any_cpu_count(self, monkeypatch):
         # a sweep runs serially unless asked for workers: a process
@@ -500,28 +508,22 @@ class TestPlanner:
 
     def test_line_integrals_run_as_one_batch(self, monkeypatch):
         # a serial criterion-7 style curve hands all its line integrals
-        # to one lockstep batch: P_A's image line, then P_B's image line
-        # and C's direct and image lines of every row
+        # to one principal_value_batch call: P_A's image line, then P_B's
+        # image line and C's direct and image lines of every row
         batches = []
-        line_batch = correlation._line_batch
+        pv_batch = correlation.principal_value_batch
 
-        def counted_lines(keys):
-            batches.append(len(keys))
-            return line_batch(keys)
+        def counted(g, pole, lo, hi, tol):
+            batches.append(len(pole))
+            return pv_batch(g, pole, lo, hi, tol)
 
-        monkeypatch.setattr(correlation, "_line_batch", counted_lines)
+        monkeypatch.setattr(correlation, "principal_value_batch", counted)
         spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,
                                         points=240),
                          gap_a=0.1, accel=3.7, radius=0.02, dz=5.0)
         rows = run_sweep(spec, workers=1)
         assert len(rows) == 240
         assert batches == [1 + 3 * 240]
-        # a longer list of keys runs as several bounded batches, with the
-        # same rows
-        batches.clear()
-        monkeypatch.setattr(correlation, "_LINE_BATCH", 300)
-        assert run_sweep(spec, workers=1) == rows
-        assert batches == [300, 300, 121]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_free_response_fails_its_rows(self, monkeypatch, workers):
@@ -825,6 +827,11 @@ class TestConfigLoading:
 
 
 class TestOracleSuite:
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    def test_non_integral_workers_rejected(self, workers):
+        with pytest.raises(DomainError, match="workers must be an integer"):
+            run_oracle_suite("oracle_grid_smoke", workers=workers)
+
     def test_smoke_grid_passes(self, smoke_report):
         rep = smoke_report
         assert rep["ok"]

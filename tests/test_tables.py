@@ -1,0 +1,66 @@
+"""The diff logic of tools/tables.py on small synthetic tables."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "tables.py"
+_SPEC = importlib.util.spec_from_file_location("tables", _PATH)
+tables = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tables)
+
+OLD = """sep,P_A,I,status
+0.1,0.5,0.01,ok
+0.2,0.5,nan,fail:DomainError:p_a + p_b = 1.2 exceeds 1
+0.3,0.5,0.03,warn:perturbative
+"""
+NEW = """sep,P_A,I,status
+0.1,0.5,0.0125,ok
+0.2,0.5,0.02,warn:perturbative
+0.3,0.5,0.03,warn:perturbative;tolerance
+"""
+
+
+def test_identical_tables_have_no_differences():
+    d = tables.diff_file("t.csv", OLD, OLD)
+    assert d["classes"] == [] and d["text_changes"] == 0
+    assert all(delta == 0.0 for delta, _ in d["largest"].values())
+    assert tables.report("t.csv", OLD, OLD) == ["t.csv: byte-identical"]
+
+
+def test_largest_change_per_column_and_class_changes():
+    d = tables.diff_file("t.csv", OLD, NEW)
+    # NaN on one side only is an infinite change, and it is the largest
+    assert d["largest"]["I"] == (math.inf, "1")
+    assert d["largest"]["P_A"] == (0.0, "0")
+    assert d["largest"]["sep"] == (0.0, "0")
+    assert d["classes"] == [("status", "1", "fail", "warn")]
+    # warn:perturbative -> warn:perturbative;tolerance keeps its class
+    assert d["text_changes"] == 1
+    assert tables.report("t.csv", OLD, NEW) == [
+        "t.csv: differs",
+        "  I: max |delta| inf at row 1",
+        "  status row 1: class fail -> warn",
+        "  1 other text cells changed",
+    ]
+    # without the NaN row the largest finite change is found, with its row
+    finite = tables.diff_file("t.csv", OLD.replace("nan", "0.02"), NEW)
+    assert finite["largest"]["I"] == (0.0125 - 0.01, "0")
+
+
+def test_reports_diff_by_point():
+    old = {"ok": True, "rel_tol": 1e-3,
+           "response": {"points": [{"value": 1.0, "c": [0.5, 0.0]},
+                                   {"value": 2.0, "c": [0.25, 0.0]},
+                                   {"value": 3.0, "c": [0.0, 0.0]}]}}
+    new = json.loads(json.dumps(old))
+    new["ok"] = False
+    new["response"]["points"][2]["value"] = 3.5
+    new["response"]["points"][1]["c"][1] = 1e-17
+    d = tables.diff_file("r.json", json.dumps(old), json.dumps(new))
+    assert d["largest"]["response.points[].value"] == (0.5, "2")
+    assert d["largest"]["response.points[].c[1]"] == (1e-17, "1")
+    assert d["largest"]["rel_tol"] == (0.0, "-")
+    assert d["classes"] == [("ok", "-", "true", "false")]
+    assert tables.report("r.json", None, "{}") == ["r.json: missing in old"]

@@ -1,0 +1,215 @@
+"""Compare the tables and oracle reports of two versions of udwmi.
+
+    python tools/tables.py OLD NEW [--workers N] [--out DIR]
+
+OLD and NEW are git revisions of this repository, each extracted fresh
+with git archive. Each version writes, in a process of its own, the CSV
+table of every fig* preset (udwmi sweep) and the reports of the
+oracle_grid, oracle_corners and oracle_grid_smoke grids (udwmi verify),
+all at the given worker count, into DIR/old and DIR/new (a temporary
+directory unless --out is given).
+
+For each file the report says whether it is byte-identical. For a file
+that is not, it lists the largest |new - old| of each numeric column
+and the row where it occurs, the rows whose ok/warn/fail class changed
+(the text of a cell before its first ':'; true/false for a flag), and
+how many other text cells changed. A report's column is the path of a
+JSON leaf; its row is the index of the point the leaf belongs to. The
+exit status is 0 when every file is byte-identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+ORACLE_GRIDS = ("oracle_grid", "oracle_corners", "oracle_grid_smoke")
+
+# run inside each version, with that version's src first on the path
+_WRITE_OUTPUTS = """
+import sys
+from pathlib import Path
+from udwmi import cli
+src, out, workers = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+for config in sorted((src / "udwmi" / "presets").glob("fig*.json")):
+    cli.main(["sweep", "--config", config.stem, "--workers", workers,
+              "--out", str(out / (config.stem + ".csv"))])
+for grid in sys.argv[4:]:
+    cli.main(["verify", "--grid", grid, "--workers", workers,
+              "--out", str(out / (grid + ".json"))])
+"""
+
+
+def checkout(revision: str, dest: Path) -> Path:
+    """dest, holding a fresh git archive of revision."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision],
+                             cwd=REPO, check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest
+
+
+def write_outputs(tree: Path, out: Path, workers: int) -> None:
+    """The fig* tables and oracle reports of the checkout tree, in out."""
+    out.mkdir(parents=True)
+    src = tree / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRITE_OUTPUTS, str(src), str(out),
+         str(workers), *ORACLE_GRIDS],
+        cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: writing the outputs failed\n{proc.stderr}")
+
+
+def csv_columns(text: str) -> dict[str, dict[str, str]]:
+    """Each column of a CSV table as {row number: cell}."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return {name: {str(i): row[name] for i, row in enumerate(rows)}
+            for name in (rows[0] if rows else {})}
+
+
+def json_columns(text: str) -> dict[str, dict[str, object]]:
+    """Each leaf path of a JSON report as {row: value}: the first list
+    index on the path is the row ('-' outside any list), and later
+    indices stay in the path."""
+    columns: dict[str, dict[str, object]] = {}
+
+    def walk(node, path, row):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else key, row)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                if row == "-":
+                    walk(value, f"{path}[]", str(i))
+                else:
+                    walk(value, f"{path}[{i}]", row)
+        else:
+            columns.setdefault(path, {})[row] = node
+
+    walk(json.loads(text), "", "-")
+    return columns
+
+
+def _number(value) -> float | None:
+    """value as a float, or None for text, a flag or null."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "null" if value is None else str(value)
+
+
+def diff_columns(old: dict, new: dict) -> dict:
+    """The differences of two files' columns: for each numeric column
+    its largest |new - old| and the row of it (inf where one side is
+    NaN or missing), the (column, row, old class, new class) of each
+    class change, and the count of other changed text cells."""
+    largest: dict[str, tuple[float, str]] = {}
+    classes, text_changes = [], 0
+    for name in sorted(old.keys() | new.keys()):
+        a_col, b_col = old.get(name, {}), new.get(name, {})
+        for row in sorted(a_col.keys() | b_col.keys(), key=_row_order):
+            a, b = a_col.get(row), b_col.get(row)
+            x, y = _number(a), _number(b)
+            if x is not None and y is not None:
+                delta = (0.0 if math.isnan(x) and math.isnan(y)
+                         else abs(y - x))
+                if math.isnan(delta):  # NaN on one side only
+                    delta = math.inf
+            elif row not in a_col or row not in b_col:
+                delta = math.inf
+            else:
+                delta = None
+                ta, tb = _text(a), _text(b)
+                ca, cb = ta.split(":", 1)[0], tb.split(":", 1)[0]
+                if ca != cb:
+                    classes.append((name, row, ca, cb))
+                elif ta != tb:
+                    text_changes += 1
+            if delta is not None and (name not in largest
+                                      or delta > largest[name][0]):
+                largest[name] = (delta, row)
+    return {"largest": largest, "classes": classes,
+            "text_changes": text_changes}
+
+
+def _row_order(row: str):
+    return (0, int(row)) if row.isdigit() else (1, row)
+
+
+def diff_file(name: str, old_text: str, new_text: str) -> dict:
+    """diff_columns of two versions of one table (.csv) or report."""
+    columns = csv_columns if name.endswith(".csv") else json_columns
+    return diff_columns(columns(old_text), columns(new_text))
+
+
+def report(name: str, old_text: str | None, new_text: str | None) -> list[str]:
+    """The report lines of one file: one line when it is identical or
+    missing on one side, else the changed columns and classes too."""
+    if old_text is None or new_text is None:
+        side = "old" if old_text is None else "new"
+        return [f"{name}: missing in {side}"]
+    if old_text == new_text:
+        return [f"{name}: byte-identical"]
+    d = diff_file(name, old_text, new_text)
+    lines = [f"{name}: differs"]
+    for column, (delta, row) in d["largest"].items():
+        if delta > 0.0:
+            lines.append(f"  {column}: max |delta| {delta:.3g} at row {row}")
+    for column, row, a, b in d["classes"]:
+        lines.append(f"  {column} row {row}: class {a} -> {b}")
+    if d["text_changes"]:
+        lines.append(f"  {d['text_changes']} other text cells changed")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="git revision")
+    parser.add_argument("new", help="git revision")
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--out", default=None,
+                        help="keep the outputs here (default: a temporary "
+                             "directory)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out) if args.out else Path(scratch) / "out"
+        for label, revision in (("old", args.old), ("new", args.new)):
+            tree = checkout(revision, Path(scratch) / label)
+            write_outputs(tree, out / label, args.workers)
+        names = sorted({p.name for side in ("old", "new")
+                        for p in (out / side).iterdir()})
+        identical = 0
+        for name in names:
+            texts = [(out / side / name).read_text()
+                     if (out / side / name).exists() else None
+                     for side in ("old", "new")]
+            identical += texts[0] is not None and texts[0] == texts[1]
+            print("\n".join(report(name, *texts)))
+    print(f"{identical} of {len(names)} files byte-identical "
+          f"(workers {args.workers})")
+    return 0 if identical == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
