@@ -32,7 +32,7 @@ independent routes:
   Leinaas, Nucl. Phys. B 212, 131 (1983)). So instead of a regulator
   epsilon, the proper-time difference is moved off the real axis by a
   finite eta, tau_A - tau_B = s - i eta, and wightman_free or
-  wightman_boundary is taken at epsilon = 0, with no limit (_oracle).
+  wightman_boundary, unregulated, is taken there with no limit (_oracle).
   The response oracle of module response is the same routine: the
   response is the correlation of a detector with itself. eta comes
   from the orbits (_contours); the passes at two values are the
@@ -68,24 +68,21 @@ __all__ = [
 _TWO_PI_SQ = 4.0 * math.pi * math.pi
 
 
-def wightman_free(p1: SpacetimePoint, p2: SpacetimePoint,
-                  epsilon: float) -> complex | np.ndarray:
-    """Free massless scalar Wightman function W(p1, p2), regulated by
-    epsilon >= 0 in the time difference. Fields may be arrays, and
-    complex: epsilon = 0 gives the unregulated function, which the
-    oracles evaluate at complex events, off the real singularities."""
-    dt = p1.t - p2.t
-    q = (dt - 1j * epsilon) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
+def wightman_free(p1: SpacetimePoint,
+                  p2: SpacetimePoint) -> complex | np.ndarray:
+    """Free massless scalar Wightman function W(p1, p2), unregulated.
+    Fields may be arrays, and complex: the oracles evaluate it at complex
+    events, off the real singularities."""
+    q = (p1.t - p2.t) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
     return -1.0 / (_TWO_PI_SQ * (q - (p1.z - p2.z) ** 2))
 
 
-def wightman_boundary(p1: SpacetimePoint, p2: SpacetimePoint,
-                      epsilon: float) -> complex | np.ndarray:
+def wightman_boundary(p1: SpacetimePoint,
+                      p2: SpacetimePoint) -> complex | np.ndarray:
     """Wightman function with a Dirichlet plane at z = 0: the free part
-    minus the image of the second point, regulated by epsilon >= 0 as
-    wightman_free is."""
-    dt = p1.t - p2.t
-    q = (dt - 1j * epsilon) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
+    minus the image of the second point, unregulated as wightman_free
+    is."""
+    q = (p1.t - p2.t) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
     direct = 1.0 / (q - (p1.z - p2.z) ** 2)
     image = 1.0 / (q - (p1.z + p2.z) ** 2)
     return -(direct - image) / _TWO_PI_SQ
@@ -420,8 +417,8 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
-    gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the Wightman
-    function at epsilon = 0 of the events at tau_A and tau_B. The inner
+    gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the unregulated
+    Wightman function of the events at tau_A and tau_B. The inner
     u integral is a composite Gauss-Legendre grid of about n_u nodes,
     the outer s integral adaptive GK15. The factors that depend on u
     alone or on s alone are column weights and a row factor. Rows are
@@ -439,7 +436,7 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
         ds = s - 1j * eta
         half = 0.5 * ds[:, None]
         w = wightman(trajectory_point(det_a, z_a, u + half),
-                     trajectory_point(det_b, z_b, u - half), 0.0)
+                     trajectory_point(det_b, z_b, u - half))
         # einsum, not BLAS: no native thread pool under the process pool
         return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
                 * np.einsum("ij,j->i", w, weights))

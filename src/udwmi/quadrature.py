@@ -273,7 +273,6 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
 
 
 def integrate_adaptive(f, lo: float, hi: float, tol: float, *,
-                       max_panels: int = 20000,
                        initial_panels: int = 8) -> QuadratureResult:
     """Globally adaptive GK15 quadrature of a vectorized integrand: the
     batch of one of integrate_adaptive_batch.
@@ -282,7 +281,7 @@ def integrate_adaptive(f, lo: float, hi: float, tol: float, *,
     values. tol is an absolute tolerance on the integral."""
     (res,) = integrate_adaptive_batch(
         lambda x, _: np.reshape(f(x.ravel()), x.shape), lo, hi, tol,
-        max_panels=max_panels, initial_panels=initial_panels)
+        initial_panels=initial_panels)
     return _checked(res)
 
 

@@ -629,10 +629,12 @@ def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
 
 
 def count_interior_maxima(values, prominence_rel: float = 1e-4) -> int:
-    """Number of interior local maxima with prominence above
-    prominence_rel times the curve maximum. Endpoints never count."""
-    from scipy.signal import find_peaks
-
+    """Number of interior local maxima whose prominence is at least
+    prominence_rel times max |values|: the count of
+    scipy.signal.find_peaks with that prominence. A flat top counts once,
+    and never when it touches an end. A peak's prominence is its height
+    above the higher of the lowest points on each side before the curve
+    rises strictly above it or ends."""
     y = np.asarray(values, dtype=float)
     if y.ndim != 1 or y.size < 3:
         raise DomainError("need a 1-D curve with at least 3 samples")
@@ -641,5 +643,17 @@ def count_interior_maxima(values, prominence_rel: float = 1e-4) -> int:
     scale = float(np.max(np.abs(y)))
     if scale == 0.0:
         return 0
-    peaks, _ = find_peaks(y, prominence=prominence_rel * scale)
-    return int(len(peaks))
+    # runs of equal samples; a peak is an interior run above both neighbours
+    starts = np.flatnonzero(np.diff(y, prepend=np.nan))
+    level = y[starts]
+    tops = np.flatnonzero((level[1:-1] > level[:-2])
+                          & (level[1:-1] > level[2:])) + 1
+    count = 0
+    for top in starts[tops]:
+        higher = np.flatnonzero(y > y[top])
+        k = np.searchsorted(higher, top)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < higher.size else y.size
+        base = max(y[lo:top + 1].min(), y[top:hi].min())
+        count += bool(y[top] - base >= prominence_rel * scale)
+    return count

@@ -34,30 +34,37 @@ def pair(accel, radius, sep, dz=None, gap_a=0.1, gap_b=0.1):
 
 
 class TestWightman:
+    # events at complex proper times, where the oracles evaluate them
+    TAU_1, TAU_2 = 0.7 - 0.3j, -0.2 + 0.1j
+
     def test_free_hermiticity(self):
+        # W(p1, p2) = conj(W(p2*, p1*)), p* the event at the conjugate tau
         d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p1 = trajectory_point(d, 0.3, 0.7)
-        p2 = trajectory_point(d, 1.1, -0.2)
-        w12 = wightman_free(p1, p2, 1e-3)
-        w21 = wightman_free(p2, p1, 1e-3)
-        assert np.isclose(w12, np.conj(w21), rtol=1e-12)
+        tau_1, tau_2 = self.TAU_1, self.TAU_2
+        p1, p2 = (trajectory_point(d, 0.3, tau_1),
+                  trajectory_point(d, 1.1, tau_2))
+        p1c, p2c = (trajectory_point(d, 0.3, tau_1.conjugate()),
+                    trajectory_point(d, 1.1, tau_2.conjugate()))
+        w12 = wightman_free(p1, p2)
+        assert np.isclose(w12, np.conj(wightman_free(p2c, p1c)), rtol=1e-12)
+        assert abs(w12.imag) > 1e-3 * abs(w12)
 
     def test_boundary_is_free_minus_image(self):
         d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p1 = trajectory_point(d, 0.3, 0.7)
-        p2 = trajectory_point(d, 1.1, -0.2)
+        p1 = trajectory_point(d, 0.3, self.TAU_1)
+        p2 = trajectory_point(d, 1.1, self.TAU_2)
         from udwmi import SpacetimePoint
 
         mirror2 = SpacetimePoint(t=p2.t, x=p2.x, y=p2.y, z=-p2.z)
-        expected = wightman_free(p1, p2, 1e-3) - wightman_free(p1, mirror2, 1e-3)
-        assert np.isclose(wightman_boundary(p1, p2, 1e-3), expected, rtol=1e-12)
+        expected = wightman_free(p1, p2) - wightman_free(p1, mirror2)
+        assert np.isclose(wightman_boundary(p1, p2), expected, rtol=1e-12)
 
     def test_vanishes_on_the_mirror(self):
         # Dirichlet condition: put the second point on the plane
         d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p1 = trajectory_point(d, 0.3, 0.7)
-        p2 = trajectory_point(d, 0.0, -0.2)
-        assert abs(wightman_boundary(p1, p2, 1e-3)) < 1e-15
+        p1 = trajectory_point(d, 0.3, self.TAU_1)
+        p2 = trajectory_point(d, 0.0, self.TAU_2)
+        assert abs(wightman_boundary(p1, p2)) < 1e-15
 
 
 class TestEqualKinematics:

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 import udwmi
 from udwmi import correlation, infomeasure, response
@@ -1013,6 +1014,24 @@ class TestInteriorMaxima:
             count_interior_maxima([1.0, math.nan, 2.0])
         with pytest.raises(DomainError):
             count_interior_maxima(np.ones((3, 3)))
+
+    @seed(2020)
+    @settings(max_examples=150, deadline=None)
+    @given(curve=st.one_of(
+        # small integers: ties, plateaus, flat tops at the ends
+        st.lists(st.integers(-3, 3).map(float), min_size=3, max_size=40),
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40)),
+        # at 1/3, 1/2 and 2/3 an integer curve's prominence meets the cut
+        prominence_rel=st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 0.1, 1 / 3,
+                                        0.5, 2 / 3]))
+    def test_equals_scipy_find_peaks(self, curve, prominence_rel):
+        # the prominence count of find_peaks (Virtanen et al., Nat.
+        # Methods 17, 261 (2020)) is the reference
+        y = np.asarray(curve)
+        scale = np.max(np.abs(y))
+        expected = (0 if scale == 0.0 else
+                    len(find_peaks(y, prominence=prominence_rel * scale)[0]))
+        assert count_interior_maxima(curve, prominence_rel) == expected
 
 
 def test_src_calls_no_blas():

@@ -10,15 +10,15 @@ _SPEC = importlib.util.spec_from_file_location("tables", _PATH)
 tables = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tables)
 
-OLD = """sep,P_A,I,status
-0.1,0.5,0.01,ok
-0.2,0.5,nan,fail:DomainError:p_a + p_b = 1.2 exceeds 1
-0.3,0.5,0.03,warn:perturbative
+OLD = """sep,P_A,I,err,status
+0.1,0.5,0.01,0.002,ok
+0.2,0.5,nan,nan,fail:DomainError:p_a + p_b = 1.2 exceeds 1
+0.3,0.5,0.03,0.001,warn:perturbative
 """
-NEW = """sep,P_A,I,status
-0.1,0.5,0.0125,ok
-0.2,0.5,0.02,warn:perturbative
-0.3,0.5,0.03,warn:perturbative;tolerance
+NEW = """sep,P_A,I,err,status
+0.1,0.5,0.0125,0.002,ok
+0.2,0.5,0.02,0.001,warn:perturbative
+0.3,0.5,0.03,0.001,warn:perturbative;tolerance
 """
 
 
@@ -41,12 +41,26 @@ def test_largest_change_per_column_and_class_changes():
     assert tables.report("t.csv", OLD, NEW) == [
         "t.csv: differs",
         "  I: max |delta| inf at row 1",
+        "  err: max |delta| inf at row 1",
+        "  I beyond err_old + err_new: 1 rows, worst |delta I| / "
+        "(err_old + err_new) inf at row 1",
         "  status row 1: class fail -> warn",
         "  1 other text cells changed",
     ]
     # without the NaN row the largest finite change is found, with its row
     finite = tables.diff_file("t.csv", OLD.replace("nan", "0.02"), NEW)
     assert finite["largest"]["I"] == (0.0125 - 0.01, "0")
+
+
+def test_rows_whose_change_in_I_exceeds_both_errors():
+    old = "I,err\n0.01,0.001\n0.02,0.001\n0.03,0.001\nnan,nan\n"
+    # row 0 moves by 0.75 of err_old + err_new, row 1 by 2.2 of it;
+    # row 3 has no I on either side
+    new = "I,err\n0.0115,0.001\n0.0233,0.0005\n0.03,0.001\nnan,nan\n"
+    count, worst, row = tables.diff_file("t.csv", old, new)["beyond_err"]
+    assert (count, row) == (1, "1")
+    assert math.isclose(worst, 0.0033 / 0.0015)
+    assert tables.diff_file("t.csv", old, old)["beyond_err"] == (0, 0.0, "0")
 
 
 def test_reports_diff_by_point():

@@ -13,9 +13,11 @@ For each file the report says whether it is byte-identical. For a file
 that is not, it lists the largest |new - old| of each numeric column
 and the row where it occurs, the rows whose ok/warn/fail class changed
 (the text of a cell before its first ':'; true/false for a flag), and
-how many other text cells changed. A report's column is the path of a
-JSON leaf; its row is the index of the point the leaf belongs to. The
-exit status is 0 when every file is byte-identical and 1 otherwise.
+how many other text cells changed. For a table it also counts the rows
+whose |I_new - I_old| exceeds err_old + err_new, and gives the worst
+ratio of the two with its row. A report's column is the path of a JSON
+leaf; its row is the index of the point the leaf belongs to. The exit
+status is 0 when every file is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -157,10 +159,38 @@ def _row_order(row: str):
     return (0, int(row)) if row.isdigit() else (1, row)
 
 
+def beyond_err(old: dict, new: dict) -> tuple[int, float, str | None]:
+    """The rows of two tables' columns whose |new I - old I| exceeds
+    err_old + err_new: their count, and the largest ratio of the two
+    with its row. The ratio is inf where I is NaN or missing on one side
+    only, or where I changed and an err is NaN or missing; rows whose I
+    is NaN on both sides have no ratio."""
+    def value(columns, name, row) -> float:
+        x = _number(columns.get(name, {}).get(row))
+        return math.nan if x is None else x
+
+    ratios = []
+    for row in sorted(old.get("I", {}).keys() | new.get("I", {}).keys(),
+                      key=_row_order):
+        i_old, e_old = value(old, "I", row), value(old, "err", row)
+        i_new, e_new = value(new, "I", row), value(new, "err", row)
+        if math.isnan(i_old) and math.isnan(i_new):
+            continue
+        delta, bound = abs(i_new - i_old), e_old + e_new
+        ratio = (delta / bound if bound > 0.0
+                 else 0.0 if delta == 0.0 else math.inf)
+        ratios.append((math.inf if math.isnan(ratio) else ratio, row))
+    worst, row = max(ratios, key=lambda r: r[0], default=(0.0, None))
+    return sum(r > 1.0 for r, _ in ratios), worst, row
+
+
 def diff_file(name: str, old_text: str, new_text: str) -> dict:
-    """diff_columns of two versions of one table (.csv) or report."""
-    columns = csv_columns if name.endswith(".csv") else json_columns
-    return diff_columns(columns(old_text), columns(new_text))
+    """diff_columns of two versions of one table (.csv) or report; for
+    a table, with its beyond_err."""
+    if not name.endswith(".csv"):
+        return diff_columns(json_columns(old_text), json_columns(new_text))
+    old, new = csv_columns(old_text), csv_columns(new_text)
+    return diff_columns(old, new) | {"beyond_err": beyond_err(old, new)}
 
 
 def report(name: str, old_text: str | None, new_text: str | None) -> list[str]:
@@ -176,6 +206,11 @@ def report(name: str, old_text: str | None, new_text: str | None) -> list[str]:
     for column, (delta, row) in d["largest"].items():
         if delta > 0.0:
             lines.append(f"  {column}: max |delta| {delta:.3g} at row {row}")
+    if "beyond_err" in d:
+        count, worst, row = d["beyond_err"]
+        lines.append(f"  I beyond err_old + err_new: {count} rows, worst "
+                     f"|delta I| / (err_old + err_new) {worst:.3g} at row "
+                     f"{row}")
     for column, row, a, b in d["classes"]:
         lines.append(f"  {column} row {row}: class {a} -> {b}")
     if d["text_changes"]:
