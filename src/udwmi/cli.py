@@ -25,8 +25,8 @@ from .infomeasure import mutual_information_point
 from .kinematics import (DomainError, _require_tol,
                          detector_from_accel_radius)
 from .response import transition_probability
-from .sweep import (emit_table, load_config, point_record, run_oracle_suite,
-                    run_sweep)
+from .sweep import (_json_number, _pair_from_params, emit_table, load_config,
+                    point_record, run_oracle_suite, run_sweep)
 
 _OK, _CONFIG_ERROR, _POINT_FAILURE, _ORACLE_FAILURE = 0, 1, 2, 3
 
@@ -35,12 +35,19 @@ class _PointFailed(Exception):
     """A valid point whose evaluation raised a DomainError."""
 
 
-def _add_boundary_group(parser: argparse.ArgumentParser) -> None:
+def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags every point command (response, correlation, mi) takes."""
+    parser.add_argument("--accel", type=float, default=1.0,
+                        help="proper acceleration of every orbit (default 1)")
+    parser.add_argument("--radius", type=float, default=1.0,
+                        help="orbit radius of every detector (default 1)")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--dz", type=float,
-                       help="detector-to-mirror distance (detector A)")
+                       help="distance from the mirror to the nearest detector")
     group.add_argument("--free-space", action="store_true",
                        help="no mirror")
+    parser.add_argument("--tol", type=float, default=1e-8,
+                        help="absolute tolerance (default 1e-8)")
 
 
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
@@ -48,15 +55,9 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
                         help="energy gap of detector A (default 0.1)")
     parser.add_argument("--gap-b", type=float, default=None,
                         help="energy gap of detector B (default: gap-a)")
-    parser.add_argument("--accel", type=float, default=1.0,
-                        help="proper acceleration of both orbits")
-    parser.add_argument("--radius", type=float, default=1.0,
-                        help="orbit radius of both detectors")
     parser.add_argument("--sep", type=float, default=1.0,
                         help="vertical separation between the detectors")
-    _add_boundary_group(parser)
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="absolute tolerance (default 1e-8)")
+    _add_point_arguments(parser)
 
 
 @functools.cache
@@ -73,10 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="transition probability of one detector")
     p_resp.add_argument("--gap", type=float, default=0.1,
                         help="detector energy gap (default 0.1)")
-    p_resp.add_argument("--accel", type=float, default=1.0)
-    p_resp.add_argument("--radius", type=float, default=1.0)
-    _add_boundary_group(p_resp)
-    p_resp.add_argument("--tol", type=float, default=1e-8)
+    _add_point_arguments(p_resp)
 
     p_corr = sub.add_parser("correlation",
                             help="pair correlation split into direct and "
@@ -90,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True,
                          help="JSON config path or packaged preset name")
     p_sweep.add_argument("--out", required=True, help="output file path")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="table format (default csv)")
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="process count (default 1)")
 
@@ -100,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="JSON grid path or packaged preset name")
     p_verify.add_argument("--out", default=None,
                           help="write the report JSON here instead of stdout")
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, default=None,
+                          help="process count (default: the CPUs this "
+                               "process may use, at most 8)")
     return parser
 
 
@@ -114,18 +115,13 @@ def _dz_of(args) -> float | None:
 
 def _pair_of(args) -> PairConfig:
     gap_b = args.gap_a if args.gap_b is None else args.gap_b
-    det_a = detector_from_accel_radius(args.gap_a, args.accel, args.radius)
-    det_b = detector_from_accel_radius(gap_b, args.accel, args.radius)
-    return PairConfig(det_a=det_a, det_b=det_b, sep=args.sep, dz=_dz_of(args))
+    return _pair_from_params({**vars(args), "gap_b": gap_b,
+                              "dz": _dz_of(args)})
 
 
 def _print_json(payload: dict, stream=None) -> None:
     json.dump(payload, stream or sys.stdout, indent=2)
     (stream or sys.stdout).write("\n")
-
-
-def _tol_of(args) -> float:
-    return _require_tol(args.tol)
 
 
 def _evaluate(fn, *args):
@@ -137,7 +133,8 @@ def _evaluate(fn, *args):
 
 def _cmd_response(args) -> int:
     spec = detector_from_accel_radius(args.gap, args.accel, args.radius)
-    res = _evaluate(transition_probability, spec, _dz_of(args), _tol_of(args))
+    res = _evaluate(transition_probability, spec, _dz_of(args),
+                    _require_tol(args.tol))
     _print_json({
         "total": res.total,
         "term_bounded": res.term_bounded,
@@ -153,12 +150,12 @@ def _cmd_response(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    res = _evaluate(correlation_equal, _pair_of(args), _tol_of(args))
+    res = _evaluate(correlation_equal, _pair_of(args), _require_tol(args.tol))
     _print_json({
         "method": "reduced",
-        "c_total": [res.c_total.real, res.c_total.imag],
-        "c_free": [res.c_free.real, res.c_free.imag],
-        "c_boundary": [res.c_boundary.real, res.c_boundary.imag],
+        "c_total": _json_number(res.c_total),
+        "c_free": _json_number(res.c_free),
+        "c_boundary": _json_number(res.c_boundary),
         "err": res.abs_error_estimate,
         "converged": res.converged,
     })
@@ -166,7 +163,8 @@ def _cmd_correlation(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    pt = _evaluate(mutual_information_point, _pair_of(args), _tol_of(args))
+    pt = _evaluate(mutual_information_point, _pair_of(args),
+                   _require_tol(args.tol))
     _print_json(point_record(pt))
     return _OK if pt.converged else _POINT_FAILURE
 

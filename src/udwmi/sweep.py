@@ -39,7 +39,7 @@ import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -140,12 +140,10 @@ class SweepSpec:
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gap_a", _require_finite("gap_a", self.gap_a))
-        object.__setattr__(self, "accel", _require_finite("accel", self.accel))
-        object.__setattr__(self, "radius", _require_finite("radius", self.radius))
-        object.__setattr__(self, "sep", _require_finite("sep", self.sep))
-        object.__setattr__(self, "tol",
-                           _require_tol(_require_finite("tol", self.tol)))
+        for name in ("gap_a", "accel", "radius", "sep", "tol"):
+            object.__setattr__(self, name,
+                               _require_finite(name, getattr(self, name)))
+        object.__setattr__(self, "tol", _require_tol(self.tol))
         if self.accel < 0.0:
             raise DomainError(f"accel must be >= 0, got {self.accel}")
         if self.radius <= 0.0:
@@ -189,48 +187,28 @@ class SweepSpec:
         axis_unknown = set(axis_cfg) - {f.name for f in fields(SweepAxis)}
         if axis_unknown:
             raise DomainError(f"unknown axis keys: {sorted(axis_unknown)}")
-        try:
-            axis = SweepAxis(
-                name=axis_cfg["name"],
-                start=axis_cfg["start"],
-                stop=axis_cfg["stop"],
-                points=axis_cfg["points"],
-                spacing=axis_cfg.get("spacing", "linear"),
-            )
-        except KeyError as exc:
-            raise DomainError(f"axis config missing key {exc}") from None
-        kwargs = {k: cfg[k] for k in known - {"axis", "description"} if k in cfg}
-        return cls(axis=axis, **kwargs)
+        missing = [f.name for f in fields(SweepAxis)
+                   if f.default is MISSING and f.name not in axis_cfg]
+        if missing:
+            raise DomainError(f"axis config missing key {missing[0]!r}")
+        kwargs = {k: v for k, v in cfg.items()
+                  if k not in ("axis", "description")}
+        return cls(axis=SweepAxis(**axis_cfg), **kwargs)
 
     def point_params(self) -> list[dict]:
         """Resolved per-point parameter records in output order
         (curve-major, axis-minor)."""
-        values = self.axis.values()
+        fixed = {"gap_a": self.gap_a, "gap_b": None, "accel": self.accel,
+                 "radius": self.radius, "sep": self.sep, "dz": self.dz}
+        key = "gap_a" if self.axis.name == "gap" else self.axis.name
+        values = self.axis.values().tolist()
         out = []
         for ratio in self.gap_ratios:
             for v in values:
-                gap_a = self.gap_a
-                sep = self.sep
-                dz = self.dz
-                accel = self.accel
-                v = float(v)
-                if self.axis.name == "sep":
-                    sep = v
-                elif self.axis.name == "dz":
-                    dz = v
-                elif self.axis.name == "accel":
-                    accel = v
-                else:
-                    gap_a = v
-                out.append({
-                    "gap_a": gap_a,
-                    "gap_b": gap_a * (1.0 + ratio),
-                    "accel": accel,
-                    "radius": self.radius,
-                    "sep": sep,
-                    "dz": dz,
-                    "free_space": dz is None,
-                })
+                p = {**fixed, key: v}
+                p["gap_b"] = p["gap_a"] * (1.0 + ratio)
+                p["free_space"] = p["dz"] is None
+                out.append(p)
         return out
 
 
@@ -426,13 +404,11 @@ def _csv_cell(key: str, value) -> str:
         return value
     if key == "free_space":
         return "true" if value else "false"
-    if key == "dz":
-        return "" if value is None else _fmt(value)
-    return _fmt(value)
+    return "" if value is None else _fmt(value)
 
 
 def _json_value(key: str, value):
-    if key in ("status", "free_space", "dz"):
+    if key in ("status", "free_space") or value is None:
         return value
     v = float(value)
     if math.isnan(v) or math.isinf(v):
@@ -554,31 +530,33 @@ def _suite_point(section: str, params: dict) -> dict:
         res = transition_probability(spec, params.get("dz"))
         est = transition_probability_oracle_result(spec, params.get("dz"))
         return _deviation_record(params, res.total, res.abs_error_estimate,
-                                 float(est.value), est.error_estimate,
+                                 est.value, est.error_estimate,
                                  est.evaluations)
     pair = _pair_from_params(params)
     res = correlation_equal(pair)
     est = correlation_general_result(pair)
     rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
                             est.value, est.error_estimate, est.evaluations)
-    rec["c_boundary"] = [res.c_boundary.real, res.c_boundary.imag]
+    rec["c_boundary"] = _json_number(res.c_boundary)
     return rec
+
+
+def _json_number(z) -> float | list[float]:
+    """A real number as a float, a complex one as [re, im]: the JSON
+    form of a value in a report or a printed record."""
+    if isinstance(z, complex):
+        return [z.real, z.imag]
+    return float(z)
 
 
 def _deviation_record(params, value, err, oracle, oerr,
                       oracle_evaluations) -> dict:
     abs_dev = abs(value - oracle)
     rel_dev = abs_dev / max(abs(oracle), 1e-300)
-    if isinstance(value, complex):
-        stored_value = [value.real, value.imag]
-        stored_oracle = [oracle.real, oracle.imag]
-    else:
-        stored_value = value
-        stored_oracle = float(oracle)
     return {
         "params": dict(params),
-        "value": stored_value,
-        "oracle": stored_oracle,
+        "value": _json_number(value),
+        "oracle": _json_number(oracle),
         "abs_dev": abs_dev,
         "rel_dev": rel_dev,
         "err": err,

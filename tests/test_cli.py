@@ -1,4 +1,5 @@
 """Exit codes and output shapes of the command line front-end."""
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import udwmi
 from udwmi import correlation, response
-from udwmi.cli import main
+from udwmi.cli import _build_parser, main
 from udwmi.infomeasure import PerturbativeRegimeWarning
 from udwmi.sweep import COLUMNS, SweepAxis, SweepSpec, run_sweep
 
@@ -401,6 +402,13 @@ class TestParserBasics:
             assert rc == proc.returncode == 0
             assert json.loads(out) == json.loads(proc.stdout)
         assert json.loads(in_process[0][1]) != json.loads(in_process[1][1])
+
+    def test_every_option_has_help(self):
+        commands = next(a for a in _build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for name, parser in commands.choices.items():
+            for action in parser._actions:
+                assert action.help, (name, action.option_strings)
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "udwmi.cli", "--help"],

@@ -179,7 +179,7 @@ class TestSemiInfinite:
     @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
     def test_tail_bound_finite_at_tiny_tol(self, tol):
         # exp(alpha x^2) overflows at such a cutoff: the tail bound folds
-        # erfc's decay into the samples instead, finite and warning-free
+        # erfc's decay into the samples, so it stays finite and warning-free
         def f(x, owner):
             return np.exp(-alpha[owner] * x * x) * (1.0 + x * x)
 

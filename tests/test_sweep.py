@@ -743,6 +743,17 @@ class TestEmitTable:
             assert entry["I"] == float(f"{row.mutual_info:.12g}")
             assert entry["status"] == "ok"
 
+    def test_json_dz_carries_12_digits(self):
+        # a log-spaced dz axis holds values 12 digits do not write exactly
+        axis = SweepAxis(name="dz", start=0.1, stop=1.0, points=3,
+                         spacing="log")
+        rows = run_sweep(cheap_spec(axis=axis, dz=None), workers=1)
+        buf = io.StringIO()
+        emit_table(rows, "json", buf)
+        dzs = [entry["dz"] for entry in json.loads(buf.getvalue())]
+        assert dzs == [float(f"{r.dz:.12g}") for r in rows]
+        assert dzs[1] != rows[1].dz
+
     def test_json_nan_becomes_null(self):
         row = run_sweep(cheap_spec(), workers=1)[0]
         import dataclasses
