@@ -18,8 +18,11 @@ independent routes:
   plus the closed-form half residues, and C comes out real. s0 is found
   by a monotone Newton iteration in plain floats (_line_pole). The line
   integrals of a list are the members of one principal_value_batch
-  call (_reduced_line_integrals); a pole beyond the switching envelope
-  lies outside its member's range, which leaves the regular integral.
+  call (_reduced_line_integrals), each started on the mesh its
+  integrand needs: about 1.5 panels per period of cos(k s) and of the
+  orbit's ripple on D over its range; a pole beyond the switching
+  envelope lies outside its member's range, which leaves the regular
+  integral.
   The direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
@@ -210,10 +213,20 @@ def _reduced_line_integrals(keys) -> list:
     principal_value_batch call, g = 2 exp(-s^2/(4 gamma^2)) cos(k s)/q(s)
     with q = D/(s - s0) factored, so each equals its batch of one, and
     the quadrature bounds the lockstep runs a long list takes. Its
-    range is [0, max(s_env, sqrt(L_eff^2 + 4 R^2) + 2)], and the half
-    residues are added; a pole far beyond the switching envelope
-    (L_eff > s_env + 2) lies outside the range [0, s_env] of its regular
-    integral, and the residues are bounded in the error instead. Returns
+    range is [0, hi] with hi = max(s_env, sqrt(L_eff^2 + 4 R^2) + 2),
+    and the half residues are added; a pole far beyond the switching
+    envelope (L_eff > s_env + 2) lies outside the range [0, s_env] of
+    its regular integral, and the residues are bounded in the error
+    instead. A member starts on ceil(1.5 hi (|k| + omega w)/(2 pi)) + 3
+    panels, split over the pole's sides by their lengths: 1.5 panels
+    per period of cos(k s) and of the orbit's ripple on D, whose
+    weight w = sqrt(min(1, 2 R^2 omega / max(L_eff, 1))) (0 for a static
+    orbit) grows with its relative depth at the pole, but slower, since
+    the GK15 error of a shallow ripple still falls steeply with the
+    panel width; a ripple that is deep only within a unit of the origin
+    is left to refinement there. A start much smaller than that costs
+    extra refinement rounds, which dominate the cost of the few members
+    of a single point. Returns
     one entry per key: its LineIntegral, or the exception it fails with
     (an L_eff that is not positive and finite or whose square is
     subnormal, a tol that is not positive)."""
@@ -247,7 +260,10 @@ def _reduced_line_integrals(keys) -> list:
     far = L_eff > s_env + 2.0
     band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
     hi = np.where(far, s_env, np.maximum(s_env, band_hi + 2.0))
-    pvs = principal_value_batch(g, s0, 0.0, hi, tol)
+    # 1.5 panels per period of cos(k s) and of the weighted ripple
+    ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
+    n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
+    pvs = principal_value_batch(g, s0, 0.0, hi, tol, initial_panels=n0)
     q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
     for i, pv, pole, is_far, q0, c, kk, L, gam, t in zip(
             found, pvs, poles, far.tolist(), q_pole,

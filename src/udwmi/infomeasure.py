@@ -120,12 +120,14 @@ def _xlogx(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def mutual_information(block: DensityBlock) -> MIResult:
+def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
     """Leading-order mutual information of the detector pair.
 
     A slightly negative lower eigenvalue (roundoff against the
     positivity boundary) is clamped to zero; anything worse than -1e-9
-    relative to the block scale is rejected as an unphysical input."""
+    relative to the block scale, and worse than err, is rejected as an
+    unphysical input. err bounds the error of l_minus that the errors
+    of the entries make: at most err_a + err_b + err_c."""
     p_a, p_b, c = block.p_a, block.p_b, block.c
     scale = max(p_a + p_b, 1e-300)
     cmag = abs(c)
@@ -140,7 +142,7 @@ def mutual_information(block: DensityBlock) -> MIResult:
         l_minus = half_sum - root
 
     if l_minus < 0.0:
-        if l_minus < -1e-9 * scale:
+        if l_minus < -max(1e-9 * scale, err):
             raise DomainError(f"correlation exceeds the positivity bound: "
                               f"l_minus = {l_minus}")
         l_minus = 0.0
@@ -329,9 +331,10 @@ def mutual_information_point(pair: PairConfig | PointTerms,
             PerturbativeRegimeWarning, stacklevel=2)
 
     block = assemble_density_block(p_a, p_b, corr.c_total)
-    mi = mutual_information(block)
-
     delta = err_a + err_b + 2.0 * corr.abs_error_estimate
+    # a block that is not positive by less than its error is taken as on
+    # the boundary, as a P within its error of zero is
+    mi = mutual_information(block, delta)
     err_info = delta * (_log_weight(mi.l_plus, delta)
                         + _log_weight(mi.l_minus, delta)
                         + _log_weight(p_a, delta)

@@ -15,7 +15,9 @@ physics layers can cross check one against the other:
   integrals of module correlation by a monotone Newton iteration),
   factors it out of the denominator, and adds the half residues in
   closed form; as in QUADPACK's QAWC, a pole outside the interval
-  leaves a regular integral, a member of the same batch;
+  leaves a regular integral, a member of the same batch. Each principal
+  value starts on its own number of panels, which a pole inside splits
+  over its two sides by their lengths;
 * the oracle route needs no routine of its own: it moves the time
   integral onto a contour shifted off the real axis, where the
   integrand is smooth, and integrates it with integrate_adaptive_batch
@@ -346,7 +348,8 @@ def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
     return results
 
 
-def principal_value_batch(g, pole, lo, hi, tol) -> list:
+def principal_value_batch(g, pole, lo, hi, tol, *,
+                          initial_panels=8) -> list:
     """Cauchy principal values of g(x)/(x - pole[i]) over [lo[i], hi[i]]
     for a batch of smooth g (the contract of QUADPACK's QAWC: the pole
     may lie anywhere but on an end of the interval).
@@ -359,14 +362,18 @@ def principal_value_batch(g, pole, lo, hi, tol) -> list:
     none lands on the pole), and g(pole) ln((hi - pole)/(pole - lo)) is
     added back. A pole outside [lo, hi] leaves an ordinary integral of
     g(x)/(x - pole), one member to the whole tol. All members run as one
-    lockstep batch. Callers with a denominator D(x) pass g = f/q with
-    q = D/(x - pole) in factored form; dividing D by (x - pole)
-    numerically would cancel catastrophically next to the pole. Returns
+    lockstep batch. Principal value i starts on initial_panels[i] equal
+    panels over [lo, hi]: a pole inside splits them over its two sides
+    in proportion to their lengths, each side taking its share rounded
+    up (at least 1), so the panels stay about equally wide. Callers with
+    a denominator D(x) pass g = f/q with q = D/(x - pole) in factored
+    form; dividing D by (x - pole) numerically would cancel
+    catastrophically next to the pole. Returns
     one entry per principal value: its QuadratureResult, or the
     DomainError it raises (a pole on lo or hi or not finite, or the
     limits and tol integrate_adaptive_batch rejects).
     """
-    pole, lo, hi, tol = _batch_args(pole, lo, hi, tol)
+    pole, lo, hi, tol, n0 = _batch_args(pole, lo, hi, tol, initial_panels)
     results: list = [None] * pole.size
     bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
     for i in np.flatnonzero(bad):
@@ -387,10 +394,14 @@ def principal_value_batch(g, pole, lo, hi, tol) -> list:
         return (np.asarray(g(x, i)) - sub[member]) / (x - pole[i])
 
     half = tol[inside] / 2.0
+    share = n0[inside] / (hi[inside] - lo[inside])
     members = integrate_adaptive_batch(
         remainder, np.concatenate([lo[inside], pole[inside], lo[outside]]),
         np.concatenate([pole[inside], hi[inside], hi[outside]]),
-        np.concatenate([half, half, tol[outside]]))
+        np.concatenate([half, half, tol[outside]]),
+        initial_panels=np.concatenate([
+            np.ceil(share * (pole[inside] - lo[inside])),
+            np.ceil(share * (hi[inside] - pole[inside])), n0[outside]]))
     for m, i in enumerate(outside.tolist()):
         results[i] = members[2 * k + m]
     scalar = complex if np.iscomplexobj(g_pole) else float

@@ -44,6 +44,7 @@ proper-time contour tau - tau' = s - i eta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +72,8 @@ class ResponseBreakdown:
     Without a mirror it is the free-space response: term_pv and
     term_pole are 0.0, and abs_error_estimate and converged are those
     of term_bounded. A mirror breakdown adds the image terms' error and
-    convergence to these. pole_location is the image-pole position in
+    convergence to these, and the rounding of the sum of its four terms
+    to the error. pole_location is the image-pole position in
     the scaled time variable, omega s0 / 2: None in free space, and 0.0
     for a static detector, whose pole sits at coordinate time s0 = 2 dz.
     notes flags non-fatal substitutions, e.g. the pole lying beyond the
@@ -156,13 +158,18 @@ def transition_probability(spec: CircularDetectorSpec,
         line = _reduced_line_integral(*key)
     term_pole = 0.0 - pref * line.residues  # +0.0 on the far branch
     term_pv = -pref * (line.value - line.residues)
-    err = free.abs_error_estimate + pref * line.abs_error_estimate
     notes = ()
     if line.far_pole:
         notes = ("image pole beyond switching support; "
                  "principal value evaluated as a regular integral",)
 
     total = free.term_bounded + term_pv + free.term_inertial + term_pole
+    # the rounding of this sum of four terms is at most 1.5 eps times the
+    # sum of their magnitudes
+    magnitude = (abs(free.term_bounded) + abs(term_pv)
+                 + abs(free.term_inertial) + abs(term_pole))
+    err = (free.abs_error_estimate + pref * line.abs_error_estimate
+           + 1.5 * sys.float_info.epsilon * magnitude)
     return ResponseBreakdown(
         term_bounded=float(free.term_bounded), term_pv=float(term_pv),
         term_inertial=float(free.term_inertial), term_pole=float(term_pole),

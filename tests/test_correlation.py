@@ -267,9 +267,9 @@ class TestLineIntegralBatch:
         calls = []
         batch = correlation.principal_value_batch
 
-        def counted(g, pole, lo, hi, tol):
+        def counted(g, pole, lo, hi, tol, **kwargs):
             calls.append(len(pole))
-            return batch(g, pole, lo, hi, tol)
+            return batch(g, pole, lo, hi, tol, **kwargs)
 
         monkeypatch.setattr(correlation, "principal_value_batch", counted)
         keys = [line_key(3.7, 0.02, 0.1, L, 1e-8) for L in (0.5, 2.0, 60.0)]
@@ -301,6 +301,79 @@ class TestLineIntegralBatch:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    @staticmethod
+    def line_work(monkeypatch, keys, initial_panels=None):
+        """The integrand calls and the evaluations of the line integrals
+        of keys as one batch, each member on the start it is sized to,
+        or on initial_panels when given."""
+        from udwmi import correlation
+
+        calls = []
+        batch = correlation.principal_value_batch
+
+        def counted(g, pole, lo, hi, tol, **kwargs):
+            if initial_panels is not None:
+                kwargs["initial_panels"] = initial_panels
+
+            def g_counted(s, j):
+                calls.append(s.size)
+                return g(s, j)
+
+            return batch(g_counted, pole, lo, hi, tol, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(correlation, "principal_value_batch", counted)
+            lines = _reduced_line_integrals(keys)
+        return len(calls), sum(line.evaluations for line in lines)
+
+    def test_sized_start_adds_no_rounds(self, monkeypatch):
+        # a point's few line integrals take as many rounds as their
+        # slowest member, and at that batch size each round costs more
+        # than its evaluations: over a seeded sample of the benchmark's
+        # udwmi mi queries, the sized starts take no more integrand
+        # calls than a fixed start of 8 panels
+        import importlib.util
+        import random
+        import sys
+        from pathlib import Path
+
+        from udwmi.infomeasure import _plan_points
+
+        path = Path(__file__).resolve().parent.parent / "bench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while they are made
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        universe = workloads.query_universe()
+        sized = fixed = 0
+        for i in random.Random(26).sample(range(len(universe)), 150):
+            q = universe[i]
+            p = PairConfig(
+                detector_from_accel_radius(q["gap_a"], q["accel"],
+                                           q["radius"]),
+                detector_from_accel_radius(q["gap_b"], q["accel"],
+                                           q["radius"]),
+                q["sep"], q["dz"])
+            keys = _plan_points([p], 1e-8)[2]
+            sized += self.line_work(monkeypatch, keys)[0]
+            fixed += self.line_work(monkeypatch, keys, 8)[0]
+        assert sized <= fixed
+
+    def test_sized_start_evaluates_less_on_an_onset_curve(self, monkeypatch):
+        # the 721 line keys of the 240-point criterion-7 curve (a = 3.7,
+        # R = 0.02, dz = 5), one batch as a sweep runs it
+        from udwmi.infomeasure import _plan_points
+
+        det = detector_from_accel_radius(0.1, 3.7, 0.02)
+        keys = _plan_points([PairConfig(det, det, sep, 5.0)
+                             for sep in np.linspace(0.1, 8.0, 240)], 1e-8)[2]
+        assert len(keys) == 721
+        sized = self.line_work(monkeypatch, keys)
+        fixed = self.line_work(monkeypatch, keys, 8)
+        assert sized[1] < fixed[1]
 
 
 def mp_pole(L_eff, radius, omega):

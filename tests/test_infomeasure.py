@@ -207,6 +207,20 @@ class TestPositivityHandling:
         assert res.positivity_slack < 0.0
         assert math.isfinite(res.mutual_info)
 
+    def test_excess_within_error_bound_clamped(self):
+        # l_minus about -5e-17 on a block of scale 1e-9 (past the 1e-9
+        # relative roundoff allowance) is clamped when the entries' error
+        # bound covers it, and rejected when it does not
+        p_a, p_b = 9.7e-11, 8.8e-10
+        c = math.sqrt(p_a * p_b) * (1.0 + 3e-7)
+        block = assemble_density_block(p_a, p_b, c)
+        with pytest.raises(DomainError, match="positivity"):
+            mutual_information(block)
+        with pytest.raises(DomainError, match="positivity"):
+            mutual_information(block, 1e-17)
+        res = mutual_information(block, 1e-13)
+        assert res.l_minus == 0.0 and res.positivity_slack < 0.0
+
     def test_genuine_violation_rejected(self):
         block = assemble_density_block(0.01, 0.01, 0.02)
         with pytest.raises(DomainError):

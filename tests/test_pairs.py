@@ -1,0 +1,71 @@
+"""The seed parsing and pair summary of tools/pairs.py on synthetic runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_pairs(monkeypatch):
+    # pairs imports its sibling tables by name
+    monkeypatch.syspath_prepend(str(_TOOLS))
+    spec = importlib.util.spec_from_file_location("pairs", _TOOLS / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "pairs", pairs)
+    spec.loader.exec_module(pairs)
+    return pairs
+
+
+def run(side, seed, rate, p50, correct=True, failed=0):
+    return {"workload": "w", "seed": seed, "side": side, "record": {
+        "correct": correct, "failed": failed,
+        "metrics": {"points_per_s": {"value": rate},
+                    "point_ms_p50": {"value": p50}}}}
+
+
+METRICS = [
+    {"name": "points_per_s", "unit": "1/s", "better": "higher",
+     "bound": 0.2},
+    {"name": "point_ms_p50", "unit": "ms", "better": "lower",
+     "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
+
+def test_seeds_and_ranges(monkeypatch):
+    pairs = load_pairs(monkeypatch)
+    assert pairs.parse_seeds(["601-603", "7", "9-9"]) == [601, 602, 603, 7, 9]
+
+
+def test_summary_counts_pairs_won_by_the_better_direction(monkeypatch):
+    pairs = load_pairs(monkeypatch)
+    runs = []
+    for seed, old, new in ((1, 100.0, 120.0), (2, 104.0, 118.0),
+                           (3, 98.0, 97.0), (4, 102.0, 125.0)):
+        runs += [run("old", seed, old, 10.0 / old),
+                 run("new", seed, new, 10.0 / new)]
+    s = pairs.summarise(runs, METRICS)
+    assert (s["pairs"], s["seeds"], s["all_correct"]) == (4, [1, 2, 3, 4],
+                                                           True)
+    rate = s["points_per_s"]
+    # higher is better for a rate, lower for a time: the same pairs win
+    assert rate["pairs_won_by_new"] == 3
+    assert s["point_ms_p50"]["pairs_won_by_new"] == 3
+    assert rate["old"]["median"] == 101.0 and rate["new"]["median"] == 119.0
+    assert rate["beyond_old_iqr"] and rate["within_bound"]
+    assert s["point_ms_p50"]["median_change_rel"] < 0.0
+    # a metric the runs do not report is left out
+    assert "setup_s" not in s
+
+
+def test_summary_flags_a_regression_beyond_the_bound(monkeypatch):
+    pairs = load_pairs(monkeypatch)
+    runs = [run("old", 1, 100.0, 1.0), run("new", 1, 70.0, 1.4),
+            run("old", 2, 100.0, 1.0), run("new", 2, 75.0, 1.3,
+                                           correct=False, failed=2)]
+    s = pairs.summarise(runs, METRICS)
+    assert not s["all_correct"] and s["failed"] == {"old": 0, "new": 2}
+    assert not s["points_per_s"]["within_bound"]
+    assert not s["point_ms_p50"]["within_bound"]
+    assert s["points_per_s"]["pairs_won_by_new"] == 0

@@ -243,14 +243,23 @@ class TestPrincipalValue:
                                      1e-10)
 
     def test_mixed_batch_equals_batches_of_one(self):
+        self.check_mixed_batch(8)
+
+    def test_unequal_starts_equal_batches_of_one(self):
+        self.check_mixed_batch([2, 13, 1, 5, 8, 3, 40, 6])
+
+    @staticmethod
+    def check_mixed_batch(panels):
         # a complex integrand with poles inside, outside on both sides,
-        # on an end, NaN, and outside an inverted interval: each member
+        # on an end, NaN, and outside an inverted interval, each member
+        # started on its entry of panels (a scalar for all): each member
         # as if alone
         freq = np.array([0.5, 3.0, 1.0, 2.0, 0.7, 1.5, 4.0, 1.0])
         pole = [1.0, -0.5, 2.0, 9.0, np.nan, 0.3, 3.5, 5.0]
         lo = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0]
         hi = [4.0, 3.0, 2.0, 6.0, 3.0, 1.0, 8.0, 1.0]
         tol = [1e-12, 1e-10, 1e-10, 1e-8, 1e-10, 1e-13, 1e-9, 1e-10]
+        start = np.broadcast_to(panels, len(pole))
 
         def g(x, owner):
             return np.exp(-0.2 * x * x + 1j * freq[owner] * x)
@@ -262,10 +271,11 @@ class TestPrincipalValue:
                     res.abs_error_estimate.hex(), res.evaluations,
                     res.converged)
 
-        batch = principal_value_batch(g, pole, lo, hi, tol)
+        batch = principal_value_batch(g, pole, lo, hi, tol,
+                                      initial_panels=panels)
         alone = [principal_value_batch(
             lambda x, owner, i=i: g(x, owner + i), pole[i], lo[i], hi[i],
-            tol[i])[0] for i in range(len(pole))]
+            tol[i], initial_panels=start[i])[0] for i in range(len(pole))]
         assert [bits(r) for r in batch] == [bits(r) for r in alone]
         failed = [i for i, r in enumerate(batch) if isinstance(r, Exception)]
         assert failed == [2, 4, 7]
@@ -273,6 +283,24 @@ class TestPrincipalValue:
         # sides; an outside pole is one member of whole GK15 panels
         assert batch[0].evaluations % 15 == 1
         assert batch[1].evaluations % 15 == 0
+
+    @pytest.mark.parametrize("n,pole,lo,hi,sides", [
+        (8, 1.0, 0.0, 4.0, (2, 6)),     # shares of 2 and 6: exact
+        (8, 2.0, 0.0, 3.0, (6, 3)),     # 5.33 and 2.67, each rounded up
+        (5, 7.9, 0.0, 8.0, (5, 1)),     # a side keeps at least one panel
+        (1, 0.5, 0.0, 1.0, (1, 1)),
+    ])
+    def test_start_splits_over_the_sides_by_length(self, n, pole, lo, hi,
+                                                   sides):
+        # a linear g: every side converges on its first mesh, so its
+        # evaluations count the starting panels, plus one for g(pole)
+        res = principal_value_batch(lambda x, _: 1.0 + 0.5 * x, pole, lo, hi,
+                                    1e-10, initial_panels=n)[0]
+        assert res.converged
+        assert res.evaluations == 15 * sum(sides) + 1
+        outside = principal_value_batch(lambda x, _: 1.0 + 0.5 * x, lo - 1e3,
+                                        lo, hi, 1e-10, initial_panels=n)[0]
+        assert outside.evaluations == 15 * n
 
     @pytest.mark.parametrize(
         "g,pole,lo,hi",

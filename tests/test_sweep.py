@@ -514,9 +514,9 @@ class TestPlanner:
         batches = []
         pv_batch = correlation.principal_value_batch
 
-        def counted(g, pole, lo, hi, tol):
+        def counted(g, pole, lo, hi, tol, **kwargs):
             batches.append(len(pole))
-            return pv_batch(g, pole, lo, hi, tol)
+            return pv_batch(g, pole, lo, hi, tol, **kwargs)
 
         monkeypatch.setattr(correlation, "principal_value_batch", counted)
         spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,

@@ -78,3 +78,22 @@ def test_reports_diff_by_point():
     assert d["largest"]["rel_tol"] == (0.0, "-")
     assert d["classes"] == [("ok", "-", "true", "false")]
     assert tables.report("r.json", None, "{}") == ["r.json: missing in old"]
+
+
+def test_json_table_rows_are_its_list_items():
+    # a JSON table (udwmi sweep --format json) or the records udwmi mi
+    # prints: the items of the top-level list are the rows, with the
+    # columns of a CSV table, so I is checked against err as there
+    old = [{"sep": 0.1, "I": 0.01, "err": 0.001, "status": "ok"},
+           {"sep": 0.2, "I": 0.02, "err": 0.001, "status": "ok"}]
+    new = json.loads(json.dumps(old))
+    new[1].update(I=0.0233, err=0.0005, status="warn:perturbative")
+    d = tables.diff_file("t.json", json.dumps(old), json.dumps(new))
+    assert d["largest"]["I"] == (0.0233 - 0.02, "1")
+    assert d["classes"] == [("status", "1", "ok", "warn")]
+    count, worst, row = d["beyond_err"]
+    assert (count, row) == (1, "1")
+    assert math.isclose(worst, 0.0033 / 0.0015)
+    # a report without an I column has no such count
+    assert "beyond_err" not in tables.diff_file("r.json", '{"a": 1}',
+                                                '{"a": 2}')

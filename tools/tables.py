@@ -4,19 +4,24 @@
 
 OLD and NEW are git revisions of this repository, each extracted fresh
 with git archive. Each version writes, in a process of its own, the CSV
-table of every fig* preset (udwmi sweep) and the reports of the
-oracle_grid, oracle_corners and oracle_grid_smoke grids (udwmi verify),
-all at the given worker count, into DIR/old and DIR/new (a temporary
-directory unless --out is given).
+table of every fig* preset (udwmi sweep), the JSON tables of the
+presets in JSON_TABLES, the reports of the oracle_grid, oracle_corners
+and oracle_grid_smoke grids (udwmi verify), and the records that udwmi
+response, correlation and mi print for each argument list of POINTS
+(one file per command: a list of the exit status and record of each
+point), all at the given worker count, into DIR/old and DIR/new (a
+temporary directory unless --out is given).
 
 For each file the report says whether it is byte-identical. For a file
 that is not, it lists the largest |new - old| of each numeric column
 and the row where it occurs, the rows whose ok/warn/fail class changed
 (the text of a cell before its first ':'; true/false for a flag), and
-how many other text cells changed. For a table it also counts the rows
-whose |I_new - I_old| exceeds err_old + err_new, and gives the worst
-ratio of the two with its row. A report's column is the path of a JSON
-leaf; its row is the index of the point the leaf belongs to. The exit
+how many other text cells changed. For a file with an I column (a
+table, or the records of udwmi mi) it also counts the rows whose
+|I_new - I_old| exceeds err_old + err_new, and gives the worst ratio of
+the two with its row. A JSON file's column is the path of a leaf; its
+row is the index of the point the leaf belongs to, and the items of a
+top-level list are rows with the paths of their own leaves. The exit
 status is 0 when every file is byte-identical and 1 otherwise.
 """
 
@@ -36,19 +41,51 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ORACLE_GRIDS = ("oracle_grid", "oracle_corners", "oracle_grid_smoke")
+JSON_TABLES = ("fig7a",)
+# the single points whose printed records are compared, each as the
+# arguments of its detector (all that udwmi response takes) and those of
+# the pair: a rotating pair near the mirror, detuned gaps, the
+# criterion-7 orbit, a pole beyond the switching envelope, a static
+# pair, free space and a large gamma at a tight tol
+POINTS = (
+    (["--accel", "1", "--radius", "1", "--dz", "0.5"], []),
+    (["--accel", "4", "--radius", "0.02", "--dz", "0.2"], ["--gap-b", "0.5"]),
+    (["--accel", "3.7", "--radius", "0.02", "--dz", "5"], ["--sep", "2.5"]),
+    (["--accel", "0.5", "--radius", "10", "--dz", "20"], []),
+    (["--accel", "0", "--dz", "1"], ["--sep", "0.3"]),
+    (["--accel", "2", "--radius", "1", "--free-space"], []),
+    (["--accel", "40", "--radius", "10", "--dz", "0.1", "--tol", "1e-10"],
+     []),
+)
 
 # run inside each version, with that version's src first on the path
 _WRITE_OUTPUTS = """
-import sys
+import contextlib, io, json, sys
 from pathlib import Path
 from udwmi import cli
 src, out, workers = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+grids, json_tables, points = json.loads(sys.argv[4])
 for config in sorted((src / "udwmi" / "presets").glob("fig*.json")):
     cli.main(["sweep", "--config", config.stem, "--workers", workers,
               "--out", str(out / (config.stem + ".csv"))])
-for grid in sys.argv[4:]:
+for config in json_tables:
+    cli.main(["sweep", "--config", config, "--workers", workers, "--format",
+              "json", "--out", str(out / (config + ".json"))])
+for grid in grids:
     cli.main(["verify", "--grid", grid, "--workers", workers,
               "--out", str(out / (grid + ".json"))])
+for command in ("response", "correlation", "mi"):
+    records = []
+    for detector, pair in points:
+        argv = [command, *detector, *(pair if command != "response" else [])]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        records.append({"argv": " ".join(argv), "exit": code,
+                        **json.loads(printed.getvalue() or "{}")})
+    (out / (command + "_points.json")).write_text(
+        json.dumps(records, indent=1) + "\\n")
 """
 
 
@@ -63,13 +100,14 @@ def checkout(revision: str, dest: Path) -> Path:
 
 
 def write_outputs(tree: Path, out: Path, workers: int) -> None:
-    """The fig* tables and oracle reports of the checkout tree, in out."""
+    """The fig* tables, oracle reports and point records of the checkout
+    tree, in out."""
     out.mkdir(parents=True)
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", _WRITE_OUTPUTS, str(src), str(out),
-         str(workers), *ORACLE_GRIDS],
+         str(workers), json.dumps([ORACLE_GRIDS, JSON_TABLES, POINTS])],
         cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{tree}: writing the outputs failed\n{proc.stderr}")
@@ -85,7 +123,7 @@ def csv_columns(text: str) -> dict[str, dict[str, str]]:
 def json_columns(text: str) -> dict[str, dict[str, object]]:
     """Each leaf path of a JSON report as {row: value}: the first list
     index on the path is the row ('-' outside any list), and later
-    indices stay in the path."""
+    indices stay in the path; a top-level list adds nothing to it."""
     columns: dict[str, dict[str, object]] = {}
 
     def walk(node, path, row):
@@ -95,7 +133,7 @@ def json_columns(text: str) -> dict[str, dict[str, object]]:
         elif isinstance(node, list):
             for i, value in enumerate(node):
                 if row == "-":
-                    walk(value, f"{path}[]", str(i))
+                    walk(value, f"{path}[]" if path else "", str(i))
                 else:
                     walk(value, f"{path}[{i}]", row)
         else:
@@ -185,12 +223,14 @@ def beyond_err(old: dict, new: dict) -> tuple[int, float, str | None]:
 
 
 def diff_file(name: str, old_text: str, new_text: str) -> dict:
-    """diff_columns of two versions of one table (.csv) or report; for
-    a table, with its beyond_err."""
-    if not name.endswith(".csv"):
-        return diff_columns(json_columns(old_text), json_columns(new_text))
-    old, new = csv_columns(old_text), csv_columns(new_text)
-    return diff_columns(old, new) | {"beyond_err": beyond_err(old, new)}
+    """diff_columns of two versions of one table (.csv) or JSON file;
+    with its beyond_err when it has an I column."""
+    columns = csv_columns if name.endswith(".csv") else json_columns
+    old, new = columns(old_text), columns(new_text)
+    d = diff_columns(old, new)
+    if "I" in old.keys() | new.keys():
+        d["beyond_err"] = beyond_err(old, new)
+    return d
 
 
 def report(name: str, old_text: str | None, new_text: str | None) -> list[str]:
