@@ -95,15 +95,15 @@ def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
         raise DomainError("transition probabilities must be finite")
     if p_a < 0.0 or p_b < 0.0:
         raise DomainError(f"negative transition probability: "
-                          f"p_a={p_a}, p_b={p_b}")
+                          f"p_a={p_a:.12g}, p_b={p_b:.12g}")
     if p_a + p_b > 1.0:
-        raise DomainError(f"p_a + p_b = {p_a + p_b} exceeds 1")
+        raise DomainError(f"p_a + p_b = {p_a + p_b:.12g} exceeds 1")
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise DomainError("correlation must be finite")
     if not math.isfinite(abs(c) * abs(c)):
-        raise DomainError(f"correlation {c} has a squared magnitude beyond "
-                          f"the float range")
+        raise DomainError(f"correlation {c:.12g} has a squared magnitude "
+                          f"beyond the float range")
     return DensityBlock(p_a=float(p_a), p_b=float(p_b), c=c)
 
 
@@ -144,7 +144,7 @@ def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
     if l_minus < 0.0:
         if l_minus < -max(1e-9 * scale, err):
             raise DomainError(f"correlation exceeds the positivity bound: "
-                              f"l_minus = {l_minus}")
+                              f"l_minus = {l_minus:.12g}")
         l_minus = 0.0
 
     if cmag == 0.0:
@@ -160,7 +160,7 @@ def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
         if info < 0.0:
             if info < -1e-14 * max(1.0, abs(_xlogx(scale))):
                 raise DomainError(f"mutual information came out negative "
-                                  f"beyond roundoff: {info}")
+                                  f"beyond roundoff: {info:.12g}")
             info = 0.0
 
     return MIResult(l_plus=float(l_plus), l_minus=float(l_minus),

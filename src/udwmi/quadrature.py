@@ -29,11 +29,13 @@ integrate_adaptive_batch refines many integrals in lockstep: each keeps
 a mesh of its own (unlike the one shared mesh of scipy's quad_vec),
 started on its own number of equal panels, its own budget and its own
 refinement decisions, and each round evaluates the new panels of every
-unfinished integral in one vectorized call of the integrand. A finished
-integral keeps its panels, and after the last round each integral's
-panels are summed once, in the order it has alone. So a member's result
-is bit-identical to integrating it alone, which is what
-integrate_adaptive does: the batch of one. integrate_semiinfinite_batch
+unfinished integral in one vectorized call of the integrand. Each
+integral's panels are kept in the order of their left edges: a split
+panel's two halves take its place, and a finished integral keeps its
+panels. Its error is summed in that order every round, and its value
+once, after the last round. So a member's result is bit-identical to
+integrating it alone, which is what integrate_adaptive does: the batch
+of one. integrate_semiinfinite_batch
 adds the Gaussian truncation and its tail bound to such a batch. The
 shape of every batch is decided here alone (_RUN_PANELS), so callers
 hand over whole lists.
@@ -149,8 +151,8 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     ValueError). f(x, owner) gets an array of abscissae and an array,
     broadcasting against it, of the index of the integral each belongs
     to, and returns the integrand values at x. Every integral keeps its
-    own panels, budget and refinement decisions, and after the last
-    round sums its panels once, in the order it would alone, so its
+    own panels, in the order of their left edges, its own budget and
+    refinement decisions, and sums its panels in that order, so its
     result does not depend on the other members of the batch. The
     integrals run in order, in runs of at most _RUN_PANELS initial
     panels; each round of a run evaluates the new panels of all its
@@ -193,7 +195,7 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
     """The results of one run of integrate_adaptive_batch: integral j
     from counts[j] equal panels, f seeing it as owner members[j]. Each
     panel's slot is j, and panels stay grouped by slot, ascending, each
-    slot's panels in the order its integral has alone."""
+    slot's panels in the order of their left edges."""
     # the initial edges are np.linspace's, integral by integral: edge k
     # of n is k * step + lo, and edge n is hi
     slot = np.repeat(np.arange(members.size), counts)
@@ -218,10 +220,8 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
         finished = ((total_err <= tol) | (counts >= max_panels)
                     | (round_ == 200))
         threshold = tol / np.maximum(counts, 8)
-        # per-panel values of per-integral arrays; one integral's broadcast
-        at = slot if members.size > 1 else slice(None)
-        mask = ((errs > threshold[at]) & ((b - a) > width_floor[at])
-                & ~finished[at])
+        mask = ((errs > threshold[slot]) & ((b - a) > width_floor[slot])
+                & ~finished[slot])
         added = np.bincount(slot[mask], minlength=members.size)
         # an unfinished integral with no panel above its share splits
         # its worst panel, unless that one is already at the width floor
@@ -238,33 +238,29 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
         if finished.all():
             break
 
-        # split the marked panels: kept panels, then left halves, then
-        # right halves, the order each integral has alone; a finished
-        # integral keeps its panels unchanged
-        am, bm, sm = a[mask], b[mask], slot[mask]
+        # split the marked panels in place: f gets their left halves,
+        # then their right halves, and each pair of halves takes the
+        # place of its panel, so every integral's panels stay in the
+        # order of their left edges; a finished integral keeps its own
+        am, bm = a[mask], b[mask]
         mid = 0.5 * (am + bm)
-        new_a = np.concatenate([am, mid])
-        new_b = np.concatenate([mid, bm])
-        new_slot = np.concatenate([sm, sm])
-        new_vals, new_errs, new_mags = _gk15_panels(f, new_a, new_b,
-                                                    members[new_slot])
+        new_a, new_b = np.concatenate([am, mid]), np.concatenate([mid, bm])
+        new = _gk15_panels(f, new_a, new_b,
+                           members[np.concatenate([slot[mask]] * 2)])
         counts = counts + added
         evaluations += 30 * added
-        keep = ~mask
-        a, b, vals, errs, mags, slot = (
-            np.concatenate([old[keep], new])
-            for old, new in ((a, new_a), (b, new_b), (vals, new_vals),
-                             (errs, new_errs), (mags, new_mags),
-                             (slot, new_slot)))
-        if members.size > 1:
-            order = np.argsort(slot, kind="stable")
-            a, b, vals, errs, mags, slot = (
-                x[order] for x in (a, b, vals, errs, mags, slot))
+        repeat = 1 + mask
+        left = (np.cumsum(repeat) - repeat)[mask]
+        at = np.concatenate([left, left + 1])
+        slot = np.repeat(slot, repeat)
+        a, b, vals, errs, mags = (np.repeat(old, repeat)
+                                  for old in (a, b, vals, errs, mags))
+        for x, halves in zip((a, b, vals, errs, mags), (new_a, new_b, *new)):
+            x[at] = halves
 
-    # np.add.reduceat sums each slot's panels as one reduction of the same
-    # numbers in the same order as the batch of one; the value sums the
-    # panels in the order of their left edges
-    values = np.add.reduceat(vals[np.lexsort((a, slot))], starts)
+    # each integral's panels are summed once, in the order of their left
+    # edges, by one reduction of the same numbers as its batch of one
+    values = np.add.reduceat(vals, starts)
     errors = total_err + 50.0 * _EPS * np.add.reduceat(mags, starts)
     scalar = complex if np.iscomplexobj(values) else float
     return [QuadratureResult(value=scalar(value), abs_error_estimate=err,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udwmi import infomeasure, response
+from udwmi import infomeasure, response, sweep
 from udwmi.correlation import (CorrelationResult, PairConfig,
                                correlation_equal)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
@@ -256,6 +256,26 @@ class TestNegativeProbabilityRounding:
     def test_beyond_error_is_rejected(self):
         with pytest.raises(DomainError, match="negative transition"):
             mutual_information_point(self.terms(-2e-10, 1e-10))
+
+
+def test_fail_status_does_not_depend_on_last_bits():
+    # two P one ulp apart fail alike: the numbers of a fail status carry
+    # the 12 significant digits of a table's numeric cells
+    resp = transition_probability(
+        detector_from_accel_radius(0.5, 0.1, 1.0), None)
+    corr = CorrelationResult(c_total=0j, c_free=0j, c_boundary=0j,
+                             abs_error_estimate=0.0, converged=True)
+    p = 0.5400616153771887
+    sums, statuses = set(), set()
+    for p_a in (p, math.nextafter(p, 1.0)):
+        terms = PointTerms(*(dataclasses.replace(
+            resp, term_bounded=0.0, term_inertial=q, total=q)
+            for q in (p_a, 0.5)), corr)
+        sums.add(p_a + 0.5)
+        with pytest.warns(PerturbativeRegimeWarning):
+            statuses.add(sweep._row_status(terms)[0])
+    assert len(sums) == 2
+    assert statuses == {"fail:DomainError:p_a + p_b = 1.04006161538 exceeds 1"}
 
 
 class TestEndToEndPoint:

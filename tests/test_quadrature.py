@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from udwmi import (
@@ -152,6 +154,54 @@ class TestAdaptive:
             lambda x, owner: f(x, owner + 7), lo[7], hi[7], 1e-10,
             initial_panels=4096)[0]
         assert result_bits(capped) == result_bits(batch[7])
+
+    # one member: its interval (lo, width: a short one stops at the
+    # width floor), starting panels, log10 tol (-40 refines to the width
+    # floor or max_panels), and f = A exp(k x) + B / (1 + (s (x - c))^2)
+    # + D cos(w x)
+    AMPLITUDE = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    MEMBER = st.tuples(
+        st.floats(-4.0, 4.0),
+        st.one_of(st.floats(0.01, 8.0), st.floats(1e-14, 1e-12)),
+        st.integers(1, 300),
+        st.one_of(st.floats(-14.0, -3.0), st.just(-40.0)),
+        AMPLITUDE, st.sampled_from([-1.5, -0.3, 0.2, 1.0, 2.0]),
+        AMPLITUDE, st.floats(0.5, 60.0), st.floats(-4.0, 4.0),
+        AMPLITUDE, st.floats(0.1, 8.0))
+
+    @seed(27)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(MEMBER, min_size=1, max_size=6))
+    def test_random_batches_equal_batches_of_one(self, members):
+        # members whose neighbouring panels split in the same round, on
+        # unequal starts, at tolerances met, missed at the width floor
+        # and missed at max_panels: each equals its batch of one bit for
+        # bit and lies within its estimate of the closed form
+        lo, width, panels, log_tol, A, k, B, s, c, D, w = map(
+            np.array, zip(*members))
+        hi, tol = lo + width, 10.0 ** log_tol
+        width = hi - lo  # as rounded
+
+        def f(x, owner):
+            return (A[owner] * np.exp(k[owner] * x)
+                    + B[owner] / (1.0 + (s[owner] * (x - c[owner])) ** 2)
+                    + D[owner] * np.cos(w[owner] * x))
+
+        batch = integrate_adaptive_batch(f, lo, hi, tol, max_panels=2000,
+                                         initial_panels=panels)
+        alone = [integrate_adaptive_batch(
+            lambda x, owner, i=i: f(x, owner + i), lo[i], hi[i], tol[i],
+            max_panels=2000, initial_panels=panels[i])[0]
+            for i in range(len(members))]
+        assert [result_bits(r) for r in batch] == \
+            [result_bits(r) for r in alone]
+        exact = (A * np.exp(k * lo) * np.expm1(k * width) / k
+                 + B * np.arctan2(s * width, 1.0 + s * s * (hi - c) * (lo - c))
+                 / s
+                 + 2.0 * D * np.cos(0.5 * w * (hi + lo))
+                 * np.sin(0.5 * w * width) / w)
+        for res, value in zip(batch, exact.tolist()):
+            assert abs(res.value - value) <= res.abs_error_estimate
 
     def test_complex_integrand(self):
         r = integrate_adaptive(

@@ -40,8 +40,8 @@ def test_largest_change_per_column_and_class_changes():
     assert d["text_changes"] == 1
     assert tables.report("t.csv", OLD, NEW) == [
         "t.csv: differs",
-        "  I: max |delta| inf at row 1",
-        "  err: max |delta| inf at row 1",
+        "  I: max |delta| inf at row 1, relative inf at row 1",
+        "  err: max |delta| inf at row 1, relative inf at row 1",
         "  I beyond err_old + err_new: 1 rows, worst |delta I| / "
         "(err_old + err_new) inf at row 1",
         "  status row 1: class fail -> warn",
@@ -50,6 +50,24 @@ def test_largest_change_per_column_and_class_changes():
     # without the NaN row the largest finite change is found, with its row
     finite = tables.diff_file("t.csv", OLD.replace("nan", "0.02"), NEW)
     assert finite["largest"]["I"] == (0.0125 - 0.01, "0")
+
+
+def test_largest_relative_change_per_column():
+    # a last-bit change of a large value reads as about 1e-16 relative,
+    # beside the larger relative change of a small value; a column with
+    # no change has no line
+    old = "P,Q\n0.3,1\n1e-20,2\n0,3\n"
+    new = "P,Q\n0.30000000000000004,1\n1.5e-20,2\n0,3\n"
+    d = tables.diff_file("t.csv", old, new)
+    assert d["largest"]["P"] == (0.30000000000000004 - 0.3, "0")
+    assert d["relative"]["P"] == ((1.5e-20 - 1e-20) / 1.5e-20, "1")
+    assert d["relative"]["Q"] == (0.0, "0")
+    same = tables.diff_file("t.csv", old, new.replace("1.5e-20", "1e-20"))
+    assert same["relative"]["P"] == ((0.30000000000000004 - 0.3)
+                                     / 0.30000000000000004, "0")
+    assert math.isclose(same["relative"]["P"][0], 1.85e-16, rel_tol=0.01)
+    assert tables.report("t.csv", old, new)[1:] == [
+        "  P: max |delta| 5.55e-17 at row 0, relative 0.333 at row 1"]
 
 
 def test_rows_whose_change_in_I_exceeds_both_errors():

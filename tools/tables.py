@@ -13,8 +13,10 @@ point), all at the given worker count, into DIR/old and DIR/new (a
 temporary directory unless --out is given).
 
 For each file the report says whether it is byte-identical. For a file
-that is not, it lists the largest |new - old| of each numeric column
-and the row where it occurs, the rows whose ok/warn/fail class changed
+that is not, it lists for each changed numeric column its largest
+|new - old| and its largest relative change |new - old| / max(|old|,
+|new|), each with the row where it occurs (a difference of summation
+order reads as about 1e-16), the rows whose ok/warn/fail class changed
 (the text of a cell before its first ':'; true/false for a flag), and
 how many other text cells changed. For a file with an I column (a
 table, or the records of udwmi mi) it also counts the rows whose
@@ -161,10 +163,12 @@ def _text(value) -> str:
 
 def diff_columns(old: dict, new: dict) -> dict:
     """The differences of two files' columns: for each numeric column
-    its largest |new - old| and the row of it (inf where one side is
-    NaN or missing), the (column, row, old class, new class) of each
-    class change, and the count of other changed text cells."""
+    its largest |new - old| and its largest |new - old| / max(|old|,
+    |new|), each with its row (inf where one side is NaN or missing),
+    the (column, row, old class, new class) of each class change, and
+    the count of other changed text cells."""
     largest: dict[str, tuple[float, str]] = {}
+    relative: dict[str, tuple[float, str]] = {}
     classes, text_changes = [], 0
     for name in sorted(old.keys() | new.keys()):
         a_col, b_col = old.get(name, {}), new.get(name, {})
@@ -186,10 +190,15 @@ def diff_columns(old: dict, new: dict) -> dict:
                     classes.append((name, row, ca, cb))
                 elif ta != tb:
                     text_changes += 1
-            if delta is not None and (name not in largest
-                                      or delta > largest[name][0]):
-                largest[name] = (delta, row)
-    return {"largest": largest, "classes": classes,
+            if delta is None:
+                continue
+            # a finite nonzero delta has two finite sides
+            rel = (delta / max(abs(x), abs(y))
+                   if 0.0 < delta < math.inf else delta)
+            for table, change in ((largest, delta), (relative, rel)):
+                if name not in table or change > table[name][0]:
+                    table[name] = (change, row)
+    return {"largest": largest, "relative": relative, "classes": classes,
             "text_changes": text_changes}
 
 
@@ -245,7 +254,9 @@ def report(name: str, old_text: str | None, new_text: str | None) -> list[str]:
     lines = [f"{name}: differs"]
     for column, (delta, row) in d["largest"].items():
         if delta > 0.0:
-            lines.append(f"  {column}: max |delta| {delta:.3g} at row {row}")
+            rel, rel_row = d["relative"][column]
+            lines.append(f"  {column}: max |delta| {delta:.3g} at row {row}, "
+                         f"relative {rel:.3g} at row {rel_row}")
     if "beyond_err" in d:
         count, worst, row = d["beyond_err"]
         lines.append(f"  I beyond err_old + err_new: {count} rows, worst "
