@@ -35,10 +35,9 @@ panel's two halves take its place, and a finished integral keeps its
 panels. Its error is summed in that order every round, and its value
 once, after the last round. So a member's result is bit-identical to
 integrating it alone, which is what integrate_adaptive does: the batch
-of one. integrate_semiinfinite_batch
-adds the Gaussian truncation and its tail bound to such a batch. The
-shape of every batch is decided here alone (_RUN_PANELS), so callers
-hand over whole lists.
+of one. integrate_semiinfinite_batch adds the Gaussian truncation and
+its tail bound to such a batch. The shape of every batch is decided
+here alone (_RUN_PANELS), so callers hand over whole lists.
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
         counts = counts + added
         evaluations += 30 * added
         repeat = 1 + mask
-        left = (np.cumsum(repeat) - repeat)[mask]
-        at = np.concatenate([left, left + 1])
+        first = (np.cumsum(repeat) - repeat)[mask]
+        at = np.concatenate([first, first + 1])
         slot = np.repeat(slot, repeat)
         a, b, vals, errs, mags = (np.repeat(old, repeat)
                                   for old in (a, b, vals, errs, mags))

@@ -63,8 +63,7 @@ def test_largest_relative_change_per_column():
     assert d["relative"]["P"] == ((1.5e-20 - 1e-20) / 1.5e-20, "1")
     assert d["relative"]["Q"] == (0.0, "0")
     same = tables.diff_file("t.csv", old, new.replace("1.5e-20", "1e-20"))
-    assert same["relative"]["P"] == ((0.30000000000000004 - 0.3)
-                                     / 0.30000000000000004, "0")
+    assert same["relative"]["P"][1] == "0"
     assert math.isclose(same["relative"]["P"][0], 1.85e-16, rel_tol=0.01)
     assert tables.report("t.csv", old, new)[1:] == [
         "  P: max |delta| 5.55e-17 at row 0, relative 0.333 at row 1"]
