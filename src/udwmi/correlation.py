@@ -423,13 +423,13 @@ def _contours(det_a: CircularDetectorSpec,
     return 0.5 * eta_2, eta_2
 
 
-def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                   z_a: float, z_b: float, mirror: bool, contours,
-                   tol: float) -> list[QuadratureResult]:
+def _oracle_pass(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int,
+                 tol: float) -> QuadratureResult:
     """The defining double integral between det_a at height z_a and
-    det_b at z_b, with the image term when mirror, once per (eta, n_u)
-    of contours, as the members of one integrate_adaptive_batch call,
-    each to tol.
+    det_b at z_b, with the image term when mirror, on the contour shifted
+    by eta with about n_u inner nodes, to tol: a batch of one of
+    integrate_adaptive_batch.
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
@@ -439,16 +439,15 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     the outer s integral adaptive GK15. The factors that depend on u
     alone or on s alone are column weights and a row factor. Rows are
     evaluated in blocks of at most _BLOCK grid elements (at least one
-    row), each from its own abscissa alone, so a pass depends neither
-    on the blocks nor on the other members."""
+    row), each from its own abscissa alone, so a pass does not depend on
+    the blocks."""
     wightman = wightman_boundary if mirror else wightman_free
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
-    members = []
-    for eta, n_u in contours:
-        u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
-        members.append((eta, u, w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)))
+    u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
+    weights = w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)
+    step = max(_BLOCK // u.size, 1)
 
-    def rows(s, eta, u, weights):
+    def rows(s):
         ds = s - 1j * eta
         half = 0.5 * ds[:, None]
         w = wightman(trajectory_point(det_a, z_a, u + half),
@@ -457,27 +456,20 @@ def _oracle_passes(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
         return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
                 * np.einsum("ij,j->i", w, weights))
 
-    def f(x, owner):
-        out = np.empty(x.shape, dtype=complex)
-        owner = np.broadcast_to(owner, x.shape)
-        for m, (eta, u, weights) in enumerate(members):
-            mine = owner == m
-            s = x[mine]
-            vals = np.empty(s.size, dtype=complex)
-            step = max(_BLOCK // u.size, 1)
-            for i in range(0, s.size, step):
-                vals[i:i + step] = rows(s[i:i + step], eta, u, weights)
-            out[mine] = vals
-        return out
+    def f(x, _):
+        s = x.ravel()
+        return np.concatenate([rows(s[i:i + step])
+                               for i in range(0, s.size, step)]
+                              ).reshape(x.shape)
 
     # enough starting panels to see the phase and orbit oscillations
     s_max = 2.0 * _U_CUT
     f_s = (abs(gap_a + gap_b) + det_a.omega * det_a.gamma
            + det_b.omega * det_b.gamma) / 2.0 + 1.0
     n0 = int(0.25 * s_max * f_s) + 8
-    return [_checked(res) for res in integrate_adaptive_batch(
-        f, -s_max, s_max, [tol] * len(members), initial_panels=n0,
-        max_panels=60000)]
+    (res,) = integrate_adaptive_batch(f, -s_max, s_max, tol,
+                                      initial_panels=n0, max_panels=60000)
+    return _checked(res)
 
 
 def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
@@ -501,8 +493,8 @@ def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     f_u = (4.0 * abs(det_a.omega * det_a.gamma - det_b.omega * det_b.gamma)
            + abs(det_a.energy_gap - det_b.energy_gap))
     n_u = 96 + 16 * math.ceil(2.0 * _U_CUT * f_u / 16.0)
-    passes = _oracle_passes(det_a, det_b, z_a, z_b, mirror,
-                            [(etas[0], n_u), (etas[1], 2 * n_u)], tol)
+    passes = [_oracle_pass(det_a, det_b, z_a, z_b, mirror, eta, n, tol)
+              for eta, n in zip(etas, (n_u, 2 * n_u))]
     spread = abs(passes[1].value - passes[0].value)
     quad_err = max(res.abs_error_estimate for res in passes)
     if spread > 100.0 * max(tol, quad_err):

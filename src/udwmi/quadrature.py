@@ -216,24 +216,17 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
     for round_ in range(201):
         starts = np.cumsum(counts) - counts
         total_err = np.add.reduceat(errs, starts)
-        finished = ((total_err <= tol) | (counts >= max_panels)
-                    | (round_ == 200))
+        # a panel wider than the width floor splits when its error is not
+        # within its share of tol (a NaN error is not, as +inf is not).
+        # While total_err > tol the worst finite error exceeds its share,
+        # so an integral with nothing to split is at the width floor
         threshold = tol / np.maximum(counts, 8)
-        mask = ((errs > threshold[slot]) & ((b - a) > width_floor[slot])
-                & ~finished[slot])
+        mask = ~(errs <= threshold[slot]) & ((b - a) > width_floor[slot])
         added = np.bincount(slot[mask], minlength=members.size)
-        # an unfinished integral with no panel above its share splits
-        # its worst panel, unless that one is already at the width floor
-        # (a finished integral keeps its panels, so each round decides
-        # this again alike)
-        for j in np.flatnonzero(~finished & (added == 0)):
-            worst = starts[j] + int(np.argmax(
-                errs[starts[j]:starts[j] + counts[j]]))
-            if b[worst] - a[worst] <= width_floor[j]:
-                finished[j] = True
-            else:
-                mask[worst] = True
-                added[j] = 1
+        finished = ((total_err <= tol) | (counts >= max_panels)
+                    | (added == 0) | (round_ == 200))
+        mask &= ~finished[slot]
+        added[finished] = 0
         if finished.all():
             break
 

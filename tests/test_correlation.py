@@ -19,7 +19,7 @@ from udwmi import (
     wightman_free,
 )
 from udwmi.correlation import (_contours, _line_params, _line_pole,
-                               _oracle_passes, _reduced_line_integral,
+                               _oracle_pass, _reduced_line_integral,
                                _reduced_line_integrals)
 
 # Frozen expected values come from an independent mpmath implementation of
@@ -464,22 +464,21 @@ class TestDefinitionOracle:
             assert abs(est.value - fast.c_total) <= est.error_estimate
 
     def test_each_regulator_pass_runs_once(self, monkeypatch):
-        # both contours run as one batch: eta_1 on the inner grid, eta_2
-        # on the doubled one, and the value is the second
+        # one pass per contour: eta_1 on the inner grid, eta_2 on the
+        # doubled one, and the value is the second
         from udwmi import correlation
 
         calls = []
-        batch = correlation._oracle_passes
+        one_pass = correlation._oracle_pass
 
         def counted(*args):
-            calls.append(args[5])
-            return batch(*args)
+            calls.append(args[5:7])
+            return one_pass(*args)
 
-        monkeypatch.setattr(correlation, "_oracle_passes", counted)
+        monkeypatch.setattr(correlation, "_oracle_pass", counted)
         cfg = pair(1.0, 1.0, sep=1.0)
         est = correlation_general_result(cfg, tol=1e-6)
-        (contours,) = calls
-        (eta_1, n_u), (eta_2, n_fine) = contours
+        (eta_1, n_u), (eta_2, n_fine) = calls
         assert (eta_1, eta_2) == _contours(cfg.det_a, cfg.det_b)
         assert eta_2 == 2.0 * eta_1 and n_fine == 2 * n_u
         assert [eta for eta, _ in est.samples] == [eta_1, eta_2]
@@ -489,14 +488,14 @@ class TestDefinitionOracle:
         from udwmi import correlation
 
         counts = []
-        batch = correlation._oracle_passes
+        one_pass = correlation._oracle_pass
 
         def counted(*args):
-            results = batch(*args)
-            counts.extend(res.evaluations for res in results)
-            return results
+            res = one_pass(*args)
+            counts.append(res.evaluations)
+            return res
 
-        monkeypatch.setattr(correlation, "_oracle_passes", counted)
+        monkeypatch.setattr(correlation, "_oracle_pass", counted)
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
         assert len(counts) == 2
         assert est.evaluations == sum(counts)
@@ -546,8 +545,9 @@ def bits(res):
 
 
 def oracle_args(det_a, det_b, z_a, z_b, mirror):
-    """The arguments of _oracle_passes before its contours, and the
-    contours _oracle gives equal-kinematics detectors."""
+    """The arguments of _oracle_pass before its contour, and the
+    (eta, n_u) contours _oracle gives equal-kinematics detectors of one
+    gap."""
     eta_1, eta_2 = _contours(det_a, det_b)
     return (det_a, det_b, z_a, z_b, mirror), [(eta_1, 96), (eta_2, 192)]
 
@@ -576,7 +576,8 @@ class TestOracleRowBlocks:
             return [bits(res) for args, contours in (
                         pair_args(pair(1.0, 1.0, sep=1.0)),
                         response_args(spec, 0.5))
-                    for res in _oracle_passes(*args, contours, 1e-5)]
+                    for eta, n_u in contours
+                    for res in [_oracle_pass(*args, eta, n_u, 1e-5)]]
 
         default = passes()
         monkeypatch.setattr(correlation, "_BLOCK", 1)
@@ -591,7 +592,8 @@ class TestOracleRowBlocks:
         args, contours = pair_args(cfg)
         tracemalloc.start()
         try:
-            _oracle_passes(*args, contours, 1e-7)
+            for eta, n_u in contours:
+                _oracle_pass(*args, eta, n_u, 1e-7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -599,9 +601,9 @@ class TestOracleRowBlocks:
 
 
 class TestRungBatch:
-    # the oracle's two contours, the rungs of its eta ladder, run as one
-    # lockstep batch; each keeps its own mesh, so it equals its batch of
-    # one
+    # each of the oracle's two contours, the rungs of its eta ladder, is
+    # a pass of its own, a batch of one of integrate_adaptive_batch; the
+    # estimate takes its passes' values and counts as they stand
     @pytest.mark.parametrize("cfg", [
         pair(5.0, 0.02, sep=1.0, dz=0.1),      # mirror
         pair(1.0, 1.0, sep=1.0),               # free space
@@ -609,11 +611,16 @@ class TestRungBatch:
     ])
     def test_correlation_rungs_equal_batches_of_one(self, cfg):
         args, contours = pair_args(cfg)
-        batch = _oracle_passes(*args, contours, 1e-7)
-        assert len(batch) == 2
-        for contour, res in zip(contours, batch):
-            (alone,) = _oracle_passes(*args, [contour], 1e-7)
-            assert bits(res) == bits(alone)
+        est = correlation_general_result(cfg, tol=1e-7)
+        alone = [_oracle_pass(*args, eta, n_u, 1e-7)
+                 for eta, n_u in contours]
+        assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
+                                    in zip(contours, alone, strict=True))
+        assert est.evaluations == sum(res.evaluations for res in alone)
+        assert est.value == alone[1].value
+        assert est.error_estimate == (
+            abs(alone[1].value - alone[0].value)
+            + max(res.abs_error_estimate for res in alone))
 
     @pytest.mark.parametrize("accel, radius, dz", [
         (5.0, 0.02, 0.1),      # mirror
@@ -621,12 +628,17 @@ class TestRungBatch:
         (0.0, 1.0, 0.5),       # static
     ])
     def test_response_rungs_equal_batches_of_one(self, accel, radius, dz):
-        args, contours = response_args(
-            detector_from_accel_radius(0.1, accel, radius), dz)
-        batch = _oracle_passes(*args, contours, 2.5e-7)
-        for contour, res in zip(contours, batch, strict=True):
-            (alone,) = _oracle_passes(*args, [contour], 2.5e-7)
-            assert bits(res) == bits(alone)
+        from udwmi import response
+
+        spec = detector_from_accel_radius(0.1, accel, radius)
+        args, contours = response_args(spec, dz)
+        est = response.transition_probability_oracle_result(spec, dz, 1e-6)
+        alone = [_oracle_pass(*args, eta, n_u, 2.5e-7)
+                 for eta, n_u in contours]
+        assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
+                                    in zip(contours, alone, strict=True))
+        assert est.evaluations == sum(res.evaluations for res in alone)
+        assert est.value == alone[1].value.real
 
 
 class TestPairValidation:

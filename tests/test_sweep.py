@@ -881,15 +881,15 @@ class TestOracleSuite:
     def test_records_count_oracle_evaluations(self, smoke_report,
                                               monkeypatch):
         # both contour passes of a point's oracle, summed
-        batch = correlation._oracle_passes
+        one_pass = correlation._oracle_pass
         calls = []
 
         def counted(*args):
-            results = batch(*args)
-            calls.append(sum(r.evaluations for r in results))
-            return results
+            res = one_pass(*args)
+            calls.append(res.evaluations)
+            return res
 
-        monkeypatch.setattr(correlation, "_oracle_passes", counted)
+        monkeypatch.setattr(correlation, "_oracle_pass", counted)
         for rec in smoke_report["response"]["points"]:
             p = rec["params"]
             calls.clear()
@@ -906,8 +906,8 @@ class TestOracleSuite:
                 det_b=detector_from_accel_radius(p["gap_b"], p["accel"],
                                                  p["radius"]),
                 sep=p["sep"], dz=p["dz"]))
-            assert len(calls) == 1
-            assert crec["oracle_evaluations"] == calls[0]
+            assert len(calls) == 2
+            assert crec["oracle_evaluations"] == sum(calls)
 
     def test_corrupted_response_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
