@@ -38,11 +38,11 @@ independent routes:
   wightman_boundary, unregulated, is taken there with no limit (_oracle).
   The response oracle of module response is the same routine: the
   response is the correlation of a detector with itself. eta comes
-  from the orbits (_contours); the passes at two values are the
-  members of one integrate_adaptive_batch call, and their spread is
-  the error. Rows are evaluated in plain blocks of at most _BLOCK
-  inner-grid elements, both events through trajectory_point at complex
-  proper time.
+  from the orbits (_contours); the passes at two values, each an
+  integrate_adaptive_batch call of its own (_oracle_pass), differ in eta
+  and inner grid, and their spread is the error. Rows are evaluated in
+  plain blocks of at most _BLOCK inner-grid elements, both events
+  through trajectory_point at complex proper time.
 """
 
 from __future__ import annotations
@@ -476,9 +476,9 @@ def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
             z_a: float, z_b: float, mirror: bool,
             tol: float) -> OracleEstimate:
     """The definition-level correlation of det_a at height z_a with det_b
-    at z_b, with the image term when mirror: the passes of
-    _oracle_passes at eta_1 on n_u inner nodes and at eta_2 on 2 n_u,
-    each to tol, and the value of the second.
+    at z_b, with the image term when mirror: _oracle_pass at eta_1 on
+    n_u inner nodes and at eta_2 on 2 n_u, each to tol, and the value
+    of the second.
 
     The value cannot depend on eta unless a zero of the interval lies
     between the contours, so the error is the spread of the two passes,

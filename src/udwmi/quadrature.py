@@ -24,12 +24,14 @@ physics layers can cross check one against the other:
   (correlation._oracle).
 
 Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
-every panel whose error exceeds an equidistributed share of the budget.
-integrate_adaptive_batch refines many integrals in lockstep: each keeps
-a mesh of its own (unlike the one shared mesh of scipy's quad_vec),
-started on its own number of equal panels, its own budget and its own
-refinement decisions, and each round evaluates the new panels of every
-unfinished integral in one vectorized call of the integrand. Each
+every panel above a width floor whose error is not within an
+equidistributed share of the budget (a NaN error is not), and an
+integral with no such panel is finished. integrate_adaptive_batch
+refines many integrals in lockstep: each keeps a mesh of its own
+(unlike the one shared mesh of scipy's quad_vec), started on its own
+number of equal panels, its own budget and its own refinement
+decisions, and each round evaluates the new panels of every unfinished
+integral in one vectorized call of the integrand. Each
 integral's panels are kept in the order of their left edges: a split
 panel's two halves take its place, and a finished integral keeps its
 panels. Its error is summed in that order every round, and its value
@@ -152,7 +154,9 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     to, and returns the integrand values at x. Every integral keeps its
     own panels, in the order of their left edges, its own budget and
     refinement decisions, and sums its panels in that order, so its
-    result does not depend on the other members of the batch. The
+    result does not depend on the other members of the batch. It stops
+    when its error meets tol[i], at max_panels panels, with no panel
+    left to split, or after 200 rounds. The
     integrals run in order, in runs of at most _RUN_PANELS initial
     panels; each round of a run evaluates the new panels of all its
     unfinished integrals in one call of f. Returns one entry per
@@ -216,10 +220,10 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
     for round_ in range(201):
         starts = np.cumsum(counts) - counts
         total_err = np.add.reduceat(errs, starts)
-        # a panel wider than the width floor splits when its error is not
-        # within its share of tol (a NaN error is not, as +inf is not).
-        # While total_err > tol the worst finite error exceeds its share,
-        # so an integral with nothing to split is at the width floor
+        # a panel above the width floor splits unless its error is within
+        # its share (so a NaN error splits, as +inf does); while total_err
+        # > tol some error exceeds its share, so one with none to split
+        # is at the width floor
         threshold = tol / np.maximum(counts, 8)
         mask = ~(errs <= threshold[slot]) & ((b - a) > width_floor[slot])
         added = np.bincount(slot[mask], minlength=members.size)

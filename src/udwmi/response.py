@@ -189,8 +189,10 @@ def _free_response(spec: CircularDetectorSpec,
 def _free_responses(keys) -> list:
     """The free-space breakdown of each (detector, tol) key, or the
     exception it raises (a tol that kinematics._require_tol rejects,
-    static detector or not): the singularity-subtracted rotating term,
-    to a quarter of tol, plus the inertial term.
+    static detector or not, or a rotating term whose Gaussian cutoff is
+    not finite): the singularity-subtracted rotating term, to a quarter
+    of tol, plus the inertial term. Each key is set up on its own, so
+    it fails alone.
 
     The rotating term integrates exp(-alpha x^2) cos(beta x) times
     _bounded_kernel over [0, inf), in x = gamma omega s / 2, with
@@ -206,19 +208,22 @@ def _free_responses(keys) -> list:
         om, gamma, v = spec.omega, spec.gamma, spec.speed
         try:
             _require_tol(tol)
-        except DomainError as exc:
+            if v < 1e-12:
+                # the static detector too: alpha and beta are undefined
+                results[i] = _breakdown(spec, 0.0, 0.0, True)
+                continue
+            k_bounded = v * v * gamma * om / (4.0 * math.pi ** 1.5)
+            alpha = 1.0 / (gamma * om) ** 2
+            beta = 2.0 * spec.energy_gap / (gamma * om)
+            tol_x = tol / 4.0 / max(k_bounded, 1e-300)
+            x_max = gaussian_truncation_point(alpha, tol_x)
+            if not math.isfinite(x_max):  # a subnormal alpha
+                raise DomainError(f"the rotating term's cutoff is not "
+                                  f"finite (alpha = {alpha:.3g})")
+            n0 = int(x_max * (abs(beta) + 2.0) / (2.0 * math.pi)) + 8
+        except Exception as exc:  # a key fails alone
             results[i] = exc
             continue
-        if v < 1e-12:
-            # includes the static detector, where alpha and beta are undefined
-            results[i] = _breakdown(spec, 0.0, 0.0, True)
-            continue
-        k_bounded = v * v * gamma * om / (4.0 * math.pi ** 1.5)
-        alpha = 1.0 / (gamma * om) ** 2
-        beta = 2.0 * spec.energy_gap / (gamma * om)
-        tol_x = tol / 4.0 / max(k_bounded, 1e-300)
-        x_max = gaussian_truncation_point(alpha, tol_x)
-        n0 = int(x_max * (abs(beta) + 2.0) / (2.0 * math.pi)) + 8
         moving.append((i, k_bounded, alpha, beta, v * v, tol_x, n0))
     if not moving:
         return results

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import udwmi
-from udwmi import correlation, response
+from udwmi import correlation, detector_from_accel_radius, response
 from udwmi.cli import _build_parser, main
 from udwmi.infomeasure import PerturbativeRegimeWarning
 from udwmi.sweep import COLUMNS, SweepAxis, SweepSpec, run_sweep
@@ -148,6 +148,15 @@ class TestMiCommand:
         assert rc == 2
         assert "config error" not in err
         assert "point failed" in err and "exceeds 1" in err
+        assert out == ""
+
+    def test_extreme_orbit_is_a_failed_point(self, capsys):
+        # a subnormal Gaussian alpha in the bounded term: the point
+        # fails, with no traceback
+        rc, out, err = run_cli(capsys, [
+            "mi", "--accel", "1.7e154", "--radius", "1e-154", "--dz", "1"])
+        assert rc == 2
+        assert err.startswith("point failed: the rotating term's cutoff")
         assert out == ""
 
     def test_invalid_tol_is_config_error(self, capsys):
@@ -301,6 +310,22 @@ class TestVerifyCommand:
         assert rc == 3
         assert "oracle suite FAILED" in err
 
+    def test_oracle_that_does_not_converge_exits_2(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # a second contour beyond the tube of a gamma = 20 orbit crosses
+        # the interval's complex zeros: the oracle raises RuntimeError
+        eta_1, _ = correlation._contours(
+            *[detector_from_accel_radius(0.1, 40.0, 10.0)] * 2)
+        monkeypatch.setattr(correlation, "_contours", lambda *_: (eta_1, 0.2))
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps({"response_points": [
+            {"gap": 0.1, "accel": 40.0, "radius": 10.0, "dz": 0.1}]}))
+        rc, out, err = run_cli(capsys, [
+            "verify", "--grid", str(p), "--workers", "1"])
+        assert rc == 2
+        assert err.startswith("evaluation failed: the passes at eta")
+        assert out == ""
+
     def test_missing_grid_is_config_error(self, capsys):
         rc, out, err = run_cli(capsys, ["verify", "--grid", "nope"])
         assert rc == 1
@@ -327,7 +352,9 @@ class TestVerifyCommand:
                      # numbers either
                      {"rel_tol": "1e-3", "response_points": [good]},
                      {"response_points": [{**good, "accel": "2"}]},
-                     {"response_points": [{**good, "gap": True}]}):
+                     {"response_points": [{**good, "gap": True}]},
+                     # a grid that is not a JSON object
+                     [good]):
             p.write_text(json.dumps(grid))
             rc, out, err = run_cli(capsys, [
                 "verify", "--grid", str(p), "--workers", workers])

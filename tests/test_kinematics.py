@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -171,6 +172,20 @@ class TestValidation:
         with pytest.raises(DomainError,
                            match=re.escape(f"a = {accel}, R = {radius}")):
             detector_from_accel_radius(0.1, accel, radius)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("radius", math.nan, "must be finite"),
+        ("radius", 0.0, "radius must be positive"),
+        ("accel", -1.0, "accel must be nonnegative"),
+        ("speed", 1.0, "orbital speed must satisfy"),
+        ("gamma", 0.5, "gamma must be >= 1"),
+    ])
+    def test_spec_built_directly_is_checked(self, field, value, message):
+        # a CircularDetectorSpec built field by field, not from a and R,
+        # checks its own fields
+        det = detector_from_accel_radius(0.1, 1.0, 1.0)
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(det, **{field: value})
 
     def test_fastest_representable_orbit_accepted(self):
         det = detector_from_accel_radius(0.1, 9e15, 1.0)

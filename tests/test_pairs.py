@@ -1,8 +1,12 @@
-"""The seed parsing and pair summary of tools/pairs.py on synthetic runs."""
+"""The seed parsing, commit lookup and pair summary of tools/pairs.py,
+on synthetic runs and a scratch repository."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -69,3 +73,25 @@ def test_summary_flags_a_regression_beyond_the_bound(monkeypatch):
     assert not s["points_per_s"]["within_bound"]
     assert not s["point_ms_p50"]["within_bound"]
     assert s["points_per_s"]["pairs_won_by_new"] == 0
+
+
+def test_revisions_resolve_to_commits(monkeypatch, tmp_path):
+    # a run given HEAD or a branch records the commit it names
+    pairs = load_pairs(monkeypatch)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "first")
+    first = git("rev-parse", "HEAD")
+    git("commit", "-q", "--allow-empty", "-m", "second")
+    monkeypatch.setattr(pairs.tables, "REPO", tmp_path)
+    assert pairs.commit_of("HEAD~1") == first
+    assert pairs.commit_of("HEAD") == git("rev-parse", "HEAD") != first
+    assert pairs.commit_of(first[:8]) == first
+    with pytest.raises(subprocess.CalledProcessError):
+        pairs.commit_of("no-such-revision")

@@ -87,12 +87,13 @@ class TestAdaptive:
         # members on their own initial panel counts (one at a subnormal
         # width, where linspace takes its zero-step form, one with an
         # empty interval, one that stops at the width floor while the
-        # others refine) each equal their batch of one
-        freq = np.array([0.5, 3.0, 20.0, 1.0, 7.0, 2.0, 1.0])
-        lo = [0.0, -1.0, 0.0, 0.0, 2.0, 0.5, 1.0]
-        hi = [5.0, 4.0, 9.0, 5e-324, 2.0, 30.0, 1.0 + 1e-13]
-        tol = [1e-10, 1e-12, 1e-8, 1e-10, 1e-10, 1e-11, 1e-40]
-        panels = [1, 8, 37, 4, 3, 0, 8]
+        # others refine, one with an infinite limit) each equal their
+        # batch of one
+        freq = np.array([0.5, 3.0, 20.0, 1.0, 7.0, 2.0, 1.0, 1.0])
+        lo = [0.0, -1.0, 0.0, 0.0, 2.0, 0.5, 1.0, 0.0]
+        hi = [5.0, 4.0, 9.0, 5e-324, 2.0, 30.0, 1.0 + 1e-13, math.inf]
+        tol = [1e-10, 1e-12, 1e-8, 1e-10, 1e-10, 1e-11, 1e-40, 1e-10]
+        panels = [1, 8, 37, 4, 3, 0, 8, 8]
 
         def f(x, owner):
             return np.cos(freq[owner] * x) * np.exp(-0.1 * x * x)
@@ -105,6 +106,7 @@ class TestAdaptive:
         assert [result_bits(r) for r in batch] == \
             [result_bits(r) for r in alone]
         assert isinstance(batch[4], DomainError)
+        assert "limits must be finite" in str(batch[7])
         # each member started on its own panels: 15 evaluations each
         assert batch[0].evaluations % 15 == 0
         assert batch[2].evaluations >= 15 * 37
@@ -210,6 +212,38 @@ class TestAdaptive:
         for res, value, slack in zip(batch, exact.tolist(), rounding):
             assert abs(res.value - value) <= res.abs_error_estimate + slack
 
+    def test_nan_panel_splits_as_above_its_share(self):
+        # sin(x)/x is NaN at the middle node of the one panel on [-1, 1]:
+        # a NaN error is not within its share, so the panel splits, and
+        # the nodes of its halves miss 0
+        with np.errstate(invalid="ignore"):
+            r = integrate_adaptive(lambda x: np.sin(x) / x, -1.0, 1.0,
+                                   1e-12, initial_panels=1)
+        assert (r.value, r.evaluations, r.converged) == (
+            1.892166140734366, 45, True)
+
+    def test_nan_member_fails_alone(self):
+        # sqrt is NaN on [-1, 0): its NaN panels split until max_panels,
+        # and it returns NaN, not converged, as its batch of one does;
+        # the member beside it is unaffected
+        def f(x, owner):
+            with np.errstate(invalid="ignore"):
+                return np.where(owner == 0, np.sqrt(x), np.exp(-x * x))
+
+        batch = integrate_adaptive_batch(f, -1.0, 1.0, [1e-10, 1e-10],
+                                         max_panels=2000)
+        alone = [integrate_adaptive_batch(
+            lambda x, owner, i=i: f(x, owner + i), -1.0, 1.0, 1e-10,
+            max_panels=2000)[0] for i in range(2)]
+        assert [result_bits(r) for r in batch] == \
+            [result_bits(r) for r in alone]
+        nan, good = batch
+        assert math.isnan(nan.value) and not nan.converged
+        assert nan.evaluations >= 15 * 2000
+        assert good.converged
+        assert abs(good.value - math.sqrt(math.pi) * math.erf(1.0)) <= \
+            good.abs_error_estimate
+
     def test_complex_integrand(self):
         r = integrate_adaptive(
             lambda x: np.exp(-x * x + 1j * x), -10.0, 10.0, tol=1e-12
@@ -232,6 +266,20 @@ class TestSemiInfinite:
         # discarded Gaussian mass beyond x is below tol
         assert np.exp(-0.004 * x * x) < 1e-10
         assert x < 400.0
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            gaussian_truncation_point(alpha=0.0, tol=1e-10)
+
+    def test_bad_tol_fails_alone(self):
+        # a member whose tol is not positive fails with a DomainError,
+        # in a batch beside a good member and alone
+        def f(x, _):
+            return np.exp(-0.25 * x * x)
+
+        bad, good = integrate_semiinfinite_batch(f, 0.25, [0.0, 1e-12])
+        (lone,) = integrate_semiinfinite_batch(f, 0.25, 0.0)
+        assert result_bits(lone) == result_bits(bad)
+        assert "tol must be positive" in str(lone)
+        assert good.converged
 
     @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
     def test_tail_bound_finite_at_tiny_tol(self, tol):

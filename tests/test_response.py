@@ -236,6 +236,7 @@ class TestFreeBatch:
         (det(2.0, 100.0, 10.0), 1e-10),     # 42
         (det(0.5, 5.0, 0.2), 1e-8),         # 9
         (det(1000.0, 1e-3, 0.01), 1e-8),    # 3516
+        (det(1.7e154, 1e-154), 1e-8),       # subnormal alpha: fails alone
     ]
 
     @pytest.mark.parametrize("bound", [None, 10 ** 6])
@@ -270,6 +271,8 @@ class TestFreeBatch:
             [breakdown_bits(r) for r in alone]
         assert isinstance(batch[3], DomainError)
         assert "tol must be positive" in str(batch[3])
+        assert isinstance(batch[8], DomainError)
+        assert "cutoff is not finite" in str(batch[8])
         assert batch[1].term_bounded == 0.0 and batch[1].converged
         with pytest.raises(DomainError, match="tol must be positive"):
             transition_probability(self.KEYS[3][0], None, self.KEYS[3][1])

@@ -155,6 +155,8 @@ class TestSpec:
                 "name": "sep", "start": 0.5, "points": 4}})
         with pytest.raises(DomainError):
             SweepSpec.from_mapping(["not", "a", "dict"])
+        with pytest.raises(DomainError, match="needs an 'axis' object"):
+            SweepSpec.from_mapping({"dz": 0.5, "axis": ["sep", 0.5, 2.0]})
 
     @pytest.mark.parametrize("bad", [
         # a truthy string would drop the mirror a config without dz needs
@@ -637,6 +639,18 @@ class TestPlanner:
         ok, fast = run_sweep(spec, workers=1)
         assert not ok.status.startswith("fail")
         assert fast.status.startswith("fail:DomainError:a = 1e+16, R = 1.0")
+
+    def test_extreme_orbit_fails_its_row_alone(self):
+        # at a = 1.7e154, R = 1e-154 the bounded term's Gaussian alpha is
+        # subnormal and its cutoff infinite: that row fails with a
+        # DomainError, the a = 1 row beside it is computed
+        spec = cheap_spec(axis=SweepAxis(name="accel", start=1.0,
+                                         stop=1.7e154, points=2),
+                          radius=1e-154)
+        ok, fast = run_sweep(spec, workers=1)
+        assert ok.status == "ok"
+        assert fast.status.startswith(
+            "fail:DomainError:the rotating term's cutoff is not finite")
 
     def test_smallest_tol_does_not_raise(self):
         # the smallest tol a spec takes cannot be met, but the rows say

@@ -3,8 +3,9 @@
     python tools/pairs.py OLD NEW --workload W [--workload W2 ...] \
         --seeds 601-610 [--seconds 15] [--out FILE]
 
-OLD and NEW are git revisions of this repository, each extracted fresh
-with git archive (tables.checkout). For each seed, and for each workload
+OLD and NEW are git revisions of this repository, each resolved to its
+commit with git rev-parse and extracted fresh with git archive
+(tables.checkout). For each seed, and for each workload
 in turn, bench/run.py runs once in each checkout with the same arguments
 (--seed S --seconds T --trace 0): a pair. The first seed's pair runs OLD
 first, the next NEW first, and so on, so that neither side always meets
@@ -18,7 +19,8 @@ pairs the NEW side won, the change of the medians relative to OLD's, the
 parent's interquartile range, whether the medians differ by more than
 it, and whether the change stays within the metric's bound. It prints
 one line per metric and writes the summary and every run's result to
-FILE (default BENCH_<first workload>.json). The exit status is 0 when
+FILE (default BENCH_<first workload>.json), with both revisions as typed
+and the commits they name. The exit status is 0 when
 every run passed its correctness gate, else 1.
 """
 
@@ -47,6 +49,14 @@ def parse_seeds(items: list[str]) -> list[int]:
         lo, _, hi = item.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def commit_of(revision: str) -> str:
+    """The commit that revision names in this repository."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", revision + "^{commit}"],
+        cwd=tables.REPO, check=True, capture_output=True,
+        text=True).stdout.strip()
 
 
 def src_sha256(tree: Path) -> str:
@@ -124,9 +134,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     out = Path(args.out or f"BENCH_{args.workload[0]}.json")
+    commits = {"old": commit_of(args.old), "new": commit_of(args.new)}
     with tempfile.TemporaryDirectory() as scratch:
-        trees = {side: tables.checkout(revision, Path(scratch) / side)
-                 for side, revision in (("old", args.old), ("new", args.new))}
+        trees = {side: tables.checkout(commit, Path(scratch) / side)
+                 for side, commit in commits.items()}
         metrics = json.loads((trees["new"] / "BENCHMARK.json").read_text()
                              )["end_to_end"]
         runs = []
@@ -147,7 +158,8 @@ def main(argv=None) -> int:
     summary = {w: summarise([r for r in runs if r["workload"] == w], metrics)
                for w in args.workload}
     out.write_text(json.dumps({
-        "old": args.old, "new": args.new, "src_sha256": digests,
+        "old": args.old, "new": args.new, "commits": commits,
+        "src_sha256": digests,
         "command": COMMAND, "seconds": args.seconds, "seeds": seeds,
         "order": "per seed, the workloads in turn; each a pair, OLD first "
                  "on the first seed's pairs, NEW first on the next, "
