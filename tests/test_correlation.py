@@ -573,11 +573,11 @@ class TestOracleRowBlocks:
 
         def passes():
             spec = detector_from_accel_radius(0.3, 0.1, 1.0)
-            return [bits(res) for args, contours in (
+            return [bits(_oracle_pass(*args, eta, n_u, 1e-5))
+                    for args, contours in (
                         pair_args(pair(1.0, 1.0, sep=1.0)),
                         response_args(spec, 0.5))
-                    for eta, n_u in contours
-                    for res in [_oracle_pass(*args, eta, n_u, 1e-5)]]
+                    for eta, n_u in contours]
 
         default = passes()
         monkeypatch.setattr(correlation, "_BLOCK", 1)
