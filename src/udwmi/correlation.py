@@ -41,8 +41,10 @@ independent routes:
   from the orbits (_contours); the passes at two values, each an
   integrate_adaptive_batch call of its own (_oracle_pass), differ in eta
   and inner grid, and their spread is the error. Rows are evaluated in
-  plain blocks of at most _BLOCK inner-grid elements, both events
-  through trajectory_point at complex proper time.
+  plain blocks of at most _BLOCK inner-grid elements, both events from
+  the orbit's continuation to complex proper time (kinematics._orbit),
+  whose phase separates: its phasors are made once per pass over the
+  inner grid and once per row, and each grid element takes products.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
-                         _require_tol, trajectory_point)
+                         _orbit, _require_tol)
 from .quadrature import (QuadratureResult, _checked, integrate_adaptive_batch,
                          principal_value_batch)
 
@@ -391,12 +393,13 @@ def composite_gauss_legendre(lo: float, hi: float,
 
 
 # Inner-grid elements per row block of the oracle integrand. A block's
-# temporaries are about a dozen complex arrays of 32 KiB, below glibc's
-# default 128 KiB mmap threshold, so the heap reuses them whatever the
-# process freed before: one serial oracle_grid suite made 29-73 minor
-# page faults in a fresh process, after the smoke grid and after a
-# freed 1 MiB array alike (resource.getrusage; x86-64 Linux, glibc,
-# NumPy 2.4).
+# temporaries (the events' phasor products and coordinates, then the
+# Wightman function's) peak at about a dozen complex arrays of 32 KiB,
+# below glibc's default 128 KiB mmap threshold, so the heap reuses them
+# whatever the process freed before: one serial oracle_grid suite made
+# 19-28 minor page faults in a fresh process after the smoke grid,
+# against about 112,000 at twice the block, which was also no faster
+# (resource.getrusage; x86-64 Linux, glibc, NumPy 2.4).
 _BLOCK = 1 << 11
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
@@ -437,21 +440,25 @@ def _oracle_pass(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     Wightman function of the events at tau_A and tau_B. The inner
     u integral is a composite Gauss-Legendre grid of about n_u nodes,
     the outer s integral adaptive GK15. The factors that depend on u
-    alone or on s alone are column weights and a row factor. Rows are
-    evaluated in blocks of at most _BLOCK grid elements (at least one
-    row), each from its own abscissa alone, so a pass does not depend on
-    the blocks."""
+    alone or on s alone are column weights and a row factor. The events
+    at tau_A = u + (s - i eta)/2 and tau_B = u - (s - i eta)/2 are
+    kinematics._orbit's, each detector's phasors of u made once per
+    pass and those of its half difference once per row, so a grid
+    element costs products and the Wightman function, no
+    transcendental. Rows are evaluated in blocks of at most _BLOCK grid
+    elements (at least one row), each from its own abscissa alone, so a
+    pass does not depend on the blocks."""
     wightman = wightman_boundary if mirror else wightman_free
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
     weights = w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)
     step = max(_BLOCK // u.size, 1)
+    orbit_a, orbit_b = _orbit(det_a, z_a, u), _orbit(det_b, z_b, u)
 
     def rows(s):
         ds = s - 1j * eta
         half = 0.5 * ds[:, None]
-        w = wightman(trajectory_point(det_a, z_a, u + half),
-                     trajectory_point(det_b, z_b, u - half))
+        w = wightman(orbit_a(half), orbit_b(-half))
         # einsum, not BLAS: no native thread pool under the process pool
         return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
                 * np.einsum("ij,j->i", w, weights))

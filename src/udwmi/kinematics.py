@@ -145,24 +145,42 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
     Accepts scalar or array tau, real or complex; z is the scalar
     z_offset either way. The orbit starts at (R, 0, z_offset) at tau = 0
     and rotates counterclockwise in the x-y plane. A complex tau gives
-    the event's analytic continuation: the cos and sin of its phase
-    come from the real cos and sin of the phase's real part and the
-    cosh and sinh of its imaginary part, which NumPy evaluates faster
-    than its complex cos and sin.
+    the event's analytic continuation, evaluated by _orbit with tau's
+    real part as u and the rest as c.
     """
     if isinstance(tau, np.ndarray):
         tau = np.asarray(tau, dtype=np.result_type(tau, np.float64))
+    if np.iscomplexobj(tau):
+        return _orbit(spec, z_offset, tau.real)(1j * tau.imag)
     phase = spec.omega * spec.gamma * tau
-    if np.iscomplexobj(phase):
-        cos_re, sin_re = np.cos(phase.real), np.sin(phase.real)
-        cosh_im, sinh_im = np.cosh(phase.imag), np.sinh(phase.imag)
-        cos = cos_re * cosh_im - 1j * (sin_re * sinh_im)
-        sin = sin_re * cosh_im + 1j * (cos_re * sinh_im)
-    else:
-        cos, sin = np.cos(phase), np.sin(phase)
     return SpacetimePoint(
         t=spec.gamma * tau,
-        x=spec.radius * cos,
-        y=spec.radius * sin,
+        x=spec.radius * np.cos(phase),
+        y=spec.radius * np.sin(phase),
         z=z_offset,
     )
+
+
+def _orbit(spec: CircularDetectorSpec, z_offset: float, u):
+    """The events of trajectory_point at complex proper times u + c, as
+    a function of c: u is real, and c, real or complex, broadcasts
+    against it.
+
+    The phase omega gamma (u + c) is a part in u plus a part in c, so
+    with p = e^(i omega gamma (u + c)) and m = e^(-i omega gamma (u + c))
+    the event is t = gamma (u + c), x = R (p + m)/2, y = -i R (p - m)/2,
+    and p and m are products of the phasors of u, made once, and those
+    of c, made per call: an (s, u) grid with c per row s needs
+    transcendentals on the row and column factors alone.
+    """
+    k = spec.omega * spec.gamma
+    p_u, m_u = np.exp(1j * k * u), np.exp(-1j * k * u)
+    half_radius = 0.5 * spec.radius
+
+    def events(c) -> SpacetimePoint:
+        p = p_u * (half_radius * np.exp(1j * k * c))
+        m = m_u * (half_radius * np.exp(-1j * k * c))
+        return SpacetimePoint(t=spec.gamma * (u + c), x=p + m,
+                              y=-1j * (p - m), z=z_offset)
+
+    return events

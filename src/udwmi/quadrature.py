@@ -156,7 +156,8 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     refinement decisions, and sums its panels in that order, so its
     result does not depend on the other members of the batch. It stops
     when its error meets tol[i], at max_panels panels, with no panel
-    left to split, or after 200 rounds. The
+    left to split, when a round leaves it no fewer NaN panels than the
+    round before (it is NaN on a region), or after 200 rounds. The
     integrals run in order, in runs of at most _RUN_PANELS initial
     panels; each round of a run evaluates the new panels of all its
     unfinished integrals in one call of f. Returns one entry per
@@ -216,10 +217,22 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
     width_floor = 64.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)),
                                            1.0)
 
+    # NaN panels per integral in the last round, inf where there were none
+    nan_before = np.inf
     # at most 200 refinement rounds, then the results as they stand
     for round_ in range(201):
         starts = np.cumsum(counts) - counts
         total_err = np.add.reduceat(errs, starts)
+        # an integral whose round left no fewer NaN panels than the round
+        # before is NaN on a region that splitting cannot shrink; the sum
+        # of the total errors alone shows whether a NaN panel is there
+        stalled = False
+        if math.isnan(total_err.sum()):
+            nans = np.bincount(slot, np.isnan(errs), minlength=members.size)
+            stalled = nans >= nan_before
+            nan_before = np.where(nans > 0.0, nans, np.inf)
+        else:
+            nan_before = np.inf
         # a panel above the width floor splits unless its error is within
         # its share (so a NaN error splits, as +inf does); while total_err
         # > tol some error exceeds its share, so one with none to split
@@ -228,7 +241,7 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
         mask = ~(errs <= threshold[slot]) & ((b - a) > width_floor[slot])
         added = np.bincount(slot[mask], minlength=members.size)
         finished = ((total_err <= tol) | (counts >= max_panels)
-                    | (added == 0) | (round_ == 200))
+                    | (added == 0) | stalled | (round_ == 200))
         mask &= ~finished[slot]
         added[finished] = 0
         if finished.all():

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from udwmi import (
     DomainError,
@@ -12,6 +12,8 @@ from udwmi import (
     omega_from_accel_radius,
     trajectory_point,
 )
+from udwmi.correlation import _U_CUT, _contours
+from udwmi.kinematics import _orbit
 
 
 class TestDerivedQuantities:
@@ -141,6 +143,48 @@ class TestTrajectory:
         p1 = trajectory_point(det, 0.0, tau)
         spatial = np.hypot(p1.x - p0.x, p1.y - p0.y)
         assert spatial <= abs(p1.t - p0.t) + 1e-12
+
+
+class TestSeparableOrbit:
+    # the oracle's events at tau = u + c, c = +-(s - i eta)/2, are
+    # products of the phasors of u and of c; each phase part rounds on
+    # its own, so they agree with the event at the summed tau, taken
+    # pointwise, to a few ulps of the coordinate's magnitude
+    # R cosh(omega gamma Im c) per unit of omega gamma (|u| + |c|)
+    @seed(2029)
+    @settings(max_examples=200, deadline=None)
+    @given(accel=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+           radius=st.floats(0.01, 30.0),
+           rung=st.sampled_from([0, 1]),
+           u=st.lists(st.floats(-_U_CUT, _U_CUT), min_size=1, max_size=8),
+           s=st.lists(st.floats(-2.0 * _U_CUT, 2.0 * _U_CUT), min_size=1,
+                      max_size=4))
+    def test_events_match_pointwise_orbit(self, accel, radius, rung, u, s):
+        det = detector_from_accel_radius(0.1, accel, radius)
+        eta = _contours(det, det)[rung]
+        u = np.array(u)
+        half = 0.5 * (np.array(s) - 1j * eta)[:, None]
+        k = det.omega * det.gamma
+        for c in (half, -half):
+            events = _orbit(det, 0.4, u)(c)
+            tau = u + c
+            point = trajectory_point(det, 0.4, tau)
+            assert np.array_equal(events.t, point.t)
+            assert events.z == point.z == 0.4
+            bound = (4.0 * np.finfo(float).eps * radius
+                     * np.cosh(k * c.imag) * (1.0 + k * (abs(u) + abs(c))))
+            # and with NumPy's complex cos and sin of the phase, which
+            # share no code with them
+            phase = k * tau
+            for got, want, numpy_want in (
+                    (events.x, point.x, radius * np.cos(phase)),
+                    (events.y, point.y, radius * np.sin(phase))):
+                assert got.shape == tau.shape
+                assert np.all(abs(got - want) <= bound)
+                assert np.all(abs(got - numpy_want) <= bound)
+            if accel == 0.0:  # a static detector's events stay put
+                assert np.array_equal(events.x, np.full(tau.shape, radius))
+                assert not events.y.any()
 
 
 class TestValidation:

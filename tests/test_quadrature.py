@@ -223,9 +223,10 @@ class TestAdaptive:
             1.892166140734366, 45, True)
 
     def test_nan_member_fails_alone(self):
-        # sqrt is NaN on [-1, 0): its NaN panels split until max_panels,
-        # and it returns NaN, not converged, as its batch of one does;
-        # the member beside it is unaffected
+        # sqrt is NaN on [-1, 0): splitting its NaN panels only doubles
+        # them, so it stops after one round of splits and returns NaN,
+        # not converged, as its batch of one does; the member beside it
+        # is unaffected
         def f(x, owner):
             with np.errstate(invalid="ignore"):
                 return np.where(owner == 0, np.sqrt(x), np.exp(-x * x))
@@ -239,7 +240,7 @@ class TestAdaptive:
             [result_bits(r) for r in alone]
         nan, good = batch
         assert math.isnan(nan.value) and not nan.converged
-        assert nan.evaluations >= 15 * 2000
+        assert nan.evaluations <= 15 * 8 + 30 * 8
         assert good.converged
         assert abs(good.value - math.sqrt(math.pi) * math.erf(1.0)) <= \
             good.abs_error_estimate
