@@ -171,7 +171,10 @@ def _orbit(spec: CircularDetectorSpec, z_offset: float, u):
     the event is t = gamma (u + c), x = R (p + m)/2, y = -i R (p - m)/2,
     and p and m are products of the phasors of u, made once, and those
     of c, made per call: an (s, u) grid with c per row s needs
-    transcendentals on the row and column factors alone.
+    transcendentals on the row and column factors alone. The small
+    imaginary parts of x and y on a slightly shifted contour come from
+    the sums of p and m, so they round to R's precision rather than
+    their own.
     """
     k = spec.omega * spec.gamma
     p_u, m_u = np.exp(1j * k * u), np.exp(-1j * k * u)
