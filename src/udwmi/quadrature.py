@@ -37,9 +37,11 @@ panel's two halves take its place, and a finished integral keeps its
 panels. Its error is summed in that order every round, and its value
 once, after the last round. So a member's result is bit-identical to
 integrating it alone, which is what integrate_adaptive does: the batch
-of one. integrate_semiinfinite_batch adds the Gaussian truncation and
-its tail bound to such a batch. The shape of every batch is decided
-here alone (_RUN_PANELS), so callers hand over whole lists.
+of one. Every interval is finite: a caller with an integral over
+[0, inf) under a Gaussian envelope cuts it off at
+gaussian_truncation_point and bounds the remainder itself
+(response._free_responses). The shape of every batch is decided here
+alone (_RUN_PANELS), so callers hand over whole lists.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
-    "integrate_semiinfinite_batch",
     "gaussian_truncation_point",
     "principal_value_integral",
     "principal_value_batch",
@@ -302,55 +303,6 @@ def gaussian_truncation_point(alpha: float, tol: float) -> float:
         raise DomainError("alpha must be positive")
     tol_trunc = max(tol / 10.0, 1e-300)
     return math.sqrt(max(-math.log(tol_trunc), 1.0) / alpha) + 6.0 / math.sqrt(alpha)
-
-
-def integrate_semiinfinite_batch(f, alpha, tol, *, initial_panels=8) -> list:
-    """Integrals of a batch of f over [0, inf), integral i bounded by a
-    Gaussian envelope exp(-alpha[i] x^2) times a slowly varying factor.
-
-    f(x, owner) is called as the integrand of integrate_adaptive_batch,
-    and alpha, tol and initial_panels broadcast as its arguments do.
-    Integral i is truncated at gaussian_truncation_point(alpha[i],
-    tol[i]), and the truncation remainder, bounded from three samples
-    near the cutoff, is folded into its error estimate. Returns one
-    entry per integral: its QuadratureResult, or the DomainError its
-    limits or tol raise; an alpha that is not positive raises for the
-    whole batch."""
-    alpha, tol, n0 = _batch_args(alpha, tol, initial_panels)
-    x_max = [gaussian_truncation_point(a, t)
-             for a, t in zip(alpha.tolist(), tol.tolist())]
-    if alpha.size > 1:
-        results = integrate_adaptive_batch(f, 0.0, x_max, tol,
-                                           initial_panels=n0)
-    else:
-        # a lone integral runs through integrate_adaptive, the batch of
-        # one, whose calls the benchmark's tracer counts (bench/tracing.py)
-        try:
-            results = [integrate_adaptive(
-                lambda x: f(x, np.zeros(1, dtype=int)), 0.0, x_max[0],
-                float(tol[0]), initial_panels=int(n0[0]))]
-        except DomainError as exc:
-            results = [exc]
-    owner = np.array([[i] for i, res in enumerate(results)
-                      if not isinstance(res, Exception)], dtype=int)
-    if owner.size == 0:
-        return results
-    # tail bound from samples near each cutoff, the Gaussian tail's
-    # erfc(z) <= exp(-z^2)/(z sqrt(pi)) folded in so no factor overflows
-    xs = np.array(x_max)[owner] * np.array([0.90, 0.95, 1.0])
-    fs = np.abs(np.asarray(f(xs, owner)))
-    bounds = np.max(fs * np.exp(alpha[owner] * (xs * xs - xs[:, 2:] ** 2)),
-                    axis=1) / (2.0 * alpha[owner[:, 0]] * xs[:, 2])
-    for i, bound in zip(owner[:, 0].tolist(), bounds.tolist()):
-        res = results[i]
-        total_err = res.abs_error_estimate + bound
-        results[i] = QuadratureResult(
-            value=res.value,
-            abs_error_estimate=total_err,
-            evaluations=res.evaluations + 3,
-            converged=total_err <= float(tol[i]),
-        )
-    return results
 
 
 def principal_value_batch(g, pole, lo, hi, tol, *,

@@ -117,6 +117,14 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.points)
 
 
+def _reject_unknown_keys(what: str, cfg: dict, known) -> None:
+    """DomainError naming the keys of a config object cfg that are not
+    in known: a misspelled key is an error, not a default."""
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise DomainError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Full sweep description: axis, fixed parameters, gap-ratio curves.
@@ -177,16 +185,13 @@ class SweepSpec:
     def from_mapping(cls, cfg: dict) -> "SweepSpec":
         if not isinstance(cfg, dict):
             raise DomainError("sweep config must be a JSON object")
-        known = {f.name for f in fields(cls)} | {"description"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise DomainError(f"unknown sweep config keys: {sorted(unknown)}")
+        _reject_unknown_keys("sweep config", cfg,
+                             {f.name for f in fields(cls)} | {"description"})
         axis_cfg = cfg.get("axis")
         if not isinstance(axis_cfg, dict):
             raise DomainError("sweep config needs an 'axis' object")
-        axis_unknown = set(axis_cfg) - {f.name for f in fields(SweepAxis)}
-        if axis_unknown:
-            raise DomainError(f"unknown axis keys: {sorted(axis_unknown)}")
+        _reject_unknown_keys("axis", axis_cfg,
+                             {f.name for f in fields(SweepAxis)})
         missing = [f.name for f in fields(SweepAxis)
                    if f.default is MISSING and f.name not in axis_cfg]
         if missing:
@@ -482,12 +487,16 @@ def load_config(source) -> SweepSpec:
 
 def load_grid(source) -> dict:
     """Oracle-suite grid from a JSON path, preset name, or mapping,
-    checked: a positive finite rel_tol (default 1e-3) and point lists of
-    objects with the keys their section needs, each a finite number (dz
-    too, unless absent or None)."""
+    checked: no keys but name, description, rel_tol and the two point
+    lists; a positive finite rel_tol (default 1e-3); and point lists of
+    objects with the keys their section needs and no others but dz, each
+    a finite number (dz too, unless absent or None)."""
     grid = _load_json_source(source, "oracle grid")
     if not isinstance(grid, dict):
         raise DomainError("oracle grid must be a JSON object")
+    _reject_unknown_keys("oracle grid", grid, (
+        "name", "description", "rel_tol", "response_points",
+        "correlation_points"))
     grid = dict(grid)
     grid["rel_tol"] = _require_finite("rel_tol", grid.get("rel_tol", 1e-3))
     if grid["rel_tol"] <= 0.0:
@@ -502,6 +511,7 @@ def load_grid(source) -> dict:
             raise DomainError(f"{section} must be a list of objects")
         checked = []
         for p in points:
+            _reject_unknown_keys(f"{section} point", p, (*keys, "dz"))
             missing = [k for k in keys if k not in p]
             if missing:
                 raise DomainError(f"{section} point {p} lacks keys {missing}")

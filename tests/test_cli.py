@@ -353,6 +353,9 @@ class TestVerifyCommand:
                      {"rel_tol": "1e-3", "response_points": [good]},
                      {"response_points": [{**good, "accel": "2"}]},
                      {"response_points": [{**good, "gap": True}]},
+                     # a misspelled key, in a point or at the top
+                     {"response_points": [{**good, "dZ": 0.5}]},
+                     {"response_points": [good], "correlaton_points": []},
                      # a grid that is not a JSON object
                      [good]):
             p.write_text(json.dumps(grid))

@@ -340,20 +340,24 @@ class TestEndToEndPoint:
             transition_probability(det_a, dz),
             transition_probability(det_b, dz_b), correlation_equal(pair)))
         calls = []
-        bounded = response.integrate_semiinfinite_batch
+        batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
         batches = []
         lines = infomeasure._reduced_line_integrals
 
-        def counted(f, alpha, *args, **kwargs):
-            calls.append(np.size(alpha))
-            return bounded(f, alpha, *args, **kwargs)
+        def counted(f, lo, hi, *args, **kwargs):
+            calls.append(np.size(hi))
+            return batch(f, lo, hi, *args, **kwargs)
+
+        def counted_lone(*args, **kwargs):
+            calls.append(1)
+            return lone(*args, **kwargs)
 
         def counted_lines(keys):
             batches.append(len(keys))
             return lines(keys)
 
-        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
-                            counted)
+        monkeypatch.setattr(response, "integrate_adaptive_batch", counted)
+        monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
         monkeypatch.setattr(infomeasure, "_reduced_line_integrals",
                             counted_lines)
         pt = mutual_information_point(pair)

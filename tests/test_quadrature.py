@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from udwmi import (
 )
 from udwmi.correlation import _reduced_line_integral
 from udwmi.quadrature import (gaussian_truncation_point, integrate_adaptive_batch,
-                              integrate_semiinfinite_batch, principal_value_batch)
+                              principal_value_batch)
 
 # Expected values below were computed independently with mpmath at 50
 # significant digits and frozen here.
@@ -255,13 +254,8 @@ class TestAdaptive:
 
 
 class TestSemiInfinite:
-    def test_matches_finite_truncation(self):
-        (r,) = integrate_semiinfinite_batch(
-            lambda x, _: np.exp(-0.25 * x * x), alpha=0.25, tol=1e-12
-        )
-        # sqrt(pi/4/0.25)/2 = sqrt(pi)
-        assert np.isclose(r.value, np.sqrt(np.pi) / 2 * 2.0, rtol=1e-11)
-
+    # the callers integrate over [0, inf) up to this cutoff and bound the
+    # remainder themselves (response._free_responses)
     def test_truncation_point_tail_bound(self):
         x = gaussian_truncation_point(alpha=0.004, tol=1e-10)
         # discarded Gaussian mass beyond x is below tol
@@ -269,34 +263,6 @@ class TestSemiInfinite:
         assert x < 400.0
         with pytest.raises(DomainError, match="alpha must be positive"):
             gaussian_truncation_point(alpha=0.0, tol=1e-10)
-
-    def test_bad_tol_fails_alone(self):
-        # a member whose tol is not positive fails with a DomainError,
-        # in a batch beside a good member and alone
-        def f(x, _):
-            return np.exp(-0.25 * x * x)
-
-        bad, good = integrate_semiinfinite_batch(f, 0.25, [0.0, 1e-12])
-        (lone,) = integrate_semiinfinite_batch(f, 0.25, 0.0)
-        assert result_bits(lone) == result_bits(bad)
-        assert "tol must be positive" in str(lone)
-        assert good.converged
-
-    @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
-    def test_tail_bound_finite_at_tiny_tol(self, tol):
-        # exp(alpha x^2) overflows at such a cutoff: the tail bound folds
-        # erfc's decay into the samples, so it stays finite and warning-free
-        def f(x, owner):
-            return np.exp(-alpha[owner] * x * x) * (1.0 + x * x)
-
-        alpha = np.array([0.25, 3.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            batch = integrate_semiinfinite_batch(f, alpha, tol)
-        for r, a in zip(batch, alpha):
-            assert math.isfinite(r.abs_error_estimate)
-            exact = math.sqrt(math.pi / a) / 2.0 * (1.0 + 0.5 / a)
-            assert abs(r.value - exact) <= 1e-15 * exact
 
 
 class TestPrincipalValue:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,19 +205,29 @@ def quadrature_bits(res):
 
 
 def record_bounded(monkeypatch):
-    """Patch response's bounded quadrature to record each call as its
-    members' (alpha, initial panels, result bits)."""
+    """Patch response's bounded quadrature, a batch or a lone member's
+    integrate_adaptive, to record each call as its members' (cutoff,
+    initial panels, result bits)."""
     calls = []
-    quad = response.integrate_semiinfinite_batch
+    batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
 
-    def recorded(f, alpha, tol, *, initial_panels):
-        results = quad(f, alpha, tol, initial_panels=initial_panels)
-        calls.append([(a, n, quadrature_bits(res)) for a, n, res in zip(
-            np.atleast_1d(alpha).tolist(),
+    def record(hi, initial_panels, results):
+        calls.append([(x, n, quadrature_bits(res)) for x, n, res in zip(
+            np.atleast_1d(hi).tolist(),
             np.atleast_1d(initial_panels).tolist(), results)])
         return results
 
-    monkeypatch.setattr(response, "integrate_semiinfinite_batch", recorded)
+    def recorded_batch(f, lo, hi, tol, *, initial_panels):
+        return record(hi, initial_panels,
+                      batch(f, lo, hi, tol, initial_panels=initial_panels))
+
+    def recorded_lone(f, lo, hi, tol, *, initial_panels):
+        (res,) = record(hi, initial_panels,
+                        [lone(f, lo, hi, tol, initial_panels=initial_panels)])
+        return res
+
+    monkeypatch.setattr(response, "integrate_adaptive_batch", recorded_batch)
+    monkeypatch.setattr(response, "integrate_adaptive", recorded_lone)
     return calls
 
 
@@ -276,6 +289,53 @@ class TestFreeBatch:
         assert batch[1].term_bounded == 0.0 and batch[1].converged
         with pytest.raises(DomainError, match="tol must be positive"):
             transition_probability(self.KEYS[3][0], None, self.KEYS[3][1])
+
+    def test_cutoff_once_per_rotating_key(self, monkeypatch):
+        # each rotating key's Gaussian cutoff is worked out once, where
+        # its integral is set up; static and rejected keys need none
+        alphas = []
+        cutoff = quadrature.gaussian_truncation_point
+
+        def counted(alpha, tol):
+            alphas.append(alpha)
+            return cutoff(alpha, tol)
+
+        monkeypatch.setattr(response, "gaussian_truncation_point", counted)
+        monkeypatch.setattr(quadrature, "gaussian_truncation_point", counted)
+        response._free_responses(self.KEYS)
+        rotating = [spec for spec, tol in self.KEYS
+                    if spec.speed > 0.0 and tol > 0.0]
+        assert alphas == [1.0 / (spec.gamma * spec.omega) ** 2
+                          for spec in rotating]
+
+    def test_bad_tol_fails_alone(self):
+        # a budget that the rotating term's prefactor (about 2e148 at
+        # omega = 7e149) scales to zero is rejected by the quadrature: the
+        # key fails with a DomainError beside a good key and alone
+        keys = [(det(1e150, 1e-150), 1e-200), self.KEYS[0]]
+        bad, good = response._free_responses(keys)
+        (lone,) = response._free_responses(keys[:1])
+        assert breakdown_bits(lone) == breakdown_bits(bad)
+        assert "tol must be positive" in str(lone)
+        assert good.converged
+
+    @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
+    def test_tail_bound_finite_at_tiny_tol(self, tol):
+        # exp(alpha x^2) overflows at such a cutoff: the tail bound folds
+        # erfc's decay into the samples, so it stays finite and
+        # warning-free, as a member of a batch and alone
+        keys = [(det(0.1, 0.02), tol), (det(30.0, 1.0, 1.0), tol)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = response._free_responses(keys)
+            alone = [response._free_responses([key])[0] for key in keys]
+        assert [breakdown_bits(r) for r in batch] == \
+            [breakdown_bits(r) for r in alone]
+        for r, (spec, _) in zip(batch, keys):
+            assert math.isfinite(r.abs_error_estimate)
+            ref = transition_probability(spec, None, 1e-12)
+            assert abs(r.total - ref.total) <= \
+                r.abs_error_estimate + ref.abs_error_estimate
 
     def test_batch_memory_is_bounded(self):
         # 144 rotating detectors, 8 to 566 initial panels each: as one

@@ -432,6 +432,36 @@ class TestPointRecord:
         assert tuple(point_record(pt)) == _OUTPUT_COLUMNS
 
 
+def fail_bounded_term(monkeypatch, alpha):
+    """Patch response's bounded quadrature so that the integral of the
+    detector whose Gaussian is exp(-alpha x^2) fails with a RuntimeError:
+    as its member of a batch, or by raising when it runs alone. The
+    member is the one whose upper limit is that detector's cutoff."""
+    error = RuntimeError("forced bounded-term failure")
+    cutoffs = {}
+    cutoff = response.gaussian_truncation_point
+    batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
+
+    def recorded_cutoff(a, tol):
+        cutoffs[a] = cutoff(a, tol)
+        return cutoffs[a]
+
+    def failing_batch(f, lo, hi, *args, **kwargs):
+        return [error if x == cutoffs.get(alpha) else res
+                for x, res in zip(np.atleast_1d(hi),
+                                  batch(f, lo, hi, *args, **kwargs))]
+
+    def failing_lone(f, lo, hi, *args, **kwargs):
+        if hi == cutoffs.get(alpha):
+            raise error
+        return lone(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(response, "gaussian_truncation_point",
+                        recorded_cutoff)
+    monkeypatch.setattr(response, "integrate_adaptive_batch", failing_batch)
+    monkeypatch.setattr(response, "integrate_adaptive", failing_lone)
+
+
 class TestPlanner:
     @pytest.mark.parametrize("overrides", [
         # sep = 0 makes coincident detectors, a DomainError row; the image
@@ -468,16 +498,20 @@ class TestPlanner:
         bounded = []
         direct_lines = []
         tp = infomeasure.transition_probability
-        quad = response.integrate_semiinfinite_batch
+        batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
 
         def counted_tp(spec, dz=None, tol=1e-8, free=None, line=None):
             probabilities.append((spec, dz, tol))
             return tp(spec, dz, tol, free=free, line=line)
 
-        def counted_quad(f, alpha, *args, **kwargs):
+        def counted_batch(f, lo, hi, *args, **kwargs):
             # one bounded quadrature per member of the batch
-            bounded.extend(np.atleast_1d(alpha).tolist())
-            return quad(f, alpha, *args, **kwargs)
+            bounded.extend(np.atleast_1d(hi).tolist())
+            return batch(f, lo, hi, *args, **kwargs)
+
+        def counted_lone(f, lo, hi, *args, **kwargs):
+            bounded.append(hi)
+            return lone(f, lo, hi, *args, **kwargs)
 
         def counted_lines(keys):
             direct_lines.extend(key for key in keys if key[0] == 1.0)
@@ -494,8 +528,9 @@ class TestPlanner:
         if workers > 1:
             return
         # the batches are counted serially, where these patches reach them
-        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
-                            counted_quad)
+        monkeypatch.setattr(response, "integrate_adaptive_batch",
+                            counted_batch)
+        monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
         monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
                             counted_lines)
         run_sweep(sep_spec, workers=1)
@@ -540,17 +575,8 @@ class TestPlanner:
                                          points=3))
         clean = run_sweep(spec, workers=1)
         broken = detector_from_accel_radius(spec.gap_a, 0.5, spec.radius)
-        alpha = 1.0 / (broken.gamma * broken.omega) ** 2
-        quad = response.integrate_semiinfinite_batch
-
-        def failing_quad(f, alphas, *args, **kwargs):
-            return [RuntimeError("forced bounded-term failure") if a == alpha
-                    else res for a, res in zip(np.atleast_1d(alphas),
-                                               quad(f, alphas, *args,
-                                                    **kwargs))]
-
-        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
-                            failing_quad)
+        fail_bounded_term(monkeypatch,
+                          1.0 / (broken.gamma * broken.omega) ** 2)
         rows = run_sweep(spec, workers=workers)
         expected = [reference_record(p, spec.tol) for p in spec.point_params()]
         assert [bits(r.to_record()) for r in rows] == \
@@ -573,15 +599,7 @@ class TestPlanner:
         clean = run_sweep(spec, workers=1)
         dets = [detector_from_accel_radius(spec.gap_a, a, spec.radius)
                 for a in (0.0, 0.5, 1.0)]
-        alpha = 1.0 / (dets[1].gamma * dets[1].omega) ** 2
-        quad = response.integrate_semiinfinite_batch
         line_pole = correlation._line_pole
-
-        def failing_quad(f, alphas, *args, **kwargs):
-            return [RuntimeError("forced bounded-term failure") if a == alpha
-                    else res for a, res in zip(np.atleast_1d(alphas),
-                                               quad(f, alphas, *args,
-                                                    **kwargs))]
 
         def failing_line_pole(L_eff, radius, omega, gamma):
             if L_eff == 2.0 * spec.dz and gamma > 1.0:
@@ -595,8 +613,8 @@ class TestPlanner:
             made.append((det, dz))
             return tp(det, dz, tol, free=free, line=line)
 
-        monkeypatch.setattr(response, "integrate_semiinfinite_batch",
-                            failing_quad)
+        fail_bounded_term(monkeypatch,
+                          1.0 / (dets[1].gamma * dets[1].omega) ** 2)
         monkeypatch.setattr(correlation, "_line_pole", failing_line_pole)
         monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
         rows = run_sweep(spec, workers=workers)

@@ -97,6 +97,18 @@ def test_reports_diff_by_point():
     assert tables.report("r.json", None, "{}") == ["r.json: missing in old"]
 
 
+def test_complex_leaf_change_is_relative_to_its_magnitude():
+    # a [re, im] pair's imaginary part moving in the roundoff around zero
+    # beside a real part of 1 is a change of about 2e-17 of the number,
+    # not of its imaginary part
+    old = {"points": [{"oracle": [1.0, 1e-17]}]}
+    new = {"points": [{"oracle": [1.0, 3e-17]}]}
+    d = tables.diff_file("r.json", json.dumps(old), json.dumps(new))
+    rel, row = d["relative"]["points[].oracle[1]"]
+    assert row == "0"
+    assert math.isclose(rel, 2e-17 / (1.0 + 3e-17))
+
+
 def test_json_table_rows_are_its_list_items():
     # a JSON table (udwmi sweep --format json) or the records udwmi mi
     # prints: the items of the top-level list are the rows, with the

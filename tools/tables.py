@@ -16,7 +16,8 @@ For each file the report says whether it is byte-identical. For a file
 that is not, it lists for each changed numeric column its largest
 |new - old| and its largest relative change |new - old| / max(|old|,
 |new|), each with the row where it occurs (a difference of summation
-order reads as about 1e-16), the rows whose ok/warn/fail class changed
+order reads as about 1e-16; |re| + |im| stands for |x| in a leaf of a
+complex number's [re, im] pair), the rows whose ok/warn/fail class changed
 (the text of a cell before its first ':'; true/false for a flag), and
 how many other text cells changed. For a file with an I column (a
 table, or the records of udwmi mi) it also counts the rows whose
@@ -155,6 +156,20 @@ def _number(value) -> float | None:
         return None
 
 
+def _magnitude(columns: dict, name: str, row: str) -> float:
+    """|x| of the number in column name at row, or |re| + |im| when it is
+    a leaf of a [re, im] pair (sweep._json_number's form of a complex
+    number), so that roundoff around zero beside a real part reads as
+    small."""
+    stem = name[:-3]
+    if name.endswith(("[0]", "[1]")) and f"{stem}[2]" not in columns:
+        pair = [_number(columns.get(f"{stem}[{i}]", {}).get(row))
+                for i in (0, 1)]
+        if None not in pair:
+            return abs(pair[0]) + abs(pair[1])
+    return abs(_number(columns[name][row]))
+
+
 def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -164,7 +179,8 @@ def _text(value) -> str:
 def diff_columns(old: dict, new: dict) -> dict:
     """The differences of two files' columns: for each numeric column
     its largest |new - old| and its largest |new - old| / max(|old|,
-    |new|), each with its row (inf where one side is NaN or missing),
+    |new|) (|re| + |im| in place of |x| for a leaf of a [re, im] pair),
+    each with its row (inf where one side is NaN or missing),
     the (column, row, old class, new class) of each class change, and
     the count of other changed text cells."""
     largest: dict[str, tuple[float, str]] = {}
@@ -193,7 +209,8 @@ def diff_columns(old: dict, new: dict) -> dict:
             if delta is None:
                 continue
             # a finite nonzero delta has two finite sides
-            rel = (delta / max(abs(x), abs(y))
+            rel = (delta / max(_magnitude(old, name, row),
+                               _magnitude(new, name, row))
                    if 0.0 < delta < math.inf else delta)
             for table, change in ((largest, delta), (relative, rel)):
                 if name not in table or change > table[name][0]:
