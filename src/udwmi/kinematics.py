@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,34 +54,37 @@ def _require_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class CircularDetectorSpec:
-    """A two-level detector on a circular orbit.
+    """A two-level detector on a circular orbit, built from (Omega, a, R).
 
     energy_gap is the level splitting Omega (in units of 1/sigma), accel
     the proper acceleration a, radius the orbit radius R. omega, speed
-    and gamma are derived; build instances with detector_from_accel_radius
-    so they stay consistent.
+    and gamma are derived from a and R on construction, so they can be
+    neither passed nor replaced: an input that is not finite, a radius
+    that is not positive, a negative accel, an a R or omega that
+    overflows, or an orbit whose speed rounds to 1 raises DomainError.
     """
 
     energy_gap: float
     accel: float
     radius: float
-    omega: float
-    speed: float
-    gamma: float
+    omega: float = field(init=False)
+    speed: float = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = (self.energy_gap, self.accel, self.radius, self.omega,
-                  self.speed, self.gamma)
-        if not all(math.isfinite(v) for v in values):
+        inputs = tuple(map(float, (self.energy_gap, self.accel, self.radius)))
+        if not all(math.isfinite(v) for v in inputs):
             raise DomainError("detector parameters must be finite")
-        if self.radius <= 0.0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
-        if self.accel < 0.0:
-            raise DomainError(f"accel must be nonnegative, got {self.accel}")
-        if not 0.0 <= self.speed < 1.0:
-            raise DomainError(f"orbital speed must satisfy 0 <= v < 1, got {self.speed}")
-        if self.gamma < 1.0:
-            raise DomainError(f"gamma must be >= 1, got {self.gamma}")
+        _, accel, radius = inputs
+        omega = omega_from_accel_radius(accel, radius)
+        speed = omega * radius
+        # v^2 = a R / (1 + a R) in exact arithmetic; compute from omega*R to
+        # keep speed, omega and radius consistent to the last float digit.
+        if not speed < 1.0:  # below 1, 1 - speed^2 >= 2^-52 keeps gamma finite
+            raise DomainError(f"a = {accel}, R = {radius}: speed rounds to 1")
+        values = (*inputs, omega, speed, 1.0 / math.sqrt(1.0 - speed * speed))
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
         # hashed once: a sweep's planner looks detectors up per row and term
         object.__setattr__(self, "_hash", hash(values))
 
@@ -119,23 +122,9 @@ def omega_from_accel_radius(accel: float, radius: float) -> float:
 
 def detector_from_accel_radius(energy_gap: float, accel: float,
                                radius: float) -> CircularDetectorSpec:
-    """Build a consistent CircularDetectorSpec from (Omega, a, R); an
-    orbit whose speed rounds to 1 or above raises DomainError."""
-    omega = omega_from_accel_radius(accel, radius)
-    speed = omega * radius
-    # v^2 = a R / (1 + a R) in exact arithmetic; compute from omega*R to keep
-    # speed, omega and radius consistent to the last float digit.
-    if not speed < 1.0:  # below 1, 1 - speed^2 >= 2^-52 keeps gamma finite
-        raise DomainError(f"a = {accel}, R = {radius}: speed rounds to 1")
-    gamma = 1.0 / math.sqrt(1.0 - speed * speed)
-    return CircularDetectorSpec(
-        energy_gap=float(energy_gap),
-        accel=float(accel),
-        radius=float(radius),
-        omega=omega,
-        speed=speed,
-        gamma=gamma,
-    )
+    """The CircularDetectorSpec of (Omega, a, R), under the name the
+    CLI, the sweep and the benchmark call."""
+    return CircularDetectorSpec(energy_gap, accel, radius)
 
 
 def trajectory_point(spec: CircularDetectorSpec, z_offset: float,

@@ -20,8 +20,8 @@ which does not depend on dz, so transition_probability accepts it as
 free= and then adds only the image part. _free_responses evaluates the
 free-space responses of many detectors, their bounded terms as the
 members of one batch, each on a mesh of its own up to its Gaussian
-cutoff, with a bound on the remainder beyond it; a single detector's
-is its batch of one. The image part is the image
+cutoff, with a closed-form bound on the remainder beyond it; a single
+detector's is its batch of one. The image part is the image
 channel of the pair correlation for the pair (detector, detector) at
 zero separation: minus its prefactor times the folded line integral of
 correlation._reduced_line_integrals at L_eff = 2 dz, whose half-residue
@@ -196,8 +196,8 @@ def _free_responses(keys) -> list:
     integrate_adaptive_batch call over [0, cutoff], each on a mesh of
     its own, so every breakdown equals its batch of one; the quadrature
     bounds the lockstep runs they take. The remainder beyond each
-    cutoff, bounded from three samples near it, is added to that
-    member's error estimate."""
+    cutoff X is bounded in closed form, exp(-alpha X^2) / (2 alpha X^3
+    (1 - v^2)), and added to that member's error estimate."""
     results: list = [None] * len(keys)
     moving = []
     for i, (spec, tol) in enumerate(keys):
@@ -242,20 +242,17 @@ def _free_responses(keys) -> list:
                 x_max[0], tol_x[0], initial_panels=n0[0])]
         except DomainError as exc:
             batch = [exc]
-    # the tail bound from samples near each cutoff, the Gaussian tail's
-    # erfc(z) <= exp(-z^2)/(z sqrt(pi)) folded in so no factor overflows
-    owner = np.flatnonzero([not isinstance(res, Exception)
-                            for res in batch])[:, None]
-    xs = x_max[owner] * np.array([0.90, 0.95, 1.0])
-    fs = np.abs(f_bounded(xs, owner))
-    bounds = np.max(fs * np.exp(alpha[owner] * (xs * xs - xs[:, 2:] ** 2)),
-                    axis=1) / (2.0 * alpha[owner[:, 0]] * xs[:, 2])
-    tails = iter(bounds.tolist())
-    for (i, k, *_), t, res in zip(moving, tol_x.tolist(), batch):
+    # beyond each cutoff X, 0 <= _bounded_kernel <= gamma^2/x^2 and the
+    # Gaussian's tail is at most exp(-alpha X^2)/(2 alpha X): with alpha X^2
+    # formed first, no factor overflows
+    ax2 = alpha * x_max * x_max
+    tails = np.exp(-ax2) / (2.0 * ax2 * x_max * (1.0 - v_sq))
+    for (i, k, *_), t, tail, res in zip(moving, tol_x.tolist(),
+                                        tails.tolist(), batch):
         if isinstance(res, Exception):
             results[i] = res
             continue
-        err = res.abs_error_estimate + next(tails)
+        err = res.abs_error_estimate + tail
         results[i] = _breakdown(keys[i][0], k * res.value, k * err, err <= t)
     return results
 

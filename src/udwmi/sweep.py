@@ -106,7 +106,12 @@ class SweepAxis:
         if not self.start < self.stop:
             raise DomainError(f"axis needs start < stop, got "
                               f"[{self.start}, {self.stop}]")
-        if not isinstance(self.points, int) or self.points < 2:
+        if isinstance(self.points, bool) or not isinstance(
+                self.points, numbers.Integral):
+            raise DomainError(f"axis points must be an integer, "
+                              f"got {self.points!r}")
+        object.__setattr__(self, "points", int(self.points))
+        if self.points < 2:
             raise DomainError(f"axis needs at least 2 points, got {self.points}")
         if self.spacing == "log" and self.start <= 0.0:
             raise DomainError("log spacing needs a positive start")

@@ -83,6 +83,12 @@ class TestResponseCommand:
         assert (rc, out) == (1, "")
         assert "config error" in err and "a = 1e+16, R = 1.0" in err
 
+    @pytest.mark.parametrize("flag", ["--accel", "--radius"])
+    def test_nonfinite_orbit_is_config_error(self, capsys, flag):
+        rc, out, err = run_cli(capsys, ["response", flag, "nan", "--dz", "1"])
+        assert (rc, out) == (1, "")
+        assert "config error: detector parameters must be finite" in err
+
 
 class TestCorrelationCommand:
     def test_equal_kinematics_uses_reduced_method(self, capsys):

@@ -237,25 +237,32 @@ class TestNegativeProbabilityRounding:
     # on a vanishing response and rounds to zero; one further below is
     # left to the density-block check
     @staticmethod
-    def terms(p_b, err_b):
+    def terms(p, err, vanishing="p_b"):
         resp = transition_probability(
             detector_from_accel_radius(0.5, 0.1, 1.0), None)
-        vanishing = dataclasses.replace(
-            resp, term_bounded=0.0, term_inertial=p_b, total=p_b,
-            abs_error_estimate=err_b)
+        small = dataclasses.replace(
+            resp, term_bounded=0.0, term_inertial=p, total=p,
+            abs_error_estimate=err)
         corr = CorrelationResult(c_total=0j, c_free=0j, c_boundary=0j,
                                  abs_error_estimate=0.0, converged=True)
-        return PointTerms(resp, vanishing, corr)
+        if vanishing == "p_a":
+            return PointTerms(small, resp, corr)
+        return PointTerms(resp, small, corr)
 
-    @pytest.mark.parametrize("p_b", [-1e-17, -1e-10])
-    def test_within_error_rounds_to_zero(self, p_b):
-        pt = mutual_information_point(self.terms(p_b, 1e-10))
-        assert pt.p_b == 0.0 and math.copysign(1.0, pt.p_b) == 1.0
+    @pytest.mark.parametrize("vanishing, p", [
+        ("p_b", -1e-17), ("p_b", -1e-10), ("p_a", -1e-17), ("p_a", -1e-10)],
+        ids=["-1e-17", "-1e-10", "p_a:-1e-17", "p_a:-1e-10"])
+    def test_within_error_rounds_to_zero(self, vanishing, p):
+        pt = mutual_information_point(self.terms(p, 1e-10, vanishing))
+        rounded = getattr(pt, vanishing)
+        assert rounded == 0.0 and math.copysign(1.0, rounded) == 1.0
         assert pt.mutual_info == 0.0
 
     def test_beyond_error_is_rejected(self):
-        with pytest.raises(DomainError, match="negative transition"):
-            mutual_information_point(self.terms(-2e-10, 1e-10))
+        for vanishing in ("p_a", "p_b"):
+            with pytest.raises(DomainError, match="negative transition"):
+                mutual_information_point(
+                    self.terms(-2e-10, 1e-10, vanishing))
 
 
 def test_fail_status_does_not_depend_on_last_bits():

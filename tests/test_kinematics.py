@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from udwmi import (
+    CircularDetectorSpec,
     DomainError,
     detector_from_accel_radius,
     omega_from_accel_radius,
@@ -200,11 +201,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             detector_from_accel_radius(0.1, -0.5, 1.0)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            detector_from_accel_radius(np.nan, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            detector_from_accel_radius(0.1, np.inf, 1.0)
+    @pytest.mark.parametrize("gap, accel, radius", [
+        (np.nan, 1.0, 1.0), (0.1, np.nan, 1.0), (0.1, np.inf, 1.0),
+        (0.1, 1.0, np.nan), (0.1, 1.0, np.inf)])
+    def test_nonfinite_rejected(self, gap, accel, radius):
+        # a non-finite a or R is named as such, not as an overflow
+        with pytest.raises(DomainError,
+                           match="detector parameters must be finite"):
+            detector_from_accel_radius(gap, accel, radius)
 
     @pytest.mark.parametrize("accel,radius", [(1e16, 1.0), (1e10, 1e300),
                                               (1.0, 1e-320)],
@@ -221,15 +225,36 @@ class TestValidation:
         ("radius", math.nan, "must be finite"),
         ("radius", 0.0, "radius must be positive"),
         ("accel", -1.0, "accel must be nonnegative"),
-        ("speed", 1.0, "orbital speed must satisfy"),
-        ("gamma", 0.5, "gamma must be >= 1"),
     ])
     def test_spec_built_directly_is_checked(self, field, value, message):
-        # a CircularDetectorSpec built field by field, not from a and R,
-        # checks its own fields
+        # a CircularDetectorSpec built field by field, not through
+        # detector_from_accel_radius, checks its own fields
         det = detector_from_accel_radius(0.1, 1.0, 1.0)
         with pytest.raises(DomainError, match=message):
             dataclasses.replace(det, **{field: value})
+
+    @pytest.mark.parametrize("field", ["omega", "speed", "gamma"])
+    def test_derived_field_cannot_be_set(self, field):
+        # omega, speed and gamma follow from a and R: neither passed nor
+        # replaced
+        det = CircularDetectorSpec(0.1, 1.0, 1.0)
+        assert det == detector_from_accel_radius(0.1, 1.0, 1.0)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            CircularDetectorSpec(0.1, 1.0, 1.0, **{field: 0.5})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(det, **{field: 0.5})
+
+    @seed(3101)
+    @settings(max_examples=300, deadline=None)
+    @given(accel=st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+           radius=st.floats(1e-3, 1e3))
+    def test_derived_fields_match_the_formulas_bit_for_bit(self, accel,
+                                                           radius):
+        omega = math.sqrt(accel / (radius * (1.0 + accel * radius)))
+        speed = omega * radius
+        gamma = 1.0 / math.sqrt(1.0 - speed * speed)
+        det = CircularDetectorSpec(0.1, accel, radius)
+        assert (det.omega, det.speed, det.gamma) == (omega, speed, gamma)
 
     def test_fastest_representable_orbit_accepted(self):
         det = detector_from_accel_radius(0.1, 9e15, 1.0)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from udwmi import quadrature, response
 
@@ -319,10 +320,64 @@ class TestFreeBatch:
         assert "tol must be positive" in str(lone)
         assert good.converged
 
+    def test_tail_bound_covers_the_remainder(self, monkeypatch):
+        # beyond each cutoff X the bounded term's |integrand| integrates,
+        # over [X, X + 10/sqrt(alpha)], to at most the closed-form bound
+        # exp(-alpha X^2) / (2 alpha X^3 (1 - v^2)); both are compared
+        # scaled by exp(alpha X^2); no integrand is evaluated after the
+        # batch
+        cutoffs, events = [], []
+        cutoff = quadrature.gaussian_truncation_point
+        batch, kernel = response.integrate_adaptive_batch, \
+            response._bounded_kernel
+
+        def recorded(alpha, tol):
+            cutoffs.append((alpha, cutoff(alpha, tol)))
+            return cutoffs[-1][1]
+
+        def recorded_batch(*args, **kwargs):
+            out = batch(*args, **kwargs)
+            events.append("batch")
+            return out
+
+        def recorded_kernel(x, v_sq):
+            events.append("kernel")
+            return kernel(x, v_sq)
+
+        monkeypatch.setattr(response, "gaussian_truncation_point", recorded)
+        monkeypatch.setattr(response, "integrate_adaptive_batch",
+                            recorded_batch)
+        monkeypatch.setattr(response, "_bounded_kernel", recorded_kernel)
+        response._free_responses(self.KEYS)
+        assert events[-1] == "batch" and events.count("batch") == 1
+        rotating = [spec for spec, tol in self.KEYS
+                    if spec.speed > 0.0 and tol > 0.0]
+        checked = 0
+        for spec, (alpha, x_cut) in zip(rotating, cutoffs):
+            if not math.isfinite(x_cut):
+                continue
+            v_sq = spec.speed ** 2
+            beta = 2.0 * spec.energy_gap / (spec.gamma * spec.omega)
+
+            def scaled(y):
+                x = x_cut + y
+                s_sq = math.sin(x) ** 2
+                return (math.exp(-alpha * y * (2.0 * x_cut + y))
+                        * abs(math.cos(beta * x))
+                        * (x * x - s_sq) / (x * x * (x * x - v_sq * s_sq)))
+
+            remainder, _ = integrate.quad(scaled, 0.0, 10.0 / math.sqrt(alpha),
+                                          limit=2000, epsabs=0.0,
+                                          epsrel=1e-10)
+            assert remainder <= 1.0 / (2.0 * alpha * x_cut ** 3
+                                       * (1.0 - v_sq)), spec
+            checked += 1
+        assert checked == 6
+
     @pytest.mark.parametrize("tol", [1e-190, 1e-250, 1e-300])
     def test_tail_bound_finite_at_tiny_tol(self, tol):
-        # exp(alpha x^2) overflows at such a cutoff: the tail bound folds
-        # erfc's decay into the samples, so it stays finite and
+        # exp(alpha x^2) overflows at such a cutoff: the closed-form tail
+        # bound forms alpha X^2 first, so it stays finite and
         # warning-free, as a member of a batch and alone
         keys = [(det(0.1, 0.02), tol), (det(30.0, 1.0, 1.0), tol)]
         with warnings.catch_warnings():

@@ -165,23 +165,29 @@ class TestSpec:
         {"dz": 0.5, "gap_ratios": [False]},
         {"dz": 0.5, "axis": {"name": "sep", "start": "0.5", "stop": 2.0,
                              "points": 4}},
+        {"dz": 0.5, "axis": {"name": "sep", "start": 0.5, "stop": 2.0,
+                             "points": 60.0}},
+        {"dz": 0.5, "axis": {"name": "sep", "start": 0.5, "stop": 2.0,
+                             "points": True}},
     ], ids=["free_space-str", "free_space-int", "accel-str", "accel-bool",
-            "dz-bool", "tol-str", "gap_ratio-bool", "axis-start-str"])
+            "dz-bool", "tol-str", "gap_ratio-bool", "axis-start-str",
+            "axis-points-float", "axis-points-bool"])
     def test_from_mapping_rejects_non_numbers(self, bad):
         cfg = {"axis": {"name": "sep", "start": 0.5, "stop": 2.0,
                         "points": 4}, **bad}
-        with pytest.raises(DomainError,
-                           match="must be a number|must be true or false"):
+        with pytest.raises(DomainError, match="must be a number|must be true "
+                           "or false|axis points must be an integer"):
             SweepSpec.from_mapping(cfg)
 
     def test_numpy_numbers_are_numbers(self):
         spec = SweepSpec.from_mapping({
             "axis": {"name": "sep", "start": np.float32(0.5),
-                     "stop": np.float64(2.0), "points": 4},
+                     "stop": np.float64(2.0), "points": np.int64(4)},
             "dz": np.float64(0.5), "accel": np.int64(2)})
         assert (spec.axis.start, spec.dz, spec.accel) == (0.5, 0.5, 2.0)
         assert all(type(v) is float
                    for v in (spec.axis.start, spec.dz, spec.accel))
+        assert type(spec.axis.points) is int and spec.axis.points == 4
 
 
 class TestPointParams:
