@@ -328,8 +328,8 @@ class TestFreeBatch:
         # batch
         cutoffs, events = [], []
         cutoff = quadrature.gaussian_truncation_point
-        batch, kernel = response.integrate_adaptive_batch, \
-            response._bounded_kernel
+        batch = response.integrate_adaptive_batch
+        kernel = response._bounded_kernel
 
         def recorded(alpha, tol):
             cutoffs.append((alpha, cutoff(alpha, tol)))
