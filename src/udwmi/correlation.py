@@ -17,12 +17,14 @@ independent routes:
   even, so the integral folds onto s >= 0 as one principal value at s0
   plus the closed-form half residues, and C comes out real. s0 is found
   by a monotone Newton iteration in plain floats (_line_pole). The line
-  integrals of a list are the members of one principal_value_batch
-  call (_reduced_line_integrals), each started on the mesh its
+  integrals of a list are the members of one principal-value batch
+  (_reduced_line_integrals), each started on the mesh its
   integrand needs: about 1.5 panels per period of cos(k s) and of the
   orbit's ripple on D over its range; a pole beyond the switching
   envelope lies outside its member's range, which leaves the regular
-  integral.
+  integral. The batch's results stay arrays (quadrature's
+  _principal_values) until each LineIntegral, the one result object of
+  a line, is made from them with its residues.
   The direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
@@ -57,8 +59,8 @@ import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
                          _orbit, _require_tol)
-from .quadrature import (QuadratureResult, _checked, integrate_adaptive_batch,
-                         principal_value_batch)
+from .quadrature import (QuadratureResult, _checked, _principal_values,
+                         integrate_adaptive_batch)
 
 __all__ = [
     "PairConfig",
@@ -212,7 +214,7 @@ def _reduced_line_integrals(keys) -> list:
     -2 pi exp(-s0^2/(4 gamma^2)) sin(k s0)/|D'(s0)|. The value is real.
 
     Every key whose pole was found is a member of one
-    principal_value_batch call, g = 2 exp(-s^2/(4 gamma^2)) cos(k s)/q(s)
+    principal-value batch, g = 2 exp(-s^2/(4 gamma^2)) cos(k s)/q(s)
     with q = D/(s - s0) factored, so each equals its batch of one, and
     the quadrature bounds the lockstep runs a long list takes. Its
     range is [0, hi] with hi = max(s_env, sqrt(L_eff^2 + 4 R^2) + 2),
@@ -265,27 +267,28 @@ def _reduced_line_integrals(keys) -> list:
     # 1.5 panels per period of cos(k s) and of the weighted ripple
     ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
     n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
-    pvs = principal_value_batch(g, s0, 0.0, hi, tol, initial_panels=n0)
+    pvs = _principal_values(g, s0, 0.0, hi, tol, n0)
     q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
-    for i, pv, pole, is_far, q0, c, kk, L, gam, t in zip(
-            found, pvs, poles, far.tolist(), q_pole,
-            inv_four_gamma_sq.tolist(), k.tolist(), L_eff.tolist(),
-            gamma.tolist(), tol.tolist()):
-        if isinstance(pv, Exception):
-            out[i] = pv
+    for j, (i, value, pv_err, pv_evals, converged, pole, is_far, q0, c, kk,
+            L, gam, t) in enumerate(zip(
+                found, pvs.values.tolist(), pvs.errors.tolist(),
+                pvs.evaluations.tolist(), pvs.converged.tolist(), poles,
+                far.tolist(), q_pole, inv_four_gamma_sq.tolist(), k.tolist(),
+                L_eff.tolist(), gamma.tolist(), tol.tolist())):
+        if j in pvs.failures:
+            out[i] = pvs.failures[j]
             continue
         if is_far:  # the residues are bounded in the error instead
-            residues, evaluations = 0.0, pv.evaluations
-            err = (pv.abs_error_estimate + math.pi * gam * gam / (2.0 * L)
+            residues, evaluations = 0.0, pv_evals
+            err = (pv_err + math.pi * gam * gam / (2.0 * L)
                    * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0)
         else:
             residues = (-2.0 * math.pi * math.exp(-pole * pole * c)
                         * math.sin(kk * pole) / q0)
-            evaluations, err = pv.evaluations + 1, pv.abs_error_estimate
-        out[i] = LineIntegral(value=pv.value + residues,
-                              abs_error_estimate=err, evaluations=evaluations,
-                              converged=pv.converged, pole=pole,
-                              residues=residues, far_pole=is_far)
+            evaluations, err = pv_evals + 1, pv_err
+        out[i] = LineIntegral(value=value + residues, abs_error_estimate=err,
+                              evaluations=evaluations, converged=converged,
+                              pole=pole, residues=residues, far_pole=is_far)
     return out
 
 

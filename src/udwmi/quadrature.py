@@ -42,12 +42,18 @@ of one. Every interval is finite: a caller with an integral over
 gaussian_truncation_point and bounds the remainder itself
 (response._free_responses). The shape of every batch is decided here
 alone (_RUN_PANELS), so callers hand over whole lists.
+
+Both batch routines wrap array cores, _adaptive and _principal_values,
+whose _Batch holds the members' results as arrays and their failures by
+index. Result objects are made once, at the public edge (_results), or
+by a caller that reads a _Batch (correlation._reduced_line_integrals).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,17 +172,44 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     raise. The reported error estimate includes a roundoff floor, so
     converged=True implies the estimate met tol honestly.
     """
-    lo, hi, tol, n0 = _batch_args(lo, hi, tol, initial_panels)
-    results: list = [None] * lo.size
+    return _results(_adaptive(f, *_batch_args(lo, hi, tol, initial_panels),
+                              max_panels))
+
+
+class _Batch(NamedTuple):
+    """The results of a batch as arrays, one entry per member: values,
+    errors, evaluations and converged, and failures, the exception of
+    each member that failed by index (its entries are no result)."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+    failures: dict
+
+
+def _results(batch: _Batch) -> list:
+    """The QuadratureResult, or the exception, of each member of batch."""
+    failures = batch.failures
+    rows = zip(batch.values.tolist(), batch.errors.tolist(),
+               batch.evaluations.tolist(), batch.converged.tolist())
+    return [failures[i] if i in failures else QuadratureResult(*row)
+            for i, row in enumerate(rows)]
+
+
+def _adaptive(f, lo, hi, tol, n0, max_panels=20000) -> _Batch:
+    """integrate_adaptive_batch on equally long 1-D float arrays, as a
+    _Batch: the members with valid arguments, in runs."""
+    failures = {}
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo) & (tol > 0.0))
-    for i in np.flatnonzero(bad):
+    for i in np.flatnonzero(bad).tolist():
         if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-            results[i] = DomainError("integration limits must be finite")
+            failures[i] = DomainError("integration limits must be finite")
         elif hi[i] <= lo[i]:
-            results[i] = DomainError(f"empty or inverted interval "
-                                     f"[{float(lo[i])}, {float(hi[i])}]")
+            failures[i] = DomainError(f"empty or inverted interval "
+                                      f"[{float(lo[i])}, {float(hi[i])}]")
         else:
-            results[i] = DomainError("tol must be positive")
+            failures[i] = DomainError("tol must be positive")
     # the integrals with valid arguments, ascending
     members = np.flatnonzero(~bad)
     counts = np.fmin(np.fmax(n0[members], 1.0),
@@ -187,20 +220,33 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
             starts.append(j)
             panels = 0
         panels += n
+    runs = []
     for start, stop in zip(starts, starts[1:] + [members.size]):
         run = members[start:stop]
-        for i, res in zip(run.tolist(), _lockstep(
-                f, lo[run], hi[run], tol[run], counts[start:stop], run,
-                max_panels)):
-            results[i] = res
-    return results
+        runs.append(_lockstep(f, lo[run], hi[run], tol[run],
+                              counts[start:stop], run, max_panels))
+    parts = (zip(*runs) if runs
+             else ([np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]))
+    values, errors, evaluations = (
+        _scatter(np.concatenate(x), members, lo.size, fill)
+        for x, fill in zip(parts, (math.nan, math.nan, 0)))
+    return _Batch(values, errors, evaluations, errors <= tol, failures)
 
 
-def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
-    """The results of one run of integrate_adaptive_batch: integral j
-    from counts[j] equal panels, f seeing it as owner members[j]. Each
-    panel's slot is j, and panels stay grouped by slot, ascending, each
-    slot's panels in the order of their left edges."""
+def _scatter(x: np.ndarray, at: np.ndarray, size: int, fill) -> np.ndarray:
+    """An array of size entries of x's dtype: x at the indices at, fill
+    elsewhere."""
+    out = np.full(size, fill, dtype=x.dtype)
+    out[at] = x
+    return out
+
+
+def _lockstep(f, lo, hi, tol, counts, members, max_panels):
+    """The values, errors and evaluations of one run of
+    integrate_adaptive_batch: integral j from counts[j] equal panels, f
+    seeing it as owner members[j]. Each panel's slot is j, and panels
+    stay grouped by slot, ascending, each slot's panels in the order of
+    their left edges."""
     # the initial edges are np.linspace's, integral by integral: edge k
     # of n is k * step + lo, and edge n is hi
     slot = np.repeat(np.arange(members.size), counts)
@@ -272,12 +318,7 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels) -> list:
     # edges, by one reduction of the same numbers as its batch of one
     values = np.add.reduceat(vals, starts)
     errors = total_err + 50.0 * _EPS * np.add.reduceat(mags, starts)
-    scalar = complex if np.iscomplexobj(values) else float
-    return [QuadratureResult(value=scalar(value), abs_error_estimate=err,
-                             evaluations=evals, converged=err <= t)
-            for value, err, evals, t in zip(values, errors.tolist(),
-                                            evaluations.tolist(),
-                                            tol.tolist())]
+    return values, errors, evaluations
 
 
 def integrate_adaptive(f, lo: float, hi: float, tol: float, *,
@@ -330,12 +371,19 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
     DomainError it raises (a pole on lo or hi or not finite, or the
     limits and tol integrate_adaptive_batch rejects).
     """
+    return _results(_principal_values(g, pole, lo, hi, tol, initial_panels))
+
+
+def _principal_values(g, pole, lo, hi, tol, initial_panels) -> _Batch:
+    """principal_value_batch as a _Batch. A principal value with a pole
+    inside fails with the exception of its first failing side."""
     pole, lo, hi, tol, n0 = _batch_args(pole, lo, hi, tol, initial_panels)
-    results: list = [None] * pole.size
+    failures = {}
     bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
-    for i in np.flatnonzero(bad):
-        results[i] = DomainError(f"pole {float(pole[i])} is not finite or on "
-                                 f"an end of [{float(lo[i])}, {float(hi[i])}]")
+    for i in np.flatnonzero(bad).tolist():
+        failures[i] = DomainError(f"pole {float(pole[i])} is not finite or "
+                                  f"on an end of [{float(lo[i])}, "
+                                  f"{float(hi[i])}]")
     within = (lo < pole) & (pole < hi)
     inside, outside = np.flatnonzero(within), np.flatnonzero(~within & ~bad)
     g_pole = np.asarray(g(pole[inside], inside))
@@ -352,32 +400,31 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
 
     half = tol[inside] / 2.0
     share = n0[inside] / (hi[inside] - lo[inside])
-    members = integrate_adaptive_batch(
+    members = _adaptive(
         remainder, np.concatenate([lo[inside], pole[inside], lo[outside]]),
         np.concatenate([pole[inside], hi[inside], hi[outside]]),
         np.concatenate([half, half, tol[outside]]),
-        initial_panels=np.concatenate([
-            np.ceil(share * (pole[inside] - lo[inside])),
-            np.ceil(share * (hi[inside] - pole[inside])), n0[outside]]))
-    for m, i in enumerate(outside.tolist()):
-        results[i] = members[2 * k + m]
-    scalar = complex if np.iscomplexobj(g_pole) else float
-    for j, i in enumerate(inside.tolist()):
-        left, right = members[j], members[k + j]
-        if isinstance(left, Exception) or isinstance(right, Exception):
-            results[i] = left if isinstance(left, Exception) else right
-            continue
-        p, lo_i, hi_i = float(pole[i]), float(lo[i]), float(hi[i])
-        value = (left.value + right.value
-                 + g_pole[j] * math.log((hi_i - p) / (p - lo_i)))
-        err = left.abs_error_estimate + right.abs_error_estimate
-        results[i] = QuadratureResult(
-            value=scalar(value),
-            abs_error_estimate=err,
-            evaluations=left.evaluations + right.evaluations + 1,
-            converged=err <= float(tol[i]),
-        )
-    return results
+        np.concatenate([np.ceil(share * (pole[inside] - lo[inside])),
+                        np.ceil(share * (hi[inside] - pole[inside])),
+                        n0[outside]]))
+    # a member's exception is its principal value's, the left side's
+    # before the right side's
+    for m in sorted(members.failures):
+        failures.setdefault(int(owner[m]), members.failures[m])
+    # an inside pole's value: its two sides plus g(pole) ln((hi - pole) /
+    # (pole - lo)), the logarithm in math.log's rounding
+    logs = np.array([math.log(r) for r in
+                     ((hi[inside] - pole[inside])
+                      / (pole[inside] - lo[inside])).tolist()])
+    at = np.concatenate([inside, outside])
+    v, e, n = members.values, members.errors, members.evaluations
+    values = _scatter(np.concatenate([v[:k] + v[k:2 * k] + g_pole * logs,
+                                      v[2 * k:]]), at, pole.size, math.nan)
+    errors = _scatter(np.concatenate([e[:k] + e[k:2 * k], e[2 * k:]]), at,
+                      pole.size, math.nan)
+    evaluations = _scatter(np.concatenate([n[:k] + n[k:2 * k] + 1,
+                                           n[2 * k:]]), at, pole.size, 0)
+    return _Batch(values, errors, evaluations, errors <= tol, failures)
 
 
 def principal_value_integral(g, pole: float, lo: float, hi: float,

@@ -36,6 +36,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -409,12 +410,17 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _csv_cell(key: str, value) -> str:
-    if key == "status":
-        return value
-    if key == "free_space":
-        return "true" if value else "false"
-    return "" if value is None else _fmt(value)
+def _csv_number(value) -> str:
+    return "" if value is None else f"{value:.12g}"  # _fmt's form
+
+
+# a row's CSV cells: its field values in column order, and the formatter
+# of each column
+_ROW_VALUES = operator.attrgetter(*(name for name, _ in _FIELD_COLUMNS))
+_CSV_FORMATS = tuple(
+    {"status": lambda v: v,
+     "free_space": lambda v: "true" if v else "false"}.get(col, _csv_number)
+    for _, col in _FIELD_COLUMNS)
 
 
 def _json_value(key: str, value):
@@ -440,9 +446,9 @@ def emit_table(rows: list[SweepRow], fmt: str, destination) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for row in rows:
-            rec = row.to_record()
-            writer.writerow([_csv_cell(k, rec[k]) for k in COLUMNS])
+        writer.writerows([fmt(v) for fmt, v in zip(_CSV_FORMATS,
+                                                   _ROW_VALUES(row))]
+                         for row in rows)
         text = buf.getvalue()
     else:
         payload = [{k: _json_value(k, v) for k, v in row.to_record().items()}

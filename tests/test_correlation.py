@@ -265,13 +265,13 @@ class TestLineIntegralBatch:
         from udwmi import correlation
 
         calls = []
-        batch = correlation.principal_value_batch
+        batch = correlation._principal_values
 
-        def counted(g, pole, lo, hi, tol, **kwargs):
+        def counted(g, pole, lo, hi, tol, initial_panels):
             calls.append(len(pole))
-            return batch(g, pole, lo, hi, tol, **kwargs)
+            return batch(g, pole, lo, hi, tol, initial_panels)
 
-        monkeypatch.setattr(correlation, "principal_value_batch", counted)
+        monkeypatch.setattr(correlation, "_principal_values", counted)
         keys = [line_key(3.7, 0.02, 0.1, L, 1e-8) for L in (0.5, 2.0, 60.0)]
         keys += SPECIAL_KEYS
         lines = _reduced_line_integrals(keys)
@@ -310,20 +310,19 @@ class TestLineIntegralBatch:
         from udwmi import correlation
 
         calls = []
-        batch = correlation.principal_value_batch
+        batch = correlation._principal_values
 
-        def counted(g, pole, lo, hi, tol, **kwargs):
-            if initial_panels is not None:
-                kwargs["initial_panels"] = initial_panels
-
+        def counted(g, pole, lo, hi, tol, sized_panels):
             def g_counted(s, j):
                 calls.append(s.size)
                 return g(s, j)
 
-            return batch(g_counted, pole, lo, hi, tol, **kwargs)
+            return batch(g_counted, pole, lo, hi, tol,
+                         sized_panels if initial_panels is None
+                         else initial_panels)
 
         with monkeypatch.context() as m:
-            m.setattr(correlation, "principal_value_batch", counted)
+            m.setattr(correlation, "_principal_values", counted)
             lines = _reduced_line_integrals(keys)
         return len(calls), sum(line.evaluations for line in lines)
 

@@ -356,6 +356,34 @@ class TestPrincipalValue:
         assert batch[0].evaluations % 15 == 1
         assert batch[1].evaluations % 15 == 0
 
+    def test_complex_g_is_its_real_and_imaginary_parts(self):
+        # the principal value of a complex g, poles inside and outside
+        # on both sides, against those of g.real and g.imag run
+        # separately: both parts agree within the two errors, and the
+        # imaginary parts are far from zero, so a dropped one shows
+        freq = np.array([0.5, 3.0, 1.0, 2.0, 1.5])
+        pole = [1.0, -0.5, 9.0, 0.3, 3.5]
+        lo = [0.0, 0.0, 0.0, 0.0, 0.0]
+        hi = [4.0, 3.0, 6.0, 1.0, 8.0]
+        tol = 1e-10
+
+        def g(x, owner):
+            return np.exp(-0.2 * x * x + 1j * freq[owner] * x)
+
+        both = principal_value_batch(g, pole, lo, hi, tol)
+        parts = [principal_value_batch(lambda x, owner, part=part:
+                                       part(g(x, owner)), pole, lo, hi, tol)
+                 for part in (np.real, np.imag)]
+        for pv, re, im in zip(both, *parts):
+            assert isinstance(pv.value, complex)
+            assert isinstance(re.value, float) and isinstance(im.value, float)
+            assert pv.converged and re.converged and im.converged
+            assert abs(pv.value.real - re.value) <= \
+                pv.abs_error_estimate + re.abs_error_estimate
+            assert abs(pv.value.imag - im.value) <= \
+                pv.abs_error_estimate + im.abs_error_estimate
+            assert abs(im.value) > 1e-3
+
     @pytest.mark.parametrize("n,pole,lo,hi,sides", [
         (8, 1.0, 0.0, 4.0, (2, 6)),     # shares of 2 and 6: exact
         (8, 2.0, 0.0, 3.0, (6, 3)),     # 5.33 and 2.67, each rounded up

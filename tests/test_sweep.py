@@ -552,16 +552,16 @@ class TestPlanner:
 
     def test_line_integrals_run_as_one_batch(self, monkeypatch):
         # a serial criterion-7 style curve hands all its line integrals
-        # to one principal_value_batch call: P_A's image line, then P_B's
+        # to one principal-value batch: P_A's image line, then P_B's
         # image line and C's direct and image lines of every row
         batches = []
-        pv_batch = correlation.principal_value_batch
+        pv_batch = correlation._principal_values
 
-        def counted(g, pole, lo, hi, tol, **kwargs):
+        def counted(g, pole, lo, hi, tol, initial_panels):
             batches.append(len(pole))
-            return pv_batch(g, pole, lo, hi, tol, **kwargs)
+            return pv_batch(g, pole, lo, hi, tol, initial_panels)
 
-        monkeypatch.setattr(correlation, "principal_value_batch", counted)
+        monkeypatch.setattr(correlation, "_principal_values", counted)
         spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,
                                         points=240),
                          gap_a=0.1, accel=3.7, radius=0.02, dz=5.0)

@@ -126,3 +126,29 @@ def test_json_table_rows_are_its_list_items():
     # a report without an I column has no such count
     assert "beyond_err" not in tables.diff_file("r.json", '{"a": 1}',
                                                 '{"a": 2}')
+
+
+def test_onset_curves_are_benchmark_onset_curves(tmp_path, monkeypatch):
+    # each onset config, written to a file as the tool writes it, loads
+    # as the benchmark's onset_scan curve of its bracket: one near the
+    # mirror and one far from it
+    import sys
+
+    import udwmi
+
+    path = _PATH.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are made
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    brackets = set()
+    for name, curve in tables.ONSET_CURVES.items():
+        config = tmp_path / (name + ".json")
+        config.write_text(json.dumps(curve))
+        dz, accel = curve["dz"], curve["accel"]
+        assert accel in workloads.ONSET_GRIDS[dz]
+        assert udwmi.sweep.load_config(str(config)) == \
+            workloads.onset_spec(udwmi, dz, accel)
+        brackets.add(dz)
+    assert brackets == set(workloads.ONSET_GRIDS)

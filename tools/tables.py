@@ -4,8 +4,10 @@
 
 OLD and NEW are git revisions of this repository, each extracted fresh
 with git archive. Each version writes, in a process of its own, the CSV
-table of every fig* preset (udwmi sweep), the JSON tables of the
-presets in JSON_TABLES, the reports of the oracle_grid, oracle_corners
+table of every fig* preset (udwmi sweep), the CSV table of each
+criterion-7 curve of ONSET_CURVES (udwmi sweep on a config file written
+for it), the JSON tables of the presets in JSON_TABLES, the reports of
+the oracle_grid, oracle_corners
 and oracle_grid_smoke grids (udwmi verify), and the records that udwmi
 response, correlation and mi print for each argument list of POINTS
 (one file per command: a list of the exit status and record of each
@@ -45,6 +47,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ORACLE_GRIDS = ("oracle_grid", "oracle_corners", "oracle_grid_smoke")
 JSON_TABLES = ("fig7a",)
+# the sweep configs of one dense criterion-7 curve per onset bracket, by
+# table name: equal gaps of 0.1, R = 0.02, 240 separations from 0.1 to
+# 8, near the mirror at a = 2 and far from it at a = 3.7
+ONSET_CURVES = {
+    f"onset_dz{dz:g}_a{accel:g}": {
+        "axis": {"name": "sep", "start": 0.1, "stop": 8.0, "points": 240},
+        "gap_a": 0.1, "accel": accel, "radius": 0.02, "dz": dz}
+    for dz, accel in ((0.1, 2.0), (5.0, 3.7))
+}
 # the single points whose printed records are compared, each as the
 # arguments of its detector (all that udwmi response takes) and those of
 # the pair: a rotating pair near the mirror, detuned gaps, the
@@ -63,14 +74,20 @@ POINTS = (
 
 # run inside each version, with that version's src first on the path
 _WRITE_OUTPUTS = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tempfile
 from pathlib import Path
 from udwmi import cli
 src, out, workers = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
-grids, json_tables, points = json.loads(sys.argv[4])
+grids, json_tables, onset_curves, points = json.loads(sys.argv[4])
 for config in sorted((src / "udwmi" / "presets").glob("fig*.json")):
     cli.main(["sweep", "--config", config.stem, "--workers", workers,
               "--out", str(out / (config.stem + ".csv"))])
+with tempfile.TemporaryDirectory() as configs:
+    for name, curve in onset_curves.items():
+        config = Path(configs) / (name + ".json")
+        config.write_text(json.dumps(curve))
+        cli.main(["sweep", "--config", str(config), "--workers", workers,
+                  "--out", str(out / (name + ".csv"))])
 for config in json_tables:
     cli.main(["sweep", "--config", config, "--workers", workers, "--format",
               "json", "--out", str(out / (config + ".json"))])
@@ -103,14 +120,15 @@ def checkout(revision: str, dest: Path) -> Path:
 
 
 def write_outputs(tree: Path, out: Path, workers: int) -> None:
-    """The fig* tables, oracle reports and point records of the checkout
-    tree, in out."""
+    """The fig* and onset tables, oracle reports and point records of
+    the checkout tree, in out."""
     out.mkdir(parents=True)
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", _WRITE_OUTPUTS, str(src), str(out),
-         str(workers), json.dumps([ORACLE_GRIDS, JSON_TABLES, POINTS])],
+         str(workers), json.dumps([ORACLE_GRIDS, JSON_TABLES, ONSET_CURVES,
+                                      POINTS])],
         cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{tree}: writing the outputs failed\n{proc.stderr}")
