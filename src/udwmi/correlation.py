@@ -36,17 +36,17 @@ independent routes:
   and Wightman; for the circular orbit's complex zeros, Bell and
   Leinaas, Nucl. Phys. B 212, 131 (1983)). So instead of a regulator
   epsilon, the proper-time difference is moved off the real axis by a
-  finite eta, tau_A - tau_B = s - i eta, and wightman_free or
-  wightman_boundary, unregulated, is taken there with no limit (_oracle).
+  finite eta, tau_A - tau_B = s - i eta, and the unregulated
+  Wightman function is taken there with no limit (_oracle).
   The response oracle of module response is the same routine: the
   response is the correlation of a detector with itself. eta comes
   from the orbits (_contours); the passes at two values, each an
   integrate_adaptive_batch call of its own (_oracle_pass), differ in eta
   and inner grid, and their spread is the error. Rows are evaluated in
-  plain blocks of at most _BLOCK inner-grid elements, both events from
-  the orbit's continuation to complex proper time (kinematics._orbit),
-  whose phase separates: its phasors are made once per pass over the
-  inner grid and once per row, and each grid element takes products.
+  plain blocks of at most _BLOCK inner-grid elements, the Wightman
+  function from the squared interval alone (_wightman_kernel), whose
+  parts come from the orbits' phasors (kinematics._orbit), made once
+  per pass over the inner grid and once per row.
 """
 
 from __future__ import annotations
@@ -395,15 +395,15 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per row block of the oracle integrand. A block's
-# temporaries (the events' phasor products and coordinates, then the
-# Wightman function's) peak at about a dozen complex arrays of 32 KiB,
-# below glibc's default 128 KiB mmap threshold, so the heap reuses them
-# whatever the process freed before: one serial oracle_grid suite made
-# 19-28 minor page faults in a fresh process after the smoke grid,
-# against about 112,000 at twice the block, which was also no faster
-# (resource.getrusage; x86-64 Linux, glibc, NumPy 2.4).
-_BLOCK = 1 << 11
+# Inner-grid elements per row block of the oracle integrand. The kernel
+# works in place where it can, so a block's temporaries peak at 448 KiB
+# (tracemalloc, n_u = 192), about seven complex arrays of 64 KiB. One
+# serial oracle_grid suite made 21-24 minor page faults in a fresh
+# process after the smoke grid, as at half the block, and ran about 20%
+# faster (resource.getrusage, time.process_time; x86-64 Linux, glibc,
+# NumPy 2.4). With fresh temporaries (506 KiB) an oracle_corners suite
+# could make 12,000-28,000, and the coordinate kernel (696 KiB) 109,550.
+_BLOCK = 1 << 12
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
 # difference s over twice that, where the envelope exp(-u^2 - s^2/4)
@@ -429,56 +429,91 @@ def _contours(det_a: CircularDetectorSpec,
     return 0.5 * eta_2, eta_2
 
 
-def _oracle_pass(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int,
-                 tol: float) -> QuadratureResult:
-    """The defining double integral between det_a at height z_a and
-    det_b at z_b, with the image term when mirror, on the contour shifted
-    by eta with about n_u inner nodes, to tol: a batch of one of
-    integrate_adaptive_batch.
+def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                     z_a: float, z_b: float, mirror: bool, u):
+    """wightman_boundary (wightman_free unless mirror) of det_a at height
+    z_a and det_b at z_b at tau_A = u + c and tau_B = u - c, as a
+    function of c: u is real (the inner nodes), and c, complex,
+    broadcasts against it. It takes the squared interval q = dt^2 -
+    (dx^2 + dy^2) straight from the orbits, dt = (gamma_A - gamma_B) u +
+    (gamma_A + gamma_B) c and dx^2 + dy^2 = 4 dp dm, with dp and dm the
+    differences of the phasors of kinematics._orbit (x = p + m, y = -i
+    (p - m)); the mirror's two terms are the one fraction 4 z_A z_B /
+    (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A + z_B)^2)). A grid element
+    takes products and one division, on equal and unequal orbits."""
+    orbit_a, orbit_b = _orbit(det_a, u), _orbit(det_b, u)
+    dt_u = (det_a.gamma - det_b.gamma) * u
+    gamma_sum = det_a.gamma + det_b.gamma
+    dz_sq, z_sum_sq = (z_a - z_b) ** 2, (z_a + z_b) ** 2
+    image = 4.0 * z_a * z_b / _TWO_PI_SQ
+
+    def kernel(c):  # in place where it can be: see _BLOCK
+        p_a, m_a = orbit_a(c)
+        p_b, m_b = orbit_b(-c)
+        p_a -= p_b
+        m_a -= m_b
+        p_a *= m_a
+        q = np.square(dt_u + gamma_sum * c)
+        q -= 4.0 * p_a
+        if mirror:
+            p_a = q - dz_sq
+            q -= z_sum_sq
+            q *= p_a
+            return np.divide(image, q, out=q)
+        q -= dz_sq
+        q *= _TWO_PI_SQ
+        return np.divide(-1.0, q, out=q)
+
+    return kernel
+
+
+def _oracle_rows(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int):
+    """The rows, as a function of real s, of the defining double integral
+    between det_a at height z_a and det_b at z_b, with the image term
+    when mirror, on the contour shifted by eta with about n_u inner nodes.
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
-    gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the unregulated
-    Wightman function of the events at tau_A and tau_B. The inner
-    u integral is a composite Gauss-Legendre grid of about n_u nodes,
-    the outer s integral adaptive GK15. The factors that depend on u
-    alone or on s alone are column weights and a row factor. The events
-    at tau_A = u + (s - i eta)/2 and tau_B = u - (s - i eta)/2 are
-    kinematics._orbit's, each detector's phasors of u made once per
-    pass and those of its half difference once per row, so a grid
-    element costs products and the Wightman function, no
-    transcendental. Rows are evaluated in blocks of at most _BLOCK grid
-    elements (at least one row), each from its own abscissa alone, so a
-    pass does not depend on the blocks."""
-    wightman = wightman_boundary if mirror else wightman_free
+    gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the Wightman
+    function (_wightman_kernel at c = (s - i eta)/2). A row is its u
+    integral on a composite Gauss-Legendre grid, the factors in u alone
+    or s alone column weights and a row factor, evaluated in blocks of
+    at most _BLOCK grid elements (at least one row), each from its own
+    abscissa alone, so the rows do not depend on the blocks."""
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
     weights = w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)
     step = max(_BLOCK // u.size, 1)
-    orbit_a, orbit_b = _orbit(det_a, z_a, u), _orbit(det_b, z_b, u)
+    kernel = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)
 
-    def rows(s):
+    def block(s):
         ds = s - 1j * eta
-        half = 0.5 * ds[:, None]
-        w = wightman(orbit_a(half), orbit_b(-half))
         # einsum, not BLAS: no native thread pool under the process pool
         return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
-                * np.einsum("ij,j->i", w, weights))
+                * np.einsum("ij,j->i", kernel(0.5 * ds[:, None]), weights))
 
-    def f(x, _):
-        s = x.ravel()
-        return np.concatenate([rows(s[i:i + step])
-                               for i in range(0, s.size, step)]
-                              ).reshape(x.shape)
+    def rows(s):
+        return np.concatenate([block(s[i:i + step])
+                               for i in range(0, s.size, step)])
 
+    return rows
+
+
+def _oracle_pass(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
+                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int,
+                 tol: float) -> QuadratureResult:
+    """The integral over s of _oracle_rows to tol: a batch of one of
+    integrate_adaptive_batch, adaptive GK15 over [-2 _U_CUT, 2 _U_CUT]."""
+    rows = _oracle_rows(det_a, det_b, z_a, z_b, mirror, eta, n_u)
     # enough starting panels to see the phase and orbit oscillations
     s_max = 2.0 * _U_CUT
-    f_s = (abs(gap_a + gap_b) + det_a.omega * det_a.gamma
-           + det_b.omega * det_b.gamma) / 2.0 + 1.0
+    f_s = (abs(det_a.energy_gap + det_b.energy_gap)
+           + det_a.omega * det_a.gamma + det_b.omega * det_b.gamma) / 2.0 + 1.0
     n0 = int(0.25 * s_max * f_s) + 8
-    (res,) = integrate_adaptive_batch(f, -s_max, s_max, tol,
-                                      initial_panels=n0, max_panels=60000)
+    (res,) = integrate_adaptive_batch(
+        lambda x, _: rows(x.ravel()).reshape(x.shape), -s_max, s_max, tol,
+        initial_panels=n0, max_panels=60000)
     return _checked(res)
 
 

@@ -134,13 +134,15 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
     Accepts scalar or array tau, real or complex; z is the scalar
     z_offset either way. The orbit starts at (R, 0, z_offset) at tau = 0
     and rotates counterclockwise in the x-y plane. A complex tau gives
-    the event's analytic continuation, evaluated by _orbit with tau's
-    real part as u and the rest as c.
+    the event's analytic continuation, from the phasors of _orbit with
+    tau's real part as u and the rest as c.
     """
     if isinstance(tau, np.ndarray):
         tau = np.asarray(tau, dtype=np.result_type(tau, np.float64))
     if np.iscomplexobj(tau):
-        return _orbit(spec, z_offset, tau.real)(1j * tau.imag)
+        p, m = _orbit(spec, tau.real)(1j * tau.imag)
+        return SpacetimePoint(t=spec.gamma * tau, x=p + m, y=-1j * (p - m),
+                              z=z_offset)
     phase = spec.omega * spec.gamma * tau
     return SpacetimePoint(
         t=spec.gamma * tau,
@@ -150,29 +152,24 @@ def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
     )
 
 
-def _orbit(spec: CircularDetectorSpec, z_offset: float, u):
-    """The events of trajectory_point at complex proper times u + c, as
-    a function of c: u is real, and c, real or complex, broadcasts
-    against it.
+def _orbit(spec: CircularDetectorSpec, u):
+    """The orbit's phasors p = (R/2) e^(i omega gamma (u + c)) and
+    m = (R/2) e^(-i omega gamma (u + c)), as a function of c: u is real,
+    and c, real or complex, broadcasts against it. The event at proper
+    time u + c is t = gamma (u + c), x = p + m, y = -i (p - m).
 
-    The phase omega gamma (u + c) is a part in u plus a part in c, so
-    with p = e^(i omega gamma (u + c)) and m = e^(-i omega gamma (u + c))
-    the event is t = gamma (u + c), x = R (p + m)/2, y = -i R (p - m)/2,
-    and p and m are products of the phasors of u, made once, and those
-    of c, made per call: an (s, u) grid with c per row s needs
+    p and m are products of the phasors of u, made once, and those of
+    c, made per call, so an (s, u) grid with c per row s needs
     transcendentals on the row and column factors alone. The small
     imaginary parts of x and y on a slightly shifted contour come from
-    the sums of p and m, so they round to R's precision rather than
-    their own.
+    the sums of p and m, so they round to R's precision, not their own.
     """
     k = spec.omega * spec.gamma
     p_u, m_u = np.exp(1j * k * u), np.exp(-1j * k * u)
     half_radius = 0.5 * spec.radius
 
-    def events(c) -> SpacetimePoint:
-        p = p_u * (half_radius * np.exp(1j * k * c))
-        m = m_u * (half_radius * np.exp(-1j * k * c))
-        return SpacetimePoint(t=spec.gamma * (u + c), x=p + m,
-                              y=-1j * (p - m), z=z_offset)
+    def phasors(c):
+        return (p_u * (half_radius * np.exp(1j * k * c)),
+                m_u * (half_radius * np.exp(-1j * k * c)))
 
-    return events
+    return phasors

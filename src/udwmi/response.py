@@ -128,6 +128,12 @@ def _image_line_args(spec: CircularDetectorSpec, dz: float, tol: float,
     return pref, (2.0 * dz, *shared)
 
 
+def _require_dz(dz: float | None) -> None:
+    """DomainError unless dz is None (no mirror) or positive and finite."""
+    if dz is not None and not 0.0 < dz < math.inf:
+        raise DomainError(f"dz must be positive and finite, got {dz}")
+
+
 def transition_probability(spec: CircularDetectorSpec,
                            dz: float | None = None,
                            tol: float = 1e-8,
@@ -147,8 +153,7 @@ def transition_probability(spec: CircularDetectorSpec,
     line integral of the key _image_line_args(spec, dz, tol) names, as
     a batch of line integrals made it; it is taken as it is, again
     bit-identically."""
-    if dz is not None and (not math.isfinite(dz) or dz <= 0.0):
-        raise DomainError(f"dz must be positive and finite, got {dz}")
+    _require_dz(dz)
     if free is None:
         free = _checked(_free_responses([(spec, tol)])[0])
     if dz is None:
@@ -273,7 +278,9 @@ def transition_probability_oracle_result(spec: CircularDetectorSpec,
     """Definition-level response with error bookkeeping: the correlation
     oracle correlation._oracle of spec with itself at height dz (0 in
     free space), each pass to tol/4. P is real, so the value is the
-    real part and its imaginary part is added to the error estimate."""
+    real part and its imaginary part is added to the error estimate.
+    dz is checked as transition_probability checks it."""
+    _require_dz(dz)
     z = dz if dz is not None else 0.0
     est = _oracle(spec, spec, z, z, dz is not None, _require_tol(tol) / 4.0)
     return replace(est, value=est.value.real,

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -18,9 +19,12 @@ from udwmi import (
     wightman_boundary,
     wightman_free,
 )
-from udwmi.correlation import (_contours, _line_params, _line_pole,
-                               _oracle_pass, _reduced_line_integral,
-                               _reduced_line_integrals)
+from udwmi.correlation import (_U_CUT, _contours, _line_params, _line_pole,
+                               _oracle_pass, _oracle_rows,
+                               _reduced_line_integral,
+                               _reduced_line_integrals, _wightman_kernel)
+
+import long_double
 
 # Frozen expected values come from an independent mpmath implementation of
 # the reduced single-integral form (50 significant digits; dps-30 and
@@ -597,6 +601,78 @@ class TestOracleRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+ORBITS = st.builds(
+    lambda accel, radius: detector_from_accel_radius(0.1, accel, radius),
+    st.one_of(st.just(0.0), st.floats(0.0, 100.0)), st.floats(0.01, 30.0))
+
+
+class TestWightmanKernel:
+    # the oracle's kernel takes W from the squared interval of the
+    # orbits' phasors; pointwise it is wightman_boundary (wightman_free
+    # without the mirror) of the events of trajectory_point at tau_A =
+    # u + c and tau_B = u - c, c = (s - i eta)/2. Both round the
+    # interval q to a few ulps of gamma^2 (|u| + |c|)^2 + R^2 (1 + omega
+    # gamma (|u| + |c|)), R^2 with the contour's cosh, which W takes on
+    # with its derivative 4 pi^2 W^2 in each of its terms
+    @seed(2033)
+    @settings(max_examples=200, deadline=None)
+    @given(det_a=ORBITS, det_b=st.one_of(st.none(), ORBITS),
+           mirror=st.booleans(), z_a=st.floats(0.01, 5.0),
+           sep=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           rung=st.sampled_from([0, 1]),
+           u=st.lists(st.floats(-_U_CUT, _U_CUT), min_size=1, max_size=8),
+           s=st.lists(st.floats(-2.0 * _U_CUT, 2.0 * _U_CUT), min_size=1,
+                      max_size=4))
+    def test_kernel_is_the_definition(self, det_a, det_b, mirror, z_a, sep,
+                                      rung, u, s):
+        det_b = det_b or det_a  # equal orbits, the response's among them
+        if not mirror:
+            z_a = 0.0  # the oracle's free space
+        z_b = z_a + sep
+        eta = _contours(det_a, det_b)[rung]
+        u = np.array(u)
+        c = 0.5 * (np.array(s) - 1j * eta)[:, None]
+        got = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)(c)
+        p_a = trajectory_point(det_a, z_a, u + c)
+        p_b = trajectory_point(det_b, z_b, u - c)
+        direct = wightman_free(p_a, p_b)
+        if mirror:
+            want = wightman_boundary(p_a, p_b)
+            image = wightman_free(p_a, dataclasses.replace(p_b, z=-z_b))
+        else:
+            want, image = direct, 0.0
+        assert got.shape == want.shape
+        span = abs(u) + abs(c)
+        radii = sum(det.radius * np.cosh(det.omega * det.gamma * c.imag)
+                    for det in (det_a, det_b))
+        k = max(det_a.omega * det_a.gamma, det_b.omega * det_b.gamma)
+        q_err = np.finfo(float).eps * (
+            ((det_a.gamma + det_b.gamma) * span) ** 2
+            + radii ** 2 * (1.0 + k * span) + (z_a + z_b) ** 2)
+        bound = 8.0 * (4.0 * math.pi ** 2 * (abs(direct) ** 2
+                                             + abs(image) ** 2) * q_err
+                       + np.finfo(float).eps * (abs(direct) + abs(image)))
+        assert np.all(abs(got - want) <= bound)
+
+
+@long_double.needs_long_double
+class TestOracleRowPrecision:
+    # a pass's rows against the defining formula in long double on a
+    # fixed grid of 1025 s, both contours, near the mirror: the worst
+    # row error is 2.8e-13 of the largest row at a = 1, R = 10 and
+    # 1.9e-15 at a = 0.1, R = 1, as it was with the Wightman function
+    # from two events' coordinates (2.9e-13 and 1.9e-15 on 4097 s)
+    @pytest.mark.parametrize("accel, radius", [(0.1, 1.0), (1.0, 10.0)])
+    def test_rows_match_long_double(self, accel, radius):
+        spec = detector_from_accel_radius(0.1, accel, radius)
+        args, contours = response_args(spec, 0.1)
+        s = np.linspace(-2.0 * _U_CUT, 2.0 * _U_CUT, 1025)
+        for eta, n_u in contours:
+            got = _oracle_rows(*args, eta, n_u)(s)
+            exact = long_double.oracle_rows(*args, eta, n_u, s)
+            assert long_double.worst_error(got, exact) <= 1e-12
 
 
 class TestRungBatch:

@@ -147,9 +147,10 @@ class TestTrajectory:
 
 
 class TestSeparableOrbit:
-    # the oracle's events at tau = u + c, c = +-(s - i eta)/2, are
-    # products of the phasors of u and of c; each phase part rounds on
-    # its own, so they agree with the event at the summed tau, taken
+    # the oracle's phasors at tau = u + c, c = +-(s - i eta)/2, are
+    # products of those of u and of c; each phase part rounds on its
+    # own, so the events they make agree with the event at the summed
+    # tau, taken
     # pointwise, to a few ulps of the coordinate's magnitude
     # R cosh(omega gamma Im c) per unit of omega gamma (|u| + |c|)
     @seed(2029)
@@ -167,25 +168,26 @@ class TestSeparableOrbit:
         half = 0.5 * (np.array(s) - 1j * eta)[:, None]
         k = det.omega * det.gamma
         for c in (half, -half):
-            events = _orbit(det, 0.4, u)(c)
+            p, m = _orbit(det, u)(c)
+            x, y = p + m, -1j * (p - m)
             tau = u + c
             point = trajectory_point(det, 0.4, tau)
-            assert np.array_equal(events.t, point.t)
-            assert events.z == point.z == 0.4
+            assert np.array_equal(point.t, det.gamma * tau)
+            assert point.z == 0.4
             bound = (4.0 * np.finfo(float).eps * radius
                      * np.cosh(k * c.imag) * (1.0 + k * (abs(u) + abs(c))))
             # and with NumPy's complex cos and sin of the phase, which
             # share no code with them
             phase = k * tau
             for got, want, numpy_want in (
-                    (events.x, point.x, radius * np.cos(phase)),
-                    (events.y, point.y, radius * np.sin(phase))):
+                    (x, point.x, radius * np.cos(phase)),
+                    (y, point.y, radius * np.sin(phase))):
                 assert got.shape == tau.shape
                 assert np.all(abs(got - want) <= bound)
                 assert np.all(abs(got - numpy_want) <= bound)
             if accel == 0.0:  # a static detector's events stay put
-                assert np.array_equal(events.x, np.full(tau.shape, radius))
-                assert not events.y.any()
+                assert np.array_equal(x, np.full(tau.shape, radius))
+                assert not y.any()
 
 
 class TestValidation:

@@ -475,3 +475,16 @@ class TestValidation:
             transition_probability(det(1.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             transition_probability(det(1.0, 1.0), -2.0)
+
+    @pytest.mark.parametrize("dz", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("evaluate", [transition_probability,
+                                          transition_probability_oracle_result])
+    def test_bad_dz_raises_the_same_error(self, evaluate, dz):
+        # the reduced path and the oracle share one check, so neither
+        # returns a value (or NaN) for a height that is not positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=rf"^dz must be positive and finite, "
+                                     rf"got {dz}$"):
+                evaluate(det(1.0, 1.0), dz, tol=1e-6)
