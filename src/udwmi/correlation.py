@@ -402,7 +402,7 @@ def composite_gauss_legendre(lo: float, hi: float,
 # process after the smoke grid, as at half the block, and ran about 20%
 # faster (resource.getrusage, time.process_time; x86-64 Linux, glibc,
 # NumPy 2.4). With fresh temporaries (506 KiB) an oracle_corners suite
-# could make 12,000-28,000, and the coordinate kernel (696 KiB) 109,550.
+# could make 12,000-28,000 after an oracle_grid suite in one process.
 _BLOCK = 1 << 12
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the

@@ -162,7 +162,8 @@ def _orbit(spec: CircularDetectorSpec, u):
     c, made per call, so an (s, u) grid with c per row s needs
     transcendentals on the row and column factors alone. The small
     imaginary parts of x and y on a slightly shifted contour come from
-    the sums of p and m, so they round to R's precision, not their own.
+    the sums of p and m, so they round to R's precision rather than
+    their own.
     """
     k = spec.omega * spec.gamma
     p_u, m_u = np.exp(1j * k * u), np.exp(-1j * k * u)

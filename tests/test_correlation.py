@@ -588,7 +588,8 @@ class TestOracleRowBlocks:
 
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
-        # count: the two passes peak at about 0.5 MiB here
+        # count: the two passes peak at 0.50 MiB here (a block's own
+        # temporaries at 448 KiB, see correlation._BLOCK)
         import tracemalloc
 
         cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
@@ -662,8 +663,7 @@ class TestOracleRowPrecision:
     # a pass's rows against the defining formula in long double on a
     # fixed grid of 1025 s, both contours, near the mirror: the worst
     # row error is 2.8e-13 of the largest row at a = 1, R = 10 and
-    # 1.9e-15 at a = 0.1, R = 1, as it was with the Wightman function
-    # from two events' coordinates (2.9e-13 and 1.9e-15 on 4097 s)
+    # 1.9e-15 at a = 0.1, R = 1 (2.9e-13 and 1.9e-15 on 4097 s)
     @pytest.mark.parametrize("accel, radius", [(0.1, 1.0), (1.0, 10.0)])
     def test_rows_match_long_double(self, accel, radius):
         spec = detector_from_accel_radius(0.1, accel, radius)
