@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .correlation import PairConfig, correlation_equal
 from .infomeasure import mutual_information_point
-from .kinematics import (DomainError, _require_tol,
+from .kinematics import (DomainError, _require_dz, _require_tol,
                          detector_from_accel_radius)
 from .response import transition_probability
 from .sweep import (_json_number, _pair_from_params, emit_table, load_config,
@@ -108,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dz_of(args) -> float | None:
     if args.free_space:
         return None
-    if not math.isfinite(args.dz) or args.dz <= 0.0:
-        raise DomainError(f"dz must be positive and finite, got {args.dz}")
-    return args.dz
+    return _require_dz(args.dz)
 
 
 def _pair_of(args) -> PairConfig:

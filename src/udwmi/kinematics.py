@@ -52,6 +52,14 @@ def _require_tol(tol: float) -> float:
     return tol
 
 
+def _require_dz(dz: float | None) -> float | None:
+    """dz, or DomainError unless it is None (no mirror) or positive and
+    finite: the one check of a detector's height above the mirror."""
+    if dz is not None and not 0.0 < dz < math.inf:
+        raise DomainError(f"dz must be positive and finite, got {dz}")
+    return dz
+
+
 @dataclass(frozen=True)
 class CircularDetectorSpec:
     """A two-level detector on a circular orbit, built from (Omega, a, R).

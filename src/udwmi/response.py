@@ -52,7 +52,8 @@ import numpy as np
 
 from .correlation import (LineIntegral, OracleEstimate, _line_params,
                           _oracle, _reduced_line_integral)
-from .kinematics import CircularDetectorSpec, DomainError, _require_tol
+from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
+                         _require_tol)
 from .quadrature import (_checked, gaussian_truncation_point,
                          integrate_adaptive, integrate_adaptive_batch)
 # not called here; bench/tests/test_bench.py asserts this binding exists
@@ -126,12 +127,6 @@ def _image_line_args(spec: CircularDetectorSpec, dz: float, tol: float,
     correlation._line_params or a memo of it."""
     pref, shared = line_params(spec, spec, tol, 0.25)
     return pref, (2.0 * dz, *shared)
-
-
-def _require_dz(dz: float | None) -> None:
-    """DomainError unless dz is None (no mirror) or positive and finite."""
-    if dz is not None and not 0.0 < dz < math.inf:
-        raise DomainError(f"dz must be positive and finite, got {dz}")
 
 
 def transition_probability(spec: CircularDetectorSpec,
