@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
-                         _orbit, _require_tol)
+                         _orbit, _require_dz, _require_sep, _require_tol)
 from .quadrature import (QuadratureResult, _checked, _principal_values,
                          integrate_adaptive_batch)
 
@@ -112,10 +112,8 @@ class PairConfig:
     equal_kinematics: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sep) or self.sep < 0.0:
-            raise DomainError(f"sep must be finite and >= 0, got {self.sep}")
-        if self.dz is not None and (not math.isfinite(self.dz) or self.dz <= 0.0):
-            raise DomainError(f"dz must be positive when present, got {self.dz}")
+        object.__setattr__(self, "sep", _require_sep(self.sep))
+        object.__setattr__(self, "dz", _require_dz(self.dz))
         same_radius = math.isclose(self.det_a.radius, self.det_b.radius,
                                    rel_tol=1e-12)
         same_accel = math.isclose(self.det_a.accel, self.det_b.accel,

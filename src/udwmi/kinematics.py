@@ -20,6 +20,7 @@ the rotation phase is omega * gamma * tau.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -39,25 +40,56 @@ class DomainError(ValueError):
     """An input lies outside the physically admissible domain."""
 
 
+def _require_finite(name: str, value, rule: str = "finite",
+                    holds=math.isfinite) -> float:
+    """value as a float, or DomainError unless it is a real number (not a
+    bool, nor a string that float() would parse) for which holds is
+    true: the number rule that every input rule is built on."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not holds(value):
+        raise DomainError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _require_positive(name: str, value) -> float:
+    return _require_finite(name, value, "positive and finite",
+                           lambda v: 0.0 < v < math.inf)
+
+
 def _require_tol(tol: float) -> float:
     """tol as a float, or DomainError unless it is finite and at least
     the smallest normal float: every evaluator checks its tol here, and
     splits it into smaller budgets, where a subnormal one would round
     to zero."""
-    tol = float(tol)
-    if not sys.float_info.min <= tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, at least the "
-                          f"smallest normal float {sys.float_info.min:.17g}; "
-                          f"got {tol}")
-    return tol
+    return _require_finite("tol", tol, f"positive and finite, at least the "
+                           f"smallest normal float {sys.float_info.min:.17g}",
+                           lambda v: sys.float_info.min <= v < math.inf)
 
 
-def _require_dz(dz: float | None) -> float | None:
-    """dz, or DomainError unless it is None (no mirror) or positive and
-    finite: the one check of a detector's height above the mirror."""
-    if dz is not None and not 0.0 < dz < math.inf:
-        raise DomainError(f"dz must be positive and finite, got {dz}")
-    return dz
+def _require_dz(dz) -> float | None:
+    """dz as a float, or None (no mirror): the one check of a detector's
+    height above the mirror."""
+    return None if dz is None else _require_positive("dz", dz)
+
+
+def _require_sep(sep) -> float:
+    """sep, the vertical separation of a pair's detectors, as a float."""
+    return _require_finite("sep", sep, "nonnegative and finite",
+                           lambda v: 0.0 <= v < math.inf)
+
+
+def _require_orbit(accel, radius) -> tuple[float, float]:
+    """(accel, radius) as floats, finite, with radius positive and accel
+    nonnegative: the range of an orbit, representable or not."""
+    accel = _require_finite("accel", accel)
+    radius = _require_finite("radius", radius)
+    if radius <= 0.0:
+        raise DomainError(f"radius must be positive, got {radius}")
+    if accel < 0.0:
+        raise DomainError(f"accel must be nonnegative, got {accel}")
+    return accel, radius
 
 
 @dataclass(frozen=True)
@@ -80,17 +112,16 @@ class CircularDetectorSpec:
     gamma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        inputs = tuple(map(float, (self.energy_gap, self.accel, self.radius)))
-        if not all(math.isfinite(v) for v in inputs):
-            raise DomainError("detector parameters must be finite")
-        _, accel, radius = inputs
-        omega = omega_from_accel_radius(accel, radius)
+        energy_gap = _require_finite("energy_gap", self.energy_gap)
+        omega = omega_from_accel_radius(self.accel, self.radius)
+        accel, radius = float(self.accel), float(self.radius)
         speed = omega * radius
         # v^2 = a R / (1 + a R) in exact arithmetic; compute from omega*R to
         # keep speed, omega and radius consistent to the last float digit.
         if not speed < 1.0:  # below 1, 1 - speed^2 >= 2^-52 keeps gamma finite
             raise DomainError(f"a = {accel}, R = {radius}: speed rounds to 1")
-        values = (*inputs, omega, speed, 1.0 / math.sqrt(1.0 - speed * speed))
+        values = (energy_gap, accel, radius, omega, speed,
+                  1.0 / math.sqrt(1.0 - speed * speed))
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
         # hashed once: a sweep's planner looks detectors up per row and term
@@ -115,13 +146,10 @@ def omega_from_accel_radius(accel: float, radius: float) -> float:
 
     Returns omega = sqrt(accel / (radius * (1 + accel * radius))); zero
     acceleration gives omega = 0 (a static detector at distance radius
-    from the rotation axis); an a R or omega that overflows raises
-    DomainError.
+    from the rotation axis). An orbit that _require_orbit rejects, or an
+    a R or omega that overflows, raises DomainError.
     """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    if accel < 0.0:
-        raise DomainError(f"accel must be nonnegative, got {accel}")
+    accel, radius = _require_orbit(accel, radius)
     omega = math.sqrt(accel / (radius * (1.0 + accel * radius)))
     if not (math.isfinite(accel * radius) and math.isfinite(omega)):
         raise DomainError(f"a = {accel}, R = {radius}: a R or omega overflows")

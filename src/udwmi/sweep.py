@@ -51,8 +51,9 @@ from .correlation import (PairConfig, _reduced_line_integrals,
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
                           _point_terms, mutual_information_point)
-from .kinematics import (DomainError, _require_tol,
-                         detector_from_accel_radius)
+from .kinematics import (DomainError, _require_dz, _require_finite,
+                         _require_orbit, _require_positive, _require_sep,
+                         _require_tol, detector_from_accel_radius)
 from .response import (_free_responses, transition_probability,
                        transition_probability_oracle_result)
 
@@ -73,16 +74,6 @@ __all__ = [
 
 AXIS_NAMES = ("sep", "dz", "accel", "gap")
 _SPACINGS = ("linear", "log")
-
-
-def _require_finite(name: str, value: float) -> float:
-    # a real number: not a bool, nor a string that float() would parse
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -154,16 +145,13 @@ class SweepSpec:
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("gap_a", "accel", "radius", "sep", "tol"):
-            object.__setattr__(self, name,
-                               _require_finite(name, getattr(self, name)))
-        object.__setattr__(self, "tol", _require_tol(self.tol))
-        if self.accel < 0.0:
-            raise DomainError(f"accel must be >= 0, got {self.accel}")
-        if self.radius <= 0.0:
-            raise DomainError(f"radius must be > 0, got {self.radius}")
-        if self.sep < 0.0:
-            raise DomainError(f"sep must be >= 0, got {self.sep}")
+        accel, radius = _require_orbit(self.accel, self.radius)
+        for name, value in (("gap_a", _require_finite("gap_a", self.gap_a)),
+                            ("accel", accel), ("radius", radius),
+                            ("sep", _require_sep(self.sep)),
+                            ("dz", _require_dz(self.dz)),
+                            ("tol", _require_tol(self.tol))):
+            object.__setattr__(self, name, value)
         if not isinstance(self.gap_ratios, (list, tuple)):
             raise DomainError(f"gap_ratios must be a list, "
                               f"got {self.gap_ratios!r}")
@@ -174,11 +162,6 @@ class SweepSpec:
         if not isinstance(self.free_space, bool):
             raise DomainError(f"free_space must be true or false, "
                               f"got {self.free_space!r}")
-        if self.dz is not None:
-            dz = _require_finite("dz", self.dz)
-            if dz <= 0.0:
-                raise DomainError(f"dz must be > 0, got {dz}")
-            object.__setattr__(self, "dz", dz)
         if not self.free_space and self.dz is None and self.axis.name != "dz":
             raise DomainError("dz is required unless free_space is set "
                               "or dz is the swept axis")
@@ -410,26 +393,17 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _csv_number(value) -> str:
-    return "" if value is None else f"{value:.12g}"  # _fmt's form
-
-
-# a row's CSV cells: its field values in column order, and the formatter
-# of each column
+# a row's cells: its field values in column order, and the (CSV, JSON)
+# writers of each column by its field's type (text, a flag, or a number
+# in _fmt's form; None is empty or null, NaN and inf 'nan' or null)
 _ROW_VALUES = operator.attrgetter(*(name for name, _ in _FIELD_COLUMNS))
-_CSV_FORMATS = tuple(
-    {"status": lambda v: v,
-     "free_space": lambda v: "true" if v else "false"}.get(col, _csv_number)
-    for _, col in _FIELD_COLUMNS)
-
-
-def _json_value(key: str, value):
-    if key in ("status", "free_space") or value is None:
-        return value
-    v = float(value)
-    if math.isnan(v) or math.isinf(v):
-        return None
-    return float(_fmt(v))
+_WRITERS = tuple(
+    {"str": (str, str),
+     "bool": (lambda v: "true" if v else "false", bool)}.get(
+        f.type, (lambda v: "" if v is None else _fmt(v),
+                 lambda v: None if v is None or not math.isfinite(v)
+                 else float(_fmt(v))))
+    for f in fields(SweepRow))
 
 
 def emit_table(rows: list[SweepRow], fmt: str, destination) -> None:
@@ -442,18 +416,18 @@ def emit_table(rows: list[SweepRow], fmt: str, destination) -> None:
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
 
+    writers = [pair[fmt == "json"] for pair in _WRITERS]
+    cells = ([write(v) for write, v in zip(writers, _ROW_VALUES(row))]
+             for row in rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        writer.writerows([fmt(v) for fmt, v in zip(_CSV_FORMATS,
-                                                   _ROW_VALUES(row))]
-                         for row in rows)
+        writer.writerows(cells)
         text = buf.getvalue()
     else:
-        payload = [{k: _json_value(k, v) for k, v in row.to_record().items()}
-                   for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([dict(zip(COLUMNS, row)) for row in cells],
+                          indent=2) + "\n"
 
     if hasattr(destination, "write"):
         destination.write(text)
@@ -470,14 +444,15 @@ def _preset_dir():
 
 
 def _load_json_source(source, kind: str) -> dict:
-    """Load a JSON config from a path or a packaged preset name."""
+    """Load a JSON config from a path or a packaged preset name; a file
+    not UTF-8 JSON, or nested too deep to parse, is a DomainError."""
     if isinstance(source, dict):
         return source
     p = Path(source)
     if p.exists():
         try:
-            return json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            return json.loads(p.read_bytes())
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"invalid JSON in {p}: {exc}") from None
     name = str(source)
     if not name.endswith(".json"):
@@ -509,9 +484,7 @@ def load_grid(source) -> dict:
         "name", "description", "rel_tol", "response_points",
         "correlation_points"))
     grid = dict(grid)
-    grid["rel_tol"] = _require_finite("rel_tol", grid.get("rel_tol", 1e-3))
-    if grid["rel_tol"] <= 0.0:
-        raise DomainError(f"rel_tol must be > 0, got {grid['rel_tol']}")
+    grid["rel_tol"] = _require_positive("rel_tol", grid.get("rel_tol", 1e-3))
     # the keys each point needs; dz is optional (absent or None: no mirror)
     for section, keys in (
             ("response_points", ("gap", "accel", "radius")),
@@ -526,9 +499,14 @@ def load_grid(source) -> dict:
             missing = [k for k in keys if k not in p]
             if missing:
                 raise DomainError(f"{section} point {p} lacks keys {missing}")
-            numbers = [k for k in (*keys, "dz") if p.get(k) is not None]
-            checked.append({**p, **{k: _require_finite(k, p[k])
-                                    for k in numbers}})
+            p = {**p, **{k: _require_finite(k, p[k])
+                         for k in keys if k.startswith("gap")}}
+            p["accel"], p["radius"] = _require_orbit(p["accel"], p["radius"])
+            if "sep" in p:
+                p["sep"] = _require_sep(p["sep"])
+            if "dz" in p:
+                p["dz"] = _require_dz(p["dz"])
+            checked.append(p)
         grid[section] = checked
     if not (grid["response_points"] or grid["correlation_points"]):
         raise DomainError("oracle grid has no points")

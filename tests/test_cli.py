@@ -87,7 +87,7 @@ class TestResponseCommand:
     def test_nonfinite_orbit_is_config_error(self, capsys, flag):
         rc, out, err = run_cli(capsys, ["response", flag, "nan", "--dz", "1"])
         assert (rc, out) == (1, "")
-        assert "config error: detector parameters must be finite" in err
+        assert f"config error: {flag[2:]} must be finite, got nan" in err
 
 
 class TestCorrelationCommand:
@@ -242,6 +242,19 @@ class TestSweepCommand:
             "sweep", "--config", str(p), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "config error: gap_ratios must be a list" in err
+
+    def test_malformed_file_is_config_error(self, capsys, tmp_path):
+        # not UTF-8, or nested too deep to parse: a config error of sweep
+        # and of verify, not a traceback or a failed evaluation
+        p = tmp_path / "bad.json"
+        for content in (b'{"name": "caf\xe9"}', b"[" * 100_000):
+            p.write_bytes(content)
+            for argv in (["sweep", "--config", str(p),
+                          "--out", str(tmp_path / "x.csv")],
+                         ["verify", "--grid", str(p)]):
+                rc, out, err = run_cli(capsys, argv)
+                assert (rc, out) == (1, "")
+                assert err.startswith(f"config error: invalid JSON in {p}")
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path,
                                            config_path):

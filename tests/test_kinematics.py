@@ -9,12 +9,16 @@ from hypothesis import given, seed, settings, strategies as st
 from udwmi import (
     CircularDetectorSpec,
     DomainError,
+    PairConfig,
+    SweepAxis,
+    SweepSpec,
     detector_from_accel_radius,
     omega_from_accel_radius,
     trajectory_point,
 )
 from udwmi.correlation import _U_CUT, _contours
 from udwmi.kinematics import _orbit
+from udwmi.sweep import load_grid
 
 
 class TestDerivedQuantities:
@@ -204,12 +208,15 @@ class TestValidation:
             detector_from_accel_radius(0.1, -0.5, 1.0)
 
     def test_nonfinite_rejected(self):
-        # a non-finite a or R is named as such, not as an overflow
-        for args in [(np.nan, 1.0, 1.0), (0.1, np.nan, 1.0),
-                     (0.1, np.inf, 1.0), (0.1, 1.0, np.nan),
-                     (0.1, 1.0, np.inf)]:
+        # a non-finite a or R is named as such, not as an overflow, and
+        # the message names the parameter
+        for name, args in [("energy_gap", (np.nan, 1.0, 1.0)),
+                           ("accel", (0.1, np.nan, 1.0)),
+                           ("accel", (0.1, np.inf, 1.0)),
+                           ("radius", (0.1, 1.0, np.nan)),
+                           ("radius", (0.1, 1.0, np.inf))]:
             with pytest.raises(DomainError,
-                               match="detector parameters must be finite"):
+                               match=f"^{name} must be finite, got"):
                 detector_from_accel_radius(*args)
 
     @pytest.mark.parametrize("accel,radius", [(1e16, 1.0), (1e10, 1e300),
@@ -233,6 +240,49 @@ class TestValidation:
         det = detector_from_accel_radius(0.1, 1.0, 1.0)
         with pytest.raises(DomainError, match=message):
             dataclasses.replace(det, **{field: value})
+
+    @pytest.mark.parametrize("door", ["PairConfig", "SweepSpec", "load_grid"])
+    @pytest.mark.parametrize("sep, message", [
+        (-1.0, "sep must be nonnegative and finite, got -1.0"),
+        (math.nan, "sep must be nonnegative and finite, got nan"),
+        (True, "sep must be a number, got True"),
+    ], ids=["negative", "nan", "bool"])
+    def test_bad_sep_raises_the_same_error(self, door, sep, message):
+        # a pair, a sweep config and an oracle grid share one check
+        det = detector_from_accel_radius(0.1, 1.0, 1.0)
+        call = {
+            "PairConfig": lambda: PairConfig(det, det, sep, 1.0),
+            "SweepSpec": lambda: SweepSpec(
+                axis=SweepAxis("dz", 0.5, 1.5, 3), sep=sep),
+            "load_grid": lambda: load_grid({"correlation_points": [
+                {"gap_a": 0.1, "gap_b": 0.1, "accel": 1.0, "radius": 1.0,
+                 "sep": sep}]}),
+        }[door]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("door", ["detector_from_accel_radius",
+                                      "SweepSpec", "load_grid"])
+    @pytest.mark.parametrize("accel, radius, message", [
+        (-1.0, 1.0, "accel must be nonnegative, got -1.0"),
+        (1.0, 0.0, "radius must be positive, got 0.0"),
+        ("1", 1.0, "accel must be a number, got '1'"),
+        (True, 1.0, "accel must be a number, got True"),
+    ], ids=["negative-accel", "zero-radius", "str-accel", "bool-accel"])
+    def test_bad_orbit_raises_the_same_error(self, door, accel, radius,
+                                             message):
+        # a detector, a sweep config and an oracle grid share one check
+        call = {
+            "detector_from_accel_radius":
+                lambda: detector_from_accel_radius(0.1, accel, radius),
+            "SweepSpec": lambda: SweepSpec(
+                axis=SweepAxis("sep", 0.5, 1.5, 3), accel=accel,
+                radius=radius, dz=1.0),
+            "load_grid": lambda: load_grid({"response_points": [
+                {"gap": 0.1, "accel": accel, "radius": radius}]}),
+        }[door]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     @pytest.mark.parametrize("field", ["omega", "speed", "gamma"])
     def test_derived_field_cannot_be_set(self, field):

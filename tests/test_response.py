@@ -9,11 +9,15 @@ from udwmi import quadrature, response
 
 from udwmi import (
     DomainError,
+    PairConfig,
+    SweepAxis,
+    SweepSpec,
     detector_from_accel_radius,
     inertial_response,
     transition_probability,
     transition_probability_oracle_result,
 )
+from udwmi.sweep import load_grid
 
 # Frozen expected values come from an independent mpmath implementation of
 # the closed forms (50 significant digits; dps-30 and dps-50 runs agree to
@@ -25,6 +29,21 @@ GAP = 0.1
 
 def det(accel, radius, gap=GAP):
     return detector_from_accel_radius(gap, accel, radius)
+
+
+# each door a detector's height comes in by, called with that height
+DZ_DOORS = {
+    "transition_probability":
+        lambda dz: transition_probability(det(1.0, 1.0), dz, tol=1e-6),
+    "transition_probability_oracle_result":
+        lambda dz: transition_probability_oracle_result(det(1.0, 1.0), dz,
+                                                        tol=1e-6),
+    "PairConfig": lambda dz: PairConfig(det(1.0, 1.0), det(1.0, 1.0), 1.0, dz),
+    "SweepSpec": lambda dz: SweepSpec(axis=SweepAxis("sep", 0.5, 1.5, 3),
+                                      dz=dz),
+    "load_grid": lambda dz: load_grid({"response_points": [
+        {"gap": 0.1, "accel": 1.0, "radius": 1.0, "dz": dz}]}),
+}
 
 
 class TestInertialLimit:
@@ -476,15 +495,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             transition_probability(det(1.0, 1.0), -2.0)
 
-    @pytest.mark.parametrize("dz", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("evaluate", [transition_probability,
-                                          transition_probability_oracle_result])
-    def test_bad_dz_raises_the_same_error(self, evaluate, dz):
-        # the reduced path and the oracle share one check, so neither
-        # returns a value (or NaN) for a height that is not positive
+    @pytest.mark.parametrize("dz", [0.0, -1.0, math.nan, math.inf, True])
+    @pytest.mark.parametrize("door", list(DZ_DOORS))
+    def test_bad_dz_raises_the_same_error(self, door, dz):
+        # the reduced path, the oracle, a pair, a sweep config and an
+        # oracle grid share one check, so none returns a value (or NaN)
+        # for a height that is not a positive number, and all say so alike
+        rule = "a number" if isinstance(dz, bool) else "positive and finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError,
-                               match=rf"^dz must be positive and finite, "
-                                     rf"got {dz}$"):
-                evaluate(det(1.0, 1.0), dz, tol=1e-6)
+                               match=rf"^dz must be {rule}, got {dz}$"):
+                DZ_DOORS[door](dz)

@@ -844,10 +844,15 @@ class TestConfigLoading:
             load_config("no_such_preset")
 
     def test_invalid_json_file(self, tmp_path):
+        # a syntax error, a file that is not UTF-8, and nesting too deep
+        # for the parser's recursion are all invalid JSON, not crashes
         p = tmp_path / "broken.json"
-        p.write_text("{not json")
-        with pytest.raises(DomainError, match="invalid JSON"):
-            load_config(p)
+        for content in (b"{not json", b'{"name": "caf\xe9"}',
+                        b"[" * 100_000 + b"]" * 100_000):
+            p.write_bytes(content)
+            for load in (load_config, load_grid):
+                with pytest.raises(DomainError, match="invalid JSON"):
+                    load(p)
 
     def test_grid_defaults(self):
         grid = load_grid({"response_points": [{"gap": 0.1, "accel": 1.0,

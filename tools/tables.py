@@ -10,8 +10,9 @@ for it), the JSON tables of the presets in JSON_TABLES, the reports of
 the oracle_grid, oracle_corners
 and oracle_grid_smoke grids (udwmi verify), and the records that udwmi
 response, correlation and mi print for each argument list of POINTS
-(one file per command: a list of the exit status and record of each
-point), all at the given worker count, into DIR/old and DIR/new (a
+(one file per command: a list of the exit status, record and stderr of
+each point, warnings in stderr without the file and line that raised
+them), all at the given worker count, into DIR/old and DIR/new (a
 temporary directory unless --out is given).
 
 For each file the report says whether it is byte-identical. For a file
@@ -60,7 +61,10 @@ ONSET_CURVES = {
 # arguments of its detector (all that udwmi response takes) and those of
 # the pair: a rotating pair near the mirror, detuned gaps, the
 # criterion-7 orbit, a pole beyond the switching envelope, a static
-# pair, free space and a large gamma at a tight tol
+# pair, free space and a large gamma at a tight tol; then three config
+# errors, whose stderr shows what each version says of them: an accel
+# that is not finite, a height of 0 and a negative separation (the last
+# a valid point of udwmi response, which takes no --sep)
 POINTS = (
     (["--accel", "1", "--radius", "1", "--dz", "0.5"], []),
     (["--accel", "4", "--radius", "0.02", "--dz", "0.2"], ["--gap-b", "0.5"]),
@@ -70,13 +74,19 @@ POINTS = (
     (["--accel", "2", "--radius", "1", "--free-space"], []),
     (["--accel", "40", "--radius", "10", "--dz", "0.1", "--tol", "1e-10"],
      []),
+    (["--accel", "nan", "--dz", "1"], []),
+    (["--dz", "0"], []),
+    (["--dz", "1"], ["--sep", "-1"]),
 )
 
 # run inside each version, with that version's src first on the path
 _WRITE_OUTPUTS = """
-import contextlib, io, json, sys, tempfile
+import contextlib, io, json, sys, tempfile, warnings
 from pathlib import Path
 from udwmi import cli
+# the file and line of a warning differ between the two trees
+warnings.formatwarning = (
+    lambda message, category, *where: f"{category.__name__}: {message}\\n")
 src, out, workers = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 grids, json_tables, onset_curves, points = json.loads(sys.argv[4])
 for config in sorted((src / "udwmi" / "presets").glob("fig*.json")):
@@ -98,11 +108,12 @@ for command in ("response", "correlation", "mi"):
     records = []
     for detector, pair in points:
         argv = [command, *detector, *(pair if command != "response" else [])]
-        printed = io.StringIO()
+        printed, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(printed), \\
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
         records.append({"argv": " ".join(argv), "exit": code,
+                        "stderr": stderr.getvalue(),
                         **json.loads(printed.getvalue() or "{}")})
     (out / (command + "_points.json")).write_text(
         json.dumps(records, indent=1) + "\\n")
