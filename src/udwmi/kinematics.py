@@ -61,11 +61,11 @@ def _require_positive(name: str, value) -> float:
 
 def _require_tol(tol: float) -> float:
     """tol as a float, or DomainError unless it is finite and at least
-    the smallest normal float: every evaluator checks its tol here, and
-    splits it into smaller budgets, where a subnormal one would round
-    to zero."""
-    return _require_finite("tol", tol, f"positive and finite, at least the "
-                           f"smallest normal float {sys.float_info.min:.17g}",
+    the smallest normal float (2**-1022, an IEEE double's, written out
+    in the message): every evaluator checks its tol here, and splits it
+    into smaller budgets, where a subnormal one would round to zero."""
+    return _require_finite("tol", tol, "positive and finite, at least the "
+                           "smallest normal float 2.2250738585072014e-308",
                            lambda v: sys.float_info.min <= v < math.inf)
 
 
