@@ -8,7 +8,7 @@ the regime where the sweep curves develop oscillations.
 """
 import numpy as np
 
-from udwmi.kinematics import detector_from_accel_radius, trajectory_point
+from udwmi.kinematics import detector_from_accel_radius
 
 print("omega as a function of radius, for three accelerations")
 print(f"{'R':>8} " + " ".join(f"a={a:<10}" for a in (1.0, 10.0, 500.0)))
@@ -30,7 +30,10 @@ for accel, radius in ((0.1, 0.02), (1.0, 0.02), (5.0, 0.02), (5.0, 10.0)):
 print()
 print("a trajectory sample: the orbit stays on the circle, z is fixed")
 spec = detector_from_accel_radius(0.1, 5.0, 0.02)
+z = 0.5
 for tau in (0.0, 0.05, 0.1):
-    p = trajectory_point(spec, 0.5, tau)
-    print(f"tau={tau:4.2f}: t={p.t:8.4f} x={p.x:8.4f} y={p.y:8.4f} "
-          f"z={p.z:4.2f} x^2+y^2={p.x**2 + p.y**2:8.6f}")
+    # t = gamma tau, and the phase omega gamma tau turns (R, 0) about the axis
+    t, phase = spec.gamma * tau, spec.omega * spec.gamma * tau
+    x, y = spec.radius * np.cos(phase), spec.radius * np.sin(phase)
+    print(f"tau={tau:4.2f}: t={t:8.4f} x={x:8.4f} y={y:8.4f} "
+          f"z={z:4.2f} x^2+y^2={x**2 + y**2:8.6f}")

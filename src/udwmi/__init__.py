@@ -15,15 +15,13 @@ the real axis, with no regulator to extrapolate.
 """
 
 from .correlation import (CorrelationResult, OracleEstimate, PairConfig,
-                          correlation_equal, correlation_general_result,
-                          wightman_boundary, wightman_free)
+                          correlation_equal, correlation_general_result)
 from .infomeasure import (DensityBlock, MIResult, PairPointResult,
                           PerturbativeRegimeWarning, PointTerms,
                           assemble_density_block, mutual_information,
                           mutual_information_point)
-from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
-                         detector_from_accel_radius, omega_from_accel_radius,
-                         trajectory_point)
+from .kinematics import (CircularDetectorSpec, DomainError,
+                         detector_from_accel_radius, omega_from_accel_radius)
 from .quadrature import (QuadratureResult, integrate_adaptive,
                          principal_value_integral)
 from .response import (ResponseBreakdown, inertial_response,
@@ -36,15 +34,13 @@ from .sweep import (SweepAxis, SweepRow, SweepSpec, count_interior_maxima,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircularDetectorSpec", "SpacetimePoint", "DomainError",
+    "CircularDetectorSpec", "DomainError",
     "detector_from_accel_radius", "omega_from_accel_radius",
-    "trajectory_point",
     "QuadratureResult", "integrate_adaptive", "principal_value_integral",
     "ResponseBreakdown", "inertial_response",
     "transition_probability", "transition_probability_oracle_result",
     "PairConfig", "CorrelationResult", "OracleEstimate",
-    "wightman_free", "wightman_boundary", "correlation_equal",
-    "correlation_general_result",
+    "correlation_equal", "correlation_general_result",
     "DensityBlock", "MIResult", "PairPointResult", "PointTerms",
     "PerturbativeRegimeWarning", "assemble_density_block",
     "mutual_information", "mutual_information_point",

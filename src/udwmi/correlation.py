@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import (CircularDetectorSpec, DomainError, SpacetimePoint,
-                         _orbit, _require_dz, _require_sep, _require_tol)
+from .kinematics import (CircularDetectorSpec, DomainError, _orbit,
+                         _require_dz, _require_sep, _require_tol)
 from .quadrature import (QuadratureResult, _checked, _principal_values,
                          integrate_adaptive_batch)
 
@@ -66,33 +66,11 @@ __all__ = [
     "PairConfig",
     "CorrelationResult",
     "OracleEstimate",
-    "wightman_boundary",
-    "wightman_free",
     "correlation_equal",
     "correlation_general_result",
 ]
 
 _TWO_PI_SQ = 4.0 * math.pi * math.pi
-
-
-def wightman_free(p1: SpacetimePoint,
-                  p2: SpacetimePoint) -> complex | np.ndarray:
-    """Free massless scalar Wightman function W(p1, p2), unregulated.
-    Fields may be arrays, and complex: the oracles evaluate it at complex
-    events, off the real singularities."""
-    q = (p1.t - p2.t) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
-    return -1.0 / (_TWO_PI_SQ * (q - (p1.z - p2.z) ** 2))
-
-
-def wightman_boundary(p1: SpacetimePoint,
-                      p2: SpacetimePoint) -> complex | np.ndarray:
-    """Wightman function with a Dirichlet plane at z = 0: the free part
-    minus the image of the second point, unregulated as wightman_free
-    is."""
-    q = (p1.t - p2.t) ** 2 - (p1.x - p2.x) ** 2 - (p1.y - p2.y) ** 2
-    direct = 1.0 / (q - (p1.z - p2.z) ** 2)
-    image = 1.0 / (q - (p1.z + p2.z) ** 2)
-    return -(direct - image) / _TWO_PI_SQ
 
 
 @dataclass(frozen=True)
@@ -301,8 +279,8 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
     share: (radius, omega, gamma, k, s_env, tol_int) for a budget share
-    times tol, tol checked before it is shared (kinematics._require_tol)."""
-    tol = _require_tol(tol) * share
+    times tol, a tol its public caller checked (kinematics._require_tol)."""
+    tol *= share
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     dgap = gap_b - gap_a
@@ -372,7 +350,7 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     tol is an absolute tolerance on C. The direct and image integrals
     differ only by the effective separation (L versus L + 2 dz)."""
     _require_equal_kinematics(pair)
-    pref, args = _line_integral_args(pair, tol)
+    pref, args = _line_integral_args(pair, _require_tol(tol))
     return _correlation_from_lines(
         pref, [_checked(line) for line in _reduced_line_integrals(args)])
 
@@ -429,14 +407,16 @@ def _contours(det_a: CircularDetectorSpec,
 
 def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                      z_a: float, z_b: float, mirror: bool, u):
-    """wightman_boundary (wightman_free unless mirror) of det_a at height
-    z_a and det_b at z_b at tau_A = u + c and tau_B = u - c, as a
-    function of c: u is real (the inner nodes), and c, complex,
-    broadcasts against it. It takes the squared interval q = dt^2 -
-    (dx^2 + dy^2) straight from the orbits, dt = (gamma_A - gamma_B) u +
-    (gamma_A + gamma_B) c and dx^2 + dy^2 = 4 dp dm, with dp and dm the
-    differences of the phasors of kinematics._orbit (x = p + m, y = -i
-    (p - m)); the mirror's two terms are the one fraction 4 z_A z_B /
+    """The unregulated Wightman function W between det_a at height z_a
+    and det_b at z_b at tau_A = u + c and tau_B = u - c, as a function
+    of c: u is real (the inner nodes), and c, complex, broadcasts
+    against it. With q = dt^2 - dx^2 - dy^2 the squared interval of the
+    two events, W = -1 / (4 pi^2 (q - (z_A - z_B)^2)) in free space,
+    and the mirror subtracts the same term at z_B -> -z_B, so W = 0 at
+    z_B = 0. q comes straight from the orbits: dt = (gamma_A - gamma_B)
+    u + (gamma_A + gamma_B) c and dx^2 + dy^2 = 4 dp dm, with dp and dm
+    the differences of the phasors of kinematics._orbit (x = p + m, y =
+    -i (p - m)); the mirror's two terms are the one fraction 4 z_A z_B /
     (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A + z_B)^2)). A grid element
     takes products and one division, on equal and unequal orbits."""
     orbit_a, orbit_b = _orbit(det_a, u), _orbit(det_b, u)

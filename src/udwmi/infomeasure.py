@@ -49,7 +49,7 @@ from .correlation import (CorrelationResult, PairConfig,
                           _correlation_from_lines, _line_integral_args,
                           _line_params, _reduced_line_integrals,
                           _require_equal_kinematics)
-from .kinematics import DomainError
+from .kinematics import DomainError, _require_tol
 from .quadrature import _checked
 from .response import (ResponseBreakdown, _free_responses,
                        _image_line_args, transition_probability)
@@ -202,7 +202,8 @@ def _log_weight(value: float, delta: float) -> float:
 
 
 def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
-    """Lower pair points to the distinct terms they need.
+    """Lower pair points to the distinct terms they need, for a tol
+    that the caller has checked (kinematics._require_tol).
 
     Returns one plan per pair, then the distinct free-space keys, line
     keys and responses, each listed once in the order the plans first
@@ -308,6 +309,7 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     distinct term once and assembles every row here. Warns with
     PerturbativeRegimeWarning when P_A + P_B > 0.1."""
     if not isinstance(pair, PointTerms):
+        tol = _require_tol(tol)
         plans, free_keys, line_keys, responses = _plan_points([pair], tol)
         (terms,) = _point_terms(plans, responses, _free_responses(free_keys),
                                 _reduced_line_integrals(line_keys), tol)

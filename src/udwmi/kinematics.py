@@ -29,10 +29,8 @@ import numpy as np
 __all__ = [
     "DomainError",
     "CircularDetectorSpec",
-    "SpacetimePoint",
     "omega_from_accel_radius",
     "detector_from_accel_radius",
-    "trajectory_point",
 ]
 
 
@@ -44,7 +42,8 @@ def _require_finite(name: str, value, rule: str = "finite",
                     holds=math.isfinite) -> float:
     """value as a float, or DomainError unless it is a real number (not a
     bool, nor a string that float() would parse) for which holds is true;
-    a float skips the slower numbers.Real check. Every input rule uses it."""
+    a float skips the slower numbers.Real check. Every rule of a real
+    input uses it."""
     if not isinstance(value, float) and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise DomainError(f"{name} must be a number, got {value!r}")
@@ -52,6 +51,17 @@ def _require_finite(name: str, value, rule: str = "finite",
     if not holds(value):
         raise DomainError(f"{name} must be {rule}, got {value}")
     return value
+
+
+def _require_integer(name: str, value, rule: str = "an integer",
+                     holds=lambda v: True) -> int:
+    """value as an int, or DomainError unless it is an integral number
+    (not a bool, nor a float with a whole value) for which holds is
+    true: the integer rule of axis points and worker counts."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral) or not holds(value):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def _require_positive(name: str, value) -> float:
@@ -62,8 +72,9 @@ def _require_positive(name: str, value) -> float:
 def _require_tol(tol: float) -> float:
     """tol as a float, or DomainError unless it is finite and at least
     the smallest normal float (2**-1022, an IEEE double's, written out
-    in the message): every evaluator checks its tol here, and splits it
-    into smaller budgets, where a subnormal one would round to zero."""
+    in the message): each public function that takes a tol checks it
+    here, once, before the evaluators split it into smaller budgets,
+    where a subnormal one would round to zero."""
     return _require_finite("tol", tol, "positive and finite, at least the "
                            "smallest normal float 2.2250738585072014e-308",
                            lambda v: sys.float_info.min <= v < math.inf)
@@ -132,16 +143,6 @@ class CircularDetectorSpec:
         return self._hash
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """An event (t, x, y, z). Fields may be scalars or numpy arrays."""
-
-    t: float | np.ndarray
-    x: float | np.ndarray
-    y: float | np.ndarray
-    z: float | np.ndarray
-
-
 def omega_from_accel_radius(accel: float, radius: float) -> float:
     """Angular velocity of the circular orbit with proper acceleration accel.
 
@@ -162,31 +163,6 @@ def detector_from_accel_radius(energy_gap: float, accel: float,
     """The CircularDetectorSpec of (Omega, a, R), under the name the
     CLI, the sweep and the benchmark call."""
     return CircularDetectorSpec(energy_gap, accel, radius)
-
-
-def trajectory_point(spec: CircularDetectorSpec, z_offset: float,
-                     tau: float | np.ndarray) -> SpacetimePoint:
-    """Event on the orbit at proper time tau, at constant height z_offset.
-
-    Accepts scalar or array tau, real or complex; z is the scalar
-    z_offset either way. The orbit starts at (R, 0, z_offset) at tau = 0
-    and rotates counterclockwise in the x-y plane. A complex tau gives
-    the event's analytic continuation, from the phasors of _orbit with
-    tau's real part as u and the rest as c.
-    """
-    if isinstance(tau, np.ndarray):
-        tau = np.asarray(tau, dtype=np.result_type(tau, np.float64))
-    if np.iscomplexobj(tau):
-        p, m = _orbit(spec, tau.real)(1j * tau.imag)
-        return SpacetimePoint(t=spec.gamma * tau, x=p + m, y=-1j * (p - m),
-                              z=z_offset)
-    phase = spec.omega * spec.gamma * tau
-    return SpacetimePoint(
-        t=spec.gamma * tau,
-        x=spec.radius * np.cos(phase),
-        y=spec.radius * np.sin(phase),
-        z=z_offset,
-    )
 
 
 def _orbit(spec: CircularDetectorSpec, u):

@@ -149,6 +149,7 @@ def transition_probability(spec: CircularDetectorSpec,
     a batch of line integrals made it; it is taken as it is, again
     bit-identically."""
     _require_dz(dz)
+    tol = _require_tol(tol)
     if free is None:
         free = _checked(_free_responses([(spec, tol)])[0])
     if dz is None:
@@ -180,12 +181,12 @@ def transition_probability(spec: CircularDetectorSpec,
 
 
 def _free_responses(keys) -> list:
-    """The free-space breakdown of each (detector, tol) key, or the
-    exception it raises (a tol that kinematics._require_tol rejects,
-    static detector or not, or a rotating term whose Gaussian cutoff is
-    not finite): the singularity-subtracted rotating term, to a quarter
-    of tol, plus the inertial term. Each key is set up on its own, so
-    it fails alone.
+    """The free-space breakdown of each (detector, tol) key, its tol
+    checked by the public caller (kinematics._require_tol), or the
+    exception it raises (a rotating term whose Gaussian cutoff is not
+    finite, or whose quarter of tol the quadrature rejects): the
+    singularity-subtracted rotating term, to a quarter of tol, plus the
+    inertial term. Each key is set up on its own, so it fails alone.
 
     The rotating term integrates exp(-alpha x^2) cos(beta x) times
     _bounded_kernel over [0, inf), in x = gamma omega s / 2; a static
@@ -202,12 +203,11 @@ def _free_responses(keys) -> list:
     moving = []
     for i, (spec, tol) in enumerate(keys):
         om, gamma, v = spec.omega, spec.gamma, spec.speed
+        if v < 1e-12:
+            # the static detector too: alpha and beta are undefined
+            results[i] = _breakdown(spec, 0.0, 0.0, True)
+            continue
         try:
-            _require_tol(tol)
-            if v < 1e-12:
-                # the static detector too: alpha and beta are undefined
-                results[i] = _breakdown(spec, 0.0, 0.0, True)
-                continue
             k_bounded = v * v * gamma * om / (4.0 * math.pi ** 1.5)
             alpha = 1.0 / (gamma * om) ** 2
             beta = 2.0 * spec.energy_gap / (gamma * om)

@@ -35,7 +35,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import operator
 import os
 import warnings
@@ -52,8 +51,9 @@ from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
                           _point_terms, mutual_information_point)
 from .kinematics import (DomainError, _require_dz, _require_finite,
-                         _require_orbit, _require_positive, _require_sep,
-                         _require_tol, detector_from_accel_radius)
+                         _require_integer, _require_orbit, _require_positive,
+                         _require_sep, _require_tol,
+                         detector_from_accel_radius)
 from .response import (_free_responses, transition_probability,
                        transition_probability_oracle_result)
 
@@ -98,11 +98,8 @@ class SweepAxis:
         if not self.start < self.stop:
             raise DomainError(f"axis needs start < stop, got "
                               f"[{self.start}, {self.stop}]")
-        if isinstance(self.points, bool) or not isinstance(
-                self.points, numbers.Integral):
-            raise DomainError(f"axis points must be an integer, "
-                              f"got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "points",
+                           _require_integer("axis points", self.points))
         if self.points < 2:
             raise DomainError(f"axis needs at least 2 points, got {self.points}")
         if self.spacing == "log" and self.start <= 0.0:
@@ -322,11 +319,8 @@ def _resolve_workers(requested: int | None) -> int:
     this process may use (so a cpuset or taskset limit holds), at most
     8."""
     if requested is not None:
-        if isinstance(requested, bool) or not isinstance(
-                requested, numbers.Integral) or requested < 1:
-            raise DomainError(f"workers must be an integer >= 1, "
-                              f"got {requested!r}")
-        return int(requested)
+        return _require_integer("workers", requested, "an integer >= 1",
+                                lambda n: n >= 1)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -15,9 +14,6 @@ from udwmi import (
     correlation_equal,
     correlation_general_result,
     detector_from_accel_radius,
-    trajectory_point,
-    wightman_boundary,
-    wightman_free,
 )
 from udwmi.correlation import (_U_CUT, _contours, _line_params, _line_pole,
                                _oracle_pass, _oracle_rows,
@@ -38,37 +34,39 @@ def pair(accel, radius, sep, dz=None, gap_a=0.1, gap_b=0.1):
 
 
 class TestWightman:
-    # events at complex proper times, where the oracles evaluate them
-    TAU_1, TAU_2 = 0.7 - 0.3j, -0.2 + 0.1j
+    # W on the oracle's kernel, at the complex proper times tau_A = u + c
+    # and tau_B = u - c where the oracle evaluates it, on unequal orbits
+    # at heights 0.3 and 1.1
+    DET_A = detector_from_accel_radius(0.1, 2.0, 0.5)
+    DET_B = detector_from_accel_radius(0.3, 1.0, 1.5)
+    U = np.array([-0.4, 0.25, 0.9])
+    C = np.array([[0.45 - 0.2j], [-0.3 + 0.1j]])
+
+    def kernel(self, z_a, z_b, mirror, swap=False):
+        dets = (self.DET_B, self.DET_A) if swap else (self.DET_A, self.DET_B)
+        return _wightman_kernel(*dets, z_a, z_b, mirror, self.U)
 
     def test_free_hermiticity(self):
-        # W(p1, p2) = conj(W(p2*, p1*)), p* the event at the conjugate tau
-        d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        tau_1, tau_2 = self.TAU_1, self.TAU_2
-        p1, p2 = (trajectory_point(d, 0.3, tau_1),
-                  trajectory_point(d, 1.1, tau_2))
-        p1c, p2c = (trajectory_point(d, 0.3, tau_1.conjugate()),
-                    trajectory_point(d, 1.1, tau_2.conjugate()))
-        w12 = wightman_free(p1, p2)
-        assert np.isclose(w12, np.conj(wightman_free(p2c, p1c)), rtol=1e-12)
-        assert abs(w12.imag) > 1e-3 * abs(w12)
+        # W(x_A, x_B) = conj(W(x_B*, x_A*)), x* the event at the conjugate
+        # proper time: K_AB(c) = conj(K_BA(-conj(c))), K_BA the kernel with
+        # the detectors and their heights swapped; the mirror's term too
+        for mirror in (False, True):
+            w_ab = self.kernel(0.3, 1.1, mirror)(self.C)
+            w_ba = self.kernel(1.1, 0.3, mirror,
+                               swap=True)(-self.C.conjugate())
+            assert np.allclose(w_ab, np.conj(w_ba), rtol=1e-12, atol=0.0)
+            assert np.all(abs(w_ab.imag) > 1e-3 * abs(w_ab))
 
     def test_boundary_is_free_minus_image(self):
-        d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p1 = trajectory_point(d, 0.3, self.TAU_1)
-        p2 = trajectory_point(d, 1.1, self.TAU_2)
-        from udwmi import SpacetimePoint
-
-        mirror2 = SpacetimePoint(t=p2.t, x=p2.x, y=p2.y, z=-p2.z)
-        expected = wightman_free(p1, p2) - wightman_free(p1, mirror2)
-        assert np.isclose(wightman_boundary(p1, p2), expected, rtol=1e-12)
+        # the image term is the free kernel with B reflected to -z_B
+        expected = (self.kernel(0.3, 1.1, False)(self.C)
+                    - self.kernel(0.3, -1.1, False)(self.C))
+        assert np.allclose(self.kernel(0.3, 1.1, True)(self.C), expected,
+                           rtol=1e-12, atol=0.0)
 
     def test_vanishes_on_the_mirror(self):
-        # Dirichlet condition: put the second point on the plane
-        d = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p1 = trajectory_point(d, 0.3, self.TAU_1)
-        p2 = trajectory_point(d, 0.0, self.TAU_2)
-        assert abs(wightman_boundary(p1, p2)) < 1e-15
+        # Dirichlet condition: put detector B on the plane
+        assert not self.kernel(0.3, 0.0, True)(self.C).any()
 
 
 class TestEqualKinematics:
@@ -611,12 +609,13 @@ ORBITS = st.builds(
 
 class TestWightmanKernel:
     # the oracle's kernel takes W from the squared interval of the
-    # orbits' phasors; pointwise it is wightman_boundary (wightman_free
-    # without the mirror) of the events of trajectory_point at tau_A =
-    # u + c and tau_B = u - c, c = (s - i eta)/2. Both round the
-    # interval q to a few ulps of gamma^2 (|u| + |c|)^2 + R^2 (1 + omega
-    # gamma (|u| + |c|)), R^2 with the contour's cosh, which W takes on
-    # with its derivative 4 pi^2 W^2 in each of its terms
+    # orbits' phasors; pointwise it is W from the definition
+    # (long_double.wightman, in long double from the events of
+    # long_double.events) at tau_A = u + c and tau_B = u - c, c = (s -
+    # i eta)/2. The kernel rounds the interval q to a few ulps of
+    # gamma^2 (|u| + |c|)^2 + R^2 (1 + omega gamma (|u| + |c|)), R^2 with
+    # the contour's cosh, which W takes on with its derivative
+    # 4 pi^2 W^2 in each of its terms
     @seed(2033)
     @settings(max_examples=200, deadline=None)
     @given(det_a=ORBITS, det_b=st.one_of(st.none(), ORBITS),
@@ -636,14 +635,10 @@ class TestWightmanKernel:
         u = np.array(u)
         c = 0.5 * (np.array(s) - 1j * eta)[:, None]
         got = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)(c)
-        p_a = trajectory_point(det_a, z_a, u + c)
-        p_b = trajectory_point(det_b, z_b, u - c)
-        direct = wightman_free(p_a, p_b)
-        if mirror:
-            want = wightman_boundary(p_a, p_b)
-            image = wightman_free(p_a, dataclasses.replace(p_b, z=-z_b))
-        else:
-            want, image = direct, 0.0
+        events = (det_a, z_a, u + c, det_b, z_b, u - c)
+        want = long_double.wightman(*events, mirror)
+        direct = long_double.wightman(*events, False)
+        image = direct - want
         assert got.shape == want.shape
         span = abs(u) + abs(c)
         radii = sum(det.radius * np.cosh(det.omega * det.gamma * c.imag)

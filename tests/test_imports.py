@@ -6,6 +6,7 @@ oracle suite, counting interior maxima) loads no scipy module, whose
 import would cost more than the package's own. The sweep runs on a
 process pool there too, out of reach of any test's patches."""
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -60,3 +61,20 @@ def test_src_imports_numpy_and_the_standard_library_only():
             found += [(path.name, node.lineno, name) for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition went fails here,
+    # and so does a star import of the package or of a module
+    modules = [udwmi] + [importlib.import_module(f"udwmi.{path.stem}")
+                         for path in sorted(Path(udwmi.__file__).parent
+                                            .glob("*.py"))
+                         if path.stem != "__init__"]
+    missing = [(mod.__name__, name) for mod in modules
+               for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert missing == []
+    for mod in modules:
+        namespace = {}
+        exec(f"from {mod.__name__} import *", namespace)
+        assert set(getattr(mod, "__all__", ())) <= set(namespace)

@@ -388,9 +388,8 @@ class TestEndToEndPoint:
     @pytest.mark.parametrize("accel", [1.0, 0.0])
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_nonpositive_tol_rejected(self, accel, tol):
-        # the line parameters and the free-space responses both check
-        # tol, so a rotating and a static detector reject it alike, at
-        # every entry point
+        # each entry point checks its tol where it enters, before any
+        # evaluator, so a rotating and a static detector reject it alike
         det = detector_from_accel_radius(0.1, accel, 1.0)
         for dz in (None, 1.0):
             pair = PairConfig(det_a=det, det_b=det, sep=1.0, dz=dz)

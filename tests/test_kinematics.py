@@ -14,7 +14,6 @@ from udwmi import (
     SweepSpec,
     detector_from_accel_radius,
     omega_from_accel_radius,
-    trajectory_point,
 )
 from udwmi.correlation import _U_CUT, _contours
 from udwmi.kinematics import _orbit
@@ -72,91 +71,63 @@ class TestDerivedQuantities:
         ).omega
 
 
+def phasor_event(det, tau):
+    """(x, y) of the orbit at proper times tau from the phasors of
+    kinematics._orbit, tau's real part as u and the rest as c."""
+    tau = np.asarray(tau, dtype=complex)
+    p, m = _orbit(det, tau.real)(1j * tau.imag)
+    return p + m, -1j * (p - m)
+
+
 class TestTrajectory:
+    # the orbit's physics, on the phasors x = p + m, y = -i (p - m) that
+    # the oracle's kernel takes its events from
     def test_frozen_point(self):
         det = detector_from_accel_radius(0.1, 1.0, 1.0)
-        p = trajectory_point(det, 0.5, 0.3)
-        assert np.isclose(p.t, 0.42426406871192851, rtol=1e-15)
-        assert np.isclose(p.x, 0.95533648912560602, rtol=1e-15)
-        assert np.isclose(p.y, 0.29552020666133958, rtol=1e-15)
-        assert p.z == 0.5
+        x, y = phasor_event(det, 0.3)
+        assert np.isclose(x, 0.95533648912560602, rtol=1e-15)
+        assert np.isclose(y, 0.29552020666133958, rtol=1e-15)
 
     def test_starts_on_x_axis(self):
         det = detector_from_accel_radius(0.1, 2.0, 0.5)
-        p = trajectory_point(det, 1.0, 0.0)
-        assert p.t == 0.0
-        assert p.x == 0.5
-        assert p.y == 0.0
+        x, y = phasor_event(det, 0.0)
+        assert x == 0.5
+        assert y == 0.0
 
     def test_array_tau(self):
+        # the orbit stays on the circle, x^2 + y^2 = 4 p m = R^2, at real
+        # proper times and continued to complex ones
         det = detector_from_accel_radius(0.1, 5.0, 0.02)
-        tau = np.linspace(-2.0, 2.0, 41)
-        p = trajectory_point(det, 0.1, tau)
-        assert p.t.shape == tau.shape
-        np.testing.assert_allclose(p.x**2 + p.y**2, det.radius**2, rtol=1e-12)
-        np.testing.assert_allclose(p.t, det.gamma * tau, rtol=1e-15)
-
-    def test_real_tau_keeps_numpy_cos_and_sin(self):
-        # real tau, array or scalar, takes the real phase's np.cos and
-        # np.sin bit for bit
-        det = detector_from_accel_radius(0.1, 5.0, 0.02)
-        tau = np.linspace(-7.0, 7.0, 57)
-        phase = det.omega * det.gamma * tau
-        p = trajectory_point(det, 0.1, tau)
-        assert p.t.dtype == p.x.dtype == p.y.dtype == np.float64
-        assert np.array_equal(p.t, det.gamma * tau)
-        assert np.array_equal(p.x, det.radius * np.cos(phase))
-        assert np.array_equal(p.y, det.radius * np.sin(phase))
-        for k in (0, 13, 56):
-            q = trajectory_point(det, 0.1, float(tau[k]))
-            assert (q.t, q.x, q.y) == (p.t[k], p.x[k], p.y[k])
-        # integer arrays are taken as real
-        assert np.array_equal(trajectory_point(det, 0.1, np.arange(3)).x,
-                              trajectory_point(det, 0.1, np.arange(3.0)).x)
-
-    def test_complex_tau_continues_the_orbit(self):
-        # a complex array keeps its imaginary part, event by event as
-        # complex scalars do, and gives the analytic continuation
-        det = detector_from_accel_radius(0.1, 5.0, 0.02)
-        tau = np.linspace(-3.0, 3.0, 25) - 0.01j * np.arange(25)
-        p = trajectory_point(det, 0.1, tau)
-        assert p.x.dtype == np.complex128
-        for k, tau_k in enumerate(tau.tolist()):
-            q = trajectory_point(det, 0.1, tau_k)
-            assert (q.t, q.x, q.y) == (p.t[k], p.x[k], p.y[k])
-        phase = det.omega * det.gamma * tau
-        np.testing.assert_allclose(p.x, det.radius * np.cos(phase),
-                                   rtol=1e-13)
-        np.testing.assert_allclose(p.y, det.radius * np.sin(phase),
-                                   rtol=1e-13)
-        np.testing.assert_allclose(p.x ** 2 + p.y ** 2, det.radius ** 2,
-                                   rtol=1e-13)
+        real = np.linspace(-3.0, 3.0, 25)
+        for tau in (real, real - 0.01j * np.arange(25)):
+            x, y = phasor_event(det, tau)
+            assert x.shape == tau.shape
+            np.testing.assert_allclose(x ** 2 + y ** 2, det.radius ** 2,
+                                       rtol=1e-13)
 
     def test_static_detector_does_not_move(self):
         det = detector_from_accel_radius(0.1, 0.0, 1.0)
-        p = trajectory_point(det, 0.7, 3.0)
-        assert p.t == 3.0
-        assert p.x == 1.0
-        assert p.y == 0.0
-        assert p.z == 0.7
+        x, y = phasor_event(det, 3.0)
+        assert x == 1.0
+        assert y == 0.0
 
     @given(tau=st.floats(min_value=-50.0, max_value=50.0))
     def test_lightlike_bound(self, tau):
-        # the worldline is timelike: |dx| < dt between any event and start
+        # the worldline is timelike: |dx| < dt = gamma |tau| between any
+        # event and the start
         det = detector_from_accel_radius(0.1, 3.0, 0.4)
-        p0 = trajectory_point(det, 0.0, 0.0)
-        p1 = trajectory_point(det, 0.0, tau)
-        spatial = np.hypot(p1.x - p0.x, p1.y - p0.y)
-        assert spatial <= abs(p1.t - p0.t) + 1e-12
+        (x0, y0), (x1, y1) = phasor_event(det, 0.0), phasor_event(det, tau)
+        spatial = np.hypot(abs(x1 - x0), abs(y1 - y0))
+        assert spatial <= det.gamma * abs(tau) + 1e-12
 
 
 class TestSeparableOrbit:
     # the oracle's phasors at tau = u + c, c = +-(s - i eta)/2, are
     # products of those of u and of c; each phase part rounds on its
-    # own, so the events they make agree with the event at the summed
-    # tau, taken
-    # pointwise, to a few ulps of the coordinate's magnitude
-    # R cosh(omega gamma Im c) per unit of omega gamma (|u| + |c|)
+    # own, so the events they make agree with NumPy's complex cos and
+    # sin of the summed phase, which share no code with them, to a few
+    # ulps of the coordinate's magnitude R cosh(omega gamma Im c) per
+    # unit of omega gamma (|u| + |c|)
     @seed(2029)
     @settings(max_examples=200, deadline=None)
     @given(accel=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
@@ -175,20 +146,13 @@ class TestSeparableOrbit:
             p, m = _orbit(det, u)(c)
             x, y = p + m, -1j * (p - m)
             tau = u + c
-            point = trajectory_point(det, 0.4, tau)
-            assert np.array_equal(point.t, det.gamma * tau)
-            assert point.z == 0.4
             bound = (4.0 * np.finfo(float).eps * radius
                      * np.cosh(k * c.imag) * (1.0 + k * (abs(u) + abs(c))))
-            # and with NumPy's complex cos and sin of the phase, which
-            # share no code with them
             phase = k * tau
-            for got, want, numpy_want in (
-                    (x, point.x, radius * np.cos(phase)),
-                    (y, point.y, radius * np.sin(phase))):
+            for got, want in ((x, radius * np.cos(phase)),
+                              (y, radius * np.sin(phase))):
                 assert got.shape == tau.shape
                 assert np.all(abs(got - want) <= bound)
-                assert np.all(abs(got - numpy_want) <= bound)
             if accel == 0.0:  # a static detector's events stay put
                 assert np.array_equal(x, np.full(tau.shape, radius))
                 assert not y.any()

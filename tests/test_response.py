@@ -259,12 +259,11 @@ def breakdown_bits(res):
 class TestFreeBatch:
     # the bounded terms of many detectors are the members of lockstep
     # batches, each on a mesh of its own, so every member equals its
-    # batch of one
+    # batch of one; a batch takes tols that its public caller checked
     KEYS = [
         (det(0.1, 0.02), 1e-8),             # 15 initial panels
         (det(0.0, 1.0, 0.5), 1e-8),         # static: no bounded term
         (det(30.0, 1.0, 1.0), 1e-12),       # 31
-        (det(5.0, 10.0, 0.5), 0.0),         # raises before the batch
         (det(100.0, 0.1, 3.0), 1e-8),       # 126
         (det(2.0, 100.0, 10.0), 1e-10),     # 42
         (det(0.5, 5.0, 0.2), 1e-8),         # 9
@@ -287,8 +286,8 @@ class TestFreeBatch:
         calls = record_bounded(monkeypatch)
         batch = response._free_responses(self.KEYS)
         members = [m for call in calls for m in call]
-        # every rotating detector with a valid tol is a member of one
-        # batch, on initial panels of its own
+        # every rotating detector is a member of one batch, on initial
+        # panels of its own
         assert len(calls) == 1 and len(members) == 6
         assert len({n for _, n, _ in members}) == 6
         if bound is None:
@@ -302,17 +301,18 @@ class TestFreeBatch:
         assert [m for call in calls for m in call] == members
         assert [breakdown_bits(r) for r in batch] == \
             [breakdown_bits(r) for r in alone]
-        assert isinstance(batch[3], DomainError)
-        assert "tol must be positive" in str(batch[3])
-        assert isinstance(batch[8], DomainError)
-        assert "cutoff is not finite" in str(batch[8])
+        assert isinstance(batch[7], DomainError)
+        assert "cutoff is not finite" in str(batch[7])
         assert batch[1].term_bounded == 0.0 and batch[1].converged
+        # a tol that is not positive is rejected at the door, before
+        # any batch is made
+        monkeypatch.setattr(response, "_free_responses", None)
         with pytest.raises(DomainError, match="tol must be positive"):
-            transition_probability(self.KEYS[3][0], None, self.KEYS[3][1])
+            transition_probability(det(5.0, 10.0, 0.5), None, 0.0)
 
     def test_cutoff_once_per_rotating_key(self, monkeypatch):
         # each rotating key's Gaussian cutoff is worked out once, where
-        # its integral is set up; static and rejected keys need none
+        # its integral is set up; static keys need none
         alphas = []
         cutoff = quadrature.gaussian_truncation_point
 
@@ -323,8 +323,7 @@ class TestFreeBatch:
         monkeypatch.setattr(response, "gaussian_truncation_point", counted)
         monkeypatch.setattr(quadrature, "gaussian_truncation_point", counted)
         response._free_responses(self.KEYS)
-        rotating = [spec for spec, tol in self.KEYS
-                    if spec.speed > 0.0 and tol > 0.0]
+        rotating = [spec for spec, _ in self.KEYS if spec.speed > 0.0]
         assert alphas == [1.0 / (spec.gamma * spec.omega) ** 2
                           for spec in rotating]
 
@@ -369,8 +368,7 @@ class TestFreeBatch:
         monkeypatch.setattr(response, "_bounded_kernel", recorded_kernel)
         response._free_responses(self.KEYS)
         assert events[-1] == "batch" and events.count("batch") == 1
-        rotating = [spec for spec, tol in self.KEYS
-                    if spec.speed > 0.0 and tol > 0.0]
+        rotating = [spec for spec, _ in self.KEYS if spec.speed > 0.0]
         checked = 0
         for spec, (alpha, x_cut) in zip(rotating, cutoffs):
             if not math.isfinite(x_cut):
