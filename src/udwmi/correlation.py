@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import (CircularDetectorSpec, DomainError, _orbit,
-                         _require_dz, _require_sep, _require_tol)
+from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
+                         _require_sep, _require_tol)
 from .quadrature import (QuadratureResult, _checked, _principal_values,
                          integrate_adaptive_batch)
 
@@ -413,30 +413,42 @@ def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     against it. With q = dt^2 - dx^2 - dy^2 the squared interval of the
     two events, W = -1 / (4 pi^2 (q - (z_A - z_B)^2)) in free space,
     and the mirror subtracts the same term at z_B -> -z_B, so W = 0 at
-    z_B = 0. q comes straight from the orbits: dt = (gamma_A - gamma_B)
-    u + (gamma_A + gamma_B) c and dx^2 + dy^2 = 4 dp dm, with dp and dm
-    the differences of the phasors of kinematics._orbit (x = p + m, y =
-    -i (p - m)); the mirror's two terms are the one fraction 4 z_A z_B /
-    (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A + z_B)^2)). A grid element
-    takes products and one division, on equal and unequal orbits."""
-    orbit_a, orbit_b = _orbit(det_a, u), _orbit(det_b, u)
-    dt_u = (det_a.gamma - det_b.gamma) * u
+    z_B = 0. q comes straight from the orbits, each at phase k tau with
+    k = omega gamma from the x axis: dt = (gamma_A - gamma_B) u +
+    (gamma_A + gamma_B) c, and by the law of cosines dx^2 + dy^2 =
+    (R_A - R_B)^2 + 4 R_A R_B sigma^2 with sigma the sine of half the
+    phase difference, sin(d u + h c) = sin(d u) cos(h c) + cos(d u)
+    sin(h c), d = (k_A - k_B)/2 and h = (k_A + k_B)/2. Its u factors,
+    times 2 sqrt(R_A R_B), are made once per pass over the inner grid
+    and its c factors once per row block; on equal orbits (d = 0) the
+    sin(d u) term is zero and is not formed. (R_A - R_B)^2 joins the
+    constant height terms, and the mirror's two terms are the one
+    fraction 4 z_A z_B / (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A +
+    z_B)^2)). A grid element takes products and one division."""
     gamma_sum = det_a.gamma + det_b.gamma
-    dz_sq, z_sum_sq = (z_a - z_b) ** 2, (z_a + z_b) ** 2
+    dt_u = (det_a.gamma - det_b.gamma) * u
+    k_a, k_b = det_a.omega * det_a.gamma, det_b.omega * det_b.gamma
+    half_sum, half_diff = 0.5 * (k_a + k_b), 0.5 * (k_a - k_b)
+    scale = 2.0 * math.sqrt(det_a.radius * det_b.radius)
+    if half_diff == 0.0:
+        sin_u, cos_u = None, scale
+    else:
+        sin_u = scale * np.sin(half_diff * u)
+        cos_u = scale * np.cos(half_diff * u)
+    dr_sq = (det_a.radius - det_b.radius) ** 2
+    dz_sq, z_sum_sq = (z_a - z_b) ** 2 + dr_sq, (z_a + z_b) ** 2 + dr_sq
     image = 4.0 * z_a * z_b / _TWO_PI_SQ
 
     def kernel(c):  # in place where it can be: see _BLOCK
-        p_a, m_a = orbit_a(c)
-        p_b, m_b = orbit_b(-c)
-        p_a -= p_b
-        m_a -= m_b
-        p_a *= m_a
+        sigma = cos_u * np.sin(half_sum * c)  # times 2 sqrt(R_A R_B)
+        if sin_u is not None:
+            sigma += sin_u * np.cos(half_sum * c)
         q = np.square(dt_u + gamma_sum * c)
-        q -= 4.0 * p_a
+        q -= np.square(sigma)
         if mirror:
-            p_a = q - dz_sq
+            free = q - dz_sq
             q -= z_sum_sq
-            q *= p_a
+            q *= free
             return np.divide(image, q, out=q)
         q -= dz_sq
         q *= _TWO_PI_SQ

@@ -24,8 +24,6 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "CircularDetectorSpec",
@@ -164,26 +162,3 @@ def detector_from_accel_radius(energy_gap: float, accel: float,
     CLI, the sweep and the benchmark call."""
     return CircularDetectorSpec(energy_gap, accel, radius)
 
-
-def _orbit(spec: CircularDetectorSpec, u):
-    """The orbit's phasors p = (R/2) e^(i omega gamma (u + c)) and
-    m = (R/2) e^(-i omega gamma (u + c)), as a function of c: u is real,
-    and c, real or complex, broadcasts against it. The event at proper
-    time u + c is t = gamma (u + c), x = p + m, y = -i (p - m).
-
-    p and m are products of the phasors of u, made once, and those of
-    c, made per call, so an (s, u) grid with c per row s needs
-    transcendentals on the row and column factors alone. The small
-    imaginary parts of x and y on a slightly shifted contour come from
-    the sums of p and m, so they round to R's precision rather than
-    their own.
-    """
-    k = spec.omega * spec.gamma
-    p_u, m_u = np.exp(1j * k * u), np.exp(-1j * k * u)
-    half_radius = 0.5 * spec.radius
-
-    def phasors(c):
-        return (p_u * (half_radius * np.exp(1j * k * c)),
-                m_u * (half_radius * np.exp(-1j * k * c)))
-
-    return phasors

@@ -15,9 +15,9 @@ from udwmi import (
     detector_from_accel_radius,
     omega_from_accel_radius,
 )
-from udwmi.correlation import _U_CUT, _contours
-from udwmi.kinematics import _orbit
 from udwmi.sweep import load_grid
+
+import long_double
 
 
 class TestDerivedQuantities:
@@ -71,43 +71,37 @@ class TestDerivedQuantities:
         ).omega
 
 
-def phasor_event(det, tau):
-    """(x, y) of the orbit at proper times tau from the phasors of
-    kinematics._orbit, tau's real part as u and the rest as c."""
-    tau = np.asarray(tau, dtype=complex)
-    p, m = _orbit(det, tau.real)(1j * tau.imag)
-    return p + m, -1j * (p - m)
-
-
 class TestTrajectory:
-    # the orbit's physics, on the phasors x = p + m, y = -i (p - m) that
-    # the oracle's kernel takes its events from
+    # the orbit's physics, on its definition long_double.events (t = gamma
+    # tau, x = R cos(omega gamma tau), y = R sin(omega gamma tau)) that
+    # the oracle's kernel is judged against
     def test_frozen_point(self):
         det = detector_from_accel_radius(0.1, 1.0, 1.0)
-        x, y = phasor_event(det, 0.3)
-        assert np.isclose(x, 0.95533648912560602, rtol=1e-15)
-        assert np.isclose(y, 0.29552020666133958, rtol=1e-15)
+        _, x, y = long_double.events(det, 0.3)
+        assert np.isclose(complex(x), 0.95533648912560602, rtol=1e-15)
+        assert np.isclose(complex(y), 0.29552020666133958, rtol=1e-15)
 
     def test_starts_on_x_axis(self):
         det = detector_from_accel_radius(0.1, 2.0, 0.5)
-        x, y = phasor_event(det, 0.0)
+        _, x, y = long_double.events(det, 0.0)
         assert x == 0.5
         assert y == 0.0
 
     def test_array_tau(self):
-        # the orbit stays on the circle, x^2 + y^2 = 4 p m = R^2, at real
-        # proper times and continued to complex ones
+        # the orbit stays on the circle, x^2 + y^2 = R^2, at real proper
+        # times and continued to complex ones
         det = detector_from_accel_radius(0.1, 5.0, 0.02)
         real = np.linspace(-3.0, 3.0, 25)
         for tau in (real, real - 0.01j * np.arange(25)):
-            x, y = phasor_event(det, tau)
+            _, x, y = long_double.events(det, tau)
             assert x.shape == tau.shape
-            np.testing.assert_allclose(x ** 2 + y ** 2, det.radius ** 2,
-                                       rtol=1e-13)
+            np.testing.assert_allclose(
+                (x ** 2 + y ** 2).astype(complex), det.radius ** 2,
+                rtol=1e-13)
 
     def test_static_detector_does_not_move(self):
         det = detector_from_accel_radius(0.1, 0.0, 1.0)
-        x, y = phasor_event(det, 3.0)
+        _, x, y = long_double.events(det, 3.0)
         assert x == 1.0
         assert y == 0.0
 
@@ -116,46 +110,10 @@ class TestTrajectory:
         # the worldline is timelike: |dx| < dt = gamma |tau| between any
         # event and the start
         det = detector_from_accel_radius(0.1, 3.0, 0.4)
-        (x0, y0), (x1, y1) = phasor_event(det, 0.0), phasor_event(det, tau)
+        (_, x0, y0), (_, x1, y1) = (long_double.events(det, 0.0),
+                                    long_double.events(det, tau))
         spatial = np.hypot(abs(x1 - x0), abs(y1 - y0))
         assert spatial <= det.gamma * abs(tau) + 1e-12
-
-
-class TestSeparableOrbit:
-    # the oracle's phasors at tau = u + c, c = +-(s - i eta)/2, are
-    # products of those of u and of c; each phase part rounds on its
-    # own, so the events they make agree with NumPy's complex cos and
-    # sin of the summed phase, which share no code with them, to a few
-    # ulps of the coordinate's magnitude R cosh(omega gamma Im c) per
-    # unit of omega gamma (|u| + |c|)
-    @seed(2029)
-    @settings(max_examples=200, deadline=None)
-    @given(accel=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
-           radius=st.floats(0.01, 30.0),
-           rung=st.sampled_from([0, 1]),
-           u=st.lists(st.floats(-_U_CUT, _U_CUT), min_size=1, max_size=8),
-           s=st.lists(st.floats(-2.0 * _U_CUT, 2.0 * _U_CUT), min_size=1,
-                      max_size=4))
-    def test_events_match_pointwise_orbit(self, accel, radius, rung, u, s):
-        det = detector_from_accel_radius(0.1, accel, radius)
-        eta = _contours(det, det)[rung]
-        u = np.array(u)
-        half = 0.5 * (np.array(s) - 1j * eta)[:, None]
-        k = det.omega * det.gamma
-        for c in (half, -half):
-            p, m = _orbit(det, u)(c)
-            x, y = p + m, -1j * (p - m)
-            tau = u + c
-            bound = (4.0 * np.finfo(float).eps * radius
-                     * np.cosh(k * c.imag) * (1.0 + k * (abs(u) + abs(c))))
-            phase = k * tau
-            for got, want in ((x, radius * np.cos(phase)),
-                              (y, radius * np.sin(phase))):
-                assert got.shape == tau.shape
-                assert np.all(abs(got - want) <= bound)
-            if accel == 0.0:  # a static detector's events stay put
-                assert np.array_equal(x, np.full(tau.shape, radius))
-                assert not y.any()
 
 
 class TestValidation:
