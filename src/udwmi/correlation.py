@@ -45,8 +45,8 @@ independent routes:
   and inner grid, and their spread is the error. Rows are evaluated in
   plain blocks of at most _BLOCK inner-grid elements, the Wightman
   function from the squared interval alone (_wightman_kernel), whose
-  parts come from the orbits' phasors (kinematics._orbit), made once
-  per pass over the inner grid and once per row.
+  orbit part comes from the law of cosines: sines and cosines of the
+  inner nodes made once per pass, and of the rows once per block.
 """
 
 from __future__ import annotations
@@ -372,14 +372,16 @@ def composite_gauss_legendre(lo: float, hi: float,
 
 
 # Inner-grid elements per row block of the oracle integrand. The kernel
-# works in place where it can, so a block's temporaries peak at 448 KiB
-# (tracemalloc, n_u = 192), about seven complex arrays of 64 KiB. One
-# serial oracle_grid suite made 21-24 minor page faults in a fresh
-# process after the smoke grid, as at half the block, and ran about 20%
-# faster (resource.getrusage, time.process_time; x86-64 Linux, glibc,
-# NumPy 2.4). With fresh temporaries (506 KiB) an oracle_corners suite
-# could make 12,000-28,000 after an oracle_grid suite in one process.
-_BLOCK = 1 << 12
+# works in place where it can, so a block's temporaries peak at 384 KiB
+# on equal orbits and 512 KiB on unequal ones (tracemalloc, n_u = 192),
+# three and four complex arrays of 126 KiB. One serial oracle_grid suite
+# made 17-21 minor page faults in a fresh process after the smoke grid,
+# as at half the block, and ran about 9% faster (least of five suites in
+# each of six processes: 0.175-0.184 against 0.190-0.206 s of
+# time.process_time; x86-64 Linux, glibc, NumPy 2.4); at twice the block
+# it made about 30,000. An oracle_corners suite after an oracle_grid
+# suite in one process made 3-4.
+_BLOCK = 1 << 13
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
 # difference s over twice that, where the envelope exp(-u^2 - s^2/4)

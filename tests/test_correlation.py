@@ -598,8 +598,8 @@ class TestOracleRowBlocks:
 
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
-        # count: the two passes peak at 0.50 MiB here (a block's own
-        # temporaries at 448 KiB, see correlation._BLOCK)
+        # count: the two passes peak at 0.42 MiB here (a block's own
+        # temporaries at 384 KiB on equal orbits, see correlation._BLOCK)
         import tracemalloc
 
         cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
