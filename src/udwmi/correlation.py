@@ -446,6 +446,8 @@ def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
         if sin_u is not None:
             sigma += sin_u * np.cos(half_sum * c)
         q = np.square(dt_u + gamma_sum * c)
+        # not in place: NumPy's complex square into its own input rounds
+        # by array length, which would tie the rows to their blocks
         q -= np.square(sigma)
         if mirror:
             free = q - dz_sq
