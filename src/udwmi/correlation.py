@@ -46,7 +46,11 @@ independent routes:
   plain blocks of at most _BLOCK inner-grid elements, the Wightman
   function from the squared interval alone (_wightman_kernel), whose
   orbit part comes from the law of cosines: sines and cosines of the
-  inner nodes made once per pass, and of the rows once per block.
+  inner nodes made once per pass, and of the rows once per block. On
+  equal orbits, which every response oracle and the paper's pairs
+  have, the Wightman function does not depend on the mean proper time,
+  so a row is the kernel at one inner node times the sum of the inner
+  weights.
 """
 
 from __future__ import annotations
@@ -371,16 +375,21 @@ def composite_gauss_legendre(lo: float, hi: float,
     return x, w
 
 
-# Inner-grid elements per row block of the oracle integrand. The kernel
-# works in place where it can, so a block's temporaries peak at 384 KiB
-# on equal orbits and 512 KiB on unequal ones (tracemalloc, n_u = 192),
-# three and four complex arrays of 126 KiB. One serial oracle_grid suite
-# made 17-21 minor page faults in a fresh process after the smoke grid,
-# as at half the block, and ran about 9% faster (least of five suites in
-# each of six processes: 0.175-0.184 against 0.190-0.206 s of
-# time.process_time; x86-64 Linux, glibc, NumPy 2.4); at twice the block
-# it made about 30,000. An oracle_corners suite after an oracle_grid
-# suite in one process made 3-4.
+# Inner-grid elements per row block of the oracle integrand. An
+# equal-orbit row is one element (_oracle_rows), so its blocks hold up
+# to 8192 rows: each of the 626 rounds of the bundled oracle grids
+# fits in one. An unequal-orbit block holds 8192 // n_u rows. The
+# kernel works in place where it can, so its temporaries peak at 512
+# KiB (tracemalloc), four complex arrays of at most 128 KiB; a whole
+# equal-orbit block, row factor included, peaks at 0.9 MiB. The size
+# was chosen while equal-orbit rows still spanned n_u = 96 or 192
+# nodes: a serial oracle_grid suite then made 17-21 minor page faults
+# in a fresh process after the smoke grid, as at half the block, and
+# ran about 9% faster (least of five suites in each of six processes:
+# 0.175-0.184 against 0.190-0.206 s of time.process_time; x86-64
+# Linux, glibc, NumPy 2.4); at twice the block it made about 30,000.
+# With one node a row it makes 21, and an oracle_corners suite after
+# it 2-3.
 _BLOCK = 1 << 13
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
@@ -452,7 +461,9 @@ def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
         if mirror:
             free = q - dz_sq
             q -= z_sum_sq
-            q *= free
+            # not in place either: NumPy's in-place complex multiply
+            # rounds a one-element array differently from a longer one
+            q = q * free
             return np.divide(image, q, out=q)
         q -= dz_sq
         q *= _TWO_PI_SQ
@@ -474,10 +485,17 @@ def _oracle_rows(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     integral on a composite Gauss-Legendre grid, the factors in u alone
     or s alone column weights and a row factor, evaluated in blocks of
     at most _BLOCK grid elements (at least one row), each from its own
-    abscissa alone, so the rows do not depend on the blocks."""
+    abscissa alone, so the rows do not depend on the blocks. On equal
+    orbits (gamma_A = gamma_B and omega_A gamma_A = omega_B gamma_B)
+    the Wightman function does not depend on u, so the grid is one
+    node weighted by the sum of the weights: a row is one kernel
+    value."""
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
     u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
     weights = w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)
+    if (det_a.gamma == det_b.gamma
+            and det_a.omega * det_a.gamma == det_b.omega * det_b.gamma):
+        u, weights = u[:1], weights.sum(keepdims=True)
     step = max(_BLOCK // u.size, 1)
     kernel = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)
 
@@ -527,7 +545,9 @@ def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A - gap_B|: the
     relative orbit phase enters the Wightman function with its
     harmonics, the phase of the gaps alone. On equal orbits the
-    Wightman function does not depend on u."""
+    Wightman function does not depend on u, so each row takes the
+    kernel at one node weighted by the grid's sum (_oracle_rows), and
+    a pass costs one kernel value per outer abscissa."""
     etas = _contours(det_a, det_b)
     f_u = (4.0 * abs(det_a.omega * det_a.gamma - det_b.omega * det_b.gamma)
            + abs(det_a.energy_gap - det_b.energy_gap))

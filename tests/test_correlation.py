@@ -17,6 +17,7 @@ from udwmi import (
 )
 from udwmi.correlation import (_U_CUT, _contours, _line_params, _line_pole,
                                _oracle_pass, _oracle_rows,
+                               composite_gauss_legendre,
                                _reduced_line_integral,
                                _reduced_line_integrals, _wightman_kernel)
 
@@ -577,6 +578,12 @@ def response_args(spec, dz):
     return oracle_args(spec, spec, z, z, dz is not None)
 
 
+# unequal orbits with the mirror: the pairs whose rows are still
+# reduced over the whole inner grid, in blocks of several rows each
+UNEQUAL = PairConfig(det_a=TestWightman.DET_A, det_b=TestWightman.DET_B,
+                     sep=0.8, dz=0.3)
+
+
 class TestOracleRowBlocks:
     # the oracle integrand evaluates its abscissae in row blocks of at
     # most correlation._BLOCK inner-grid elements; every row is reduced
@@ -589,29 +596,84 @@ class TestOracleRowBlocks:
             return [bits(_oracle_pass(*args, eta, n_u, 1e-5))
                     for args, contours in (
                         pair_args(pair(1.0, 1.0, sep=1.0)),
-                        response_args(spec, 0.5))
+                        response_args(spec, 0.5),
+                        pair_args(UNEQUAL))
                     for eta, n_u in contours]
 
         default = passes()
         monkeypatch.setattr(correlation, "_BLOCK", 1)
         assert passes() == default
 
+    def test_one_row_equals_its_row_among_many(self):
+        # an equal-orbit row is one inner node, so a block of one row is
+        # an array of one element; it must round as the same row in a
+        # longer array does, with the mirror's product too
+        spec = detector_from_accel_radius(0.1, 1.0, 1.0)
+        s = np.random.default_rng(5).uniform(-2.0 * _U_CUT, 2.0 * _U_CUT,
+                                             200)
+        for dz in (0.3, None):
+            args, contours = response_args(spec, dz)
+            for eta, n_u in contours:
+                rows = _oracle_rows(*args, eta, n_u)
+                together = rows(s)
+                alone = np.concatenate([rows(s[i:i + 1])
+                                        for i in range(s.size)])
+                assert np.array_equal(alone, together)
+
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
-        # count: the two passes peak at 0.42 MiB here (a block's own
-        # temporaries at 384 KiB on equal orbits, see correlation._BLOCK)
+        # count: the two passes peak at 0.13 MiB on the equal orbits
+        # (one inner node a row) and at 0.54 MiB on the unequal ones (a
+        # block's own temporaries at 512 KiB, see correlation._BLOCK)
         import tracemalloc
 
-        cfg = pair(5.0, 0.02, sep=1.0, dz=0.1)
-        args, contours = pair_args(cfg)
-        tracemalloc.start()
-        try:
-            for eta, n_u in contours:
-                _oracle_pass(*args, eta, n_u, 1e-7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1), UNEQUAL):
+            args, contours = pair_args(cfg)
+            tracemalloc.start()
+            try:
+                for eta, n_u in contours:
+                    _oracle_pass(*args, eta, n_u, 1e-7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
+
+
+class TestEqualOrbitRows:
+    # on equal orbits the kernel is constant along u, so _oracle_rows
+    # takes it at one inner node weighted by the sum of the u weights.
+    # That is the full-grid reduction, the kernel on every (row, node)
+    # element summed by einsum against the weights, to within 16 ulps
+    # of the row's absolute sum sum_j |f K_j w_j| (f the row factor):
+    # both sums round in their own order. The worst seen is 10 ulps,
+    # over 260 random equal-orbit pairs with and without the mirror
+    # (both contours, 2001 s each).
+    @pytest.mark.parametrize("accel, radius, gap_b, dz, sep", [
+        (1.0, 1.0, 0.1, None, 0.5),  # free space
+        (5.0, 0.02, 0.1, 0.1, 1.0),  # the mirror
+        (0.3, 2.0, 2.5, 0.4, 0.7),  # unequal gaps, the mirror
+        (2.0, 0.5, 0.02, None, 1.5),  # unequal gaps, free space
+    ])
+    def test_one_node_is_the_full_grid_reduction(self, accel, radius, gap_b,
+                                                  dz, sep):
+        da = detector_from_accel_radius(0.1, accel, radius)
+        db = detector_from_accel_radius(gap_b, accel, radius)
+        z_a = dz if dz is not None else 0.0
+        args, contours = oracle_args(da, db, z_a, z_a + sep, dz is not None)
+        s = np.linspace(-2.0 * _U_CUT, 2.0 * _U_CUT, 513)
+        gap_sum, gap_diff = da.energy_gap + gap_b, da.energy_gap - gap_b
+        for eta, n_u in contours:
+            u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
+            weights = w * np.exp(-u * u - 1j * gap_diff * u)
+            ds = s - 1j * eta
+            kernel = _wightman_kernel(*args, u)(0.5 * ds[:, None])
+            assert kernel.shape == (s.size, u.size)
+            row_factor = np.exp(-0.25 * ds * ds - 0.5j * gap_sum * ds)
+            full = row_factor * np.einsum("ij,j->i", kernel, weights)
+            scale = abs(row_factor) * (abs(kernel) @ abs(weights))
+            got = _oracle_rows(*args, eta, n_u)(s)
+            assert np.all(abs(got - full) <= 16.0 * np.finfo(float).eps
+                          * scale)
 
 
 ORBITS = st.builds(
