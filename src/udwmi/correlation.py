@@ -47,10 +47,8 @@ independent routes:
   function from the squared interval alone (_wightman_kernel), whose
   orbit part comes from the law of cosines: sines and cosines of the
   inner nodes made once per pass, and of the rows once per block. On
-  equal orbits, which every response oracle and the paper's pairs
-  have, the Wightman function does not depend on the mean proper time,
-  so a row is the kernel at one inner node times the sum of the inner
-  weights.
+  equal orbits a row is the kernel at one inner node times the sum of
+  the inner weights.
 """
 
 from __future__ import annotations
@@ -381,15 +379,14 @@ def composite_gauss_legendre(lo: float, hi: float,
 # fits in one. An unequal-orbit block holds 8192 // n_u rows. The
 # kernel works in place where it can, so its temporaries peak at 512
 # KiB (tracemalloc), four complex arrays of at most 128 KiB; a whole
-# equal-orbit block, row factor included, peaks at 0.9 MiB. The size
-# was chosen while equal-orbit rows still spanned n_u = 96 or 192
-# nodes: a serial oracle_grid suite then made 17-21 minor page faults
-# in a fresh process after the smoke grid, as at half the block, and
-# ran about 9% faster (least of five suites in each of six processes:
-# 0.175-0.184 against 0.190-0.206 s of time.process_time; x86-64
-# Linux, glibc, NumPy 2.4); at twice the block it made about 30,000.
-# With one node a row it makes 21, and an oracle_corners suite after
-# it 2-3.
+# equal-orbit block, row factor included, peaks at 0.9 MiB. On rows of
+# 96 and 192 nodes a serial oracle_grid suite made 17-21 minor page
+# faults in a fresh process after the smoke grid, as at half the
+# block, and ran about 9% faster (least of five suites in each of six
+# processes: 0.175-0.184 against 0.190-0.206 s of time.process_time;
+# x86-64 Linux, glibc, NumPy 2.4); at twice the block it made about
+# 30,000. On one-node rows it makes 21, and an oracle_corners suite
+# after it 2-3.
 _BLOCK = 1 << 13
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
@@ -545,9 +542,8 @@ def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A - gap_B|: the
     relative orbit phase enters the Wightman function with its
     harmonics, the phase of the gaps alone. On equal orbits the
-    Wightman function does not depend on u, so each row takes the
-    kernel at one node weighted by the grid's sum (_oracle_rows), and
-    a pass costs one kernel value per outer abscissa."""
+    Wightman function does not depend on u, so a row is one kernel
+    value, weighted by the grid's sum (_oracle_rows)."""
     etas = _contours(det_a, det_b)
     f_u = (4.0 * abs(det_a.omega * det_a.gamma - det_b.omega * det_b.gamma)
            + abs(det_a.energy_gap - det_b.energy_gap))

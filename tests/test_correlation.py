@@ -17,9 +17,9 @@ from udwmi import (
 )
 from udwmi.correlation import (_U_CUT, _contours, _line_params, _line_pole,
                                _oracle_pass, _oracle_rows,
-                               composite_gauss_legendre,
                                _reduced_line_integral,
-                               _reduced_line_integrals, _wightman_kernel)
+                               _reduced_line_integrals, _wightman_kernel,
+                               composite_gauss_legendre)
 
 import long_double
 
