@@ -49,6 +49,12 @@ def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
                         help="absolute tolerance (default 1e-8)")
 
 
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    """The flag of sweep and verify: serial unless given workers."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="process count (default 1)")
+
+
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gap-a", type=float, default=0.1,
                         help="energy gap of detector A (default 0.1)")
@@ -89,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="table format (default csv)")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="process count (default 1)")
+    _add_workers_argument(p_sweep)
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-check "
                                              "suite on a grid")
@@ -98,9 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="JSON grid path or packaged preset name")
     p_verify.add_argument("--out", default=None,
                           help="write the report JSON here instead of stdout")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="process count (default: the CPUs this "
-                               "process may use, at most 8)")
+    _add_workers_argument(p_verify)
     return parser
 
 

@@ -23,9 +23,9 @@ process pool per call.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
-only parallelism: a sweep runs serially unless given workers, the
-oracle suite defaults to the CPUs this process may use, at most 8, and
-no environment variable changes either.
+only parallelism: a sweep and the oracle suite run serially unless
+given an integer count of workers, and no environment variable changes
+that.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import io
 import json
 import math
 import operator
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -314,18 +313,10 @@ def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
     return ("warn:" + ";".join(tags) if tags else "ok"), pt
 
 
-def _resolve_workers(requested: int | None) -> int:
-    """requested, an integral number >= 1 and not a bool, or the CPUs
-    this process may use (so a cpuset or taskset limit holds), at most
-    8."""
-    if requested is not None:
-        return _require_integer("workers", requested, "an integer >= 1",
-                                lambda n: n >= 1)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, 8)
+def _resolve_workers(requested: int) -> int:
+    """requested, an integral number >= 1 and not a bool."""
+    return _require_integer("workers", requested, "an integer >= 1",
+                            lambda n: n >= 1)
 
 
 def _map(fn, calls: list[tuple], workers: int) -> list:
@@ -559,14 +550,15 @@ def _deviation_record(params, value, err, oracle, oerr,
     }
 
 
-def run_oracle_suite(grid, *, workers: int | None = None) -> dict:
+def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     """Cross-check the fast paths against the definition-level oracles
     on a grid (a JSON path, preset name, or mapping) of points;
     pass/fail against the grid's rel_tol (default 1e-3 relative
     deviation).
 
     The response and then the correlation points are mapped as one list
-    of calls, serially or on one process pool, like a sweep's batches.
+    of calls, like a sweep's batches: serially unless given workers, and
+    to the same report at any worker count.
     Unlike a sweep row, a point does not fail alone: its exception (a
     DomainError for a bad point, a RuntimeError for an oracle that did
     not converge) ends the suite, and its warnings are passed on."""

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import udwmi
-from udwmi import correlation, infomeasure, response
+from udwmi import cli, correlation, infomeasure, response
 from udwmi.correlation import (PairConfig, _line_integral_args, _reduced_line_integrals,
                                correlation_equal)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
@@ -353,25 +354,35 @@ class TestRunSweep:
             run_sweep(cheap_spec(), workers=0)
         assert len(run_sweep(cheap_spec(), workers=np.int64(1))) == 4
 
-    @pytest.mark.parametrize("workers", [2.0, 1.5, True, "2"])
+    @pytest.mark.parametrize("workers", [2.0, 1.5, True, "2", None])
     def test_non_integral_workers_rejected(self, workers):
-        # a float, a bool or a string is not a worker count, even where
-        # its value is a whole number
+        # a float, a bool, a string or None is not a worker count, even
+        # where its value is a whole number
         with pytest.raises(DomainError, match="workers must be an integer"):
             run_sweep(cheap_spec(), workers=workers)
 
-    def test_default_is_serial_on_any_cpu_count(self, monkeypatch):
-        # a sweep runs serially unless asked for workers: a process
-        # allowed two CPUs starts no pool
+    def test_default_is_serial_on_any_cpu_count(self, monkeypatch,
+                                                tmp_path):
+        # a sweep, the oracle suite and udwmi verify run serially unless
+        # asked for workers: a process allowed two CPUs starts no pool
         from udwmi import sweep as sweep_mod
 
         def no_pool(*args, **kwargs):
             raise AssertionError("started a process pool")
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
-                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         assert len(run_sweep(cheap_spec())) == 4
+        # two points, so that more than one worker would start a pool
+        grid = {"response_points": [
+            {"gap": 0.5, "accel": 0.1, "radius": 1.0, "dz": 0.5},
+            {"gap": 0.5, "accel": 0.1, "radius": 1.0}]}
+        assert run_oracle_suite(grid)["ok"]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert cli.main(["verify", "--grid", str(path),
+                         "--out", str(tmp_path / "report.json")]) == 0
 
 
 def reference_record(params, tol):
@@ -1010,25 +1021,11 @@ class TestOracleSuite:
         with pytest.raises(DomainError, match="radius must be positive"):
             run_oracle_suite(grid, workers=workers)
 
-    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
-        # a process allowed one CPU runs serially and starts no pool
-        from udwmi import sweep as sweep_mod
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a process pool")
-
-        # two points, so that more than one worker would start a pool
-        grid = {"response_points": [
-            {"gap": 0.5, "accel": 0.1, "radius": 1.0, "dz": 0.5},
-            {"gap": 0.5, "accel": 0.1, "radius": 1.0}]}
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
-                            lambda pid: {0}, raising=False)
-        assert run_oracle_suite(grid)["ok"]
-        # without an affinity mask the CPU count decides
-        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
-        assert run_oracle_suite(grid)["ok"]
+    def test_none_workers_rejected(self):
+        # None is not a worker count here either, as in run_sweep
+        with pytest.raises(DomainError, match=r"^workers must be an integer "
+                                              r">= 1, got None$"):
+            run_oracle_suite("oracle_grid_smoke", workers=None)
 
     def test_bad_rel_tol_rejected(self):
         grid = load_grid("oracle_grid_smoke")
