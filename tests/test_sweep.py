@@ -893,7 +893,7 @@ class TestConfigLoading:
 
 
 class TestOracleSuite:
-    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True, None])
     def test_non_integral_workers_rejected(self, workers):
         with pytest.raises(DomainError, match="workers must be an integer"):
             run_oracle_suite("oracle_grid_smoke", workers=workers)
@@ -1020,12 +1020,6 @@ class TestOracleSuite:
                                         "sep": 1.0, "dz": 1.0}]}
         with pytest.raises(DomainError, match="radius must be positive"):
             run_oracle_suite(grid, workers=workers)
-
-    def test_none_workers_rejected(self):
-        # None is not a worker count here either, as in run_sweep
-        with pytest.raises(DomainError, match=r"^workers must be an integer "
-                                              r">= 1, got None$"):
-            run_oracle_suite("oracle_grid_smoke", workers=None)
 
     def test_bad_rel_tol_rejected(self):
         grid = load_grid("oracle_grid_smoke")
