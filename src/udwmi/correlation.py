@@ -37,18 +37,22 @@ independent routes:
   Leinaas, Nucl. Phys. B 212, 131 (1983)). So instead of a regulator
   epsilon, the proper-time difference is moved off the real axis by a
   finite eta, tau_A - tau_B = s - i eta, and the unregulated
-  Wightman function is taken there with no limit (_oracle).
-  The response oracle of module response is the same routine: the
-  response is the correlation of a detector with itself. eta comes
-  from the orbits (_contours); the passes at two values, each an
-  integrate_adaptive_batch call of its own (_oracle_pass), differ in eta
-  and inner grid, and their spread is the error. Rows are evaluated in
-  plain blocks of at most _BLOCK inner-grid elements, the Wightman
-  function from the squared interval alone (_wightman_kernel), whose
-  orbit part comes from the law of cosines: sines and cosines of the
-  inner nodes made once per pass, and of the rows once per block. On
-  equal orbits a row is the kernel at one inner node times the sum of
-  the inner weights.
+  Wightman function is taken there with no limit. The response oracle
+  of module response is the same routine: the response is the
+  correlation of a detector with itself. eta comes from the orbits
+  (_contours); the two passes of an oracle differ in eta and inner
+  grid, and their spread is the error. _oracle_batch takes many
+  oracles, say the points of an oracle grid, and runs the passes of
+  all of them as the members of one integrate_adaptive_batch call
+  (_oracle_passes), so each estimate equals its batch of one and a
+  single oracle is the batch of one. Rows are evaluated in plain
+  blocks of at most _BLOCK inner-grid elements, each row from its own
+  pass's constants, the Wightman function from the squared interval
+  alone (_wightman_kernel), whose orbit part comes from the law of
+  cosines: sines and cosines of the inner nodes made once, and of the
+  rows once per block. On equal orbits a row is the kernel at one
+  inner node times the sum of the inner weights, so a block holds the
+  rows of many passes.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -374,20 +379,17 @@ def composite_gauss_legendre(lo: float, hi: float,
 
 
 # Inner-grid elements per row block of the oracle integrand. An
-# equal-orbit row is one element (_oracle_rows), so its blocks hold up
-# to 8192 rows: each of the 626 rounds of the bundled oracle grids
-# fits in one. An unequal-orbit block holds 8192 // n_u rows. The
-# kernel works in place where it can, so its temporaries peak at 512
-# KiB (tracemalloc), four complex arrays of at most 128 KiB; a whole
-# equal-orbit block, row factor included, peaks at 0.9 MiB. On rows of
-# 96 and 192 nodes a serial oracle_grid suite made 17-21 minor page
-# faults in a fresh process after the smoke grid, as at half the
-# block, and ran about 9% faster (least of five suites in each of six
-# processes: 0.175-0.184 against 0.190-0.206 s of time.process_time;
-# x86-64 Linux, glibc, NumPy 2.4); at twice the block it made about
-# 30,000. On one-node rows it makes 21, and an oracle_corners suite
-# after it 2-3.
-_BLOCK = 1 << 13
+# equal-orbit row is one element (_oracle_rows), so a block holds up to
+# 2048 rows of any passes; an unequal-orbit block holds 2048 // n_u
+# rows of one pass. A block's temporaries are complex arrays of at most
+# 32 KiB, and a batch's traced peak (0.9 MiB for the 39 oracles of
+# oracle_grid) is the first round of its quadrature's runs. Five serial
+# oracle_grid suites after the smoke grid in a fresh process took at
+# least 0.0126-0.0128 s each (time.process_time), made 680 minor page
+# faults and peaked at 33.8-34.0 MiB RSS; in blocks of 8192 they took
+# 0.0136 s, made 5000 faults and peaked at 35.1 MiB (three processes
+# each; x86-64 Linux, glibc, NumPy 2.4).
+_BLOCK = 1 << 11
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
 # difference s over twice that, where the envelope exp(-u^2 - s^2/4)
@@ -413,163 +415,250 @@ def _contours(det_a: CircularDetectorSpec,
     return 0.5 * eta_2, eta_2
 
 
-def _wightman_kernel(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                     z_a: float, z_b: float, mirror: bool, u):
-    """The unregulated Wightman function W between det_a at height z_a
-    and det_b at z_b at tau_A = u + c and tau_B = u - c, as a function
-    of c: u is real (the inner nodes), and c, complex, broadcasts
-    against it. With q = dt^2 - dx^2 - dy^2 the squared interval of the
-    two events, W = -1 / (4 pi^2 (q - (z_A - z_B)^2)) in free space,
-    and the mirror subtracts the same term at z_B -> -z_B, so W = 0 at
-    z_B = 0. q comes straight from the orbits, each at phase k tau with
-    k = omega gamma from the x axis: dt = (gamma_A - gamma_B) u +
-    (gamma_A + gamma_B) c, and by the law of cosines dx^2 + dy^2 =
-    (R_A - R_B)^2 + 4 R_A R_B sigma^2 with sigma the sine of half the
-    phase difference, sin(d u + h c) = sin(d u) cos(h c) + cos(d u)
-    sin(h c), d = (k_A - k_B)/2 and h = (k_A + k_B)/2. Its u factors,
-    times 2 sqrt(R_A R_B), are made once per pass over the inner grid
-    and its c factors once per row block; on equal orbits (d = 0) the
-    sin(d u) term is zero and is not formed. (R_A - R_B)^2 joins the
-    constant height terms, and the mirror's two terms are the one
-    fraction 4 z_A z_B / (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A +
-    z_B)^2)). A grid element takes products and one division."""
-    gamma_sum = det_a.gamma + det_b.gamma
-    dt_u = (det_a.gamma - det_b.gamma) * u
-    k_a, k_b = det_a.omega * det_a.gamma, det_b.omega * det_b.gamma
-    half_sum, half_diff = 0.5 * (k_a + k_b), 0.5 * (k_a - k_b)
-    scale = 2.0 * math.sqrt(det_a.radius * det_b.radius)
-    if half_diff == 0.0:
-        sin_u, cos_u = None, scale
-    else:
-        sin_u = scale * np.sin(half_diff * u)
-        cos_u = scale * np.cos(half_diff * u)
-    dr_sq = (det_a.radius - det_b.radius) ** 2
-    dz_sq, z_sum_sq = (z_a - z_b) ** 2 + dr_sq, (z_a + z_b) ** 2 + dr_sq
-    image = 4.0 * z_a * z_b / _TWO_PI_SQ
+class _KernelTerms(NamedTuple):
+    """The factors of _wightman_kernel on a block of rows: those of the
+    inner nodes, dt_u = (gamma_A - gamma_B) u and 2 sqrt(R_A R_B) times
+    cos(d u) and sin(d u), as (rows, nodes) arrays, then the constants
+    of each row's pass, one entry per row: numerator is 4 z_A z_B /
+    (4 pi^2) with the mirror and -1 without, and mirror is 1.0 or
+    0.0. Rows of one pass may share one row of node factors and one
+    entry of constants, which broadcast."""
 
-    def kernel(c):  # in place where it can be: see _BLOCK
-        sigma = cos_u * np.sin(half_sum * c)  # times 2 sqrt(R_A R_B)
-        if sin_u is not None:
-            sigma += sin_u * np.cos(half_sum * c)
-        q = np.square(dt_u + gamma_sum * c)
-        # not in place: NumPy's complex square into its own input rounds
-        # by array length, which would tie the rows to their blocks
-        q -= np.square(sigma)
-        if mirror:
-            free = q - dz_sq
-            q -= z_sum_sq
-            # not in place either: NumPy's in-place complex multiply
-            # rounds a one-element array differently from a longer one
-            q = q * free
-            return np.divide(image, q, out=q)
-        q -= dz_sq
-        q *= _TWO_PI_SQ
-        return np.divide(-1.0, q, out=q)
-
-    return kernel
+    dt_u: np.ndarray
+    cos_u: np.ndarray
+    sin_u: np.ndarray
+    gamma_sum: np.ndarray
+    half_sum: np.ndarray
+    dz_sq: np.ndarray
+    z_sum_sq: np.ndarray
+    numerator: np.ndarray
+    mirror: np.ndarray
 
 
-def _oracle_rows(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int):
-    """The rows, as a function of real s, of the defining double integral
-    between det_a at height z_a and det_b at z_b, with the image term
-    when mirror, on the contour shifted by eta with about n_u inner nodes.
+def _kernel_terms(passes, u: np.ndarray,
+                  nodes) -> tuple[np.ndarray, np.ndarray]:
+    """The _KernelTerms of a list of passes at their inner nodes u,
+    nodes[i] of them pass i's, in order: the node factors as the rows
+    of one array over u, and the constants as the rows of one array
+    over the passes. A pass is a tuple whose first entries are det_a,
+    det_b, z_a, z_b and mirror: det_a at height z_a and det_b at z_b,
+    with the image term when mirror. On equal orbits (d = 0) sin_u is
+    zero and cos_u is 2 sqrt(R_A R_B)."""
+    node_factors, constants = [], []
+    for det_a, det_b, z_a, z_b, mirror, *_ in passes:
+        k_a, k_b = det_a.omega * det_a.gamma, det_b.omega * det_b.gamma
+        dr_sq = (det_a.radius - det_b.radius) ** 2
+        node_factors.append((det_a.gamma - det_b.gamma, 0.5 * (k_a - k_b),
+                             2.0 * math.sqrt(det_a.radius * det_b.radius)))
+        constants.append((det_a.gamma + det_b.gamma, 0.5 * (k_a + k_b),
+                          (z_a - z_b) ** 2 + dr_sq, (z_a + z_b) ** 2 + dr_sq,
+                          4.0 * z_a * z_b / _TWO_PI_SQ if mirror else -1.0,
+                          float(mirror)))
+    gamma_diff, half_diff, scale = np.repeat(np.array(node_factors), nodes,
+                                             axis=0).T
+    return (np.array([gamma_diff * u, scale * np.cos(half_diff * u),
+                      scale * np.sin(half_diff * u)]),
+            np.array(constants).T)
+
+
+def _wightman_kernel(terms: _KernelTerms, c: np.ndarray) -> np.ndarray:
+    """The unregulated Wightman function W on a block of rows and inner
+    nodes, each row's c, complex, one entry per row: between det_a at
+    height z_a and det_b at z_b at tau_A = u + c and tau_B = u - c, from
+    their terms (_KernelTerms).
+
+    With q = dt^2 - dx^2 - dy^2 the squared interval of the two events,
+    W = -1 / (4 pi^2 (q - (z_A - z_B)^2)) in free space, and the mirror
+    subtracts the same term at z_B -> -z_B, so W = 0 at z_B = 0. q
+    comes straight from the orbits, each at phase k tau with k = omega
+    gamma from the x axis: dt = (gamma_A - gamma_B) u + (gamma_A +
+    gamma_B) c, and by the law of cosines dx^2 + dy^2 = (R_A - R_B)^2 +
+    4 R_A R_B sigma^2 with sigma the sine of half the phase difference,
+    sin(d u + h c) = sin(d u) cos(h c) + cos(d u) sin(h c), d = (k_A -
+    k_B)/2 and h = (k_A + k_B)/2. Its u factors, times 2 sqrt(R_A R_B),
+    are made once per inner node and its c factors once per row; on
+    equal orbits (d = 0) the sin(d u) term is zero, and a block of such
+    rows alone does not form it. (R_A - R_B)^2 joins the constant
+    height terms, and the mirror's two terms are the one fraction 4 z_A
+    z_B / (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A + z_B)^2)); a free-space
+    row takes 4 pi^2 in place of the second factor and -1 as the
+    numerator. A grid element takes products and one division, in
+    place where it can be: no complex product or square is formed in
+    place, since NumPy rounds those by array length, which would tie a
+    row to its block."""
+    h_c = terms.half_sum * c
+    sigma = terms.cos_u * np.sin(h_c)[:, None]
+    if terms.sin_u.any():  # unequal orbits
+        sigma += terms.sin_u * np.cos(h_c)[:, None]
+    q = np.square(terms.dt_u + (terms.gamma_sum * c)[:, None])
+    q -= np.square(sigma)
+    free = q - terms.dz_sq[:, None]
+    q -= terms.z_sum_sq[:, None]
+    np.copyto(q, _TWO_PI_SQ, where=(terms.mirror == 0.0)[:, None])
+    q = q * free
+    return np.divide(terms.numerator[:, None], q, out=q)
+
+
+def _oracle_rows(passes):
+    """The rows of a list of passes, as a function rows(s, member) of
+    lines of real s, a 2-D array, and the index of the pass of each
+    line, a 1-D array. A pass (det_a, det_b, z_a, z_b, mirror, eta, n_u)
+    is the defining double integral between det_a at height z_a and
+    det_b at z_b, with the image term when mirror, on the contour
+    shifted by eta with about n_u inner nodes.
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
     gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the Wightman
     function (_wightman_kernel at c = (s - i eta)/2). A row is its u
     integral on a composite Gauss-Legendre grid, the factors in u alone
-    or s alone column weights and a row factor, evaluated in blocks of
-    at most _BLOCK grid elements (at least one row), each from its own
-    abscissa alone, so the rows do not depend on the blocks. On equal
-    orbits (gamma_A = gamma_B and omega_A gamma_A = omega_B gamma_B)
-    the Wightman function does not depend on u, so the grid is one
-    node weighted by the sum of the weights: a row is one kernel
-    value."""
-    gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
-    u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
-    weights = w * np.exp(-u * u - 1j * (gap_a - gap_b) * u)
-    if (det_a.gamma == det_b.gamma
-            and det_a.omega * det_a.gamma == det_b.omega * det_b.gamma):
-        u, weights = u[:1], weights.sum(keepdims=True)
-    step = max(_BLOCK // u.size, 1)
-    kernel = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)
+    or s alone node weights and a row factor. On equal orbits (gamma_A
+    = gamma_B and omega_A gamma_A = omega_B gamma_B) the Wightman
+    function does not depend on u, so the grid is one node weighted by
+    the sum of the weights: a row is one kernel value. The inner grids
+    and every pass's terms are made once. A run of lines of one-node
+    passes, or of lines of one pass, is evaluated in blocks of at most
+    _BLOCK grid elements (at least one row), each row from its own
+    pass's terms, and each row's products with its weights are summed
+    on their own (einsum, not BLAS: no native thread pool under the
+    process pool), so a row depends on neither its block nor the other
+    passes."""
+    grids, per_pass = {}, []  # the distinct inner grids, each pass's
+    for det_a, det_b, *_, n_u in passes:
+        gap_diff = det_a.energy_gap - det_b.energy_gap
+        equal = (det_a.gamma == det_b.gamma
+                 and det_a.omega * det_a.gamma == det_b.omega * det_b.gamma)
+        if (n_u, gap_diff, equal) not in grids:
+            u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
+            weight = w * np.exp(-u * u - 1j * gap_diff * u)
+            if equal:
+                u, weight = u[:1], weight.sum(keepdims=True)
+            grids[n_u, gap_diff, equal] = u, weight
+        per_pass.append(grids[n_u, gap_diff, equal])
+    nodes = np.array([w.size for _, w in per_pass])
+    first = np.cumsum(nodes) - nodes  # each pass's first inner node
+    weight = np.concatenate([w for _, w in per_pass])
+    node_terms, pass_terms = _kernel_terms(
+        passes, np.concatenate([u for u, _ in per_pass]), nodes)
+    eta = np.array([p[5] for p in passes])
+    gap_sum = np.array([p[0].energy_gap + p[1].energy_gap for p in passes])
 
-    def block(s):
-        ds = s - 1j * eta
-        # einsum, not BLAS: no native thread pool under the process pool
-        return (np.exp(-0.25 * ds * ds - 0.5j * (gap_a + gap_b) * ds)
-                * np.einsum("ij,j->i", kernel(0.5 * ds[:, None]), weights))
+    def block(s, member, n):
+        # a block of one-node rows has a node per row, and a block of
+        # longer rows is one pass's: its rows share its nodes and terms
+        own = member if n == 1 else member[:1]
+        node = first[own][:, None] + np.arange(n)
+        ds = s - 1j * eta[member]
+        kernel = _wightman_kernel(
+            _KernelTerms(*np.take(node_terms, node, axis=1),
+                         *np.take(pass_terms, own, axis=1)), 0.5 * ds)
+        return (np.exp(-0.25 * ds * ds - 0.5j * gap_sum[member] * ds)
+                * np.einsum("ij,ij->i", kernel, weight[node]))
 
-    def rows(s):
-        return np.concatenate([block(s[i:i + step])
-                               for i in range(0, s.size, step)])
+    def rows(s, member):
+        k = s.shape[1]
+        out = np.empty(s.shape, dtype=complex)
+        flat_s, flat_out = s.reshape(-1), out.reshape(-1)
+        n_of = nodes[member]
+        # runs of lines of one-node passes, or of lines of one pass
+        cut = (n_of[1:] != n_of[:-1]) | ((member[1:] != member[:-1])
+                                         & (n_of[1:] > 1))
+        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), n_of.size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            n = int(n_of[lo])
+            step = max(_BLOCK // n, 1)
+            for i in range(lo * k, hi * k, step):
+                j = min(i + step, hi * k)
+                flat_out[i:j] = block(flat_s[i:j],
+                                      member[np.arange(i, j) // k], n)
+        return out
 
     return rows
 
 
-def _oracle_pass(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-                 z_a: float, z_b: float, mirror: bool, eta: float, n_u: int,
-                 tol: float) -> QuadratureResult:
-    """The integral over s of _oracle_rows to tol: a batch of one of
-    integrate_adaptive_batch, adaptive GK15 over [-2 _U_CUT, 2 _U_CUT]."""
-    rows = _oracle_rows(det_a, det_b, z_a, z_b, mirror, eta, n_u)
-    # enough starting panels to see the phase and orbit oscillations
+def _oracle_passes(passes, tol) -> list:
+    """The integral over s of each pass's rows (_oracle_rows) to its tol
+    (scalars broadcast): the members of one integrate_adaptive_batch
+    call, adaptive GK15 over [-2 _U_CUT, 2 _U_CUT], each starting on
+    enough panels to see its phase and orbit oscillations. Returns one
+    entry per pass: its QuadratureResult, or the DomainError its
+    arguments raise."""
+    rows = _oracle_rows(passes)
     s_max = 2.0 * _U_CUT
-    f_s = (abs(det_a.energy_gap + det_b.energy_gap)
-           + det_a.omega * det_a.gamma + det_b.omega * det_b.gamma) / 2.0 + 1.0
-    n0 = int(0.25 * s_max * f_s) + 8
-    (res,) = integrate_adaptive_batch(
-        lambda x, _: rows(x.ravel()).reshape(x.shape), -s_max, s_max, tol,
-        initial_panels=n0, max_panels=60000)
-    return _checked(res)
+    n0 = [int(0.25 * s_max * ((abs(a.energy_gap + b.energy_gap)
+                               + a.omega * a.gamma + b.omega * b.gamma) / 2.0
+                              + 1.0)) + 8
+          for a, b, *_ in passes]
+    return integrate_adaptive_batch(
+        lambda x, owner: rows(x, owner.ravel()),
+        -s_max, s_max, tol, initial_panels=n0, max_panels=60000)
 
 
-def _oracle(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
-            z_a: float, z_b: float, mirror: bool,
-            tol: float) -> OracleEstimate:
-    """The definition-level correlation of det_a at height z_a with det_b
-    at z_b, with the image term when mirror: _oracle_pass at eta_1 on
-    n_u inner nodes and at eta_2 on 2 n_u, each to tol, and the value
-    of the second.
+def _oracle_batch(keys) -> list:
+    """The definition-level correlation of each key (det_a, det_b, z_a,
+    z_b, mirror, tol): det_a at height z_a with det_b at z_b, with the
+    image term when mirror, to tol. Its passes are at eta_1 on n_u
+    inner nodes and at eta_2 on 2 n_u (_contours), each to tol, and its
+    value is the second's. The passes of all keys are the members of
+    one _oracle_passes batch, so each estimate equals its batch of one.
 
     The value cannot depend on eta unless a zero of the interval lies
     between the contours, so the error is the spread of the two passes,
     which also covers the inner grid, plus the worst pass error; a
-    spread above 100 max(tol, worst pass error) raises RuntimeError.
-    n_u = 96 + 16 ceil(13 f_u / 16) resolves the inner oscillation
-    f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A - gap_B|: the
-    relative orbit phase enters the Wightman function with its
-    harmonics, the phase of the gaps alone. On equal orbits the
-    Wightman function does not depend on u, so a row is one kernel
-    value, weighted by the grid's sum (_oracle_rows)."""
-    etas = _contours(det_a, det_b)
-    f_u = (4.0 * abs(det_a.omega * det_a.gamma - det_b.omega * det_b.gamma)
-           + abs(det_a.energy_gap - det_b.energy_gap))
-    n_u = 96 + 16 * math.ceil(2.0 * _U_CUT * f_u / 16.0)
-    passes = [_oracle_pass(det_a, det_b, z_a, z_b, mirror, eta, n, tol)
-              for eta, n in zip(etas, (n_u, 2 * n_u))]
-    spread = abs(passes[1].value - passes[0].value)
-    quad_err = max(res.abs_error_estimate for res in passes)
-    if spread > 100.0 * max(tol, quad_err):
-        raise RuntimeError(f"the passes at eta = {etas[0]:.3g} and "
-                           f"{etas[1]:.3g} differ by {spread:.3g}: a zero "
-                           f"of the interval lies between the contours")
-    return OracleEstimate(
-        value=complex(passes[1].value),
-        error_estimate=float(spread + quad_err),
-        samples=tuple((eta, complex(res.value))
-                      for eta, res in zip(etas, passes)),
-        evaluations=sum(res.evaluations for res in passes),
-    )
+    spread above 100 max(tol, worst pass error) fails with
+    RuntimeError. n_u = 96 + 16 ceil(13 f_u / 16) resolves the inner
+    oscillation f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A -
+    gap_B|: the relative orbit phase enters the Wightman function with
+    its harmonics, the phase of the gaps alone. Returns one entry per
+    key: its OracleEstimate, or the exception it fails with."""
+    passes, tols, etas = [], [], []
+    for det_a, det_b, z_a, z_b, mirror, tol in keys:
+        f_u = (4.0 * abs(det_a.omega * det_a.gamma
+                         - det_b.omega * det_b.gamma)
+               + abs(det_a.energy_gap - det_b.energy_gap))
+        n_u = 96 + 16 * math.ceil(2.0 * _U_CUT * f_u / 16.0)
+        contours = _contours(det_a, det_b)
+        passes += [(det_a, det_b, z_a, z_b, mirror, eta, n)
+                   for eta, n in zip(contours, (n_u, 2 * n_u))]
+        tols += [tol, tol]
+        etas.append(contours)
+    results = iter(_oracle_passes(passes, tols))
+    out = []
+    for (*_, tol), contours, pair in zip(keys, etas, zip(results, results)):
+        fail = next((res for res in pair if isinstance(res, Exception)),
+                    None)
+        if fail is not None:
+            out.append(fail)
+            continue
+        spread = abs(pair[1].value - pair[0].value)
+        quad_err = max(res.abs_error_estimate for res in pair)
+        if spread > 100.0 * max(tol, quad_err):
+            out.append(RuntimeError(
+                f"the passes at eta = {contours[0]:.3g} and "
+                f"{contours[1]:.3g} differ by {spread:.3g}: a zero of the "
+                f"interval lies between the contours"))
+            continue
+        out.append(OracleEstimate(
+            value=complex(pair[1].value),
+            error_estimate=float(spread + quad_err),
+            samples=tuple((eta, complex(res.value))
+                          for eta, res in zip(contours, pair)),
+            evaluations=sum(res.evaluations for res in pair)))
+    return out
+
+
+def _pair_oracle_key(pair: PairConfig, tol: float) -> tuple:
+    """The _oracle_batch key of the pair as given at a tol its public
+    caller checked: detector A at height dz (0 in free space) and B at
+    dz + sep."""
+    z_a = pair.dz if pair.dz is not None else 0.0
+    return (pair.det_a, pair.det_b, z_a, z_a + pair.sep, pair.dz is not None,
+            tol)
 
 
 def correlation_general_result(pair: PairConfig,
                                tol: float = 1e-7) -> OracleEstimate:
     """Definition-level C with full error bookkeeping, for unequal
-    kinematics too: _oracle of the pair as given, detector A at height
-    dz (0 in free space) and B at dz + sep."""
-    z_a = pair.dz if pair.dz is not None else 0.0
-    return _oracle(pair.det_a, pair.det_b, z_a, z_a + pair.sep,
-                   pair.dz is not None, _require_tol(tol))
+    kinematics too: the batch of one of _oracle_batch."""
+    (est,) = _oracle_batch([_pair_oracle_key(pair, _require_tol(tol))])
+    return _checked(est)

@@ -37,9 +37,12 @@ at s0 = 2 dz.
 
 transition_probability_oracle_result integrates the defining double
 integral without any of the above reductions; it is deliberately
-independent of the closed form. It is the correlation oracle
-correlation._oracle of the detector with itself, at one height, on the
-proper-time contour tau - tau' = s - i eta.
+independent of the closed form. It is the correlation oracle of the
+detector with itself, at one height, on the proper-time contour tau -
+tau' = s - i eta: the batch of one of correlation._oracle_batch, whose
+key for a response is _response_oracle_key, and whose estimate
+_real_estimate makes real. The oracle suite puts the keys of many
+responses in one batch.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import (LineIntegral, OracleEstimate, _line_params,
-                          _oracle, _reduced_line_integral)
+                          _oracle_batch, _reduced_line_integral)
 from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
                          _require_tol)
 from .quadrature import (_checked, gaussian_truncation_point,
@@ -267,16 +270,29 @@ def _breakdown(spec, term_bounded, err, converged) -> ResponseBreakdown:
         abs_error_estimate=err, pole_location=None, converged=converged)
 
 
+def _response_oracle_key(spec: CircularDetectorSpec, dz: float | None,
+                         tol: float) -> tuple:
+    """The correlation._oracle_batch key of spec's response at height dz
+    (0 in free space) for a tol its public caller checked: the detector
+    with itself at one height, each pass to tol/4."""
+    z = dz if dz is not None else 0.0
+    return (spec, spec, z, z, dz is not None, tol / 4.0)
+
+
+def _real_estimate(est: OracleEstimate) -> OracleEstimate:
+    """A response oracle's estimate: P is real, so the value is the real
+    part and its imaginary part is added to the error estimate."""
+    return replace(est, value=est.value.real,
+                   error_estimate=est.error_estimate + abs(est.value.imag))
+
+
 def transition_probability_oracle_result(spec: CircularDetectorSpec,
                                          dz: float | None = None,
                                          tol: float = 1e-6) -> OracleEstimate:
-    """Definition-level response with error bookkeeping: the correlation
-    oracle correlation._oracle of spec with itself at height dz (0 in
-    free space), each pass to tol/4. P is real, so the value is the
-    real part and its imaginary part is added to the error estimate.
-    dz is checked as transition_probability checks it."""
+    """Definition-level response with error bookkeeping: the batch of one
+    of correlation._oracle_batch, spec with itself at height dz (0 in
+    free space), each pass to tol/4, as _real_estimate. dz is checked
+    as transition_probability checks it."""
     _require_dz(dz)
-    z = dz if dz is not None else 0.0
-    est = _oracle(spec, spec, z, z, dz is not None, _require_tol(tol) / 4.0)
-    return replace(est, value=est.value.real,
-                   error_estimate=est.error_estimate + abs(est.value.imag))
+    (est,) = _oracle_batch([_response_oracle_key(spec, dz, _require_tol(tol))])
+    return _real_estimate(_checked(est))

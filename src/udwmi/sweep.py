@@ -18,8 +18,12 @@ and mutual_information_point assembles the row. Output order is fixed
 by (curve, axis index) so files are byte-identical whatever the worker
 count. A failing point keeps its row with a fail status instead of
 aborting the run; otherwise its status is tagged from its values. The
-oracle suite maps its points on the same serial-or-pool helper, one
-process pool per call.
+oracle suite lowers its points the same way, to the keys of three
+batches: free-space responses, line integrals, and the oracles, both
+contour passes of each a member of one quadrature. It runs them on the
+same serial-or-pool helper, one process pool per call, then makes each
+point's P or C from its batch results as transition_probability and
+correlation_equal do alone.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
@@ -44,8 +48,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import (PairConfig, _reduced_line_integrals,
-                          correlation_equal, correlation_general_result)
+from .correlation import (PairConfig, _correlation_from_lines,
+                          _line_integral_args, _oracle_batch,
+                          _pair_oracle_key, _reduced_line_integrals,
+                          _require_equal_kinematics)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
                           _point_terms, mutual_information_point)
@@ -53,8 +59,9 @@ from .kinematics import (DomainError, _require_dz, _require_finite,
                          _require_integer, _require_orbit, _require_positive,
                          _require_sep, _require_tol,
                          detector_from_accel_radius)
-from .response import (_free_responses, transition_probability,
-                       transition_probability_oracle_result)
+from .quadrature import _checked
+from .response import (_free_responses, _image_line_args, _real_estimate,
+                       _response_oracle_key, transition_probability)
 
 __all__ = [
     "AXIS_NAMES",
@@ -271,8 +278,8 @@ def _fail_status(exc: Exception) -> str:
 
 def _evaluate_batch(batch, keys: list[tuple]) -> list:
     """The value, or the exception it failed with, of each key of a
-    batch function (_free_responses or _reduced_line_integrals), from
-    one lockstep batch. A batch that raises as a whole is run again one
+    batch function (_free_responses, _reduced_line_integrals or
+    _oracle_batch), from one lockstep batch. A batch that raises as a whole is run again one
     key at a time, so that a key's failure does not depend on the batch
     it shared."""
     try:
@@ -505,26 +512,6 @@ def _pair_from_params(p: dict,
     return PairConfig(det_a=det_a, det_b=det_b, sep=p["sep"], dz=p.get("dz"))
 
 
-def _suite_point(section: str, params: dict) -> dict:
-    """The deviation record of one point of a grid section, "response"
-    or "correlation"."""
-    if section == "response":
-        spec = detector_from_accel_radius(params["gap"], params["accel"],
-                                          params["radius"])
-        res = transition_probability(spec, params.get("dz"))
-        est = transition_probability_oracle_result(spec, params.get("dz"))
-        return _deviation_record(params, res.total, res.abs_error_estimate,
-                                 est.value, est.error_estimate,
-                                 est.evaluations)
-    pair = _pair_from_params(params)
-    res = correlation_equal(pair)
-    est = correlation_general_result(pair)
-    rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
-                            est.value, est.error_estimate, est.evaluations)
-    rec["c_boundary"] = _json_number(res.c_boundary)
-    return rec
-
-
 def _json_number(z) -> float | list[float]:
     """A real number as a float, a complex one as [re, im]: the JSON
     form of a value in a report or a printed record."""
@@ -550,24 +537,110 @@ def _deviation_record(params, value, err, oracle, oerr,
     }
 
 
+# the tolerances of a suite point: its reduced P and C, and the oracles
+# of P and of C (the defaults of transition_probability, correlation_equal,
+# transition_probability_oracle_result and correlation_general_result)
+_SUITE_TOL, _P_ORACLE_TOL, _C_ORACLE_TOL = 1e-8, 1e-6, 1e-7
+
+
+def _suite_plans(points: list[tuple]) -> tuple[list, list, list, list]:
+    """Lower (section, params) suite points, "response" or "correlation",
+    to the keys of the batches they need: one plan per point, then the
+    distinct free-space keys (response._free_responses), line keys
+    (correlation._reduced_line_integrals) and oracle keys
+    (correlation._oracle_batch), each listed once in the order the
+    plans first use it. A response plan is (detector, dz, free-space
+    index, image line index or None, oracle index), a correlation plan
+    (prefactor, line indices, oracle index), and a point that cannot
+    be lowered has its exception as its plan."""
+    frees: dict = {}
+    lines: dict = {}
+    oracles: dict = {}
+
+    def use(table: dict, key) -> int:
+        return table.setdefault(key, len(table))
+
+    plans = []
+    for section, p in points:
+        try:
+            if section == "response":
+                spec = detector_from_accel_radius(p["gap"], p["accel"],
+                                                  p["radius"])
+                dz = p.get("dz")
+                image = (None if dz is None else
+                         use(lines, _image_line_args(spec, dz, _SUITE_TOL)[1]))
+                plans.append((spec, dz, use(frees, (spec, _SUITE_TOL)), image,
+                              use(oracles, _response_oracle_key(
+                                  spec, dz, _P_ORACLE_TOL))))
+            else:
+                pair = _pair_from_params(p)
+                _require_equal_kinematics(pair)
+                pref, keys = _line_integral_args(pair, _SUITE_TOL)
+                plans.append((pref, [use(lines, key) for key in keys],
+                              use(oracles, _pair_oracle_key(pair,
+                                                            _C_ORACLE_TOL))))
+        except Exception as exc:  # raised in suite order, below
+            plans.append(exc)
+    return plans, list(frees), list(lines), list(oracles)
+
+
 def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     """Cross-check the fast paths against the definition-level oracles
     on a grid (a JSON path, preset name, or mapping) of points;
     pass/fail against the grid's rel_tol (default 1e-3 relative
     deviation).
 
-    The response and then the correlation points are mapped as one list
-    of calls, like a sweep's batches: serially unless given workers, and
-    to the same report at any worker count.
-    Unlike a sweep row, a point does not fail alone: its exception (a
-    DomainError for a bad point, a RuntimeError for an oracle that did
-    not converge) ends the suite, and its warnings are passed on."""
+    The response and then the correlation points are lowered
+    (_suite_plans) to three lockstep batches, as a sweep's pairs are:
+    their free-space responses, their line integrals (the image lines
+    of each mirror P and the lines of C) and their oracles, both
+    contour passes of each a member of one quadrature. These run
+    serially as one job each, or on a pool of workers as several
+    (_batch_jobs), to the same report at any worker count, since each
+    member equals its batch of one. Each P is then made by
+    transition_probability from its free-space response and image
+    line, and each C from its lines, as transition_probability and
+    correlation_equal make them alone.
+    Unlike a sweep row, a point does not fail alone: the first failure
+    in suite order (a DomainError for a bad point, a RuntimeError for
+    an oracle that did not converge) ends the suite, and its warnings
+    are passed on."""
     grid = load_grid(grid)
+    workers = _resolve_workers(workers)
     rel_tol = grid["rel_tol"]
     resp_points = grid["response_points"]
-    calls = ([("response", p) for p in resp_points]
-             + [("correlation", p) for p in grid["correlation_points"]])
-    records = _map(_suite_point, calls, _resolve_workers(workers))
+    points = ([("response", p) for p in resp_points]
+              + [("correlation", p) for p in grid["correlation_points"]])
+    plans, free_keys, line_keys, oracle_keys = _suite_plans(points)
+    jobs = (_batch_jobs(_free_responses, free_keys, workers)
+            + _batch_jobs(_reduced_line_integrals, line_keys, workers)
+            + _batch_jobs(_oracle_batch, oracle_keys, workers))
+    done = iter([res for job in _map(_evaluate_batch, jobs, workers)
+                 for res in job])
+    frees, lines, oracles = ([next(done) for _ in keys] for keys in (
+        free_keys, line_keys, oracle_keys))
+
+    records = []
+    for (section, params), plan in zip(points, plans):
+        if section == "response":
+            spec, dz, free, image, oracle = _checked(plan)
+            res = transition_probability(
+                spec, dz, _SUITE_TOL, _checked(frees[free]),
+                None if image is None else _checked(lines[image]))
+            est = _real_estimate(_checked(oracles[oracle]))
+            records.append(_deviation_record(
+                params, res.total, res.abs_error_estimate, est.value,
+                est.error_estimate, est.evaluations))
+            continue
+        pref, parts, oracle = _checked(plan)
+        res = _correlation_from_lines(pref, [_checked(lines[i])
+                                             for i in parts])
+        est = _checked(oracles[oracle])
+        rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
+                                est.value, est.error_estimate,
+                                est.evaluations)
+        rec["c_boundary"] = _json_number(res.c_boundary)
+        records.append(rec)
     resp_records = records[:len(resp_points)]
     corr_records = records[len(resp_points):]
 

@@ -15,9 +15,10 @@ from udwmi import (
     correlation_general_result,
     detector_from_accel_radius,
 )
-from udwmi.correlation import (_U_CUT, _contours, _line_params, _line_pole,
-                               _oracle_pass, _oracle_rows,
-                               _reduced_line_integral,
+from udwmi.correlation import (_U_CUT, _contours, _KernelTerms,
+                               _kernel_terms, _line_params, _line_pole,
+                               _oracle_batch, _oracle_passes, _oracle_rows,
+                               _pair_oracle_key, _reduced_line_integral,
                                _reduced_line_integrals, _wightman_kernel,
                                composite_gauss_legendre)
 
@@ -34,6 +35,41 @@ def pair(accel, radius, sep, dz=None, gap_a=0.1, gap_b=0.1):
     return PairConfig(det_a=da, det_b=db, sep=sep, dz=dz)
 
 
+def kernel_grid(det_a, det_b, z_a, z_b, mirror, u):
+    """The oracle's kernel between det_a at height z_a and det_b at z_b
+    at the inner nodes u, as a function of a column of c: the block of
+    rows _wightman_kernel makes of them, from the terms _kernel_terms
+    gives the nodes."""
+    u = np.asarray(u, dtype=float)
+    node_terms, pass_terms = _kernel_terms([(det_a, det_b, z_a, z_b, mirror)],
+                                           u, [u.size])
+
+    def kernel(c):
+        c = np.asarray(c, dtype=complex)
+        assert c.ndim == 2 and c.shape[1] == 1
+        shape = (c.shape[0], u.size)
+        terms = _KernelTerms(
+            *(np.broadcast_to(x, shape) for x in node_terms),
+            *(np.broadcast_to(x, c.shape[:1]) for x in pass_terms))
+        return _wightman_kernel(terms, c[:, 0])
+
+    return kernel
+
+
+def pass_rows(*oracle_pass):
+    """The rows, as a function of s, of one pass (det_a, det_b, z_a,
+    z_b, mirror, eta, n_u): _oracle_rows of that pass alone."""
+    rows = _oracle_rows([oracle_pass])
+    return lambda s: rows(s[None, :], np.zeros(1, dtype=int))[0]
+
+
+def one_pass(*oracle_pass, tol):
+    """The integral of one pass alone: its batch of one of
+    _oracle_passes."""
+    (res,) = _oracle_passes([oracle_pass], tol)
+    return res
+
+
 class TestWightman:
     # W on the oracle's kernel, at the complex proper times tau_A = u + c
     # and tau_B = u - c where the oracle evaluates it, on unequal orbits
@@ -45,7 +81,7 @@ class TestWightman:
 
     def kernel(self, z_a, z_b, mirror, swap=False):
         dets = (self.DET_B, self.DET_A) if swap else (self.DET_A, self.DET_B)
-        return _wightman_kernel(*dets, z_a, z_b, mirror, self.U)
+        return kernel_grid(*dets, z_a, z_b, mirror, self.U)
 
     def test_free_hermiticity(self):
         # W(x_A, x_B) = conj(W(x_B*, x_A*)), x* the event at the conjugate
@@ -70,13 +106,13 @@ class TestWightman:
         assert not self.kernel(0.3, 0.0, True)(self.C).any()
 
     def test_equal_orbits_are_constant_along_u(self):
-        # on equal orbits the interval depends on c alone (_oracle), so
+        # on equal orbits the interval depends on c alone, so
         # each row takes one value at every inner node, with and without
         # the mirror
         u = np.linspace(-_U_CUT, _U_CUT, 7)
         for mirror in (False, True):
-            w = _wightman_kernel(self.DET_A, self.DET_A, 0.3, 1.1, mirror,
-                                 u)(self.C)
+            w = kernel_grid(self.DET_A, self.DET_A, 0.3, 1.1, mirror,
+                            u)(self.C)
             assert w.shape == (self.C.size, u.size)
             assert np.array_equal(w, np.broadcast_to(w[:, :1], w.shape))
             assert np.all(np.isfinite(w)) and np.all(w != 0.0)
@@ -483,13 +519,13 @@ class TestDefinitionOracle:
         from udwmi import correlation
 
         calls = []
-        one_pass = correlation._oracle_pass
+        rows_of = correlation._oracle_rows
 
-        def counted(*args):
-            calls.append(args[5:7])
-            return one_pass(*args)
+        def counted(passes):
+            calls.extend(p[5:7] for p in passes)
+            return rows_of(passes)
 
-        monkeypatch.setattr(correlation, "_oracle_pass", counted)
+        monkeypatch.setattr(correlation, "_oracle_rows", counted)
         cfg = pair(1.0, 1.0, sep=1.0)
         est = correlation_general_result(cfg, tol=1e-6)
         (eta_1, n_u), (eta_2, n_fine) = calls
@@ -499,17 +535,18 @@ class TestDefinitionOracle:
         assert est.value == est.samples[1][1]
 
     def test_evaluations_count_every_pass(self, monkeypatch):
+        # both passes are members of the one quadrature batch
         from udwmi import correlation
 
         counts = []
-        one_pass = correlation._oracle_pass
+        batch = correlation.integrate_adaptive_batch
 
-        def counted(*args):
-            res = one_pass(*args)
-            counts.append(res.evaluations)
-            return res
+        def counted(*args, **kwargs):
+            results = batch(*args, **kwargs)
+            counts.extend(res.evaluations for res in results)
+            return results
 
-        monkeypatch.setattr(correlation, "_oracle_pass", counted)
+        monkeypatch.setattr(correlation, "integrate_adaptive_batch", counted)
         est = correlation_general_result(pair(1.0, 1.0, sep=1.0), tol=1e-6)
         assert len(counts) == 2
         assert est.evaluations == sum(counts)
@@ -559,7 +596,7 @@ def bits(res):
 
 
 def oracle_args(det_a, det_b, z_a, z_b, mirror):
-    """The arguments of _oracle_pass before its contour, and the
+    """The entries of an oracle pass before its contour, and the
     (eta, n_u) contours _oracle gives equal-kinematics detectors of one
     gap."""
     eta_1, eta_2 = _contours(det_a, det_b)
@@ -584,59 +621,156 @@ UNEQUAL = PairConfig(det_a=TestWightman.DET_A, det_b=TestWightman.DET_B,
                      sep=0.8, dz=0.3)
 
 
+def estimate_bits(est):
+    """An OracleEstimate, or the exception it failed with, with every
+    float as its exact hex form."""
+    if isinstance(est, Exception):
+        return repr(est)
+    return (bits_of(est.value), est.error_estimate.hex(),
+            [(eta.hex(), bits_of(v)) for eta, v in est.samples],
+            est.evaluations)
+
+
+def bits_of(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+# oracle keys (det_a, det_b, z_a, z_b, mirror, tol) of every kind:
+# correlations and responses, equal and unequal orbits, the mirror and
+# free space, a static detector, and unequal gaps
+MIXED_KEYS = [
+    _pair_oracle_key(pair(1.0, 1.0, sep=1.0), 1e-5),
+    _pair_oracle_key(UNEQUAL, 1e-5),
+    (*response_args(detector_from_accel_radius(0.3, 0.1, 1.0), 0.5)[0],
+     2.5e-7),
+    _pair_oracle_key(pair(5.0, 0.02, sep=1.0, dz=0.1, gap_b=1.1), 1e-7),
+    (*response_args(detector_from_accel_radius(0.1, 0.0, 1.0), None)[0],
+     2.5e-7),
+    _pair_oracle_key(PairConfig(
+        det_a=TestWightman.DET_B, det_b=TestWightman.DET_A, sep=0.5), 1e-6),
+]
+
+
+class TestOracleBatch:
+    # every pass of every key is a member of one quadrature batch; each
+    # key's estimate equals its batch of one bit for bit
+    def test_members_equal_batches_of_one(self):
+        together = _oracle_batch(MIXED_KEYS)
+        alone = [_oracle_batch([key])[0] for key in MIXED_KEYS]
+        assert ([estimate_bits(est) for est in together]
+                == [estimate_bits(est) for est in alone])
+        assert not any(isinstance(est, Exception) for est in together)
+        # in reverse order too, which puts the members in other runs
+        backwards = _oracle_batch(MIXED_KEYS[::-1])[::-1]
+        assert ([estimate_bits(est) for est in backwards]
+                == [estimate_bits(est) for est in alone])
+
+    def test_public_oracles_are_batches_of_one(self):
+        from udwmi import response
+
+        cfg = pair(5.0, 0.02, sep=1.0, dz=0.1, gap_b=1.1)
+        (est,) = _oracle_batch([_pair_oracle_key(cfg, 1e-7)])
+        assert (estimate_bits(correlation_general_result(cfg, 1e-7))
+                == estimate_bits(est))
+        spec = detector_from_accel_radius(0.3, 0.1, 1.0)
+        (est,) = _oracle_batch([(*response_args(spec, 0.5)[0], 2.5e-7)])
+        got = response.transition_probability_oracle_result(spec, 0.5, 1e-6)
+        assert got.value == est.value.real
+        assert got.error_estimate == est.error_estimate + abs(est.value.imag)
+        assert got.samples == est.samples
+        assert got.evaluations == est.evaluations
+
+    def test_a_failing_key_fails_alone(self, monkeypatch):
+        # a second contour beyond the tube of a gamma = 20 orbit: that
+        # key's passes disagree, and it fails with its RuntimeError
+        # while the other keys of its batch keep their estimates
+        from udwmi import correlation
+
+        fast = detector_from_accel_radius(0.1, 40.0, 10.0)
+        eta_1, _ = _contours(fast, fast)
+        keys = [MIXED_KEYS[2], (fast, fast, 0.1, 0.1, True, 2.5e-7),
+                MIXED_KEYS[4]]
+        contours = correlation._contours
+        monkeypatch.setattr(
+            correlation, "_contours", lambda a, b: (
+                (eta_1, 0.2) if a is fast else contours(a, b)))
+        ests = _oracle_batch(keys)
+        assert isinstance(ests[1], RuntimeError)
+        assert "differ by 1.4" in str(ests[1])
+        assert ([estimate_bits(ests[i]) for i in (0, 2)]
+                == [estimate_bits(_oracle_batch([keys[i]])[0])
+                    for i in (0, 2)])
+
+
 class TestOracleRowBlocks:
     # the oracle integrand evaluates its abscissae in row blocks of at
     # most correlation._BLOCK inner-grid elements; every row is reduced
-    # alone, so the block size cannot change a pass
+    # alone, so the block size cannot change an estimate
     def test_one_row_blocks_equal_default_blocks(self, monkeypatch):
         from udwmi import correlation
 
-        def passes():
-            spec = detector_from_accel_radius(0.3, 0.1, 1.0)
-            return [bits(_oracle_pass(*args, eta, n_u, 1e-5))
-                    for args, contours in (
-                        pair_args(pair(1.0, 1.0, sep=1.0)),
-                        response_args(spec, 0.5),
-                        pair_args(UNEQUAL))
-                    for eta, n_u in contours]
+        def estimates():
+            return [estimate_bits(est) for est in _oracle_batch(MIXED_KEYS[:3])]
 
-        default = passes()
+        default = estimates()
         monkeypatch.setattr(correlation, "_BLOCK", 1)
-        assert passes() == default
+        assert estimates() == default
 
     def test_one_row_equals_its_row_among_many(self):
         # an equal-orbit row is one inner node, so a block of one row is
         # an array of one element; it must round as the same row in a
-        # longer array does, with the mirror's product too
+        # longer array does, with the mirror's product too, and among
+        # the rows of other passes
         spec = detector_from_accel_radius(0.1, 1.0, 1.0)
-        s = np.random.default_rng(5).uniform(-2.0 * _U_CUT, 2.0 * _U_CUT,
-                                             200)
+        rng = np.random.default_rng(5)
+        s = rng.uniform(-2.0 * _U_CUT, 2.0 * _U_CUT, 200)
+        passes = []
         for dz in (0.3, None):
             args, contours = response_args(spec, dz)
+            passes += [(*args, eta, n_u) for eta, n_u in contours]
             for eta, n_u in contours:
-                rows = _oracle_rows(*args, eta, n_u)
+                rows = pass_rows(*args, eta, n_u)
                 together = rows(s)
                 alone = np.concatenate([rows(s[i:i + 1])
                                         for i in range(s.size)])
                 assert np.array_equal(alone, together)
+        args, contours = pair_args(UNEQUAL)
+        passes += [(*args, eta, n_u) for eta, n_u in contours]
+        member = rng.integers(0, len(passes), s.size)
+        mixed = _oracle_rows(passes)(s[:, None], member)[:, 0]
+        for i, oracle_pass in enumerate(passes):
+            mine = member == i
+            assert np.array_equal(mixed[mine], pass_rows(*oracle_pass)(s[mine]))
 
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
-        # count: the two passes peak at 0.13 MiB on the equal orbits
-        # (one inner node a row) and at 0.54 MiB on the unequal ones (a
-        # block's own temporaries at 512 KiB, see correlation._BLOCK)
+        # count: a batch of the 39 oracles of the bundled oracle_grid
+        # (78 passes) peaks at 0.90 MiB, most of it the first round of
+        # its quadrature's runs of up to 1024 panels, and one of an
+        # equal and an unequal orbit pair at 0.46 MiB (see
+        # correlation._BLOCK)
         import tracemalloc
 
-        for cfg in (pair(5.0, 0.02, sep=1.0, dz=0.1), UNEQUAL):
-            args, contours = pair_args(cfg)
+        from udwmi.response import _response_oracle_key
+        from udwmi.sweep import _pair_from_params, load_grid
+
+        grid = load_grid("oracle_grid")
+        keys = [_response_oracle_key(detector_from_accel_radius(
+                    p["gap"], p["accel"], p["radius"]), p.get("dz"), 1e-6)
+                for p in grid["response_points"]]
+        keys += [_pair_oracle_key(_pair_from_params(p), 1e-7)
+                 for p in grid["correlation_points"]]
+        for batch in (keys, [_pair_oracle_key(pair(5.0, 0.02, sep=1.0,
+                                                   dz=0.1), 1e-7),
+                             _pair_oracle_key(UNEQUAL, 1e-7)]):
             tracemalloc.start()
             try:
-                for eta, n_u in contours:
-                    _oracle_pass(*args, eta, n_u, 1e-7)
+                _oracle_batch(batch)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 16 * 2 ** 20
+            assert peak < 2 * 2 ** 20
 
 
 class TestEqualOrbitRows:
@@ -666,12 +800,12 @@ class TestEqualOrbitRows:
             u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
             weights = w * np.exp(-u * u - 1j * gap_diff * u)
             ds = s - 1j * eta
-            kernel = _wightman_kernel(*args, u)(0.5 * ds[:, None])
+            kernel = kernel_grid(*args, u)(0.5 * ds[:, None])
             assert kernel.shape == (s.size, u.size)
             row_factor = np.exp(-0.25 * ds * ds - 0.5j * gap_sum * ds)
             full = row_factor * np.einsum("ij,j->i", kernel, weights)
             scale = abs(row_factor) * (abs(kernel) @ abs(weights))
-            got = _oracle_rows(*args, eta, n_u)(s)
+            got = pass_rows(*args, eta, n_u)(s)
             assert np.all(abs(got - full) <= 16.0 * np.finfo(float).eps
                           * scale)
 
@@ -723,7 +857,7 @@ class TestWightmanKernel:
         eta = _contours(det_a, det_b)[rung]
         u = np.array(u)
         c = 0.5 * (np.array(s) - 1j * eta)[:, None]
-        got = _wightman_kernel(det_a, det_b, z_a, z_b, mirror, u)(c)
+        got = kernel_grid(det_a, det_b, z_a, z_b, mirror, u)(c)
         events = (det_a, z_a, u + c, det_b, z_b, u - c)
         want = long_double.wightman(*events, mirror)
         direct = long_double.wightman(*events, False)
@@ -754,15 +888,16 @@ class TestOracleRowPrecision:
         args, contours = response_args(spec, 0.1)
         s = np.linspace(-2.0 * _U_CUT, 2.0 * _U_CUT, 1025)
         for eta, n_u in contours:
-            got = _oracle_rows(*args, eta, n_u)(s)
+            got = pass_rows(*args, eta, n_u)(s)
             exact = long_double.oracle_rows(*args, eta, n_u, s)
             assert long_double.worst_error(got, exact) <= 1e-12
 
 
 class TestRungBatch:
     # each of the oracle's two contours, the rungs of its eta ladder, is
-    # a pass of its own, a batch of one of integrate_adaptive_batch; the
-    # estimate takes its passes' values and counts as they stand
+    # a pass, a member of a batch of integrate_adaptive_batch that
+    # equals the pass alone; the estimate takes its passes' values and
+    # counts as they stand
     @pytest.mark.parametrize("cfg", [
         pair(5.0, 0.02, sep=1.0, dz=0.1),      # mirror
         pair(1.0, 1.0, sep=1.0),               # free space
@@ -771,7 +906,7 @@ class TestRungBatch:
     def test_correlation_rungs_equal_batches_of_one(self, cfg):
         args, contours = pair_args(cfg)
         est = correlation_general_result(cfg, tol=1e-7)
-        alone = [_oracle_pass(*args, eta, n_u, 1e-7)
+        alone = [one_pass(*args, eta, n_u, tol=1e-7)
                  for eta, n_u in contours]
         assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
                                     in zip(contours, alone, strict=True))
@@ -792,7 +927,7 @@ class TestRungBatch:
         spec = detector_from_accel_radius(0.1, accel, radius)
         args, contours = response_args(spec, dz)
         est = response.transition_probability_oracle_result(spec, dz, 1e-6)
-        alone = [_oracle_pass(*args, eta, n_u, 2.5e-7)
+        alone = [one_pass(*args, eta, n_u, tol=2.5e-7)
                  for eta, n_u in contours]
         assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
                                     in zip(contours, alone, strict=True))

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -24,11 +25,12 @@ from udwmi.correlation import (PairConfig, _line_integral_args, _reduced_line_in
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
-from udwmi.response import _image_line_args, transition_probability
+from udwmi.response import (_free_responses, _image_line_args,
+                            transition_probability)
 from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
-                         SweepSpec, count_interior_maxima, emit_table,
-                         load_config, load_grid, point_record,
-                         run_oracle_suite, run_sweep)
+                         SweepSpec, _deviation_record, _json_number,
+                         count_interior_maxima, emit_table, load_config,
+                         load_grid, point_record, run_oracle_suite, run_sweep)
 
 CHEAP = dict(gap_a=0.5, accel=0.1, radius=1.0, dz=0.5)
 # every status a row can have but a fail:<exception>:<detail> one
@@ -383,6 +385,20 @@ class TestRunSweep:
         path.write_text(json.dumps(grid))
         assert cli.main(["verify", "--grid", str(path),
                          "--out", str(tmp_path / "report.json")]) == 0
+
+
+def oracles_zeroed(section):
+    """correlation._oracle_batch with a zero estimate, not evaluated, for
+    each key of one suite section: "response" (a detector with itself
+    at one height) or "correlation"."""
+    def batch(keys):
+        zero = [(key[2] == key[3]) == (section == "response") for key in keys]
+        kept = iter(correlation._oracle_batch(
+            [key for key, z in zip(keys, zero) if not z]))
+        return [correlation.OracleEstimate(0j, 0.0, (), 0) if z
+                else next(kept) for z in zero]
+
+    return batch
 
 
 def reference_record(params, tol):
@@ -934,16 +950,17 @@ class TestOracleSuite:
 
     def test_records_count_oracle_evaluations(self, smoke_report,
                                               monkeypatch):
-        # both contour passes of a point's oracle, summed
-        one_pass = correlation._oracle_pass
+        # both contour passes of a point's oracle, summed: the two
+        # members of the quadrature batch of its oracle alone
+        batch = correlation.integrate_adaptive_batch
         calls = []
 
-        def counted(*args):
-            res = one_pass(*args)
-            calls.append(res.evaluations)
-            return res
+        def counted(*args, **kwargs):
+            results = batch(*args, **kwargs)
+            calls.extend(res.evaluations for res in results)
+            return results
 
-        monkeypatch.setattr(correlation, "_oracle_pass", counted)
+        monkeypatch.setattr(correlation, "integrate_adaptive_batch", counted)
         for rec in smoke_report["response"]["points"]:
             p = rec["params"]
             calls.clear()
@@ -973,13 +990,13 @@ class TestOracleSuite:
             return dataclasses.replace(res, total=res.total * 1.01)
 
         monkeypatch.setattr(sweep_mod, "transition_probability", corrupted)
-        # correlation zeroed out so only the response check runs
-        monkeypatch.setattr(sweep_mod, "correlation_equal",
-                            lambda pair: correlation.CorrelationResult(
+        # correlation zeroed out so only the response check runs: its
+        # reduced value, and its oracle in the suite's oracle batch
+        monkeypatch.setattr(sweep_mod, "_correlation_from_lines",
+                            lambda pref, lines: correlation.CorrelationResult(
                                 0j, 0j, 0j, 0.0, True))
-        monkeypatch.setattr(sweep_mod, "correlation_general_result",
-                            lambda pair: correlation.OracleEstimate(
-                                0j, 0.0, (), 0))
+        monkeypatch.setattr(sweep_mod, "_oracle_batch",
+                            oracles_zeroed("correlation"))
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
         assert rep["response"]["max_rel_dev"] > 5e-3
@@ -988,23 +1005,135 @@ class TestOracleSuite:
     def test_corrupted_correlation_is_caught(self, monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        value_fn = sweep_mod.correlation_equal
+        value_fn = sweep_mod._correlation_from_lines
 
-        def corrupted(pair):
-            res = value_fn(pair)
+        def corrupted(pref, lines):
+            res = value_fn(pref, lines)
             return dataclasses.replace(res, c_total=res.c_total * (1.0 + 5e-3))
 
         # response zeroed out so only the correlation check runs
         monkeypatch.setattr(sweep_mod, "transition_probability",
-                            lambda spec, dz: response.ResponseBreakdown(
+                            lambda *args: response.ResponseBreakdown(
                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True))
-        monkeypatch.setattr(sweep_mod, "transition_probability_oracle_result",
-                            lambda spec, dz: correlation.OracleEstimate(
-                                0.0, 0.0, (), 0))
-        monkeypatch.setattr(sweep_mod, "correlation_equal", corrupted)
+        monkeypatch.setattr(sweep_mod, "_oracle_batch",
+                            oracles_zeroed("response"))
+        monkeypatch.setattr(sweep_mod, "_correlation_from_lines", corrupted)
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
         assert rep["correlation"]["max_rel_dev"] > 2e-3
+
+    @pytest.mark.parametrize("name", ["oracle_grid_smoke", "oracle_corners"])
+    def test_records_equal_points_evaluated_alone(self, name):
+        # the suite's batches give each point the terms the public
+        # functions give it alone, to the last bit
+        grid = load_grid(name)
+        report = run_oracle_suite(grid)
+        alone = []
+        for p in grid["response_points"]:
+            spec = detector_from_accel_radius(p["gap"], p["accel"],
+                                              p["radius"])
+            res = transition_probability(spec, p.get("dz"))
+            est = response.transition_probability_oracle_result(spec,
+                                                                 p.get("dz"))
+            alone.append(_deviation_record(
+                p, res.total, res.abs_error_estimate, est.value,
+                est.error_estimate, est.evaluations))
+        assert (float_bits(report["response"]["points"])
+                == float_bits(alone))
+        alone = []
+        for p in grid["correlation_points"]:
+            pair = PairConfig(
+                det_a=detector_from_accel_radius(p["gap_a"], p["accel"],
+                                                 p["radius"]),
+                det_b=detector_from_accel_radius(p["gap_b"], p["accel"],
+                                                 p["radius"]),
+                sep=p["sep"], dz=p.get("dz"))
+            res = correlation_equal(pair)
+            est = correlation.correlation_general_result(pair)
+            rec = _deviation_record(p, res.c_total, res.abs_error_estimate,
+                                    est.value, est.error_estimate,
+                                    est.evaluations)
+            rec["c_boundary"] = _json_number(res.c_boundary)
+            alone.append(rec)
+        assert (float_bits(report["correlation"]["points"])
+                == float_bits(alone))
+
+    def test_permuted_grid_gives_permuted_records(self):
+        # the benchmark shuffles the points of oracle_grid; a record
+        # does not depend on where its point stands
+        grid = load_grid("oracle_grid")
+        report = run_oracle_suite(grid)
+        rng = random.Random(40)
+        permuted, orders = dict(grid), {}
+        for section in ("response", "correlation"):
+            points = grid[f"{section}_points"]
+            orders[section] = rng.sample(range(len(points)), len(points))
+            permuted[f"{section}_points"] = [points[i]
+                                             for i in orders[section]]
+        got = run_oracle_suite(permuted)
+        for section, order in orders.items():
+            assert float_bits(got[section]["points"]) == float_bits(
+                [report[section]["points"][i] for i in order])
+            assert (float_bits(got[section]["max_rel_dev"])
+                    == float_bits(report[section]["max_rel_dev"]))
+
+    def test_first_failure_in_suite_order_is_raised(self, monkeypatch):
+        # the oracles of two response points fail (a second contour
+        # beyond the tube of a gamma = 20 orbit), and so does a
+        # correlation point (coincident detectors): the suite raises
+        # the first failure in suite order, the responses before the
+        # correlations, as it did when it ran its points one by one
+        fast = detector_from_accel_radius(0.1, 40.0, 10.0)
+        eta_1, _ = correlation._contours(fast, fast)
+        monkeypatch.setattr(correlation, "_contours",
+                            lambda *_: (eta_1, 0.2))
+
+        def failing(gap):
+            point = {"gap": gap, "accel": 40.0, "radius": 10.0, "dz": 0.1}
+            with pytest.raises(RuntimeError) as alone:
+                response.transition_probability_oracle_result(
+                    detector_from_accel_radius(gap, 40.0, 10.0), 0.1)
+            return point, str(alone.value)
+
+        (first, first_msg), (second, second_msg) = failing(0.1), failing(2.0)
+        assert first_msg != second_msg
+        good = {"gap": 0.5, "accel": 0.1, "radius": 1.0, "dz": 0.5}
+        coincident = {"gap_a": 0.1, "gap_b": 0.1, "accel": 1.0,
+                      "radius": 1.0, "sep": 0.0, "dz": 1.0}
+        for points, message in (([good, first, second], first_msg),
+                                ([second, good, first], second_msg)):
+            grid = {"correlation_points": [coincident],
+                    "response_points": points}
+            with pytest.raises(RuntimeError) as caught:
+                run_oracle_suite(grid)
+            assert str(caught.value) == message
+        with pytest.raises(DomainError, match="coincident detectors"):
+            run_oracle_suite({"correlation_points": [coincident],
+                              "response_points": [good]})
+
+    def test_pool_maps_batch_jobs(self, monkeypatch):
+        # with workers, the pool gets jobs of the suite's three batches,
+        # as a sweep's: fewer jobs than keys, not a point per task
+        from udwmi import sweep as sweep_mod
+
+        mapped = []
+
+        def serial(fn, calls, workers):
+            mapped.append((fn, calls, workers))
+            return [fn(*args) for args in calls]
+
+        monkeypatch.setattr(sweep_mod, "_map", serial)
+        report = run_oracle_suite("oracle_grid", workers=2)
+        ((fn, jobs, workers),) = mapped
+        assert fn is sweep_mod._evaluate_batch and workers == 2
+        assert {batch for batch, _ in jobs} == {
+            _free_responses, _reduced_line_integrals,
+            correlation._oracle_batch}
+        oracle_jobs = [keys for batch, keys in jobs
+                       if batch is correlation._oracle_batch]
+        assert sum(map(len, oracle_jobs)) == 39 > len(oracle_jobs) > 1
+        assert float_bits(report) == float_bits(run_oracle_suite(
+            "oracle_grid"))
 
     def test_pool_report_is_bit_identical(self, smoke_report):
         pooled = run_oracle_suite("oracle_grid_smoke", workers=2)
