@@ -279,9 +279,9 @@ def _fail_status(exc: Exception) -> str:
 def _evaluate_batch(batch, keys: list[tuple]) -> list:
     """The value, or the exception it failed with, of each key of a
     batch function (_free_responses, _reduced_line_integrals or
-    _oracle_batch), from one lockstep batch. A batch that raises as a whole is run again one
-    key at a time, so that a key's failure does not depend on the batch
-    it shared."""
+    _oracle_batch), from one lockstep batch. A batch that raises as a
+    whole is run again one key at a time, so that a key's failure does
+    not depend on the batch it shared."""
     try:
         return batch(keys)
     except Exception as exc:  # per-point isolation is the contract

@@ -666,21 +666,6 @@ class TestOracleBatch:
         assert ([estimate_bits(est) for est in backwards]
                 == [estimate_bits(est) for est in alone])
 
-    def test_public_oracles_are_batches_of_one(self):
-        from udwmi import response
-
-        cfg = pair(5.0, 0.02, sep=1.0, dz=0.1, gap_b=1.1)
-        (est,) = _oracle_batch([_pair_oracle_key(cfg, 1e-7)])
-        assert (estimate_bits(correlation_general_result(cfg, 1e-7))
-                == estimate_bits(est))
-        spec = detector_from_accel_radius(0.3, 0.1, 1.0)
-        (est,) = _oracle_batch([(*response_args(spec, 0.5)[0], 2.5e-7)])
-        got = response.transition_probability_oracle_result(spec, 0.5, 1e-6)
-        assert got.value == est.value.real
-        assert got.error_estimate == est.error_estimate + abs(est.value.imag)
-        assert got.samples == est.samples
-        assert got.evaluations == est.evaluations
-
     def test_a_failing_key_fails_alone(self, monkeypatch):
         # a second contour beyond the tube of a gamma = 20 orbit: that
         # key's passes disagree, and it fails with its RuntimeError
