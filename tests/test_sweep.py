@@ -28,7 +28,7 @@ from udwmi.kinematics import DomainError, detector_from_accel_radius
 from udwmi.response import (_free_responses, _image_line_args,
                             transition_probability)
 from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
-                         SweepSpec, _deviation_record, _json_number,
+                         SweepRow, SweepSpec, _deviation_record, _json_number,
                          count_interior_maxima, emit_table, load_config,
                          load_grid, point_record, run_oracle_suite, run_sweep)
 
@@ -845,6 +845,50 @@ class TestEmitTable:
 
     def test_record_keys_match_columns(self, rows):
         assert set(rows[0].to_record()) == set(COLUMNS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_hand_made_rows_give_golden_bytes(self, fmt):
+        # every kind of cell: the least subnormal, -0.0, NaN and +-inf,
+        # 12 digits of 1/3 and of a 17-digit integer, an empty dz in
+        # free space, both flags, and statuses with a comma and double
+        # quotes, which CSV quotes and JSON escapes
+        nan, inf = math.nan, math.inf
+        rows = [
+            SweepRow(0.1, 0.15, 2.0, 0.02, 1.0 / 3.0, 0.1, False, 5e-324,
+                     -0.0, 1.5e-300, -2.5e-7, 0.1 + 0.2,
+                     123456789012345678.0, -1e-12, 0.0, 7.0, 0.25, 1e300,
+                     4.2e-5, -3.0e-20, 1e-15, "ok"),
+            SweepRow(1.0, 1.0, 30.0, 1.0, 0.5, None, True, *[nan] * 14,
+                     'fail:DomainError:p_a + p_b = 1.5, "beyond" 1'),
+            SweepRow(0.5, 0.5, 0.0, 10.0, 8.0, 3 * 5e-324, False, inf, -inf,
+                     -0.0, 0.0, inf, 1.0, -1.0, 2.0, -2.0, inf, -inf, 0.0,
+                     nan, 100.0, 'warn:a "quoted" tag'),
+        ]
+        buf = io.StringIO()
+        emit_table(rows, fmt, buf)
+        if fmt == "csv":
+            assert buf.getvalue() == (
+                ",".join(COLUMNS) + "\n"
+                "0.1,0.15,2,0.02,0.333333333333,0.1,false,"
+                "4.94065645841e-324,-0,1.5e-300,-2.5e-07,0.3,"
+                "1.23456789012e+17,-1e-12,0,7,0.25,1e+300,4.2e-05,-3e-20,"
+                "1e-15,ok\n"
+                "1,1,30,1,0.5,,true," + "nan," * 14
+                + '"fail:DomainError:p_a + p_b = 1.5, ""beyond"" 1"\n'
+                "0.5,0.5,0,10,8,1.48219693752e-323,false,inf,-inf,-0,0,inf,"
+                '1,-1,2,-2,inf,-inf,0,nan,100,"warn:a ""quoted"" tag"\n')
+            return
+        expected = [dict(zip(COLUMNS, cells, strict=True)) for cells in (
+            (0.1, 0.15, 2.0, 0.02, 0.333333333333, 0.1, False, 5e-324, -0.0,
+             1.5e-300, -2.5e-07, 0.3, 1.23456789012e+17, -1e-12, 0.0, 7.0,
+             0.25, 1e+300, 4.2e-05, -3e-20, 1e-15, "ok"),
+            (1.0, 1.0, 30.0, 1.0, 0.5, None, True, *[None] * 14,
+             'fail:DomainError:p_a + p_b = 1.5, "beyond" 1'),
+            (0.5, 0.5, 0.0, 10.0, 8.0, 1.5e-323, False, None, None, -0.0,
+             0.0, None, 1.0, -1.0, 2.0, -2.0, None, None, 0.0, None, 100.0,
+             'warn:a "quoted" tag'))]
+        assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+        assert '"P_B": -0.0,\n' in buf.getvalue()
 
 
 class TestConfigLoading:
