@@ -18,13 +18,15 @@ independent routes:
   plus the closed-form half residues, and C comes out real. s0 is found
   by a monotone Newton iteration in plain floats (_line_pole). The line
   integrals of a list are the members of one principal-value batch
-  (_reduced_line_integrals), each started on the mesh its
-  integrand needs: about 1.5 panels per period of cos(k s) and of the
-  orbit's ripple on D over its range; a pole beyond the switching
-  envelope lies outside its member's range, which leaves the regular
-  integral. The batch's results stay arrays (quadrature's
-  _principal_values) until each LineIntegral, the one result object of
-  a line, is made from them with its residues.
+  (_line_batch, the array core of the line stage), each started on the
+  mesh its integrand needs: about 1.5 panels per period of cos(k s) and
+  of the orbit's ripple on D over its range; a pole beyond the
+  switching envelope lies outside its member's range, which leaves the
+  regular integral. Its results, residues and branches included, are
+  arrays (_Lines) with failures by index, as quadrature's _Batch is; C
+  is made from their records, and a LineIntegral, the one result object
+  of a line, only at the edge, _reduced_line_integrals, or for the image
+  line a mirror P takes as line=.
   The direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
@@ -57,6 +59,7 @@ independent routes:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -67,7 +70,7 @@ import numpy as np
 from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
                          _require_sep, _require_tol)
 from .quadrature import (QuadratureResult, _checked, _principal_values,
-                         integrate_adaptive_batch)
+                         _scatter, integrate_adaptive_batch)
 
 __all__ = [
     "PairConfig",
@@ -182,11 +185,37 @@ def _line_pole(L_eff: float, radius: float, omega: float,
         s = step
 
 
-def _reduced_line_integrals(keys) -> list:
+class _Lines(NamedTuple):
+    """The reduced line integrals of a list of keys as arrays, one entry
+    per key, in LineIntegral's field order: values, errors,
+    evaluations, converged, poles, residues and far (the branch), then
+    failures, the exception of each key that failed by index (its
+    entries are no result)."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+    poles: np.ndarray
+    residues: np.ndarray
+    far: np.ndarray
+    failures: dict
+
+    def records(self) -> list[tuple]:
+        """Each key's entries as a tuple of plain floats, ints and bools
+        in LineIntegral's field order."""
+        return list(zip(*(column.tolist() for column in self[:7])))
+
+
+# the entries of a key that failed, field by field
+_NO_LINE = (math.nan, math.nan, 0, False, math.nan, math.nan, False)
+
+
+def _line_batch(keys) -> _Lines:
     """Reduced line integrals of a list of argument tuples (L_eff, R,
-    omega, gamma, k, s_env, tol): each the distributional integral of
-    exp(-s^2/(4 gamma^2) + i k s)/D(s) over the real line with
-    D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
+    omega, gamma, k, s_env, tol), as _Lines: each the distributional
+    integral of exp(-s^2/(4 gamma^2) + i k s)/D(s) over the real line
+    with D(s) = L_eff^2 + 4 R^2 sin^2(omega s / 2) - s^2.
 
     D decreases strictly on s > 0 (since 2 R^2 omega sin(omega s) <=
     2 v^2 s < 2 s), so it has exactly one positive zero s0, a simple one,
@@ -213,18 +242,18 @@ def _reduced_line_integrals(keys) -> list:
     panel width; a ripple that is deep only within a unit of the origin
     is left to refinement there. A start much smaller than that costs
     extra refinement rounds, which dominate the cost of the few members
-    of a single point. Returns
-    one entry per key: its LineIntegral, or the exception it fails with
-    (an L_eff that is not positive and finite or whose square is
-    subnormal, a tol that is not positive)."""
-    out: list = [None] * len(keys)
-    found, poles = [], []
+    of a single point. A key fails alone: with an L_eff that is not
+    positive and finite or whose square is subnormal, or a tol that is
+    not positive. The exponentials and sines of the residues and of the
+    far branch's bound are math's, one key at a time, as the scalar
+    pole is."""
+    failures, found, poles = {}, [], []
     for i, (L_eff, radius, omega, gamma, *_) in enumerate(keys):
         try:
             poles.append(_line_pole(L_eff, radius, omega, gamma))
             found.append(i)
         except Exception as exc:  # a member fails alone
-            out[i] = exc
+            failures[i] = exc
     L_eff, radius, omega, gamma, k, s_env, tol = np.array(
         keys, dtype=float).reshape(-1, 7)[found].T
     s0 = np.array(poles)
@@ -251,28 +280,48 @@ def _reduced_line_integrals(keys) -> list:
     ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
     n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
     pvs = _principal_values(g, s0, 0.0, hi, tol, n0)
-    q_pole = np.abs(q(s0, np.arange(s0.size))).tolist()
-    for j, (i, value, pv_err, pv_evals, converged, pole, is_far, q0, c, kk,
-            L, gam, t) in enumerate(zip(
-                found, pvs.values.tolist(), pvs.errors.tolist(),
-                pvs.evaluations.tolist(), pvs.converged.tolist(), poles,
-                far.tolist(), q_pole, inv_four_gamma_sq.tolist(), k.tolist(),
-                L_eff.tolist(), gamma.tolist(), tol.tolist())):
-        if j in pvs.failures:
-            out[i] = pvs.failures[j]
-            continue
-        if is_far:  # the residues are bounded in the error instead
-            residues, evaluations = 0.0, pv_evals
-            err = (pv_err + math.pi * gam * gam / (2.0 * L)
-                   * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0)
-        else:
-            residues = (-2.0 * math.pi * math.exp(-pole * pole * c)
-                        * math.sin(kk * pole) / q0)
-            evaluations, err = pv_evals + 1, pv_err
-        out[i] = LineIntegral(value=value + residues, abs_error_estimate=err,
-                              evaluations=evaluations, converged=converged,
-                              pole=pole, residues=residues, far_pole=is_far)
-    return out
+    for j, exc in pvs.failures.items():
+        failures[found[j]] = exc
+    # the half-residue pair, which the far branch bounds in the error
+    # instead of adding it
+    exps = [math.exp(x) for x in (-s0 * s0 * inv_four_gamma_sq).tolist()]
+    sines = [math.sin(x) for x in (k * s0).tolist()]
+    residues = np.where(far, 0.0, -2.0 * math.pi * np.array(exps)
+                        * np.array(sines) / np.abs(q(s0, np.arange(s0.size))))
+    errors, far_at = pvs.errors.copy(), np.flatnonzero(far)
+    errors[far_at] = [
+        err + math.pi * gam * gam / (2.0 * L)
+        * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
+        for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
+            pvs.errors, L_eff, gamma, tol)))]
+    at, size = np.array(found, dtype=int), len(keys)
+    return _Lines(*(_scatter(x, at, size, fill) for x, fill in zip(
+        (pvs.values + residues, errors, pvs.evaluations + ~far,
+         pvs.converged, s0, residues, far), _NO_LINE)), failures)
+
+
+def _join_lines(parts) -> _Lines:
+    """The _Lines of consecutive lists of keys from theirs: each part a
+    _Lines, or a list of the exceptions its keys failed with."""
+    if not parts:
+        return _line_batch([])
+    failures, columns, size = {}, [], 0
+    for part in parts:
+        if not isinstance(part, _Lines):
+            part = _Lines(*(np.full(len(part), fill) for fill in _NO_LINE),
+                          dict(enumerate(part)))
+        failures.update((size + i, exc) for i, exc in part.failures.items())
+        columns.append(part[:7])
+        size += part.values.size
+    return _Lines(*map(np.concatenate, zip(*columns)), failures)
+
+
+def _reduced_line_integrals(keys) -> list:
+    """The reduced line integral of each key of _line_batch: its
+    LineIntegral, or the exception it fails with."""
+    lines = _line_batch(keys)
+    return [lines.failures[i] if i in lines.failures else LineIntegral(*row)
+            for i, row in enumerate(lines.records())]
 
 
 def _reduced_line_integral(*key) -> LineIntegral:
@@ -281,12 +330,15 @@ def _reduced_line_integral(*key) -> LineIntegral:
     return _checked(_reduced_line_integrals([key])[0])
 
 
+@functools.lru_cache(maxsize=1024)
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                  tol: float, share: float = 1.0) -> tuple[float, tuple]:
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
     share: (radius, omega, gamma, k, s_env, tol_int) for a budget share
-    times tol, a tol its public caller checked (kinematics._require_tol)."""
+    times tol, a tol its public caller checked (kinematics._require_tol).
+    Memoized: a sweep's planner and each of its mirror P ask for the
+    same detectors' parameters on every row."""
     tol *= share
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
@@ -304,36 +356,34 @@ def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
     return pref, (radius, det_a.omega, gamma, k, s_env, tol_int)
 
 
-def _line_integral_args(pair: PairConfig, tol: float,
-                        line_params=_line_params) -> tuple[float, list[tuple]]:
+def _line_integral_args(pair: PairConfig,
+                        tol: float) -> tuple[float, list[tuple]]:
     """The prefactor of C and the argument tuples of its reduced line
     integrals: the direct one at L_eff = sep and, with a mirror, the
     image one at sep + 2 dz. Equal tuples give equal integrals, so a
-    sweep evaluates each distinct tuple once. line_params is
-    _line_params or a memo of it."""
-    pref, shared = line_params(pair.det_a, pair.det_b, tol)
+    sweep evaluates each distinct tuple once."""
+    pref, shared = _line_params(pair.det_a, pair.det_b, tol)
     args = [(pair.sep, *shared)]
     if pair.dz is not None:
         args.append((pair.sep + 2.0 * pair.dz, *shared))
     return pref, args
 
 
-def _correlation_from_lines(pref: float,
-                            lines: list[QuadratureResult]) -> CorrelationResult:
-    """C from the line integrals _line_integral_args asked for: the
-    direct part, then the image part when there is a mirror."""
-    free = lines[0]
-    c_free = pref * free.value
-    err = pref * free.abs_error_estimate
-    converged = free.converged
+def _correlation_from_lines(pref: float, lines: list) -> CorrelationResult:
+    """C from the records (_Lines.records) of the line integrals
+    _line_integral_args asked for: the direct part, then the image part
+    when there is a mirror."""
+    value, err, _, converged, *_ = lines[0]
+    c_free = pref * value
+    err = pref * err
 
     if len(lines) == 1:
         c_boundary = 0.0 + 0.0j
     else:
-        image = lines[1]
-        c_boundary = pref * image.value
-        err += pref * image.abs_error_estimate
-        converged = converged and image.converged
+        value, image_err, _, image_converged, *_ = lines[1]
+        c_boundary = pref * value
+        err += pref * image_err
+        converged = converged and image_converged
 
     return CorrelationResult(
         c_total=complex(c_free - c_boundary),
@@ -358,8 +408,10 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     differ only by the effective separation (L versus L + 2 dz)."""
     _require_equal_kinematics(pair)
     pref, args = _line_integral_args(pair, _require_tol(tol))
-    return _correlation_from_lines(
-        pref, [_checked(line) for line in _reduced_line_integrals(args)])
+    lines = _line_batch(args)
+    if lines.failures:
+        raise lines.failures[min(lines.failures)]
+    return _correlation_from_lines(pref, lines.records())
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)

@@ -31,10 +31,13 @@ oracles are cross-checks (sweep's oracle suite), never a fallback.
 This module is the one evaluator of pair points, for one point and a
 sweep alike: _plan_points lowers pairs to their distinct free-space
 responses, line integrals and mirror responses; the caller evaluates
-the first two as batches (response._free_responses and
-correlation._reduced_line_integrals); and _point_terms yields each
-pair's terms, making each mirror P the first time a pair needs it. A
-single point is the batch of one of this evaluation.
+the first two as batches (response._free_responses and the array core
+correlation._line_batch); and _point_terms yields each pair's terms,
+making each mirror P the first time a pair needs it. A single point is
+the batch of one of this evaluation. mutual_information_point assembles
+a point with the scalar helpers _checked_block and _information, which
+assemble_density_block and mutual_information wrap, so a row makes no
+DensityBlock or MIResult.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .correlation import (CorrelationResult, PairConfig,
-                          _correlation_from_lines, _line_integral_args,
-                          _line_params, _reduced_line_integrals,
+from .correlation import (CorrelationResult, LineIntegral, PairConfig,
+                          _correlation_from_lines, _line_batch,
+                          _line_integral_args, _Lines,
                           _require_equal_kinematics)
 from .kinematics import DomainError, _require_tol
 from .quadrature import _checked
@@ -85,12 +88,16 @@ class DensityBlock:
     @property
     def positivity_slack(self) -> float:
         """P_A P_B - |C|^2; negative means the block is not a state."""
-        return self.p_a * self.p_b - abs(self.c) ** 2
+        return _slack(self.p_a, self.p_b, self.c)
 
 
-def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
-    """Validated constructor: probabilities must be finite, nonnegative,
-    and sum to at most one, and c and its squared magnitude finite."""
+def _slack(p_a: float, p_b: float, c: complex) -> float:
+    return p_a * p_b - abs(c) ** 2
+
+
+def _checked_block(p_a: float, p_b: float, c: complex) -> complex:
+    """c as a complex number, once the entries of the block of p_a, p_b
+    and c pass assemble_density_block's checks; DomainError otherwise."""
     if not (math.isfinite(p_a) and math.isfinite(p_b)):
         raise DomainError("transition probabilities must be finite")
     if p_a < 0.0 or p_b < 0.0:
@@ -104,6 +111,13 @@ def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
     if not math.isfinite(abs(c) * abs(c)):
         raise DomainError(f"correlation {c:.12g} has a squared magnitude "
                           f"beyond the float range")
+    return c
+
+
+def assemble_density_block(p_a: float, p_b: float, c: complex) -> DensityBlock:
+    """Validated constructor: probabilities must be finite, nonnegative,
+    and sum to at most one, and c and its squared magnitude finite."""
+    c = _checked_block(p_a, p_b, c)
     return DensityBlock(p_a=float(p_a), p_b=float(p_b), c=c)
 
 
@@ -120,15 +134,10 @@ def _xlogx(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
-    """Leading-order mutual information of the detector pair.
-
-    A slightly negative lower eigenvalue (roundoff against the
-    positivity boundary) is clamped to zero; anything worse than -1e-9
-    relative to the block scale, and worse than err, is rejected as an
-    unphysical input. err bounds the error of l_minus that the errors
-    of the entries make: at most err_a + err_b + err_c."""
-    p_a, p_b, c = block.p_a, block.p_b, block.c
+def _information(p_a: float, p_b: float, c: complex,
+                 err: float) -> tuple[float, float, float, float]:
+    """l_plus, l_minus, the mutual information and the positivity slack
+    of a checked block (_checked_block): mutual_information's numbers."""
     scale = max(p_a + p_b, 1e-300)
     cmag = abs(c)
     if cmag == 0.0:
@@ -163,9 +172,18 @@ def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
                                   f"beyond roundoff: {info:.12g}")
             info = 0.0
 
-    return MIResult(l_plus=float(l_plus), l_minus=float(l_minus),
-                    mutual_info=info,
-                    positivity_slack=block.positivity_slack)
+    return float(l_plus), float(l_minus), info, _slack(p_a, p_b, c)
+
+
+def mutual_information(block: DensityBlock, err: float = 0.0) -> MIResult:
+    """Leading-order mutual information of the detector pair.
+
+    A slightly negative lower eigenvalue (roundoff against the
+    positivity boundary) is clamped to zero; anything worse than -1e-9
+    relative to the block scale, and worse than err, is rejected as an
+    unphysical input. err bounds the error of l_minus that the errors
+    of the entries make: at most err_a + err_b + err_c."""
+    return MIResult(*_information(block.p_a, block.p_b, block.c, err))
 
 
 @dataclass(frozen=True)
@@ -210,10 +228,11 @@ def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
     use it. A free-space key is a (detector, tol) key of
     response._free_responses: a detector's free-space response, or its
     whole P without a mirror. A line key is a key of
-    correlation._reduced_line_integrals (its full argument tuple): a
+    correlation._line_batch (its full argument tuple): a
     line of C, or the image line of a mirror P. A response is
     (detector, height, free-space index, image line index), the height
-    and line index None without a mirror. Equal keys give equal results,
+    and line index None without a mirror, and is looked up by its
+    detector and height once it is known. Equal keys give equal results,
     so a plan's terms are exactly those its pair evaluated alone has.
 
     A plan is (response indices of P_A and P_B, C), where C is (its
@@ -222,16 +241,19 @@ def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
     frees: dict = {}
     lines: dict = {}
     responses: dict = {}
-    # one derivation of line parameters per detector pair, not per point
-    line_params = functools.cache(_line_params)
+    known: dict = {}  # the response index of each (detector, height)
 
     def use(table: dict, key) -> int:
         return table.setdefault(key, len(table))
 
     def response(det, dz) -> int:
-        image = (None if dz is None
-                 else use(lines, _image_line_args(det, dz, tol, line_params)[1]))
-        return use(responses, (det, dz, use(frees, (det, tol)), image))
+        index = known.get((det, dz))
+        if index is None:
+            image = (None if dz is None
+                     else use(lines, _image_line_args(det, dz, tol)[1]))
+            index = known[det, dz] = use(
+                responses, (det, dz, use(frees, (det, tol)), image))
+        return index
 
     plans = []
     for pair in pairs:
@@ -242,23 +264,26 @@ def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
         except DomainError as exc:
             plans.append((resp, exc))
             continue
-        pref, c_keys = _line_integral_args(pair, tol, line_params)
+        pref, c_keys = _line_integral_args(pair, tol)
         plans.append((resp, (pref, tuple(use(lines, key) for key in c_keys))))
     return plans, list(frees), list(lines), list(responses)
 
 
-def _point_terms(plans, responses, frees, lines, tol: float):
+def _point_terms(plans, responses, frees, lines: _Lines, tol: float):
     """Yield the terms (P_A, P_B, C) of each plan of _plan_points, each
     a value or the exception it failed with, from the evaluated
-    free-space responses and line integrals, themselves values or
-    exceptions.
+    free-space responses, themselves values or exceptions, and the
+    _Lines of the line keys.
 
     A mirror P is made the first time a plan needs it, with its
-    free-space response as free= and its image line as line=, which
-    leave it bit-identical to a call without them; a failed one of
-    these is taken as the P's failure, free first, and the P is not
-    made. C takes the failure of its first failed line. So the first
-    failed term is the failure a pair evaluated alone meets first."""
+    free-space response as free= and its image line, as a
+    LineIntegral, as line=, which leave it bit-identical to a call
+    without them; a failed one of these is taken as the P's failure,
+    free first, and the P is not made. C is made from its lines'
+    records and takes the failure of its first failed line. So the
+    first failed term is the failure a pair evaluated alone meets
+    first."""
+    records, failures = lines.records(), lines.failures
 
     @functools.cache
     def response(i: int):
@@ -266,20 +291,20 @@ def _point_terms(plans, responses, frees, lines, tol: float):
         free = frees[free]
         if line is None or isinstance(free, Exception):
             return free
-        line = lines[line]
-        if isinstance(line, Exception):
-            return line
+        if line in failures:
+            return failures[line]
         try:
-            return transition_probability(det, dz, tol, free, line)
+            return transition_probability(det, dz, tol, free,
+                                          LineIntegral(*records[line]))
         except Exception as exc:  # a term fails alone
             return exc
 
     for resp, corr in plans:
         if not isinstance(corr, Exception):
             pref, parts = corr
-            parts = [lines[i] for i in parts]
-            corr = next((part for part in parts if isinstance(part, Exception)),
-                        None) or _correlation_from_lines(pref, parts)
+            corr = next((failures[i] for i in parts if i in failures),
+                        None) or _correlation_from_lines(
+                            pref, [records[i] for i in parts])
         yield (*map(response, resp), corr)
 
 
@@ -302,8 +327,8 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     the batch of one of a sweep's evaluation: _plan_points lowers it,
     its free-space responses run as one batch of
     response._free_responses and its lines (the image lines of both P
-    and the lines of C) as one of correlation._reduced_line_integrals,
-    and _point_terms makes its terms; a failure is raised in the order
+    and the lines of C) as one of correlation._line_batch, and
+    _point_terms makes its terms; a failure is raised in the order
     P_A, P_B, C. Given PointTerms instead of a PairConfig, the terms are
     taken as evaluated and tol is unused: a sweep evaluates each
     distinct term once and assembles every row here. Warns with
@@ -312,7 +337,7 @@ def mutual_information_point(pair: PairConfig | PointTerms,
         tol = _require_tol(tol)
         plans, free_keys, line_keys, responses = _plan_points([pair], tol)
         (terms,) = _point_terms(plans, responses, _free_responses(free_keys),
-                                _reduced_line_integrals(line_keys), tol)
+                                _line_batch(line_keys), tol)
         pair = PointTerms(*map(_checked, terms))
     resp_a, resp_b, corr = pair
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate
@@ -332,21 +357,20 @@ def mutual_information_point(pair: PairConfig | PointTerms,
             "the leading-order state is no longer trustworthy",
             PerturbativeRegimeWarning, stacklevel=2)
 
-    block = assemble_density_block(p_a, p_b, corr.c_total)
+    c = _checked_block(p_a, p_b, corr.c_total)
     delta = err_a + err_b + 2.0 * corr.abs_error_estimate
     # a block that is not positive by less than its error is taken as on
     # the boundary, as a P within its error of zero is
-    mi = mutual_information(block, delta)
-    err_info = delta * (_log_weight(mi.l_plus, delta)
-                        + _log_weight(mi.l_minus, delta)
+    l_plus, l_minus, info, slack = _information(float(p_a), float(p_b), c,
+                                                delta)
+    err_info = delta * (_log_weight(l_plus, delta)
+                        + _log_weight(l_minus, delta)
                         + _log_weight(p_a, delta)
                         + _log_weight(p_b, delta))
 
     return PairPointResult(
-        p_a=p_a, p_b=p_b, corr=corr,
-        l_plus=mi.l_plus, l_minus=mi.l_minus,
-        mutual_info=mi.mutual_info,
-        positivity_slack=mi.positivity_slack,
+        p_a=p_a, p_b=p_b, corr=corr, l_plus=l_plus, l_minus=l_minus,
+        mutual_info=info, positivity_slack=slack,
         abs_error_estimate=float(err_info),
         converged=resp_a.converged and resp_b.converged and corr.converged,
     )

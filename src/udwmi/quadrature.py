@@ -46,7 +46,7 @@ alone (_RUN_PANELS), so callers hand over whole lists.
 Both batch routines wrap array cores, _adaptive and _principal_values,
 whose _Batch holds the members' results as arrays and their failures by
 index. Result objects are made once, at the public edge (_results), or
-by a caller that reads a _Batch (correlation._reduced_line_integrals).
+by a caller that reads a _Batch (correlation._line_batch).
 """
 
 from __future__ import annotations

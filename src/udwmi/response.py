@@ -24,7 +24,7 @@ cutoff, with a closed-form bound on the remainder beyond it; a single
 detector's is its batch of one. The image part is the image
 channel of the pair correlation for the pair (detector, detector) at
 zero separation: minus its prefactor times the folded line integral of
-correlation._reduced_line_integrals at L_eff = 2 dz, whose half-residue
+correlation._line_batch at L_eff = 2 dz, whose half-residue
 sum is term_pole and whose principal value is term_pv; a caller that
 evaluates many such lines in one batch passes each as line=. Its pole
 s0, in coordinate time, is reported as pole_location = omega s0 / 2, the
@@ -119,16 +119,15 @@ def _bounded_kernel(x, v_sq):
     return out
 
 
-def _image_line_args(spec: CircularDetectorSpec, dz: float, tol: float,
-                     line_params=_line_params) -> tuple[float, tuple]:
+def _image_line_args(spec: CircularDetectorSpec, dz: float,
+                     tol: float) -> tuple[float, tuple]:
     """The prefactor and the line-integral key of the image part of
     spec's transition probability at height dz for a budget tol.
 
     The image Wightman term of one detector is that of the pair (spec,
     spec) at zero separation: C's image line integral at L_eff = 2 dz,
-    with the opposite sign, here to a quarter of tol. line_params is
-    correlation._line_params or a memo of it."""
-    pref, shared = line_params(spec, spec, tol, 0.25)
+    with the opposite sign, here to a quarter of tol."""
+    pref, shared = _line_params(spec, spec, tol, 0.25)
     return pref, (2.0 * dz, *shared)
 
 

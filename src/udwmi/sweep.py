@@ -12,12 +12,15 @@ transition probabilities, and run in two batch stages and one row pass.
 First the free-space responses and then the line integrals refine in
 lockstep, in the quadrature's bounded runs, serially or as jobs on a
 process pool, each member on a mesh of its own, so no value depends on
-its batch. Then infomeasure._point_terms makes each row's terms in order
-in the calling process, each mirror P the first time a row needs it,
-and mutual_information_point assembles the row. Output order is fixed
-by (curve, axis index) so files are byte-identical whatever the worker
-count. A failing point keeps its row with a fail status instead of
-aborting the run; otherwise its status is tagged from its values. The
+its batch; the line stage's results are the arrays of
+correlation._line_batch. Then infomeasure._point_terms makes each row's
+terms in order in the calling process, each mirror P the first time a
+row needs it, mutual_information_point assembles the row's point, and
+the row is built positionally from its point params and the point's
+outputs. emit_table writes the cells of a row but its status with one
+%-format of the row. Output order is fixed by (curve, axis index) so
+files are byte-identical whatever the worker count. A failing point
+keeps its row with a fail status instead of aborting the run; otherwise its status is tagged from its values. The
 oracle suite lowers its points the same way, to the keys of three
 batches: free-space responses, line integrals, and the oracles, both
 contour passes of each a member of one quadrature. It runs them on the
@@ -48,9 +51,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import (PairConfig, _correlation_from_lines,
-                          _line_integral_args, _oracle_batch,
-                          _pair_oracle_key, _reduced_line_integrals,
+from .correlation import (LineIntegral, PairConfig, _correlation_from_lines,
+                          _join_lines, _line_batch, _line_integral_args,
+                          _oracle_batch, _pair_oracle_key,
                           _require_equal_kinematics)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
@@ -249,22 +252,26 @@ class SweepRow:
 _FIELD_COLUMNS = tuple((f.name, f.metadata.get("column", f.name))
                        for f in fields(SweepRow))
 COLUMNS = tuple(col for _, col in _FIELD_COLUMNS)
+# a row's fields: the point params (gap_a through free_space), the
+# outputs of its point (P_A through err) and its status
+_POINT_PARAMS = operator.itemgetter(*COLUMNS[:7])
 _OUTPUT_COLUMNS = COLUMNS[7:21]
+_NO_OUTPUTS = (math.nan,) * len(_OUTPUT_COLUMNS)
 
 
-def _row_from_record(rec: dict) -> SweepRow:
-    return SweepRow(**{name: rec[col] for name, col in _FIELD_COLUMNS})
+def _point_outputs(pt: PairPointResult) -> tuple:
+    """The output cells (P_A through err) of one evaluated pair point."""
+    c = pt.corr
+    return (pt.p_a, pt.p_b, c.c_total.real, c.c_total.imag, abs(c.c_total),
+            c.c_free.real, c.c_free.imag, c.c_boundary.real,
+            c.c_boundary.imag, pt.l_plus, pt.l_minus, pt.mutual_info,
+            pt.positivity_slack, pt.abs_error_estimate)
 
 
 def point_record(pt: PairPointResult) -> dict:
     """The output columns (P_A through err) of one evaluated pair point:
     its cells in a sweep table and the record `udwmi mi` prints."""
-    c = pt.corr
-    return dict(zip(_OUTPUT_COLUMNS, (
-        pt.p_a, pt.p_b, c.c_total.real, c.c_total.imag, abs(c.c_total),
-        c.c_free.real, c.c_free.imag, c.c_boundary.real, c.c_boundary.imag,
-        pt.l_plus, pt.l_minus, pt.mutual_info, pt.positivity_slack,
-        pt.abs_error_estimate), strict=True))
+    return dict(zip(_OUTPUT_COLUMNS, _point_outputs(pt), strict=True))
 
 
 def _one_line(text: str, limit: int = 200) -> str:
@@ -276,18 +283,22 @@ def _fail_status(exc: Exception) -> str:
     return f"fail:{type(exc).__name__}:{_one_line(exc)}"
 
 
-def _evaluate_batch(batch, keys: list[tuple]) -> list:
-    """The value, or the exception it failed with, of each key of a
-    batch function (_free_responses, _reduced_line_integrals or
-    _oracle_batch), from one lockstep batch. A batch that raises as a
-    whole is run again one key at a time, so that a key's failure does
-    not depend on the batch it shared."""
+def _evaluate_batch(batch, keys: list[tuple]):
+    """The results of the keys of a batch function from one lockstep
+    batch: the value, or the exception it failed with, of each key
+    (_free_responses, _oracle_batch), or the _Lines of _line_batch. A
+    batch that raises as a whole is run again one key at a time, so that
+    a key's failure does not depend on the batch it shared; a key that
+    raises alone has the list of its exception as its results."""
     try:
         return batch(keys)
     except Exception as exc:  # per-point isolation is the contract
         if len(keys) == 1:
             return [exc]
-    return [res for key in keys for res in _evaluate_batch(batch, [key])]
+    parts = [_evaluate_batch(batch, [key]) for key in keys]
+    if all(isinstance(part, list) for part in parts):
+        return [res for part in parts for res in part]
+    return _join_lines(parts)
 
 
 def _batch_jobs(batch, keys: list, workers: int) -> list[tuple]:
@@ -307,14 +318,13 @@ def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
     status. Otherwise the point's values give the warn tags: perturbative
     when P_A + P_B is beyond the perturbative budget, tolerance when a
     term missed its tolerance."""
-    fail = next((term for term in terms if isinstance(term, Exception)), None)
-    if fail is None:
-        try:
-            pt = mutual_information_point(PointTerms(*terms))
-        except Exception as exc:  # per-point isolation is the contract
-            fail = exc
-    if fail is not None:
-        return _fail_status(fail), None
+    for term in terms:
+        if isinstance(term, Exception):
+            return _fail_status(term), None
+    try:
+        pt = mutual_information_point(PointTerms(*terms))
+    except Exception as exc:  # per-point isolation is the contract
+        return _fail_status(exc), None
     tags = [tag for tag, on in (("perturbative", _beyond_budget(pt.p_a, pt.p_b)),
                                 ("tolerance", not pt.converged)) if on]
     return ("warn:" + ";".join(tags) if tags else "ok"), pt
@@ -336,6 +346,23 @@ def _map(fn, calls: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*calls)))
 
 
+def _run_batches(batches: list[tuple], workers: int) -> list:
+    """The results of each (batch function, keys) of batches, as one
+    _evaluate_batch of all its keys gives them: the jobs of every batch
+    (_batch_jobs) run in order, serially or on one pool of workers, and
+    a batch's jobs are joined, their lists concatenated or, for
+    _line_batch, their _Lines."""
+    jobs = [_batch_jobs(batch, keys, workers) for batch, keys in batches]
+    done = iter(_map(_evaluate_batch, [job for part in jobs for job in part],
+                     workers))
+    out = []
+    for (batch, _), part in zip(batches, jobs):
+        results = [next(done) for _ in part]
+        out.append(_join_lines(results) if batch is _line_batch
+                   else [res for result in results for res in result])
+    return out
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every sweep point; deterministic row order (curve-major,
     axis-minor) independent of worker count.
@@ -344,12 +371,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     free-space response, line integral and mirror transition probability
     of the sweep is evaluated once. The free-space responses and then
     the line integrals run first, as lockstep batches, serially as one
-    job each or on a pool of workers as several (_batch_jobs).
-    infomeasure._point_terms then makes the rows' terms in order in
-    this process, each mirror P the first time a row needs it, and each
-    row is assembled by
+    job each or on a pool of workers as several (_run_batches), the line
+    jobs' arrays joined into one _Lines. infomeasure._point_terms then
+    makes the rows' terms in order in this process, each mirror P the
+    first time a row needs it, and each row's point is assembled by
     mutual_information_point with its PerturbativeRegimeWarning
-    silenced: its status carries the perturbative tag instead."""
+    silenced: its status carries the perturbative tag instead. A row is
+    built positionally from its point params and its point's
+    outputs."""
     workers = _resolve_workers(workers)
     detector = functools.cache(detector_from_accel_radius)
     params = spec.point_params()
@@ -361,12 +390,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
             pairs.append(exc)
     plans, free_keys, line_keys, responses = _plan_points(
         [pair for pair in pairs if not isinstance(pair, Exception)], spec.tol)
-    jobs = (_batch_jobs(_free_responses, free_keys, workers)
-            + _batch_jobs(_reduced_line_integrals, line_keys, workers))
-    done = [res for job in _map(_evaluate_batch, jobs, workers)
-            for res in job]
-    points = _point_terms(plans, responses, done[:len(free_keys)],
-                          done[len(free_keys):], spec.tol)
+    frees, lines = _run_batches([(_free_responses, free_keys),
+                                 (_line_batch, line_keys)], workers)
+    points = _point_terms(plans, responses, frees, lines, spec.tol)
 
     rows = []
     with warnings.catch_warnings():
@@ -375,51 +401,73 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
             status, pt = ((_fail_status(pair), None)
                           if isinstance(pair, Exception)
                           else _row_status(next(points)))
-            outputs = (dict.fromkeys(_OUTPUT_COLUMNS, math.nan) if pt is None
-                       else point_record(pt))
-            rows.append(_row_from_record({**p, **outputs, "status": status}))
+            rows.append(SweepRow(*_POINT_PARAMS(p), *(
+                _NO_OUTPUTS if pt is None else _point_outputs(pt)), status))
     return rows
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
+@functools.cache
+def _row_format(no_dz: bool, free_space: bool) -> str:
+    """The %-format of the cells of a row but its status, by field name,
+    from SweepRow's field types: each number to 12 significant digits
+    (%.12g; NaN and inf as 'nan' and 'inf'), the flag true or false as
+    free_space is, and dz empty when no_dz (it is None)."""
+    cells = []
+    for f in fields(SweepRow)[:-1]:
+        if f.type == "bool":
+            cells.append("true" if free_space else "false")
+        elif f.type == "float | None" and no_dz:
+            cells.append("")
+        else:
+            cells.append(f"%({f.name}).12g")
+    return ",".join(cells)
 
 
-# a row's cells: its field values in column order, and the (CSV, JSON)
-# writers of each column by its field's type (text, a flag, or a number
-# in _fmt's form; None is empty or null, NaN and inf 'nan' or null)
-_ROW_VALUES = operator.attrgetter(*(name for name, _ in _FIELD_COLUMNS))
-_WRITERS = tuple(
-    {"str": (str, str),
-     "bool": (lambda v: "true" if v else "false", bool)}.get(
-        f.type, (lambda v: "" if v is None else _fmt(v),
-                 lambda v: None if v is None or not math.isfinite(v)
-                 else float(_fmt(v))))
-    for f in fields(SweepRow))
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it in a row of several cells: quoted
+    when it holds a delimiter, a double quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow((text, ""))
+    return buf.getvalue()[:-1]
+
+
+def _json_cell(text: str) -> float | None:
+    """The JSON value of a number's cell: null when it is empty or not
+    finite."""
+    return None if text in ("", "nan", "inf", "-inf") else float(text)
+
+
+# the JSON value of each cell of a row, by its field's type
+_JSON_VALUES = tuple({"str": str, "bool": "true".__eq__}.get(f.type,
+                                                             _json_cell)
+                     for f in fields(SweepRow))
 
 
 def emit_table(rows: list[SweepRow], fmt: str, destination) -> None:
     """Write rows as CSV or JSON to a path or text stream.
 
     Numbers carry 12 significant digits in both formats; a NaN output of
-    a failed point becomes null in JSON and 'nan' in CSV."""
+    a failed point becomes null in JSON and 'nan' in CSV. The cells of a
+    row but its status come from one %-format of the row (_row_format);
+    CSV takes them as they are, with its status cells quoted by
+    csv.writer, and JSON reads its values from the same cells."""
     if not rows:
         raise DomainError("no rows to emit")
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
 
-    writers = [pair[fmt == "json"] for pair in _WRITERS]
-    cells = ([write(v) for write, v in zip(writers, _ROW_VALUES(row))]
-             for row in rows)
+    cells = [(_row_format(row.dz is None, row.free_space) % vars(row),
+              row.status) for row in rows]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(cells)
-        text = buf.getvalue()
+        quoted = functools.cache(_csv_cell)
+        text = "".join([",".join(map(quoted, COLUMNS)), "\n",
+                        *(f"{head},{quoted(status)}\n"
+                          for head, status in cells)])
     else:
-        text = json.dumps([dict(zip(COLUMNS, row)) for row in cells],
-                          indent=2) + "\n"
+        text = json.dumps([
+            {col: value(cell) for col, value, cell in zip(
+                COLUMNS, _JSON_VALUES, (*head.split(","), status))}
+            for head, status in cells], indent=2) + "\n"
 
     if hasattr(destination, "write"):
         destination.write(text)
@@ -547,7 +595,7 @@ def _suite_plans(points: list[tuple]) -> tuple[list, list, list, list]:
     """Lower (section, params) suite points, "response" or "correlation",
     to the keys of the batches they need: one plan per point, then the
     distinct free-space keys (response._free_responses), line keys
-    (correlation._reduced_line_integrals) and oracle keys
+    (correlation._line_batch) and oracle keys
     (correlation._oracle_batch), each listed once in the order the
     plans first use it. A response plan is (detector, dz, free-space
     index, image line index or None, oracle index), a correlation plan
@@ -612,13 +660,16 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     points = ([("response", p) for p in resp_points]
               + [("correlation", p) for p in grid["correlation_points"]])
     plans, free_keys, line_keys, oracle_keys = _suite_plans(points)
-    jobs = (_batch_jobs(_free_responses, free_keys, workers)
-            + _batch_jobs(_reduced_line_integrals, line_keys, workers)
-            + _batch_jobs(_oracle_batch, oracle_keys, workers))
-    done = iter([res for job in _map(_evaluate_batch, jobs, workers)
-                 for res in job])
-    frees, lines, oracles = ([next(done) for _ in keys] for keys in (
-        free_keys, line_keys, oracle_keys))
+    frees, lines, oracles = _run_batches([
+        (_free_responses, free_keys), (_line_batch, line_keys),
+        (_oracle_batch, oracle_keys)], workers)
+    line_records = lines.records()
+
+    def line(i: int) -> tuple:
+        # the record of line i, or raise the exception it failed with
+        if i in lines.failures:
+            raise lines.failures[i]
+        return line_records[i]
 
     records = []
     for (section, params), plan in zip(points, plans):
@@ -626,15 +677,14 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
             spec, dz, free, image, oracle = _checked(plan)
             res = transition_probability(
                 spec, dz, _SUITE_TOL, _checked(frees[free]),
-                None if image is None else _checked(lines[image]))
+                None if image is None else LineIntegral(*line(image)))
             est = _real_estimate(_checked(oracles[oracle]))
             records.append(_deviation_record(
                 params, res.total, res.abs_error_estimate, est.value,
                 est.error_estimate, est.evaluations))
             continue
         pref, parts, oracle = _checked(plan)
-        res = _correlation_from_lines(pref, [_checked(lines[i])
-                                             for i in parts])
+        res = _correlation_from_lines(pref, [line(i) for i in parts])
         est = _checked(oracles[oracle])
         rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
                                 est.value, est.error_estimate,

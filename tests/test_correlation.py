@@ -16,9 +16,10 @@ from udwmi import (
     detector_from_accel_radius,
 )
 from udwmi.correlation import (_U_CUT, _contours, _KernelTerms,
-                               _kernel_terms, _line_params, _line_pole,
-                               _oracle_batch, _oracle_passes, _oracle_rows,
-                               _pair_oracle_key, _reduced_line_integral,
+                               _kernel_terms, _line_batch, _line_params,
+                               _line_pole, _oracle_batch, _oracle_passes,
+                               _oracle_rows, _pair_oracle_key,
+                               _reduced_line_integral,
                                _reduced_line_integrals, _wightman_kernel,
                                composite_gauss_legendre)
 
@@ -275,6 +276,17 @@ def line_bits(res):
             res.far_pole)
 
 
+def core_bits(lines, i):
+    """Key i's entry of every array field of the line core's _Lines, in
+    line_bits' form: its failure when it has one."""
+    if i in lines.failures:
+        return line_bits(lines.failures[i])
+    value, err, evaluations, converged, pole, residues, far = (
+        column[i].item() for column in lines[:7])
+    return (value.hex(), err.hex(), evaluations, converged, pole.hex(),
+            residues.hex(), far)
+
+
 # always in the batch: a static orbit (omega = 0), a far-pole member
 # (L_eff beyond the switching envelope), a member that fails before its
 # quadrature and one that its quadrature batch rejects (tol 0)
@@ -299,6 +311,15 @@ class TestLineIntegralBatch:
         batch = _reduced_line_integrals(keys)
         assert [line_bits(r) for r in batch] == \
             [line_bits(_reduced_line_integrals([k])[0]) for k in keys]
+        # every array field of the core, failures by index included,
+        # equals the LineIntegral edge and the core's batch of one
+        lines = _line_batch(keys)
+        assert all(column.shape == (len(keys),) for column in lines[:7])
+        assert [core_bits(lines, i) for i in range(len(keys))] == \
+            [line_bits(r) for r in batch] == \
+            [core_bits(_line_batch([k]), 0) for k in keys]
+        assert set(lines.failures) == {
+            i for i, r in enumerate(batch) if isinstance(r, Exception)}
         # the raising members fail alone, each with its own message
         failed = {k: str(r) for k, r in zip(keys, batch)
                   if isinstance(r, Exception)}

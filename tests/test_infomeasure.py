@@ -349,7 +349,7 @@ class TestEndToEndPoint:
         calls = []
         batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
         batches = []
-        lines = infomeasure._reduced_line_integrals
+        lines = infomeasure._line_batch
 
         def counted(f, lo, hi, *args, **kwargs):
             calls.append(np.size(hi))
@@ -365,8 +365,7 @@ class TestEndToEndPoint:
 
         monkeypatch.setattr(response, "integrate_adaptive_batch", counted)
         monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
-        monkeypatch.setattr(infomeasure, "_reduced_line_integrals",
-                            counted_lines)
+        monkeypatch.setattr(infomeasure, "_line_batch", counted_lines)
         pt = mutual_information_point(pair)
         # one batch, one member per distinct detector
         assert calls == [bounded_calls]

@@ -20,8 +20,9 @@ from scipy.signal import find_peaks
 
 import udwmi
 from udwmi import cli, correlation, infomeasure, response
-from udwmi.correlation import (PairConfig, _line_integral_args, _reduced_line_integrals,
-                               correlation_equal)
+from udwmi.correlation import (LineIntegral, PairConfig,
+                               _correlation_from_lines, _line_batch,
+                               _line_integral_args, correlation_equal)
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
@@ -286,19 +287,21 @@ class TestRunSweep:
         forced = DomainError("forced failure for this point")
 
         def failing_member(keys):
-            return [forced if key == direct else line
-                    for key, line in zip(keys, _reduced_line_integrals(keys))]
+            lines = _line_batch(keys)
+            return lines._replace(failures={
+                **lines.failures,
+                **{i: forced for i, key in enumerate(keys) if key == direct}})
 
         def failing_batch(keys):
             if direct in keys:
                 raise forced
-            return _reduced_line_integrals(keys)
+            return _line_batch(keys)
 
         clean = run_sweep(spec, workers=1)
         # the member fails in its batch, or the batch raises as a whole
         # and is run again key by key: either way one row fails
         for patch in (failing_member, failing_batch):
-            monkeypatch.setattr(sweep_mod, "_reduced_line_integrals", patch)
+            monkeypatch.setattr(sweep_mod, "_line_batch", patch)
             rows = run_sweep(spec, workers=1)
             assert [r.status.split(":")[0] for r in rows] == \
                 ["ok", "fail", "ok"]
@@ -327,13 +330,11 @@ class TestRunSweep:
         # their tolerance: either way every row is tagged
         for marked in (c_keys, image_keys):
             def unconverged_lines(keys, marked=marked):
-                return [dataclasses.replace(line, converged=False)
-                        if key in marked else line
-                        for key, line in zip(keys,
-                                             _reduced_line_integrals(keys))]
+                lines = _line_batch(keys)
+                return lines._replace(converged=lines.converged & np.array(
+                    [key not in marked for key in keys], dtype=bool))
 
-            monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
-                                unconverged_lines)
+            monkeypatch.setattr(sweep_mod, "_line_batch", unconverged_lines)
             rows = run_sweep(spec, workers=1)
             assert all(r.status == "warn:tolerance" for r in rows)
 
@@ -401,13 +402,43 @@ def oracles_zeroed(section):
     return batch
 
 
-def reference_record(params, tol):
+def core_terms(pair, tol):
+    """P_A, P_B and C of a pair with the mirror P's image lines and C's
+    lines taken from one batch of the line core, _line_batch: each P
+    from its free-space response and the LineIntegral of its image
+    line's record, C from its lines' records, the first failure raised
+    in the order P_A, P_B, C."""
+    dz_b = None if pair.dz is None else pair.dz + pair.sep
+    heights = [(pair.det_a, pair.dz), (pair.det_b, dz_b)]
+    image_keys = [_image_line_args(det, dz, tol)[1]
+                  for det, dz in heights if dz is not None]
+    pref, c_keys = _line_integral_args(pair, tol)
+    lines = _line_batch(image_keys + c_keys)
+    records = lines.records()
+
+    def record(i):
+        if i in lines.failures:
+            raise lines.failures[i]
+        return records[i]
+
+    images = iter(range(len(image_keys)))
+    terms = []
+    for det, dz in heights:
+        free = transition_probability(det, None, tol)
+        terms.append(free if dz is None else transition_probability(
+            det, dz, tol, free=free, line=LineIntegral(*record(next(images)))))
+    return PointTerms(*terms, _correlation_from_lines(
+        pref, [record(len(image_keys) + j) for j in range(len(c_keys))]))
+
+
+def reference_record(params, tol, from_core=False):
     """One row evaluated on its own, term by term: transition_probability
     gives P_A and P_B, correlation_equal gives C, and
     mutual_information_point assembles them. The first exception gives a
     fail status; otherwise the point's PerturbativeRegimeWarning and its
     convergence give the tags. Shares no planner or batch code with the
-    sweep it judges."""
+    sweep it judges, unless from_core, where the mirror P and C come
+    from the line core (core_terms)."""
     try:
         with warnings.catch_warnings(record=True) as wlog:
             warnings.simplefilter("always")
@@ -420,7 +451,8 @@ def reference_record(params, tol):
                                                  params["radius"]),
                 sep=params["sep"], dz=params["dz"])
             dz_b = None if pair.dz is None else pair.dz + pair.sep
-            pt = mutual_information_point(PointTerms(
+            pt = mutual_information_point(core_terms(pair, tol) if from_core
+                                          else PointTerms(
                 transition_probability(pair.det_a, pair.dz, tol),
                 transition_probability(pair.det_b, dz_b, tol),
                 correlation_equal(pair, tol)))
@@ -516,10 +548,13 @@ class TestPlanner:
         dict(free_space=True, dz=None, gap_a=1.0, accel=30.0),
     ], ids=["sep", "dz", "accel", "gap", "free-space", "budget",
             "assembly-fail"])
-    def test_rows_equal_single_point_evaluation(self, overrides):
+    @pytest.mark.parametrize("from_core", [False, True],
+                             ids=["alone", "core"])
+    def test_rows_equal_single_point_evaluation(self, overrides, from_core):
         spec = cheap_spec(**overrides)
         rows = run_sweep(spec, workers=1)
-        expected = [reference_record(p, spec.tol) for p in spec.point_params()]
+        expected = [reference_record(p, spec.tol, from_core)
+                    for p in spec.point_params()]
         assert [bits(r.to_record()) for r in rows] == \
             [bits(e) for e in expected]
 
@@ -548,7 +583,7 @@ class TestPlanner:
 
         def counted_lines(keys):
             direct_lines.extend(key for key in keys if key[0] == 1.0)
-            return _reduced_line_integrals(keys)
+            return _line_batch(keys)
 
         monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
         n = 5
@@ -564,8 +599,7 @@ class TestPlanner:
         monkeypatch.setattr(response, "integrate_adaptive_batch",
                             counted_batch)
         monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
-        monkeypatch.setattr(sweep_mod, "_reduced_line_integrals",
-                            counted_lines)
+        monkeypatch.setattr(sweep_mod, "_line_batch", counted_lines)
         run_sweep(sep_spec, workers=1)
         # both detectors are one detector: its free-space response, the
         # bounded quadrature, runs once, not once per mirror P
@@ -1171,8 +1205,7 @@ class TestOracleSuite:
         ((fn, jobs, workers),) = mapped
         assert fn is sweep_mod._evaluate_batch and workers == 2
         assert {batch for batch, _ in jobs} == {
-            _free_responses, _reduced_line_integrals,
-            correlation._oracle_batch}
+            _free_responses, _line_batch, correlation._oracle_batch}
         oracle_jobs = [keys for batch, keys in jobs
                        if batch is correlation._oracle_batch]
         assert sum(map(len, oracle_jobs)) == 39 > len(oracle_jobs) > 1
