@@ -288,16 +288,21 @@ def _line_batch(keys) -> _Lines:
     sines = [math.sin(x) for x in (k * s0).tolist()]
     residues = np.where(far, 0.0, -2.0 * math.pi * np.array(exps)
                         * np.array(sines) / np.abs(q(s0, np.arange(s0.size))))
-    errors, far_at = pvs.errors.copy(), np.flatnonzero(far)
-    errors[far_at] = [
-        err + math.pi * gam * gam / (2.0 * L)
-        * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
-        for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
-            pvs.errors, L_eff, gamma, tol)))]
-    at, size = np.array(found, dtype=int), len(keys)
-    return _Lines(*(_scatter(x, at, size, fill) for x, fill in zip(
-        (pvs.values + residues, errors, pvs.evaluations + ~far,
-         pvs.converged, s0, residues, far), _NO_LINE)), failures)
+    errors = pvs.errors.copy()
+    if far.any():
+        far_at = np.flatnonzero(far)
+        errors[far_at] = [
+            err + math.pi * gam * gam / (2.0 * L)
+            * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
+            for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
+                pvs.errors, L_eff, gamma, tol)))]
+    columns = (pvs.values + residues, errors, pvs.evaluations + ~far,
+               pvs.converged, s0, residues, far)
+    if len(found) < len(keys):  # the entries of the keys with a pole
+        at = np.array(found, dtype=int)
+        columns = [_scatter(x, at, len(keys), fill)
+                   for x, fill in zip(columns, _NO_LINE)]
+    return _Lines(*columns, failures)
 
 
 def _join_lines(parts) -> _Lines:
@@ -330,7 +335,7 @@ def _reduced_line_integral(*key) -> LineIntegral:
     return _checked(_reduced_line_integrals([key])[0])
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=64)
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                  tol: float, share: float = 1.0) -> tuple[float, tuple]:
     """The prefactor of the C between det_a and det_b, both on det_a's
