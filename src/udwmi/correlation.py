@@ -59,7 +59,6 @@ independent routes:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -245,8 +244,8 @@ def _line_batch(keys) -> _Lines:
     of a single point. A key fails alone: with an L_eff that is not
     positive and finite or whose square is subnormal, or a tol that is
     not positive. The exponentials and sines of the residues and of the
-    far branch's bound are math's, one key at a time, as the scalar
-    pole is."""
+    far branch's bound are math's, one key at a time, as in the scalar
+    pole: NumPy's vector exp can round differently in the last bit."""
     failures, found, poles = {}, [], []
     for i, (L_eff, radius, omega, gamma, *_) in enumerate(keys):
         try:
@@ -335,15 +334,12 @@ def _reduced_line_integral(*key) -> LineIntegral:
     return _checked(_reduced_line_integrals([key])[0])
 
 
-@functools.lru_cache(maxsize=64)
 def _line_params(det_a: CircularDetectorSpec, det_b: CircularDetectorSpec,
                  tol: float, share: float = 1.0) -> tuple[float, tuple]:
     """The prefactor of the C between det_a and det_b, both on det_a's
     orbit, and the arguments after L_eff that its reduced line integrals
     share: (radius, omega, gamma, k, s_env, tol_int) for a budget share
-    times tol, a tol its public caller checked (kinematics._require_tol).
-    Memoized: a sweep's planner and each of its mirror P ask for the
-    same detectors' parameters on every row."""
+    times tol, a tol its public caller checked (kinematics._require_tol)."""
     tol *= share
     gamma = det_a.gamma
     gap_a, gap_b = det_a.energy_gap, det_b.energy_gap
