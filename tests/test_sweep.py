@@ -527,29 +527,37 @@ def fail_bounded_term(monkeypatch, alpha):
     monkeypatch.setattr(response, "integrate_adaptive", failing_lone)
 
 
+# sweeps whose rows are compared with their points evaluated alone, by id
+PLANNER_CASES = {
+    # sep = 0 makes coincident detectors, a DomainError row; the image
+    # line integral at sep 0.5 is the direct one at sep 1.5
+    "sep": dict(axis=SweepAxis(name="sep", start=0.0, stop=1.5, points=4),
+                gap_ratios=(0.0, 0.5)),
+    "dz": dict(axis=SweepAxis(name="dz", start=0.2, stop=2.0, points=3),
+               dz=None, gap_ratios=(0.0, 2.0)),
+    # accel = 0 is a static detector
+    "accel": dict(axis=SweepAxis(name="accel", start=0.0, stop=1.0,
+                                 points=3)),
+    "gap": dict(axis=SweepAxis(name="gap", start=0.1, stop=2.0, points=3,
+                               spacing="log"), gap_ratios=(0.0, 2.0)),
+    "free-space": dict(free_space=True, dz=None, gap_ratios=(0.0, 1.0)),
+    # P_A + P_B crosses the perturbative budget between accel 1 and 2,
+    # with each P below it
+    "budget": dict(axis=SweepAxis(name="accel", start=0.0, stop=3.0,
+                                  points=4), free_space=True, dz=None),
+    # P_A + P_B > 1: every row fails in assembly with a DomainError
+    "assembly-fail": dict(free_space=True, dz=None, gap_a=1.0, accel=30.0),
+}
+
+
 class TestPlanner:
-    @pytest.mark.parametrize("overrides", [
-        # sep = 0 makes coincident detectors, a DomainError row; the image
-        # line integral at sep 0.5 is the direct one at sep 1.5
-        dict(axis=SweepAxis(name="sep", start=0.0, stop=1.5, points=4),
-             gap_ratios=(0.0, 0.5)),
-        dict(axis=SweepAxis(name="dz", start=0.2, stop=2.0, points=3),
-             dz=None, gap_ratios=(0.0, 2.0)),
-        # accel = 0 is a static detector
-        dict(axis=SweepAxis(name="accel", start=0.0, stop=1.0, points=3)),
-        dict(axis=SweepAxis(name="gap", start=0.1, stop=2.0, points=3,
-                            spacing="log"), gap_ratios=(0.0, 2.0)),
-        dict(free_space=True, dz=None, gap_ratios=(0.0, 1.0)),
-        # P_A + P_B crosses the perturbative budget between accel 1 and
-        # 2, with each P below it
-        dict(axis=SweepAxis(name="accel", start=0.0, stop=3.0, points=4),
-             free_space=True, dz=None),
-        # P_A + P_B > 1: every row fails in assembly with a DomainError
-        dict(free_space=True, dz=None, gap_a=1.0, accel=30.0),
-    ], ids=["sep", "dz", "accel", "gap", "free-space", "budget",
-            "assembly-fail"])
-    @pytest.mark.parametrize("from_core", [False, True],
-                             ids=["alone", "core"])
+    # each case with its terms evaluated alone, then, as <id>-core, with
+    # its mirror P and C taken from the line core
+    @pytest.mark.parametrize(
+        "overrides, from_core",
+        [(case, False) for case in PLANNER_CASES.values()]
+        + [(case, True) for case in PLANNER_CASES.values()],
+        ids=[*PLANNER_CASES, *(f"{name}-core" for name in PLANNER_CASES)])
     def test_rows_equal_single_point_evaluation(self, overrides, from_core):
         spec = cheap_spec(**overrides)
         rows = run_sweep(spec, workers=1)
