@@ -18,7 +18,9 @@ independent routes:
   plus the closed-form half residues, and C comes out real. s0 is found
   by a monotone Newton iteration in plain floats (_line_pole). The line
   integrals of a list are the members of one principal-value batch
-  (_line_batch, the array core of the line stage), each started on the
+  (_line_batch, the array core of the line stage, whose lowering
+  _line_part also lets them share one lockstep batch with the
+  free-space responses), each started on the
   mesh its integrand needs: about 1.5 panels per period of cos(k s) and
   of the orbit's ripple on D over its range; a pole beyond the
   switching envelope lies outside its member's range, which leaves the
@@ -68,7 +70,7 @@ import numpy as np
 
 from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
                          _require_sep, _require_tol)
-from .quadrature import (QuadratureResult, _checked, _principal_values,
+from .quadrature import (QuadratureResult, _adaptive, _checked, _pv_part,
                          _scatter, integrate_adaptive_batch)
 
 __all__ = [
@@ -246,6 +248,15 @@ def _line_batch(keys) -> _Lines:
     not positive. The exponentials and sines of the residues and of the
     far branch's bound are math's, one key at a time, as in the scalar
     pole: NumPy's vector exp can round differently in the last bit."""
+    part, finish = _line_part(keys)
+    return finish(_adaptive(*part))
+
+
+def _line_part(keys):
+    """The lowering of _line_batch: the quadrature _Part of the members
+    of its principal values, and finish, which makes the keys' _Lines
+    from that part's _Batch. q(s0), D's factor at each pole, is made
+    once, for both g(s0) and the residues."""
     failures, found, poles = {}, [], []
     for i, (L_eff, radius, omega, gamma, *_) in enumerate(keys):
         try:
@@ -278,30 +289,40 @@ def _line_batch(keys) -> _Lines:
     # 1.5 panels per period of cos(k s) and of the weighted ripple
     ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
     n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
-    pvs = _principal_values(g, s0, 0.0, hi, tol, n0)
-    for j, exc in pvs.failures.items():
-        failures[found[j]] = exc
-    # the half-residue pair, which the far branch bounds in the error
-    # instead of adding it
-    exps = [math.exp(x) for x in (-s0 * s0 * inv_four_gamma_sq).tolist()]
-    sines = [math.sin(x) for x in (k * s0).tolist()]
-    residues = np.where(far, 0.0, -2.0 * math.pi * np.array(exps)
-                        * np.array(sines) / np.abs(q(s0, np.arange(s0.size))))
-    errors = pvs.errors.copy()
-    if far.any():
-        far_at = np.flatnonzero(far)
-        errors[far_at] = [
-            err + math.pi * gam * gam / (2.0 * L)
-            * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
-            for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
-                pvs.errors, L_eff, gamma, tol)))]
-    columns = (pvs.values + residues, errors, pvs.evaluations + ~far,
-               pvs.converged, s0, residues, far)
-    if len(found) < len(keys):  # the entries of the keys with a pole
-        at = np.array(found, dtype=int)
-        columns = [_scatter(x, at, len(keys), fill)
-                   for x, fill in zip(columns, _NO_LINE)]
-    return _Lines(*columns, failures)
+    # g(s0) as g makes it, from the one q(s0)
+    q_pole = q(s0, np.arange(s0.size))
+    g_pole = (2.0 * np.exp(-s0 * s0 * inv_four_gamma_sq) * np.cos(k * s0)
+              / q_pole)
+    part, finish_pvs = _pv_part(g, s0, np.zeros(s0.size), hi, tol, n0,
+                                g_pole)
+
+    def finish(batch) -> _Lines:
+        pvs = finish_pvs(batch)
+        for j, exc in pvs.failures.items():
+            failures[found[j]] = exc
+        # the half-residue pair, which the far branch bounds in the
+        # error instead of adding it
+        exps = [math.exp(x) for x in (-s0 * s0 * inv_four_gamma_sq).tolist()]
+        sines = [math.sin(x) for x in (k * s0).tolist()]
+        residues = np.where(far, 0.0, -2.0 * math.pi * np.array(exps)
+                            * np.array(sines) / np.abs(q_pole))
+        errors = pvs.errors.copy()
+        if far.any():
+            far_at = np.flatnonzero(far)
+            errors[far_at] = [
+                err + math.pi * gam * gam / (2.0 * L)
+                * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
+                for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
+                    pvs.errors, L_eff, gamma, tol)))]
+        columns = (pvs.values + residues, errors, pvs.evaluations + ~far,
+                   pvs.converged, s0, residues, far)
+        if len(found) < len(keys):  # the entries of the keys with a pole
+            at = np.array(found, dtype=int)
+            columns = [_scatter(x, at, len(keys), fill)
+                       for x, fill in zip(columns, _NO_LINE)]
+        return _Lines(*columns, failures)
+
+    return part, finish
 
 
 def _join_lines(parts) -> _Lines:

@@ -31,7 +31,9 @@ oracles are cross-checks (sweep's oracle suite), never a fallback.
 This module is the one evaluator of pair points, for one point and a
 sweep alike: _plan_points lowers pairs to their distinct free-space
 responses, line integrals and mirror responses; the caller evaluates
-the first two as batches (response._free_responses and the array core
+the first two as the members of one lockstep batch
+(response._reduced_batch, whose results are those of
+response._free_responses and of the array core
 correlation._line_batch); and _point_terms yields each pair's terms,
 making each mirror P the first time a pair needs it. A single point is
 the batch of one of this evaluation. mutual_information_point assembles
@@ -49,13 +51,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .correlation import (CorrelationResult, LineIntegral, PairConfig,
-                          _correlation_from_lines, _line_batch,
-                          _line_integral_args, _Lines,
-                          _require_equal_kinematics)
+                          _correlation_from_lines, _line_integral_args,
+                          _Lines, _require_equal_kinematics)
 from .kinematics import DomainError, _require_tol
 from .quadrature import _checked
-from .response import (ResponseBreakdown, _free_responses,
-                       _image_line_args, transition_probability)
+from .response import (ResponseBreakdown, _image_line_args, _reduced_batch,
+                       transition_probability)
 
 __all__ = [
     "DensityBlock",
@@ -325,10 +326,10 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     kinematics (DomainError otherwise): each P comes from
     transition_probability and C is correlation_equal's. The pair is
     the batch of one of a sweep's evaluation: _plan_points lowers it,
-    its free-space responses run as one batch of
-    response._free_responses and its lines (the image lines of both P
-    and the lines of C) as one of correlation._line_batch, and
-    _point_terms makes its terms; a failure is raised in the order
+    its free-space responses and its lines (the image lines of both P
+    and the lines of C) run as the members of one lockstep batch
+    (response._reduced_batch), and _point_terms makes its terms; a
+    failure is raised in the order
     P_A, P_B, C. Given PointTerms instead of a PairConfig, the terms are
     taken as evaluated and tol is unused: a sweep evaluates each
     distinct term once and assembles every row here. Warns with
@@ -336,8 +337,8 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     if not isinstance(pair, PointTerms):
         tol = _require_tol(tol)
         plans, free_keys, line_keys, responses = _plan_points([pair], tol)
-        (terms,) = _point_terms(plans, responses, _free_responses(free_keys),
-                                _line_batch(line_keys), tol)
+        (terms,) = _point_terms(plans, responses,
+                                *_reduced_batch(free_keys, line_keys), tol)
         pair = PointTerms(*map(_checked, terms))
     resp_a, resp_b, corr = pair
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate

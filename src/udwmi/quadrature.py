@@ -37,7 +37,10 @@ panel's two halves take its place, and a finished integral keeps its
 panels. Its error is summed in that order every round, and its value
 once, after the last round. So a member's result is bit-identical to
 integrating it alone, which is what integrate_adaptive does: the batch
-of one. Every interval is finite: a caller with an integral over
+of one. A round in which every integral of a run has met its budget
+ends the run before any panel is marked for splitting; a batch whose
+integrals all converge on their first panels evaluates them once.
+Every interval is finite: a caller with an integral over
 [0, inf) under a Gaussian envelope cuts it off at
 gaussian_truncation_point and bounds the remainder itself
 (response._free_responses). The shape of every batch is decided here
@@ -47,6 +50,15 @@ Both batch routines wrap array cores, _adaptive and _principal_values,
 whose _Batch holds the members' results as arrays and their failures by
 index. Result objects are made once, at the public edge (_results), or
 by a caller that reads a _Batch (correlation._line_batch).
+
+Integrals of several integrands run as one lockstep batch: each caller
+lowers its integrals to a _Part, the members of one integrand f(x,
+owner) (_pv_part lowers principal values), and _adaptive_parts runs
+the members of all the parts, part after part, as the members of one
+_adaptive batch. Each round hands each integrand the rows of its own
+members alone, so every member still equals its batch of one, and
+each part gets back a _Batch of its own. A sweep's or a point's
+free-space and line terms are one such batch (response._reduced_batch).
 """
 
 from __future__ import annotations
@@ -105,6 +117,7 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])  # Gauss nodes interleave
 
 _EPS = np.finfo(float).eps
+_HALVES = np.array([0, 1])  # a split panel's halves, at its index and next
 
 
 def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -115,11 +128,13 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     y = np.asarray(f(x, owner[:, None]))
-    vals_k = (y * _WEIGHTS_K).sum(axis=1) * half
-    vals_g = (y * _WEIGHTS_G).sum(axis=1) * half
+    # np.add.reduce is what .sum calls, in the same order, without its
+    # wrappers
+    vals_k = np.add.reduce(y * _WEIGHTS_K, axis=1) * half
+    vals_g = np.add.reduce(y * _WEIGHTS_G, axis=1) * half
     err = np.abs(vals_k - vals_g)
     # Magnitude of the panel contribution, for roundoff accounting.
-    mag = (np.abs(y) * _WEIGHTS_K).sum(axis=1) * np.abs(half)
+    mag = np.add.reduce(np.abs(y) * _WEIGHTS_K, axis=1) * np.abs(half)
     return vals_k, err, mag
 
 
@@ -197,12 +212,50 @@ def _results(batch: _Batch) -> list:
             for i, row in enumerate(rows)]
 
 
+class _Part(NamedTuple):
+    """The members of one integrand, as _adaptive takes them: f(x,
+    owner), owner indexing the equally long 1-D float arrays lo, hi,
+    tol and n0."""
+
+    f: object
+    lo: np.ndarray
+    hi: np.ndarray
+    tol: np.ndarray
+    n0: np.ndarray
+
+
+def _adaptive_parts(parts, max_panels=20000) -> list[_Batch]:
+    """The _Batch of each _Part of parts, from one _adaptive batch of
+    all their members, part after part. Each round hands each part's
+    integrand the rows of its own members alone, their owners
+    renumbered from 0 within the part, so every member is bit-identical
+    to its batch of one. The integrands give values of one dtype."""
+    bounds = np.cumsum([0, *(part.lo.size for part in parts)])
+    starts = bounds[:-1].tolist()
+
+    def f(x, owner):
+        # owner is an ascending column (_lockstep), so each part's rows
+        # are one run of them
+        cuts = np.searchsorted(owner[:, 0], bounds).tolist()
+        ys = [part.f(x[lo:hi], owner[lo:hi] - start)
+              for part, start, lo, hi in zip(parts, starts, cuts, cuts[1:])
+              if hi > lo]
+        return ys[0] if len(ys) == 1 else np.concatenate(ys)
+
+    batch = _adaptive(f, *(np.concatenate(column) for column
+                           in list(zip(*parts))[1:]), max_panels)
+    return [_Batch(*(x[start:stop] for x in batch[:4]),
+                   {i - start: exc for i, exc in batch.failures.items()
+                    if start <= i < stop})
+            for start, stop in zip(starts, bounds[1:].tolist())]
+
+
 def _adaptive(f, lo, hi, tol, n0, max_panels=20000) -> _Batch:
     """integrate_adaptive_batch on equally long 1-D float arrays, as a
     _Batch: the members with valid arguments, in runs."""
     failures = {}
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo) & (tol > 0.0))
-    for i in np.flatnonzero(bad).tolist():
+    for i in bad.nonzero()[0].tolist():
         if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
             failures[i] = DomainError("integration limits must be finite")
         elif hi[i] <= lo[i]:
@@ -211,7 +264,7 @@ def _adaptive(f, lo, hi, tol, n0, max_panels=20000) -> _Batch:
         else:
             failures[i] = DomainError("tol must be positive")
     # the integrals with valid arguments, ascending
-    members = np.flatnonzero(~bad)
+    members = (~bad).nonzero()[0]
     counts = np.fmin(np.fmax(n0[members], 1.0),
                      _MAX_INITIAL_PANELS).astype(int)
     starts, panels = [], math.inf  # no run open yet
@@ -246,11 +299,12 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels):
     integrate_adaptive_batch: integral j from counts[j] equal panels, f
     seeing it as owner members[j]. Each panel's slot is j, and panels
     stay grouped by slot, ascending, each slot's panels in the order of
-    their left edges."""
+    their left edges. f gets the panels of each round in that order, so
+    their owners ascend."""
     # the initial edges are np.linspace's, integral by integral: edge k
     # of n is k * step + lo, and edge n is hi
-    slot = np.repeat(np.arange(members.size), counts)
-    k = (np.arange(slot.size) - (np.cumsum(counts) - counts)[slot]).astype(float)
+    slot = np.arange(members.size).repeat(counts)
+    k = (np.arange(slot.size) - (counts.cumsum() - counts)[slot]).astype(float)
     n, delta, start = counts[slot], (hi - lo)[slot], lo[slot]
     step = delta / n
     left, right = k * step, (k + 1.0) * step
@@ -268,8 +322,10 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels):
     nan_before = np.inf
     # at most 200 refinement rounds, then the results as they stand
     for round_ in range(201):
-        starts = np.cumsum(counts) - counts
+        starts = counts.cumsum() - counts
         total_err = np.add.reduceat(errs, starts)
+        if (total_err <= tol).all():  # every integral met its budget
+            break
         # an integral whose round left no fewer NaN panels than the round
         # before is NaN on a region that splitting cannot shrink; the sum
         # of the total errors alone shows whether a NaN panel is there
@@ -294,25 +350,23 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels):
         if finished.all():
             break
 
-        # split the marked panels in place: f gets their left halves,
-        # then their right halves, and each pair of halves takes the
+        # split the marked panels in place: each pair of halves takes the
         # place of its panel, so every integral's panels stay in the
-        # order of their left edges; a finished integral keeps its own
-        am, bm = a[mask], b[mask]
-        mid = 0.5 * (am + bm)
-        new_a, new_b = np.concatenate([am, mid]), np.concatenate([mid, bm])
-        new = _gk15_panels(f, new_a, new_b,
-                           members[np.concatenate([slot[mask]] * 2)])
+        # order of their left edges, and f gets the new panels in that
+        # order; a finished integral keeps its own
         counts = counts + added
         evaluations += 30 * added
         repeat = 1 + mask
-        first = (np.cumsum(repeat) - repeat)[mask]
-        at = np.concatenate([first, first + 1])
-        slot = np.repeat(slot, repeat)
-        a, b, vals, errs, mags = (np.repeat(old, repeat)
+        left = (repeat.cumsum() - repeat)[mask]  # each left half's index
+        at = (left[:, None] + _HALVES).ravel()
+        slot = slot.repeat(repeat)
+        a, b, vals, errs, mags = (old.repeat(repeat)
                                   for old in (a, b, vals, errs, mags))
-        for x, halves in zip((a, b, vals, errs, mags), (new_a, new_b, *new)):
-            x[at] = halves
+        mid = 0.5 * (a[left] + b[left])
+        a[left + 1] = mid
+        b[left] = mid
+        vals[at], errs[at], mags[at] = _gk15_panels(f, a[at], b[at],
+                                                    members[slot[at]])
 
     # each integral's panels are summed once, in the order of their left
     # edges, by one reduction of the same numbers as its batch of one
@@ -371,22 +425,35 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
     DomainError it raises (a pole on lo or hi or not finite, or the
     limits and tol integrate_adaptive_batch rejects).
     """
-    return _results(_principal_values(g, pole, lo, hi, tol, initial_panels))
+    return _results(_principal_values(
+        g, *_batch_args(pole, lo, hi, tol, initial_panels)))
 
 
-def _principal_values(g, pole, lo, hi, tol, initial_panels) -> _Batch:
-    """principal_value_batch as a _Batch. A principal value with a pole
-    inside fails with the exception of its first failing side."""
-    pole, lo, hi, tol, n0 = _batch_args(pole, lo, hi, tol, initial_panels)
+def _principal_values(g, pole, lo, hi, tol, n0) -> _Batch:
+    """principal_value_batch on equally long 1-D float arrays, as a
+    _Batch: the members of its lowering (_pv_part) as one _adaptive
+    batch."""
+    part, finish = _pv_part(g, pole, lo, hi, tol, n0)
+    return finish(_adaptive(*part))
+
+
+def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
+    """The lowering of _principal_values: the _Part of its members, and
+    finish, which makes the principal values' _Batch from that part's.
+    A principal value with a pole inside fails with the exception of
+    its first failing side. g_pole, when given, is g at every pole (as
+    g(pole, range of its size) would give it), from a caller that needs
+    it too."""
     failures = {}
     bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
-    for i in np.flatnonzero(bad).tolist():
+    for i in bad.nonzero()[0].tolist():
         failures[i] = DomainError(f"pole {float(pole[i])} is not finite or "
                                   f"on an end of [{float(lo[i])}, "
                                   f"{float(hi[i])}]")
     within = (lo < pole) & (pole < hi)
-    inside, outside = np.flatnonzero(within), np.flatnonzero(~within & ~bad)
-    g_pole = np.asarray(g(pole[inside], inside))
+    inside, outside = within.nonzero()[0], (~within & ~bad).nonzero()[0]
+    g_pole = (np.asarray(g(pole[inside], inside)) if g_pole is None
+              else g_pole[inside])
     # members: the left sides of the inside poles, their right sides,
     # then the outside poles; owner is the principal value of each and
     # sub the value its integrand subtracts (0 for an outside pole)
@@ -400,31 +467,35 @@ def _principal_values(g, pole, lo, hi, tol, initial_panels) -> _Batch:
 
     half = tol[inside] / 2.0
     share = n0[inside] / (hi[inside] - lo[inside])
-    members = _adaptive(
+    part = _Part(
         remainder, np.concatenate([lo[inside], pole[inside], lo[outside]]),
         np.concatenate([pole[inside], hi[inside], hi[outside]]),
         np.concatenate([half, half, tol[outside]]),
         np.concatenate([np.ceil(share * (pole[inside] - lo[inside])),
                         np.ceil(share * (hi[inside] - pole[inside])),
                         n0[outside]]))
-    # a member's exception is its principal value's, the left side's
-    # before the right side's
-    for m in sorted(members.failures):
-        failures.setdefault(int(owner[m]), members.failures[m])
-    # an inside pole's value: its two sides plus g(pole) ln((hi - pole) /
-    # (pole - lo)), the logarithm in math.log's rounding
-    logs = np.array([math.log(r) for r in
-                     ((hi[inside] - pole[inside])
-                      / (pole[inside] - lo[inside])).tolist()])
-    at = np.concatenate([inside, outside])
-    v, e, n = members.values, members.errors, members.evaluations
-    values = _scatter(np.concatenate([v[:k] + v[k:2 * k] + g_pole * logs,
-                                      v[2 * k:]]), at, pole.size, math.nan)
-    errors = _scatter(np.concatenate([e[:k] + e[k:2 * k], e[2 * k:]]), at,
-                      pole.size, math.nan)
-    evaluations = _scatter(np.concatenate([n[:k] + n[k:2 * k] + 1,
-                                           n[2 * k:]]), at, pole.size, 0)
-    return _Batch(values, errors, evaluations, errors <= tol, failures)
+
+    def finish(members: _Batch) -> _Batch:
+        # a member's exception is its principal value's, the left
+        # side's before the right side's
+        for m in sorted(members.failures):
+            failures.setdefault(int(owner[m]), members.failures[m])
+        # an inside pole's value: its two sides plus g(pole) ln((hi -
+        # pole) / (pole - lo)), the logarithm in math.log's rounding
+        logs = np.array([math.log(r) for r in
+                         ((hi[inside] - pole[inside])
+                          / (pole[inside] - lo[inside])).tolist()])
+        at = np.concatenate([inside, outside])
+        v, e, n = members.values, members.errors, members.evaluations
+        values = _scatter(np.concatenate([v[:k] + v[k:2 * k] + g_pole * logs,
+                                          v[2 * k:]]), at, pole.size, math.nan)
+        errors = _scatter(np.concatenate([e[:k] + e[k:2 * k], e[2 * k:]]),
+                          at, pole.size, math.nan)
+        evaluations = _scatter(np.concatenate([n[:k] + n[k:2 * k] + 1,
+                                               n[2 * k:]]), at, pole.size, 0)
+        return _Batch(values, errors, evaluations, errors <= tol, failures)
+
+    return part, finish
 
 
 def principal_value_integral(g, pole: float, lo: float, hi: float,

@@ -21,7 +21,9 @@ free= and then adds only the image part. _free_responses evaluates the
 free-space responses of many detectors, their bounded terms as the
 members of one batch, each on a mesh of its own up to its Gaussian
 cutoff, with a closed-form bound on the remainder beyond it; a single
-detector's is its batch of one. The image part is the image
+detector's is its batch of one. _reduced_batch runs those members and
+the line integrals of correlation._line_batch as one lockstep batch, the
+reduced terms of a point or a sweep. The image part is the image
 channel of the pair correlation for the pair (detector, detector) at
 zero separation: minus its prefactor times the folded line integral of
 correlation._line_batch at L_eff = 2 dz, whose half-residue
@@ -54,11 +56,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import (LineIntegral, OracleEstimate, _line_params,
-                          _oracle_batch, _reduced_line_integral)
+                          _line_part, _Lines, _oracle_batch,
+                          _reduced_line_integral)
 from .kinematics import (CircularDetectorSpec, DomainError, _require_dz,
                          _require_tol)
-from .quadrature import (_checked, gaussian_truncation_point,
-                         integrate_adaptive, integrate_adaptive_batch)
+from .quadrature import (_adaptive_parts, _checked, _Part, _results,
+                         gaussian_truncation_point, integrate_adaptive,
+                         integrate_adaptive_batch)
 # not called here; bench/tests/test_bench.py asserts this binding exists
 from .quadrature import principal_value_integral  # noqa: F401
 
@@ -196,11 +200,33 @@ def _free_responses(keys) -> list:
     off once, at gaussian_truncation_point, and starts on about one
     GK15 panel per period of its fastest oscillation, cos(beta x)
     against sin^2 x. The detectors are the members of one
-    integrate_adaptive_batch call over [0, cutoff], each on a mesh of
-    its own, so every breakdown equals its batch of one; the quadrature
-    bounds the lockstep runs they take. The remainder beyond each
-    cutoff X is bounded in closed form, exp(-alpha X^2) / (2 alpha X^3
-    (1 - v^2)), and added to that member's error estimate."""
+    integrate_adaptive_batch call over [0, cutoff] (_free_part lowers
+    them), each on a mesh of its own, so every breakdown equals its
+    batch of one; the quadrature bounds the lockstep runs they take.
+    The remainder beyond each cutoff X is bounded in closed form,
+    exp(-alpha X^2) / (2 alpha X^3 (1 - v^2)), and added to that
+    member's error estimate."""
+    part, finish = _free_part(keys)
+    if part.lo.size > 1:
+        return finish(integrate_adaptive_batch(
+            part.f, part.lo, part.hi, part.tol, initial_panels=part.n0))
+    if not part.lo.size:
+        return finish([])
+    # a lone detector runs through integrate_adaptive, the batch of one,
+    # whose calls the benchmark's tracer counts (bench/tracing.py)
+    try:
+        return finish([integrate_adaptive(
+            lambda x: part.f(x, np.zeros(1, dtype=int)), part.lo[0],
+            part.hi[0], part.tol[0], initial_panels=part.n0[0])])
+    except DomainError as exc:
+        return finish([exc])
+
+
+def _free_part(keys):
+    """The lowering of _free_responses: the quadrature _Part of the
+    rotating terms of its moving detectors, and finish, which makes
+    every key's breakdown or exception from the QuadratureResult or
+    exception of each member of that part."""
     results: list = [None] * len(keys)
     moving = []
     for i, (spec, tol) in enumerate(keys):
@@ -223,40 +249,44 @@ def _free_responses(keys) -> list:
             results[i] = exc
             continue
         moving.append((i, k_bounded, alpha, beta, v * v, tol_x, x_max, n0))
-    if not moving:
-        return results
     _, _, alpha, beta, v_sq, tol_x, x_max, n0 = (
-        np.array(col) for col in zip(*moving))
+        np.array(col, dtype=float) for col in
+        (zip(*moving) if moving else [()] * 8))
 
     def f_bounded(x, owner):
         return (np.exp(-alpha[owner] * x * x) * np.cos(beta[owner] * x)
                 * _bounded_kernel(x, v_sq[owner]))
 
-    if len(moving) > 1:
-        batch = integrate_adaptive_batch(f_bounded, 0.0, x_max, tol_x,
-                                         initial_panels=n0)
-    else:
-        # a lone detector runs through integrate_adaptive, the batch of
-        # one, whose calls the benchmark's tracer counts (bench/tracing.py)
-        try:
-            batch = [integrate_adaptive(
-                lambda x: f_bounded(x, np.zeros(1, dtype=int)), 0.0,
-                x_max[0], tol_x[0], initial_panels=n0[0])]
-        except DomainError as exc:
-            batch = [exc]
-    # beyond each cutoff X, 0 <= _bounded_kernel <= gamma^2/x^2 and the
-    # Gaussian's tail is at most exp(-alpha X^2)/(2 alpha X): with alpha X^2
-    # formed first, no factor overflows
-    ax2 = alpha * x_max * x_max
-    tails = np.exp(-ax2) / (2.0 * ax2 * x_max * (1.0 - v_sq))
-    for (i, k, *_), t, tail, res in zip(moving, tol_x.tolist(),
-                                        tails.tolist(), batch):
-        if isinstance(res, Exception):
-            results[i] = res
-            continue
-        err = res.abs_error_estimate + tail
-        results[i] = _breakdown(keys[i][0], k * res.value, k * err, err <= t)
-    return results
+    def finish(batch) -> list:
+        # beyond each cutoff X, 0 <= _bounded_kernel <= gamma^2/x^2 and
+        # the Gaussian's tail is at most exp(-alpha X^2)/(2 alpha X):
+        # with alpha X^2 formed first, no factor overflows
+        ax2 = alpha * x_max * x_max
+        tails = np.exp(-ax2) / (2.0 * ax2 * x_max * (1.0 - v_sq))
+        for (i, k, *_), t, tail, res in zip(moving, tol_x.tolist(),
+                                            tails.tolist(), batch):
+            if isinstance(res, Exception):
+                results[i] = res
+                continue
+            err = res.abs_error_estimate + tail
+            results[i] = _breakdown(keys[i][0], k * res.value, k * err,
+                                    err <= t)
+        return results
+
+    return _Part(f_bounded, np.zeros(len(moving)), x_max, tol_x, n0), finish
+
+
+def _reduced_batch(free_keys, line_keys) -> tuple[list, _Lines]:
+    """The free-space responses of free_keys, as _free_responses gives
+    them, and the _Lines of line_keys, as correlation._line_batch gives
+    them, from one lockstep batch: the members of both lowerings
+    (_free_part, correlation._line_part) in one
+    quadrature._adaptive_parts call, each bit-identical to its batch of
+    one."""
+    free, finish_free = _free_part(free_keys)
+    lines, finish_lines = _line_part(line_keys)
+    free_batch, line_batch = _adaptive_parts([free, lines])
+    return finish_free(_results(free_batch)), finish_lines(line_batch)
 
 
 def _breakdown(spec, term_bounded, err, converged) -> ResponseBreakdown:

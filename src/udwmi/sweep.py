@@ -8,12 +8,13 @@ axis, and a detector's free-space response at every height it sits at.
 So a sweep's pairs are lowered by infomeasure._plan_points, the one
 evaluator of pair points, to their distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
-transition probabilities, and run in two batch stages and one row pass.
-First the free-space responses and then the line integrals refine in
-lockstep, in the quadrature's bounded runs, serially or as jobs on a
-process pool, each member on a mesh of its own, so no value depends on
-its batch; the line stage's results are the arrays of
-correlation._line_batch. Then infomeasure._point_terms makes each row's
+transition probabilities, and run in one batch stage and one row pass.
+The free-space responses and the line integrals refine in lockstep as
+the members of one batch (response._reduced_batch), in the
+quadrature's bounded runs, serially or as jobs on a process pool, each
+member on a mesh of its own, so no value depends on its batch; the
+line integrals' results are the arrays of correlation._line_batch.
+Then infomeasure._point_terms makes each row's
 terms in order in the calling process, each mirror P the first time a
 row needs it, mutual_information_point assembles the row's point, and
 the row is built positionally from its point params and the point's
@@ -21,9 +22,10 @@ outputs. emit_table writes the cells of a row but its status with one
 %-format of the row. Output order is fixed by (curve, axis index) so
 files are byte-identical whatever the worker count. A failing point
 keeps its row with a fail status instead of aborting the run; otherwise its status is tagged from its values. The
-oracle suite lowers its points the same way, to the keys of three
-batches: free-space responses, line integrals, and the oracles, both
-contour passes of each a member of one quadrature. It runs them on the
+oracle suite lowers its points the same way, to free-space, line and
+oracle keys: the first two as one reduced batch, and the oracles, both
+contour passes of each a member of one quadrature, as a batch of their
+own. It runs them on the
 same serial-or-pool helper, one process pool per call, then makes each
 point's P or C from its batch results as transition_probability and
 correlation_equal do alone.
@@ -52,9 +54,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import (LineIntegral, PairConfig, _correlation_from_lines,
-                          _join_lines, _line_batch, _line_integral_args,
-                          _oracle_batch, _pair_oracle_key,
-                          _require_equal_kinematics)
+                          _join_lines, _line_integral_args, _oracle_batch,
+                          _pair_oracle_key, _require_equal_kinematics)
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
                           PointTerms, _beyond_budget, _plan_points,
                           _point_terms, mutual_information_point)
@@ -63,7 +64,7 @@ from .kinematics import (DomainError, _require_dz, _require_finite,
                          _require_sep, _require_tol,
                          detector_from_accel_radius)
 from .quadrature import _checked
-from .response import (_free_responses, _image_line_args, _real_estimate,
+from .response import (_image_line_args, _real_estimate, _reduced_batch,
                        _response_oracle_key, transition_probability)
 
 __all__ = [
@@ -283,31 +284,39 @@ def _fail_status(exc: Exception) -> str:
     return f"fail:{type(exc).__name__}:{_one_line(exc)}"
 
 
-def _evaluate_batch(batch, keys: list[tuple]):
-    """The results of the keys of a batch function from one lockstep
-    batch: the value, or the exception it failed with, of each key
-    (_free_responses, _oracle_batch), or the _Lines of _line_batch. A
-    batch that raises as a whole is run again one key at a time, so that
-    a key's failure does not depend on the batch it shared; a key that
-    raises alone has the list of its exception as its results."""
+def _evaluate_batch(batch, kinds: tuple[list, ...]) -> list[list]:
+    """The results of batch(*kinds), a batch function of lists of keys
+    of several kinds that returns the results of each list
+    (response._reduced_batch, _suite_batch), from one lockstep batch:
+    for each list, the parts of its results, here the one part the
+    batch gave it. A batch that raises as a whole is run again one key
+    at a time, so that a key's failure does not depend on the batch it
+    shared: then each key is a part of its list's results, and a key
+    that raises alone has the list of its exception as its part."""
     try:
-        return batch(keys)
+        return [[part] for part in batch(*kinds)]
     except Exception as exc:  # per-point isolation is the contract
-        if len(keys) == 1:
-            return [exc]
-    parts = [_evaluate_batch(batch, [key]) for key in keys]
-    if all(isinstance(part, list) for part in parts):
-        return [res for part in parts for res in part]
-    return _join_lines(parts)
+        if sum(map(len, kinds)) == 1:
+            return [[[exc]] if keys else [] for keys in kinds]
+    parts = [[] for _ in kinds]
+    for i, keys in enumerate(kinds):
+        for key in keys:
+            lone = tuple([key] if j == i else [] for j in range(len(kinds)))
+            parts[i] += _evaluate_batch(batch, lone)[i]
+    return parts
 
 
-def _batch_jobs(batch, keys: list, workers: int) -> list[tuple]:
-    """(batch, keys) arguments of _evaluate_batch: all keys as one job,
-    or on a pool of workers jobs of about a quarter of a worker's
-    share. quadrature.integrate_adaptive_batch bounds the lockstep runs
-    a job takes."""
-    size = max(len(keys) if workers == 1 else len(keys) // (4 * workers), 1)
-    return [(batch, keys[c:c + size]) for c in range(0, len(keys), size)]
+def _batch_jobs(batch, kinds: tuple[list, ...], workers: int) -> list[tuple]:
+    """(batch, kinds) arguments of _evaluate_batch: all keys as one job,
+    or on a pool of workers 4 jobs per worker (fewer when the longest
+    list has fewer keys), job c holding the c-th slice of each list.
+    quadrature.integrate_adaptive_batch bounds the lockstep runs a job
+    takes."""
+    count = 1 if workers == 1 else max(min(4 * workers,
+                                           max(map(len, kinds))), 1)
+    return [(batch, tuple(keys[len(keys) * c // count:
+                               len(keys) * (c + 1) // count]
+                          for keys in kinds)) for c in range(count)]
 
 
 def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
@@ -346,21 +355,19 @@ def _map(fn, calls: list[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*calls)))
 
 
-def _run_batches(batches: list[tuple], workers: int) -> list:
-    """The results of each (batch function, keys) of batches, as one
-    _evaluate_batch of all its keys gives them: the jobs of every batch
+def _run_batch(batch, kinds: tuple[list, ...], workers: int) -> list[list]:
+    """The parts of the results of each list of keys of kinds, as
+    _evaluate_batch gives them for all the keys: its jobs
     (_batch_jobs) run in order, serially or on one pool of workers, and
-    a batch's jobs are joined, their lists concatenated or, for
-    _line_batch, their _Lines."""
-    jobs = [_batch_jobs(batch, keys, workers) for batch, keys in batches]
-    done = iter(_map(_evaluate_batch, [job for part in jobs for job in part],
-                     workers))
-    out = []
-    for (batch, _), part in zip(batches, jobs):
-        results = [next(done) for _ in part]
-        out.append(_join_lines(results) if batch is _line_batch
-                   else [res for result in results for res in result])
-    return out
+    each list's parts are those of its slices, in order."""
+    done = _map(_evaluate_batch, _batch_jobs(batch, kinds, workers), workers)
+    return [[part for job in done for part in job[i]]
+            for i in range(len(kinds))]
+
+
+def _joined(parts: list[list]) -> list:
+    """The results of a list of keys from the parts of them, lists."""
+    return [res for part in parts for res in part]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
@@ -369,10 +376,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
 
     The pairs are lowered by infomeasure._plan_points, so each distinct
     free-space response, line integral and mirror transition probability
-    of the sweep is evaluated once. The free-space responses and then
-    the line integrals run first, as lockstep batches, serially as one
-    job each or on a pool of workers as several (_run_batches), the line
-    jobs' arrays joined into one _Lines. infomeasure._point_terms then
+    of the sweep is evaluated once. The free-space responses and the
+    line integrals run first, as the members of one lockstep batch
+    (response._reduced_batch), serially as one job or on a pool of
+    workers as several, each holding a slice of both lists of keys
+    (_run_batch), the line jobs' arrays joined into one _Lines.
+    infomeasure._point_terms then
     makes the rows' terms in order in this process, each mirror P the
     first time a row needs it, and each row's point is assembled by
     mutual_information_point with its PerturbativeRegimeWarning
@@ -390,9 +399,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
             pairs.append(exc)
     plans, free_keys, line_keys, responses = _plan_points(
         [pair for pair in pairs if not isinstance(pair, Exception)], spec.tol)
-    frees, lines = _run_batches([(_free_responses, free_keys),
-                                 (_line_batch, line_keys)], workers)
-    points = _point_terms(plans, responses, frees, lines, spec.tol)
+    frees, lines = _run_batch(_reduced_batch, (free_keys, line_keys), workers)
+    points = _point_terms(plans, responses, _joined(frees),
+                          _join_lines(lines), spec.tol)
 
     rows = []
     with warnings.catch_warnings():
@@ -594,8 +603,8 @@ _SUITE_TOL, _P_ORACLE_TOL, _C_ORACLE_TOL = 1e-8, 1e-6, 1e-7
 def _suite_plans(points: list[tuple]) -> tuple[list, list, list, list]:
     """Lower (section, params) suite points, "response" or "correlation",
     to the keys of the batches they need: one plan per point, then the
-    distinct free-space keys (response._free_responses), line keys
-    (correlation._line_batch) and oracle keys
+    distinct free-space keys (of response._free_responses), line keys
+    (of correlation._line_batch) and oracle keys
     (correlation._oracle_batch), each listed once in the order the
     plans first use it. A response plan is (detector, dz, free-space
     index, image line index or None, oracle index), a correlation plan
@@ -632,6 +641,14 @@ def _suite_plans(points: list[tuple]) -> tuple[list, list, list, list]:
     return plans, list(frees), list(lines), list(oracles)
 
 
+def _suite_batch(free_keys, line_keys, oracle_keys) -> tuple:
+    """The results of the keys of a suite's reduced batch
+    (response._reduced_batch) and of its oracle batch
+    (correlation._oracle_batch), each batch on its own."""
+    return (*_reduced_batch(free_keys, line_keys),
+            _oracle_batch(oracle_keys) if oracle_keys else [])
+
+
 def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     """Cross-check the fast paths against the definition-level oracles
     on a grid (a JSON path, preset name, or mapping) of points;
@@ -639,13 +656,15 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     deviation).
 
     The response and then the correlation points are lowered
-    (_suite_plans) to three lockstep batches, as a sweep's pairs are:
-    their free-space responses, their line integrals (the image lines
-    of each mirror P and the lines of C) and their oracles, both
-    contour passes of each a member of one quadrature. These run
-    serially as one job each, or on a pool of workers as several
-    (_batch_jobs), to the same report at any worker count, since each
-    member equals its batch of one. Each P is then made by
+    (_suite_plans) to the keys of two lockstep batches: their
+    free-space responses and their line integrals (the image lines of
+    each mirror P and the lines of C) as one reduced batch, as a
+    sweep's pairs are, and their oracles, both contour passes of each a
+    member of one quadrature, as a batch of their own (_suite_batch).
+    These run serially as one job, or on a pool of workers as several,
+    each holding a slice of every list of keys (_batch_jobs), to the
+    same report at any worker count, since each member equals its batch
+    of one. Each P is then made by
     transition_probability from its free-space response and image
     line, and each C from its lines, as transition_probability and
     correlation_equal make them alone.
@@ -660,9 +679,9 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     points = ([("response", p) for p in resp_points]
               + [("correlation", p) for p in grid["correlation_points"]])
     plans, free_keys, line_keys, oracle_keys = _suite_plans(points)
-    frees, lines, oracles = _run_batches([
-        (_free_responses, free_keys), (_line_batch, line_keys),
-        (_oracle_batch, oracle_keys)], workers)
+    frees, lines, oracles = _run_batch(
+        _suite_batch, (free_keys, line_keys, oracle_keys), workers)
+    frees, lines, oracles = _joined(frees), _join_lines(lines), _joined(oracles)
     line_records = lines.records()
 
     def line(i: int) -> tuple:

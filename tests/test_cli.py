@@ -269,11 +269,17 @@ class TestSweepCommand:
                                       monkeypatch):
         from udwmi import sweep as sweep_mod
 
-        def always_fail(keys):
-            raise RuntimeError("forced point failure")
+        reduced = sweep_mod._reduced_batch
+
+        def always_fail(free_keys, line_keys):
+            # a batch raising as a whole is run again key by key: then
+            # every free-space response fails, and every line succeeds
+            if free_keys:
+                raise RuntimeError("forced point failure")
+            return reduced(free_keys, line_keys)
 
         # every row's P_A needs its detector's free-space response
-        monkeypatch.setattr(sweep_mod, "_free_responses", always_fail)
+        monkeypatch.setattr(sweep_mod, "_reduced_batch", always_fail)
         out_path = tmp_path / "out.csv"
         rc, out, err = run_cli(capsys, [
             "sweep", "--config", str(config_path), "--out", str(out_path),

@@ -337,13 +337,13 @@ class TestLineIntegralBatch:
         from udwmi import correlation
 
         calls = []
-        batch = correlation._principal_values
+        lowering = correlation._pv_part
 
-        def counted(g, pole, lo, hi, tol, initial_panels):
+        def counted(g, pole, lo, hi, tol, initial_panels, g_pole):
             calls.append(len(pole))
-            return batch(g, pole, lo, hi, tol, initial_panels)
+            return lowering(g, pole, lo, hi, tol, initial_panels, g_pole)
 
-        monkeypatch.setattr(correlation, "_principal_values", counted)
+        monkeypatch.setattr(correlation, "_pv_part", counted)
         keys = [line_key(3.7, 0.02, 0.1, L, 1e-8) for L in (0.5, 2.0, 60.0)]
         keys += SPECIAL_KEYS
         lines = _reduced_line_integrals(keys)
@@ -382,19 +382,20 @@ class TestLineIntegralBatch:
         from udwmi import correlation
 
         calls = []
-        batch = correlation._principal_values
+        lowering = correlation._pv_part
 
-        def counted(g, pole, lo, hi, tol, sized_panels):
+        def counted(g, pole, lo, hi, tol, sized_panels, g_pole):
             def g_counted(s, j):
                 calls.append(s.size)
                 return g(s, j)
 
-            return batch(g_counted, pole, lo, hi, tol,
-                         sized_panels if initial_panels is None
-                         else initial_panels)
+            return lowering(g_counted, pole, lo, hi, tol,
+                            sized_panels if initial_panels is None
+                            else np.full(pole.size, float(initial_panels)),
+                            g_pole)
 
         with monkeypatch.context() as m:
-            m.setattr(correlation, "_principal_values", counted)
+            m.setattr(correlation, "_pv_part", counted)
             lines = _reduced_line_integrals(keys)
         return len(calls), sum(line.evaluations for line in lines)
 

@@ -337,8 +337,10 @@ class TestEndToEndPoint:
     def test_equal_detectors_share_the_free_response(self, monkeypatch, dz,
                                                      gap_b, bounded_calls):
         # equal detectors run the bounded quadrature of their free-space
-        # response once, unequal ones as one batch of two, and the point
-        # is bit-identical to evaluating each detector's P on its own
+        # response once, unequal ones as two members, in the one
+        # lockstep batch of the point's free-space and line terms, and
+        # the point is bit-identical to evaluating each detector's P on
+        # its own
         det_a = detector_from_accel_radius(1.0, 0.1, 0.02)
         det_b = detector_from_accel_radius(gap_b, 0.1, 0.02)
         pair = PairConfig(det_a=det_a, det_b=det_b, sep=2.0, dz=dz)
@@ -347,29 +349,25 @@ class TestEndToEndPoint:
             transition_probability(det_a, dz),
             transition_probability(det_b, dz_b), correlation_equal(pair)))
         calls = []
-        batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
+        adaptive_parts = response._adaptive_parts
         batches = []
-        lines = infomeasure._line_batch
+        reduced = infomeasure._reduced_batch
 
-        def counted(f, lo, hi, *args, **kwargs):
-            calls.append(np.size(hi))
-            return batch(f, lo, hi, *args, **kwargs)
+        def counted(parts, *args):
+            # the free-space part's members, one per bounded quadrature
+            calls.append(parts[0].lo.size)
+            return adaptive_parts(parts, *args)
 
-        def counted_lone(*args, **kwargs):
-            calls.append(1)
-            return lone(*args, **kwargs)
+        def counted_reduced(free_keys, line_keys):
+            batches.append(len(line_keys))
+            return reduced(free_keys, line_keys)
 
-        def counted_lines(keys):
-            batches.append(len(keys))
-            return lines(keys)
-
-        monkeypatch.setattr(response, "integrate_adaptive_batch", counted)
-        monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
-        monkeypatch.setattr(infomeasure, "_line_batch", counted_lines)
+        monkeypatch.setattr(response, "_adaptive_parts", counted)
+        monkeypatch.setattr(infomeasure, "_reduced_batch", counted_reduced)
         pt = mutual_information_point(pair)
         # one batch, one member per distinct detector
         assert calls == [bounded_calls]
-        # the image lines of both P and the lines of C are one batch
+        # the image lines of both P and the lines of C are in that batch
         assert batches == [1 if dz is None else 4]
         assert float_bits(dataclasses.astuple(pt)) == \
             float_bits(dataclasses.astuple(expected))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from udwmi import quadrature, response
+from udwmi import correlation, quadrature, response
 
 from udwmi import (
     DomainError,
@@ -256,6 +256,22 @@ def breakdown_bits(res):
         else exact(res)
 
 
+def line_key(spec, L_eff, tol):
+    """A key of correlation._line_batch: the line at L_eff on spec's
+    orbit, of the C of spec with itself."""
+    return (L_eff, *correlation._line_params(spec, spec, tol)[1])
+
+
+def lines_bits(lines, i):
+    """Key i's entry of every field of a _Lines, floats in float.hex: its
+    failure's type and message when it has one."""
+    if i in lines.failures:
+        exc = lines.failures[i]
+        return type(exc).__name__, str(exc)
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in (column[i].item() for column in lines[:7]))
+
+
 class TestFreeBatch:
     # the bounded terms of many detectors are the members of lockstep
     # batches, each on a mesh of its own, so every member equals its
@@ -408,6 +424,64 @@ class TestFreeBatch:
             ref = transition_probability(spec, None, 1e-12)
             assert abs(r.total - ref.total) <= \
                 r.abs_error_estimate + ref.abs_error_estimate
+
+    # line keys of the reduced batch's second kind: rotating near and
+    # far from the pole's band, static, a pole beyond the switching
+    # envelope, an L_eff whose square is subnormal (fails before its
+    # quadrature) and a tol of 0 (its quadrature rejects it)
+    LINE_KEYS = [
+        line_key(det(0.1, 0.02), 0.5, 1e-8),
+        line_key(det(30.0, 1.0, 1.0), 2.0, 1e-12),
+        line_key(det(0.0, 1.0, 0.5), 1.5, 1e-8),
+        line_key(det(1.0, 1.0, 0.5), 40.0, 1e-10),
+        line_key(det(5.0, 0.02), 1e-170, 1e-8),
+        line_key(det(5.0, 0.02), 1.0, 1e-8)[:-1] + (0.0,),
+    ]
+    # a batch whose members all meet their tol in the first round
+    ROUND_ZERO = (
+        [(det(1.0, 1.0), 1e-8), (det(0.5, 5.0, 0.2), 1e-8)],
+        [line_key(det(1.0, 1.0), L, 1e-8) for L in (0.5, 2.0, 10.0)])
+
+    @pytest.mark.parametrize("case", ["mixed", "mixed-one-run", "round-0"])
+    def test_mixed_batch_members_equal_batches_of_one(self, monkeypatch,
+                                                      case):
+        # free-space and line keys as the members of one lockstep
+        # batch: each equals its one-kind batch of one, every field in
+        # float.hex, failures by index
+        if case == "round-0":
+            free_keys, line_keys = self.ROUND_ZERO
+        else:
+            # the tol-rejected key of test_bad_tol_fails_alone beside
+            # the failing and the static members of KEYS
+            free_keys = [(det(1e150, 1e-150), 1e-200), *self.KEYS]
+            line_keys = self.LINE_KEYS
+        if case == "mixed-one-run":
+            monkeypatch.setattr(quadrature, "_RUN_PANELS", 10 ** 6)
+        rounds = []
+        panels = quadrature._gk15_panels
+
+        def counted(f, lo, hi, owner):
+            rounds.append(lo.size)
+            return panels(f, lo, hi, owner)
+
+        monkeypatch.setattr(quadrature, "_gk15_panels", counted)
+        frees, lines = response._reduced_batch(free_keys, line_keys)
+        if case == "round-0":
+            # one evaluation of the first round's panels, then the early
+            # exit: 2 free members and 2 sides of each of 3 lines
+            assert len(rounds) == 1
+        assert [breakdown_bits(r) for r in frees] == \
+            [breakdown_bits(response._free_responses([key])[0])
+             for key in free_keys]
+        assert [lines_bits(lines, i) for i in range(len(line_keys))] == \
+            [lines_bits(correlation._line_batch([key]), 0)
+             for key in line_keys]
+        if case != "round-0":
+            assert "tol must be positive" in str(frees[0])
+            assert "cutoff is not finite" in str(frees[8])
+            assert set(lines.failures) == {4, 5}
+            assert "too small" in str(lines.failures[4])
+            assert "tol must be positive" in str(lines.failures[5])
 
     def test_batch_memory_is_bounded(self):
         # 144 rotating detectors, 8 to 566 initial panels each: as one

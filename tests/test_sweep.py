@@ -26,7 +26,7 @@ from udwmi.correlation import (LineIntegral, PairConfig,
 from udwmi.infomeasure import (PerturbativeRegimeWarning, PointTerms,
                                mutual_information_point)
 from udwmi.kinematics import DomainError, detector_from_accel_radius
-from udwmi.response import (_free_responses, _image_line_args,
+from udwmi.response import (_image_line_args, _reduced_batch,
                             transition_probability)
 from udwmi.sweep import (_OUTPUT_COLUMNS, AXIS_NAMES, COLUMNS, SweepAxis,
                          SweepRow, SweepSpec, _deviation_record, _json_number,
@@ -286,22 +286,23 @@ class TestRunSweep:
         assert direct[0] == 1.0
         forced = DomainError("forced failure for this point")
 
-        def failing_member(keys):
-            lines = _line_batch(keys)
-            return lines._replace(failures={
+        def failing_member(free_keys, line_keys):
+            frees, lines = _reduced_batch(free_keys, line_keys)
+            return frees, lines._replace(failures={
                 **lines.failures,
-                **{i: forced for i, key in enumerate(keys) if key == direct}})
+                **{i: forced for i, key in enumerate(line_keys)
+                   if key == direct}})
 
-        def failing_batch(keys):
-            if direct in keys:
+        def failing_batch(free_keys, line_keys):
+            if direct in line_keys:
                 raise forced
-            return _line_batch(keys)
+            return _reduced_batch(free_keys, line_keys)
 
         clean = run_sweep(spec, workers=1)
         # the member fails in its batch, or the batch raises as a whole
         # and is run again key by key: either way one row fails
         for patch in (failing_member, failing_batch):
-            monkeypatch.setattr(sweep_mod, "_line_batch", patch)
+            monkeypatch.setattr(sweep_mod, "_reduced_batch", patch)
             rows = run_sweep(spec, workers=1)
             assert [r.status.split(":")[0] for r in rows] == \
                 ["ok", "fail", "ok"]
@@ -329,12 +330,14 @@ class TestRunSweep:
         # only C's lines, then only the mirror P's image lines, miss
         # their tolerance: either way every row is tagged
         for marked in (c_keys, image_keys):
-            def unconverged_lines(keys, marked=marked):
-                lines = _line_batch(keys)
-                return lines._replace(converged=lines.converged & np.array(
-                    [key not in marked for key in keys], dtype=bool))
+            def unconverged_lines(free_keys, line_keys, marked=marked):
+                frees, lines = _reduced_batch(free_keys, line_keys)
+                return frees, lines._replace(
+                    converged=lines.converged & np.array(
+                        [key not in marked for key in line_keys], dtype=bool))
 
-            monkeypatch.setattr(sweep_mod, "_line_batch", unconverged_lines)
+            monkeypatch.setattr(sweep_mod, "_reduced_batch",
+                                unconverged_lines)
             rows = run_sweep(spec, workers=1)
             assert all(r.status == "warn:tolerance" for r in rows)
 
@@ -500,12 +503,14 @@ class TestPointRecord:
 def fail_bounded_term(monkeypatch, alpha):
     """Patch response's bounded quadrature so that the integral of the
     detector whose Gaussian is exp(-alpha x^2) fails with a RuntimeError:
-    as its member of a batch, or by raising when it runs alone. The
-    member is the one whose upper limit is that detector's cutoff."""
+    as its member of a free-space batch or of a reduced batch beside
+    line integrals, or by raising when it runs alone. The member is the
+    one whose upper limit is that detector's cutoff."""
     error = RuntimeError("forced bounded-term failure")
     cutoffs = {}
     cutoff = response.gaussian_truncation_point
     batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
+    adaptive_parts = response._adaptive_parts
 
     def recorded_cutoff(a, tol):
         cutoffs[a] = cutoff(a, tol)
@@ -521,10 +526,19 @@ def fail_bounded_term(monkeypatch, alpha):
             raise error
         return lone(f, lo, hi, *args, **kwargs)
 
+    def failing_parts(parts, *args):
+        # the free-space part comes first
+        free, *rest = adaptive_parts(parts, *args)
+        hit = np.flatnonzero(parts[0].hi == cutoffs.get(alpha)).tolist()
+        return [free._replace(failures={**free.failures,
+                                        **dict.fromkeys(hit, error)}),
+                *rest]
+
     monkeypatch.setattr(response, "gaussian_truncation_point",
                         recorded_cutoff)
     monkeypatch.setattr(response, "integrate_adaptive_batch", failing_batch)
     monkeypatch.setattr(response, "integrate_adaptive", failing_lone)
+    monkeypatch.setattr(response, "_adaptive_parts", failing_parts)
 
 
 # sweeps whose rows are compared with their points evaluated alone, by id
@@ -575,6 +589,7 @@ class TestPlanner:
         direct_lines = []
         tp = infomeasure.transition_probability
         batch, lone = response.integrate_adaptive_batch, response.integrate_adaptive
+        adaptive_parts = response._adaptive_parts
 
         def counted_tp(spec, dz=None, tol=1e-8, free=None, line=None):
             probabilities.append((spec, dz, tol))
@@ -589,9 +604,14 @@ class TestPlanner:
             bounded.append(hi)
             return lone(f, lo, hi, *args, **kwargs)
 
-        def counted_lines(keys):
-            direct_lines.extend(key for key in keys if key[0] == 1.0)
-            return _line_batch(keys)
+        def counted_parts(parts, *args):
+            # one bounded quadrature per member of the free-space part
+            bounded.extend(parts[0].hi.tolist())
+            return adaptive_parts(parts, *args)
+
+        def counted_lines(free_keys, line_keys):
+            direct_lines.extend(key for key in line_keys if key[0] == 1.0)
+            return _reduced_batch(free_keys, line_keys)
 
         monkeypatch.setattr(infomeasure, "transition_probability", counted_tp)
         n = 5
@@ -607,7 +627,8 @@ class TestPlanner:
         monkeypatch.setattr(response, "integrate_adaptive_batch",
                             counted_batch)
         monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
-        monkeypatch.setattr(sweep_mod, "_line_batch", counted_lines)
+        monkeypatch.setattr(response, "_adaptive_parts", counted_parts)
+        monkeypatch.setattr(sweep_mod, "_reduced_batch", counted_lines)
         run_sweep(sep_spec, workers=1)
         # both detectors are one detector: its free-space response, the
         # bounded quadrature, runs once, not once per mirror P
@@ -622,21 +643,30 @@ class TestPlanner:
     def test_line_integrals_run_as_one_batch(self, monkeypatch):
         # a serial criterion-7 style curve hands all its line integrals
         # to one principal-value batch: P_A's image line, then P_B's
-        # image line and C's direct and image lines of every row
+        # image line and C's direct and image lines of every row; its
+        # members run in the one lockstep batch of the curve
         batches = []
-        pv_batch = correlation._principal_values
+        runs = []
+        pv_part = correlation._pv_part
+        adaptive_parts = response._adaptive_parts
 
-        def counted(g, pole, lo, hi, tol, initial_panels):
+        def counted(g, pole, lo, hi, tol, initial_panels, g_pole):
             batches.append(len(pole))
-            return pv_batch(g, pole, lo, hi, tol, initial_panels)
+            return pv_part(g, pole, lo, hi, tol, initial_panels, g_pole)
 
-        monkeypatch.setattr(correlation, "_principal_values", counted)
+        def counted_parts(parts, *args):
+            runs.append(len(parts))
+            return adaptive_parts(parts, *args)
+
+        monkeypatch.setattr(correlation, "_pv_part", counted)
+        monkeypatch.setattr(response, "_adaptive_parts", counted_parts)
         spec = SweepSpec(axis=SweepAxis(name="sep", start=0.1, stop=8.0,
                                         points=240),
                          gap_a=0.1, accel=3.7, radius=0.02, dz=5.0)
         rows = run_sweep(spec, workers=1)
         assert len(rows) == 240
         assert batches == [1 + 3 * 240]
+        assert runs == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_free_response_fails_its_rows(self, monkeypatch, workers):
@@ -1198,8 +1228,9 @@ class TestOracleSuite:
                               "response_points": [good]})
 
     def test_pool_maps_batch_jobs(self, monkeypatch):
-        # with workers, the pool gets jobs of the suite's three batches,
-        # as a sweep's: fewer jobs than keys, not a point per task
+        # with workers, the pool gets jobs of the suite's batch, as a
+        # sweep's: each job a slice of every kind of key, fewer jobs
+        # than keys, not a point per task
         from udwmi import sweep as sweep_mod
 
         mapped = []
@@ -1212,10 +1243,8 @@ class TestOracleSuite:
         report = run_oracle_suite("oracle_grid", workers=2)
         ((fn, jobs, workers),) = mapped
         assert fn is sweep_mod._evaluate_batch and workers == 2
-        assert {batch for batch, _ in jobs} == {
-            _free_responses, _line_batch, correlation._oracle_batch}
-        oracle_jobs = [keys for batch, keys in jobs
-                       if batch is correlation._oracle_batch]
+        assert {batch for batch, _ in jobs} == {sweep_mod._suite_batch}
+        oracle_jobs = [oracles for _, (_, _, oracles) in jobs]
         assert sum(map(len, oracle_jobs)) == 39 > len(oracle_jobs) > 1
         assert float_bits(report) == float_bits(run_oracle_suite(
             "oracle_grid"))

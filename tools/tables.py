@@ -39,6 +39,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -64,7 +65,8 @@ ONSET_CURVES = {
 # pair, free space and a large gamma at a tight tol; then three config
 # errors, whose stderr shows what each version says of them: an accel
 # that is not finite, a height of 0 and a negative separation (the last
-# a valid point of udwmi response, which takes no --sep)
+# a valid point of udwmi response, which takes no --sep); query_points
+# adds a sample of the benchmark's udwmi mi queries
 POINTS = (
     (["--accel", "1", "--radius", "1", "--dz", "0.5"], []),
     (["--accel", "4", "--radius", "0.02", "--dz", "0.2"], ["--gap-b", "0.5"]),
@@ -78,6 +80,43 @@ POINTS = (
     (["--dz", "0"], []),
     (["--dz", "1"], ["--sep", "-1"]),
 )
+
+
+def query_points(seed: int = 43, per_cell: int = 2) -> tuple:
+    """A fixed sample of the benchmark's udwmi mi queries
+    (bench/workloads.py query_universe), in the form of POINTS: for each
+    gap ratio 0, 2 and 10 (gap_b = gap_a (1 + ratio)) and each radius
+    0.02, 1 and 10, per_cell pairs drawn from random.Random(seed) with
+    gap_a uniform on [0.05, 1], accel log-uniform on [0.1, 40], sep
+    uniform on [0.1, 8] and dz log-uniform on [0.1, 10]; then one pair in
+    free space and one failed point (P_A + P_B exceeds 1, exit status
+    2). Every float is written as repr writes it, as the benchmark
+    does."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = []
+    for ratio in (0.0, 2.0, 10.0):
+        for radius in (0.02, 1.0, 10.0):
+            for _ in range(per_cell):
+                gap_a = rng.uniform(0.05, 1.0)
+                accel, sep = log_uniform(0.1, 40.0), rng.uniform(0.1, 8.0)
+                points.append((
+                    ["--accel", repr(accel), "--radius", repr(radius),
+                     "--dz", repr(log_uniform(0.1, 10.0))],
+                    ["--gap-a", repr(gap_a),
+                     "--gap-b", repr(gap_a * (1.0 + ratio)),
+                     "--sep", repr(sep)]))
+    points.append((["--accel", "3.3", "--radius", "1", "--free-space"],
+                   ["--gap-a", "0.4", "--gap-b", "1.2", "--sep", "2.7"]))
+    points.append((["--accel", "35", "--radius", "1", "--dz", "0.3"],
+                   ["--gap-a", "0.64", "--gap-b", "7", "--sep", "2.2"]))
+    return tuple(points)
+
+
+POINTS += query_points()
 
 # run inside each version, with that version's src first on the path
 _WRITE_OUTPUTS = """
