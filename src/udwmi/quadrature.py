@@ -46,18 +46,14 @@ gaussian_truncation_point and bounds the remainder itself
 (response._free_responses). The shape of every batch is decided here
 alone (_RUN_PANELS), so callers hand over whole lists.
 
-Both batch routines wrap array cores, _adaptive and _principal_values,
-whose _Batch holds the members' results as arrays and their failures by
-index. Result objects are made once, at the public edge (_results), or
-by a caller that reads a _Batch (correlation._line_batch).
-
-Integrals of several integrands run as one lockstep batch: each caller
-lowers its integrals to a _Part, the members of one integrand f(x,
-owner) (_pv_part lowers principal values), and _adaptive_parts runs
-the members of all the parts, part after part, as the members of one
-_adaptive batch. Each round hands each integrand the rows of its own
-members alone, so every member still equals its batch of one, and
-each part gets back a _Batch of its own. A sweep's or a point's
+Both batch routines wrap an array core, _adaptive (a principal value
+batch lowered to its members by _pv_part), whose _Batch holds the
+members' results as arrays and their failures by index. Result objects
+are made once, at the public edge (_results), or by a caller that reads
+a _Batch (correlation._line_batch). Integrals of several integrands,
+each lowered to a _Part, run as one lockstep batch (_adaptive_parts):
+each round hands each integrand the rows of its own members alone, so
+every member still equals its batch of one. A sweep's or a point's
 free-space and line terms are one such batch (response._reduced_batch).
 """
 
@@ -425,23 +421,16 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
     DomainError it raises (a pole on lo or hi or not finite, or the
     limits and tol integrate_adaptive_batch rejects).
     """
-    return _results(_principal_values(
-        g, *_batch_args(pole, lo, hi, tol, initial_panels)))
-
-
-def _principal_values(g, pole, lo, hi, tol, n0) -> _Batch:
-    """principal_value_batch on equally long 1-D float arrays, as a
-    _Batch: the members of its lowering (_pv_part) as one _adaptive
-    batch."""
-    part, finish = _pv_part(g, pole, lo, hi, tol, n0)
-    return finish(_adaptive(*part))
+    part, finish = _pv_part(g, *_batch_args(pole, lo, hi, tol,
+                                            initial_panels))
+    return _results(finish(_adaptive(*part)))
 
 
 def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
-    """The lowering of _principal_values: the _Part of its members, and
-    finish, which makes the principal values' _Batch from that part's.
-    A principal value with a pole inside fails with the exception of
-    its first failing side. g_pole, when given, is g at every pole (as
+    """The lowering of principal_value_batch on equally long 1-D float
+    arrays: the _Part of its members, and finish, which makes the
+    principal values' _Batch from that part's. A principal value with a
+    pole inside fails with the exception of its first failing side. g_pole, when given, is g at every pole (as
     g(pole, range of its size) would give it), from a caller that needs
     it too."""
     failures = {}

@@ -249,9 +249,8 @@ def _free_part(keys):
             results[i] = exc
             continue
         moving.append((i, k_bounded, alpha, beta, v * v, tol_x, x_max, n0))
-    _, _, alpha, beta, v_sq, tol_x, x_max, n0 = (
-        np.array(col, dtype=float) for col in
-        (zip(*moving) if moving else [()] * 8))
+    _, _, alpha, beta, v_sq, tol_x, x_max, n0 = np.array(
+        moving, dtype=float).reshape(-1, 8).T
 
     def f_bounded(x, owner):
         return (np.exp(-alpha[owner] * x * x) * np.cos(beta[owner] * x)
