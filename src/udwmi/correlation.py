@@ -279,9 +279,12 @@ def _line_part(keys):
         return (amp[j] * np.sinc(omega[j] * (s - pole) / (2.0 * math.pi))
                 * np.sin(half_omega[j] * s_plus) - s_plus)
 
+    def envelope(s, j):
+        # g's numerator, 2 exp(-s^2/(4 gamma^2)) cos(k s)
+        return 2.0 * np.exp(-s * s * inv_four_gamma_sq[j]) * np.cos(k[j] * s)
+
     def g(s, j):
-        return (2.0 * np.exp(-s * s * inv_four_gamma_sq[j])
-                * np.cos(k[j] * s) / q(s, j))
+        return envelope(s, j) / q(s, j)
 
     far = L_eff > s_env + 2.0
     band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
@@ -290,11 +293,10 @@ def _line_part(keys):
     ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
     n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
     # g(s0) as g makes it, from the one q(s0)
-    q_pole = q(s0, np.arange(s0.size))
-    g_pole = (2.0 * np.exp(-s0 * s0 * inv_four_gamma_sq) * np.cos(k * s0)
-              / q_pole)
+    every = np.arange(s0.size)
+    q_pole = q(s0, every)
     part, finish_pvs = _pv_part(g, s0, np.zeros(s0.size), hi, tol, n0,
-                                g_pole)
+                                envelope(s0, every) / q_pole)
 
     def finish(batch) -> _Lines:
         pvs = finish_pvs(batch)

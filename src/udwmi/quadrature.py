@@ -430,9 +430,9 @@ def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
     """The lowering of principal_value_batch on equally long 1-D float
     arrays: the _Part of its members, and finish, which makes the
     principal values' _Batch from that part's. A principal value with a
-    pole inside fails with the exception of its first failing side. g_pole, when given, is g at every pole (as
-    g(pole, range of its size) would give it), from a caller that needs
-    it too."""
+    pole inside fails with the exception of its first failing side.
+    g_pole, when given, is g at every pole (as g(pole, range of its
+    size) would give it), from a caller that needs it too."""
     failures = {}
     bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
     for i in bad.nonzero()[0].tolist():

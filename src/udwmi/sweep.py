@@ -681,7 +681,8 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     plans, free_keys, line_keys, oracle_keys = _suite_plans(points)
     frees, lines, oracles = _run_batch(
         _suite_batch, (free_keys, line_keys, oracle_keys), workers)
-    frees, lines, oracles = _joined(frees), _join_lines(lines), _joined(oracles)
+    frees, lines, oracles = (_joined(frees), _join_lines(lines),
+                             _joined(oracles))
     line_records = lines.records()
 
     def line(i: int) -> tuple:
