@@ -56,7 +56,8 @@ independent routes:
   cosines: sines and cosines of the inner nodes made once, and of the
   rows once per block. On equal orbits a row is the kernel at one
   inner node times the sum of the inner weights, so a block holds the
-  rows of many passes.
+  rows of many passes, and the row at -s is the conjugate of the row
+  at s, so such a pass is integrated over s >= 0 alone.
 """
 
 from __future__ import annotations
@@ -458,13 +459,13 @@ def composite_gauss_legendre(lo: float, hi: float,
 # equal-orbit row is one element (_oracle_rows), so a block holds up to
 # 2048 rows of any passes; an unequal-orbit block holds 2048 // n_u
 # rows of one pass. A block's temporaries are complex arrays of at most
-# 32 KiB, and a batch's traced peak (0.9 MiB for the 39 oracles of
-# oracle_grid) is the first round of its quadrature's runs. Five serial
-# oracle_grid suites after the smoke grid in a fresh process took at
-# least 0.0126-0.0128 s each (time.process_time), made 680 minor page
-# faults and peaked at 33.8-34.0 MiB RSS; in blocks of 8192 they took
-# 0.0136 s, made 5000 faults and peaked at 35.1 MiB (three processes
-# each; x86-64 Linux, glibc, NumPy 2.4).
+# 32 KiB, and a batch's traced peak (0.82 MiB for the 39 oracles of
+# oracle_grid) is the first round of its quadrature's runs. Fifteen
+# serial oracle_grid suites after the smoke grid in a fresh process
+# took at least 0.0076-0.0121 s each (time.process_time), made 66-68
+# minor page faults and peaked at 33.8-33.9 MiB RSS; in blocks of 8192
+# they took 0.0080-0.0124 s, made 5843 faults and peaked at 35.1-35.2
+# MiB (three processes each; x86-64 Linux, glibc, NumPy 2.4).
 _BLOCK = 1 << 11
 
 # The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
@@ -591,14 +592,19 @@ def _oracle_rows(passes):
     or s alone node weights and a row factor. On equal orbits (gamma_A
     = gamma_B and omega_A gamma_A = omega_B gamma_B) the Wightman
     function does not depend on u, so the grid is one node weighted by
-    the sum of the weights: a row is one kernel value. The inner grids
+    the sum of the weights: a row is one kernel value. Such a row h(s)
+    times that sum has h(-s) = conj h(s), since the Wightman function
+    is hermitian and the pair stationary, so a one-node pass's row is
+    folded: 2 Re h(s) times the sum, the rows at s and -s together,
+    whose integral over s >= 0 is the pass's. The inner grids
     and every pass's terms are made once. A run of lines of one-node
     passes, or of lines of one pass, is evaluated in blocks of at most
     _BLOCK grid elements (at least one row), each row from its own
     pass's terms, and each row's products with its weights are summed
     on their own (einsum, not BLAS: no native thread pool under the
     process pool), so a row depends on neither its block nor the other
-    passes."""
+    passes. Returns rows and nodes, each pass's count of inner nodes,
+    1 for a folded pass."""
     grids, per_pass = {}, []  # the distinct inner grids, each pass's
     for det_a, det_b, *_, n_u in passes:
         gap_diff = det_a.energy_gap - det_b.energy_gap
@@ -628,8 +634,10 @@ def _oracle_rows(passes):
         kernel = _wightman_kernel(
             _KernelTerms(*np.take(node_terms, node, axis=1),
                          *np.take(pass_terms, own, axis=1)), 0.5 * ds)
-        return (np.exp(-0.25 * ds * ds - 0.5j * gap_sum[member] * ds)
-                * np.einsum("ij,ij->i", kernel, weight[node]))
+        row = np.exp(-0.25 * ds * ds - 0.5j * gap_sum[member] * ds)
+        if n == 1:  # the row at s plus its conjugate, the row at -s
+            return 2.0 * (row * kernel[:, 0]).real * weight[node[:, 0]]
+        return row * np.einsum("ij,ij->i", kernel, weight[node])
 
     def rows(s, member):
         k = s.shape[1]
@@ -649,25 +657,30 @@ def _oracle_rows(passes):
                                       member[np.arange(i, j) // k], n)
         return out
 
-    return rows
+    return rows, nodes
 
 
 def _oracle_passes(passes, tol) -> list:
     """The integral over s of each pass's rows (_oracle_rows) to its tol
     (scalars broadcast): the members of one integrate_adaptive_batch
     call, adaptive GK15 over [-2 _U_CUT, 2 _U_CUT], each starting on
-    enough panels to see its phase and orbit oscillations. Returns one
+    enough panels to see its phase and orbit oscillations. A folded
+    pass (one inner node) runs over [0, 2 _U_CUT] alone, on half the
+    panels rounded up, which are no wider, to the same tol. Returns one
     entry per pass: its QuadratureResult, or the DomainError its
     arguments raise."""
-    rows = _oracle_rows(passes)
+    rows, nodes = _oracle_rows(passes)
     s_max = 2.0 * _U_CUT
     n0 = [int(0.25 * s_max * ((abs(a.energy_gap + b.energy_gap)
                                + a.omega * a.gamma + b.omega * b.gamma) / 2.0
                               + 1.0)) + 8
           for a, b, *_ in passes]
+    folded = nodes == 1
     return integrate_adaptive_batch(
         lambda x, owner: rows(x, owner.ravel()),
-        -s_max, s_max, tol, initial_panels=n0, max_panels=60000)
+        np.where(folded, 0.0, -s_max), s_max, tol,
+        initial_panels=np.where(folded, (np.array(n0) + 1) // 2, n0),
+        max_panels=60000)
 
 
 def _oracle_batch(keys) -> list:
@@ -677,6 +690,9 @@ def _oracle_batch(keys) -> list:
     inner nodes and at eta_2 on 2 n_u (_contours), each to tol, and its
     value is the second's. The passes of all keys are the members of
     one _oracle_passes batch, so each estimate equals its batch of one.
+    An equal-orbit key's passes are folded onto s >= 0, so with equal
+    gaps its value is real; an unequal-orbit key's run over the whole
+    contour.
 
     The value cannot depend on eta unless a zero of the interval lies
     between the contours, so the error is the spread of the two passes,

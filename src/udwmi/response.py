@@ -44,7 +44,9 @@ detector with itself, at one height, on the proper-time contour tau -
 tau' = s - i eta: the batch of one of correlation._oracle_batch, whose
 key for a response is _response_oracle_key, and whose estimate
 _real_estimate makes real. The oracle suite puts the keys of many
-responses in one batch.
+responses in one batch. The detector's orbit is its own, so the oracle
+folds the integrand at -s onto its conjugate at s, and with the one
+gap the estimate's imaginary part is exactly 0.
 """
 
 from __future__ import annotations

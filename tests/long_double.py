@@ -57,8 +57,9 @@ def wightman(det_a, z_a, tau_a, det_b, z_b, tau_b, mirror):
 def oracle_rows(det_a, det_b, z_a, z_b, mirror, eta, n_u, s):
     """The rows at real s of the oracle pass between det_a at z_a and
     det_b at z_b on the contour shifted by eta with about n_u inner
-    nodes (correlation._oracle_rows), from the definition: the inner
-    Gauss-Legendre nodes and weights are the pass's own float64 ones."""
+    nodes, from the definition: the inner Gauss-Legendre nodes and
+    weights are the pass's own float64 ones. On equal orbits
+    correlation._oracle_rows folds the rows at s and -s into one."""
     u, w = (np.asarray(x, dtype=LD)
             for x in composite_gauss_legendre(-_U_CUT, _U_CUT, n_u))
     gap_sum = LD(det_a.energy_gap) + LD(det_b.energy_gap)

@@ -60,7 +60,7 @@ def kernel_grid(det_a, det_b, z_a, z_b, mirror, u):
 def pass_rows(*oracle_pass):
     """The rows, as a function of s, of one pass (det_a, det_b, z_a,
     z_b, mirror, eta, n_u): _oracle_rows of that pass alone."""
-    rows = _oracle_rows([oracle_pass])
+    rows, _ = _oracle_rows([oracle_pass])
     return lambda s: rows(s[None, :], np.zeros(1, dtype=int))[0]
 
 
@@ -573,6 +573,19 @@ class TestDefinitionOracle:
         assert len(counts) == 2
         assert est.evaluations == sum(counts)
 
+    def test_unequal_orbits_keep_the_full_contour(self):
+        # only equal-orbit passes fold onto s >= 0: an unequal-orbit
+        # pass still runs over the whole s range, so its estimate is the
+        # one recorded before the fold, to the bit (x86-64, NumPy 2.4)
+        cfg = PairConfig(det_a=detector_from_accel_radius(0.1, 1.0, 1.0),
+                         det_b=detector_from_accel_radius(0.3, 2.0, 0.5),
+                         sep=0.5, dz=0.3)
+        est = correlation_general_result(cfg, tol=1e-7)
+        assert est.value == complex(float.fromhex("0x1.cf4dd7953ebf2p-8"),
+                                    float.fromhex("-0x1.2p-58"))
+        assert est.error_estimate == float.fromhex("0x1.91bf225d81b8fp-24")
+        assert est.evaluations == 2160
+
     def test_unequal_gamma_pair(self):
         # different radii force the general route; the pair state must
         # still produce a finite correlation with a sane magnitude
@@ -745,7 +758,7 @@ class TestOracleRowBlocks:
         args, contours = pair_args(UNEQUAL)
         passes += [(*args, eta, n_u) for eta, n_u in contours]
         member = rng.integers(0, len(passes), s.size)
-        mixed = _oracle_rows(passes)(s[:, None], member)[:, 0]
+        mixed = _oracle_rows(passes)[0](s[:, None], member)[:, 0]
         for i, oracle_pass in enumerate(passes):
             mine = member == i
             assert np.array_equal(mixed[mine], pass_rows(*oracle_pass)(s[mine]))
@@ -782,13 +795,15 @@ class TestOracleRowBlocks:
 
 class TestEqualOrbitRows:
     # on equal orbits the kernel is constant along u, so _oracle_rows
-    # takes it at one inner node weighted by the sum of the u weights.
-    # That is the full-grid reduction, the kernel on every (row, node)
-    # element summed by einsum against the weights, to within 16 ulps
-    # of the row's absolute sum sum_j |f K_j w_j| (f the row factor):
-    # both sums round in their own order. The worst seen is 10 ulps,
+    # takes it at one inner node weighted by the sum of the u weights,
+    # and the row at -s is the conjugate of the row at s, so it folds
+    # them into one row on s >= 0. That is the full-grid reduction at s
+    # plus the one at -s, the kernel on every (row, node) element
+    # summed by einsum against the weights, to within 16 ulps of the
+    # two rows' absolute sums sum_j |f K_j w_j| (f the row factor):
+    # the sums round in their own order. The worst seen is 7.2 ulps,
     # over 260 random equal-orbit pairs with and without the mirror
-    # (both contours, 2001 s each).
+    # (both contours, 1001 s each on [0, 2 _U_CUT]).
     @pytest.mark.parametrize("accel, radius, gap_b, dz, sep", [
         (1.0, 1.0, 0.1, None, 0.5),  # free space
         (5.0, 0.02, 0.1, 0.1, 1.0),  # the mirror
@@ -801,17 +816,21 @@ class TestEqualOrbitRows:
         db = detector_from_accel_radius(gap_b, accel, radius)
         z_a = dz if dz is not None else 0.0
         args, contours = oracle_args(da, db, z_a, z_a + sep, dz is not None)
-        s = np.linspace(-2.0 * _U_CUT, 2.0 * _U_CUT, 513)
+        s = np.linspace(0.0, 2.0 * _U_CUT, 257)
         gap_sum, gap_diff = da.energy_gap + gap_b, da.energy_gap - gap_b
         for eta, n_u in contours:
             u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
             weights = w * np.exp(-u * u - 1j * gap_diff * u)
-            ds = s - 1j * eta
-            kernel = kernel_grid(*args, u)(0.5 * ds[:, None])
-            assert kernel.shape == (s.size, u.size)
-            row_factor = np.exp(-0.25 * ds * ds - 0.5j * gap_sum * ds)
-            full = row_factor * np.einsum("ij,j->i", kernel, weights)
-            scale = abs(row_factor) * (abs(kernel) @ abs(weights))
+            full = scale = 0.0
+            for side in (s, -s):  # the row at s plus the row at -s
+                ds = side - 1j * eta
+                kernel = kernel_grid(*args, u)(0.5 * ds[:, None])
+                assert kernel.shape == (s.size, u.size)
+                row_factor = np.exp(-0.25 * ds * ds - 0.5j * gap_sum * ds)
+                full = full + row_factor * np.einsum("ij,j->i", kernel,
+                                                     weights)
+                scale = scale + (abs(row_factor)
+                                 * (abs(kernel) @ abs(weights)))
             got = pass_rows(*args, eta, n_u)(s)
             assert np.all(abs(got - full) <= 16.0 * np.finfo(float).eps
                           * scale)
@@ -885,18 +904,20 @@ class TestWightmanKernel:
 
 @long_double.needs_long_double
 class TestOracleRowPrecision:
-    # a pass's rows against the defining formula in long double on a
-    # fixed grid of 1025 s, both contours, near the mirror: the worst
-    # row error is 2.8e-13 of the largest row at a = 1, R = 10 and
-    # 1.9e-15 at a = 0.1, R = 1 (2.9e-13 and 1.9e-15 on 4097 s)
+    # a pass's folded rows against the defining formula in long double,
+    # the row at s plus the row at -s, on a fixed grid of 513 s in
+    # [0, 2 _U_CUT], both contours, near the mirror: the worst row error
+    # is 3.6e-15 of the largest row at a = 1, R = 10 and 1.9e-16 at
+    # a = 0.1, R = 1 (3.6e-15 and 3.7e-16 on 2049 s)
     @pytest.mark.parametrize("accel, radius", [(0.1, 1.0), (1.0, 10.0)])
     def test_rows_match_long_double(self, accel, radius):
         spec = detector_from_accel_radius(0.1, accel, radius)
         args, contours = response_args(spec, 0.1)
-        s = np.linspace(-2.0 * _U_CUT, 2.0 * _U_CUT, 1025)
+        s = np.linspace(0.0, 2.0 * _U_CUT, 513)
         for eta, n_u in contours:
             got = pass_rows(*args, eta, n_u)(s)
-            exact = long_double.oracle_rows(*args, eta, n_u, s)
+            exact = (long_double.oracle_rows(*args, eta, n_u, s)
+                     + long_double.oracle_rows(*args, eta, n_u, -s))
             assert long_double.worst_error(got, exact) <= 1e-12
 
 
