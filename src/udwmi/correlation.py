@@ -592,11 +592,11 @@ def _oracle_rows(passes):
     or s alone node weights and a row factor. On equal orbits (gamma_A
     = gamma_B and omega_A gamma_A = omega_B gamma_B) the Wightman
     function does not depend on u, so the grid is one node weighted by
-    the sum of the weights: a row is one kernel value. Such a row h(s)
-    times that sum has h(-s) = conj h(s), since the Wightman function
-    is hermitian and the pair stationary, so a one-node pass's row is
-    folded: 2 Re h(s) times the sum, the rows at s and -s together,
-    whose integral over s >= 0 is the pass's. The inner grids
+    the sum of the weights: a row is one kernel value. Such a row is
+    h(s) times that sum, with h(-s) = conj h(s) since the Wightman
+    function is hermitian and the pair stationary, so a one-node pass's
+    row is folded: 2 Re h(s) times the sum, the rows at s and -s
+    together, whose integral over s >= 0 is the pass's. The inner grids
     and every pass's terms are made once. A run of lines of one-node
     passes, or of lines of one pass, is evaluated in blocks of at most
     _BLOCK grid elements (at least one row), each row from its own

@@ -766,9 +766,9 @@ class TestOracleRowBlocks:
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
         # count: a batch of the 39 oracles of the bundled oracle_grid
-        # (78 passes) peaks at 0.90 MiB, most of it the first round of
+        # (78 passes) peaks at 0.82 MiB, most of it the first round of
         # its quadrature's runs of up to 1024 panels, and one of an
-        # equal and an unequal orbit pair at 0.46 MiB (see
+        # equal and an unequal orbit pair at 0.25 MiB (see
         # correlation._BLOCK)
         import tracemalloc
 
