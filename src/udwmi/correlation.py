@@ -439,7 +439,25 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     return _correlation_from_lines(pref, lines.records())
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre nodes and weights on [-1, 1], the values of
+# np.polynomial.legendre.leggauss(16) to the bit, written out so that the
+# package never imports numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+])
 
 
 def composite_gauss_legendre(lo: float, hi: float,

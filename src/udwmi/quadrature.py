@@ -32,7 +32,7 @@ refines many integrals in lockstep: each keeps a mesh of its own
 (unlike the one shared mesh of scipy's quad_vec), started on its own
 number of equal panels, its own budget and its own refinement
 decisions, and each round evaluates the new panels of every unfinished
-integral in one vectorized call of the integrand. Each
+integral in vectorized calls of the integrand. Each
 integral's panels are kept in the order of their left edges: a split
 panel's two halves take its place, and a finished integral keeps its
 panels. Its error is summed in that order every round, and its value
@@ -45,7 +45,10 @@ Every interval is finite: a caller with an integral over
 [0, inf) under a Gaussian envelope cuts it off at
 gaussian_truncation_point and bounds the remainder itself
 (response._free_responses). The shape of every batch is decided here
-alone (_RUN_PANELS), so callers hand over whole lists.
+alone, so callers hand over whole lists: members run in lockstep runs
+of at most _RUN_PANELS initial panels, and each call of the integrand
+gets at most _CALL_VALUES abscissae, whole panels in order, so a
+round's temporaries are bounded however many panels it adds.
 
 Both batch routines wrap an array core, _adaptive (a principal value
 batch lowered to its members by _pv_part), whose _Batch holds the
@@ -115,12 +118,24 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])  # Gauss nodes interle
 
 _EPS = np.finfo(float).eps
 _HALVES = np.array([0, 1])  # a split panel's halves, at its index and next
+# The most abscissae f gets in one call (2184 panels), which bounds the
+# temporaries of a round's evaluation, the integrand's own among them,
+# however many panels the round adds. No value depends on it: every
+# panel's row is evaluated and reduced alone.
+_CALL_VALUES = 2**15
 
 
 def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Evaluate the GK15 pair on a batch of panels [lo_i, hi_i], panel i
     belonging to integral owner[i]: f gets the nodes as one row per
-    panel and owner as a column."""
+    panel and owner as a column, in calls of consecutive whole panels
+    of at most _CALL_VALUES abscissae."""
+    step = _CALL_VALUES // _NODES.size
+    if lo.size > step:
+        chunks = [_gk15_panels(f, lo[i:i + step], hi[i:i + step],
+                               owner[i:i + step])
+                  for i in range(0, lo.size, step)]
+        return tuple(np.concatenate(x) for x in zip(*chunks))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -152,10 +167,14 @@ def _checked(result):
 # The shape of every batch: a member starts on at most
 # _MAX_INITIAL_PANELS panels, and the members run, in order, as lockstep
 # runs of at most _RUN_PANELS initial panels (a member with more runs
-# alone), since a first round evaluates 15 abscissae per panel. No value
-# depends on either bound. A serial pass over the fig* presets (x86-64
-# Linux, NumPy 2.4) peaks at 37 MiB RSS with runs of 1024 panels, at 36
-# with 256 (about 25% slower), and at 41 and 53 with 4096 and 16384.
+# alone). No value depends on either bound. With every call of f
+# bounded (_CALL_VALUES), runs keep a first round's panels together:
+# the batches of the two criterion-7 onset curves of tools/tables.py
+# took at least 15.2-15.9 ms of CPU in runs of 1024 panels and
+# 18.8-19.9 ms as one run (least of 15, three processes each), and a
+# serial pass over the fig* presets peaks at 32.2, 33.3, 34.2 and 36.1
+# MiB RSS in runs of 256, 1024, 4096 and 16384 panels (x86-64 Linux,
+# NumPy 2.4).
 _RUN_PANELS = 1024
 _MAX_INITIAL_PANELS = 4096
 
@@ -179,7 +198,8 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     round before (it is NaN on a region), or after 200 rounds. The
     integrals run in order, in runs of at most _RUN_PANELS initial
     panels; each round of a run evaluates the new panels of all its
-    unfinished integrals in one call of f. Returns one entry per
+    unfinished integrals in order, in calls of f of at most
+    _CALL_VALUES abscissae, whole panels. Returns one entry per
     integral: its QuadratureResult, or the DomainError its arguments
     raise. The reported error estimate includes a roundoff floor, so
     converged=True implies the estimate met tol honestly.

@@ -42,11 +42,11 @@ integral without any of the above reductions; it is deliberately
 independent of the closed form. It is the correlation oracle of the
 detector with itself, at one height, on the proper-time contour tau -
 tau' = s - i eta: the batch of one of correlation._oracle_batch, whose
-key for a response is _response_oracle_key, and whose estimate
-_real_estimate makes real. The oracle suite puts the keys of many
-responses in one batch. The detector's orbit is its own, so the oracle
-folds the integrand at -s onto its conjugate at s, and with the one
-gap the estimate's imaginary part is exactly 0.
+key for a response is _response_oracle_key. The oracle suite puts the
+keys of many responses in one batch. The detector's orbit is its own,
+so the oracle folds the integrand at -s onto its conjugate at s, and
+with the one gap the estimate's imaginary part is exactly 0:
+_real_estimate takes the real part, its error estimate unchanged.
 """
 
 from __future__ import annotations
@@ -310,10 +310,10 @@ def _response_oracle_key(spec: CircularDetectorSpec, dz: float | None,
 
 
 def _real_estimate(est: OracleEstimate) -> OracleEstimate:
-    """A response oracle's estimate: P is real, so the value is the real
-    part and its imaginary part is added to the error estimate."""
-    return replace(est, value=est.value.real,
-                   error_estimate=est.error_estimate + abs(est.value.imag))
+    """A response oracle's estimate with its value as a real number: the
+    folded oracle of one detector at one gap has an imaginary part of
+    exactly 0."""
+    return replace(est, value=est.value.real)
 
 
 def transition_probability_oracle_result(spec: CircularDetectorSpec,

@@ -4,7 +4,8 @@ standard library, at module level or inside a function. And importing
 udwmi and running its everyday operations (a point query, a sweep, the
 oracle suite, counting interior maxima) loads no scipy module, whose
 import would cost more than the package's own. The sweep runs on a
-process pool there too, out of reach of any test's patches."""
+process pool there too, out of reach of any test's patches. Nor does
+a serial process load numpy.polynomial."""
 import ast
 import importlib
 import json
@@ -12,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import udwmi
+from udwmi import correlation
 
 EVERYDAY = """
 import contextlib, io, json, sys
@@ -45,6 +49,41 @@ def test_everyday_operations_load_no_scipy():
     assert json.loads(proc.stdout) == {"exit": 0, "rows": 3,
                                        "pooled_equal": True, "ok": True,
                                        "maxima": 2, "scipy": []}
+
+
+SERIAL = """
+import contextlib, io, json, sys
+import udwmi, udwmi.cli
+from udwmi.sweep import SweepAxis, SweepSpec, run_oracle_suite, run_sweep
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = udwmi.cli.main(["mi", "--gap-a", "0.1", "--accel", "5",
+                           "--radius", "0.02", "--sep", "1", "--dz", "0.5"])
+spec = SweepSpec(axis=SweepAxis(name="sep", start=0.5, stop=1.5, points=3),
+                 dz=0.5)
+rows = run_sweep(spec)
+report = run_oracle_suite("oracle_grid_smoke")
+print(json.dumps({
+    "exit": code, "rows": len(rows), "ok": report["ok"],
+    "polynomial": "numpy.polynomial" in sys.modules,
+}))
+"""
+
+
+def test_serial_operations_load_no_polynomial():
+    # a fresh interpreter: this test process has it loaded already
+    proc = subprocess.run([sys.executable, "-c", SERIAL],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"exit": 0, "rows": 3, "ok": True,
+                                       "polynomial": False}
+
+
+def test_gauss_legendre_table_is_leggauss_to_the_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for table, expected in ((correlation._GL_NODES, nodes),
+                            (correlation._GL_WEIGHTS, weights)):
+        assert [x.hex() for x in table.tolist()] == [
+            x.hex() for x in expected.tolist()]
 
 
 def test_src_imports_numpy_and_the_standard_library_only():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,13 @@ from scipy.integrate import quad
 
 from udwmi import (
     DomainError,
+    PairConfig,
+    correlation,
+    detector_from_accel_radius,
     integrate_adaptive,
     principal_value_integral,
+    quadrature,
+    response,
 )
 from udwmi.correlation import _reduced_line_integral
 from udwmi.quadrature import (gaussian_truncation_point, integrate_adaptive_batch,
@@ -251,6 +257,81 @@ class TestAdaptive:
         # sqrt(pi) e^{-1/4}
         assert np.isclose(r.value, 1.380388447043143, rtol=1e-11)
         assert abs(r.value.imag) < 1e-12
+
+
+def deep_bits(x):
+    """x with every float in float.hex, through results, arrays, tuples,
+    lists and dicts; an exception as its type and message."""
+    if isinstance(x, Exception):
+        return type(x).__name__, str(x)
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, np.ndarray):
+        return deep_bits(x.tolist())
+    if dataclasses.is_dataclass(x):
+        return [deep_bits(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return {k: deep_bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [deep_bits(v) for v in x]
+    return x
+
+
+def _line_key(gap, accel, radius, L_eff, tol):
+    det = detector_from_accel_radius(gap, accel, radius)
+    return (L_eff, *correlation._line_params(det, det, tol)[1])
+
+
+_FREE_KEYS = [(detector_from_accel_radius(*args), tol) for args, tol in
+              (((0.1, 0.1, 0.02), 1e-8), ((1.0, 30.0, 1.0), 1e-12),
+               ((0.5, 0.0, 1.0), 1e-8))]
+# a pole inside, a far pole (L_eff beyond the switching envelope)
+_LINE_KEYS = [_line_key(0.1, 5.0, 0.02, 1.0, 1e-8),
+              _line_key(0.5, 1.0, 1.0, 40.0, 1e-10)]
+# an equal-orbit pair, and the unequal one of
+# test_unequal_orbits_keep_the_full_contour
+_EQUAL = PairConfig(det_a=detector_from_accel_radius(0.1, 5.0, 0.02),
+                    det_b=detector_from_accel_radius(0.1, 5.0, 0.02),
+                    sep=1.0, dz=0.5)
+_UNEQUAL = PairConfig(det_a=detector_from_accel_radius(0.1, 1.0, 1.0),
+                      det_b=detector_from_accel_radius(0.3, 2.0, 0.5),
+                      sep=0.5, dz=0.3)
+CALL_BOUND_BATCHES = {
+    "free": lambda: response._free_responses(_FREE_KEYS),
+    "line": lambda: correlation._line_batch(_LINE_KEYS),
+    "parts": lambda: response._reduced_batch(_FREE_KEYS, _LINE_KEYS),
+    "oracle": lambda: correlation._oracle_batch(
+        [correlation._pair_oracle_key(_EQUAL, 1e-7),
+         correlation._pair_oracle_key(_UNEQUAL, 1e-7)]),
+}
+
+
+class TestCallBound:
+    @pytest.mark.parametrize("case", list(CALL_BOUND_BATCHES))
+    def test_chunked_calls_change_no_bit(self, monkeypatch, case):
+        # a round's panels reach f in calls of whole panels, at most
+        # _CALL_VALUES abscissae each; at 45 (3 panels a call) every
+        # result is bit-identical to the default bound's
+        assert quadrature._CALL_VALUES == 2**15
+        sizes = []
+        lockstep = quadrature._lockstep
+
+        def recorded_run(f, *args):
+            def g(x, owner):
+                sizes.append(x.size)
+                return f(x, owner)
+            return lockstep(g, *args)
+
+        monkeypatch.setattr(quadrature, "_lockstep", recorded_run)
+        batch = CALL_BOUND_BATCHES[case]
+        expected = deep_bits(batch())
+        assert max(sizes) > 45
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "_CALL_VALUES", 45)
+        assert deep_bits(batch()) == expected
+        assert max(sizes) == 45
 
 
 class TestSemiInfinite:

@@ -559,6 +559,20 @@ class TestDefinitionOracle:
         est = transition_probability_oracle_result(det(0.0, radius, gap), dz)
         assert abs(r.total - est.value) <= est.error_estimate
 
+    @pytest.mark.parametrize("accel,radius,dz", [
+        (5.0, 0.02, 0.1), (5.0, 0.02, None), (0.0, 1.0, 0.5),
+        (30.0, 0.02, 0.5), (0.1, 10.0, 1.0),
+    ])
+    def test_raw_estimate_is_real(self, accel, radius, dz):
+        # a response key is one detector at one height and gap: its
+        # passes fold onto s >= 0, so the batch's value has an imaginary
+        # part of exactly 0 and _real_estimate leaves the error as it is
+        key = response._response_oracle_key(det(accel, radius), dz, 1e-6)
+        (est,) = correlation._oracle_batch([key])
+        assert est.value.imag == 0.0
+        assert response._real_estimate(est).error_estimate == \
+            est.error_estimate
+
 
 class TestValidation:
     def test_nonpositive_dz_rejected(self):
