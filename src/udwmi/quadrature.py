@@ -120,8 +120,8 @@ _EPS = np.finfo(float).eps
 _HALVES = np.array([0, 1])  # a split panel's halves, at its index and next
 # The most abscissae f gets in one call (2184 panels), which bounds the
 # temporaries of a round's evaluation, the integrand's own among them,
-# however many panels the round adds. No value depends on it: every
-# panel's row is evaluated and reduced alone.
+# however many panels the round adds. No value depends on it, since
+# each panel's row is reduced alone and f gives each row's values alone.
 _CALL_VALUES = 2**15
 
 

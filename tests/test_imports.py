@@ -4,8 +4,8 @@ standard library, at module level or inside a function. And importing
 udwmi and running its everyday operations (a point query, a sweep, the
 oracle suite, counting interior maxima) loads no scipy module, whose
 import would cost more than the package's own. The sweep runs on a
-process pool there too, out of reach of any test's patches. Nor does
-a serial process load numpy.polynomial."""
+process pool there too, out of reach of any test's patches. Nor do
+they load numpy.polynomial: the Gauss-Legendre table is written out."""
 import ast
 import importlib
 import json
@@ -38,6 +38,7 @@ print(json.dumps({
     "ok": report["ok"], "maxima": maxima,
     "scipy": sorted(m for m in sys.modules
                     if m == "scipy" or m.startswith("scipy.")),
+    "polynomial": "numpy.polynomial" in sys.modules,
 }))
 """
 
@@ -48,33 +49,7 @@ def test_everyday_operations_load_no_scipy():
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {"exit": 0, "rows": 3,
                                        "pooled_equal": True, "ok": True,
-                                       "maxima": 2, "scipy": []}
-
-
-SERIAL = """
-import contextlib, io, json, sys
-import udwmi, udwmi.cli
-from udwmi.sweep import SweepAxis, SweepSpec, run_oracle_suite, run_sweep
-
-with contextlib.redirect_stdout(io.StringIO()):
-    code = udwmi.cli.main(["mi", "--gap-a", "0.1", "--accel", "5",
-                           "--radius", "0.02", "--sep", "1", "--dz", "0.5"])
-spec = SweepSpec(axis=SweepAxis(name="sep", start=0.5, stop=1.5, points=3),
-                 dz=0.5)
-rows = run_sweep(spec)
-report = run_oracle_suite("oracle_grid_smoke")
-print(json.dumps({
-    "exit": code, "rows": len(rows), "ok": report["ok"],
-    "polynomial": "numpy.polynomial" in sys.modules,
-}))
-"""
-
-
-def test_serial_operations_load_no_polynomial():
-    # a fresh interpreter: this test process has it loaded already
-    proc = subprocess.run([sys.executable, "-c", SERIAL],
-                          capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"exit": 0, "rows": 3, "ok": True,
+                                       "maxima": 2, "scipy": [],
                                        "polynomial": False}
 
 
