@@ -33,31 +33,30 @@ independent routes:
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
-* correlation_general_result: definition-level double quadrature,
-  for unequal kinematics too; the oracle for the reduced path. The
-  Wightman function is the boundary value of a function analytic while
-  the imaginary part of the separation lies in the past cone (Streater
-  and Wightman; for the circular orbit's complex zeros, Bell and
-  Leinaas, Nucl. Phys. B 212, 131 (1983)). So instead of a regulator
-  epsilon, the proper-time difference is moved off the real axis by a
-  finite eta, tau_A - tau_B = s - i eta, and the unregulated
-  Wightman function is taken there with no limit. The response oracle
-  of module response is the same routine: the response is the
-  correlation of a detector with itself. eta comes from the orbits
-  (_contours); the two passes of an oracle differ in eta and inner
-  grid, and their spread is the error. _oracle_batch takes many
-  oracles, say the points of an oracle grid, and runs the passes of
-  all of them as the members of one integrate_adaptive_batch call
-  (_oracle_passes), so each estimate equals its batch of one and a
-  single oracle is the batch of one. Rows are evaluated in plain
-  blocks of at most _BLOCK inner-grid elements, each row from its own
-  pass's constants, the Wightman function from the squared interval
-  alone (_wightman_kernel), whose orbit part comes from the law of
-  cosines: sines and cosines of the inner nodes made once, and of the
-  rows once per block. On equal orbits a row is the kernel at one
-  inner node times the sum of the inner weights, so a block holds the
-  rows of many passes, and the row at -s is the conjugate of the row
-  at s, so such a pass is integrated over s >= 0 alone.
+* correlation_general_result: definition-level double quadrature, the
+  oracle for the reduced path, on the same one orbit; a pair on two
+  orbits raises DomainError, as the engine refuses it. The Wightman
+  function is the boundary value of a function analytic while the
+  imaginary part of the separation lies in the past cone (Streater and
+  Wightman; for the circular orbit's complex zeros, Bell and Leinaas,
+  Nucl. Phys. B 212, 131 (1983)). So instead of a regulator epsilon,
+  the proper-time difference is moved off the real axis by a finite
+  eta, tau_A - tau_B = s - i eta, and the unregulated Wightman
+  function is taken there with no limit. The response oracle of module
+  response is the same routine: the response is the correlation of a
+  detector with itself. eta comes from the orbit (_contours); the two
+  passes of an oracle differ in eta alone, and their spread is the
+  error. _oracle_batch takes many oracles, say the points of an oracle
+  grid, and runs the passes of all of them as the members of one
+  integrate_adaptive_batch call (_oracle_passes), so each estimate
+  equals its batch of one and a single oracle is the batch of one. On
+  one orbit the Wightman function does not depend on the mean proper
+  time u, so the u integral is a closed form, and the integrand at -s
+  is the conjugate of that at s, so a pass is integrated over s >= 0
+  alone. Rows are evaluated in plain blocks of at most _BLOCK, each
+  from its own pass's constants, the Wightman function from the
+  squared interval alone (_wightman_kernel), whose orbit part comes
+  from the law of cosines.
 """
 
 from __future__ import annotations
@@ -439,56 +438,19 @@ def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:
     return _correlation_from_lines(pref, lines.records())
 
 
-# The 16-point Gauss-Legendre nodes and weights on [-1, 1], the values of
-# np.polynomial.legendre.leggauss(16) to the bit, written out so that the
-# package never imports numpy.polynomial.
-_GL_NODES = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
-    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
-    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
-    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
-    0.9894009349916499,
-])
-_GL_WEIGHTS = np.array([
-    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
-    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
-    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
-    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
-    0.027152459411754176,
-])
-
-
-def composite_gauss_legendre(lo: float, hi: float,
-                             n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre grid on [lo, hi] with about
-    n_points nodes in total: n_points/16 equal panels, rounded up."""
-    panels = max(int(math.ceil(n_points / _GL_NODES.size)), 1)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + halfs[:, None] * _GL_NODES[None, :]).ravel()
-    w = (halfs[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return x, w
-
-
-# Inner-grid elements per row block of the oracle integrand. An
-# equal-orbit row is one element (_oracle_rows), so a block holds up to
-# 2048 rows of any passes; an unequal-orbit block holds 2048 // n_u
-# rows of one pass. A block's temporaries are complex arrays of at most
-# 32 KiB, and a batch's traced peak (0.82 MiB for the 39 oracles of
-# oracle_grid) is the first round of its quadrature's runs. Fifteen
-# serial oracle_grid suites after the smoke grid in a fresh process
-# took at least 0.0076-0.0121 s each (time.process_time), made 66-68
-# minor page faults and peaked at 33.8-33.9 MiB RSS; in blocks of 8192
-# they took 0.0080-0.0124 s, made 5843 faults and peaked at 35.1-35.2
-# MiB (three processes each; x86-64 Linux, glibc, NumPy 2.4).
+# Rows per block of the oracle integrand (_oracle_rows), of any passes.
+# A block's temporaries are complex arrays of at most 32 KiB, and a
+# batch's traced peak (0.70 MiB for the 39 oracles of oracle_grid) is
+# the first round of its quadrature's runs. Fifteen serial oracle_grid
+# suites after the smoke grid in a fresh process took at least
+# 0.0070-0.0074 s each (time.process_time), made 78-79 minor page
+# faults in all and peaked at 32.5-32.6 MiB RSS; in blocks of 8192 they
+# took at least 0.0072-0.0074 s, made 3315 faults and peaked at
+# 33.3-33.4 MiB (three processes each; x86-64 Linux, glibc, NumPy 2.4).
 _BLOCK = 1 << 11
 
-# The oracle's mean proper time u runs over [-_U_CUT, _U_CUT] and the
-# difference s over twice that, where the envelope exp(-u^2 - s^2/4)
-# is below 5e-19.
+# Half the range [0, 2 _U_CUT] of the oracle's time difference s,
+# beyond which the envelope exp(-s^2/4) is below 5e-19.
 _U_CUT = 6.5
 
 
@@ -510,231 +472,156 @@ def _contours(det_a: CircularDetectorSpec,
     return 0.5 * eta_2, eta_2
 
 
-class _KernelTerms(NamedTuple):
-    """The factors of _wightman_kernel on a block of rows: those of the
-    inner nodes, dt_u = (gamma_A - gamma_B) u and 2 sqrt(R_A R_B) times
-    cos(d u) and sin(d u), as (rows, nodes) arrays, then the constants
-    of each row's pass, one entry per row: numerator is 4 z_A z_B /
-    (4 pi^2) with the mirror and -1 without, and mirror is 1.0 or
-    0.0. Rows of one pass may share one row of node factors and one
-    entry of constants, which broadcast."""
-
-    dt_u: np.ndarray
-    cos_u: np.ndarray
-    sin_u: np.ndarray
-    gamma_sum: np.ndarray
-    half_sum: np.ndarray
-    dz_sq: np.ndarray
-    z_sum_sq: np.ndarray
-    numerator: np.ndarray
-    mirror: np.ndarray
-
-
-def _kernel_terms(passes, u: np.ndarray,
-                  nodes) -> tuple[np.ndarray, np.ndarray]:
-    """The _KernelTerms of a list of passes at their inner nodes u,
-    nodes[i] of them pass i's, in order: the node factors as the rows
-    of one array over u, and the constants as the rows of one array
-    over the passes. A pass is a tuple whose first entries are det_a,
-    det_b, z_a, z_b and mirror: det_a at height z_a and det_b at z_b,
-    with the image term when mirror. On equal orbits (d = 0) sin_u is
-    zero and cos_u is 2 sqrt(R_A R_B)."""
-    node_factors, constants = [], []
+def _kernel_terms(passes) -> np.ndarray:
+    """The constants of _wightman_kernel for a list of passes, one column
+    per pass: 2 sqrt(R_A R_B), 2 gamma, k = omega gamma, (z_A - z_B)^2 +
+    (R_A - R_B)^2, (z_A + z_B)^2 + (R_A - R_B)^2, the numerator 4 z_A
+    z_B / (4 pi^2) with the mirror and -1 without, and mirror as 1.0 or
+    0.0. A pass is a tuple whose first entries are det_a, det_b, z_a,
+    z_b and mirror: det_a at height z_a and det_b at z_b on one orbit,
+    with the image term when mirror."""
+    terms = []
     for det_a, det_b, z_a, z_b, mirror, *_ in passes:
-        k_a, k_b = det_a.omega * det_a.gamma, det_b.omega * det_b.gamma
         dr_sq = (det_a.radius - det_b.radius) ** 2
-        node_factors.append((det_a.gamma - det_b.gamma, 0.5 * (k_a - k_b),
-                             2.0 * math.sqrt(det_a.radius * det_b.radius)))
-        constants.append((det_a.gamma + det_b.gamma, 0.5 * (k_a + k_b),
-                          (z_a - z_b) ** 2 + dr_sq, (z_a + z_b) ** 2 + dr_sq,
-                          4.0 * z_a * z_b / _TWO_PI_SQ if mirror else -1.0,
-                          float(mirror)))
-    gamma_diff, half_diff, scale = np.repeat(np.array(node_factors), nodes,
-                                             axis=0).T
-    return (np.array([gamma_diff * u, scale * np.cos(half_diff * u),
-                      scale * np.sin(half_diff * u)]),
-            np.array(constants).T)
+        terms.append((2.0 * math.sqrt(det_a.radius * det_b.radius),
+                      2.0 * det_a.gamma, det_a.omega * det_a.gamma,
+                      (z_a - z_b) ** 2 + dr_sq, (z_a + z_b) ** 2 + dr_sq,
+                      4.0 * z_a * z_b / _TWO_PI_SQ if mirror else -1.0,
+                      float(mirror)))
+    return np.array(terms).reshape(-1, 7).T
 
 
-def _wightman_kernel(terms: _KernelTerms, c: np.ndarray) -> np.ndarray:
-    """The unregulated Wightman function W on a block of rows and inner
-    nodes, each row's c, complex, one entry per row: between det_a at
-    height z_a and det_b at z_b at tau_A = u + c and tau_B = u - c, from
-    their terms (_KernelTerms).
+def _wightman_kernel(terms: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The unregulated Wightman function W on a block of rows, each row's
+    c, complex, one entry per row: between det_a at height z_a and det_b
+    at z_b on one orbit at tau_A = u + c and tau_B = u - c, from the
+    columns of _kernel_terms of each row's pass.
 
     With q = dt^2 - dx^2 - dy^2 the squared interval of the two events,
     W = -1 / (4 pi^2 (q - (z_A - z_B)^2)) in free space, and the mirror
     subtracts the same term at z_B -> -z_B, so W = 0 at z_B = 0. q
-    comes straight from the orbits, each at phase k tau with k = omega
-    gamma from the x axis: dt = (gamma_A - gamma_B) u + (gamma_A +
-    gamma_B) c, and by the law of cosines dx^2 + dy^2 = (R_A - R_B)^2 +
-    4 R_A R_B sigma^2 with sigma the sine of half the phase difference,
-    sin(d u + h c) = sin(d u) cos(h c) + cos(d u) sin(h c), d = (k_A -
-    k_B)/2 and h = (k_A + k_B)/2. Its u factors, times 2 sqrt(R_A R_B),
-    are made once per inner node and its c factors once per row; on
-    equal orbits (d = 0) the sin(d u) term is zero, and a block of such
-    rows alone does not form it. (R_A - R_B)^2 joins the constant
-    height terms, and the mirror's two terms are the one fraction 4 z_A
-    z_B / (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A + z_B)^2)); a free-space
-    row takes 4 pi^2 in place of the second factor and -1 as the
-    numerator. A grid element takes products and one division, in
-    place where it can be: no complex product or square is formed in
-    place, since NumPy rounds those by array length, which would tie a
-    row to its block."""
-    h_c = terms.half_sum * c
-    sigma = terms.cos_u * np.sin(h_c)[:, None]
-    if terms.sin_u.any():  # unequal orbits
-        sigma += terms.sin_u * np.cos(h_c)[:, None]
-    q = np.square(terms.dt_u + (terms.gamma_sum * c)[:, None])
-    q -= np.square(sigma)
-    free = q - terms.dz_sq[:, None]
-    q -= terms.z_sum_sq[:, None]
-    np.copyto(q, _TWO_PI_SQ, where=(terms.mirror == 0.0)[:, None])
+    comes straight from the orbit, at phase k tau with k = omega gamma
+    from the x axis: dt = 2 gamma c, and by the law of cosines dx^2 +
+    dy^2 = (R_A - R_B)^2 + 4 R_A R_B sin^2(k c), none of it depending
+    on u. (R_A - R_B)^2, nonzero only for a static pair, joins the
+    constant height terms, and the mirror's two terms are the one
+    fraction 4 z_A z_B / (4 pi^2 (q - (z_A - z_B)^2) (q - (z_A +
+    z_B)^2)); a free-space row takes 4 pi^2 in place of the second
+    factor and -1 as the numerator. A row takes products and one
+    division, in place where it can be: no complex product or square is
+    formed in place, since NumPy rounds those by array length, which
+    would tie a row to its block."""
+    scale, two_gamma, k, dz_sq, z_sum_sq, numerator, mirror = terms
+    q = np.square(two_gamma * c)
+    q -= np.square(scale * np.sin(k * c))
+    free = q - dz_sq
+    q -= z_sum_sq
+    np.copyto(q, _TWO_PI_SQ, where=mirror == 0.0)
     q = q * free
-    return np.divide(terms.numerator[:, None], q, out=q)
+    return np.divide(numerator, q, out=q)
 
 
 def _oracle_rows(passes):
     """The rows of a list of passes, as a function rows(s, member) of
-    lines of real s, a 2-D array, and the index of the pass of each
-    line, a 1-D array. A pass (det_a, det_b, z_a, z_b, mirror, eta, n_u)
-    is the defining double integral between det_a at height z_a and
-    det_b at z_b, with the image term when mirror, on the contour
-    shifted by eta with about n_u inner nodes.
+    lines of real s >= 0, a 2-D array, and the index of the pass of
+    each line, a 1-D array. A pass (det_a, det_b, z_a, z_b, mirror,
+    eta) is the defining double integral between det_a at height z_a
+    and det_b at z_b on one orbit, with the image term when mirror, on
+    the contour shifted by eta.
 
     In u = (tau_A + tau_B)/2 and real s with tau_A - tau_B = s - i eta,
     the integrand is exp(-u^2) exp(-(s - i eta)^2/4) exp(-i (gap_A -
     gap_B) u) exp(-i (gap_A + gap_B) (s - i eta)/2) times the Wightman
-    function (_wightman_kernel at c = (s - i eta)/2). A row is its u
-    integral on a composite Gauss-Legendre grid, the factors in u alone
-    or s alone node weights and a row factor. On equal orbits (gamma_A
-    = gamma_B and omega_A gamma_A = omega_B gamma_B) the Wightman
-    function does not depend on u, so the grid is one node weighted by
-    the sum of the weights: a row is one kernel value. Such a row is
-    h(s) times that sum, with h(-s) = conj h(s) since the Wightman
-    function is hermitian and the pair stationary, so a one-node pass's
-    row is folded: 2 Re h(s) times the sum, the rows at s and -s
-    together, whose integral over s >= 0 is the pass's. The inner grids
-    and every pass's terms are made once. A run of lines of one-node
-    passes, or of lines of one pass, is evaluated in blocks of at most
-    _BLOCK grid elements (at least one row), each row from its own
-    pass's terms, and each row's products with its weights are summed
-    on their own (einsum, not BLAS: no native thread pool under the
-    process pool), so a row depends on neither its block nor the other
-    passes. Returns rows and nodes, each pass's count of inner nodes,
-    1 for a folded pass."""
-    grids, per_pass = {}, []  # the distinct inner grids, each pass's
-    for det_a, det_b, *_, n_u in passes:
-        gap_diff = det_a.energy_gap - det_b.energy_gap
-        equal = (det_a.gamma == det_b.gamma
-                 and det_a.omega * det_a.gamma == det_b.omega * det_b.gamma)
-        if (n_u, gap_diff, equal) not in grids:
-            u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
-            weight = w * np.exp(-u * u - 1j * gap_diff * u)
-            if equal:
-                u, weight = u[:1], weight.sum(keepdims=True)
-            grids[n_u, gap_diff, equal] = u, weight
-        per_pass.append(grids[n_u, gap_diff, equal])
-    nodes = np.array([w.size for _, w in per_pass])
-    first = np.cumsum(nodes) - nodes  # each pass's first inner node
-    weight = np.concatenate([w for _, w in per_pass])
-    node_terms, pass_terms = _kernel_terms(
-        passes, np.concatenate([u for u, _ in per_pass]), nodes)
+    function (_wightman_kernel at c = (s - i eta)/2). On one orbit the
+    Wightman function does not depend on u, so the u integral is the
+    closed form sqrt(pi) exp(-(gap_A - gap_B)^2/4), and the integrand
+    at s is h(s) times it, with h(-s) = conj h(s) since the Wightman
+    function is hermitian and the pair stationary. A row is folded:
+    2 Re h(s) times the u integral, the integrand at s and -s together,
+    whose integral over s >= 0 is the pass's. Every pass's constants
+    are made once, and the rows are evaluated in blocks of at most
+    _BLOCK, each row from its own pass's constants, so a row depends on
+    neither its block nor the other passes."""
+    terms = _kernel_terms(passes)
     eta = np.array([p[5] for p in passes])
     gap_sum = np.array([p[0].energy_gap + p[1].energy_gap for p in passes])
-
-    def block(s, member, n):
-        # a block of one-node rows has a node per row, and a block of
-        # longer rows is one pass's: its rows share its nodes and terms
-        own = member if n == 1 else member[:1]
-        node = first[own][:, None] + np.arange(n)
-        ds = s - 1j * eta[member]
-        kernel = _wightman_kernel(
-            _KernelTerms(*np.take(node_terms, node, axis=1),
-                         *np.take(pass_terms, own, axis=1)), 0.5 * ds)
-        row = np.exp(-0.25 * ds * ds - 0.5j * gap_sum[member] * ds)
-        if n == 1:  # the row at s plus its conjugate, the row at -s
-            return 2.0 * (row * kernel[:, 0]).real * weight[node[:, 0]]
-        return row * np.einsum("ij,ij->i", kernel, weight[node])
+    # twice the u integral
+    weight = np.array([2.0 * math.sqrt(math.pi) * math.exp(
+        -0.25 * (a.energy_gap - b.energy_gap) ** 2) for a, b, *_ in passes])
 
     def rows(s, member):
         k = s.shape[1]
-        out = np.empty(s.shape, dtype=complex)
-        flat_s, flat_out = s.reshape(-1), out.reshape(-1)
-        n_of = nodes[member]
-        # runs of lines of one-node passes, or of lines of one pass
-        cut = (n_of[1:] != n_of[:-1]) | ((member[1:] != member[:-1])
-                                         & (n_of[1:] > 1))
-        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), n_of.size]
-        for lo, hi in zip(bounds, bounds[1:]):
-            n = int(n_of[lo])
-            step = max(_BLOCK // n, 1)
-            for i in range(lo * k, hi * k, step):
-                j = min(i + step, hi * k)
-                flat_out[i:j] = block(flat_s[i:j],
-                                      member[np.arange(i, j) // k], n)
-        return out
+        flat_s = s.reshape(-1)
+        out = np.empty(flat_s.size)
+        for i in range(0, flat_s.size, _BLOCK):
+            j = min(i + _BLOCK, flat_s.size)
+            own = member[np.arange(i, j) // k]
+            ds = flat_s[i:j] - 1j * eta[own]
+            kernel = _wightman_kernel(terms[:, own], 0.5 * ds)
+            row = np.exp(-0.25 * ds * ds - 0.5j * gap_sum[own] * ds)
+            out[i:j] = (row * kernel).real * weight[own]
+        return out.reshape(s.shape)
 
-    return rows, nodes
+    return rows
 
 
 def _oracle_passes(passes, tol) -> list:
     """The integral over s of each pass's rows (_oracle_rows) to its tol
     (scalars broadcast): the members of one integrate_adaptive_batch
-    call, adaptive GK15 over [-2 _U_CUT, 2 _U_CUT], each starting on
-    enough panels to see its phase and orbit oscillations. A folded
-    pass (one inner node) runs over [0, 2 _U_CUT] alone, on half the
-    panels rounded up, which are no wider, to the same tol. Returns one
-    entry per pass: its QuadratureResult, or the DomainError its
-    arguments raise."""
-    rows, nodes = _oracle_rows(passes)
+    call, adaptive GK15 over [0, 2 _U_CUT], each starting on enough
+    panels to see its phase and orbit oscillations. Returns one entry
+    per pass: its QuadratureResult, or the DomainError its arguments
+    raise."""
     s_max = 2.0 * _U_CUT
-    n0 = [int(0.25 * s_max * ((abs(a.energy_gap + b.energy_gap)
-                               + a.omega * a.gamma + b.omega * b.gamma) / 2.0
-                              + 1.0)) + 8
+    n0 = [(int(0.25 * s_max * ((abs(a.energy_gap + b.energy_gap)
+                                + a.omega * a.gamma + b.omega * b.gamma) / 2.0
+                               + 1.0)) + 9) // 2
           for a, b, *_ in passes]
-    folded = nodes == 1
+    rows = _oracle_rows(passes)
     return integrate_adaptive_batch(
-        lambda x, owner: rows(x, owner.ravel()),
-        np.where(folded, 0.0, -s_max), s_max, tol,
-        initial_panels=np.where(folded, (np.array(n0) + 1) // 2, n0),
-        max_panels=60000)
+        lambda x, owner: rows(x, owner.ravel()), 0.0, s_max, tol,
+        initial_panels=n0, max_panels=60000)
 
 
 def _oracle_batch(keys) -> list:
     """The definition-level correlation of each key (det_a, det_b, z_a,
-    z_b, mirror, tol): det_a at height z_a with det_b at z_b, with the
-    image term when mirror, to tol. Its passes are at eta_1 on n_u
-    inner nodes and at eta_2 on 2 n_u (_contours), each to tol, and its
-    value is the second's. The passes of all keys are the members of
-    one _oracle_passes batch, so each estimate equals its batch of one.
-    An equal-orbit key's passes are folded onto s >= 0, so with equal
-    gaps its value is real; an unequal-orbit key's run over the whole
-    contour.
+    z_b, mirror, tol): det_a at height z_a with det_b at z_b, both on
+    one orbit (equal gamma and omega gamma, to the bit), with the image
+    term when mirror, to tol. Its passes are at eta_1 and eta_2
+    (_contours), each to tol, and its value, which is real, is the
+    second's. The passes of all keys are the members of one
+    _oracle_passes batch, so each estimate equals its batch of one. A
+    key on two orbits fails alone with DomainError, as the engine
+    refuses such a pair.
 
     The value cannot depend on eta unless a zero of the interval lies
-    between the contours, so the error is the spread of the two passes,
-    which also covers the inner grid, plus the worst pass error; a
-    spread above 100 max(tol, worst pass error) fails with
-    RuntimeError. n_u = 96 + 16 ceil(13 f_u / 16) resolves the inner
-    oscillation f_u = 4 |omega_A gamma_A - omega_B gamma_B| + |gap_A -
-    gap_B|: the relative orbit phase enters the Wightman function with
-    its harmonics, the phase of the gaps alone. Returns one entry per
-    key: its OracleEstimate, or the exception it fails with."""
-    passes, tols, etas = [], [], []
+    between the contours, so the error is the spread of the two passes
+    plus the worst pass error; a spread above 100 max(tol, worst pass
+    error) fails with RuntimeError, which names both of its causes: a
+    zero between the contours, or a pass that did not resolve its
+    integrand. Returns one entry per key: its OracleEstimate, or the
+    exception it fails with."""
+    etas, passes, tols = [], [], []
     for det_a, det_b, z_a, z_b, mirror, tol in keys:
-        f_u = (4.0 * abs(det_a.omega * det_a.gamma
-                         - det_b.omega * det_b.gamma)
-               + abs(det_a.energy_gap - det_b.energy_gap))
-        n_u = 96 + 16 * math.ceil(2.0 * _U_CUT * f_u / 16.0)
+        # one orbit to the bit: equal gamma and omega gamma, so equal
+        # radii unless both detectors are static
+        if (det_a.gamma != det_b.gamma
+                or det_a.omega * det_a.gamma != det_b.omega * det_b.gamma):
+            etas.append(None)
+            continue
         contours = _contours(det_a, det_b)
-        passes += [(det_a, det_b, z_a, z_b, mirror, eta, n)
-                   for eta, n in zip(contours, (n_u, 2 * n_u))]
-        tols += [tol, tol]
         etas.append(contours)
+        passes += [(det_a, det_b, z_a, z_b, mirror, eta) for eta in contours]
+        tols += [tol, tol]
     results = iter(_oracle_passes(passes, tols))
     out = []
-    for (*_, tol), contours, pair in zip(keys, etas, zip(results, results)):
+    for (*_, tol), contours in zip(keys, etas):
+        if contours is None:
+            out.append(DomainError("the oracle requires both detectors on "
+                                   "one orbit (equal gamma and omega "
+                                   "gamma)"))
+            continue
+        pair = next(results), next(results)
         fail = next((res for res in pair if isinstance(res, Exception)),
                     None)
         if fail is not None:
@@ -746,7 +633,8 @@ def _oracle_batch(keys) -> list:
             out.append(RuntimeError(
                 f"the passes at eta = {contours[0]:.3g} and "
                 f"{contours[1]:.3g} differ by {spread:.3g}: a zero of the "
-                f"interval lies between the contours"))
+                f"interval lies between the contours, or a pass did not "
+                f"resolve its integrand"))
             continue
         out.append(OracleEstimate(
             value=complex(pair[1].value),
@@ -768,7 +656,8 @@ def _pair_oracle_key(pair: PairConfig, tol: float) -> tuple:
 
 def correlation_general_result(pair: PairConfig,
                                tol: float = 1e-7) -> OracleEstimate:
-    """Definition-level C with full error bookkeeping, for unequal
-    kinematics too: the batch of one of _oracle_batch."""
+    """Definition-level C with full error bookkeeping for a pair on one
+    orbit: the batch of one of _oracle_batch. A pair on two orbits
+    raises DomainError, as correlation_equal does."""
     (est,) = _oracle_batch([_pair_oracle_key(pair, _require_tol(tol))])
     return _checked(est)

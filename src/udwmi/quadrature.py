@@ -21,8 +21,8 @@ physics layers can cross check one against the other:
 * the oracle route needs no routine of its own: it moves the time
   integral onto a contour shifted off the real axis, where the
   integrand is smooth, and integrates it with integrate_adaptive_batch
-  (correlation._oracle_batch); on equal orbits, where the integrand at
-  -s is the conjugate of that at s, over s >= 0 alone.
+  (correlation._oracle_batch), over s >= 0 alone, since on the one
+  orbit it takes the integrand at -s is the conjugate of that at s.
 
 Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
 every panel above a width floor whose error is not within an

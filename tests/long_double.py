@@ -9,19 +9,28 @@ the float64 kernel's own roundoff can be measured against them:
 * worst_error(got, exact) is max |got - exact| over max |exact|.
 * events, wightman and oracle_rows are the orbit's event at complex
   proper time, the unregulated Wightman function of two such events,
-  and the rows of an oracle pass, each from the definition.
+  and the rows of an oracle pass, each from the definition; the rows
+  integrate over the mean proper time u on a grid of their own, U and
+  U_WEIGHTS.
 """
 
 import numpy as np
 import pytest
 
-from udwmi.correlation import _U_CUT, composite_gauss_legendre
+from udwmi.correlation import _U_CUT
 
 needs_long_double = pytest.mark.skipif(
     not np.finfo(np.longdouble).eps < 1e-18,
     reason="np.longdouble is no wider than float64 here")
 
 LD, CLD = np.longdouble, np.clongdouble
+
+# The trapezoid rule of step 0.1 on [-_U_CUT, _U_CUT], in long double.
+# On exp(-u^2 - i d u) its aliasing error is about exp(-(2 pi / 0.1 -
+# d)^2 / 4), nothing for any gap difference d below 50, and the
+# truncation below exp(-_U_CUT^2) = e^{-42.25}.
+U = np.arange(-65, 66, dtype=LD) * (LD(_U_CUT) / 65)
+U_WEIGHTS = np.full(U.size, LD(_U_CUT) / 65)
 
 
 def worst_error(got, exact) -> float:
@@ -54,14 +63,13 @@ def wightman(det_a, z_a, tau_a, det_b, z_b, tau_b, mirror):
     return w
 
 
-def oracle_rows(det_a, det_b, z_a, z_b, mirror, eta, n_u, s):
+def oracle_rows(det_a, det_b, z_a, z_b, mirror, eta, s):
     """The rows at real s of the oracle pass between det_a at z_a and
-    det_b at z_b on the contour shifted by eta with about n_u inner
-    nodes, from the definition: the inner Gauss-Legendre nodes and
-    weights are the pass's own float64 ones. On equal orbits
-    correlation._oracle_rows folds the rows at s and -s into one."""
-    u, w = (np.asarray(x, dtype=LD)
-            for x in composite_gauss_legendre(-_U_CUT, _U_CUT, n_u))
+    det_b at z_b on the contour shifted by eta, from the definition:
+    the Wightman function of the events at u + c and u - c at every
+    node of the u grid. correlation._oracle_rows folds the rows at s
+    and -s into one."""
+    u, w = U, U_WEIGHTS
     gap_sum = LD(det_a.energy_gap) + LD(det_b.energy_gap)
     gap_diff = LD(det_a.energy_gap) - LD(det_b.energy_gap)
     ds = np.asarray(s, dtype=LD) - 1j * LD(eta)

@@ -15,13 +15,11 @@ from udwmi import (
     correlation_general_result,
     detector_from_accel_radius,
 )
-from udwmi.correlation import (_U_CUT, _contours, _KernelTerms,
-                               _kernel_terms, _line_batch, _line_params,
-                               _line_pole, _oracle_batch, _oracle_passes,
-                               _oracle_rows, _pair_oracle_key,
-                               _reduced_line_integral,
-                               _reduced_line_integrals, _wightman_kernel,
-                               composite_gauss_legendre)
+from udwmi.correlation import (_U_CUT, _contours, _kernel_terms,
+                               _line_batch, _line_params, _line_pole,
+                               _oracle_batch, _oracle_passes, _oracle_rows,
+                               _pair_oracle_key, _reduced_line_integral,
+                               _reduced_line_integrals, _wightman_kernel)
 
 import long_double
 
@@ -36,31 +34,26 @@ def pair(accel, radius, sep, dz=None, gap_a=0.1, gap_b=0.1):
     return PairConfig(det_a=da, det_b=db, sep=sep, dz=dz)
 
 
-def kernel_grid(det_a, det_b, z_a, z_b, mirror, u):
+def kernel_of(det_a, det_b, z_a, z_b, mirror):
     """The oracle's kernel between det_a at height z_a and det_b at z_b
-    at the inner nodes u, as a function of a column of c: the block of
-    rows _wightman_kernel makes of them, from the terms _kernel_terms
-    gives the nodes."""
-    u = np.asarray(u, dtype=float)
-    node_terms, pass_terms = _kernel_terms([(det_a, det_b, z_a, z_b, mirror)],
-                                           u, [u.size])
+    on one orbit, as a function of a 1-D array of c: the block of rows
+    _wightman_kernel makes of them, from the terms _kernel_terms gives
+    their pass."""
+    terms = _kernel_terms([(det_a, det_b, z_a, z_b, mirror)])
 
     def kernel(c):
         c = np.asarray(c, dtype=complex)
-        assert c.ndim == 2 and c.shape[1] == 1
-        shape = (c.shape[0], u.size)
-        terms = _KernelTerms(
-            *(np.broadcast_to(x, shape) for x in node_terms),
-            *(np.broadcast_to(x, c.shape[:1]) for x in pass_terms))
-        return _wightman_kernel(terms, c[:, 0])
+        assert c.ndim == 1
+        return _wightman_kernel(np.broadcast_to(terms, (terms.shape[0],
+                                                        c.size)), c)
 
     return kernel
 
 
 def pass_rows(*oracle_pass):
     """The rows, as a function of s, of one pass (det_a, det_b, z_a,
-    z_b, mirror, eta, n_u): _oracle_rows of that pass alone."""
-    rows, _ = _oracle_rows([oracle_pass])
+    z_b, mirror, eta): _oracle_rows of that pass alone."""
+    rows = _oracle_rows([oracle_pass])
     return lambda s: rows(s[None, :], np.zeros(1, dtype=int))[0]
 
 
@@ -73,25 +66,21 @@ def one_pass(*oracle_pass, tol):
 
 class TestWightman:
     # W on the oracle's kernel, at the complex proper times tau_A = u + c
-    # and tau_B = u - c where the oracle evaluates it, on unequal orbits
-    # at heights 0.3 and 1.1
-    DET_A = detector_from_accel_radius(0.1, 2.0, 0.5)
-    DET_B = detector_from_accel_radius(0.3, 1.0, 1.5)
-    U = np.array([-0.4, 0.25, 0.9])
-    C = np.array([[0.45 - 0.2j], [-0.3 + 0.1j]])
+    # and tau_B = u - c where the oracle evaluates it, on one orbit at
+    # heights 0.3 and 1.1
+    DET = detector_from_accel_radius(0.1, 2.0, 0.5)
+    C = np.array([0.45 - 0.2j, -0.3 + 0.1j])
 
-    def kernel(self, z_a, z_b, mirror, swap=False):
-        dets = (self.DET_B, self.DET_A) if swap else (self.DET_A, self.DET_B)
-        return kernel_grid(*dets, z_a, z_b, mirror, self.U)
+    def kernel(self, z_a, z_b, mirror):
+        return kernel_of(self.DET, self.DET, z_a, z_b, mirror)
 
     def test_free_hermiticity(self):
         # W(x_A, x_B) = conj(W(x_B*, x_A*)), x* the event at the conjugate
         # proper time: K_AB(c) = conj(K_BA(-conj(c))), K_BA the kernel with
-        # the detectors and their heights swapped; the mirror's term too
+        # the heights swapped; the mirror's term too
         for mirror in (False, True):
             w_ab = self.kernel(0.3, 1.1, mirror)(self.C)
-            w_ba = self.kernel(1.1, 0.3, mirror,
-                               swap=True)(-self.C.conjugate())
+            w_ba = self.kernel(1.1, 0.3, mirror)(-self.C.conjugate())
             assert np.allclose(w_ab, np.conj(w_ba), rtol=1e-12, atol=0.0)
             assert np.all(abs(w_ab.imag) > 1e-3 * abs(w_ab))
 
@@ -107,16 +96,20 @@ class TestWightman:
         assert not self.kernel(0.3, 0.0, True)(self.C).any()
 
     def test_equal_orbits_are_constant_along_u(self):
-        # on equal orbits the interval depends on c alone, so
-        # each row takes one value at every inner node, with and without
-        # the mirror
+        # on one orbit the interval depends on c alone, so the kernel,
+        # which takes no u, is W from the definition at every u, within
+        # TestWightmanKernel's bound, with and without the mirror: on a
+        # moving orbit, and for static detectors of unequal radii, which
+        # share one orbit too
         u = np.linspace(-_U_CUT, _U_CUT, 7)
-        for mirror in (False, True):
-            w = kernel_grid(self.DET_A, self.DET_A, 0.3, 1.1, mirror,
-                            u)(self.C)
-            assert w.shape == (self.C.size, u.size)
-            assert np.array_equal(w, np.broadcast_to(w[:, :1], w.shape))
-            assert np.all(np.isfinite(w)) and np.all(w != 0.0)
+        static = (detector_from_accel_radius(0.1, 0.0, 1.0),
+                  detector_from_accel_radius(0.3, 0.0, 0.4))
+        for det_a, det_b in ((self.DET, self.DET), static):
+            for mirror in (False, True):
+                got = kernel_of(det_a, det_b, 0.3, 1.1, mirror)(self.C)
+                assert np.all(np.isfinite(got)) and np.all(got != 0.0)
+                assert np.all(kernel_errors(det_a, det_b, 0.3, 1.1, mirror,
+                                            u, self.C) <= 1.0)
 
 
 class TestEqualKinematics:
@@ -499,27 +492,6 @@ class TestLinePole:
         with pytest.raises(DomainError, match="effective separation"):
             _line_pole(L_eff, R, om, gamma)
 
-# The epsilon-ladder oracle this one replaced, at tol 1e-7: (gap, a, R)
-# of A and B, sep, dz, then its C and error estimate. Unequal kinematics
-# have no reduced path, so these are the cross-check of the new oracle
-# there. The last pair puts B on a fast small orbit, whose phase enters
-# the inner integrand with its harmonics.
-LADDER_ORACLE = [
-    ((0.1, 1.0, 1.0), (0.3, 2.0, 0.5), 0.5, None,
-     0.04472662351424919 - 6.568819562365505e-16j, 6.854129638550962e-08),
-    ((0.1, 1.0, 1.0), (0.3, 2.0, 0.5), 0.5, 0.3,
-     0.007069459174744095 - 9.726016288643298e-16j, 3.139285639477213e-08),
-    ((0.5, 3.0, 2.0), (0.2, 1.0, 1.0), 1.0, 0.5,
-     0.0030021232814414823 - 4.1749011655174584e-16j, 3.797351704270174e-08),
-    ((0.5, 3.0, 2.0), (0.2, 1.0, 1.0), 1.0, None,
-     0.015137480320448116 - 2.7524279152335426e-16j, 3.6230729962834665e-08),
-    ((0.2, 0.0, 1.0), (0.4, 1.0, 1.0), 1.0, 0.5,
-     0.0077887320664919565 - 5.354513129181744e-16j, 1.667819545540425e-08),
-    ((0.014, 0.11, 1.63), (0.031, 13.6, 0.043), 0.43, 0.83,
-     0.013988801040601483 - 5.325601071248797e-16j, 1.9663088030666004e-08),
-]
-
-
 class TestDefinitionOracle:
     # the oracle evaluates the defining double integral on two shifted
     # proper-time contours; independent of the reduction
@@ -536,23 +508,23 @@ class TestDefinitionOracle:
             assert abs(est.value - fast.c_total) <= est.error_estimate
 
     def test_each_regulator_pass_runs_once(self, monkeypatch):
-        # one pass per contour: eta_1 on the inner grid, eta_2 on the
-        # doubled one, and the value is the second
+        # one pass per contour, eta_1 and eta_2, and the value is the
+        # second
         from udwmi import correlation
 
         calls = []
         rows_of = correlation._oracle_rows
 
         def counted(passes):
-            calls.extend(p[5:7] for p in passes)
+            calls.extend(p[5] for p in passes)
             return rows_of(passes)
 
         monkeypatch.setattr(correlation, "_oracle_rows", counted)
         cfg = pair(1.0, 1.0, sep=1.0)
         est = correlation_general_result(cfg, tol=1e-6)
-        (eta_1, n_u), (eta_2, n_fine) = calls
+        eta_1, eta_2 = calls
         assert (eta_1, eta_2) == _contours(cfg.det_a, cfg.det_b)
-        assert eta_2 == 2.0 * eta_1 and n_fine == 2 * n_u
+        assert eta_2 == 2.0 * eta_1
         assert [eta for eta, _ in est.samples] == [eta_1, eta_2]
         assert est.value == est.samples[1][1]
 
@@ -573,41 +545,25 @@ class TestDefinitionOracle:
         assert len(counts) == 2
         assert est.evaluations == sum(counts)
 
-    def test_unequal_orbits_keep_the_full_contour(self):
-        # only equal-orbit passes fold onto s >= 0: an unequal-orbit
-        # pass still runs over the whole s range, so its estimate is the
-        # one recorded before the fold, to the bit (x86-64, NumPy 2.4)
-        cfg = PairConfig(det_a=detector_from_accel_radius(0.1, 1.0, 1.0),
-                         det_b=detector_from_accel_radius(0.3, 2.0, 0.5),
-                         sep=0.5, dz=0.3)
-        est = correlation_general_result(cfg, tol=1e-7)
-        assert est.value == complex(float.fromhex("0x1.cf4dd7953ebf2p-8"),
-                                    float.fromhex("-0x1.2p-58"))
-        assert est.error_estimate == float.fromhex("0x1.91bf225d81b8fp-24")
-        assert est.evaluations == 2160
-
     def test_unequal_gamma_pair(self):
-        # different radii force the general route; the pair state must
-        # still produce a finite correlation with a sane magnitude
-        da = detector_from_accel_radius(0.1, 5.0, 0.02)
-        db = detector_from_accel_radius(0.1, 5.0, 0.03)
-        cfg = PairConfig(det_a=da, det_b=db, sep=1.0, dz=0.1)
-        assert not cfg.equal_kinematics
-        est = correlation_general_result(cfg, tol=1e-5)
-        assert np.isfinite(est.value.real) and np.isfinite(est.value.imag)
-        assert 0.0 < abs(est.value) < 1.0
-
-    @pytest.mark.parametrize("a, b, sep, dz, ladder, ladder_err",
-                             LADDER_ORACLE)
-    def test_unequal_kinematics_match_the_ladder_oracle(self, a, b, sep, dz,
-                                                         ladder, ladder_err):
-        cfg = PairConfig(det_a=detector_from_accel_radius(*a),
-                         det_b=detector_from_accel_radius(*b), sep=sep, dz=dz)
-        assert not cfg.equal_kinematics
-        est = correlation_general_result(cfg, tol=1e-7)
-        assert abs(est.value - ladder) <= ladder_err + est.error_estimate
-        # the inner grid resolves the orbits, so the spread stays at tol
-        assert est.error_estimate <= 2e-7
+        # the oracle judges pairs on one orbit only, as the engine does:
+        # a pair on two orbits raises DomainError, with and without the
+        # mirror, whether gamma differs (different radii at one
+        # acceleration), omega gamma alone (one speed on two radii), or
+        # one detector is static
+        for da, db in ((detector_from_accel_radius(0.1, 5.0, 0.02),
+                        detector_from_accel_radius(0.1, 5.0, 0.03)),
+                       (detector_from_accel_radius(0.1, 5.0, 0.02),
+                        detector_from_accel_radius(0.1, 2.5, 0.04)),
+                       (detector_from_accel_radius(0.2, 0.0, 1.0),
+                        detector_from_accel_radius(0.4, 1.0, 1.0))):
+            if da.gamma == db.gamma:
+                assert da.omega * da.gamma != db.omega * db.gamma
+            for dz in (0.1, None):
+                cfg = PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz)
+                assert not cfg.equal_kinematics
+                with pytest.raises(DomainError, match="one orbit"):
+                    correlation_general_result(cfg, tol=1e-5)
 
     def test_contour_beyond_the_tube_raises(self, monkeypatch):
         # at gamma = 20 (a = 40, R = 10) the tube bound is 0.05; a second
@@ -621,8 +577,14 @@ class TestDefinitionOracle:
         assert response.transition_probability_oracle_result(spec, 0.1)
         monkeypatch.setattr(correlation, "_contours",
                             lambda *_: (eta_1, 0.2))
-        with pytest.raises(RuntimeError, match="differ by 1.4"):
+        with pytest.raises(RuntimeError, match="differ by 1.4") as info:
             response.transition_probability_oracle_result(spec, 0.1)
+        # the check cannot tell its two causes apart, so it names both
+        assert SPREAD_CAUSES in str(info.value)
+
+
+SPREAD_CAUSES = ("a zero of the interval lies between the contours, or a "
+                 "pass did not resolve its integrand")
 
 
 def bits(res):
@@ -631,11 +593,9 @@ def bits(res):
 
 
 def oracle_args(det_a, det_b, z_a, z_b, mirror):
-    """The entries of an oracle pass before its contour, and the
-    (eta, n_u) contours _oracle gives equal-kinematics detectors of one
-    gap."""
-    eta_1, eta_2 = _contours(det_a, det_b)
-    return (det_a, det_b, z_a, z_b, mirror), [(eta_1, 96), (eta_2, 192)]
+    """The entries of an oracle pass before its contour, and the two
+    contours _oracle_batch gives the detectors."""
+    return (det_a, det_b, z_a, z_b, mirror), _contours(det_a, det_b)
 
 
 def pair_args(cfg):
@@ -650,10 +610,15 @@ def response_args(spec, dz):
     return oracle_args(spec, spec, z, z, dz is not None)
 
 
-# unequal orbits with the mirror: the pairs whose rows are still
-# reduced over the whole inner grid, in blocks of several rows each
-UNEQUAL = PairConfig(det_a=TestWightman.DET_A, det_b=TestWightman.DET_B,
-                     sep=0.8, dz=0.3)
+# static detectors of unequal radii with the mirror: one orbit, so the
+# oracle takes them, though the engine does not
+STATIC_RADII = PairConfig(det_a=detector_from_accel_radius(0.2, 0.0, 1.0),
+                          det_b=detector_from_accel_radius(0.4, 0.0, 0.5),
+                          sep=0.8, dz=0.3)
+# a pair on two orbits, which the oracle refuses
+TWO_ORBITS = PairConfig(det_a=detector_from_accel_radius(0.1, 2.0, 0.5),
+                        det_b=detector_from_accel_radius(0.3, 1.0, 1.5),
+                        sep=0.8, dz=0.3)
 
 
 def estimate_bits(est):
@@ -672,18 +637,17 @@ def bits_of(z):
 
 
 # oracle keys (det_a, det_b, z_a, z_b, mirror, tol) of every kind:
-# correlations and responses, equal and unequal orbits, the mirror and
-# free space, a static detector, and unequal gaps
+# correlations and responses, the mirror and free space, static
+# detectors, of one radius and of two, and unequal gaps
 MIXED_KEYS = [
     _pair_oracle_key(pair(1.0, 1.0, sep=1.0), 1e-5),
-    _pair_oracle_key(UNEQUAL, 1e-5),
+    _pair_oracle_key(STATIC_RADII, 1e-5),
     (*response_args(detector_from_accel_radius(0.3, 0.1, 1.0), 0.5)[0],
      2.5e-7),
     _pair_oracle_key(pair(5.0, 0.02, sep=1.0, dz=0.1, gap_b=1.1), 1e-7),
     (*response_args(detector_from_accel_radius(0.1, 0.0, 1.0), None)[0],
      2.5e-7),
-    _pair_oracle_key(PairConfig(
-        det_a=TestWightman.DET_B, det_b=TestWightman.DET_A, sep=0.5), 1e-6),
+    _pair_oracle_key(pair(2.0, 0.5, sep=0.5, gap_a=0.3, gap_b=0.1), 1e-6),
 ]
 
 
@@ -718,15 +682,32 @@ class TestOracleBatch:
         ests = _oracle_batch(keys)
         assert isinstance(ests[1], RuntimeError)
         assert "differ by 1.4" in str(ests[1])
+        assert SPREAD_CAUSES in str(ests[1])
         assert ([estimate_bits(ests[i]) for i in (0, 2)]
                 == [estimate_bits(_oracle_batch([keys[i]])[0])
                     for i in (0, 2)])
 
+    def test_a_key_on_two_orbits_fails_alone(self):
+        # a key on two orbits gets its DomainError, and every other key
+        # of its batch keeps its bits; a batch of such keys alone runs
+        # no pass
+        keys = [*MIXED_KEYS[:2], _pair_oracle_key(TWO_ORBITS, 1e-5),
+                *MIXED_KEYS[2:]]
+        ests = _oracle_batch(keys)
+        assert isinstance(ests[2], DomainError)
+        assert "one orbit" in str(ests[2])
+        del ests[2]
+        assert ([estimate_bits(est) for est in ests]
+                == [estimate_bits(_oracle_batch([key])[0])
+                    for key in MIXED_KEYS])
+        alone = _oracle_batch([keys[2], keys[2]])
+        assert [type(est) for est in alone] == [DomainError, DomainError]
+
 
 class TestOracleRowBlocks:
-    # the oracle integrand evaluates its abscissae in row blocks of at
-    # most correlation._BLOCK inner-grid elements; every row is reduced
-    # alone, so the block size cannot change an estimate
+    # the oracle integrand evaluates its abscissae in blocks of at most
+    # correlation._BLOCK rows; every row is made alone, so the block
+    # size cannot change an estimate
     def test_one_row_blocks_equal_default_blocks(self, monkeypatch):
         from udwmi import correlation
 
@@ -738,27 +719,28 @@ class TestOracleRowBlocks:
         assert estimates() == default
 
     def test_one_row_equals_its_row_among_many(self):
-        # an equal-orbit row is one inner node, so a block of one row is
-        # an array of one element; it must round as the same row in a
-        # longer array does, with the mirror's product too, and among
-        # the rows of other passes
+        # a block of one row is an array of one element; it must round
+        # as the same row in a longer array does, with the mirror's
+        # product too, and among the rows of other passes
         spec = detector_from_accel_radius(0.1, 1.0, 1.0)
         rng = np.random.default_rng(5)
-        s = rng.uniform(-2.0 * _U_CUT, 2.0 * _U_CUT, 200)
+        s = rng.uniform(0.0, 2.0 * _U_CUT, 200)
         passes = []
         for dz in (0.3, None):
             args, contours = response_args(spec, dz)
-            passes += [(*args, eta, n_u) for eta, n_u in contours]
-            for eta, n_u in contours:
-                rows = pass_rows(*args, eta, n_u)
+            passes += [(*args, eta) for eta in contours]
+            for eta in contours:
+                rows = pass_rows(*args, eta)
                 together = rows(s)
                 alone = np.concatenate([rows(s[i:i + 1])
                                         for i in range(s.size)])
                 assert np.array_equal(alone, together)
-        args, contours = pair_args(UNEQUAL)
-        passes += [(*args, eta, n_u) for eta, n_u in contours]
+        for cfg in (STATIC_RADII, pair(5.0, 0.02, sep=1.0, dz=0.1,
+                                       gap_b=1.1)):
+            args, contours = pair_args(cfg)
+            passes += [(*args, eta) for eta in contours]
         member = rng.integers(0, len(passes), s.size)
-        mixed = _oracle_rows(passes)[0](s[:, None], member)[:, 0]
+        mixed = _oracle_rows(passes)(s[:, None], member)[:, 0]
         for i, oracle_pass in enumerate(passes):
             mine = member == i
             assert np.array_equal(mixed[mine], pass_rows(*oracle_pass)(s[mine]))
@@ -766,10 +748,10 @@ class TestOracleRowBlocks:
     def test_pass_memory_is_bounded(self):
         # the row blocks bound a round's temporaries whatever its panel
         # count: a batch of the 39 oracles of the bundled oracle_grid
-        # (78 passes) peaks at 0.82 MiB, most of it the first round of
-        # its quadrature's runs of up to 1024 panels, and one of an
-        # equal and an unequal orbit pair at 0.25 MiB (see
-        # correlation._BLOCK)
+        # (78 passes) peaks at 0.70 MiB, most of it the first round of
+        # its quadrature's runs of up to 1024 panels, and one of two
+        # pairs with the mirror, a fast orbit and static detectors of
+        # unequal radii, at 0.20 MiB (see correlation._BLOCK)
         import tracemalloc
 
         from udwmi.response import _response_oracle_key
@@ -783,7 +765,7 @@ class TestOracleRowBlocks:
                  for p in grid["correlation_points"]]
         for batch in (keys, [_pair_oracle_key(pair(5.0, 0.02, sep=1.0,
                                                    dz=0.1), 1e-7),
-                             _pair_oracle_key(UNEQUAL, 1e-7)]):
+                             _pair_oracle_key(STATIC_RADII, 1e-7)]):
             tracemalloc.start()
             try:
                 _oracle_batch(batch)
@@ -794,16 +776,21 @@ class TestOracleRowBlocks:
 
 
 class TestEqualOrbitRows:
-    # on equal orbits the kernel is constant along u, so _oracle_rows
-    # takes it at one inner node weighted by the sum of the u weights,
-    # and the row at -s is the conjugate of the row at s, so it folds
-    # them into one row on s >= 0. That is the full-grid reduction at s
-    # plus the one at -s, the kernel on every (row, node) element
-    # summed by einsum against the weights, to within 16 ulps of the
-    # two rows' absolute sums sum_j |f K_j w_j| (f the row factor):
-    # the sums round in their own order. The worst seen is 7.2 ulps,
-    # over 260 random equal-orbit pairs with and without the mirror
-    # (both contours, 1001 s each on [0, 2 _U_CUT]).
+    # on one orbit the kernel does not depend on u, so _oracle_rows
+    # takes the u integral in closed form, and the row at -s is the
+    # conjugate of the row at s, so it folds them into one row on s >=
+    # 0. That is the full double integral's row at s plus the one at
+    # -s, the definition's kernel at every node of a u grid
+    # (long_double.oracle_rows, in long double). The grid is the
+    # trapezoid rule of step 0.1 on [-_U_CUT, _U_CUT], whose error on
+    # the Gaussian weight is below e^{-42} and its long-double roundoff,
+    # about 1e-17 of the row at these gaps, where 96 float64
+    # Gauss-Legendre nodes err by 1.3e-16 (equal gaps) to 2.7e-14 (gaps
+    # 3.9 apart). The bound, 1e-14 of the largest row, is then the
+    # float64 row's own: 3 ulps of the closed form and the kernel's
+    # roundoff, which TestOracleRowPrecision measures at up to 3.6e-15
+    # of the largest row (worst seen here 3.2e-15).
+    @long_double.needs_long_double
     @pytest.mark.parametrize("accel, radius, gap_b, dz, sep", [
         (1.0, 1.0, 0.1, None, 0.5),  # free space
         (5.0, 0.02, 0.1, 0.1, 1.0),  # the mirror
@@ -817,23 +804,11 @@ class TestEqualOrbitRows:
         z_a = dz if dz is not None else 0.0
         args, contours = oracle_args(da, db, z_a, z_a + sep, dz is not None)
         s = np.linspace(0.0, 2.0 * _U_CUT, 257)
-        gap_sum, gap_diff = da.energy_gap + gap_b, da.energy_gap - gap_b
-        for eta, n_u in contours:
-            u, w = composite_gauss_legendre(-_U_CUT, _U_CUT, n_u)
-            weights = w * np.exp(-u * u - 1j * gap_diff * u)
-            full = scale = 0.0
-            for side in (s, -s):  # the row at s plus the row at -s
-                ds = side - 1j * eta
-                kernel = kernel_grid(*args, u)(0.5 * ds[:, None])
-                assert kernel.shape == (s.size, u.size)
-                row_factor = np.exp(-0.25 * ds * ds - 0.5j * gap_sum * ds)
-                full = full + row_factor * np.einsum("ij,j->i", kernel,
-                                                     weights)
-                scale = scale + (abs(row_factor)
-                                 * (abs(kernel) @ abs(weights)))
-            got = pass_rows(*args, eta, n_u)(s)
-            assert np.all(abs(got - full) <= 16.0 * np.finfo(float).eps
-                          * scale)
+        for eta in contours:
+            got = pass_rows(*args, eta)(s)
+            exact = (long_double.oracle_rows(*args, eta, s)
+                     + long_double.oracle_rows(*args, eta, -s))
+            assert long_double.worst_error(got, exact) <= 1e-14
 
 
 ORBITS = st.builds(
@@ -841,65 +816,71 @@ ORBITS = st.builds(
     st.one_of(st.just(0.0), st.floats(0.0, 100.0)), st.floats(0.01, 30.0))
 
 
+def kernel_errors(det_a, det_b, z_a, z_b, mirror, u, c):
+    """The kernel's error at each c of a 1-D array against W from the
+    definition (long_double.wightman) at tau_A = u + c and tau_B = u -
+    c, for every u of a 1-D array, over the bound TestWightmanKernel
+    states: a (c, u) array whose entries are at most 1 where the kernel
+    keeps the bound."""
+    got = kernel_of(det_a, det_b, z_a, z_b, mirror)(c)[:, None]
+    c = c[:, None]
+    events = (det_a, z_a, u + c, det_b, z_b, u - c)
+    want = long_double.wightman(*events, mirror)
+    direct = long_double.wightman(*events, False)
+    image = direct - want
+    assert want.shape == (c.size, u.size)
+    span = abs(u) + abs(c)
+    radii = sum(det.radius * np.cosh(det.omega * det.gamma * c.imag)
+                for det in (det_a, det_b))
+    k = max(det_a.omega * det_a.gamma, det_b.omega * det_b.gamma)
+    q_err = np.finfo(float).eps * (
+        ((det_a.gamma + det_b.gamma) * span) ** 2
+        + radii ** 2 * (1.0 + k * span) + (z_a + z_b) ** 2)
+    bound = 8.0 * (4.0 * math.pi ** 2 * (abs(direct) ** 2
+                                         + abs(image) ** 2) * q_err
+                   + np.finfo(float).eps * (abs(direct) + abs(image)))
+    return np.asarray(abs(got - want) / bound, dtype=float)
+
+
 class TestWightmanKernel:
     # the oracle's kernel takes W from the squared interval by the law
     # of cosines; pointwise it is W from the definition
     # (long_double.wightman, in long double from the events of
     # long_double.events) at tau_A = u + c and tau_B = u - c, c = (s -
-    # i eta)/2. The kernel rounds the interval q to a few ulps of
-    # gamma^2 (|u| + |c|)^2 + R^2 (1 + omega gamma (|u| + |c|)), R^2 with
-    # the contour's cosh, which W takes on with its derivative
+    # i eta)/2, whatever u. The kernel rounds the interval q to a few
+    # ulps of gamma^2 (|u| + |c|)^2 + R^2 (1 + omega gamma (|u| + |c|)),
+    # R^2 with the contour's cosh, which W takes on with its derivative
     # 4 pi^2 W^2 in each of its terms. The examples are where the
     # sines of half the phase difference are weakest: near-coincident
-    # events on a fast, small orbit, a static detector beside a moving
-    # one, and unequal orbits at the ends of the u range (worst errors
-    # 0.009, 0.085 and 0.037 of the bound)
+    # events on a fast, small orbit, a static detector, and a fast orbit
+    # at the ends of the u range (worst errors 0.009, 0.011 and 0.010
+    # of the bound)
     @seed(2033)
     @settings(max_examples=200, deadline=None)
-    @example(det_a=detector_from_accel_radius(0.1, 100.0, 0.01), det_b=None,
+    @example(det=detector_from_accel_radius(0.1, 100.0, 0.01),
              mirror=False, z_a=0.5, sep=0.0, rung=1,
              u=[-_U_CUT, -1.0, 0.0, 3.0, _U_CUT], s=[1e-4, -1e-4, 3e-5, 0.0])
-    @example(det_a=detector_from_accel_radius(0.1, 5.0, 2.0),
-             det_b=detector_from_accel_radius(0.1, 0.0, 0.5), mirror=False,
+    @example(det=detector_from_accel_radius(0.1, 0.0, 0.5), mirror=True,
              z_a=1.0, sep=0.5, rung=1, u=[-_U_CUT, -2.0, 0.7, _U_CUT],
              s=[-2.0 * _U_CUT, -2.0, 0.3, 2.0 * _U_CUT])
-    @example(det_a=detector_from_accel_radius(0.1, 30.0, 1.0),
-             det_b=detector_from_accel_radius(0.1, 1.0, 1.0), mirror=False,
+    @example(det=detector_from_accel_radius(0.1, 30.0, 1.0), mirror=False,
              z_a=1.0, sep=1.0, rung=1, u=[-_U_CUT, _U_CUT],
              s=[-2.0 * _U_CUT, -1.0, 0.5, 4.0, 2.0 * _U_CUT])
-    @given(det_a=ORBITS, det_b=st.one_of(st.none(), ORBITS),
-           mirror=st.booleans(), z_a=st.floats(0.01, 5.0),
+    @given(det=ORBITS, mirror=st.booleans(), z_a=st.floats(0.01, 5.0),
            sep=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
            rung=st.sampled_from([0, 1]),
            u=st.lists(st.floats(-_U_CUT, _U_CUT), min_size=1, max_size=8),
            s=st.lists(st.floats(-2.0 * _U_CUT, 2.0 * _U_CUT), min_size=1,
                       max_size=4))
-    def test_kernel_is_the_definition(self, det_a, det_b, mirror, z_a, sep,
-                                      rung, u, s):
-        det_b = det_b or det_a  # equal orbits, the response's among them
+    def test_kernel_is_the_definition(self, det, mirror, z_a, sep, rung, u,
+                                      s):
+        # one orbit, the response's among them
         if not mirror:
             z_a = 0.0  # the oracle's free space
-        z_b = z_a + sep
-        eta = _contours(det_a, det_b)[rung]
-        u = np.array(u)
-        c = 0.5 * (np.array(s) - 1j * eta)[:, None]
-        got = kernel_grid(det_a, det_b, z_a, z_b, mirror, u)(c)
-        events = (det_a, z_a, u + c, det_b, z_b, u - c)
-        want = long_double.wightman(*events, mirror)
-        direct = long_double.wightman(*events, False)
-        image = direct - want
-        assert got.shape == want.shape
-        span = abs(u) + abs(c)
-        radii = sum(det.radius * np.cosh(det.omega * det.gamma * c.imag)
-                    for det in (det_a, det_b))
-        k = max(det_a.omega * det_a.gamma, det_b.omega * det_b.gamma)
-        q_err = np.finfo(float).eps * (
-            ((det_a.gamma + det_b.gamma) * span) ** 2
-            + radii ** 2 * (1.0 + k * span) + (z_a + z_b) ** 2)
-        bound = 8.0 * (4.0 * math.pi ** 2 * (abs(direct) ** 2
-                                             + abs(image) ** 2) * q_err
-                       + np.finfo(float).eps * (abs(direct) + abs(image)))
-        assert np.all(abs(got - want) <= bound)
+        eta = _contours(det, det)[rung]
+        c = 0.5 * (np.array(s) - 1j * eta)
+        assert np.all(kernel_errors(det, det, z_a, z_a + sep, mirror,
+                                    np.array(u), c) <= 1.0)
 
 
 @long_double.needs_long_double
@@ -907,17 +888,17 @@ class TestOracleRowPrecision:
     # a pass's folded rows against the defining formula in long double,
     # the row at s plus the row at -s, on a fixed grid of 513 s in
     # [0, 2 _U_CUT], both contours, near the mirror: the worst row error
-    # is 3.6e-15 of the largest row at a = 1, R = 10 and 1.9e-16 at
-    # a = 0.1, R = 1 (3.6e-15 and 3.7e-16 on 2049 s)
+    # is 3.6e-15 of the largest row at a = 1, R = 10 and 1.5e-16 at
+    # a = 0.1, R = 1 (3.6e-15 and 3.1e-16 on 2049 s)
     @pytest.mark.parametrize("accel, radius", [(0.1, 1.0), (1.0, 10.0)])
     def test_rows_match_long_double(self, accel, radius):
         spec = detector_from_accel_radius(0.1, accel, radius)
         args, contours = response_args(spec, 0.1)
         s = np.linspace(0.0, 2.0 * _U_CUT, 513)
-        for eta, n_u in contours:
-            got = pass_rows(*args, eta, n_u)(s)
-            exact = (long_double.oracle_rows(*args, eta, n_u, s)
-                     + long_double.oracle_rows(*args, eta, n_u, -s))
+        for eta in contours:
+            got = pass_rows(*args, eta)(s)
+            exact = (long_double.oracle_rows(*args, eta, s)
+                     + long_double.oracle_rows(*args, eta, -s))
             assert long_double.worst_error(got, exact) <= 1e-12
 
 
@@ -934,9 +915,8 @@ class TestRungBatch:
     def test_correlation_rungs_equal_batches_of_one(self, cfg):
         args, contours = pair_args(cfg)
         est = correlation_general_result(cfg, tol=1e-7)
-        alone = [one_pass(*args, eta, n_u, tol=1e-7)
-                 for eta, n_u in contours]
-        assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
+        alone = [one_pass(*args, eta, tol=1e-7) for eta in contours]
+        assert est.samples == tuple((eta, complex(res.value)) for eta, res
                                     in zip(contours, alone, strict=True))
         assert est.evaluations == sum(res.evaluations for res in alone)
         assert est.value == alone[1].value
@@ -955,9 +935,8 @@ class TestRungBatch:
         spec = detector_from_accel_radius(0.1, accel, radius)
         args, contours = response_args(spec, dz)
         est = response.transition_probability_oracle_result(spec, dz, 1e-6)
-        alone = [one_pass(*args, eta, n_u, tol=2.5e-7)
-                 for eta, n_u in contours]
-        assert est.samples == tuple((eta, complex(res.value)) for (eta, _), res
+        alone = [one_pass(*args, eta, tol=2.5e-7) for eta in contours]
+        assert est.samples == tuple((eta, complex(res.value)) for eta, res
                                     in zip(contours, alone, strict=True))
         assert est.evaluations == sum(res.evaluations for res in alone)
         assert est.value == alone[1].value.real

@@ -5,7 +5,7 @@ udwmi and running its everyday operations (a point query, a sweep, the
 oracle suite, counting interior maxima) loads no scipy module, whose
 import would cost more than the package's own. The sweep runs on a
 process pool there too, out of reach of any test's patches. Nor do
-they load numpy.polynomial: the Gauss-Legendre table is written out."""
+they load numpy.polynomial."""
 import ast
 import importlib
 import json
@@ -13,10 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import udwmi
-from udwmi import correlation
 
 EVERYDAY = """
 import contextlib, io, json, sys
@@ -51,14 +48,6 @@ def test_everyday_operations_load_no_scipy():
                                        "pooled_equal": True, "ok": True,
                                        "maxima": 2, "scipy": [],
                                        "polynomial": False}
-
-
-def test_gauss_legendre_table_is_leggauss_to_the_bit():
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    for table, expected in ((correlation._GL_NODES, nodes),
-                            (correlation._GL_WEIGHTS, weights)):
-        assert [x.hex() for x in table.tolist()] == [
-            x.hex() for x in expected.tolist()]
 
 
 def test_src_imports_numpy_and_the_standard_library_only():

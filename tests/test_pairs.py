@@ -1,7 +1,9 @@
 """The seed parsing, commit lookup and pair summary of tools/pairs.py,
-on synthetic runs and a scratch repository."""
+on synthetic runs and a scratch repository, and its record of a run
+that prints no result, on faked runs."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -95,3 +97,52 @@ def test_revisions_resolve_to_commits(monkeypatch, tmp_path):
     assert pairs.commit_of(first[:8]) == first
     with pytest.raises(subprocess.CalledProcessError):
         pairs.commit_of("no-such-revision")
+
+
+def test_a_run_without_a_result_keeps_the_other_pairs(monkeypatch, tmp_path,
+                                                      capsys):
+    # one bench/run.py run crashes: it is recorded with its side, seed,
+    # exit status and stderr tail, the summary is over the other pairs,
+    # and the exit status is 1
+    pairs = load_pairs(monkeypatch)
+    monkeypatch.setattr(pairs, "commit_of", lambda revision: revision * 8)
+
+    def checkout(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": METRICS}))
+        return dest
+
+    def bench_run(cmd, cwd, **kwargs):
+        seed, side = int(cmd[cmd.index("--seed") + 1]), Path(cwd).name
+        if (seed, side) == (2, "new"):
+            return subprocess.CompletedProcess(
+                cmd, 1, "", "Traceback (most recent call last):\n"
+                "statistics.StatisticsError: fmean requires at least one "
+                "data point\n")
+        rate = 100.0 + seed + (10.0 if side == "new" else 0.0)
+        record = run(side, seed, rate, 10.0 / rate)["record"]
+        return subprocess.CompletedProcess(cmd, 0,
+                                           "warming\n" + json.dumps(record),
+                                           "")
+
+    monkeypatch.setattr(pairs.tables, "checkout", checkout)
+    monkeypatch.setattr(subprocess, "run", bench_run)
+    out = tmp_path / "pairs.json"
+    assert pairs.main(["a", "b", "--workload", "w", "--seeds", "1-3",
+                       "--out", str(out)]) == 1
+    written = json.loads(out.read_text())
+    crashed = [r for r in written["runs"] if "record" not in r]
+    assert crashed == [{"workload": "w", "seed": 2, "side": "new",
+                        "position_in_pair": 1, "exit": 1,
+                        "stderr_tail": "Traceback (most recent call last):\n"
+                        "statistics.StatisticsError: fmean requires at "
+                        "least one data point\n"}]
+    assert len(written["runs"]) == 6
+    s = written["summary"]["w"]
+    assert (s["pairs"], s["seeds"], s["runs_without_result"]) == (2, [1, 3],
+                                                                   1)
+    assert s["all_correct"]
+    assert s["points_per_s"]["pairs_won_by_new"] == 2
+    assert s["points_per_s"]["old"]["median"] == 102.0
+    assert "runs without a result 1" in capsys.readouterr().out

@@ -290,21 +290,19 @@ _FREE_KEYS = [(detector_from_accel_radius(*args), tol) for args, tol in
 # a pole inside, a far pole (L_eff beyond the switching envelope)
 _LINE_KEYS = [_line_key(0.1, 5.0, 0.02, 1.0, 1e-8),
               _line_key(0.5, 1.0, 1.0, 40.0, 1e-10)]
-# an equal-orbit pair, and the unequal one of
-# test_unequal_orbits_keep_the_full_contour
-_EQUAL = PairConfig(det_a=detector_from_accel_radius(0.1, 5.0, 0.02),
-                    det_b=detector_from_accel_radius(0.1, 5.0, 0.02),
-                    sep=1.0, dz=0.5)
-_UNEQUAL = PairConfig(det_a=detector_from_accel_radius(0.1, 1.0, 1.0),
-                      det_b=detector_from_accel_radius(0.3, 2.0, 0.5),
-                      sep=0.5, dz=0.3)
+# two pairs on one orbit: with the mirror, and free with unequal gaps
+_PAIRS = [PairConfig(det_a=detector_from_accel_radius(0.1, 5.0, 0.02),
+                     det_b=detector_from_accel_radius(0.1, 5.0, 0.02),
+                     sep=1.0, dz=0.5),
+          PairConfig(det_a=detector_from_accel_radius(0.1, 1.0, 1.0),
+                     det_b=detector_from_accel_radius(0.3, 1.0, 1.0),
+                     sep=0.5)]
 CALL_BOUND_BATCHES = {
     "free": lambda: response._free_responses(_FREE_KEYS),
     "line": lambda: correlation._line_batch(_LINE_KEYS),
     "parts": lambda: response._reduced_batch(_FREE_KEYS, _LINE_KEYS),
     "oracle": lambda: correlation._oracle_batch(
-        [correlation._pair_oracle_key(_EQUAL, 1e-7),
-         correlation._pair_oracle_key(_UNEQUAL, 1e-7)]),
+        [correlation._pair_oracle_key(pair, 1e-7) for pair in _PAIRS]),
 }
 
 

@@ -12,16 +12,20 @@ first, the next NEW first, and so on, so that neither side always meets
 the host in the same state. --seeds takes seeds and inclusive ranges
 a-b.
 
-For every workload and every end-to-end metric of the NEW checkout's
-BENCHMARK.json the summary gives, per side, the median and the quartiles
-(statistics.quantiles(values, n=4), as bench/spread.py), the number of
-pairs the NEW side won, the change of the medians relative to OLD's, the
-parent's interquartile range, whether the medians differ by more than
-it, and whether the change stays within the metric's bound. It prints
-one line per metric and writes the summary and every run's result to
-FILE (default BENCH_<first workload>.json), with both revisions as typed
-and the commits they name. The exit status is 0 when
-every run passed its correctness gate, else 1.
+A run that prints no result is kept as it ended: its side, seed, exit
+status and the tail of its stderr. For every workload and every
+end-to-end metric of the NEW checkout's BENCHMARK.json the summary
+gives, over the complete pairs (both runs printed a result), per side,
+the median and the quartiles (statistics.quantiles(values, n=4), as
+bench/spread.py), the number of pairs the NEW side won, the change of
+the medians relative to OLD's, the parent's interquartile range,
+whether the medians differ by more than it, and whether the change
+stays within the metric's bound; and it counts the runs that printed
+no result. It prints one line per metric and writes the summary and
+every run's result to FILE (default BENCH_<first workload>.json), with
+both revisions as typed and the commits they name. The exit status is
+0 when every run printed a result that passed its correctness gate,
+else 1.
 """
 
 from __future__ import annotations
@@ -69,16 +73,18 @@ def src_sha256(tree: Path) -> str:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line bench/run.py prints in tree: its JSON result."""
+    """One bench/run.py run in tree: {"record": its JSON result, the
+    last line it prints}, or, for a run that prints none, {"exit": its
+    exit status, "stderr_tail": the last 2000 characters of its
+    stderr}."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=1800)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        sys.exit(f"{tree}: bench/run.py exited {proc.returncode}\n"
-                 f"{proc.stdout}\n{proc.stderr}")
-    return json.loads(lines[-1])
+        return {"exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
+    return {"record": json.loads(lines[-1])}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -89,20 +95,26 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric of one workload's pairs: both sides' quartiles, pairs
-    won by NEW, the relative change of the medians, OLD's IQR, and
-    whether the change exceeds that IQR and stays within the bound."""
-    old = [r["record"] for r in runs if r["side"] == "old"]
-    new = [r["record"] for r in runs if r["side"] == "new"]
+    """Per metric of one workload's complete pairs (runs in pairs, in
+    order, each with its record): both sides' quartiles, pairs won by
+    NEW, the relative change of the medians, OLD's IQR, and whether the
+    change exceeds that IQR and stays within the bound; and the count
+    of runs with no record."""
+    complete = [run for i in range(0, len(runs), 2)
+                if all("record" in r for r in runs[i:i + 2])
+                for run in runs[i:i + 2]]
+    old = [r["record"] for r in complete if r["side"] == "old"]
+    new = [r["record"] for r in complete if r["side"] == "new"]
     out = {"pairs": len(new),
-           "seeds": [r["seed"] for r in runs if r["side"] == "new"],
+           "seeds": [r["seed"] for r in complete if r["side"] == "new"],
            "all_correct": all(r["correct"] for r in old + new),
            "failed": {"old": sum(r["failed"] for r in old),
-                      "new": sum(r["failed"] for r in new)}}
+                      "new": sum(r["failed"] for r in new)},
+           "runs_without_result": sum("record" not in r for r in runs)}
     for metric in metrics:
         name, sign = metric["name"], (1.0 if metric["better"] == "higher"
                                       else -1.0)
-        if not all(name in r["metrics"] for r in old + new):
+        if not new or not all(name in r["metrics"] for r in old + new):
             continue
         a = [r["metrics"][name]["value"] for r in old]
         b = [r["metrics"][name]["value"] for r in new]
@@ -145,11 +157,16 @@ def main(argv=None) -> int:
             for workload in args.workload:
                 sides = ("old", "new") if i % 2 == 0 else ("new", "old")
                 for position, side in enumerate(sides, 1):
-                    record = run_bench(trees[side], workload, seed,
-                                       args.seconds)
+                    run = run_bench(trees[side], workload, seed,
+                                    args.seconds)
                     runs.append({"workload": workload, "seed": seed,
                                  "side": side, "position_in_pair": position,
-                                 "record": record})
+                                 **run})
+                    if "record" not in run:
+                        print(f"{workload} seed {seed} {side}: no result, "
+                              f"exit {run['exit']}", flush=True)
+                        continue
+                    record = run["record"]
                     print(f"{workload} seed {seed} {side}: "
                           f"correct {record['correct']}, points_per_s "
                           f"{record['metrics']['points_per_s']['value']:.1f}",
@@ -168,7 +185,8 @@ def main(argv=None) -> int:
         "summary": summary, "runs": runs}, indent=1) + "\n")
     for workload, s in summary.items():
         print(f"{workload}: {s['pairs']} pairs, all correct "
-              f"{s['all_correct']}, failed {s['failed']}")
+              f"{s['all_correct']}, failed {s['failed']}, runs without "
+              f"a result {s['runs_without_result']}")
         for name, m in s.items():
             if isinstance(m, dict) and "old" in m and "unit" in m:
                 print(f"  {name}: median {m['old']['median']:.4g} -> "
@@ -179,7 +197,8 @@ def main(argv=None) -> int:
                       f"{m['beyond_old_iqr']}, within bound "
                       f"{m['within_bound']}")
     print(f"wrote {out}")
-    return 0 if all(s["all_correct"] for s in summary.values()) else 1
+    return 0 if all(s["all_correct"] and not s["runs_without_result"]
+                    for s in summary.values()) else 1
 
 
 if __name__ == "__main__":
