@@ -34,8 +34,9 @@ independent routes:
   separation L replaced by L + 2 dz. At L = 0 the image line integral
   is also the image part of one detector's response (module response).
 * correlation_general_result: definition-level double quadrature, the
-  oracle for the reduced path, on the same one orbit; a pair on two
-  orbits raises DomainError, as the engine refuses it. The Wightman
+  oracle for the reduced path, for a pair on one orbit as that path
+  takes it; a pair on two orbits raises DomainError, as the engine
+  refuses it. The Wightman
   function is the boundary value of a function analytic while the
   imaginary part of the separation lies in the past cone (Streater and
   Wightman; for the circular orbit's complex zeros, Bell and Leinaas,

@@ -492,6 +492,11 @@ class TestLinePole:
         with pytest.raises(DomainError, match="effective separation"):
             _line_pole(L_eff, R, om, gamma)
 
+# the spread check's message: both causes, which it cannot tell apart
+SPREAD_CAUSES = ("a zero of the interval lies between the contours, or a "
+                 "pass did not resolve its integrand")
+
+
 class TestDefinitionOracle:
     # the oracle evaluates the defining double integral on two shifted
     # proper-time contours; independent of the reduction
@@ -551,14 +556,14 @@ class TestDefinitionOracle:
         # mirror, whether gamma differs (different radii at one
         # acceleration), omega gamma alone (one speed on two radii), or
         # one detector is static
+        one_speed = (detector_from_accel_radius(0.1, 5.0, 0.02),
+                     detector_from_accel_radius(0.1, 2.5, 0.04))
+        assert one_speed[0].gamma == one_speed[1].gamma
         for da, db in ((detector_from_accel_radius(0.1, 5.0, 0.02),
                         detector_from_accel_radius(0.1, 5.0, 0.03)),
-                       (detector_from_accel_radius(0.1, 5.0, 0.02),
-                        detector_from_accel_radius(0.1, 2.5, 0.04)),
+                       one_speed,
                        (detector_from_accel_radius(0.2, 0.0, 1.0),
                         detector_from_accel_radius(0.4, 1.0, 1.0))):
-            if da.gamma == db.gamma:
-                assert da.omega * da.gamma != db.omega * db.gamma
             for dz in (0.1, None):
                 cfg = PairConfig(det_a=da, det_b=db, sep=1.0, dz=dz)
                 assert not cfg.equal_kinematics
@@ -581,10 +586,6 @@ class TestDefinitionOracle:
             response.transition_probability_oracle_result(spec, 0.1)
         # the check cannot tell its two causes apart, so it names both
         assert SPREAD_CAUSES in str(info.value)
-
-
-SPREAD_CAUSES = ("a zero of the interval lies between the contours, or a "
-                 "pass did not resolve its integrand")
 
 
 def bits(res):
