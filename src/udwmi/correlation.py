@@ -19,16 +19,14 @@ independent routes:
   by a monotone Newton iteration in plain floats (_line_pole). The line
   integrals of a list are the members of one principal-value batch
   (_line_batch, the array core of the line stage, whose lowering
-  _line_part also lets them share one lockstep batch with the
-  free-space responses), each started on the
-  mesh its integrand needs: about 1.5 panels per period of cos(k s) and
-  of the orbit's ripple on D over its range; a pole beyond the
+  _line_part lets them share one lockstep batch with the free-space
+  responses), each started on about 1.5 panels per period of cos(k s)
+  and of the orbit's ripple on D over its range; a pole beyond the
   switching envelope lies outside its member's range, which leaves the
   regular integral. Its results, residues and branches included, are
   arrays (_Lines) with failures by index, as quadrature's _Batch is; C
-  is made from their records, and a LineIntegral, the one result object
-  of a line, only at the edge, _reduced_line_integrals, or for the image
-  line a mirror P takes as line=.
+  is made from their records, and a LineIntegral only at the edge
+  (_reduced_line_integrals) or for the image line a mirror P takes.
   The direct part gives c_free, the image part c_boundary, and
   C = c_free - c_boundary. The image denominator is the direct one with
   separation L replaced by L + 2 dz. At L = 0 the image line integral
@@ -91,8 +89,10 @@ class PairConfig:
 
     Detector A sits at height dz above the mirror, detector B at dz + sep.
     dz = None means free space (no mirror). equal_kinematics is derived:
-    True when both detectors share acceleration and radius (hence the
-    same orbit frequency and gamma) to 1e-12 relative.
+    True when both detectors share acceleration and radius exactly
+    (hence the same orbit frequency and gamma), since the reduced path
+    reads det_a's orbit for both (_line_params) and the oracle takes one
+    orbit to the bit.
     """
 
     det_a: CircularDetectorSpec
@@ -104,14 +104,12 @@ class PairConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sep", _require_sep(self.sep))
         object.__setattr__(self, "dz", _require_dz(self.dz))
-        same_radius = math.isclose(self.det_a.radius, self.det_b.radius,
-                                   rel_tol=1e-12)
-        same_accel = math.isclose(self.det_a.accel, self.det_b.accel,
-                                  rel_tol=1e-12, abs_tol=1e-300)
+        same_radius = self.det_a.radius == self.det_b.radius
         if self.sep == 0.0 and same_radius:
             raise DomainError("coincident detectors (sep = 0, equal radii) "
                               "put both worldlines on top of each other")
-        object.__setattr__(self, "equal_kinematics", same_radius and same_accel)
+        object.__setattr__(self, "equal_kinematics",
+                           same_radius and self.det_a.accel == self.det_b.accel)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def _line_batch(keys) -> _Lines:
     far branch's bound are math's, one key at a time, as in the scalar
     pole: NumPy's vector exp can round differently in the last bit."""
     part, finish = _line_part(keys)
-    return finish(_adaptive(*part))
+    return finish(_adaptive(part.f, np.array(part[1:])))
 
 
 def _line_part(keys):
@@ -258,34 +256,31 @@ def _line_part(keys):
     of its principal values, and finish, which makes the keys' _Lines
     from that part's _Batch. q(s0), D's factor at each pole, is made
     once, for both g(s0) and the residues."""
-    failures, found, poles = {}, [], []
-    for i, (L_eff, radius, omega, gamma, *_) in enumerate(keys):
+    failures, found, rows = {}, [], []
+    for i, key in enumerate(keys):
         try:
-            poles.append(_line_pole(L_eff, radius, omega, gamma))
-            found.append(i)
+            rows.append((*key, _line_pole(*key[:4])))
         except Exception as exc:  # a member fails alone
             failures[i] = exc
-    L_eff, radius, omega, gamma, k, s_env, tol = np.array(
-        keys, dtype=float).reshape(-1, 7)[found].T
-    s0 = np.array(poles)
+        else:
+            found.append(i)
+    L_eff, radius, omega, gamma, k, s_env, tol, s0 = np.array(
+        rows, dtype=float).reshape(-1, 8).T
     r_sq = radius * radius
-    inv_four_gamma_sq = 1.0 / (4.0 * gamma * gamma)
+    neg_inv = -1.0 / (4.0 * gamma * gamma)  # s s neg_inv is -s s/(4 g^2)
     amp, half_omega = 2.0 * r_sq * omega, 0.5 * omega
-
-    def q(s, j):
-        # D(s)/(s - s0), factored with
-        # sin^2 a - sin^2 b = sin(a - b) sin(a + b)
-        pole = s0[j]
-        s_plus = s + pole
-        return (amp[j] * np.sinc(omega[j] * (s - pole) / (2.0 * math.pi))
-                * np.sin(half_omega[j] * s_plus) - s_plus)
-
-    def envelope(s, j):
-        # g's numerator, 2 exp(-s^2/(4 gamma^2)) cos(k s)
-        return 2.0 * np.exp(-s * s * inv_four_gamma_sq[j]) * np.cos(k[j] * s)
+    table = np.array([s0, amp, omega, half_omega, neg_inv, k])
 
     def g(s, j):
-        return envelope(s, j) / q(s, j)
+        # one gather of g's constants; q = D(s)/(s - s0) = amp sinc(omega
+        # (s - s0)/(2 pi)) sin(omega (s + s0)/2) - (s + s0), from sin^2 a
+        # - sin^2 b = sin(a - b) sin(a + b), the sinc as np.sinc makes it
+        pole, amp_j, omega_j, half_j, neg_inv_j, k_j = table.take(j, axis=1)
+        s_plus = s + pole
+        x = np.pi * (omega_j * (s - pole) / (2.0 * math.pi))
+        x = np.where(x, x, 1e-20)
+        q = amp_j * (np.sin(x) / x) * np.sin(half_j * s_plus) - s_plus
+        return 2.0 * np.exp(s * s * neg_inv_j) * np.cos(k_j * s) / q
 
     far = L_eff > s_env + 2.0
     band_hi = np.sqrt(L_eff * L_eff + 4.0 * r_sq)
@@ -293,11 +288,13 @@ def _line_part(keys):
     # 1.5 panels per period of cos(k s) and of the weighted ripple
     ripple = omega * np.sqrt(np.minimum(1.0, amp / np.maximum(L_eff, 1.0)))
     n0 = np.ceil(1.5 * hi * (np.abs(k) + ripple) / (2.0 * math.pi)) + 3.0
-    # g(s0) as g makes it, from the one q(s0)
-    every = np.arange(s0.size)
-    q_pole = q(s0, every)
+    # q(s0), where the sinc is 1, and g(s0) as g makes it
+    two_s0 = s0 + s0
+    q_pole = amp * np.sin(half_omega * two_s0) - two_s0
+    exponent, phase = s0 * s0 * neg_inv, k * s0
     part, finish_pvs = _pv_part(g, s0, np.zeros(s0.size), hi, tol, n0,
-                                envelope(s0, every) / q_pole)
+                                2.0 * np.exp(exponent) * np.cos(phase)
+                                / q_pole)
 
     def finish(batch) -> _Lines:
         pvs = finish_pvs(batch)
@@ -305,18 +302,18 @@ def _line_part(keys):
             failures[found[j]] = exc
         # the half-residue pair, which the far branch bounds in the
         # error instead of adding it
-        exps = [math.exp(x) for x in (-s0 * s0 * inv_four_gamma_sq).tolist()]
-        sines = [math.sin(x) for x in (k * s0).tolist()]
+        exps = [math.exp(x) for x in exponent.tolist()]
+        sines = [math.sin(x) for x in phase.tolist()]
         residues = np.where(far, 0.0, -2.0 * math.pi * np.array(exps)
                             * np.array(sines) / np.abs(q_pole))
-        errors = pvs.errors.copy()
-        if far.any():
-            far_at = np.flatnonzero(far)
+        errors = pvs.errors
+        far_at = far.nonzero()[0]
+        if far_at.size:
             errors[far_at] = [
                 err + math.pi * gam * gam / (2.0 * L)
                 * math.exp(-L * L / (4.0 * gam * gam)) + t / 5.0
                 for err, L, gam, t in zip(*(x[far_at].tolist() for x in (
-                    pvs.errors, L_eff, gamma, tol)))]
+                    errors, L_eff, gamma, tol)))]
         columns = (pvs.values + residues, errors, pvs.evaluations + ~far,
                    pvs.converged, s0, residues, far)
         if len(found) < len(keys):  # the entries of the keys with a pole

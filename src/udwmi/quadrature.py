@@ -6,63 +6,57 @@ are both fine). Results carry an absolute error estimate, the number of
 integrand evaluations, and an honest converged flag; non-convergence is
 reported through the flag, never silently.
 
-Singular denominators are handled by two independent strategies so the
-physics layers can cross check one against the other:
+Singular denominators have two independent routes, so the physics layers
+can cross check one against the other:
 
-* the production route has one principal-value routine,
-  principal_value_batch (principal_value_integral is its batch of one):
-  the caller proves its pole simple, locates it itself (the line
-  integrals of module correlation by a monotone Newton iteration),
-  factors it out of the denominator, and adds the half residues in
-  closed form; as in QUADPACK's QAWC, a pole outside the interval
-  leaves a regular integral, a member of the same batch. Each principal
-  value starts on its own number of panels, which a pole inside splits
-  over its two sides by their lengths;
-* the oracle route needs no routine of its own: it moves the time
-  integral onto a contour shifted off the real axis, where the
-  integrand is smooth, and integrates it with integrate_adaptive_batch
-  (correlation._oracle_batch), over s >= 0 alone, since on the one
-  orbit it takes the integrand at -s is the conjugate of that at s.
+* principal_value_batch (principal_value_integral is its batch of one):
+  the caller proves its pole simple, locates it (module correlation by
+  a monotone Newton iteration), factors it out of the denominator and
+  adds the half residues in closed form; as in QUADPACK's QAWC, a pole
+  outside the interval leaves a regular integral in the same batch, and
+  a pole inside splits its principal value's panels over its two sides
+  by their lengths;
+* the oracle (correlation._oracle_batch) moves the time integral onto a
+  contour shifted off the real axis, where the integrand is smooth, and
+  integrates it with integrate_adaptive_batch over s >= 0 alone, the
+  integrand at -s being the conjugate of that at s on one orbit.
 
-Adaptive panels use the Gauss-Kronrod 7/15 pair; panel refinement splits
-every panel above a width floor whose error is not within an
-equidistributed share of the budget (a NaN error is not), and an
-integral with no such panel is finished. integrate_adaptive_batch
-refines many integrals in lockstep: each keeps a mesh of its own
-(unlike the one shared mesh of scipy's quad_vec), started on its own
-number of equal panels, its own budget and its own refinement
-decisions, and each round evaluates the new panels of every unfinished
-integral in vectorized calls of the integrand. Each
-integral's panels are kept in the order of their left edges: a split
-panel's two halves take its place, and a finished integral keeps its
-panels. Its error is summed in that order every round, and its value
-once, after the last round. So a member's result is bit-identical to
-integrating it alone, which is what integrate_adaptive does: the batch
-of one. A round in which every integral of a run has met its budget
-ends the run before any panel is marked for splitting; a batch whose
-integrals all converge on their first panels evaluates them once.
-Every interval is finite: a caller with an integral over
-[0, inf) under a Gaussian envelope cuts it off at
-gaussian_truncation_point and bounds the remainder itself
-(response._free_responses). The shape of every batch is decided here
-alone, so callers hand over whole lists: members run in lockstep runs
-of at most _RUN_PANELS initial panels, and each call of the integrand
-gets at most _CALL_VALUES abscissae, whole panels in order, so a
-round's temporaries are bounded however many panels it adds.
+Adaptive panels use the Gauss-Kronrod 7/15 pair: a round splits every
+panel above a width floor whose error is not within an equidistributed
+share of the budget (a NaN error is not), and an integral with no such
+panel is finished. integrate_adaptive_batch refines many integrals in
+lockstep, each on a mesh of its own (unlike scipy's quad_vec), started
+on its own number of equal panels, with its own budget and decisions;
+each round evaluates the new panels of every unfinished integral in
+vectorized calls. An integral's panels stay in the order of their left
+edges (a split panel's halves take its place, a finished integral keeps
+its panels), its error is summed in that order every round and its
+value once, after the last round, so a member's result is bit-identical
+to integrating it alone (integrate_adaptive, the batch of one). A round
+in which every integral of a run met its budget ends the run before any
+panel is marked. Every interval is finite: an integral over [0, inf)
+under a Gaussian envelope is cut off at gaussian_truncation_point by its
+caller, who bounds the remainder (response._free_responses). The shape
+of every batch is decided here alone, so callers hand over whole lists:
+members run in lockstep runs of at most _RUN_PANELS initial panels, and
+each call of the integrand gets at most _CALL_VALUES abscissae, whole
+panels in order, so a round's temporaries stay cache-sized however many
+panels it adds.
 
-Both batch routines wrap an array core, _adaptive (a principal value
-batch lowered to its members by _pv_part), whose _Batch holds the
-members' results as arrays and their failures by index. Result objects
-are made once, at the public edge (_results), or by a caller that reads
-a _Batch (correlation._line_batch). Integrals of several integrands,
-each lowered to a _Part, run as one lockstep batch (_adaptive_parts):
-each round hands each integrand the rows of its own members alone, so
-every member still equals its batch of one. A sweep's or a point's
-free-space and line terms are one such batch (response._reduced_batch).
+Both batch routines wrap an array core, _adaptive (principal values
+lowered to their members by _pv_part), whose _Batch holds the members'
+results as arrays and their failures by index; result objects are made
+once, at the public edge (_results), or by a caller that reads a _Batch
+(correlation._line_batch). Integrals of several integrands, each lowered
+to a _Part, run as one lockstep batch (_adaptive_parts), each round
+handing each integrand the rows of its own members alone: a sweep's or
+a point's free-space and line terms are one such batch
+(response._reduced_batch).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -118,36 +112,40 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])  # Gauss nodes interle
 
 _EPS = np.finfo(float).eps
 _HALVES = np.array([0, 1])  # a split panel's halves, at its index and next
-# The most abscissae f gets in one call (2184 panels), which bounds the
-# temporaries of a round's evaluation, the integrand's own among them,
-# however many panels the round adds. No value depends on it, since
-# each panel's row is reduced alone and f gives each row's values alone.
-_CALL_VALUES = 2**15
+# The most abscissae f gets in one call (273 panels), which bounds a
+# round's temporaries, the integrand's own among them, to sizes the CPU
+# caches hold: bench seed 1's reduced batches took 86.0 (onset_scan)
+# and 111.4 ms (presets) at 2^15, 80.5 and 106.8 at 2^13, 75.8 and
+# 102.8 at 2^12, and 83.0 and 114.2 at 2^11 (CPU time, medians of 9
+# interleaved passes; x86-64 Linux, NumPy 2.4). No value depends on it,
+# since each panel's row is reduced alone and f gives each row alone.
+_CALL_VALUES = 2**12
 
 
 def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Evaluate the GK15 pair on a batch of panels [lo_i, hi_i], panel i
     belonging to integral owner[i]: f gets the nodes as one row per
     panel and owner as a column, in calls of consecutive whole panels
-    of at most _CALL_VALUES abscissae."""
+    of at most _CALL_VALUES abscissae. Returns the panels' values, and
+    their error estimates and magnitudes as the rows of one array."""
     step = _CALL_VALUES // _NODES.size
     if lo.size > step:
-        chunks = [_gk15_panels(f, lo[i:i + step], hi[i:i + step],
-                               owner[i:i + step])
-                  for i in range(0, lo.size, step)]
-        return tuple(np.concatenate(x) for x in zip(*chunks))
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x, owner[:, None]))
+        vals, ems = zip(*(_gk15_panels(f, lo[i:i + step], hi[i:i + step],
+                                       owner[i:i + step])
+                          for i in range(0, lo.size, step)))
+        return np.concatenate(vals), np.concatenate(ems, axis=1)
+    half = 0.5 * (hi - lo)  # never negative
+    y = np.asarray(f((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES,
+                     owner[:, None]))
     # np.add.reduce is what .sum calls, in the same order, without its
     # wrappers
-    vals_k = np.add.reduce(y * _WEIGHTS_K, axis=1) * half
-    vals_g = np.add.reduce(y * _WEIGHTS_G, axis=1) * half
-    err = np.abs(vals_k - vals_g)
-    # Magnitude of the panel contribution, for roundoff accounting.
-    mag = np.add.reduce(np.abs(y) * _WEIGHTS_K, axis=1) * np.abs(half)
-    return vals_k, err, mag
+    vals = np.add.reduce(y * _WEIGHTS_K, axis=1) * half
+    em = np.empty((2, lo.size))
+    np.abs(vals - np.add.reduce(y * _WEIGHTS_G, axis=1) * half, out=em[0])
+    # the magnitude of each panel's contribution, for roundoff accounting
+    np.multiply(np.add.reduce(np.abs(y) * _WEIGHTS_K, axis=1), half,
+                out=em[1])
+    return vals, em
 
 
 def _batch_args(*args) -> tuple[np.ndarray, ...]:
@@ -167,14 +165,13 @@ def _checked(result):
 # The shape of every batch: a member starts on at most
 # _MAX_INITIAL_PANELS panels, and the members run, in order, as lockstep
 # runs of at most _RUN_PANELS initial panels (a member with more runs
-# alone). No value depends on either bound. With every call of f
-# bounded (_CALL_VALUES), runs keep a first round's panels together:
-# the batches of the two criterion-7 onset curves of tools/tables.py
-# took at least 15.2-15.9 ms of CPU in runs of 1024 panels and
-# 18.8-19.9 ms as one run (least of 15, three processes each), and a
-# serial pass over the fig* presets peaks at 32.2, 33.3, 34.2 and 36.1
-# MiB RSS in runs of 256, 1024, 4096 and 16384 panels (x86-64 Linux,
-# NumPy 2.4).
+# alone). No value depends on either bound. With calls of f bounded
+# (_CALL_VALUES), bench seed 1's reduced batches took 88.7, 77.0, 79.9,
+# 75.9 and 79.4 ms (onset_scan) and 127.1, 113.4, 103.2, 106.1 and
+# 105.3 ms (presets) in runs of 256, 512, 1024, 2048 and 4096 panels
+# (CPU time, medians of 9 interleaved passes, their quartiles overlapping
+# from 512 on), and a serial fig* pass peaks at 32.4-32.9 MiB RSS in
+# runs of 256 to 16384 panels (x86-64 Linux, NumPy 2.4).
 _RUN_PANELS = 1024
 _MAX_INITIAL_PANELS = 4096
 
@@ -204,7 +201,8 @@ def integrate_adaptive_batch(f, lo, hi, tol, *, max_panels: int = 20000,
     raise. The reported error estimate includes a roundoff floor, so
     converged=True implies the estimate met tol honestly.
     """
-    return _results(_adaptive(f, *_batch_args(lo, hi, tol, initial_panels),
+    return _results(_adaptive(f, np.array(_batch_args(lo, hi, tol,
+                                                      initial_panels)),
                               max_panels))
 
 
@@ -247,29 +245,31 @@ def _adaptive_parts(parts, max_panels=20000) -> list[_Batch]:
     integrand the rows of its own members alone, their owners
     renumbered from 0 within the part, so every member is bit-identical
     to its batch of one. The integrands give values of one dtype."""
-    bounds = np.cumsum([0, *(part.lo.size for part in parts)])
-    starts = bounds[:-1].tolist()
+    bounds = [0, *itertools.accumulate(part.lo.size for part in parts)]
+    cuts_at = np.array(bounds)
 
     def f(x, owner):
         # owner is an ascending column (_lockstep), so each part's rows
         # are one run of them
-        cuts = np.searchsorted(owner[:, 0], bounds).tolist()
+        cuts = owner[:, 0].searchsorted(cuts_at).tolist()
         ys = [part.f(x[lo:hi], owner[lo:hi] - start)
-              for part, start, lo, hi in zip(parts, starts, cuts, cuts[1:])
+              for part, start, lo, hi in zip(parts, bounds, cuts, cuts[1:])
               if hi > lo]
         return ys[0] if len(ys) == 1 else np.concatenate(ys)
 
-    batch = _adaptive(f, *(np.concatenate(column) for column
-                           in list(zip(*parts))[1:]), max_panels)
+    batch = _adaptive(f, np.concatenate([part[1:] for part in parts],
+                                        axis=1), max_panels)
     return [_Batch(*(x[start:stop] for x in batch[:4]),
                    {i - start: exc for i, exc in batch.failures.items()
                     if start <= i < stop})
-            for start, stop in zip(starts, bounds[1:].tolist())]
+            for start, stop in zip(bounds, bounds[1:])]
 
 
-def _adaptive(f, lo, hi, tol, n0, max_panels=20000) -> _Batch:
-    """integrate_adaptive_batch on equally long 1-D float arrays, as a
-    _Batch: the members with valid arguments, in runs."""
+def _adaptive(f, columns, max_panels=20000) -> _Batch:
+    """integrate_adaptive_batch on the rows lo, hi, tol and n0 of the
+    2-D float array columns, as a _Batch: the members with valid
+    arguments, in runs."""
+    lo, hi, tol, n0 = columns
     failures = {}
     bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo) & (tol > 0.0))
     for i in bad.nonzero()[0].tolist():
@@ -293,14 +293,14 @@ def _adaptive(f, lo, hi, tol, n0, max_panels=20000) -> _Batch:
     runs = []
     for start, stop in zip(starts, starts[1:] + [members.size]):
         run = members[start:stop]
-        runs.append(_lockstep(f, lo[run], hi[run], tol[run],
-                              counts[start:stop], run, max_panels))
-    parts = (zip(*runs) if runs
-             else ([np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]))
-    values, errors, evaluations = (
-        _scatter(np.concatenate(x), members, lo.size, fill)
-        for x, fill in zip(parts, (math.nan, math.nan, 0)))
-    return _Batch(values, errors, evaluations, errors <= tol, failures)
+        runs.append(_lockstep(f, *columns[:3, run], counts[start:stop], run,
+                              max_panels))
+    out = ([np.concatenate(x) for x in zip(*runs)] if runs
+           else [np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)])
+    if failures:  # a failed member's entries are no result
+        out = [_scatter(x, members, lo.size, fill)
+               for x, fill in zip(out, (math.nan, math.nan, 0))]
+    return _Batch(*out, out[1] <= tol, failures)
 
 
 def _scatter(x: np.ndarray, at: np.ndarray, size: int, fill) -> np.ndarray:
@@ -319,18 +319,22 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels):
     their left edges. f gets the panels of each round in that order, so
     their owners ascend."""
     # the initial edges are np.linspace's, integral by integral: edge k
-    # of n is k * step + lo, and edge n is hi
+    # of n is k * step + lo, and edge n is hi; a panel ends where the
+    # next starts, or, the last of its integral, at hi
     slot = np.arange(members.size).repeat(counts)
-    k = (np.arange(slot.size) - (counts.cumsum() - counts)[slot]).astype(float)
-    n, delta, start = counts[slot], (hi - lo)[slot], lo[slot]
-    step = delta / n
-    left, right = k * step, (k + 1.0) * step
-    if not step.all():  # a subnormal width: linspace's zero-step form
-        left = np.where(step == 0.0, k / n * delta, left)
-        right = np.where(step == 0.0, (k + 1.0) / n * delta, right)
-    a = left + start
-    b = np.where(k + 1.0 == n, hi[slot], right + start)
-    vals, errs, mags = _gk15_panels(f, a, b, members[slot])
+    starts = counts.cumsum() - counts
+    k = np.arange(slot.size, dtype=float) - starts[slot]
+    step = (hi - lo) / counts
+    if step.all():
+        a = k * step[slot] + lo[slot]
+    else:  # a subnormal width: linspace's zero-step form
+        a = np.where(step[slot] == 0.0, k / counts[slot] * (hi - lo)[slot],
+                     k * step[slot]) + lo[slot]
+    b = np.concatenate([a[1:], hi[-1:]])
+    b[starts[1:] - 1] = hi[:-1]
+    vals, em = _gk15_panels(f, a, b, members[slot])
+    # the rows of the panels' edges, errors and magnitudes
+    panels = np.concatenate([[a, b], em])
     evaluations = 15 * counts
     width_floor = 64.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)),
                                            1.0)
@@ -339,56 +343,51 @@ def _lockstep(f, lo, hi, tol, counts, members, max_panels):
     nan_before = np.inf
     # at most 200 refinement rounds, then the results as they stand
     for round_ in range(201):
-        starts = counts.cumsum() - counts
-        total_err = np.add.reduceat(errs, starts)
-        if (total_err <= tol).all():  # every integral met its budget
+        total_err = np.add.reduceat(panels[2], starts)
+        met = total_err <= tol
+        if met.all() or round_ == 200:  # every integral met its budget
             break
-        # an integral whose round left no fewer NaN panels than the round
-        # before is NaN on a region that splitting cannot shrink; the sum
-        # of the total errors alone shows whether a NaN panel is there
-        stalled = False
+        # an integral below max_panels that misses its budget splits its
+        # panels above the width floor whose error is not within their
+        # share (a NaN error is not), unless a round left it no fewer NaN
+        # panels than the round before (it is NaN on a region; the sum of
+        # the total errors shows a NaN panel): the others' floor is inf
+        floor = np.where(met | (counts >= max_panels), np.inf, width_floor)
         if math.isnan(total_err.sum()):
-            nans = np.bincount(slot, np.isnan(errs), minlength=members.size)
-            stalled = nans >= nan_before
+            nans = np.bincount(slot, np.isnan(panels[2]),
+                               minlength=members.size)
+            floor[nans >= nan_before] = np.inf
             nan_before = np.where(nans > 0.0, nans, np.inf)
         else:
             nan_before = np.inf
-        # a panel above the width floor splits unless its error is within
-        # its share (so a NaN error splits, as +inf does); while total_err
-        # > tol some error exceeds its share, so one with none to split
-        # is at the width floor
-        threshold = tol / np.maximum(counts, 8)
-        mask = ~(errs <= threshold[slot]) & ((b - a) > width_floor[slot])
-        added = np.bincount(slot[mask], minlength=members.size)
-        finished = ((total_err <= tol) | (counts >= max_panels)
-                    | (added == 0) | stalled | (round_ == 200))
-        mask &= ~finished[slot]
-        added[finished] = 0
-        if finished.all():
+        a, b, errs = panels[:3]
+        mask = (~(errs <= (tol / np.maximum(counts, 8))[slot])
+                & (b - a > floor[slot]))
+        if not mask.any():
             break
 
         # split the marked panels in place: each pair of halves takes the
         # place of its panel, so every integral's panels stay in the
         # order of their left edges, and f gets the new panels in that
         # order; a finished integral keeps its own
+        added = np.bincount(slot[mask], minlength=members.size)
         counts = counts + added
+        starts = counts.cumsum() - counts
         evaluations += 30 * added
         repeat = 1 + mask
         left = (repeat.cumsum() - repeat)[mask]  # each left half's index
-        at = (left[:, None] + _HALVES).ravel()
         slot = slot.repeat(repeat)
-        a, b, vals, errs, mags = (old.repeat(repeat)
-                                  for old in (a, b, vals, errs, mags))
-        mid = 0.5 * (a[left] + b[left])
-        a[left + 1] = mid
-        b[left] = mid
-        vals[at], errs[at], mags[at] = _gk15_panels(f, a[at], b[at],
-                                                    members[slot[at]])
+        panels, vals = panels.repeat(repeat, axis=1), vals.repeat(repeat)
+        edges = panels[:2, left]
+        panels[0, left + 1] = panels[1, left] = 0.5 * (edges[0] + edges[1])
+        at = (left[:, None] + _HALVES).ravel()
+        vals[at], panels[2:, at] = _gk15_panels(f, *panels[:2, at],
+                                                members[slot[at]])
 
     # each integral's panels are summed once, in the order of their left
     # edges, by one reduction of the same numbers as its batch of one
     values = np.add.reduceat(vals, starts)
-    errors = total_err + 50.0 * _EPS * np.add.reduceat(mags, starts)
+    errors = total_err + 50.0 * _EPS * np.add.reduceat(panels[3], starts)
     return values, errors, evaluations
 
 
@@ -442,48 +441,53 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
     DomainError it raises (a pole on lo or hi or not finite, or the
     limits and tol integrate_adaptive_batch rejects).
     """
-    part, finish = _pv_part(g, *_batch_args(pole, lo, hi, tol,
-                                            initial_panels))
-    return _results(finish(_adaptive(*part)))
+    pole, lo, hi, tol, n0 = _batch_args(pole, lo, hi, tol, initial_panels)
+    # such a pole fails alone: _pv_part gets no range for it
+    bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
+    part, finish = _pv_part(g, pole, np.where(bad, math.nan, lo), hi, tol, n0)
+    batch = finish(_adaptive(part.f, np.array(part[1:])))
+    for i in bad.nonzero()[0].tolist():
+        batch.failures[i] = DomainError(f"pole {pole[i]} is not finite or on "
+                                        f"an end of [{lo[i]}, {hi[i]}]")
+    return _results(batch)
 
 
 def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
     """The lowering of principal_value_batch on equally long 1-D float
     arrays: the _Part of its members, and finish, which makes the
-    principal values' _Batch from that part's. A principal value with a
-    pole inside fails with the exception of its first failing side.
-    g_pole, when given, is g at every pole (as g(pole, range of its
-    size) would give it), from a caller that needs it too."""
+    principal values' _Batch from that part's, in its arrays. Each
+    pole is finite and off both ends of its interval. Member i is
+    principal value i's: the left side of a pole inside, or the whole
+    range of one outside; the right sides of the inside poles follow. A
+    principal value fails with the exception of its first failing
+    member. g_pole, when given, is g at every pole (as g(pole, range of
+    its size) would give it), from a caller that needs it too."""
     failures = {}
-    bad = ~np.isfinite(pole) | (pole == lo) | (pole == hi)
-    for i in bad.nonzero()[0].tolist():
-        failures[i] = DomainError(f"pole {float(pole[i])} is not finite or "
-                                  f"on an end of [{float(lo[i])}, "
-                                  f"{float(hi[i])}]")
     within = (lo < pole) & (pole < hi)
-    inside, outside = within.nonzero()[0], (~within & ~bad).nonzero()[0]
-    g_pole = (np.asarray(g(pole[inside], inside)) if g_pole is None
-              else g_pole[inside])
-    # members: the left sides of the inside poles, their right sides,
-    # then the outside poles; owner is the principal value of each and
-    # sub the value its integrand subtracts (0 for an outside pole)
-    k = inside.size
-    owner = np.concatenate([inside, inside, outside])
-    sub = np.concatenate([g_pole, g_pole, np.zeros(outside.size)])
+    inside = within.nonzero()[0]
+    if g_pole is None:
+        g_pole = _scatter(np.asarray(g(pole[inside], inside)), inside,
+                          pole.size, 0.0)
+    # the members' rows lo, hi, tol, n0 and pole: a pole inside cuts its
+    # interval at the pole, each side to half its tol on its share of
+    # the panels, rounded up
+    columns = np.array([lo, hi, tol, n0, pole])
+    lo_in, hi_in, tol_in, n0_in, p_in = columns[:, inside]
+    share = n0_in / (hi_in - lo_in)
+    sides = (p_in - lo_in, hi_in - p_in)
+    half = tol_in / 2.0
+    columns[1:4, inside] = p_in, half, np.ceil(share * sides[0])
+    columns = np.concatenate(
+        [columns, [p_in, hi_in, half, np.ceil(share * sides[1]), p_in]],
+        axis=1)
+    # the value each member subtracts: g(pole), 0 for an outside pole
+    g_in = g_pole[inside]
+    sub = np.concatenate([np.where(within, g_pole, 0.0), g_in])
+    owner = np.concatenate([np.arange(pole.size), inside])
 
     def remainder(x, member):
-        i = owner[member]
-        return (np.asarray(g(x, i)) - sub[member]) / (x - pole[i])
-
-    half = tol[inside] / 2.0
-    share = n0[inside] / (hi[inside] - lo[inside])
-    part = _Part(
-        remainder, np.concatenate([lo[inside], pole[inside], lo[outside]]),
-        np.concatenate([pole[inside], hi[inside], hi[outside]]),
-        np.concatenate([half, half, tol[outside]]),
-        np.concatenate([np.ceil(share * (pole[inside] - lo[inside])),
-                        np.ceil(share * (hi[inside] - pole[inside])),
-                        n0[outside]]))
+        return ((np.asarray(g(x, owner[member])) - sub[member])
+                / (x - columns[4][member]))
 
     def finish(members: _Batch) -> _Batch:
         # a member's exception is its principal value's, the left
@@ -492,20 +496,17 @@ def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
             failures.setdefault(int(owner[m]), members.failures[m])
         # an inside pole's value: its two sides plus g(pole) ln((hi -
         # pole) / (pole - lo)), the logarithm in math.log's rounding
-        logs = np.array([math.log(r) for r in
-                         ((hi[inside] - pole[inside])
-                          / (pole[inside] - lo[inside])).tolist()])
-        at = np.concatenate([inside, outside])
-        v, e, n = members.values, members.errors, members.evaluations
-        values = _scatter(np.concatenate([v[:k] + v[k:2 * k] + g_pole * logs,
-                                          v[2 * k:]]), at, pole.size, math.nan)
-        errors = _scatter(np.concatenate([e[:k] + e[k:2 * k], e[2 * k:]]),
-                          at, pole.size, math.nan)
-        evaluations = _scatter(np.concatenate([n[:k] + n[k:2 * k] + 1,
-                                               n[2 * k:]]), at, pole.size, 0)
+        logs = np.array([math.log(r) for r in (sides[1] / sides[0]).tolist()])
+        values, errors, evaluations = (x[:pole.size] for x in members[:3])
+        # complex when g is, also with no member evaluated
+        values = values.astype(np.result_type(values, g_in), copy=False)
+        values[inside] = (values[inside] + members.values[pole.size:]
+                          + g_in * logs)
+        errors[inside] += members.errors[pole.size:]
+        evaluations[inside] += members.evaluations[pole.size:] + 1
         return _Batch(values, errors, evaluations, errors <= tol, failures)
 
-    return part, finish
+    return _Part(remainder, *columns[:4]), finish
 
 
 def principal_value_integral(g, pole: float, lo: float, hi: float,

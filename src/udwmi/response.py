@@ -108,20 +108,18 @@ def inertial_response(energy_gap: float) -> float:
 
 
 def _bounded_kernel(x, v_sq):
-    """(x^2 - sin^2 x) / (x^2 (x^2 - v^2 sin^2 x)), v_sq broadcasting
-    against x, with a series patch below x = 0.01 where the numerator
-    cancels catastrophically."""
-    x = np.abs(x)
+    """(x^2 - sin^2 x) / (x^2 (x^2 - v^2 sin^2 x)) at x >= 0, v_sq
+    broadcasting against x, with a series patch (in plain floats, at the
+    few nodes there) below x = 0.01, where the numerator cancels."""
     x2 = x * x
-    s2 = np.sin(x) ** 2
+    s2 = np.square(np.sin(x))
     out = (x2 - s2) / (x2 * (x2 - v_sq * s2))
     small = x < 1e-2
-    if small.any():
-        xs2 = x2[small]
-        v2 = np.broadcast_to(v_sq, x.shape)[small]
-        num = 1.0 / 3.0 - 2.0 * xs2 / 45.0 + xs2 * xs2 / 315.0
-        den = (1.0 - v2) + v2 * xs2 / 3.0 - 2.0 * v2 * xs2 * xs2 / 45.0
-        out[small] = num / den
+    at = small.nonzero()
+    out[at] = [(1.0 / 3.0 - 2.0 * a / 45.0 + a * a / 315.0)
+               / ((1.0 - v) + v * a / 3.0 - 2.0 * v * a * a / 45.0)
+               for a, v in zip(x2[at].tolist(),
+                               np.where(small, v_sq, 0.0)[at].tolist())]
     return out
 
 
@@ -250,19 +248,23 @@ def _free_part(keys):
         except Exception as exc:  # a key fails alone
             results[i] = exc
             continue
-        moving.append((i, k_bounded, alpha, beta, v * v, tol_x, x_max, n0))
-    _, _, alpha, beta, v_sq, tol_x, x_max, n0 = np.array(
-        moving, dtype=float).reshape(-1, 8).T
+        moving.append((i, k_bounded, -alpha, beta, v * v, 0.0, x_max, tol_x,
+                       n0))
+    # the rows of the part's columns, lo (0), x_max, tol_x and n0, last
+    columns = np.array(moving, dtype=float).reshape(-1, 9).T
+    _, _, neg_alpha, beta, v_sq, _, x_max, tol_x, _ = columns
 
     def f_bounded(x, owner):
-        return (np.exp(-alpha[owner] * x * x) * np.cos(beta[owner] * x)
-                * _bounded_kernel(x, v_sq[owner]))
+        # one gather of the rows -alpha, beta and v_sq
+        neg_alpha_x, beta_x, v_sq_x = columns[2:5].take(owner, axis=1)
+        return (np.exp(neg_alpha_x * x * x) * np.cos(beta_x * x)
+                * _bounded_kernel(x, v_sq_x))
 
     def finish(batch) -> list:
         # beyond each cutoff X, 0 <= _bounded_kernel <= gamma^2/x^2 and
         # the Gaussian's tail is at most exp(-alpha X^2)/(2 alpha X):
         # with alpha X^2 formed first, no factor overflows
-        ax2 = alpha * x_max * x_max
+        ax2 = -neg_alpha * x_max * x_max
         tails = np.exp(-ax2) / (2.0 * ax2 * x_max * (1.0 - v_sq))
         for (i, k, *_), t, tail, res in zip(moving, tol_x.tolist(),
                                             tails.tolist(), batch):
@@ -274,7 +276,7 @@ def _free_part(keys):
                                     err <= t)
         return results
 
-    return _Part(f_bounded, np.zeros(len(moving)), x_max, tol_x, n0), finish
+    return _Part(f_bounded, *columns[5:]), finish
 
 
 def _reduced_batch(free_keys, line_keys) -> tuple[list, _Lines]:

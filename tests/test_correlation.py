@@ -570,6 +570,23 @@ class TestDefinitionOracle:
                 with pytest.raises(DomainError, match="one orbit"):
                     correlation_general_result(cfg, tol=1e-5)
 
+    def test_accelerations_a_hair_apart_are_two_orbits(self):
+        # equal kinematics is exact: the reduced path would evaluate
+        # det_a's orbit for both detectors, and the oracle takes one
+        # orbit to the bit, so a pair 1e-13 apart in accel is refused by
+        # both
+        from udwmi.infomeasure import mutual_information_point
+
+        da = detector_from_accel_radius(0.1, 5.0, 0.02)
+        db = detector_from_accel_radius(0.1, 5.0 * (1.0 + 1e-13), 0.02)
+        assert da.accel != db.accel
+        cfg = PairConfig(det_a=da, det_b=db, sep=1.0, dz=0.1)
+        assert not cfg.equal_kinematics
+        with pytest.raises(DomainError, match="same orbit"):
+            mutual_information_point(cfg)
+        with pytest.raises(DomainError, match="one orbit"):
+            correlation_general_result(cfg, tol=1e-5)
+
     def test_contour_beyond_the_tube_raises(self, monkeypatch):
         # at gamma = 20 (a = 40, R = 10) the tube bound is 0.05; a second
         # contour at eta = 0.2 crosses the complex zeros of the interval,

@@ -146,3 +146,50 @@ def test_a_run_without_a_result_keeps_the_other_pairs(monkeypatch, tmp_path,
     assert s["points_per_s"]["pairs_won_by_new"] == 2
     assert s["points_per_s"]["old"]["median"] == 102.0
     assert "runs without a result 1" in capsys.readouterr().out
+
+
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_iqr(
+        monkeypatch, tmp_path, capsys):
+    # hand-made runs of ten seeds through main: the rate wins 9 pairs
+    # and ties 1, beyond OLD's IQR, a gain; the p50 time wins 8 (two
+    # ties count for neither side), no gain; a metric that wins every
+    # pair by less than OLD's IQR shows none either
+    pairs = load_pairs(monkeypatch)
+    monkeypatch.setattr(pairs, "commit_of", lambda revision: revision * 8)
+    metrics = METRICS[:2] + [{"name": "setup_s", "unit": "s",
+                              "better": "lower", "bound": 0.25}]
+
+    def checkout(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": metrics}))
+        return dest
+
+    def bench_run(cmd, cwd, **kwargs):
+        seed, side = int(cmd[cmd.index("--seed") + 1]), Path(cwd).name
+        rate = 100.0 + 4.0 * (seed % 3)
+        p50 = 2.0 + 0.1 * (seed % 3)
+        setup = 1.0 + 0.1 * (seed % 2)
+        if side == "new":
+            rate += 0.0 if seed == 5 else 20.0
+            p50 -= 0.0 if seed in (5, 6) else 0.5
+            setup -= 0.01
+        record = run(side, seed, rate, p50)["record"]
+        record["metrics"]["setup_s"] = {"value": setup}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(record), "")
+
+    monkeypatch.setattr(pairs.tables, "checkout", checkout)
+    monkeypatch.setattr(subprocess, "run", bench_run)
+    out = tmp_path / "pairs.json"
+    assert pairs.main(["a", "b", "--workload", "w", "--seeds", "1-10",
+                       "--out", str(out)]) == 0
+    s = json.loads(out.read_text())["summary"]["w"]
+    rate, p50, setup = s["points_per_s"], s["point_ms_p50"], s["setup_s"]
+    assert (rate["pairs_won_by_new"], rate["gain_shown"]) == (9, True)
+    assert p50["beyond_old_iqr"]
+    assert (p50["pairs_won_by_new"], p50["gain_shown"]) == (8, False)
+    assert setup["pairs_won_by_new"] == 10 and not setup["beyond_old_iqr"]
+    assert not setup["gain_shown"]
+    printed = capsys.readouterr().out
+    assert "points_per_s" in printed and "gain shown True" in printed
+    assert "gain shown False" in printed

@@ -312,7 +312,7 @@ class TestCallBound:
         # a round's panels reach f in calls of whole panels, at most
         # _CALL_VALUES abscissae each; at 45 (3 panels a call) every
         # result is bit-identical to the default bound's
-        assert quadrature._CALL_VALUES == 2**15
+        assert quadrature._CALL_VALUES == 2**12
         sizes = []
         lockstep = quadrature._lockstep
 

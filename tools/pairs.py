@@ -19,9 +19,11 @@ gives, over the complete pairs (both runs printed a result), per side,
 the median and the quartiles (statistics.quantiles(values, n=4), as
 bench/spread.py), the number of pairs the NEW side won, the change of
 the medians relative to OLD's, the parent's interquartile range,
-whether the medians differ by more than it, and whether the change
-stays within the metric's bound; and it counts the runs that printed
-no result. It prints one line per metric and writes the summary and
+whether the medians differ by more than it, whether the change stays
+within the metric's bound, and whether a gain is shown: NEW won at
+least nine tenths of the complete pairs (a tie counts for neither
+side) and its median is better than OLD's by more than OLD's
+interquartile range; and it counts the runs that printed no result. It prints one line per metric and writes the summary and
 every run's result to FILE (default BENCH_<first workload>.json), with
 both revisions as typed and the commits they name. The exit status is
 0 when every run printed a result that passed its correctness gate,
@@ -99,7 +101,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     order, each with its record): both sides' quartiles, pairs won by
     NEW, the relative change of the medians, OLD's IQR, and whether the
     change exceeds that IQR and stays within the bound; and the count
-    of runs with no record."""
+    of runs with no record. A gain is shown when NEW won at least nine
+    tenths of the pairs (ties count for neither) and its median is
+    better than OLD's by more than OLD's IQR."""
     complete = [run for i in range(0, len(runs), 2)
                 if all("record" in r for r in runs[i:i + 2])
                 for run in runs[i:i + 2]]
@@ -121,16 +125,18 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         qa, qb = quartiles(a), quartiles(b)
         rel = (qb["median"] - qa["median"]) / qa["median"]
         iqr = qa["q3"] - qa["q1"]
+        won = sum(sign * (y - x) > 0.0 for x, y in zip(a, b))
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "old": qa, "new": qb,
-            "pairs_won_by_new": sum(sign * (y - x) > 0.0
-                                    for x, y in zip(a, b)),
+            "pairs_won_by_new": won,
             "median_change_rel": rel,
             "old_iqr": iqr,
             "beyond_old_iqr": abs(qb["median"] - qa["median"]) > iqr,
             "bound": metric["bound"],
             "within_bound": sign * rel >= -metric["bound"],
+            "gain_shown": (won >= 0.9 * len(b) and
+                           sign * (qb["median"] - qa["median"]) > iqr),
         }
     return out
 
@@ -195,7 +201,7 @@ def main(argv=None) -> int:
                       f"{m['pairs_won_by_new']} of {s['pairs']}, old IQR "
                       f"{m['old_iqr']:.3g}, beyond it "
                       f"{m['beyond_old_iqr']}, within bound "
-                      f"{m['within_bound']}")
+                      f"{m['within_bound']}, gain shown {m['gain_shown']}")
     print(f"wrote {out}")
     return 0 if all(s["all_correct"] and not s["runs_without_result"]
                     for s in summary.values()) else 1
