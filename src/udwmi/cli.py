@@ -120,8 +120,8 @@ def _pair_of(args) -> PairConfig:
 
 
 def _print_json(payload: dict, stream=None) -> None:
-    # one write: json.dump writes an indented text a token at a time
-    (stream or sys.stdout).write(json.dumps(payload, indent=2) + "\n")
+    json.dump(payload, stream or sys.stdout, indent=2)
+    (stream or sys.stdout).write("\n")
 
 
 def _evaluate(fn, *args):
