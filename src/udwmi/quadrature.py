@@ -455,13 +455,13 @@ def principal_value_batch(g, pole, lo, hi, tol, *,
 def _pv_part(g, pole, lo, hi, tol, n0, g_pole=None):
     """The lowering of principal_value_batch on equally long 1-D float
     arrays: the _Part of its members, and finish, which makes the
-    principal values' _Batch from that part's, in its arrays. Each
-    pole is finite and off both ends of its interval. Member i is
-    principal value i's: the left side of a pole inside, or the whole
-    range of one outside; the right sides of the inside poles follow. A
-    principal value fails with the exception of its first failing
-    member. g_pole, when given, is g at every pole (as g(pole, range of
-    its size) would give it), from a caller that needs it too."""
+    principal values' _Batch from that part's, in its arrays. Member i
+    is principal value i's: the left side of a pole inside, or the whole
+    range of one outside (a pole not finite or on an end comes with a
+    NaN lo, so that member fails); the right sides of the inside poles
+    follow. A principal value fails with the exception of its first
+    failing member. g_pole, when given, is g at every pole (as g(pole,
+    range of its size) would give it), from a caller that needs it too."""
     failures = {}
     within = (lo < pole) & (pole < hi)
     inside = within.nonzero()[0]
