@@ -330,6 +330,8 @@ def _join_lines(parts) -> _Lines:
     _Lines, or a list of the exceptions its keys failed with."""
     if not parts:
         return _line_batch([])
+    if len(parts) == 1 and isinstance(parts[0], _Lines):  # one job's
+        return parts[0]
     failures, columns, size = {}, [], 0
     for part in parts:
         if not isinstance(part, _Lines):
@@ -418,8 +420,8 @@ def _correlation_from_lines(pref: float, lines: list) -> CorrelationResult:
 
 def _require_equal_kinematics(pair: PairConfig) -> None:
     if not pair.equal_kinematics:
-        raise DomainError("correlation_equal requires both detectors on the "
-                          "same orbit kinematics (equal accel and radius)")
+        raise DomainError("both detectors must be on the same orbit "
+                          "(equal accel and radius)")
 
 
 def correlation_equal(pair: PairConfig, tol: float = 1e-8) -> CorrelationResult:

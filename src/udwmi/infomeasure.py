@@ -28,18 +28,23 @@ and C by the reduction of correlation.correlation_equal, so both
 detectors must share one orbit kinematics. The definition-level
 oracles are cross-checks (sweep's oracle suite), never a fallback.
 
-This module is the one evaluator of pair points, for one point and a
-sweep alike: _plan_points lowers pairs to their distinct free-space
-responses, line integrals and mirror responses; the caller evaluates
-the first two as the members of one lockstep batch
-(response._reduced_batch, whose results are those of
-response._free_responses and of the array core
-correlation._line_batch); and _point_terms yields each pair's terms,
-making each mirror P the first time a pair needs it. A single point is
-the batch of one of this evaluation. mutual_information_point assembles
-a point with the scalar helpers _checked_block and _information, which
-assemble_density_block and mutual_information wrap, so a row makes no
-DensityBlock or MIResult.
+This module is the one evaluator of terms, for one point, a sweep and
+the oracle suite alike. _Plan lowers them to the distinct free-space
+responses, line integrals, mirror responses and oracles they need, and
+its evaluate runs the keys as one job or as jobs on a process pool
+(_map): the free-space responses and the line integrals as the members
+of one lockstep batch (response._reduced_batch, whose results are
+those of response._free_responses and of the array core
+correlation._line_batch), and the oracles as a batch of their own
+(correlation._oracle_batch). A batch that raises as a whole is run
+again one key at a time (_evaluate_batch), so no key's failure depends
+on the batch it shared. The results (_Terms) give each term by index,
+as a value or the exception it failed with, each mirror P made the
+first time it is asked for. A single point is the batch of one of this
+evaluation. mutual_information_point assembles a point with the scalar
+helpers _checked_block and _information, which assemble_density_block
+and mutual_information wrap, so a row makes no DensityBlock or
+MIResult.
 """
 
 from __future__ import annotations
@@ -47,12 +52,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .correlation import (CorrelationResult, LineIntegral, PairConfig,
-                          _correlation_from_lines, _line_integral_args,
-                          _Lines, _require_equal_kinematics)
+                          _correlation_from_lines, _join_lines,
+                          _line_integral_args, _oracle_batch,
+                          _require_equal_kinematics)
 from .kinematics import DomainError, _require_tol
 from .quadrature import _checked
 from .response import (ResponseBreakdown, _image_line_args, _reduced_batch,
@@ -220,93 +227,186 @@ def _log_weight(value: float, delta: float) -> float:
     return abs(math.log(floor)) + 1.0
 
 
-def _plan_points(pairs, tol: float) -> tuple[list[tuple], list, list, list]:
-    """Lower pair points to the distinct terms they need, for a tol
-    that the caller has checked (kinematics._require_tol).
+def _evaluate_batch(batch, kinds: tuple[list, ...]) -> list[list]:
+    """The results of batch(*kinds), a batch function of lists of keys
+    of several kinds that returns the results of each list
+    (_plan_batch), from one lockstep batch:
+    for each list, the parts of its results, here the one part the
+    batch gave it. A batch that raises as a whole is run again one key
+    at a time, so that a key's failure does not depend on the batch it
+    shared: then each key is a part of its list's results, and a key
+    that raises alone has the list of its exception as its part."""
+    try:
+        return [[part] for part in batch(*kinds)]
+    except Exception as exc:  # per-point isolation is the contract
+        if sum(map(len, kinds)) == 1:
+            return [[[exc]] if keys else [] for keys in kinds]
+    parts = [[] for _ in kinds]
+    for i, keys in enumerate(kinds):
+        for key in keys:
+            lone = tuple([key] if j == i else [] for j in range(len(kinds)))
+            parts[i] += _evaluate_batch(batch, lone)[i]
+    return parts
 
-    Returns one plan per pair, then the distinct free-space keys, line
-    keys and responses, each listed once in the order the plans first
-    use it. A free-space key is a (detector, tol) key of
-    response._free_responses: a detector's free-space response, or its
-    whole P without a mirror. A line key is a key of
-    correlation._line_batch (its full argument tuple): a
-    line of C, or the image line of a mirror P. A response is
-    (detector, height, free-space index, image line index), the height
-    and line index None without a mirror, and is looked up by its
-    detector and height once it is known. Equal keys give equal results,
-    so a plan's terms are exactly those its pair evaluated alone has.
 
-    A plan is (response indices of P_A and P_B, C), where C is (its
-    prefactor, the indices of its direct and then its image line), or
-    the DomainError of a pair on unequal kinematics."""
-    frees: dict = {}
-    lines: dict = {}
-    responses: dict = {}
-    known: dict = {}  # the response index of each (detector, height)
+def _batch_jobs(batch, kinds: tuple[list, ...], workers: int) -> list[tuple]:
+    """(batch, kinds) arguments of _evaluate_batch: all keys as one job,
+    or on a pool of workers 4 jobs per worker (fewer when the longest
+    list has fewer keys), job c holding the c-th slice of each list.
+    quadrature.integrate_adaptive_batch bounds the lockstep runs a job
+    takes."""
+    count = 1 if workers == 1 else max(min(4 * workers,
+                                           max(map(len, kinds))), 1)
+    return [(batch, tuple(keys[len(keys) * c // count:
+                               len(keys) * (c + 1) // count]
+                          for keys in kinds)) for c in range(count)]
 
-    def use(table: dict, key) -> int:
-        return table.setdefault(key, len(table))
 
-    def response(det, dz) -> int:
-        index = known.get((det, dz))
+def _map(fn, calls: list[tuple], workers: int) -> list:
+    """fn(*args) of each args tuple, in order: serially, or on one
+    process pool of workers. The one place udwmi meets the pool: each
+    _Plan, of a point, a sweep or the oracle suite, is evaluated here."""
+    if workers == 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
+def _use(table: dict, key) -> int:
+    """The index of key in table, a new one the first time."""
+    return table.setdefault(key, len(table))
+
+
+class _Plan:
+    """The lowering of pair points and oracle-suite points to the
+    distinct keys of one batch, for a tol that the caller has checked
+    (kinematics._require_tol).
+
+    Its tables list each key once, in the order of first use: a
+    free-space key is a (detector, tol) key of response._free_responses
+    (a detector's free-space response, or its whole P without a
+    mirror), a line key a key of correlation._line_batch (its full
+    argument tuple: a line of C, or the image line of a mirror P), and
+    an oracle key one of correlation._oracle_batch. responses maps a
+    (detector, height) to the index of its P in made, which holds each
+    P's detector, height, free-space index and image line index, the
+    height and line index None without a mirror. Equal keys give equal
+    results, so a point's terms are exactly those it has alone."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.frees: dict = {}
+        self.lines: dict = {}
+        self.oracles: dict = {}
+        self.responses: dict = {}
+        self.made: list[tuple] = []
+        self.correlations: list = []
+
+    def response(self, det, dz) -> int:
+        """The index of det's P at height dz (None: no mirror)."""
+        index = self.responses.get((det, dz))
         if index is None:
-            image = (None if dz is None
-                     else use(lines, _image_line_args(det, dz, tol)[1]))
-            index = known[det, dz] = use(
-                responses, (det, dz, use(frees, (det, tol)), image))
+            image = (None if dz is None else
+                     _use(self.lines, _image_line_args(det, dz, self.tol)[1]))
+            self.made.append((det, dz, _use(self.frees, (det, self.tol)),
+                              image))
+            index = self.responses[det, dz] = len(self.made) - 1
         return index
 
-    plans = []
-    for pair in pairs:
-        dz_b = None if pair.dz is None else pair.dz + pair.sep
-        resp = (response(pair.det_a, pair.dz), response(pair.det_b, dz_b))
+    def correlation(self, pair: PairConfig) -> int:
+        """The index of the pair's C: its prefactor and the indices of
+        its direct and then its image line, or the DomainError of a pair
+        on unequal kinematics."""
         try:
             _require_equal_kinematics(pair)
         except DomainError as exc:
-            plans.append((resp, exc))
-            continue
-        pref, c_keys = _line_integral_args(pair, tol)
-        plans.append((resp, (pref, tuple(use(lines, key) for key in c_keys))))
-    return plans, list(frees), list(lines), list(responses)
+            self.correlations.append(exc)
+        else:
+            pref, keys = _line_integral_args(pair, self.tol)
+            self.correlations.append(
+                (pref, [_use(self.lines, key) for key in keys]))
+        return len(self.correlations) - 1
 
+    def oracle(self, key) -> int:
+        return _use(self.oracles, key)
 
-def _point_terms(plans, responses, frees, lines: _Lines, tol: float):
-    """Yield the terms (P_A, P_B, C) of each plan of _plan_points, each
-    a value or the exception it failed with, from the evaluated
-    free-space responses, themselves values or exceptions, and the
-    _Lines of the line keys.
+    def point(self, pair: PairConfig) -> tuple[int, int, int]:
+        """The indices of the terms P_A, P_B and C of a pair point:
+        detector A at height dz, B at dz + sep."""
+        dz_b = None if pair.dz is None else pair.dz + pair.sep
+        return (self.response(pair.det_a, pair.dz),
+                self.response(pair.det_b, dz_b), self.correlation(pair))
 
-    A mirror P is made the first time a plan needs it, with its
-    free-space response as free= and its image line, as a
-    LineIntegral, as line=, which leave it bit-identical to a call
-    without them; a failed one of these is taken as the P's failure,
-    free first, and the P is not made. C is made from its lines'
-    records and takes the failure of its first failed line. So the
-    first failed term is the failure a pair evaluated alone meets
-    first."""
-    records, failures = lines.records(), lines.failures
+    def evaluate(self, workers: int = 1) -> _Terms:
+        """The plan's terms, from its keys run through _evaluate_batch
+        as one job or, on a pool of workers, as several (_batch_jobs),
+        each holding a slice of every table's keys: since each member
+        equals its batch of one, the terms do not depend on the jobs.
 
-    @functools.cache
-    def response(i: int):
-        det, dz, free, line = responses[i]
-        free = frees[free]
-        if line is None or isinstance(free, Exception):
-            return free
-        if line in failures:
-            return failures[line]
-        try:
-            return transition_probability(det, dz, tol, free,
-                                          LineIntegral(*records[line]))
-        except Exception as exc:  # a term fails alone
-            return exc
+        A mirror P is made the first time it is asked for, with its
+        free-space response as free= and its image line, as a
+        LineIntegral, as line=, which leave it bit-identical to a call
+        without them; a failed one of these is taken as the P's
+        failure, free first, and the P is not made. C is made from its
+        lines' records and takes the failure of its first failed line.
+        So the first failed term of a point is the failure it meets
+        first alone."""
+        kinds = (list(self.frees), list(self.lines), list(self.oracles))
+        done = _map(_evaluate_batch, _batch_jobs(_plan_batch, kinds, workers),
+                    workers)
+        frees, oracles = ([res for job in done for part in job[i]
+                           for res in part] for i in (0, 2))
+        lines = _join_lines([part for job in done for part in job[1]])
+        records, failures = lines.records(), lines.failures
 
-    for resp, corr in plans:
-        if not isinstance(corr, Exception):
+        @functools.cache
+        def response(i: int):
+            det, dz, free, line = self.made[i]
+            free = frees[free]
+            if line is None or isinstance(free, Exception):
+                return free
+            if line in failures:
+                return failures[line]
+            try:
+                return transition_probability(det, dz, self.tol, free,
+                                              LineIntegral(*records[line]))
+            except Exception as exc:  # a term fails alone
+                return exc
+
+        def correlation(i: int):
+            corr = self.correlations[i]
+            if isinstance(corr, Exception):
+                return corr
             pref, parts = corr
-            corr = next((failures[i] for i in parts if i in failures),
+            return next((failures[j] for j in parts if j in failures),
                         None) or _correlation_from_lines(
-                            pref, [records[i] for i in parts])
-        yield (*map(response, resp), corr)
+                            pref, [records[j] for j in parts])
+
+        return _Terms(response, correlation, oracles.__getitem__)
+
+
+class _Terms(NamedTuple):
+    """The evaluated terms of a _Plan by index, each a value or the
+    exception it failed with: response(i) a P (ResponseBreakdown),
+    correlation(i) a CorrelationResult and oracle(i) an OracleEstimate."""
+
+    response: Callable
+    correlation: Callable
+    oracle: Callable
+
+    def point(self, indices) -> tuple:
+        """The terms (P_A, P_B, C) of a point's indices (_Plan.point)."""
+        a, b, c = indices
+        return self.response(a), self.response(b), self.correlation(c)
+
+
+def _plan_batch(free_keys, line_keys, oracle_keys) -> tuple:
+    """The results of the keys of a plan's reduced batch
+    (response._reduced_batch) and of its oracle batch
+    (correlation._oracle_batch), each batch on its own, the oracle batch
+    only when there are oracle keys."""
+    return (*_reduced_batch(free_keys, line_keys),
+            _oracle_batch(oracle_keys) if oracle_keys else [])
 
 
 def _beyond_budget(p_a: float, p_b: float) -> bool:
@@ -325,21 +425,15 @@ def mutual_information_point(pair: PairConfig | PointTerms,
     irrelevant in free space). Both detectors must share one orbit
     kinematics (DomainError otherwise): each P comes from
     transition_probability and C is correlation_equal's. The pair is
-    the batch of one of a sweep's evaluation: _plan_points lowers it,
-    its free-space responses and its lines (the image lines of both P
-    and the lines of C) run as the members of one lockstep batch
-    (response._reduced_batch), and _point_terms makes its terms; a
-    failure is raised in the order
-    P_A, P_B, C. Given PointTerms instead of a PairConfig, the terms are
-    taken as evaluated and tol is unused: a sweep evaluates each
-    distinct term once and assembles every row here. Warns with
-    PerturbativeRegimeWarning when P_A + P_B > 0.1."""
+    the batch of one of a sweep's evaluation (_Plan), and a failure is
+    raised in the order P_A, P_B, C. Given PointTerms instead of a
+    PairConfig, the terms are taken as evaluated and tol is unused: a
+    sweep evaluates each distinct term once and assembles every row
+    here. Warns with PerturbativeRegimeWarning when P_A + P_B > 0.1."""
     if not isinstance(pair, PointTerms):
-        tol = _require_tol(tol)
-        plans, free_keys, line_keys, responses = _plan_points([pair], tol)
-        (terms,) = _point_terms(plans, responses,
-                                *_reduced_batch(free_keys, line_keys), tol)
-        pair = PointTerms(*map(_checked, terms))
+        plan = _Plan(_require_tol(tol))
+        point = plan.point(pair)
+        pair = PointTerms(*map(_checked, plan.evaluate().point(point)))
     resp_a, resp_b, corr = pair
     p_a, err_a = resp_a.total, resp_a.abs_error_estimate
     p_b, err_b = resp_b.total, resp_b.abs_error_estimate

@@ -5,30 +5,28 @@ energy gap) swept over a fixed background of the remaining parameters,
 once per gap-detuning ratio. Rows share sub-results: P_A repeats along
 a separation axis, the direct correlation part along a boundary-distance
 axis, and a detector's free-space response at every height it sits at.
-So a sweep's pairs are lowered by infomeasure._plan_points, the one
-evaluator of pair points, to their distinct free-space responses, line
+So a sweep's pairs are lowered by one infomeasure._Plan, the one
+lowering of pair points, to their distinct free-space responses, line
 integrals (those of C, and the image line of each mirror P) and mirror
 transition probabilities, and run in one batch stage and one row pass.
 The free-space responses and the line integrals refine in lockstep as
 the members of one batch (response._reduced_batch), in the
 quadrature's bounded runs, serially or as jobs on a process pool, each
-member on a mesh of its own, so no value depends on its batch; the
-line integrals' results are the arrays of correlation._line_batch.
-Then infomeasure._point_terms makes each row's
-terms in order in the calling process, each mirror P the first time a
-row needs it, mutual_information_point assembles the row's point, and
-the row is built positionally from its point params and the point's
-outputs. emit_table writes the cells of a row but its status with one
-%-format of the row. Output order is fixed by (curve, axis index) so
-files are byte-identical whatever the worker count. A failing point
-keeps its row with a fail status instead of aborting the run; otherwise its status is tagged from its values. The
-oracle suite lowers its points the same way, to free-space, line and
-oracle keys: the first two as one reduced batch, and the oracles, both
-contour passes of each a member of one quadrature, as a batch of their
-own. It runs them on the
-same serial-or-pool helper, one process pool per call, then makes each
-point's P or C from its batch results as transition_probability and
-correlation_equal do alone.
+member on a mesh of its own, so no value depends on its batch. Then
+the plan's results give each row's terms in order in the calling
+process, each mirror P made the first time a row needs it,
+mutual_information_point assembles the row's point, and the row is
+built positionally from its point params and the point's outputs.
+emit_table writes the cells of a row but its status with one %-format
+of the row. Output order is fixed by (curve, axis index) so files are
+byte-identical whatever the worker count. A failing point keeps its
+row with a fail status instead of aborting the run; otherwise its
+status is tagged from its values. The oracle suite lowers its points
+by the same plan, to free-space, line and oracle keys: the first two
+as one reduced batch, and the oracles, both contour passes of each a
+member of one quadrature, as a batch of their own, on the same runner,
+one process pool per call. Each point's P or C is then made as
+transition_probability and correlation_equal make it alone.
 
 Config files are JSON; the presets/ directory ships one per figure-style
 sweep plus the oracle cross-check grids. The process pool is udwmi's
@@ -46,26 +44,22 @@ import json
 import math
 import operator
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .correlation import (LineIntegral, PairConfig, _correlation_from_lines,
-                          _join_lines, _line_integral_args, _oracle_batch,
-                          _pair_oracle_key, _require_equal_kinematics)
+from .correlation import PairConfig, _pair_oracle_key
 from .infomeasure import (PairPointResult, PerturbativeRegimeWarning,
-                          PointTerms, _beyond_budget, _plan_points,
-                          _point_terms, mutual_information_point)
+                          PointTerms, _beyond_budget, _Plan,
+                          mutual_information_point)
 from .kinematics import (DomainError, _require_dz, _require_finite,
                          _require_integer, _require_orbit, _require_positive,
                          _require_sep, _require_tol,
                          detector_from_accel_radius)
 from .quadrature import _checked
-from .response import (_image_line_args, _real_estimate, _reduced_batch,
-                       _response_oracle_key, transition_probability)
+from .response import _real_estimate, _response_oracle_key
 
 __all__ = [
     "AXIS_NAMES",
@@ -284,41 +278,6 @@ def _fail_status(exc: Exception) -> str:
     return f"fail:{type(exc).__name__}:{_one_line(exc)}"
 
 
-def _evaluate_batch(batch, kinds: tuple[list, ...]) -> list[list]:
-    """The results of batch(*kinds), a batch function of lists of keys
-    of several kinds that returns the results of each list
-    (response._reduced_batch, _suite_batch), from one lockstep batch:
-    for each list, the parts of its results, here the one part the
-    batch gave it. A batch that raises as a whole is run again one key
-    at a time, so that a key's failure does not depend on the batch it
-    shared: then each key is a part of its list's results, and a key
-    that raises alone has the list of its exception as its part."""
-    try:
-        return [[part] for part in batch(*kinds)]
-    except Exception as exc:  # per-point isolation is the contract
-        if sum(map(len, kinds)) == 1:
-            return [[[exc]] if keys else [] for keys in kinds]
-    parts = [[] for _ in kinds]
-    for i, keys in enumerate(kinds):
-        for key in keys:
-            lone = tuple([key] if j == i else [] for j in range(len(kinds)))
-            parts[i] += _evaluate_batch(batch, lone)[i]
-    return parts
-
-
-def _batch_jobs(batch, kinds: tuple[list, ...], workers: int) -> list[tuple]:
-    """(batch, kinds) arguments of _evaluate_batch: all keys as one job,
-    or on a pool of workers 4 jobs per worker (fewer when the longest
-    list has fewer keys), job c holding the c-th slice of each list.
-    quadrature.integrate_adaptive_batch bounds the lockstep runs a job
-    takes."""
-    count = 1 if workers == 1 else max(min(4 * workers,
-                                           max(map(len, kinds))), 1)
-    return [(batch, tuple(keys[len(keys) * c // count:
-                               len(keys) * (c + 1) // count]
-                          for keys in kinds)) for c in range(count)]
-
-
 def _row_status(terms: tuple) -> tuple[str, PairPointResult | None]:
     """Status and point of one row from its terms (P_A, P_B, C) in
     evaluation order, each a value or the exception it failed with.
@@ -345,44 +304,15 @@ def _resolve_workers(requested: int) -> int:
                             lambda n: n >= 1)
 
 
-def _map(fn, calls: list[tuple], workers: int) -> list:
-    """fn(*args) of each args tuple, in order: serially, or on one
-    process pool of workers. The one place sweeps and the oracle suite
-    meet the pool."""
-    if workers == 1 or len(calls) <= 1:
-        return [fn(*args) for args in calls]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*calls)))
-
-
-def _run_batch(batch, kinds: tuple[list, ...], workers: int) -> list[list]:
-    """The parts of the results of each list of keys of kinds, as
-    _evaluate_batch gives them for all the keys: its jobs
-    (_batch_jobs) run in order, serially or on one pool of workers, and
-    each list's parts are those of its slices, in order."""
-    done = _map(_evaluate_batch, _batch_jobs(batch, kinds, workers), workers)
-    return [[part for job in done for part in job[i]]
-            for i in range(len(kinds))]
-
-
-def _joined(parts: list[list]) -> list:
-    """The results of a list of keys from the parts of them, lists."""
-    return [res for part in parts for res in part]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """Evaluate every sweep point; deterministic row order (curve-major,
     axis-minor) independent of worker count.
 
-    The pairs are lowered by infomeasure._plan_points, so each distinct
+    The pairs are lowered by one infomeasure._Plan, so each distinct
     free-space response, line integral and mirror transition probability
-    of the sweep is evaluated once. The free-space responses and the
-    line integrals run first, as the members of one lockstep batch
-    (response._reduced_batch), serially as one job or on a pool of
-    workers as several, each holding a slice of both lists of keys
-    (_run_batch), the line jobs' arrays joined into one _Lines.
-    infomeasure._point_terms then
-    makes the rows' terms in order in this process, each mirror P the
+    of the sweep is evaluated once, and its batch runs serially as one
+    job or on a pool of workers as several (_Plan.evaluate). The rows'
+    terms are then made in order in this process, each mirror P the
     first time a row needs it, and each row's point is assembled by
     mutual_information_point with its PerturbativeRegimeWarning
     silenced: its status carries the perturbative tag instead. A row is
@@ -391,25 +321,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     workers = _resolve_workers(workers)
     detector = functools.cache(detector_from_accel_radius)
     params = spec.point_params()
-    pairs = []
+    plan = _Plan(spec.tol)
+    points = []
     for p in params:
         try:
-            pairs.append(_pair_from_params(p, detector))
+            points.append(plan.point(_pair_from_params(p, detector)))
         except Exception as exc:  # per-point isolation is the contract
-            pairs.append(exc)
-    plans, free_keys, line_keys, responses = _plan_points(
-        [pair for pair in pairs if not isinstance(pair, Exception)], spec.tol)
-    frees, lines = _run_batch(_reduced_batch, (free_keys, line_keys), workers)
-    points = _point_terms(plans, responses, _joined(frees),
-                          _join_lines(lines), spec.tol)
+            points.append(exc)
+    terms = plan.evaluate(workers)
 
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
-        for p, pair in zip(params, pairs):
-            status, pt = ((_fail_status(pair), None)
-                          if isinstance(pair, Exception)
-                          else _row_status(next(points)))
+        for p, point in zip(params, points):
+            status, pt = ((_fail_status(point), None)
+                          if isinstance(point, Exception)
+                          else _row_status(terms.point(point)))
             rows.append(SweepRow(*_POINT_PARAMS(p), *(
                 _NO_OUTPUTS if pt is None else _point_outputs(pt)), status))
     return rows
@@ -600,74 +527,22 @@ def _deviation_record(params, value, err, oracle, oerr,
 _SUITE_TOL, _P_ORACLE_TOL, _C_ORACLE_TOL = 1e-8, 1e-6, 1e-7
 
 
-def _suite_plans(points: list[tuple]) -> tuple[list, list, list, list]:
-    """Lower (section, params) suite points, "response" or "correlation",
-    to the keys of the batches they need: one plan per point, then the
-    distinct free-space keys (of response._free_responses), line keys
-    (of correlation._line_batch) and oracle keys
-    (correlation._oracle_batch), each listed once in the order the
-    plans first use it. A response plan is (detector, dz, free-space
-    index, image line index or None, oracle index), a correlation plan
-    (prefactor, line indices, oracle index), and a point that cannot
-    be lowered has its exception as its plan."""
-    frees: dict = {}
-    lines: dict = {}
-    oracles: dict = {}
-
-    def use(table: dict, key) -> int:
-        return table.setdefault(key, len(table))
-
-    plans = []
-    for section, p in points:
-        try:
-            if section == "response":
-                spec = detector_from_accel_radius(p["gap"], p["accel"],
-                                                  p["radius"])
-                dz = p.get("dz")
-                image = (None if dz is None else
-                         use(lines, _image_line_args(spec, dz, _SUITE_TOL)[1]))
-                plans.append((spec, dz, use(frees, (spec, _SUITE_TOL)), image,
-                              use(oracles, _response_oracle_key(
-                                  spec, dz, _P_ORACLE_TOL))))
-            else:
-                pair = _pair_from_params(p)
-                _require_equal_kinematics(pair)
-                pref, keys = _line_integral_args(pair, _SUITE_TOL)
-                plans.append((pref, [use(lines, key) for key in keys],
-                              use(oracles, _pair_oracle_key(pair,
-                                                            _C_ORACLE_TOL))))
-        except Exception as exc:  # raised in suite order, below
-            plans.append(exc)
-    return plans, list(frees), list(lines), list(oracles)
-
-
-def _suite_batch(free_keys, line_keys, oracle_keys) -> tuple:
-    """The results of the keys of a suite's reduced batch
-    (response._reduced_batch) and of its oracle batch
-    (correlation._oracle_batch), each batch on its own."""
-    return (*_reduced_batch(free_keys, line_keys),
-            _oracle_batch(oracle_keys) if oracle_keys else [])
-
-
 def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     """Cross-check the fast paths against the definition-level oracles
     on a grid (a JSON path, preset name, or mapping) of points;
     pass/fail against the grid's rel_tol (default 1e-3 relative
     deviation).
 
-    The response and then the correlation points are lowered
-    (_suite_plans) to the keys of two lockstep batches: their
-    free-space responses and their line integrals (the image lines of
-    each mirror P and the lines of C) as one reduced batch, as a
-    sweep's pairs are, and their oracles, both contour passes of each a
-    member of one quadrature, as a batch of their own (_suite_batch).
-    These run serially as one job, or on a pool of workers as several,
-    each holding a slice of every list of keys (_batch_jobs), to the
-    same report at any worker count, since each member equals its batch
-    of one. Each P is then made by
-    transition_probability from its free-space response and image
-    line, and each C from its lines, as transition_probability and
-    correlation_equal make them alone.
+    The response and then the correlation points are lowered by one
+    infomeasure._Plan, as a sweep's pairs are, to the keys of two
+    lockstep batches: their free-space responses and their line
+    integrals (the image lines of each mirror P and the lines of C) as
+    one reduced batch, and their oracles, both contour passes of each a
+    member of one quadrature, as a batch of their own. These run
+    serially as one job, or on a pool of workers as several
+    (_Plan.evaluate), to the same report at any worker count, since
+    each member equals its batch of one; each P and C is then made as
+    transition_probability and correlation_equal make them alone.
     Unlike a sweep row, a point does not fail alone: the first failure
     in suite order (a DomainError for a bad point, a RuntimeError for
     an oracle that did not converge) ends the suite, and its warnings
@@ -678,34 +553,36 @@ def run_oracle_suite(grid, *, workers: int = 1) -> dict:
     resp_points = grid["response_points"]
     points = ([("response", p) for p in resp_points]
               + [("correlation", p) for p in grid["correlation_points"]])
-    plans, free_keys, line_keys, oracle_keys = _suite_plans(points)
-    frees, lines, oracles = _run_batch(
-        _suite_batch, (free_keys, line_keys, oracle_keys), workers)
-    frees, lines, oracles = (_joined(frees), _join_lines(lines),
-                             _joined(oracles))
-    line_records = lines.records()
-
-    def line(i: int) -> tuple:
-        # the record of line i, or raise the exception it failed with
-        if i in lines.failures:
-            raise lines.failures[i]
-        return line_records[i]
+    plan = _Plan(_SUITE_TOL)
+    lowered = []
+    for section, p in points:
+        try:
+            if section == "response":
+                spec = detector_from_accel_radius(p["gap"], p["accel"],
+                                                  p["radius"])
+                dz = p.get("dz")
+                lowered.append((plan.response(spec, dz), plan.oracle(
+                    _response_oracle_key(spec, dz, _P_ORACLE_TOL))))
+            else:
+                pair = _pair_from_params(p)
+                lowered.append((plan.correlation(pair), plan.oracle(
+                    _pair_oracle_key(pair, _C_ORACLE_TOL))))
+        except Exception as exc:  # raised in suite order, below
+            lowered.append(exc)
+    terms = plan.evaluate(workers)
 
     records = []
-    for (section, params), plan in zip(points, plans):
+    for (section, params), point in zip(points, lowered):
+        term, oracle = _checked(point)
         if section == "response":
-            spec, dz, free, image, oracle = _checked(plan)
-            res = transition_probability(
-                spec, dz, _SUITE_TOL, _checked(frees[free]),
-                None if image is None else LineIntegral(*line(image)))
-            est = _real_estimate(_checked(oracles[oracle]))
+            res = _checked(terms.response(term))
+            est = _real_estimate(_checked(terms.oracle(oracle)))
             records.append(_deviation_record(
                 params, res.total, res.abs_error_estimate, est.value,
                 est.error_estimate, est.evaluations))
             continue
-        pref, parts, oracle = _checked(plan)
-        res = _correlation_from_lines(pref, [line(i) for i in parts])
-        est = _checked(oracles[oracle])
+        res = _checked(terms.correlation(term))
+        est = _checked(terms.oracle(oracle))
         rec = _deviation_record(params, res.c_total, res.abs_error_estimate,
                                 est.value, est.error_estimate,
                                 est.evaluations)

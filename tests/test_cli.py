@@ -267,9 +267,9 @@ class TestSweepCommand:
 
     def test_failing_points_exit_code(self, capsys, tmp_path, config_path,
                                       monkeypatch):
-        from udwmi import sweep as sweep_mod
+        from udwmi import infomeasure
 
-        reduced = sweep_mod._reduced_batch
+        reduced = infomeasure._reduced_batch
 
         def always_fail(free_keys, line_keys):
             # a batch raising as a whole is run again key by key: then
@@ -279,7 +279,7 @@ class TestSweepCommand:
             return reduced(free_keys, line_keys)
 
         # every row's P_A needs its detector's free-space response
-        monkeypatch.setattr(sweep_mod, "_reduced_batch", always_fail)
+        monkeypatch.setattr(infomeasure, "_reduced_batch", always_fail)
         out_path = tmp_path / "out.csv"
         rc, out, err = run_cli(capsys, [
             "sweep", "--config", str(config_path), "--out", str(out_path),

@@ -259,6 +259,17 @@ def line_key(accel, radius, gap, L_eff, tol):
     return (L_eff, *_line_params(det, det, tol)[1])
 
 
+def planned_line_keys(pairs, tol=1e-8):
+    """The distinct line keys of pair points, in the order the one plan
+    of the engine (infomeasure._Plan) first uses them."""
+    from udwmi.infomeasure import _Plan
+
+    plan = _Plan(tol)
+    for p in pairs:
+        plan.point(p)
+    return list(plan.lines)
+
+
 def line_bits(res):
     """Every field of a batch member's result, floats as exact hex; an
     exception as its type and message."""
@@ -352,12 +363,10 @@ class TestLineIntegralBatch:
         # of at most _RUN_PANELS initial panels at about 2 MiB
         import tracemalloc
 
-        from udwmi.infomeasure import _plan_points
-
         det = detector_from_accel_radius(0.1, 3.7, 0.02)
         pairs = [PairConfig(det, det, sep, 5.0)
                  for sep in np.linspace(0.1, 8.0, 400)]
-        keys = _plan_points(pairs, 1e-8)[2]
+        keys = planned_line_keys(pairs)
         assert len(keys) == 1201
         tracemalloc.start()
         try:
@@ -403,8 +412,6 @@ class TestLineIntegralBatch:
         import sys
         from pathlib import Path
 
-        from udwmi.infomeasure import _plan_points
-
         path = Path(__file__).resolve().parent.parent / "bench" / \
             "workloads.py"
         spec = importlib.util.spec_from_file_location("workloads", path)
@@ -422,7 +429,7 @@ class TestLineIntegralBatch:
                 detector_from_accel_radius(q["gap_b"], q["accel"],
                                            q["radius"]),
                 q["sep"], q["dz"])
-            keys = _plan_points([p], 1e-8)[2]
+            keys = planned_line_keys([p])
             sized += self.line_work(monkeypatch, keys)[0]
             fixed += self.line_work(monkeypatch, keys, 8)[0]
         assert sized <= fixed
@@ -430,11 +437,9 @@ class TestLineIntegralBatch:
     def test_sized_start_evaluates_less_on_an_onset_curve(self, monkeypatch):
         # the 721 line keys of the 240-point criterion-7 curve (a = 3.7,
         # R = 0.02, dz = 5), one batch as a sweep runs it
-        from udwmi.infomeasure import _plan_points
-
         det = detector_from_accel_radius(0.1, 3.7, 0.02)
-        keys = _plan_points([PairConfig(det, det, sep, 5.0)
-                             for sep in np.linspace(0.1, 8.0, 240)], 1e-8)[2]
+        keys = planned_line_keys([PairConfig(det, det, sep, 5.0)
+                                  for sep in np.linspace(0.1, 8.0, 240)])
         assert len(keys) == 721
         sized = self.line_work(monkeypatch, keys)
         fixed = self.line_work(monkeypatch, keys, 8)

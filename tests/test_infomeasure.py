@@ -372,6 +372,32 @@ class TestEndToEndPoint:
         assert float_bits(dataclasses.astuple(pt)) == \
             float_bits(dataclasses.astuple(expected))
 
+    @pytest.mark.parametrize("dz", [None, 1.0])
+    def test_point_does_not_depend_on_its_batch(self, monkeypatch, dz):
+        # a batch that raises as a whole is run again one key at a time,
+        # so a point's failure, as a sweep row's, does not depend on the
+        # batch its keys shared: here only batches of one key succeed,
+        # and the point is bit-identical to its unpatched result
+        det_a = detector_from_accel_radius(1.0, 0.1, 0.02)
+        det_b = detector_from_accel_radius(1.5, 0.1, 0.02)
+        pair = PairConfig(det_a=det_a, det_b=det_b, sep=2.0, dz=dz)
+        expected = mutual_information_point(pair)
+        reduced = infomeasure._reduced_batch
+        sizes = []
+
+        def lone_keys_only(free_keys, line_keys):
+            sizes.append(len(free_keys) + len(line_keys))
+            if sizes[-1] > 1:
+                raise RuntimeError("forced failure of a shared batch")
+            return reduced(free_keys, line_keys)
+
+        monkeypatch.setattr(infomeasure, "_reduced_batch", lone_keys_only)
+        pt = mutual_information_point(pair)
+        assert sizes[0] == (3 if dz is None else 6)
+        assert sizes[1:] == [1] * sizes[0]
+        assert float_bits(dataclasses.astuple(pt)) == \
+            float_bits(dataclasses.astuple(expected))
+
     def test_unequal_kinematics_rejected(self):
         # only a pair on one orbit kinematics has a reduced correlation;
         # the definition-level one is a cross-check, not a fallback

@@ -302,7 +302,7 @@ class TestRunSweep:
         # the member fails in its batch, or the batch raises as a whole
         # and is run again key by key: either way one row fails
         for patch in (failing_member, failing_batch):
-            monkeypatch.setattr(sweep_mod, "_reduced_batch", patch)
+            monkeypatch.setattr(infomeasure, "_reduced_batch", patch)
             rows = run_sweep(spec, workers=1)
             assert [r.status.split(":")[0] for r in rows] == \
                 ["ok", "fail", "ok"]
@@ -336,7 +336,7 @@ class TestRunSweep:
                     converged=lines.converged & np.array(
                         [key not in marked for key in line_keys], dtype=bool))
 
-            monkeypatch.setattr(sweep_mod, "_reduced_batch",
+            monkeypatch.setattr(infomeasure, "_reduced_batch",
                                 unconverged_lines)
             rows = run_sweep(spec, workers=1)
             assert all(r.status == "warn:tolerance" for r in rows)
@@ -371,12 +371,10 @@ class TestRunSweep:
                                                 tmp_path):
         # a sweep, the oracle suite and udwmi verify run serially unless
         # asked for workers: a process allowed two CPUs starts no pool
-        from udwmi import sweep as sweep_mod
-
         def no_pool(*args, **kwargs):
             raise AssertionError("started a process pool")
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(infomeasure, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         assert len(run_sweep(cheap_spec())) == 4
@@ -582,8 +580,6 @@ class TestPlanner:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shared_terms_are_evaluated_once(self, monkeypatch, workers):
-        from udwmi import sweep as sweep_mod
-
         probabilities = []
         bounded = []
         direct_lines = []
@@ -628,7 +624,7 @@ class TestPlanner:
                             counted_batch)
         monkeypatch.setattr(response, "integrate_adaptive", counted_lone)
         monkeypatch.setattr(response, "_adaptive_parts", counted_parts)
-        monkeypatch.setattr(sweep_mod, "_reduced_batch", counted_lines)
+        monkeypatch.setattr(infomeasure, "_reduced_batch", counted_lines)
         run_sweep(sep_spec, workers=1)
         # both detectors are one detector: its free-space response, the
         # bounded quadrature, runs once, not once per mirror P
@@ -1097,21 +1093,19 @@ class TestOracleSuite:
             assert crec["oracle_evaluations"] == sum(calls)
 
     def test_corrupted_response_is_caught(self, monkeypatch):
-        from udwmi import sweep as sweep_mod
-
-        value_fn = sweep_mod.transition_probability
+        value_fn = infomeasure.transition_probability
 
         def corrupted(*args):
             res = value_fn(*args)
             return dataclasses.replace(res, total=res.total * 1.01)
 
-        monkeypatch.setattr(sweep_mod, "transition_probability", corrupted)
+        monkeypatch.setattr(infomeasure, "transition_probability", corrupted)
         # correlation zeroed out so only the response check runs: its
         # reduced value, and its oracle in the suite's oracle batch
-        monkeypatch.setattr(sweep_mod, "_correlation_from_lines",
+        monkeypatch.setattr(infomeasure, "_correlation_from_lines",
                             lambda pref, lines: correlation.CorrelationResult(
                                 0j, 0j, 0j, 0.0, True))
-        monkeypatch.setattr(sweep_mod, "_oracle_batch",
+        monkeypatch.setattr(infomeasure, "_oracle_batch",
                             oracles_zeroed("correlation"))
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["response"]["ok"]
@@ -1119,21 +1113,19 @@ class TestOracleSuite:
         assert not rep["response"]["points"][0]["within_combined_err"]
 
     def test_corrupted_correlation_is_caught(self, monkeypatch):
-        from udwmi import sweep as sweep_mod
-
-        value_fn = sweep_mod._correlation_from_lines
+        value_fn = infomeasure._correlation_from_lines
 
         def corrupted(pref, lines):
             res = value_fn(pref, lines)
             return dataclasses.replace(res, c_total=res.c_total * (1.0 + 5e-3))
 
         # response zeroed out so only the correlation check runs
-        monkeypatch.setattr(sweep_mod, "transition_probability",
+        monkeypatch.setattr(infomeasure, "transition_probability",
                             lambda *args: response.ResponseBreakdown(
                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, True))
-        monkeypatch.setattr(sweep_mod, "_oracle_batch",
+        monkeypatch.setattr(infomeasure, "_oracle_batch",
                             oracles_zeroed("response"))
-        monkeypatch.setattr(sweep_mod, "_correlation_from_lines", corrupted)
+        monkeypatch.setattr(infomeasure, "_correlation_from_lines", corrupted)
         rep = run_oracle_suite("oracle_grid_smoke", workers=1)
         assert not rep["correlation"]["ok"]
         assert rep["correlation"]["max_rel_dev"] > 2e-3
@@ -1231,19 +1223,17 @@ class TestOracleSuite:
         # with workers, the pool gets jobs of the suite's batch, as a
         # sweep's: each job a slice of every kind of key, fewer jobs
         # than keys, not a point per task
-        from udwmi import sweep as sweep_mod
-
         mapped = []
 
         def serial(fn, calls, workers):
             mapped.append((fn, calls, workers))
             return [fn(*args) for args in calls]
 
-        monkeypatch.setattr(sweep_mod, "_map", serial)
+        monkeypatch.setattr(infomeasure, "_map", serial)
         report = run_oracle_suite("oracle_grid", workers=2)
         ((fn, jobs, workers),) = mapped
-        assert fn is sweep_mod._evaluate_batch and workers == 2
-        assert {batch for batch, _ in jobs} == {sweep_mod._suite_batch}
+        assert fn is infomeasure._evaluate_batch and workers == 2
+        assert {batch for batch, _ in jobs} == {infomeasure._plan_batch}
         oracle_jobs = [oracles for _, (_, _, oracles) in jobs]
         assert sum(map(len, oracle_jobs)) == 39 > len(oracle_jobs) > 1
         assert float_bits(report) == float_bits(run_oracle_suite(
